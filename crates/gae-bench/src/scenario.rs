@@ -130,7 +130,8 @@ fn gate_config() -> GateConfig {
     }
 }
 
-fn build_grid(spec: &ScenarioSpec, opts: &ScenarioOptions) -> Arc<Grid> {
+/// The scenario's grid: its sites under the runner's gate shape.
+pub fn build_grid(spec: &ScenarioSpec, opts: &ScenarioOptions) -> Arc<Grid> {
     let mut builder = GridBuilder::new().driver(opts.driver).gate(gate_config());
     for (i, site) in spec.sites.iter().enumerate() {
         builder = builder.site_with_load(
@@ -157,7 +158,7 @@ fn policy_for(opts: &ScenarioOptions) -> SteeringPolicy {
 
 /// Builds the `JobSpec` for one scenario arrival. Task ids are
 /// allocated from a global counter so the job monitor can index them.
-fn job_for(
+pub fn job_for(
     spec: &ScenarioSpec,
     arrival_index: usize,
     next_task: &mut u64,
@@ -192,7 +193,8 @@ fn job_for(
     (job, tasks)
 }
 
-fn apply_fault(grid: &Grid, kind: FaultKind) {
+/// Injects one fabric fault (site outage/heal, link failure/heal).
+pub fn apply_fault(grid: &Grid, kind: FaultKind) {
     match kind {
         FaultKind::SiteDown(i) => {
             if let Ok(exec) = grid.exec(sid(i)) {

@@ -366,6 +366,11 @@ impl Grid {
         self.sites.keys().copied().collect()
     }
 
+    /// Every site's execution service, in site-id order.
+    pub fn sites(&self) -> impl Iterator<Item = (SiteId, &Arc<Mutex<ExecutionService>>)> {
+        self.sites.iter().map(|(id, exec)| (*id, exec))
+    }
+
     /// A site's static description.
     pub fn description(&self, site: SiteId) -> GaeResult<&SiteDescription> {
         self.descriptions

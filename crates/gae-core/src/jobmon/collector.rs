@@ -116,14 +116,16 @@ impl JobInformationCollector {
         }
     }
 
-    /// Locates a task across sites. When a task has records at
-    /// several sites (it migrated), the actively-hosted one wins —
-    /// a `Migrating` husk left at the old site is *not* active —
-    /// otherwise the most recently submitted record.
+    /// Locates a task across sites — the resolver for callers that
+    /// hold no location (the RPC facade) and the fallback when a
+    /// tracked location went stale; it locks every site. When a task
+    /// has records at several sites (it migrated), the actively-hosted
+    /// one wins — a `Migrating` husk left at the old site is *not*
+    /// active — otherwise the most recently submitted record, a husk
+    /// losing a same-instant tie to the record that replaced it.
     pub fn locate(&self, task: TaskId) -> GaeResult<(SiteId, CondorId)> {
-        let mut best: Option<(SiteId, CondorId, bool, gae_types::SimTime)> = None;
-        for site in self.grid.site_ids() {
-            let exec = self.grid.exec(site)?;
+        let mut best: Option<(SiteId, CondorId, (bool, gae_types::SimTime, bool))> = None;
+        for (site, exec) in self.grid.sites() {
             let exec = exec.lock();
             if let Some(condor) = exec.condor_of(task) {
                 if let Ok(rec) = exec.record(condor) {
@@ -134,37 +136,31 @@ impl JobInformationCollector {
                             | TaskStatus::Running
                             | TaskStatus::Suspended
                     );
-                    let key = (live, rec.submitted_at);
-                    let better = match &best {
-                        Some((_, _, bl, bt)) => key > (*bl, *bt),
-                        None => true,
-                    };
-                    if better {
-                        best = Some((site, condor, live, rec.submitted_at));
+                    let key = (live, rec.submitted_at, rec.status != TaskStatus::Migrating);
+                    if best.as_ref().is_none_or(|(_, _, b)| key > *b) {
+                        best = Some((site, condor, key));
                     }
                 }
             }
         }
-        best.map(|(s, c, _, _)| (s, c))
+        best.map(|(s, c, _)| (s, c))
             .ok_or_else(|| GaeError::NotFound(format!("{task} on any site")))
     }
 
     /// Task ids of a job found live on any site (running, queued, or
-    /// settled but still in an execution service's records).
+    /// settled but still in an execution service's records), sorted.
     pub fn live_job_tasks(&self, job: gae_types::JobId) -> Vec<TaskId> {
         let mut out = Vec::new();
-        for site in self.grid.site_ids() {
-            let Ok(exec) = self.grid.exec(site) else {
-                continue;
-            };
+        for (_, exec) in self.grid.sites() {
             let exec = exec.lock();
-            for rec in exec.records() {
-                if rec.spec.job == job && !out.contains(&rec.spec.id) {
-                    out.push(rec.spec.id);
-                }
-            }
+            out.extend(
+                exec.records()
+                    .filter(|rec| rec.spec.job == job)
+                    .map(|rec| rec.spec.id),
+            );
         }
         out.sort();
+        out.dedup();
         out
     }
 
@@ -172,14 +168,62 @@ impl JobInformationCollector {
     /// service.
     pub fn live_info(&self, task: TaskId) -> GaeResult<JobMonitoringInfo> {
         let (site, condor) = self.locate(task)?;
-        self.live_info_at(site, condor)
-    }
-
-    /// Live monitoring info by explicit site + Condor id.
-    pub fn live_info_at(&self, site: SiteId, condor: CondorId) -> GaeResult<JobMonitoringInfo> {
         let exec = self.grid.exec(site)?;
         let exec = exec.lock();
         let record = exec.record(condor)?;
         Ok(self.info_from_record(site, record, &exec))
+    }
+
+    /// Reads the record a caller believes is `task`'s, under that one
+    /// site's lock. The location is a hint verified there — the record
+    /// must still be the site's current one for the task and not a
+    /// `Migrating` husk — so a caller whose bookkeeping lags the
+    /// execution layer gets `None` (resolve through
+    /// [`JobInformationCollector::locate`]), never a wrong answer.
+    fn read_at<R>(
+        &self,
+        task: TaskId,
+        site: SiteId,
+        condor: CondorId,
+        read: impl FnOnce(&TaskRecord, &gae_exec::ExecutionService) -> R,
+    ) -> Option<R> {
+        let exec = self.grid.exec(site).ok()?;
+        let exec = exec.lock();
+        if exec.condor_of(task) != Some(condor) {
+            return None;
+        }
+        let record = exec.record(condor).ok()?;
+        (record.status != TaskStatus::Migrating).then(|| read(record, &exec))
+    }
+
+    /// Live monitoring info from the hinted location; `None` when the
+    /// hint is stale.
+    pub(crate) fn live_info_at(
+        &self,
+        task: TaskId,
+        site: SiteId,
+        condor: CondorId,
+    ) -> Option<JobMonitoringInfo> {
+        self.read_at(task, site, condor, |record, exec| {
+            self.info_from_record(site, record, exec)
+        })
+    }
+
+    /// [`Self::live_info_at`] that looks before it builds: the inner
+    /// `None` — decided from the record's status alone — while the
+    /// task is pending, queued or suspended.
+    pub(crate) fn live_info_unless_parked(
+        &self,
+        task: TaskId,
+        site: SiteId,
+        condor: CondorId,
+    ) -> Option<Option<JobMonitoringInfo>> {
+        self.read_at(task, site, condor, |record, exec| {
+            let parked = matches!(
+                record.status,
+                TaskStatus::Pending | TaskStatus::Queued | TaskStatus::Suspended
+            );
+            (!parked).then(|| self.info_from_record(site, record, exec))
+        })
     }
 }

@@ -157,6 +157,12 @@ impl DbManager {
             .collect()
     }
 
+    /// Ids of the tasks of a job with stored snapshots, in insertion
+    /// order.
+    pub fn job_task_ids(&self, job: JobId) -> Vec<TaskId> {
+        self.by_job.read().get(&job).cloned().unwrap_or_default()
+    }
+
     /// Number of stored snapshots.
     pub fn len(&self) -> usize {
         self.snapshots.read().len()

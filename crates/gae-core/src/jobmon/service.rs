@@ -7,7 +7,7 @@ use crate::jobmon::db::DbManager;
 use crate::jobmon::info::JobMonitoringInfo;
 use crate::jobmon::manager::JmManager;
 use gae_rpc::{CallContext, MethodInfo, Service};
-use gae_types::{GaeResult, JobId, JobStatus, TaskId, TaskStatus};
+use gae_types::{CondorId, GaeResult, JobId, JobStatus, SiteId, TaskId, TaskStatus};
 use gae_wire::Value;
 use std::sync::Arc;
 
@@ -37,6 +37,30 @@ impl JobMonitoringService {
         self.manager.info(task)
     }
 
+    /// [`Self::job_info`] for a caller that tracks where the task is:
+    /// probes that one site instead of sweeping the grid, and falls
+    /// back to the sweep when the location went stale.
+    pub fn job_info_at(
+        &self,
+        task: TaskId,
+        site: SiteId,
+        condor: CondorId,
+    ) -> GaeResult<JobMonitoringInfo> {
+        self.manager.info_at(task, site, condor)
+    }
+
+    /// [`Self::job_info_at`] for the steering round, which acts only
+    /// on tasks that are running or finished: `None`, with nothing
+    /// built, while the task is pending, queued or suspended.
+    pub fn job_info_unless_parked(
+        &self,
+        task: TaskId,
+        site: SiteId,
+        condor: CondorId,
+    ) -> GaeResult<Option<JobMonitoringInfo>> {
+        self.manager.info_unless_parked(task, site, condor)
+    }
+
     /// Just the status of one task.
     pub fn task_status(&self, task: TaskId) -> GaeResult<TaskStatus> {
         self.manager.info(task).map(|i| i.status)
@@ -55,34 +79,30 @@ impl JobMonitoringService {
     /// All tasks currently live on any execution service, in task-id
     /// order — the "what is my grid doing right now" view.
     pub fn list_active(&self) -> Vec<JobMonitoringInfo> {
-        let collector = self.manager.collector();
         let mut out = Vec::new();
-        for site in collector.grid().site_ids() {
-            let Ok(exec) = collector.grid().exec(site) else {
-                continue;
-            };
-            let tasks: Vec<TaskId> = {
-                let guard = exec.lock();
-                guard
-                    .records()
-                    .filter(|r| {
-                        matches!(
-                            r.status,
-                            TaskStatus::Queued | TaskStatus::Running | TaskStatus::Suspended
-                        )
-                    })
-                    .map(|r| r.spec.id)
-                    .collect()
-            };
-            for t in tasks {
-                if let Ok(info) = self.manager.info(t) {
-                    if !out.iter().any(|i: &JobMonitoringInfo| i.task == info.task) {
-                        out.push(info);
-                    }
-                }
-            }
+        for (site, exec) in self.manager.collector().grid().sites() {
+            let active: Vec<(TaskId, CondorId)> = exec
+                .lock()
+                .records()
+                .filter(|r| {
+                    matches!(
+                        r.status,
+                        TaskStatus::Queued | TaskStatus::Running | TaskStatus::Suspended
+                    )
+                })
+                .map(|r| (r.spec.id, r.condor))
+                .collect();
+            out.extend(
+                active
+                    .into_iter()
+                    .filter_map(|(task, condor)| self.manager.info_at(task, site, condor).ok()),
+            );
         }
-        out.sort_by_key(|i| i.task);
+        // One entry per task: should a task be active at two sites,
+        // the most recently submitted record answers for it (earliest
+        // site on a tie), as it does for `job_info`.
+        out.sort_by_key(|i| (i.task, std::cmp::Reverse(i.submitted_at)));
+        out.dedup_by_key(|i| i.task);
         out
     }
 

@@ -6,7 +6,7 @@ use crate::estimator::EstimatorService;
 use crate::grid::Grid;
 use crate::quota::QuotaService;
 use gae_sched::{SiteEstimate, SiteInfoProvider};
-use gae_types::{FileRef, GaeResult, SimDuration, SiteId, TaskSpec};
+use gae_types::{FileRef, GaeResult, Priority, SimDuration, SiteId, TaskSpec};
 use std::sync::Arc;
 
 /// [`SiteInfoProvider`] over the live grid.
@@ -57,8 +57,41 @@ impl SiteInfoProvider for GridSiteInfo {
     }
 
     fn estimate(&self, site: SiteId, task: &TaskSpec) -> GaeResult<SiteEstimate> {
+        let queue_time = self.estimators.estimate_queue_time_for_spec(site, task);
+        self.estimate_given_queue(site, task, queue_time)
+    }
+
+    /// The queue wait depends on the task only through its priority:
+    /// one scan of the site's queue per distinct priority in the plan.
+    fn estimate_all(&self, site: SiteId, tasks: &[&TaskSpec]) -> Vec<GaeResult<SiteEstimate>> {
+        let mut scanned: Vec<(Priority, GaeResult<SimDuration>)> = Vec::new();
+        tasks
+            .iter()
+            .map(|task| {
+                let queue_time = match scanned.iter().find(|(p, _)| *p == task.priority) {
+                    Some((_, queue_time)) => queue_time.clone(),
+                    None => {
+                        let queue_time = self.estimators.estimate_queue_time_for_spec(site, task);
+                        scanned.push((task.priority, queue_time.clone()));
+                        queue_time
+                    }
+                };
+                self.estimate_given_queue(site, task, queue_time)
+            })
+            .collect()
+    }
+}
+
+impl GridSiteInfo {
+    /// Everything of an estimate but the queue scan.
+    fn estimate_given_queue(
+        &self,
+        site: SiteId,
+        task: &TaskSpec,
+        queue_time: GaeResult<SimDuration>,
+    ) -> GaeResult<SiteEstimate> {
         let runtime = self.runtime_estimate(site, task);
-        let queue_time = self.estimators.estimate_queue_time_for_spec(site, task)?;
+        let queue_time = queue_time?;
         // Files with no replica anywhere are produced by the job
         // itself; they cost nothing to stage.
         let stageable: Vec<FileRef> = task
@@ -82,5 +115,74 @@ impl SiteInfoProvider for GridSiteInfo {
             load,
             cost,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::grid::{GridBuilder, ServiceStack};
+    use gae_types::{JobId, JobSpec, SiteDescription, TaskId, UserId};
+
+    /// A plan's batched estimates equal the task-by-task ones when the
+    /// sites hold running and queued work of several priorities and
+    /// the plan's tasks differ in priority, demand and inputs.
+    #[test]
+    fn estimate_all_matches_estimate_per_task() {
+        let grid = GridBuilder::new()
+            .site_with_load(SiteDescription::new(SiteId::new(1), "busy", 1, 1), 1.5)
+            .site(SiteDescription::new(SiteId::new(2), "free", 1, 2))
+            .build();
+        let stack = ServiceStack::over(grid);
+        for i in 1..=12u64 {
+            let mut job = JobSpec::new(JobId::new(i), "load", UserId::new(1));
+            job.add_task(
+                TaskSpec::new(TaskId::new(i), format!("t{i}"), "reco")
+                    .with_cpu_demand(SimDuration::from_secs(50 + 10 * i))
+                    .with_priority(Priority::new((i % 3) as i32)),
+            );
+            stack.submit_job(job).unwrap();
+        }
+        stack.run_until(gae_types::SimTime::from_secs(30));
+
+        let info = GridSiteInfo::new(
+            stack.grid.clone(),
+            stack.estimators.clone(),
+            stack.quota.clone(),
+        );
+        let plan_tasks: Vec<TaskSpec> = (0..5u64)
+            .map(|i| {
+                let mut t = TaskSpec::new(TaskId::new(100 + i), format!("p{i}"), "reco")
+                    .with_cpu_demand(SimDuration::from_secs(40 * (i + 1)))
+                    .with_priority(Priority::new([1, 0, 1, 2, 0][i as usize]));
+                if i % 2 == 0 {
+                    t.input_files = vec![FileRef::new(format!("lfn:/in{i}"), 1 << 20)
+                        .with_replicas(vec![SiteId::new(1)])];
+                }
+                t
+            })
+            .collect();
+        let tasks: Vec<&TaskSpec> = plan_tasks.iter().collect();
+        for site in info.sites() {
+            let one_by_one: Vec<_> = tasks.iter().map(|t| info.estimate(site, t)).collect();
+            assert_eq!(info.estimate_all(site, &tasks), one_by_one);
+            // The backlog is real and priority-dependent, so a shared
+            // scan across priorities would show.
+            let q = |i: usize| one_by_one[i].as_ref().unwrap().queue_time;
+            assert!(q(0) > SimDuration::ZERO);
+            assert_eq!(q(0), q(2));
+        }
+        let distinct = |site| {
+            let all = info.estimate_all(site, &tasks);
+            all[1].as_ref().unwrap().queue_time != all[3].as_ref().unwrap().queue_time
+        };
+        assert!(info.sites().into_iter().any(distinct));
+        // An unknown site fails every task the same way on both paths.
+        let nowhere = SiteId::new(9);
+        assert!(info
+            .estimate_all(nowhere, &tasks)
+            .iter()
+            .all(Result::is_err));
+        assert!(info.estimate(nowhere, tasks[0]).is_err());
     }
 }

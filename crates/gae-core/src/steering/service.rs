@@ -16,7 +16,7 @@ use gae_types::{
     SimTime, SiteId, TaskId, TaskSpec, TaskStatus, UserId,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// A client-visible steering command (§4: "kill, pause, and resume,
@@ -155,6 +155,11 @@ pub struct SteeringService {
     quota: Arc<QuotaService>,
     policy: RwLock<SteeringPolicy>,
     jobs: RwLock<HashMap<JobId, TrackedJob>>,
+    /// The jobs a round still has work for: those whose
+    /// `completion_notified` is false, in id order. Derived from
+    /// `jobs` (never journaled), so a round costs what is live, not
+    /// what was ever tracked. Lock order: `jobs`, then `live_jobs`.
+    live_jobs: Mutex<BTreeSet<JobId>>,
     task_index: RwLock<HashMap<TaskId, JobId>>,
     authorizer: JobAuthorizer,
     notifications: Mutex<Vec<Notification>>,
@@ -188,6 +193,7 @@ impl SteeringService {
             quota,
             policy: RwLock::new(policy),
             jobs: RwLock::new(HashMap::new()),
+            live_jobs: Mutex::new(BTreeSet::new()),
             task_index: RwLock::new(HashMap::new()),
             authorizer: JobAuthorizer::new(),
             notifications: Mutex::new(Vec::new()),
@@ -279,6 +285,7 @@ impl SteeringService {
                     index.insert(t, job_id);
                 }
                 jobs.insert(job_id, tracked);
+                self.live_jobs.lock().insert(job_id);
             }
         }
         Ok(())
@@ -296,6 +303,7 @@ impl SteeringService {
     pub(crate) fn replay_notified(&self, job_id: JobId) {
         if let Some(tracked) = self.jobs.write().get_mut(&job_id) {
             tracked.completion_notified = true;
+            self.live_jobs.lock().remove(&job_id);
         }
     }
 
@@ -308,7 +316,14 @@ impl SteeringService {
                 index.insert(t, job_id);
             }
         }
-        self.jobs.write().insert(job_id, tracked);
+        let mut jobs = self.jobs.write();
+        let mut live = self.live_jobs.lock();
+        if tracked.completion_notified {
+            live.remove(&job_id);
+        } else {
+            live.insert(job_id);
+        }
+        jobs.insert(job_id, tracked);
     }
 
     /// Deterministic export of the tracker: jobs id-sorted (snapshot
@@ -327,11 +342,13 @@ impl SteeringService {
     pub(crate) fn rearm_submitted(&self) -> GaeResult<Vec<TaskId>> {
         let mut inflight: Vec<(JobId, TaskId, SiteId, TaskSpec)> = Vec::new();
         {
+            // A notified job is settled: nothing in flight, nothing
+            // ready. Only live jobs can need re-arming.
             let jobs = self.jobs.read();
-            let mut ids: Vec<&JobId> = jobs.keys().collect();
-            ids.sort();
-            for job_id in ids {
-                let tracked = &jobs[job_id];
+            for job_id in self.live_job_ids() {
+                let Some(tracked) = jobs.get(&job_id) else {
+                    continue;
+                };
                 let mut tasks: Vec<&TaskId> = tracked.tasks.keys().collect();
                 tasks.sort();
                 for t in tasks {
@@ -342,7 +359,7 @@ impl SteeringService {
                             .task(*t)
                             .ok_or_else(|| GaeError::NotFound(t.to_string()))?
                             .clone();
-                        inflight.push((*job_id, *t, site, spec));
+                        inflight.push((job_id, *t, site, spec));
                     }
                 }
             }
@@ -356,9 +373,7 @@ impl SteeringService {
         }
         // Jobs with no in-flight tasks may still have ready work
         // (e.g. crash landed between completion and resubmission).
-        let mut job_ids: Vec<JobId> = self.jobs.read().keys().copied().collect();
-        job_ids.sort();
-        for job_id in job_ids {
+        for job_id in self.live_job_ids() {
             self.submit_ready(job_id)?;
         }
         Ok(resubmitted)
@@ -392,7 +407,11 @@ impl SteeringService {
                 index.insert(t, job_id);
             }
         }
-        self.jobs.write().insert(job_id, tracked);
+        {
+            let mut jobs = self.jobs.write();
+            jobs.insert(job_id, tracked);
+            self.live_jobs.lock().insert(job_id);
+        }
         self.log_plan(job_id);
         self.submit_ready(job_id)
     }
@@ -479,11 +498,7 @@ impl SteeringService {
             hub.mark_at(condor.raw(), gae_obs::TimelineEvent::Admit, now);
             hub.mark_at(condor.raw(), gae_obs::TimelineEvent::Submit, now);
         }
-        if let Some(tracked) = self.jobs.write().get_mut(&job_id) {
-            if let Some(t) = tracked.tasks.get_mut(&task) {
-                t.phase = TaskPhase::Submitted { site, condor };
-            }
-        }
+        self.set_phase(job_id, task, TaskPhase::Submitted { site, condor });
         self.log_task(job_id, task);
         Ok(())
     }
@@ -506,9 +521,7 @@ impl SteeringService {
                 let (site, condor) = self.location(job_id, task)?;
                 self.grid.exec(site)?.lock().kill(condor)?;
                 self.grid.release_task_data(site, condor);
-                if let Some(tracked) = self.jobs.write().get_mut(&job_id) {
-                    tracked.tasks.get_mut(&task).expect("indexed task").phase = TaskPhase::Killed;
-                }
+                self.set_phase(job_id, task, TaskPhase::Killed);
                 self.estimators.evict_submission(site, condor);
                 self.log_task(job_id, task);
                 Ok(())
@@ -634,7 +647,9 @@ impl SteeringService {
             let mut jobs = self.jobs.write();
             if let Some(tracked) = jobs.get_mut(&job_id) {
                 tracked.plan = tracked.plan.reassigned(task, to)?;
-                tracked.tasks.get_mut(&task).expect("indexed").moves += 1;
+                if let Some(t) = tracked.tasks.get_mut(&task) {
+                    t.moves += 1;
+                }
             }
         }
         self.log_task(job_id, task);
@@ -661,13 +676,30 @@ impl SteeringService {
     /// One steering round: track progress through the Job Monitoring
     /// Service, detect failures, recover, optimize, and notify.
     pub fn poll(&self) {
-        let mut job_ids: Vec<JobId> = self.jobs.read().keys().copied().collect();
-        // The tracker is a HashMap; process in id order so a poll
-        // round is a deterministic function of the tracked state (the
-        // sharded-driver equivalence contract relies on this).
-        job_ids.sort();
-        for job_id in job_ids {
+        // Live jobs only, in id order: a round is a deterministic
+        // function of the tracked state (the sharded-driver
+        // equivalence contract relies on this) and costs nothing for
+        // jobs that already settled and told their client.
+        for job_id in self.live_job_ids() {
             self.process_job(job_id);
+        }
+    }
+
+    /// The jobs not yet notified as settled, id-sorted.
+    fn live_job_ids(&self) -> Vec<JobId> {
+        self.live_jobs.lock().iter().copied().collect()
+    }
+
+    /// Sets one tracked task's phase; a task the tracker does not hold
+    /// is skipped.
+    fn set_phase(&self, job_id: JobId, task: TaskId, phase: TaskPhase) {
+        if let Some(t) = self
+            .jobs
+            .write()
+            .get_mut(&job_id)
+            .and_then(|j| j.tasks.get_mut(&task))
+        {
+            t.phase = phase;
         }
     }
 
@@ -680,28 +712,28 @@ impl SteeringService {
             tracked
                 .plan
                 .job
-                .task_ids()
-                .into_iter()
-                .filter_map(|t| tracked.location(t).map(|(s, c)| (t, s, c)))
+                .tasks
+                .iter()
+                .filter_map(|t| tracked.location(t.id).map(|(s, c)| (t.id, s, c)))
                 .collect()
         };
-        for (task, site, _condor) in submitted {
+        for (task, site, condor) in submitted {
             // Backup & Recovery "continuously checks all the
             // Execution Services ... for failure".
             if !self.grid.is_alive(site) {
-                self.recover_task(job_id, task, site, "execution service failed");
+                self.recover_task(job_id, task, site, condor, "execution service failed");
                 continue;
             }
-            let Ok(info) = self.jobmon.job_info(task) else {
+            // One probe of the site the task is tracked at; a task
+            // still waiting there needs nothing from this round.
+            let Ok(Some(info)) = self.jobmon.job_info_unless_parked(task, site, condor) else {
                 continue;
             };
             match info.status {
                 TaskStatus::Completed => self.settle_completed(job_id, task, site, &info),
-                TaskStatus::Failed => self.recover_task(job_id, task, site, "task failed"),
+                TaskStatus::Failed => self.recover_task(job_id, task, site, condor, "task failed"),
                 TaskStatus::Killed => {
-                    if let Some(tracked) = self.jobs.write().get_mut(&job_id) {
-                        tracked.tasks.get_mut(&task).expect("indexed").phase = TaskPhase::Killed;
-                    }
+                    self.set_phase(job_id, task, TaskPhase::Killed);
                     self.estimators.evict_submission(site, info.condor);
                     self.grid.release_task_data(site, info.condor);
                     self.log_task(job_id, task);
@@ -725,7 +757,9 @@ impl SteeringService {
             let Some(tracked) = jobs.get_mut(&job_id) else {
                 return;
             };
-            let t = tracked.tasks.get_mut(&task).expect("indexed");
+            let Some(t) = tracked.tasks.get_mut(&task) else {
+                return;
+            };
             if matches!(t.phase, TaskPhase::Done { .. }) {
                 return;
             }
@@ -862,11 +896,18 @@ impl SteeringService {
 
     /// Backup & Recovery: contact the scheduler for a new execution
     /// service and resubmit; give up after the policy's attempt cap.
-    fn recover_task(&self, job_id: JobId, task: TaskId, failed_site: SiteId, reason: &str) {
+    fn recover_task(
+        &self,
+        job_id: JobId,
+        task: TaskId,
+        failed_site: SiteId,
+        condor: gae_types::CondorId,
+        reason: &str,
+    ) {
         let at = self.grid.now();
         // "It then contacts the execution service to get all the
         // local files that were produced by the failed job" (§4.2.4).
-        if let Ok(info) = self.jobmon.job_info(task) {
+        if let Ok(info) = self.jobmon.job_info_at(task, failed_site, condor) {
             self.collect_execution_state(task, failed_site, &info);
             self.estimators.evict_submission(failed_site, info.condor);
             self.grid.release_task_data(failed_site, info.condor);
@@ -882,7 +923,9 @@ impl SteeringService {
             let Some(tracked) = jobs.get_mut(&job_id) else {
                 return;
             };
-            let t = tracked.tasks.get_mut(&task).expect("indexed");
+            let Some(t) = tracked.tasks.get_mut(&task) else {
+                return;
+            };
             t.recovery_attempts += 1;
             (
                 t.recovery_attempts > self.policy.read().max_recovery_attempts,
@@ -955,12 +998,7 @@ impl SteeringService {
 
     fn fail_task(&self, job_id: JobId, task: TaskId, reason: &str) {
         let at = self.grid.now();
-        {
-            let mut jobs = self.jobs.write();
-            if let Some(tracked) = jobs.get_mut(&job_id) {
-                tracked.tasks.get_mut(&task).expect("indexed").phase = TaskPhase::Failed;
-            }
-        }
+        self.set_phase(job_id, task, TaskPhase::Failed);
         self.log_task(job_id, task);
         self.notifications.lock().push(Notification::JobFailed {
             job: job_id,
@@ -1050,6 +1088,7 @@ impl SteeringService {
                 return;
             }
             tracked.completion_notified = true;
+            self.live_jobs.lock().remove(&job_id);
             (tracked.is_completed(), tracked.is_failed())
         };
         self.log_notified(job_id);
@@ -1098,5 +1137,91 @@ impl SteeringService {
     /// The optimizer's preference currently in force.
     pub fn preference(&self) -> OptimizationPreference {
         self.policy.read().preference
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::grid::{GridBuilder, ServiceStack};
+    use gae_types::{CondorId, JobSpec, PlanId, SiteDescription, TaskAssignment};
+
+    fn stack() -> Arc<ServiceStack> {
+        ServiceStack::over(
+            GridBuilder::new()
+                .site(SiteDescription::new(SiteId::new(1), "a", 1, 1))
+                .build(),
+        )
+    }
+
+    fn plan(job: u64, tasks: &[u64]) -> ConcretePlan {
+        let mut spec = JobSpec::new(JobId::new(job), "j", UserId::new(1));
+        for t in tasks {
+            spec.add_task(TaskSpec::new(TaskId::new(*t), format!("t{t}"), "x"));
+        }
+        let assignments = tasks
+            .iter()
+            .map(|t| TaskAssignment {
+                task: TaskId::new(*t),
+                site: SiteId::new(1),
+            })
+            .collect();
+        ConcretePlan::new(PlanId::new(job), spec, assignments).unwrap()
+    }
+
+    /// The live set follows `completion_notified` through every path
+    /// that installs or settles a job, and a round walks nothing else.
+    #[test]
+    fn live_set_tracks_unnotified_jobs() {
+        let steering = &stack().steering;
+        steering.replay_plan(plan(1, &[1])).unwrap();
+        steering.replay_plan(plan(2, &[2])).unwrap();
+        steering.replay_plan(plan(2, &[2])).unwrap();
+        steering.replay_notified(JobId::new(2));
+        steering.replay_notified(JobId::new(9));
+        let mut restored = TrackedJob::subscribe(plan(3, &[3])).unwrap();
+        restored.completion_notified = true;
+        steering.restore_job(restored);
+        steering.restore_job(TrackedJob::subscribe(plan(4, &[4])).unwrap());
+        assert_eq!(steering.live_job_ids(), vec![JobId::new(1), JobId::new(4)]);
+        let unnotified: Vec<JobId> = steering
+            .export_jobs()
+            .iter()
+            .filter(|j| !j.completion_notified)
+            .map(|j| j.plan.job_id())
+            .collect();
+        assert_eq!(steering.live_job_ids(), unnotified);
+    }
+
+    /// A replayed log whose `task` records disagree with its plans (a
+    /// task the plan does not hold; a job that was never planned) must
+    /// come back as typed errors and skipped work, never a panic.
+    #[test]
+    fn inconsistent_replay_is_skipped_not_panicked() {
+        let steering = &stack().steering;
+        steering.replay_plan(plan(1, &[1])).unwrap();
+        let stray = |task: u64| TrackedTask {
+            task: TaskId::new(task),
+            phase: TaskPhase::Submitted {
+                site: SiteId::new(1),
+                condor: CondorId::new(77),
+            },
+            recovery_attempts: 0,
+            moves: 0,
+        };
+        steering.replay_task(JobId::new(1), stray(5));
+        steering.replay_task(JobId::new(8), stray(6));
+        steering.poll();
+        steering.set_phase(JobId::new(1), TaskId::new(99), TaskPhase::Killed);
+        steering.fail_task(JobId::new(8), TaskId::new(6), "unplanned");
+        let user = UserId::new(1);
+        for task in [5, 6, 99] {
+            for cmd in [SteeringCommand::Kill, SteeringCommand::Move(None)] {
+                assert!(matches!(
+                    steering.command(user, TaskId::new(task), cmd),
+                    Err(GaeError::NotFound(_))
+                ));
+            }
+        }
     }
 }

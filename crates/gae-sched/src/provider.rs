@@ -42,6 +42,15 @@ pub trait SiteInfoProvider: Send + Sync {
 
     /// Full estimate for running `task` at `site`.
     fn estimate(&self, site: SiteId, task: &TaskSpec) -> GaeResult<SiteEstimate>;
+
+    /// Estimates for every task of one plan at `site`, in `tasks`
+    /// order. The default asks [`estimate`](Self::estimate) task by
+    /// task; a provider whose estimate has a part that does not
+    /// depend on the task (a queue scan) overrides this to do that
+    /// part once per site instead of once per task.
+    fn estimate_all(&self, site: SiteId, tasks: &[&TaskSpec]) -> Vec<GaeResult<SiteEstimate>> {
+        tasks.iter().map(|task| self.estimate(site, task)).collect()
+    }
 }
 
 /// A fixed estimate table (tests, examples, what-if studies).

@@ -65,32 +65,48 @@ impl Scheduler {
         exclude: &[SiteId],
         preference: OptimizationPreference,
     ) -> Vec<ScoredSite> {
-        let mut scored: Vec<ScoredSite> = self
-            .info
-            .sites()
-            .into_iter()
-            .filter(|s| allowed(*s) && !exclude.contains(s) && self.info.is_alive(*s))
-            .filter_map(|s| {
-                self.info
-                    .estimate(s, task)
-                    .ok()
-                    .map(|estimate| ScoredSite { site: s, estimate })
-            })
-            .collect();
-        match preference {
-            OptimizationPreference::Fast => scored.sort_by(|a, b| {
-                a.estimate
-                    .expected_completion()
-                    .cmp(&b.estimate.expected_completion())
-                    .then(a.site.cmp(&b.site))
-            }),
-            OptimizationPreference::Cheap => scored.sort_by(|a, b| {
-                a.estimate
-                    .cost
-                    .partial_cmp(&b.estimate.cost)
-                    .expect("costs are finite")
-                    .then(a.site.cmp(&b.site))
-            }),
+        self.score_tasks(&[task], |s| allowed(s) && !exclude.contains(&s), preference)
+            .pop()
+            .expect("one task, one candidate list")
+    }
+
+    /// The candidate list of each of `tasks`, in `tasks` order. A
+    /// site's estimates do not depend on where the other tasks go, so
+    /// each admissible live site is read once for all of them
+    /// ([`SiteInfoProvider::estimate_all`]) rather than once per task.
+    fn score_tasks(
+        &self,
+        tasks: &[&TaskSpec],
+        admissible: impl Fn(SiteId) -> bool,
+        preference: OptimizationPreference,
+    ) -> Vec<Vec<ScoredSite>> {
+        let mut scored: Vec<Vec<ScoredSite>> = vec![Vec::new(); tasks.len()];
+        for site in self.info.sites() {
+            if !admissible(site) || !self.info.is_alive(site) {
+                continue;
+            }
+            for (bids, estimate) in scored.iter_mut().zip(self.info.estimate_all(site, tasks)) {
+                if let Ok(estimate) = estimate {
+                    bids.push(ScoredSite { site, estimate });
+                }
+            }
+        }
+        for bids in &mut scored {
+            match preference {
+                OptimizationPreference::Fast => bids.sort_by(|a, b| {
+                    a.estimate
+                        .expected_completion()
+                        .cmp(&b.estimate.expected_completion())
+                        .then(a.site.cmp(&b.site))
+                }),
+                OptimizationPreference::Cheap => bids.sort_by(|a, b| {
+                    a.estimate
+                        .cost
+                        .partial_cmp(&b.estimate.cost)
+                        .expect("costs are finite")
+                        .then(a.site.cmp(&b.site))
+                }),
+            }
         }
         scored
     }
@@ -136,9 +152,12 @@ impl Scheduler {
         // Per-task placement + runtime, to discount ancestors below.
         let mut placed: std::collections::HashMap<TaskId, (SiteId, f64)> =
             std::collections::HashMap::new();
-        for task_id in order {
-            let task = plan.job.task(task_id).expect("validated task");
-            let scored = self.score_sites(task, |s| plan.site_allowed(s), &[], plan.preference);
+        let tasks: Vec<&TaskSpec> = order
+            .iter()
+            .map(|t| plan.job.task(*t).expect("validated task"))
+            .collect();
+        let scored = self.score_tasks(&tasks, |s| plan.site_allowed(s), plan.preference);
+        for (task_id, scored) in order.into_iter().zip(scored) {
             if scored.is_empty() {
                 return Err(GaeError::ResourceExhausted(format!(
                     "no admissible site for {task_id}"
@@ -370,6 +389,66 @@ mod tests {
         j.add_task(TaskSpec::new(TaskId::new(2), "b", "x"));
         j.add_dependency(TaskId::new(1), TaskId::new(2));
         AbstractPlan::new(j)
+    }
+
+    /// Scoring a plan's tasks together gives each task the candidates,
+    /// estimates and order that asking every site about it alone
+    /// does — under both preferences, with a site restriction and
+    /// with a dead site.
+    #[test]
+    fn tasks_scored_together_match_tasks_scored_alone() {
+        fn alone(
+            info: &dyn SiteInfoProvider,
+            task: &TaskSpec,
+            plan: &AbstractPlan,
+        ) -> Vec<(SiteId, SiteEstimate)> {
+            let mut bids: Vec<(SiteId, SiteEstimate)> = info
+                .sites()
+                .into_iter()
+                .filter(|s| plan.site_allowed(*s) && info.is_alive(*s))
+                .filter_map(|s| info.estimate(s, task).ok().map(|e| (s, e)))
+                .collect();
+            bids.sort_by(|a, b| match plan.preference {
+                OptimizationPreference::Fast => {
+                    a.1.expected_completion()
+                        .cmp(&b.1.expected_completion())
+                        .then(a.0.cmp(&b.0))
+                }
+                OptimizationPreference::Cheap => {
+                    a.1.cost.partial_cmp(&b.1.cost).unwrap().then(a.0.cmp(&b.0))
+                }
+            });
+            bids
+        }
+        let check = |info: Arc<dyn SiteInfoProvider>, plan: &AbstractPlan, bidders: usize| {
+            let sched = Scheduler::new(info.clone());
+            let tasks: Vec<&TaskSpec> = plan.job.tasks.iter().collect();
+            let together = sched.score_tasks(&tasks, |s| plan.site_allowed(s), plan.preference);
+            assert_eq!(together.len(), tasks.len());
+            for (task, scored) in tasks.iter().zip(&together) {
+                let scored: Vec<_> = scored.iter().map(|s| (s.site, s.estimate)).collect();
+                assert_eq!(scored, alone(info.as_ref(), task, plan));
+                assert_eq!(scored.len(), bidders);
+            }
+        };
+        // Task-dependent estimates, both preferences.
+        let mut plan = pipeline_job();
+        for preference in [OptimizationPreference::Fast, OptimizationPreference::Cheap] {
+            plan.preference = preference;
+            check(
+                Arc::new(PipelineInfo {
+                    dependent_gap: 0.10,
+                }),
+                &plan,
+                2,
+            );
+        }
+        // Restricted and dead sites bid for no task.
+        let info = three_sites();
+        info.set_alive(SiteId::new(2), false);
+        let mut plan = pipeline_job();
+        plan.allowed_sites = vec![SiteId::new(1), SiteId::new(2)];
+        check(info, &plan, 1);
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! The reactor server: every connection's readiness state machine on
 //! one event loop.
 //!
-//! `ReactorRpcServer` is the C10k twin of `gae_rpc::TcpRpcServer`:
-//! same wire format, same [`gae_rpc::door`] dispatch (so gate
-//! admission, auth, observability and fault encoding are identical by
-//! construction), but connections cost a slab slot instead of a
-//! thread. One reactor thread owns the listener, a [`Poller`] and all
-//! connection state; XML-RPC work crosses into the door's worker pool
-//! and completions come back through a mutex-guarded vector plus a
-//! [`Waker`] kick.
+//! `ReactorRpcServer` is the GAE's one front door: framing comes from
+//! [`gae_rpc::http`], dispatch (gate admission, auth, observability,
+//! fault encoding) from [`gae_rpc::door`], and a connection costs a
+//! slab slot, not a thread. One reactor thread owns the listener, a
+//! [`Poller`] and all connection state; XML-RPC work crosses into the
+//! door's worker pool and completions come back through a
+//! mutex-guarded vector plus a [`Waker`] kick.
 //!
 //! Per-connection lifecycle:
 //!
@@ -43,7 +42,7 @@ const WAKER: u64 = 1;
 /// Connection slab slot `i` registers under token `i + CONN_BASE`.
 const CONN_BASE: u64 = 2;
 
-/// Reactor knobs, sharing [`FrameLimits`] with the blocking server.
+/// Reactor knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ReactorConfig {
     /// Framing caps (typed 413 beyond them).
@@ -128,8 +127,8 @@ struct Conn {
     dying: bool,
 }
 
-/// An epoll-reactor XML-RPC server: `TcpRpcServer`'s drop-in twin
-/// for C10k-scale keep-alive fleets.
+/// The XML-RPC server: a readiness reactor sized for C10k-scale
+/// keep-alive fleets.
 pub struct ReactorRpcServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -151,8 +150,9 @@ impl ReactorRpcServer {
         Self::bind_tuned(host, workers, addr, None, ReactorConfig::default())
     }
 
-    /// Binds `127.0.0.1:0` with `gate` fronting the request path —
-    /// the reactor twin of `TcpRpcServer::start_gated`.
+    /// Binds `127.0.0.1:0` with `gate` fronting the request path:
+    /// every POST is classified and rate-limited per principal, then
+    /// queued through the gate's bounded priority admission queue.
     pub fn start_gated(
         host: Arc<ServiceHost>,
         workers: usize,
@@ -171,7 +171,10 @@ impl ReactorRpcServer {
         Self::bind_tuned(host, workers, addr, Some(gate), ReactorConfig::default())
     }
 
-    /// Fully explicit constructor.
+    /// Fully explicit constructor. Everything that can fail — bind,
+    /// waker, poller, both registrations, thread spawn — fails here
+    /// as a typed error: an `Ok` server is one whose loop is polling
+    /// its listener.
     pub fn bind_tuned(
         host: Arc<ServiceHost>,
         workers: usize,
@@ -182,10 +185,18 @@ impl ReactorRpcServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
+        let io = |what: &'static str| move |e: std::io::Error| GaeError::Io(format!("{what}: {e}"));
         let mailbox = Arc::new(Mailbox {
             completions: Mutex::new(Vec::new()),
-            waker: Waker::new().map_err(|e| GaeError::Io(format!("waker: {e}")))?,
+            waker: Waker::new().map_err(io("waker"))?,
         });
+        let mut poller = Poller::new().map_err(io("poller"))?;
+        poller
+            .add(listener.as_raw_fd(), LISTENER, Interest::READ)
+            .map_err(io("register listener"))?;
+        poller
+            .add(mailbox.waker.as_raw_fd(), WAKER, Interest::READ)
+            .map_err(io("register waker"))?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let requests_served = Arc::new(AtomicU64::new(0));
         let open_connections = Arc::new(AtomicU64::new(0));
@@ -201,10 +212,7 @@ impl ReactorRpcServer {
                         host,
                         door: DoorBackend::new(workers, gate),
                         listener,
-                        poller: match Poller::new() {
-                            Ok(p) => p,
-                            Err(_) => return,
-                        },
+                        poller,
                         mailbox,
                         config,
                         slots: Vec::new(),
@@ -243,8 +251,7 @@ impl ReactorRpcServer {
         self.requests_served.load(Ordering::Relaxed)
     }
 
-    /// Currently-open connections (the number the thread-per-conn
-    /// design cannot reach).
+    /// Currently-open connections.
     pub fn open_connections(&self) -> u64 {
         self.open_connections.load(Ordering::Relaxed)
     }
@@ -295,20 +302,6 @@ struct Reactor {
 
 impl Reactor {
     fn run(&mut self) {
-        if self
-            .poller
-            .add(self.listener.as_raw_fd(), LISTENER, Interest::READ)
-            .is_err()
-        {
-            return;
-        }
-        if self
-            .poller
-            .add(self.mailbox.waker.as_raw_fd(), WAKER, Interest::READ)
-            .is_err()
-        {
-            return;
-        }
         let mut events: Vec<Event> = Vec::new();
         // The tick bounds how late a 408 sweep or shutdown check can
         // run; readiness events themselves arrive immediately.
@@ -529,7 +522,7 @@ impl Reactor {
             .submit(&self.host, request, &peer, deliver)
             .is_err()
         {
-            // Shutting down: typed 503 and close, same as blocking.
+            // Shutting down: typed 503 and close.
             self.reject(slot, 503, "Service Unavailable", "shutting down");
         }
         Ok(())

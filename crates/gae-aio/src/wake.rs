@@ -3,8 +3,9 @@
 //! Completions arrive from `gae-rpc` door worker threads while the
 //! reactor is parked in `epoll_wait`. The waker is the bridge: a fd
 //! registered in the poller that a worker can make readable from any
-//! thread. Default backend is an **eventfd** (one fd, coalescing
-//! writes); the `poll-fallback` build uses a **pipe** (pure POSIX).
+//! thread. On Linux it is an **eventfd** (one fd, coalescing writes);
+//! elsewhere a **pipe** (pure POSIX), which Linux compiles too so one
+//! `cargo test` exercises both.
 
 use crate::sys;
 use std::io;
@@ -24,9 +25,18 @@ unsafe impl Send for Waker {}
 unsafe impl Sync for Waker {}
 
 impl Waker {
-    /// A fresh waker (eventfd by default, pipe under `poll-fallback`).
-    #[cfg(not(feature = "poll-fallback"))]
+    /// A fresh waker of the platform's kind: eventfd on Linux, pipe
+    /// elsewhere.
     pub fn new() -> io::Result<Waker> {
+        #[cfg(target_os = "linux")]
+        return Waker::eventfd();
+        #[cfg(not(target_os = "linux"))]
+        return Waker::pipe();
+    }
+
+    /// An eventfd-backed waker.
+    #[cfg(target_os = "linux")]
+    pub fn eventfd() -> io::Result<Waker> {
         // SAFETY: no pointers involved.
         let fd = sys::cvt(unsafe { sys::eventfd(0, sys::EFD_CLOEXEC | sys::EFD_NONBLOCK) })?;
         Ok(Waker {
@@ -36,19 +46,21 @@ impl Waker {
         })
     }
 
-    /// A fresh waker (eventfd by default, pipe under `poll-fallback`).
-    #[cfg(feature = "poll-fallback")]
-    pub fn new() -> io::Result<Waker> {
+    /// A pipe-backed waker.
+    pub fn pipe() -> io::Result<Waker> {
         let mut fds = [0i32; 2];
         // SAFETY: fds is a live 2-element array.
         sys::cvt(unsafe { sys::pipe(fds.as_mut_ptr()) })?;
-        sys::set_nonblocking(fds[0])?;
-        sys::set_nonblocking(fds[1])?;
-        Ok(Waker {
+        // The struct owns both ends from here on, so an error below
+        // closes them.
+        let waker = Waker {
             read_fd: fds[0],
             write_fd: fds[1],
             twin: true,
-        })
+        };
+        sys::set_nonblocking(waker.read_fd)?;
+        sys::set_nonblocking(waker.write_fd)?;
+        Ok(waker)
     }
 
     /// The fd to register for read interest in the poller.

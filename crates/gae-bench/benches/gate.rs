@@ -4,11 +4,12 @@
 //! round trip against the plain path benched in `rpc.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use gae_aio::ReactorRpcServer;
 use gae_gate::{
     AdmissionQueue, Gate, GateClass, GateConfig, ManualClock, Popped, Principal, QueueConfig,
     TokenBucketConfig, WallClock,
 };
-use gae_rpc::{Rpc, ServiceHost, TcpRpcClient, TcpRpcServer};
+use gae_rpc::{Rpc, ServiceHost, TcpRpcClient};
 use gae_types::{SimDuration, UserId};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -81,7 +82,7 @@ fn bench_gated_tcp(c: &mut Criterion) {
         },
         Arc::new(WallClock::new()),
     );
-    let server = TcpRpcServer::start_gated(host, 4, gate).expect("bind");
+    let server = ReactorRpcServer::start_gated(host, 4, gate).expect("bind");
     let mut client = TcpRpcClient::connect(server.addr());
     client.call("system.ping", vec![]).expect("ping");
     // Compare with `tcp_roundtrip_ping` in rpc.rs: the difference is

@@ -24,7 +24,7 @@ fn record(t: u64) -> HistRecord {
         start_us: t * 1_000 + 40,
         finish_us: t * 1_000 + 900,
         runtime_us: 500 + (t % 1_000) * 37,
-        success: t % 10 != 0,
+        success: !t.is_multiple_of(10),
         account: "cms".into(),
         login: LOGINS[(t % 4) as usize].into(),
         executable: "reco".into(),

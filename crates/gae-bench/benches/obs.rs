@@ -4,8 +4,8 @@
 //! recording through the hub.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gae_obs::{Histogram, HistogramSet, ManualObsClock, ObsHub, TimelineEvent};
-use gae_types::{SimDuration, SimTime};
+use gae_obs::{Histogram, HistogramSet, ObsHub, TimelineEvent};
+use gae_types::{ManualClock, SimDuration, SimTime};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ fn bench_snapshot(c: &mut Criterion) {
 }
 
 fn bench_hub(c: &mut Criterion) {
-    let hub = ObsHub::new(Arc::new(ManualObsClock::new()));
+    let hub = ObsHub::new(Arc::new(ManualClock::new()));
     c.bench_function("obs_hub_record_rpc", |b| {
         b.iter(|| {
             hub.record_rpc(

@@ -1,5 +1,5 @@
-//! Reactor-vs-thread-pool front-door microbenchmarks, plus the
-//! keep-alive reuse-vs-reconnect cost on the client side.
+//! Front-door microbenchmarks: one keep-alive roundtrip through the
+//! reactor, plus the reuse-vs-reconnect cost on the client side.
 //!
 //! Run with `cargo bench -p gae-bench --bench reactor`; CI runs
 //! `-- --test` as a smoke pass.
@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gae_aio::ReactorRpcServer;
 use gae_rpc::service::{CallContext, MethodInfo, Rpc, Service};
-use gae_rpc::{ServiceHost, TcpRpcClient, TcpRpcServer};
+use gae_rpc::{ServiceHost, TcpRpcClient};
 use gae_types::GaeResult;
 use gae_wire::Value;
 use std::hint::black_box;
@@ -36,18 +36,8 @@ fn host() -> Arc<ServiceHost> {
     host
 }
 
-/// One keep-alive XML-RPC roundtrip through each front door.
+/// One keep-alive XML-RPC roundtrip through the front door.
 fn bench_roundtrip(c: &mut Criterion) {
-    let blocking = TcpRpcServer::start(host(), 4).expect("bind");
-    let mut client = TcpRpcClient::connect(blocking.addr());
-    c.bench_function("roundtrip/threadpool", |b| {
-        b.iter(|| {
-            black_box(client.call("bench.echo", vec![Value::Int(7)]).unwrap());
-        })
-    });
-    drop(client);
-    blocking.stop();
-
     let reactor = ReactorRpcServer::start(host(), 4).expect("bind");
     let mut client = TcpRpcClient::connect(reactor.addr());
     c.bench_function("roundtrip/reactor", |b| {

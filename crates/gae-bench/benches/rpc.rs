@@ -3,7 +3,8 @@
 //! dispatch (with and without the codec), and real TCP round trips.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gae_rpc::{InProcClient, Rpc, ServiceHost, TcpRpcClient, TcpRpcServer};
+use gae_aio::ReactorRpcServer;
+use gae_rpc::{InProcClient, Rpc, ServiceHost, TcpRpcClient};
 use gae_wire::{
     parse_call, parse_response, write_call, write_response, MethodCall, Response, Value,
 };
@@ -84,7 +85,7 @@ fn bench_inproc(c: &mut Criterion) {
 
 fn bench_tcp_roundtrip(c: &mut Criterion) {
     let host = ServiceHost::open();
-    let server = TcpRpcServer::start(host, 4).expect("bind");
+    let server = ReactorRpcServer::start(host, 4).expect("bind");
     let mut client = TcpRpcClient::connect(server.addr());
     // Warm the connection.
     client.call("system.ping", vec![]).expect("ping");

@@ -1,30 +1,13 @@
-//! Criterion benches for the substrates: discrete-event engine,
-//! execution-service queue, load-trace math, monitoring store, and
-//! the trace generator.
+//! Criterion benches for the substrates: execution-service queue,
+//! load-trace math, monitoring store, and the trace generator.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use gae_exec::PriorityQueue;
 use gae_monitor::{MetricKey, Sample, TimeSeriesStore};
-use gae_sim::{LoadTrace, SimEngine};
+use gae_sim::LoadTrace;
 use gae_trace::WorkloadModel;
 use gae_types::{CondorId, Priority, SimDuration, SimTime, SiteId};
 use std::hint::black_box;
-
-fn bench_event_engine(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sim_engine");
-    for n in [1_000u64, 10_000] {
-        group.bench_with_input(BenchmarkId::new("schedule_and_run", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut engine = SimEngine::new();
-                for i in 0..n {
-                    engine.schedule_at(SimTime::from_micros((n - i) * 10), |_| {});
-                }
-                black_box(engine.run_to_completion(n + 1))
-            })
-        });
-    }
-    group.finish();
-}
 
 fn bench_priority_queue(c: &mut Criterion) {
     c.bench_function("exec_queue_push_pop_1k", |b| {
@@ -113,7 +96,6 @@ fn bench_trace_generator(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_event_engine,
     bench_priority_queue,
     bench_load_trace,
     bench_monitor_store,

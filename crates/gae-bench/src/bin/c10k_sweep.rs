@@ -1,5 +1,5 @@
-//! C10k overload sweep: thread-pool vs reactor front doors under a
-//! 10,000-client keep-alive fleet, through gae-gate admission.
+//! C10k overload sweep: the reactor front door under a 10,000-client
+//! keep-alive fleet, through gae-gate admission.
 //!
 //! ```text
 //! cargo run --release -p gae-bench --bin c10k_sweep            # 100/1000/4000 in-process
@@ -14,7 +14,6 @@
 
 use gae_bench::c10k::{c10k_in_process, c10k_with_fleet, drive_clients, C10kConfig, C10kRow};
 use gae_bench::ClientTotals;
-use gae_rpc::RpcTransport;
 use gae_types::{GaeError, GaeResult};
 use std::net::SocketAddr;
 use std::process::{Command, Stdio};
@@ -40,7 +39,7 @@ fn main() {
         }
     }
 
-    println!("C10k overload sweep — gae-gate admission on two front doors");
+    println!("C10k overload sweep — gae-gate admission behind the reactor");
     println!(
         "(workers={}, service={} ms, queue={} cap / {} ms deadline, {} req/client)",
         config.workers,
@@ -51,8 +50,7 @@ fn main() {
     );
     println!();
     println!(
-        "{:>10} {:>7} {:>9} {:>7} {:>7} {:>10} {:>10} {:>9} {:>7} {:>9} {:>8}",
-        "transport",
+        "{:>7} {:>9} {:>7} {:>7} {:>10} {:>10} {:>9} {:>7} {:>9} {:>8}",
         "clients",
         "admitted",
         "shed",
@@ -65,22 +63,18 @@ fn main() {
         "wall_s"
     );
     for &clients in &counts {
-        for transport in [RpcTransport::ThreadPool, RpcTransport::Reactor] {
-            match run_row(transport, clients, config) {
-                Ok(row) => print_row(&row),
-                Err(e) => println!("{transport:?} {clients}: failed: {e}"),
-            }
+        match run_row(clients, config) {
+            Ok(row) => print_row(&row),
+            Err(e) => println!("{clients}: failed: {e}"),
         }
     }
 }
 
-fn run_row(transport: RpcTransport, clients: usize, config: C10kConfig) -> GaeResult<C10kRow> {
+fn run_row(clients: usize, config: C10kConfig) -> GaeResult<C10kRow> {
     if clients <= IN_PROCESS_MAX {
-        c10k_in_process(transport, clients, config)
+        c10k_in_process(clients, config)
     } else {
-        c10k_with_fleet(transport, clients, config, |addr| {
-            child_fleet(addr, clients, config)
-        })
+        c10k_with_fleet(clients, config, |addr| child_fleet(addr, clients, config))
     }
 }
 
@@ -127,13 +121,8 @@ fn drive_mode(args: &[String]) {
 }
 
 fn print_row(row: &C10kRow) {
-    let transport = match row.transport {
-        RpcTransport::ThreadPool => "threadpool",
-        RpcTransport::Reactor => "reactor",
-    };
     println!(
-        "{:>10} {:>7} {:>9} {:>7} {:>7} {:>8.2}ms {:>8.2}ms {:>7.2}ms {:>7} {:>9} {:>8.1}",
-        transport,
+        "{:>7} {:>9} {:>7} {:>7} {:>8.2}ms {:>8.2}ms {:>7.2}ms {:>7} {:>9} {:>8.1}",
         row.clients,
         row.totals.admitted,
         row.totals.shed,

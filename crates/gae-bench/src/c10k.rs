@@ -2,9 +2,8 @@
 //! target, measured.
 //!
 //! The Figure 6 testbed (16 workers, fixed service time, gae-gate
-//! admission) is kept intact; what changes is the *front door* — the
-//! blocking thread-per-connection server versus the `gae-aio` epoll
-//! reactor — and the client count, pushed to 10,000 keep-alive
+//! admission) is kept intact behind the `gae-aio` reactor; what
+//! changes is the client count, pushed to 10,000 keep-alive
 //! connections. The client side is honest about scale too: one
 //! driver thread holds every client socket nonblocking on its own
 //! [`gae_aio::Poller`], with `gae-rpc`'s incremental [`FrameParser`]
@@ -18,13 +17,13 @@
 use gae_aio::{Event, Interest, Poller, ReactorRpcServer};
 use gae_gate::{Gate, GateConfig, QueueConfig, TokenBucketConfig, WallClock};
 use gae_rpc::http::{FrameLimits, FrameParser, HttpRequest};
-use gae_rpc::{RpcTransport, ServiceHost, TcpRpcServer};
+use gae_rpc::ServiceHost;
 use gae_types::{GaeError, GaeResult, SimDuration};
 use gae_wire::{write_call, MethodCall};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,7 +61,7 @@ impl Default for C10kConfig {
     }
 }
 
-/// Client-fleet totals, transport-agnostic.
+/// Client-fleet totals.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ClientTotals {
     /// Requests answered with an XML-RPC success.
@@ -128,11 +127,9 @@ impl ClientTotals {
     }
 }
 
-/// One row of the thread-pool-vs-reactor table.
+/// One row of the C10k table.
 #[derive(Clone, Copy, Debug)]
 pub struct C10kRow {
-    /// Which front door served the row.
-    pub transport: RpcTransport,
     /// Concurrent keep-alive clients.
     pub clients: usize,
     /// Fleet totals.
@@ -146,7 +143,7 @@ pub struct C10kRow {
     /// Highest admission-queue depth the gate observed.
     pub peak_queue_depth: usize,
     /// Highest concurrently-open server-side connection count
-    /// observed (reactor only; 0 where the transport can't report it).
+    /// observed.
     pub peak_open_connections: u64,
     /// Wall-clock time the whole row took.
     pub wall: Duration,
@@ -154,7 +151,6 @@ pub struct C10kRow {
 
 impl C10kRow {
     fn build(
-        transport: RpcTransport,
         clients: usize,
         totals: ClientTotals,
         peak_queue_depth: usize,
@@ -169,7 +165,6 @@ impl C10kRow {
             }
         };
         C10kRow {
-            transport,
             clients,
             admitted_mean_ms: mean_ms(totals.admitted_sum, totals.admitted),
             admitted_max_ms: totals.admitted_max.as_secs_f64() * 1000.0,
@@ -179,81 +174,6 @@ impl C10kRow {
             peak_open_connections,
             wall,
         }
-    }
-}
-
-/// A gated server on either front door, plus the gate for stats.
-pub struct C10kServer {
-    addr: SocketAddr,
-    gate: Arc<Gate>,
-    kind: ServerKind,
-}
-
-enum ServerKind {
-    Blocking(TcpRpcServer),
-    Reactor(ReactorRpcServer),
-}
-
-impl C10kServer {
-    /// Starts the Figure-6 delay service behind the gate on the
-    /// requested transport.
-    pub fn start(transport: RpcTransport, config: &C10kConfig) -> C10kServer {
-        let host = ServiceHost::open();
-        host.register(crate::gate::delay_service(Duration::from_millis(
-            config.service_delay_ms,
-        )));
-        let gate = Gate::new(
-            GateConfig {
-                // The bounded queue is the only shedding mechanism
-                // under test, as in the Figure 6 gate sweep.
-                bucket: TokenBucketConfig::new(1e9, 1e9),
-                queue: QueueConfig::new(
-                    config.queue_capacity,
-                    SimDuration::from_millis(config.queue_deadline_ms),
-                ),
-                ..GateConfig::default()
-            },
-            Arc::new(WallClock::new()),
-        );
-        let kind = match transport {
-            RpcTransport::ThreadPool => ServerKind::Blocking(
-                TcpRpcServer::start_gated(host, config.workers, gate.clone())
-                    .expect("bind loopback"),
-            ),
-            RpcTransport::Reactor => ServerKind::Reactor(
-                ReactorRpcServer::start_gated(host, config.workers, gate.clone())
-                    .expect("bind loopback"),
-            ),
-        };
-        let addr = match &kind {
-            ServerKind::Blocking(s) => s.addr(),
-            ServerKind::Reactor(s) => s.addr(),
-        };
-        C10kServer { addr, gate, kind }
-    }
-
-    /// The bound address, for client fleets (possibly in a child
-    /// process).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Currently-open server-side connections (reactor only).
-    pub fn open_connections(&self) -> u64 {
-        match &self.kind {
-            ServerKind::Blocking(_) => 0,
-            ServerKind::Reactor(s) => s.open_connections(),
-        }
-    }
-
-    /// Stops the server and reports the gate's peak queue depth.
-    pub fn finish(self) -> usize {
-        let depth = self.gate.stats().peak_queue_depth;
-        match self.kind {
-            ServerKind::Blocking(s) => s.stop(),
-            ServerKind::Reactor(s) => s.stop(),
-        }
-        depth
     }
 }
 
@@ -447,29 +367,39 @@ fn pump_read(conn: &mut FleetConn, request_bytes: &[u8], totals: &mut ClientTota
 }
 
 /// One full row with a caller-supplied client fleet: starts the
-/// server, samples peak open connections while `fleet` runs, and
-/// folds gate stats into the row. The `c10k_sweep` binary passes a
-/// fleet that runs in a child process (own fd budget) for the full
-/// 10k; tests pass [`drive_clients`] directly.
+/// Figure-6 delay service behind the gate, samples peak open
+/// connections while `fleet` runs, and folds gate stats into the row.
+/// The `c10k_sweep` binary passes a fleet that runs in a child process
+/// (own fd budget) for the full 10k; tests pass [`drive_clients`]
+/// directly.
 pub fn c10k_with_fleet(
-    transport: RpcTransport,
     clients: usize,
     config: C10kConfig,
     fleet: impl FnOnce(SocketAddr) -> GaeResult<ClientTotals>,
 ) -> GaeResult<C10kRow> {
-    let server = C10kServer::start(transport, &config);
-    let addr = server.addr();
+    let host = ServiceHost::open();
+    host.register(crate::gate::delay_service(Duration::from_millis(
+        config.service_delay_ms,
+    )));
+    let gate = Gate::new(
+        GateConfig {
+            // The bounded queue is the only shedding mechanism
+            // under test, as in the Figure 6 gate sweep.
+            bucket: TokenBucketConfig::new(1e9, 1e9),
+            queue: QueueConfig::new(
+                config.queue_capacity,
+                SimDuration::from_millis(config.queue_deadline_ms),
+            ),
+            ..GateConfig::default()
+        },
+        Arc::new(WallClock::new()),
+    );
+    let server = ReactorRpcServer::start_gated(host, config.workers, gate.clone())?;
     let t0 = Instant::now();
-    // Sample peak open connections while the fleet runs (the
-    // blocking server has no gauge; its counter stays zero).
-    let gauge: Arc<AtomicU64> = match &server.kind {
-        ServerKind::Blocking(_) => Arc::new(AtomicU64::new(0)),
-        ServerKind::Reactor(s) => s.open_connections_handle(),
-    };
+    let gauge = server.open_connections_handle();
     let stop = Arc::new(AtomicBool::new(false));
     let sampler = {
         let stop = stop.clone();
-        let gauge = gauge.clone();
         std::thread::spawn(move || {
             let mut peak = 0u64;
             while !stop.load(Ordering::Acquire) {
@@ -479,30 +409,30 @@ pub fn c10k_with_fleet(
             peak.max(gauge.load(Ordering::Relaxed))
         })
     };
-    let totals = fleet(addr)?;
+    let totals = fleet(server.addr());
     let wall = t0.elapsed();
     stop.store(true, Ordering::Release);
     let peak_open = sampler.join().unwrap_or(0);
-    let peak_depth = server.finish();
+    server.stop();
     Ok(C10kRow::build(
-        transport, clients, totals, peak_depth, peak_open, wall,
+        clients,
+        totals?,
+        gate.stats().peak_queue_depth,
+        peak_open,
+        wall,
     ))
 }
 
 /// One full in-process row: server + client fleet in this process.
 /// fd budget limits this to ≤ ~4k clients; the `c10k_sweep` binary
 /// shells the fleet out to a child process for the full 10k.
-pub fn c10k_in_process(
-    transport: RpcTransport,
-    clients: usize,
-    config: C10kConfig,
-) -> GaeResult<C10kRow> {
+pub fn c10k_in_process(clients: usize, config: C10kConfig) -> GaeResult<C10kRow> {
     assert!(
         clients <= 4_000,
         "in-process mode holds client+server fds in one 20k-fd process; \
          use the c10k_sweep binary's child-process driver beyond 4k"
     );
-    c10k_with_fleet(transport, clients, config, |addr| {
+    c10k_with_fleet(clients, config, |addr| {
         drive_clients(
             addr,
             clients,

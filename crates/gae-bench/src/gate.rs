@@ -9,8 +9,9 @@
 //! measures both halves — admitted latency and shed rate — per client
 //! count.
 
+use gae_aio::ReactorRpcServer;
 use gae_gate::{Gate, GateConfig, QueueConfig, TokenBucketConfig, WallClock};
-use gae_rpc::{CallContext, MethodInfo, Rpc, Service, ServiceHost, TcpRpcClient, TcpRpcServer};
+use gae_rpc::{CallContext, MethodInfo, Rpc, Service, ServiceHost, TcpRpcClient};
 use gae_types::{GaeError, GaeResult, SimDuration};
 use gae_wire::Value;
 use std::sync::Arc;
@@ -120,8 +121,8 @@ pub fn gate_sweep(client_counts: &[usize], config: GateSweepConfig) -> Vec<GateS
             },
             Arc::new(WallClock::new()),
         );
-        let server =
-            TcpRpcServer::start_gated(host, config.workers, gate.clone()).expect("bind loopback");
+        let server = ReactorRpcServer::start_gated(host, config.workers, gate.clone())
+            .expect("bind loopback");
         let addr = server.addr();
 
         let requests = config.requests_per_client;

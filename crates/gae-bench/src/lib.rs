@@ -16,7 +16,7 @@ pub mod gate;
 pub mod scenario;
 
 pub use c10k::{
-    c10k_in_process, c10k_with_fleet, drive_clients, C10kConfig, C10kRow, C10kServer, ClientTotals,
+    c10k_in_process, c10k_with_fleet, drive_clients, C10kConfig, C10kRow, ClientTotals,
 };
 pub use fig5::{figure5, Fig5Result, Fig5Row};
 pub use fig6::{figure6, Fig6Config, Fig6Row};

@@ -16,13 +16,13 @@ use crate::quota::QuotaService;
 use crate::steering::{SteeringPolicy, SteeringService};
 use gae_durable::DurableStore;
 use gae_exec::{Checkpoint, ExecEvent, ExecutionService, SiteConfig};
-use gae_gate::{Gate, GateClass, GateClock, GateConfig, Principal};
+use gae_gate::{Gate, GateClass, GateConfig, Principal};
 use gae_monitor::{MetricKey, MonAlisaRepository, Sample};
 use gae_sched::Scheduler;
 use gae_sim::{LoadTrace, NetworkModel};
 use gae_types::{
-    ConcretePlan, CondorId, GaeError, GaeResult, JobSpec, SimDuration, SimTime, SiteDescription,
-    SiteId, TaskSpec,
+    Clock, ConcretePlan, CondorId, GaeError, GaeResult, JobSpec, SimDuration, SimTime,
+    SiteDescription, SiteId, TaskSpec,
 };
 use gae_xfer::{XferConfig, XferScheduler, XferUpdate};
 use parking_lot::{Mutex, RwLock};
@@ -150,9 +150,6 @@ pub struct Grid {
     persist_config: Option<PersistenceConfig>,
     /// Admission-control policy for service stacks over this grid.
     gate_config: Option<GateConfig>,
-    /// Which RPC server implementation should front a service stack
-    /// over this grid.
-    rpc_transport: gae_rpc::RpcTransport,
 }
 
 /// Builder for [`Grid`].
@@ -164,7 +161,6 @@ pub struct GridBuilder {
     persist: Option<PersistenceConfig>,
     gate: Option<GateConfig>,
     xfer: Option<XferConfig>,
-    rpc_transport: gae_rpc::RpcTransport,
 }
 
 impl GridBuilder {
@@ -178,7 +174,6 @@ impl GridBuilder {
             persist: None,
             gate: None,
             xfer: None,
-            rpc_transport: gae_rpc::RpcTransport::default(),
         }
     }
 
@@ -202,14 +197,6 @@ impl GridBuilder {
     /// Selects the advancement driver (sequential by default).
     pub fn driver(mut self, driver: DriverMode) -> Self {
         self.driver = driver;
-        self
-    }
-
-    /// Selects which RPC server fronts service stacks over this grid:
-    /// the blocking thread-per-connection server (default) or the
-    /// `gae-aio` epoll reactor for C10k-scale keep-alive fleets.
-    pub fn rpc_transport(mut self, transport: gae_rpc::RpcTransport) -> Self {
-        self.rpc_transport = transport;
         self
     }
 
@@ -325,7 +312,6 @@ impl GridBuilder {
             driver: self.driver,
             persist_config: self.persist,
             gate_config: self.gate,
-            rpc_transport: self.rpc_transport,
         });
         grid.publish_metrics();
         grid
@@ -586,11 +572,6 @@ impl Grid {
     /// The admission-control policy the builder attached, if any.
     pub fn gate_config(&self) -> Option<GateConfig> {
         self.gate_config
-    }
-
-    /// Which RPC server implementation the builder selected.
-    pub fn rpc_transport(&self) -> gae_rpc::RpcTransport {
-        self.rpc_transport
     }
 
     /// The sites partitioned into at most `threads` contiguous chunks
@@ -891,25 +872,17 @@ pub struct FlockMove {
     pub condor: CondorId,
 }
 
-/// A [`GateClock`] reading the grid's virtual time, so admission
-/// decisions replay deterministically inside simulations. (A gate
-/// fronting a real TCP server wants `gae_gate::WallClock` instead —
-/// virtual time only advances when something drives the grid.)
+/// The grid's virtual time as a [`Clock`], shared by the gate and the
+/// observability hub: admission decisions replay deterministically
+/// inside simulations, and spans, histograms and lifecycle timelines
+/// are deterministic functions of the workload — two runs of the same
+/// seed produce byte-identical trace trees in both driver modes. (A
+/// gate fronting a real TCP server wants `gae_types::WallClock`
+/// instead — virtual time only advances when something drives the
+/// grid.)
 struct GridClock(Arc<Grid>);
 
-impl GateClock for GridClock {
-    fn now(&self) -> SimTime {
-        self.0.now()
-    }
-}
-
-/// An [`gae_obs::ObsClock`] on the same virtual timeline, so spans,
-/// histograms and lifecycle timelines are deterministic functions of
-/// the workload — two runs of the same seed produce byte-identical
-/// trace trees in both driver modes.
-struct GridObsClock(Arc<Grid>);
-
-impl gae_obs::ObsClock for GridObsClock {
+impl Clock for GridClock {
     fn now(&self) -> SimTime {
         self.0.now()
     }
@@ -1079,10 +1052,8 @@ impl ServiceStack {
         // The gate reads the grid's virtual clock and classifies by
         // quota standing: a principal billed into the red (grids bill
         // after the fact) drops to Scavenger — first shed, last run.
-        let gate = Gate::new(
-            grid.gate_config().unwrap_or_default(),
-            Arc::new(GridClock(grid.clone())),
-        );
+        let clock: Arc<dyn Clock> = Arc::new(GridClock(grid.clone()));
+        let gate = Gate::new(grid.gate_config().unwrap_or_default(), clock.clone());
         {
             let quota = quota.clone();
             gate.set_class_resolver(move |principal: &Principal| match principal.user {
@@ -1095,7 +1066,7 @@ impl ServiceStack {
         // threaded into every layer that emits spans or instants. The
         // gate reports admission dispositions through its callback so
         // gae-gate never depends on the obs crate.
-        let obs = gae_obs::ObsHub::new(Arc::new(GridObsClock(grid.clone())));
+        let obs = gae_obs::ObsHub::new(clock);
         steering.attach_obs(obs.clone());
         jobmon.attach_obs(obs.clone());
         // The history funnel sits behind jobmon's DBManager: every

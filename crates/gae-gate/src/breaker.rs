@@ -10,7 +10,7 @@
 //! exactly one probe through; the probe's outcome closes or re-opens
 //! the circuit.
 
-use crate::clock::GateClock;
+use gae_types::Clock;
 use gae_types::{SimDuration, SimTime};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -177,13 +177,13 @@ impl CircuitBreaker {
 /// like `"exec-site-3"` or `"sched"`.
 pub struct BreakerBank {
     config: BreakerConfig,
-    clock: Arc<dyn GateClock>,
+    clock: Arc<dyn Clock>,
     breakers: Mutex<BTreeMap<String, CircuitBreaker>>,
 }
 
 impl BreakerBank {
     /// An empty bank; breakers materialise closed on first use.
-    pub fn new(config: BreakerConfig, clock: Arc<dyn GateClock>) -> Self {
+    pub fn new(config: BreakerConfig, clock: Arc<dyn Clock>) -> Self {
         BreakerBank {
             config,
             clock,
@@ -233,7 +233,7 @@ impl BreakerBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
+    use gae_types::ManualClock;
 
     fn breaker(threshold: u32, cooldown_s: u64) -> CircuitBreaker {
         CircuitBreaker::new(BreakerConfig::new(

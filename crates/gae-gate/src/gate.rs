@@ -9,10 +9,10 @@
 
 use crate::breaker::{BreakerBank, BreakerConfig, BreakerState};
 use crate::bucket::TokenBucketConfig;
-use crate::clock::GateClock;
 use crate::limiter::{GateClass, Principal, RateLimiter};
 use crate::metrics::{GateMetrics, GateStats};
 use crate::queue::QueueConfig;
+use gae_types::Clock;
 use gae_types::{GaeError, GaeResult};
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -51,7 +51,7 @@ impl GateConfig {
 /// The admission-control and overload-protection service.
 pub struct Gate {
     config: GateConfig,
-    clock: Arc<dyn GateClock>,
+    clock: Arc<dyn Clock>,
     limiter: RateLimiter,
     breakers: BreakerBank,
     metrics: Arc<GateMetrics>,
@@ -61,7 +61,7 @@ pub struct Gate {
 
 impl Gate {
     /// A gate enforcing `config` on `clock`'s timeline.
-    pub fn new(config: GateConfig, clock: Arc<dyn GateClock>) -> Arc<Gate> {
+    pub fn new(config: GateConfig, clock: Arc<dyn Clock>) -> Arc<Gate> {
         Arc::new(Gate {
             config,
             limiter: RateLimiter::new(config.bucket),
@@ -79,7 +79,7 @@ impl Gate {
     }
 
     /// The gate's clock (shared with the queue and breakers).
-    pub fn clock(&self) -> Arc<dyn GateClock> {
+    pub fn clock(&self) -> Arc<dyn Clock> {
         self.clock.clone()
     }
 
@@ -181,7 +181,7 @@ impl Gate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
+    use gae_types::ManualClock;
     use gae_types::{SimDuration, UserId};
 
     fn gate(burst: f64, rate: f64) -> (Arc<Gate>, Arc<ManualClock>) {

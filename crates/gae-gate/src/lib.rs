@@ -20,8 +20,8 @@
 //!   counters per class, snapshotted each tick for MonALISA
 //!   publication and queryable over the existing RPC facade.
 //!
-//! Everything reads time through an injected [`GateClock`] — never the
-//! wall clock — so every policy decision is a pure function of
+//! Everything reads time through an injected [`gae_types::Clock`] —
+//! never the wall clock — so every policy decision is a pure function of
 //! (configuration, arrival sequence) and therefore property-testable
 //! and replayable, in the same spirit as the crash-injection harness
 //! in `gae-durable`.
@@ -30,7 +30,6 @@
 
 pub mod breaker;
 pub mod bucket;
-pub mod clock;
 pub mod gate;
 pub mod limiter;
 pub mod metrics;
@@ -38,7 +37,7 @@ pub mod queue;
 
 pub use breaker::{BreakerBank, BreakerConfig, BreakerState, CircuitBreaker};
 pub use bucket::{TokenBucket, TokenBucketConfig};
-pub use clock::{GateClock, ManualClock, WallClock};
+pub use gae_types::{ManualClock, WallClock};
 pub use gate::{ClassResolver, Gate, GateConfig};
 pub use limiter::{GateClass, Principal, RateLimiter};
 pub use metrics::{ClassCounters, GateMetrics, GateStats};

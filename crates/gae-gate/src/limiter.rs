@@ -11,7 +11,7 @@
 //! [`GateClass::Scavenger`]).
 
 use crate::bucket::{TokenBucket, TokenBucketConfig};
-use crate::clock::GateClock;
+use gae_types::Clock;
 use gae_types::{SimDuration, SimTime, UserId};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -121,7 +121,7 @@ impl RateLimiter {
     }
 
     /// Draws one token on the given clock.
-    pub fn admit(&self, principal: &Principal, clock: &dyn GateClock) -> Result<(), SimDuration> {
+    pub fn admit(&self, principal: &Principal, clock: &dyn Clock) -> Result<(), SimDuration> {
         self.admit_at(principal, clock.now())
     }
 

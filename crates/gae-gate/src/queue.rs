@@ -13,9 +13,9 @@
 //! order, and the shed victim is always the worst (class, newest
 //! arrival) entry — no hash iteration, no wall-clock reads.
 
-use crate::clock::GateClock;
 use crate::limiter::GateClass;
 use crate::metrics::GateMetrics;
+use gae_types::Clock;
 use gae_types::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -91,7 +91,7 @@ struct Inner<T> {
 /// A bounded MPMC priority queue with deadline expiry.
 pub struct AdmissionQueue<T> {
     config: QueueConfig,
-    clock: Arc<dyn GateClock>,
+    clock: Arc<dyn Clock>,
     metrics: Arc<GateMetrics>,
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
@@ -99,7 +99,7 @@ pub struct AdmissionQueue<T> {
 
 impl<T> AdmissionQueue<T> {
     /// A queue reading time from `clock` and reporting into `metrics`.
-    pub fn new(config: QueueConfig, clock: Arc<dyn GateClock>, metrics: Arc<GateMetrics>) -> Self {
+    pub fn new(config: QueueConfig, clock: Arc<dyn Clock>, metrics: Arc<GateMetrics>) -> Self {
         AdmissionQueue {
             config,
             clock,
@@ -253,7 +253,7 @@ impl<T> AdmissionQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
+    use gae_types::ManualClock;
 
     fn queue(capacity: usize, deadline_ms: u64) -> (AdmissionQueue<u32>, Arc<ManualClock>) {
         let clock = Arc::new(ManualClock::new());

@@ -143,6 +143,9 @@ impl HistRecord {
 /// one `"hist"` WAL record; store contents are a pure function of the
 /// op sequence, which is what makes recovery and follower replay
 /// rebuild identical segments.
+// Nearly every op is an `Append`; boxing the record to shrink the two
+// unit variants would put an allocation on the per-row ingest path.
+#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HistOp {
     /// Append one row to the tail (auto-seals a full tail).

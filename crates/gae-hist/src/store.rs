@@ -377,8 +377,8 @@ impl HistStore {
         }
     }
 
-    /// The canonical binary encoding of the whole store (dictionaries
-    /// + sealed segments + tail). This is what rides in gae-durable
+    /// The canonical binary encoding of the whole store (dictionaries,
+    /// sealed segments and tail). This is what rides in gae-durable
     /// snapshots.
     pub fn encode(&self) -> Vec<u8> {
         codec::encode(&self.inner.read())

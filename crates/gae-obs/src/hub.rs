@@ -4,17 +4,17 @@
 //! and hands clones to the RPC host, the gate wiring, steering, and
 //! jobmon.
 
-use crate::clock::ObsClock;
 use crate::hist::{HistogramSet, HistogramSnapshot};
 use crate::timeline::{Timeline, TimelineEvent, TimelineStore};
 use crate::trace::{SpanId, TraceContext, TraceId, TraceStore};
+use gae_types::Clock;
 use gae_types::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The deployment-wide observability hub.
 pub struct ObsHub {
-    clock: Arc<dyn ObsClock>,
+    clock: Arc<dyn Clock>,
     traces: TraceStore,
     rpc: HistogramSet,
     gate: HistogramSet,
@@ -27,7 +27,7 @@ pub struct ObsHub {
 
 impl ObsHub {
     /// A hub measuring on `clock`'s timeline.
-    pub fn new(clock: Arc<dyn ObsClock>) -> Arc<ObsHub> {
+    pub fn new(clock: Arc<dyn Clock>) -> Arc<ObsHub> {
         Arc::new(ObsHub {
             clock,
             traces: TraceStore::new(),
@@ -232,10 +232,10 @@ impl ObsHub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualObsClock;
+    use gae_types::ManualClock;
 
-    fn hub() -> (Arc<ObsHub>, Arc<ManualObsClock>) {
-        let clock = Arc::new(ManualObsClock::new());
+    fn hub() -> (Arc<ObsHub>, Arc<ManualClock>) {
+        let clock = Arc::new(ManualClock::new());
         (ObsHub::new(clock.clone()), clock)
     }
 

@@ -7,19 +7,17 @@
 //! bucket counters, on the pattern of gae-gate's `ClassCounters`);
 //! and per-CondorId job lifecycle timelines.
 //!
-//! Everything is clocked through the injected [`ObsClock`] — under
-//! the grid's virtual clock, traces are a deterministic function of
+//! Everything is clocked through the injected [`gae_types::Clock`] —
+//! under the grid's virtual clock, traces are a deterministic function of
 //! the workload and replay byte-identically in both driver modes.
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod hist;
 pub mod hub;
 pub mod timeline;
 pub mod trace;
 
-pub use clock::{ManualObsClock, ObsClock, WallObsClock};
 pub use hist::{Histogram, HistogramSet, HistogramSnapshot};
 pub use hub::ObsHub;
 pub use timeline::{Timeline, TimelineEvent, TimelineStore};

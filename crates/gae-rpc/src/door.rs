@@ -1,21 +1,18 @@
-//! The RPC door: the one request-dispatch path every transport
-//! shares.
+//! The RPC door: the one request-dispatch path behind the server.
 //!
-//! Both front ends — the blocking thread-per-connection server in
-//! [`crate::tcp`] and the `gae-aio` epoll reactor — frame an
-//! [`HttpRequest`] and then hand it here. The door owns everything
-//! that must behave *identically* across transports: principal
-//! attribution, gate admission (classify → bucket → bounded priority
-//! queue), disposition observation, XML-RPC parse/auth/dispatch, and
-//! fault encoding. The transport only supplies a `deliver` callback
-//! that ships the response body back to its connection; the blocking
-//! server backs it with a channel `recv`, the reactor with a
-//! per-connection completion slot + eventfd wakeup.
+//! The `gae-aio` reactor frames an [`HttpRequest`] and then hands it
+//! here. The door owns everything that is policy rather than
+//! scheduling: principal attribution, gate admission (classify →
+//! bucket → bounded priority queue), disposition observation, XML-RPC
+//! parse/auth/dispatch, and fault encoding. The transport only
+//! supplies a `deliver` callback that ships the response body back to
+//! its connection; the reactor backs it with a per-connection
+//! completion slot + waker kick.
 //!
-//! Because the door is shared, "blocking ≡ reactor" equivalence
-//! (identical response bytes and gate dispositions for the same
-//! admitted request sequence) holds by construction — and is still
-//! proptest-enforced end to end in `tests/reactor_transport.rs`.
+//! Because the door is public, a second transport over it answers
+//! with identical bytes by construction: `tests/reactor_transport.rs`
+//! keeps a blocking thread-per-connection loop as exactly that
+//! reference and proptests "blocking ≡ reactor" end to end.
 
 use crate::gatedpool::{Disposition, GatedPool};
 use crate::host::ServiceHost;

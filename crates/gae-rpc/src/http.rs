@@ -9,9 +9,9 @@
 //! Two front ends share this module's framing rules:
 //!
 //! * the **blocking** reader ([`read_request`]/[`read_response`]),
-//!   used by the thread-per-connection server and the client — with
-//!   an optional [`ReadDeadline`] so a byte-at-a-time slowloris
-//!   client cannot pin a connection thread (typed 408);
+//!   used by the client and by the blocking reference loop the
+//!   reactor is tested against — with an optional [`ReadDeadline`] so
+//!   a byte-at-a-time slowloris client cannot pin a thread (typed 408);
 //! * the **incremental** [`FrameParser`], fed whatever bytes a
 //!   nonblocking socket has ready — the per-connection state machine
 //!   the `gae-aio` reactor and the C10k bench client drive.
@@ -24,8 +24,8 @@ use gae_types::{GaeError, GaeResult};
 use std::io::{BufRead, Write};
 use std::time::{Duration, Instant};
 
-/// Size caps on a single HTTP message, shared by the blocking and
-/// reactor transports (DoS guard: beyond a cap the request is a
+/// Size caps on a single HTTP message, shared by the blocking reader
+/// and the incremental parser (DoS guard: beyond a cap the request is a
 /// typed 413, not an allocation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameLimits {

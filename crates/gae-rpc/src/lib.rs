@@ -15,15 +15,14 @@
 //! * [`host`] — the [`ServiceHost`]: a registry of
 //!   services with full-method dispatch (`"jobmon.job_status"`), the
 //!   built-in `system.*` introspection service, and fault mapping;
-//! * [`threadpool`] — a crossbeam-channel worker pool used by the TCP
-//!   server (and reusable by anything needing bounded parallelism);
+//! * [`threadpool`] — a crossbeam-channel worker pool behind the door
+//!   (and reusable by anything needing bounded parallelism);
 //! * [`http`] — a minimal HTTP/1.1 subset (POST + Content-Length +
 //!   keep-alive), the framing XML-RPC runs over;
 //! * [`door`] — the transport-independent dispatch path (principal
-//!   attribution, gate admission, fault encoding) shared by the
-//!   blocking server and the `gae-aio` reactor;
-//! * [`tcp`] — the real-socket server and client used by the Figure 6
-//!   experiment;
+//!   attribution, gate admission, fault encoding) the `gae-aio`
+//!   reactor — the one server — submits every POST to;
+//! * [`tcp`] — the real-socket client used by the Figure 6 experiment;
 //! * [`inproc`] — a zero-copy in-process transport with the same
 //!   client interface, used by the simulator and unit tests;
 //! * [`discovery`] — the peer-to-peer service lookup (§3's "dynamic
@@ -51,5 +50,5 @@ pub use host::ServiceHost;
 pub use http::{FrameLimits, FrameParser, ReadDeadline};
 pub use inproc::InProcClient;
 pub use service::{CallContext, MethodInfo, Rpc, Service};
-pub use tcp::{RpcTransport, ServerTuning, TcpRpcClient, TcpRpcServer};
+pub use tcp::TcpRpcClient;
 pub use threadpool::{ExecuteError, ThreadPool};

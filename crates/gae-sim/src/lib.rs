@@ -1,13 +1,10 @@
-//! Deterministic discrete-event grid simulator for the GAE.
+//! Deterministic simulation substrate for the GAE.
 //!
 //! The 2005 paper evaluated its services on a live Condor testbed; we
-//! substitute a discrete-event simulation substrate that provides the
-//! same observables:
+//! substitute the models a simulated grid needs to provide the same
+//! observables (the grid itself is advanced event by event by
+//! `gae_core::Grid::advance_to`, which holds the virtual clock):
 //!
-//! * [`engine`] — a classic event-calendar engine with a virtual
-//!   clock, FIFO tie-breaking and event cancellation (needed because
-//!   execution services re-plan completion events whenever load
-//!   changes or a steering command lands);
 //! * [`load`] — piecewise-constant **external CPU load traces** with
 //!   closed-form accrual integrals: given a start instant and an
 //!   amount of CPU work, the finish instant is computed analytically,
@@ -19,11 +16,9 @@
 
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod load;
 pub mod network;
 pub mod rng;
 
-pub use engine::{EventId, SimEngine};
 pub use load::LoadTrace;
 pub use network::{Link, NetworkModel, ProbeResult};

@@ -39,7 +39,7 @@ pub use plan::{AbstractPlan, ConcretePlan, OptimizationPreference, TaskAssignmen
 pub use priority::Priority;
 pub use site::{FileRef, SiteDescription};
 pub use status::{JobStatus, TaskStatus};
-pub use time::{SimDuration, SimTime};
+pub use time::{Clock, ManualClock, SimDuration, SimTime, WallClock};
 
 /// Convenient glob-import of the most commonly used GAE types.
 pub mod prelude {

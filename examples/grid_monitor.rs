@@ -6,10 +6,11 @@
 //! cargo run --example grid_monitor
 //! ```
 
+use gae::aio::ReactorRpcServer;
 use gae::core::jobmon::JobMonitoringRpc;
 use gae::core::steering::SteeringRpc;
 use gae::prelude::*;
-use gae::rpc::{Credentials, Rpc, ServiceHost, TcpRpcClient, TcpRpcServer};
+use gae::rpc::{Credentials, Rpc, ServiceHost, TcpRpcClient};
 use gae::wire::Value;
 use std::sync::Arc;
 
@@ -27,7 +28,7 @@ fn main() {
         .expect("fresh user");
     host.register(Arc::new(JobMonitoringRpc::new(stack.jobmon.clone())));
     host.register(Arc::new(SteeringRpc::new(stack.steering.clone())));
-    let server = TcpRpcServer::start(host.clone(), 8).expect("bind ephemeral port");
+    let server = ReactorRpcServer::start(host.clone(), 8).expect("bind ephemeral port");
     println!("Clarens host listening on {}", server.endpoint());
 
     // Submit a job server-side and advance the grid a little.

@@ -2,7 +2,7 @@
 //! deployment.
 //!
 //! ```text
-//! gae-ctl serve [port] [--reactor]        start a demo grid + all services
+//! gae-ctl serve [port]                    start a demo grid + all services
 //! gae-ctl methods <addr>                  list service.method names
 //! gae-ctl call <addr> <method> [args...]  invoke a method
 //!     --user NAME --pass PW               log in first (steering needs it)
@@ -24,7 +24,7 @@ use gae::core::jobmon::JobMonitoringRpc;
 use gae::core::steering::SteeringRpc;
 use gae::core::MonAlisaRpc;
 use gae::prelude::*;
-use gae::rpc::{Credentials, Rpc, ServiceHost, TcpRpcClient, TcpRpcServer};
+use gae::rpc::{Credentials, Rpc, ServiceHost, TcpRpcClient};
 use gae::wire::Value;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -48,7 +48,7 @@ fn parse_value(raw: &str) -> Value {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  gae-ctl serve [port] [--reactor]\n  gae-ctl methods <addr>\n  \
+        "usage:\n  gae-ctl serve [port]\n  gae-ctl methods <addr>\n  \
          gae-ctl call <addr> [--user U --pass P] <service.method> [args...]\n  \
          gae-ctl submit <addr> --user U --pass P --job-id N --name NAME \
          --tasks K --cpu SECONDS [--chain]"
@@ -67,18 +67,12 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("serve") => {
-            let reactor = args.iter().any(|a| a == "--reactor");
             let port = args
                 .iter()
                 .skip(1)
                 .find_map(|p| p.parse::<u16>().ok())
                 .unwrap_or(8042);
-            let transport = if reactor {
-                gae::rpc::RpcTransport::Reactor
-            } else {
-                gae::rpc::RpcTransport::ThreadPool
-            };
-            serve(port, transport);
+            serve(port);
         }
         Some("methods") => {
             let addr = resolve(args.get(1).unwrap_or_else(|| usage()));
@@ -195,14 +189,13 @@ fn main() {
 
 /// Demo server: a two-site grid with a running analysis job, virtual
 /// time pumped in step with the wall clock.
-fn serve(port: u16, transport: gae::rpc::RpcTransport) {
+fn serve(port: u16) {
     let grid = GridBuilder::new()
         .site_with_load(
             SiteDescription::new(SiteId::new(1), "busy-cluster", 4, 1),
             3.0,
         )
         .site(SiteDescription::new(SiteId::new(2), "free-tier2", 4, 2))
-        .rpc_transport(transport)
         .build();
     let stack = ServiceStack::over(grid.clone());
 
@@ -245,35 +238,18 @@ fn serve(port: u16, transport: gae::rpc::RpcTransport) {
     stack.submit_job(job).expect("schedulable");
 
     let addr = format!("127.0.0.1:{port}");
-    // Either front door serves the identical dispatch path; the
-    // reactor just holds its connections on one event loop.
-    let endpoint = match grid.rpc_transport() {
-        gae::rpc::RpcTransport::Reactor => {
-            match gae::aio::ReactorRpcServer::bind(host, 16, &addr) {
-                Ok(s) => {
-                    let e = s.endpoint();
-                    std::mem::forget(s); // serves until the process dies
-                    e
-                }
-                Err(e) => {
-                    eprintln!("gae-ctl: cannot bind port {port}: {e}");
-                    std::process::exit(1);
-                }
-            }
+    let endpoint = match gae::aio::ReactorRpcServer::bind(host, 16, &addr) {
+        Ok(s) => {
+            let e = s.endpoint();
+            std::mem::forget(s); // serves until the process dies
+            e
         }
-        gae::rpc::RpcTransport::ThreadPool => match TcpRpcServer::bind(host, 16, &addr) {
-            Ok(s) => {
-                let e = s.endpoint();
-                std::mem::forget(s);
-                e
-            }
-            Err(e) => {
-                eprintln!("gae-ctl: cannot bind port {port}: {e}");
-                std::process::exit(1);
-            }
-        },
+        Err(e) => {
+            eprintln!("gae-ctl: cannot bind port {port}: {e}");
+            std::process::exit(1);
+        }
     };
-    println!("gae-ctl: serving on {endpoint} ({transport:?} transport)");
+    println!("gae-ctl: serving on {endpoint}");
     println!("gae-ctl: demo user alice / analysis; tasks 1..3 of job 1 are live");
     println!("gae-ctl: virtual time tracks wall time; Ctrl-C to stop");
 

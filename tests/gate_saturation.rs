@@ -9,9 +9,10 @@
 //! test that the token bucket's admit/deny sequence is a pure
 //! function of (config, arrival sequence).
 
+use gae::aio::ReactorRpcServer;
 use gae::gate::{Gate, GateConfig, QueueConfig, TokenBucket, TokenBucketConfig, WallClock};
 use gae::prelude::*;
-use gae::rpc::{CallContext, MethodInfo, Rpc, Service, ServiceHost, TcpRpcClient, TcpRpcServer};
+use gae::rpc::{CallContext, MethodInfo, Rpc, Service, ServiceHost, TcpRpcClient};
 use gae::wire::Value;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -66,7 +67,7 @@ fn overload_sheds_typed_faults_and_bounds_the_queue() {
         },
         Arc::new(WallClock::new()),
     );
-    let server = TcpRpcServer::start_gated(host, 2, gate.clone()).unwrap();
+    let server = ReactorRpcServer::start_gated(host, 2, gate.clone()).unwrap();
     let addr = server.addr();
 
     let mut handles = Vec::new();

@@ -7,6 +7,7 @@
 //! jobmon export-determinism check (Sequential ≡ Sharded) and the
 //! scaled pushdown test over a 10⁵/10⁶-row store.
 
+use gae::aio::ReactorRpcServer;
 use gae::core::estimator::RuntimeEstimator;
 use gae::core::HistoryRpc;
 use gae::hist::{
@@ -14,7 +15,7 @@ use gae::hist::{
 };
 use gae::obs::{SpanId, TraceContext, TraceId};
 use gae::prelude::*;
-use gae::rpc::{CallContext, Rpc, Service, ServiceHost, TcpRpcClient, TcpRpcServer};
+use gae::rpc::{CallContext, Rpc, Service, ServiceHost, TcpRpcClient};
 use gae::wire::Value;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -30,7 +31,7 @@ use harness::{build_grid, submit_workload, Scenario};
 struct Deployment {
     stack: Arc<ServiceStack>,
     gate: Arc<gae::gate::Gate>,
-    server: TcpRpcServer,
+    server: ReactorRpcServer,
 }
 
 fn deploy() -> Deployment {
@@ -53,7 +54,7 @@ fn deploy() -> Deployment {
     host.attach_obs(stack.obs());
     host.register(Arc::new(HistoryRpc::new(stack.hist.clone(), stack.obs())));
     let gate = Gate::new(GateConfig::default(), Arc::new(gae::gate::WallClock::new()));
-    let server = TcpRpcServer::start_gated(host, 2, gate.clone()).unwrap();
+    let server = ReactorRpcServer::start_gated(host, 2, gate.clone()).unwrap();
     Deployment {
         stack,
         gate,
@@ -388,7 +389,7 @@ proptest! {
                 job_type: "batch".into(),
             });
         }
-        let hub = gae::obs::ObsHub::new(Arc::new(gae::obs::WallObsClock::new()));
+        let hub = gae::obs::ObsHub::new(Arc::new(gae::types::WallClock::new()));
         let svc = HistoryRpc::new(funnel, hub);
         let spec = if wrap_in_array {
             query_spec(preds, limit)
@@ -461,7 +462,7 @@ proptest! {
             .collect();
 
         // Through the facade (wire shapes) ...
-        let hub = gae::obs::ObsHub::new(Arc::new(gae::obs::WallObsClock::new()));
+        let hub = gae::obs::ObsHub::new(Arc::new(gae::types::WallClock::new()));
         let svc = HistoryRpc::new(funnel.clone(), hub);
         let wire_preds = wanted
             .iter()

@@ -2,9 +2,10 @@
 //! priority of the job" (§4) applied to whole jobs, in-process and
 //! over the wire.
 
+use gae::aio::ReactorRpcServer;
 use gae::core::steering::{SteeringCommand, SteeringRpc};
 use gae::prelude::*;
-use gae::rpc::{Credentials, Rpc, ServiceHost, TcpRpcClient, TcpRpcServer};
+use gae::rpc::{Credentials, Rpc, ServiceHost, TcpRpcClient};
 use gae::wire::Value;
 use std::sync::Arc;
 
@@ -122,7 +123,7 @@ fn job_commands_over_the_wire() {
     let owner = host.sessions().user_id("alice").unwrap();
     let (stack, job) = stack_with_job(3, owner);
     host.register(Arc::new(SteeringRpc::new(stack.steering.clone())));
-    let server = TcpRpcServer::start(host, 4).unwrap();
+    let server = ReactorRpcServer::start(host, 4).unwrap();
     let mut client = TcpRpcClient::connect(server.addr());
     client.login("alice", "pw").unwrap();
 

@@ -4,10 +4,12 @@
 //! histograms publish under the MonALISA `obs` entity, and the
 //! `X-GAE-Trace` header carries contexts across the TCP transport.
 
+use gae::aio::ReactorRpcServer;
 use gae::core::{StatsRpc, TraceRpc};
-use gae::obs::{ObsHub, SpanId, TraceContext, TraceId, WallObsClock};
+use gae::obs::{ObsHub, SpanId, TraceContext, TraceId};
 use gae::prelude::*;
-use gae::rpc::{InProcClient, Rpc, ServiceHost, TcpRpcClient, TcpRpcServer};
+use gae::rpc::{InProcClient, Rpc, ServiceHost, TcpRpcClient};
+use gae::types::WallClock;
 use gae::wire::Value;
 use std::sync::Arc;
 
@@ -192,10 +194,10 @@ fn latency_histograms_publish_under_the_obs_entity() {
 
 #[test]
 fn trace_context_propagates_over_the_wire() {
-    let hub = ObsHub::new(Arc::new(WallObsClock::new()));
+    let hub = ObsHub::new(Arc::new(WallClock::new()));
     let host = ServiceHost::open();
     host.attach_obs(hub.clone());
-    let server = TcpRpcServer::start(host, 2).unwrap();
+    let server = ReactorRpcServer::start(host, 2).unwrap();
     let mut client = TcpRpcClient::connect(server.addr());
 
     // A client-chosen context rides the X-GAE-Trace header; the

@@ -1,22 +1,172 @@
 //! The `gae-aio` reactor front door under hostile and awkward
 //! clients: mid-request disconnects, partial writes through a tiny
 //! kernel send buffer, pipelined requests — and the contract that
-//! matters most, blocking-vs-reactor response equivalence (both
-//! transports share `gae_rpc::door` dispatch and `gae_rpc::http`
-//! framing, so the same bytes in must produce the same bytes out).
+//! matters most, blocking-vs-reactor response equivalence: the
+//! reactor is checked against [`BlockingOracle`], a thread-per-
+//! connection loop over the same public `gae_rpc::door` dispatch and
+//! `gae_rpc::http` framing, so the same bytes in must produce the
+//! same bytes out.
 
 use gae::aio::{ReactorConfig, ReactorRpcServer};
 use gae::gate::{Gate, GateConfig, QueueConfig, TokenBucketConfig, WallClock};
-use gae::rpc::http::{FrameLimits, FrameParser, HttpRequest, HttpResponse};
+use gae::rpc::door::{Deliver, DoorBackend};
+use gae::rpc::http::{
+    read_request_limited, FrameLimits, FrameParser, HttpRequest, HttpResponse, ReadDeadline,
+};
 use gae::rpc::service::{CallContext, MethodInfo, Service};
-use gae::rpc::{Rpc, ServiceHost, TcpRpcClient, TcpRpcServer};
+use gae::rpc::{Rpc, ServiceHost, TcpRpcClient};
 use gae::types::{GaeError, GaeResult, SimDuration};
 use gae::wire::{write_call, MethodCall, Value};
 use proptest::prelude::*;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// The reference the reactor is compared against: an acceptor thread
+/// hands each connection to its own thread, which frames requests
+/// with the blocking reader and waits on the door for each answer.
+/// Simple enough to be obviously right, and it collapses in the low
+/// thousands of sockets — which is why it lives here and not in a
+/// crate.
+struct BlockingOracle {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    acceptor: JoinHandle<()>,
+}
+
+impl BlockingOracle {
+    fn start(
+        host: Arc<ServiceHost>,
+        workers: usize,
+        gate: Option<Arc<Gate>>,
+        request_deadline: Duration,
+    ) -> BlockingOracle {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let acceptor = {
+            let shutdown = shutdown.clone();
+            std::thread::spawn(move || {
+                let door = Arc::new(DoorBackend::new(workers, gate));
+                let mut conns: Vec<JoinHandle<()>> = Vec::new();
+                while !shutdown.load(Ordering::Acquire) {
+                    match listener.accept() {
+                        Ok((stream, peer)) => {
+                            let (host, door, shutdown) =
+                                (host.clone(), door.clone(), shutdown.clone());
+                            conns.push(std::thread::spawn(move || {
+                                serve_blocking(host, door, stream, peer, shutdown, request_deadline)
+                            }));
+                        }
+                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                            std::thread::sleep(Duration::from_millis(2));
+                        }
+                        Err(_) => break,
+                    }
+                }
+                for t in conns {
+                    let _ = t.join();
+                }
+            })
+        };
+        BlockingOracle {
+            addr,
+            shutdown,
+            acceptor,
+        }
+    }
+
+    fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    fn stop(self) {
+        self.shutdown.store(true, Ordering::Release);
+        self.acceptor.join().unwrap();
+    }
+}
+
+/// One connection of the oracle: frame, door, respond, keep-alive.
+fn serve_blocking(
+    host: Arc<ServiceHost>,
+    door: Arc<DoorBackend>,
+    stream: TcpStream,
+    peer: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    request_deadline: Duration,
+) {
+    let _ = stream.set_nodelay(true);
+    // The read timeout is the poll tick: it lets the thread notice
+    // shutdown on an idle client and re-check the deadline on a slow
+    // one.
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(stream);
+    let mut deadline = ReadDeadline::new(request_deadline);
+    let goodbye = |writer: &mut TcpStream, status, reason, why: &str| {
+        let _ = HttpResponse::error(status, reason, why).write_to(writer);
+    };
+    while !shutdown.load(Ordering::Acquire) {
+        let request = match read_request_limited(&mut reader, &FrameLimits::DEFAULT, &mut deadline)
+        {
+            Ok(Some(r)) => r,
+            Ok(None) => return,                    // clean close
+            Err(GaeError::Timeout(_)) => continue, // idle poll tick
+            Err(GaeError::RequestTimeout(why)) => {
+                return goodbye(&mut writer, 408, "Request Timeout", &why)
+            }
+            Err(GaeError::PayloadTooLarge(why)) => {
+                return goodbye(&mut writer, 413, "Payload Too Large", &why)
+            }
+            Err(_) => return goodbye(&mut writer, 400, "Bad Request", "malformed HTTP"),
+        };
+        let keep_alive = request.keep_alive();
+        let response = if request.method == "GET" {
+            match host.handle_get(&request.path) {
+                Some((content_type, body)) => {
+                    let mut r = HttpResponse::ok_xml(body);
+                    r.headers[0] = ("Content-Type".to_string(), content_type);
+                    r
+                }
+                None => HttpResponse::error(404, "Not Found", "no such page"),
+            }
+        } else if request.method != "POST" {
+            return goodbye(
+                &mut writer,
+                405,
+                "Method Not Allowed",
+                "use POST /RPC2 or GET",
+            );
+        } else {
+            // The door delivers exactly once (result, fault, or typed
+            // overload), so this recv completes unless the backend
+            // vanished mid-request.
+            let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<u8>>(1);
+            let deliver: Deliver = Box::new(move |body| {
+                let _ = tx.send(body);
+            });
+            if door
+                .submit(&host, request, &peer.to_string(), deliver)
+                .is_err()
+            {
+                return goodbye(&mut writer, 503, "Service Unavailable", "shutting down");
+            }
+            match rx.recv() {
+                Ok(body) => HttpResponse::ok_xml(body),
+                Err(_) => return,
+            }
+        };
+        if response.write_to(&mut writer).is_err() || !keep_alive {
+            return;
+        }
+    }
+}
 
 struct Echo;
 
@@ -205,6 +355,39 @@ fn pipelined_requests_are_answered_in_order() {
     server.stop();
 }
 
+/// The stock per-request read budget ([`ReactorConfig::default`]).
+const DEADLINE: Duration = Duration::from_secs(2);
+
+#[test]
+fn dribbled_request_gets_the_same_408_frame() {
+    // Both doors give a request 200 ms for its bytes; a client that
+    // sends half a header and stalls must read the identical typed
+    // 408 from each, and then EOF.
+    let budget = Duration::from_millis(200);
+    let blocking = BlockingOracle::start(echo_host(), 2, None, budget);
+    let config = ReactorConfig {
+        request_deadline: budget,
+        ..ReactorConfig::default()
+    };
+    let reactor =
+        ReactorRpcServer::bind_tuned(echo_host(), 2, "127.0.0.1:0", None, config).unwrap();
+    let dribble = |addr: SocketAddr| {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(b"POST /RPC2 HTTP/1.1\r\nContent-Le").unwrap();
+        let response = read_one_response(&s);
+        let mut rest = Vec::new();
+        s.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "408 is terminal: EOF behind it");
+        response
+    };
+    let a = dribble(blocking.addr());
+    let b = dribble(reactor.addr());
+    assert_eq!(a.status, 408);
+    assert_eq!(a, b, "transports disagree on the 408 frame");
+    blocking.stop();
+    reactor.stop();
+}
+
 #[test]
 fn gate_refusals_agree_across_transports() {
     // Wedge each server's gate the same way — one worker occupied by
@@ -223,7 +406,7 @@ fn gate_refusals_agree_across_transports() {
             Arc::new(WallClock::new()),
         )
     };
-    let blocking = TcpRpcServer::start_gated(echo_host(), 1, tiny_gate()).unwrap();
+    let blocking = BlockingOracle::start(echo_host(), 1, Some(tiny_gate()), DEADLINE);
     let reactor = ReactorRpcServer::start_gated(echo_host(), 1, tiny_gate()).unwrap();
     let refusal = |addr: SocketAddr| {
         // A: occupies the only worker for a second.
@@ -329,7 +512,7 @@ proptest! {
     #[test]
     fn blocking_and_reactor_answer_identically(probes in proptest::collection::vec(arb_probe(), 1..5)) {
         let host = echo_host();
-        let blocking = TcpRpcServer::start(host.clone(), 2).unwrap();
+        let blocking = BlockingOracle::start(host.clone(), 2, None, DEADLINE);
         let reactor = ReactorRpcServer::start(host, 2).unwrap();
         for probe in &probes {
             let bytes = probe.to_bytes();

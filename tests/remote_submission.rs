@@ -3,16 +3,17 @@
 //! steers it, and downloads the outcome — never touching an
 //! in-process handle.
 
+use gae::aio::ReactorRpcServer;
 use gae::core::jobmon::JobMonitoringInfo;
 use gae::core::submit::{job_to_value, SchedulerRpc};
 use gae::prelude::*;
-use gae::rpc::{Credentials, Rpc, ServiceHost, TcpRpcClient, TcpRpcServer};
+use gae::rpc::{Credentials, Rpc, ServiceHost, TcpRpcClient};
 use gae::wire::Value;
 use std::sync::Arc;
 
 struct Deployment {
     stack: Arc<ServiceStack>,
-    server: TcpRpcServer,
+    server: ReactorRpcServer,
 }
 
 fn deploy() -> Deployment {
@@ -32,7 +33,7 @@ fn deploy() -> Deployment {
     host.register(Arc::new(gae::core::steering::SteeringRpc::new(
         stack.steering.clone(),
     )));
-    let server = TcpRpcServer::start(host, 4).unwrap();
+    let server = ReactorRpcServer::start(host, 4).unwrap();
     Deployment { stack, server }
 }
 

@@ -2,17 +2,18 @@
 //! registered on one Clarens host, exercised by genuine network
 //! clients — sessions, faults, concurrency, and the steering flow.
 
+use gae::aio::ReactorRpcServer;
 use gae::core::jobmon::{JobMonitoringInfo, JobMonitoringRpc};
 use gae::core::steering::SteeringRpc;
 use gae::prelude::*;
-use gae::rpc::{Credentials, Rpc, ServiceHost, TcpRpcClient, TcpRpcServer};
+use gae::rpc::{Credentials, Rpc, ServiceHost, TcpRpcClient};
 use gae::wire::Value;
 use std::sync::Arc;
 
 struct Deployment {
     stack: Arc<ServiceStack>,
     host: Arc<ServiceHost>,
-    server: TcpRpcServer,
+    server: ReactorRpcServer,
     owner: UserId,
     task: TaskId,
 }
@@ -36,7 +37,7 @@ fn deploy() -> Deployment {
     host.register(Arc::new(gae::core::estimator::service::EstimatorRpc::new(
         stack.estimators.clone(),
     )));
-    let server = TcpRpcServer::start(host.clone(), 8).unwrap();
+    let server = ReactorRpcServer::start(host.clone(), 8).unwrap();
 
     let mut job = JobSpec::new(JobId::new(1), "wired", owner);
     let task = job.add_task(

@@ -30,6 +30,7 @@ fn print_report(r: &ScenarioReport) {
         "  xfer: {} completed, {} failed, {} retried",
         r.xfer.completed, r.xfer.failed, r.xfer.retried
     );
+    println!("  state crc {}", r.state_crc);
     if r.invariant_failures.is_empty() {
         println!("  invariants: all held");
     } else {

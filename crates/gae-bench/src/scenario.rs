@@ -114,6 +114,10 @@ pub struct ScenarioReport {
     pub invariant_failures: Vec<String>,
     /// Canonical run digest: byte-identical across driver modes.
     pub digest: String,
+    /// [`gae_repl::StateMachine::query_state`] of the final stack: the
+    /// CRC of its full snapshot, metric series included (the digest
+    /// above covers task states and counters only).
+    pub state_crc: String,
 }
 
 fn sid(index: usize) -> SiteId {
@@ -565,6 +569,7 @@ fn finish(
         xfer,
         invariant_failures,
         digest,
+        state_crc: gae_repl::StateMachine::query_state(stack),
     }
 }
 

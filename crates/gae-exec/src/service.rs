@@ -684,7 +684,7 @@ impl ExecutionService {
         if idx >= self.nodes.len() {
             return Err(GaeError::NotFound(node_id.to_string()));
         }
-        let victims: Vec<CondorId> = self
+        let mut victims: Vec<CondorId> = self
             .records
             .values()
             .filter(|r| {
@@ -693,6 +693,9 @@ impl ExecutionService {
             })
             .map(|r| r.condor)
             .collect();
+        // `records` is a HashMap: emit in Condor-id order so the event
+        // stream (and everything journaled from it) is reproducible.
+        victims.sort_unstable();
         for condor in victims {
             self.planned_finish.remove(&condor);
             let now = self.now;
@@ -728,12 +731,14 @@ impl ExecutionService {
     /// empties, and further submissions are refused until recovery.
     pub fn fail_site(&mut self) {
         self.alive = false;
-        let victims: Vec<CondorId> = self
+        let mut victims: Vec<CondorId> = self
             .records
             .values()
             .filter(|r| r.status.is_live())
             .map(|r| r.condor)
             .collect();
+        // Condor-id order, for the same reason as in `fail_node`.
+        victims.sort_unstable();
         for condor in victims {
             self.planned_finish.remove(&condor);
             self.staging_until.remove(&condor);
@@ -1121,6 +1126,21 @@ mod tests {
         svc.recover_site();
         assert!(svc.is_alive());
         assert!(svc.submit(task(3, 10), None).is_ok());
+    }
+
+    /// `records` is a HashMap; a site outage with several live tasks
+    /// must still emit its failures in Condor-id order, or everything
+    /// journaled from the stream differs run to run.
+    #[test]
+    fn site_failure_emits_in_condor_order() {
+        let mut svc = free_service();
+        let submitted: Vec<CondorId> = (1..=8)
+            .map(|i| svc.submit(task(i, 100), None).unwrap())
+            .collect();
+        svc.drain_events();
+        svc.fail_site();
+        let failed: Vec<CondorId> = svc.drain_events().iter().map(|e| e.condor).collect();
+        assert_eq!(failed, submitted);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use gae_core::steering::SteeringPolicy;
 use gae_gate::{
     AdmissionQueue, GateConfig, GateStats, Popped, Principal, QueueConfig, TokenBucketConfig,
 };
-use gae_monitor::{MetricKey, Sample};
+use gae_monitor::MetricBatch;
 use gae_trace::scenario::{FaultKind, Invariant, ScenarioSpec};
 use gae_types::{
     FileRef, JobId, JobSpec, SimDuration, SimTime, SiteDescription, SiteId, TaskId, TaskSpec,
@@ -536,23 +536,24 @@ fn finish(
 
     // Per-scenario metrics under entity "scenario" (site 0 = grid-
     // wide), parameters prefixed with the scenario name.
-    let at = stack.grid.now();
-    let key = |param: String| MetricKey::new(SiteId::new(0), "scenario", param);
-    let samples = [
-        ("offered", state.offered as f64),
-        ("submitted", state.submitted_jobs.len() as f64),
-        ("shed", state.shed as f64),
-        ("completed", completed as f64),
-        ("failed", failed as f64),
-        ("moves", moves as f64),
-        ("resubmitted", state.resubmitted.len() as f64),
-        ("makespan_s", makespan_s),
-        ("mean_completion_s", mean_completion_s),
-        ("invariant_failures", invariant_failures.len() as f64),
-    ]
-    .into_iter()
-    .map(|(p, value)| (key(format!("{}_{p}", spec.name)), Sample { at, value }));
-    stack.grid.monitor().publish_batch(samples);
+    let mut batch = MetricBatch::at(stack.grid.now());
+    batch.gauges(
+        "scenario",
+        [
+            ("offered", state.offered as f64),
+            ("submitted", state.submitted_jobs.len() as f64),
+            ("shed", state.shed as f64),
+            ("completed", completed as f64),
+            ("failed", failed as f64),
+            ("moves", moves as f64),
+            ("resubmitted", state.resubmitted.len() as f64),
+            ("makespan_s", makespan_s),
+            ("mean_completion_s", mean_completion_s),
+            ("invariant_failures", invariant_failures.len() as f64),
+        ]
+        .map(|(param, value)| (format!("{}_{param}", spec.name), value)),
+    );
+    stack.grid.monitor().publish_batch(batch);
 
     ScenarioReport {
         name: spec.name,

@@ -653,12 +653,31 @@ fn tracked_job_to_value(j: &TrackedJob) -> Value {
     ])
 }
 
+/// Decodes one tracked job. The steering round indexes `tasks` by
+/// every id of the plan, so a snapshot whose records do not cover the
+/// plan exactly (missing, extra or duplicate ids) is refused here
+/// instead of panicking on the next poll.
 fn tracked_job_from_value(v: &Value) -> GaeResult<TrackedJob> {
     let plan = plan_from_record(v.member("plan")?)?;
     let mut tasks = HashMap::new();
     for t in v.member("tasks")?.as_array()? {
         let (_, tracked) = task_from_record(t)?;
-        tasks.insert(tracked.task, tracked);
+        if let Some(twice) = tasks.insert(tracked.task, tracked) {
+            return Err(GaeError::Parse(format!(
+                "snapshot of {} tracks {} twice",
+                plan.job_id(),
+                twice.task
+            )));
+        }
+    }
+    let planned = plan.job.task_ids();
+    if tasks.len() != planned.len() || !planned.iter().all(|t| tasks.contains_key(t)) {
+        return Err(GaeError::Parse(format!(
+            "snapshot of {} tracks {} task records, not exactly its plan's {} tasks",
+            plan.job_id(),
+            tasks.len(),
+            planned.len()
+        )));
     }
     Ok(TrackedJob {
         plan,
@@ -926,6 +945,62 @@ mod tests {
         assert!(!j.completion_notified);
         assert_eq!(decoded.xfer, state.xfer);
         assert_eq!(decoded.hist, state.hist);
+    }
+
+    /// A snapshot whose task records do not cover the plan must fail
+    /// `restore` with a typed error — `TrackedJob::ready_tasks` indexes
+    /// `tasks[t]` for every planned id on the next steering round.
+    #[test]
+    fn restore_rejects_task_records_that_do_not_cover_the_plan() {
+        use crate::grid::{GridBuilder, ServiceStack};
+        use gae_repl::StateMachine;
+        use gae_types::SiteDescription;
+
+        let fresh = || {
+            ServiceStack::over(
+                GridBuilder::new()
+                    .site(SiteDescription::new(SiteId::new(1), "only", 2, 1))
+                    .build(),
+            )
+        };
+        let stack = fresh();
+        stack.submit_job(sample_plan().job).unwrap();
+        let valid = stack.snapshot();
+        fresh()
+            .restore(&valid)
+            .expect("untouched snapshot restores");
+
+        let tampered = |edit: fn(&mut Vec<Value>)| {
+            let mut doc = parse_value_document(std::str::from_utf8(&valid).unwrap()).unwrap();
+            let Value::Struct(top) = &mut doc else {
+                panic!("snapshot is a struct")
+            };
+            let Some(Value::Array(jobs)) = top.get_mut("steering") else {
+                panic!("steering is an array")
+            };
+            let Value::Struct(job) = &mut jobs[0] else {
+                panic!("tracked job is a struct")
+            };
+            let Some(Value::Array(records)) = job.get_mut("tasks") else {
+                panic!("tasks is an array")
+            };
+            assert_eq!(records.len(), 2);
+            edit(records);
+            write_value_document(&doc).into_bytes()
+        };
+        for (what, edit) in [
+            ("missing", (|r| drop(r.pop())) as fn(&mut Vec<Value>)),
+            ("duplicate", |r| r.push(r[0].clone())),
+            ("extra", |r| {
+                let Value::Struct(stray) = &mut r[1] else {
+                    panic!("task record is a struct")
+                };
+                stray.insert("task".into(), Value::from(99u64));
+            }),
+        ] {
+            let err = fresh().restore(&tampered(edit)).unwrap_err();
+            assert!(matches!(err, GaeError::Parse(_)), "{what}: {err}");
+        }
     }
 
     #[test]

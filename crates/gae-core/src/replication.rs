@@ -124,7 +124,7 @@ impl ReplicationSink for ObsSink {
     fn on_append(&self, kind: &str, body: &Value) {
         // No clock read here: appends can run under the xfer lock,
         // which must not re-enter the grid clock (see the observer
-        // wiring in grid.rs).
+        // wiring in grid/stack.rs).
         self.pending.fetch_add(1, Ordering::Relaxed);
         self.inner.on_append(kind, body);
     }

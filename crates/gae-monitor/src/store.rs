@@ -51,6 +51,62 @@ pub struct Sample {
     pub value: f64,
 }
 
+/// One publication round: samples that all carry the instant the
+/// batch was built `at`, in the order they were added. Hand it to
+/// [`TimeSeriesStore::publish_batch`] (or the repository's) as is.
+pub struct MetricBatch {
+    at: SimTime,
+    samples: Vec<(MetricKey, Sample)>,
+}
+
+impl MetricBatch {
+    /// An empty batch stamped `at`.
+    pub fn at(at: SimTime) -> Self {
+        MetricBatch {
+            at,
+            samples: Vec::new(),
+        }
+    }
+
+    /// Adds a sample under a key the caller already holds — the form
+    /// for interned keys published every tick.
+    pub fn push(&mut self, key: MetricKey, value: f64) {
+        self.samples.push((key, Sample { at: self.at, value }));
+    }
+
+    /// Adds one sample, building its key.
+    pub fn gauge(
+        &mut self,
+        site: SiteId,
+        entity: impl Into<Arc<str>>,
+        param: impl Into<Arc<str>>,
+        value: f64,
+    ) {
+        self.push(MetricKey::new(site, entity, param), value);
+    }
+
+    /// Adds grid-wide samples (site 0) that share one entity name.
+    pub fn gauges<P: Into<Arc<str>>>(
+        &mut self,
+        entity: impl Into<Arc<str>>,
+        params: impl IntoIterator<Item = (P, f64)>,
+    ) {
+        let entity = entity.into();
+        for (param, value) in params {
+            self.gauge(SiteId::new(0), entity.clone(), param, value);
+        }
+    }
+}
+
+impl IntoIterator for MetricBatch {
+    type Item = (MetricKey, Sample);
+    type IntoIter = std::vec::IntoIter<(MetricKey, Sample)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.samples.into_iter()
+    }
+}
+
 /// A map of metric keys to bounded sample rings.
 pub struct TimeSeriesStore {
     series: HashMap<MetricKey, VecDeque<Sample>>,
@@ -361,6 +417,27 @@ mod tests {
         assert_eq!(
             batched.range(&key(), window.0, window.1),
             sequential.range(&key(), window.0, window.1)
+        );
+    }
+
+    #[test]
+    fn metric_batch_stamps_and_keeps_insertion_order() {
+        let mut batch = MetricBatch::at(SimTime::from_secs(7));
+        batch.push(key(), 0.5);
+        batch.gauge(SiteId::new(2), "xfer", "storage_pinned", 3.0);
+        batch.gauges("gate", [("queue_depth", 1.0), ("peak_queue_depth", 4.0)]);
+        let grid_wide = |param: &str| MetricKey::new(SiteId::new(0), "gate", param);
+        assert_eq!(
+            batch.into_iter().collect::<Vec<_>>(),
+            vec![
+                (key(), s(7, 0.5)),
+                (
+                    MetricKey::new(SiteId::new(2), "xfer", "storage_pinned"),
+                    s(7, 3.0)
+                ),
+                (grid_wide("queue_depth"), s(7, 1.0)),
+                (grid_wide("peak_queue_depth"), s(7, 4.0)),
+            ]
         );
     }
 

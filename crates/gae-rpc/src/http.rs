@@ -206,6 +206,14 @@ impl HttpRequest {
         w.write_all(&self.body)?;
         w.flush()
     }
+
+    /// Serializes into a byte vector, so a socket gets the request in
+    /// one `write` (`write_to` on a bare stream is one per fragment).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.body.len() + 256);
+        self.write_to(&mut buf).expect("Vec write is infallible");
+        buf
+    }
 }
 
 impl HttpResponse {
@@ -656,8 +664,7 @@ mod tests {
     use std::io::BufReader;
 
     fn roundtrip_request(req: &HttpRequest) -> HttpRequest {
-        let mut buf = Vec::new();
-        req.write_to(&mut buf).unwrap();
+        let buf = req.to_bytes();
         read_request(&mut BufReader::new(&buf[..]))
             .unwrap()
             .unwrap()

@@ -15,8 +15,10 @@
 //! * [`host`] — the [`ServiceHost`]: a registry of
 //!   services with full-method dispatch (`"jobmon.job_status"`), the
 //!   built-in `system.*` introspection service, and fault mapping;
-//! * [`threadpool`] — a crossbeam-channel worker pool behind the door
-//!   (and reusable by anything needing bounded parallelism);
+//! * [`threadpool`], [`gatedpool`] — the two bounded worker pools the
+//!   door dispatches onto: plain (a full hand-off queue is a typed
+//!   `Saturated` refusal) and gate-admitted (priority classes,
+//!   deadlines, shedding);
 //! * [`http`] — a minimal HTTP/1.1 subset (POST + Content-Length +
 //!   keep-alive), the framing XML-RPC runs over;
 //! * [`door`] — the transport-independent dispatch path (principal

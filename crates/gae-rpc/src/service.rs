@@ -72,7 +72,7 @@ pub struct MethodInfo {
 
 /// A GAE web service: a named bundle of methods.
 ///
-/// Implementations must be thread-safe; the TCP server dispatches
+/// Implementations must be thread-safe; the door dispatches
 /// concurrent requests from its worker pool.
 pub trait Service: Send + Sync {
     /// The service's registration name (`"jobmon"`, `"steering"`...).

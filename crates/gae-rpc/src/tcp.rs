@@ -13,7 +13,7 @@ use crate::http::{read_response, HttpRequest};
 use crate::service::Rpc;
 use gae_types::{GaeError, GaeResult, SessionId};
 use gae_wire::{parse_response, write_call, MethodCall, Value};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -140,8 +140,14 @@ impl TcpRpcClient {
                 .headers
                 .push(("X-GAE-Trace".to_string(), trace.encode()));
         }
-        request
-            .write_to(self.writer.as_mut().expect("connected"))
+        // One send per request: with TCP_NODELAY every small write
+        // is its own segment, and whether the server then parses the
+        // request in one read or in a dozen depends on how its wakeups
+        // interleave with them — latency that swings from run to run.
+        self.writer
+            .as_mut()
+            .expect("connected")
+            .write_all(&request.to_bytes())
             .map_err(|e| GaeError::Io(format!("send: {e}")))?;
         let response = read_response(self.reader.as_mut().expect("connected"))?;
         if !self.keep_alive {

@@ -1,8 +1,10 @@
 //! A small fixed-size worker pool over crossbeam channels.
 //!
-//! Used by the TCP server to bound request-handling concurrency (the
-//! paper's Figure 6 measures exactly this: response time as parallel
-//! clients grow beyond the server's service capacity). The hand-off
+//! The un-gated backend of the door ([`crate::door`]): the `gae-aio`
+//! reactor — the one server — submits every POST through it, and the
+//! pool bounds request-handling concurrency (the paper's Figure 6
+//! measures exactly this: response time as parallel clients grow
+//! beyond the server's service capacity). The hand-off
 //! queue is *bounded*: when the backlog is full, [`ThreadPool::execute`]
 //! refuses with a typed [`ExecuteError::Saturated`] instead of
 //! buffering without limit — callers turn that into an overload fault

@@ -1,7 +1,9 @@
 //! Criterion benches for the columnar job-history store (gae-hist):
 //! append throughput through the funnel path, predicate-pushdown
-//! scans against the naive full-scan reference, and retargeted
-//! estimator latency at 10³/10⁴/10⁵/10⁶ stored jobs.
+//! scans against the naive full-scan reference, and estimator latency
+//! at 10³/10⁴/10⁵/10⁶ stored jobs — the oracle scan beside the
+//! runtime-view path, with the view's floors asserted (≥100× over the
+//! scan at 10⁶ jobs, ≤2× growth from 10³ to 10⁶).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gae_core::estimator::{HistoryStore, RuntimeEstimator};
@@ -115,9 +117,19 @@ fn bench_pushdown_vs_naive(c: &mut Criterion) {
     );
 }
 
+/// Wall time of `calls` runs of `f`, per call.
+fn per_call<T>(calls: u32, mut f: impl FnMut() -> T) -> std::time::Duration {
+    let started = std::time::Instant::now();
+    for _ in 0..calls {
+        black_box(f());
+    }
+    started.elapsed() / calls
+}
+
 fn bench_estimator_latency(c: &mut Criterion) {
     let mut group = c.benchmark_group("hist_estimate");
     let estimator = RuntimeEstimator::new(HistoryStore::new(16));
+    let site = SiteId::new(1);
     let probe = TaskMeta {
         account: "cms".into(),
         login: "amy".into(),
@@ -127,19 +139,62 @@ fn bench_estimator_latency(c: &mut Criterion) {
         nodes: 1,
         job_type: JobType::Batch,
     };
+    let scan = |store: &HistStore| estimator.estimate_columnar(store, site, &probe).unwrap();
+    let view = |store: &HistStore| estimator.estimate_from_views(store, site, &probe).unwrap();
+    let mut stores = Vec::new();
     for jobs in [1_000u64, 10_000, 100_000, 1_000_000] {
         let store = store_with(jobs);
-        group.bench_with_input(BenchmarkId::new("jobs", jobs), &jobs, |b, _| {
-            b.iter(|| {
-                black_box(
-                    estimator
-                        .estimate_columnar(black_box(&store), SiteId::new(1), black_box(&probe))
-                        .unwrap(),
-                )
-            })
+        // Agreement first (this also builds the view): a fast wrong
+        // answer counts for nothing.
+        assert_eq!(
+            view(&store),
+            scan(&store),
+            "view and scan diverged at {jobs} jobs"
+        );
+        group.bench_with_input(BenchmarkId::new("scan", jobs), &jobs, |b, _| {
+            b.iter(|| black_box(scan(black_box(&store))))
         });
+        group.bench_with_input(BenchmarkId::new("view", jobs), &jobs, |b, _| {
+            b.iter(|| black_box(view(black_box(&store))))
+        });
+        stores.push(store);
     }
     group.finish();
+
+    // The cost contract (DESIGN.md §14 "Runtime views"), measured
+    // directly so it holds in `--test` smoke mode too: a view estimate
+    // costs the same at 10⁶ rows as at 10³, and at 10⁶ it beats the
+    // scan by two orders of magnitude. Best of 5, the three timings
+    // taking turns so a change of the box's speed hits them alike.
+    let (small, large) = (&stores[0], &stores[3]);
+    let mut best = [std::time::Duration::MAX; 3];
+    for _ in 0..5 {
+        let round = [
+            per_call(2_000, || view(small)),
+            per_call(2_000, || view(large)),
+            per_call(2, || scan(large)),
+        ];
+        for (b, r) in best.iter_mut().zip(round) {
+            *b = (*b).min(r);
+        }
+    }
+    let [view_small, view_large, scan_large] = best.map(|d| d.as_secs_f64().max(1e-12));
+    let (speedup, growth) = (scan_large / view_large, view_large / view_small);
+    println!(
+        "hist estimate at 10^6 jobs: scan {:?}, view {:?} ({speedup:.0}x); \
+         view at 10^3 jobs {:?} ({growth:.2}x growth)",
+        best[2], best[1], best[0]
+    );
+    assert!(
+        speedup >= 100.0,
+        "view estimate must be ≥100x faster than the scan at 10^6 jobs, got {speedup:.1}x"
+    );
+    assert!(
+        growth <= 2.0,
+        "view estimate must not grow with history: {:?} at 10^3, {:?} at 10^6",
+        best[0],
+        best[1]
+    );
 }
 
 criterion_group!(

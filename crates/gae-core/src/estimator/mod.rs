@@ -25,6 +25,6 @@ pub mod transfer;
 
 pub use history::HistoryStore;
 pub use queue_time::{estimate_queue_time, EstimateDb};
-pub use runtime::{EstimationMethod, RuntimeEstimate, RuntimeEstimator};
+pub use runtime::{EstimateNote, EstimationMethod, RuntimeEstimate, RuntimeEstimator};
 pub use service::EstimatorService;
 pub use transfer::TransferEstimator;

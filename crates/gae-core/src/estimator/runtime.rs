@@ -13,8 +13,8 @@
 //! mean — the configuration used for Figure 5.
 
 use crate::estimator::history::HistoryStore;
-use gae_hist::{ColumnPredicate, HistStore};
-use gae_trace::{Feature, TaskMeta, TemplateHierarchy};
+use gae_hist::{ColumnPredicate, HistStore, Moments};
+use gae_trace::{Feature, SimilarityTemplate, TaskMeta, TemplateHierarchy};
 use gae_types::{GaeError, GaeResult, SimDuration, SiteId};
 
 /// Which statistical estimate to apply to the similar-task runtimes.
@@ -47,6 +47,18 @@ pub struct RuntimeEstimate {
     /// the prediction's confidence measure; advanced users read it
     /// before trusting a steering decision.
     pub std_dev_s: f64,
+    /// Set when the estimate is weaker than its fields suggest.
+    pub note: Option<EstimateNote>,
+}
+
+/// Why an estimate was degraded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EstimateNote {
+    /// The similar tasks' second-order sums exceeded the `Moments`
+    /// headroom (> 2³² samples or runtimes > 2⁴⁰ µs): the runtime is
+    /// the exact mean, the trend was not consulted and `std_dev_s`
+    /// reads 0.
+    MomentsSaturated,
 }
 
 impl RuntimeEstimate {
@@ -109,35 +121,29 @@ impl RuntimeEstimator {
         &self.history
     }
 
-    /// Predicts the runtime of a task described by `meta`.
+    /// Predicts the runtime of a task described by `meta` from the
+    /// legacy per-site ring.
     pub fn estimate(&self, meta: &TaskMeta) -> GaeResult<RuntimeEstimate> {
         let snapshot = self.history.snapshot();
         if snapshot.is_empty() {
             return Err(GaeError::Estimator("history is empty".into()));
         }
-        let (tier, similar) = self
-            .hierarchy
-            .find_similar(meta, &snapshot, self.min_matches);
-        if similar.is_empty() {
-            return Err(GaeError::Estimator(format!(
-                "no similar task in history for login {:?}",
-                meta.login
-            )));
-        }
-        // (sequence, runtime seconds) pairs in sequence order.
-        let points: Vec<(f64, f64)> = similar
-            .iter()
-            .map(|(rt, seq)| (*seq as f64, rt.as_secs_f64()))
-            .collect();
-        self.estimate_from_points(tier, points)
+        self.estimate_by_tier(meta, |tpl| {
+            Ok(Moments::from_points(
+                snapshot
+                    .iter()
+                    .filter(|(m, _)| tpl.matches(meta, m))
+                    .map(|(_, (rt, seq))| (*seq, rt.as_micros())),
+            ))
+        })
     }
 
-    /// Predicts from the columnar history store instead of the legacy
-    /// per-site ring. Each template tier becomes one predicate-pushdown
-    /// scan (`site`, `success`, plus an equality per feature); the
-    /// tier-selection rule, the point set, and the statistics are the
-    /// exact ones [`RuntimeEstimator::estimate`] computes, so the two
-    /// paths return bit-identical estimates for identical histories.
+    /// Predicts from the columnar history store by scanning it: each
+    /// template tier is one predicate-pushdown scan (`site`, `success`,
+    /// plus an equality per feature) folded into [`Moments`]. This is
+    /// the analytics-side path and the differential oracle of
+    /// [`RuntimeEstimator::estimate_from_views`]; the two differ only in
+    /// where the moments come from.
     pub fn estimate_columnar(
         &self,
         store: &HistStore,
@@ -147,131 +153,142 @@ impl RuntimeEstimator {
         if store.site_successes(site.raw()) == 0 {
             return Err(GaeError::Estimator("history is empty".into()));
         }
-        let templates = self.hierarchy.templates();
-        let mut chosen: Option<(usize, Vec<(u64, u64)>)> = None;
-        for (i, tpl) in templates.iter().enumerate() {
+        self.estimate_by_tier(meta, |tpl| {
             let mut preds = vec![
                 ColumnPredicate::eq_num("site", site.raw()),
                 ColumnPredicate::eq_num("success", 1),
             ];
-            for feature in tpl.features() {
-                preds.push(feature_predicate(*feature, meta));
-            }
-            let points = store.runtime_points(&preds)?;
-            let enough = points.len() >= self.min_matches.max(1);
-            chosen = Some((i, points));
+            preds.extend(feature_predicates(tpl, meta));
+            Ok(Moments::from_points(store.runtime_points(&preds)?))
+        })
+    }
+
+    /// Predicts from the store's runtime views: each template tier is
+    /// one [`HistStore::runtime_moments`] hash probe, so the cost is
+    /// O(tiers) whatever the history size. Bit-identical to
+    /// [`RuntimeEstimator::estimate_columnar`] by construction — the
+    /// moments are exact integers either way.
+    pub fn estimate_from_views(
+        &self,
+        store: &HistStore,
+        site: SiteId,
+        meta: &TaskMeta,
+    ) -> GaeResult<RuntimeEstimate> {
+        if store.site_successes(site.raw()) == 0 {
+            return Err(GaeError::Estimator("history is empty".into()));
+        }
+        self.estimate_by_tier(meta, |tpl| {
+            store.runtime_moments(site.raw(), &feature_predicates(tpl, meta))
+        })
+    }
+
+    /// The one tier-selection loop: asks `moments_of` for each template
+    /// in order and stops at the first with at least `min_matches`
+    /// similar tasks, falling back to the last template's matches.
+    fn estimate_by_tier(
+        &self,
+        meta: &TaskMeta,
+        mut moments_of: impl FnMut(&SimilarityTemplate) -> GaeResult<Moments>,
+    ) -> GaeResult<RuntimeEstimate> {
+        let mut chosen = None;
+        for (tier, tpl) in self.hierarchy.templates().iter().enumerate() {
+            let moments = moments_of(tpl)?;
+            let enough = moments.n >= self.min_matches.max(1) as u64;
+            chosen = Some((tier, moments));
             if enough {
                 break;
             }
         }
-        let (tier, raw) = chosen.expect("hierarchy has at least one template");
-        if raw.is_empty() {
+        // `TemplateHierarchy::new` refuses an empty template list, so
+        // `chosen` is `None` only if that constructor is bypassed.
+        let (tier, moments) =
+            chosen.ok_or_else(|| GaeError::Estimator("template hierarchy is empty".into()))?;
+        if moments.n == 0 {
             return Err(GaeError::Estimator(format!(
                 "no similar task in history for login {:?}",
                 meta.login
             )));
         }
-        // site_seq ascends in append order, mirroring the legacy seq.
-        let points: Vec<(f64, f64)> = raw
-            .iter()
-            .map(|(seq, rt_us)| (*seq as f64, SimDuration::from_micros(*rt_us).as_secs_f64()))
-            .collect();
-        self.estimate_from_points(tier, points)
+        Ok(self.estimate_from_moments(tier, &moments))
     }
 
-    /// The shared statistical tail: mean / OLS / hybrid over
-    /// `(sequence, runtime seconds)` points.
-    fn estimate_from_points(
-        &self,
-        tier: usize,
-        mut points: Vec<(f64, f64)>,
-    ) -> GaeResult<RuntimeEstimate> {
-        points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-        let mean = points.iter().map(|(_, y)| y).sum::<f64>() / points.len() as f64;
-        let (prediction, used_regression) = match self.method {
-            EstimationMethod::Mean => (mean, false),
-            EstimationMethod::Regression => (
-                regression_forecast(&points).unwrap_or(mean),
-                points.len() >= 2,
-            ),
-            EstimationMethod::Hybrid => match regression_quality(&points) {
-                Some((forecast, r2)) if points.len() >= 4 && r2 >= 0.5 => (forecast, true),
-                _ => (mean, false),
-            },
+    /// The one statistical tail: mean / OLS / hybrid and the sample σ
+    /// from exact integer moments (`t` = insertion sequence, `y` =
+    /// runtime in µs). Numerators are exact; each statistic rounds once
+    /// on its way to `f64`. `m.n` must be ≥ 1.
+    fn estimate_from_moments(&self, tier: usize, m: &Moments) -> RuntimeEstimate {
+        let n = m.n as f64;
+        let mean_us = m.sum_y as f64 / n;
+        // Past the `Moments` headroom only n and Σy are trustworthy.
+        let (fit, variance_us2, note) = if m.saturated {
+            (None, 0.0, Some(EstimateNote::MomentsSaturated))
+        } else {
+            let syy = m.scaled_syy();
+            let variance = if m.n > 1 { syy / (n * (n - 1.0)) } else { 0.0 };
+            (regression_quality(m, syy), variance, None)
+        };
+        let (prediction_us, used_regression) = match (self.method, fit) {
+            (EstimationMethod::Regression, Some((forecast, _))) => (forecast, true),
+            (EstimationMethod::Hybrid, Some((forecast, r2))) if m.n >= 4 && r2 >= 0.5 => {
+                (forecast, true)
+            }
+            _ => (mean_us, false),
         };
         // Runtimes are positive; a wild negative extrapolation falls
         // back to the mean.
-        let prediction = if prediction > 0.0 {
-            prediction
+        let prediction_us = if prediction_us > 0.0 {
+            prediction_us
         } else {
-            mean.max(1e-6)
+            mean_us.max(1.0)
         };
-        let std_dev_s = if points.len() > 1 {
-            (points.iter().map(|(_, y)| (y - mean).powi(2)).sum::<f64>()
-                / (points.len() - 1) as f64)
-                .sqrt()
-        } else {
-            0.0
-        };
-        Ok(RuntimeEstimate {
-            runtime: SimDuration::from_secs_f64(prediction),
+        RuntimeEstimate {
+            runtime: SimDuration::from_micros(prediction_us.round() as u64),
             template_tier: tier,
-            samples: points.len(),
+            samples: m.n as usize,
             used_regression,
-            std_dev_s,
+            std_dev_s: variance_us2.sqrt() / 1e6,
+            note,
+        }
+    }
+}
+
+/// A template's features as columnar equality predicates.
+fn feature_predicates(tpl: &SimilarityTemplate, meta: &TaskMeta) -> Vec<ColumnPredicate> {
+    tpl.features()
+        .iter()
+        .map(|feature| match feature {
+            Feature::Account => ColumnPredicate::eq_str("account", &meta.account),
+            Feature::Login => ColumnPredicate::eq_str("login", &meta.login),
+            Feature::Executable => ColumnPredicate::eq_str("executable", &meta.executable),
+            Feature::Queue => ColumnPredicate::eq_str("queue", &meta.queue),
+            Feature::Partition => ColumnPredicate::eq_str("partition", &meta.partition),
+            Feature::Nodes => ColumnPredicate::eq_num("nodes", meta.nodes as u64),
+            Feature::JobType => ColumnPredicate::eq_str("job_type", &meta.job_type.to_string()),
         })
-    }
+        .collect()
 }
 
-/// One similarity feature as a columnar equality predicate.
-fn feature_predicate(feature: Feature, meta: &TaskMeta) -> ColumnPredicate {
-    match feature {
-        Feature::Account => ColumnPredicate::eq_str("account", &meta.account),
-        Feature::Login => ColumnPredicate::eq_str("login", &meta.login),
-        Feature::Executable => ColumnPredicate::eq_str("executable", &meta.executable),
-        Feature::Queue => ColumnPredicate::eq_str("queue", &meta.queue),
-        Feature::Partition => ColumnPredicate::eq_str("partition", &meta.partition),
-        Feature::Nodes => ColumnPredicate::eq_num("nodes", meta.nodes as u64),
-        Feature::JobType => ColumnPredicate::eq_str("job_type", &meta.job_type.to_string()),
-    }
-}
-
-/// OLS forecast at `x = max_x + 1`. `None` for degenerate inputs.
-fn regression_forecast(points: &[(f64, f64)]) -> Option<f64> {
-    regression_quality(points).map(|(f, _)| f)
-}
-
-/// OLS forecast plus R². `None` if fewer than 2 points or zero
-/// variance in x.
-fn regression_quality(points: &[(f64, f64)]) -> Option<(f64, f64)> {
-    let n = points.len() as f64;
-    if points.len() < 2 {
+/// OLS forecast at `t = max t + 1` (µs) plus R², given `m` and its
+/// `scaled_syy`. `None` with fewer than 2 points or zero variance in
+/// `t`.
+fn regression_quality(m: &Moments, syy: f64) -> Option<(f64, f64)> {
+    if m.n < 2 {
         return None;
     }
-    let mean_x = points.iter().map(|(x, _)| x).sum::<f64>() / n;
-    let mean_y = points.iter().map(|(_, y)| y).sum::<f64>() / n;
-    let sxx: f64 = points.iter().map(|(x, _)| (x - mean_x).powi(2)).sum();
+    let n = m.n as f64;
+    let (sxx, sxy) = (m.scaled_sxx(), m.scaled_sxy());
     if sxx == 0.0 {
         return None;
     }
-    let sxy: f64 = points
-        .iter()
-        .map(|(x, y)| (x - mean_x) * (y - mean_y))
-        .sum();
-    let slope = sxy / sxx;
-    let intercept = mean_y - slope * mean_x;
-    let syy: f64 = points.iter().map(|(_, y)| (y - mean_y).powi(2)).sum();
     let r2 = if syy == 0.0 {
         1.0
     } else {
         (sxy * sxy) / (sxx * syy)
     };
-    let next_x = points
-        .iter()
-        .map(|(x, _)| *x)
-        .fold(f64::NEG_INFINITY, f64::max)
-        + 1.0;
-    Some((intercept + slope * next_x, r2))
+    // mean_y + slope · (max t + 1 − mean_t), every factor's numerator
+    // exact.
+    let forecast = m.sum_y as f64 / n + (sxy / sxx) * (m.scaled_forecast_offset() / n);
+    Some((forecast, r2))
 }
 
 #[cfg(test)]
@@ -396,9 +413,10 @@ mod tests {
         assert_eq!(e.runtime, SimDuration::from_secs(300));
     }
 
-    /// The retarget contract: the columnar path must reproduce the
-    /// legacy ring's estimates bit for bit — same tier, same samples,
-    /// same float — and its error messages verbatim.
+    /// The one-tail contract: the ring, the scan and the runtime views
+    /// feed the same exact moments to the same statistics, so the three
+    /// paths return bit-identical estimates — every field — and the
+    /// same error messages, for all three methods.
     #[test]
     fn columnar_estimates_are_bit_identical_to_legacy() {
         use gae_hist::{HistConfig, HistOp, HistRecord, HistStore};
@@ -411,10 +429,8 @@ mod tests {
             ("carol", 77),
             ("alice", 161),
         ];
-        let legacy = HistoryStore::new(1000);
         let store = HistStore::new(HistConfig { segment_rows: 2 });
         for (i, (login, rt)) in entries.iter().enumerate() {
-            legacy.observe(meta(login, "q", 1), SimDuration::from_secs(*rt));
             store.apply(&HistOp::Append(HistRecord {
                 task: i as u64,
                 site: 1,
@@ -422,7 +438,7 @@ mod tests {
                 submit_us: 0,
                 start_us: 0,
                 finish_us: 0,
-                runtime_us: rt * 1_000_000,
+                runtime_us: rt * 1_000_000 + i as u64,
                 success: true,
                 account: "a".into(),
                 login: (*login).into(),
@@ -432,33 +448,105 @@ mod tests {
                 job_type: "batch".into(),
             }));
         }
-        let est = RuntimeEstimator::new(legacy);
         let site = SiteId::new(1);
-        for target in ["alice", "bob", "dave"] {
-            let m = meta(target, "q", 1);
-            let a = est.estimate(&m).unwrap();
-            let b = est.estimate_columnar(&store, site, &m).unwrap();
-            assert_eq!(a.template_tier, b.template_tier, "{target}");
-            assert_eq!(a.samples, b.samples, "{target}");
-            assert_eq!(a.used_regression, b.used_regression, "{target}");
-            assert_eq!(
-                a.runtime.as_secs_f64().to_bits(),
-                b.runtime.as_secs_f64().to_bits(),
-                "{target}"
-            );
-            assert_eq!(a.std_dev_s.to_bits(), b.std_dev_s.to_bits(), "{target}");
+        for method in [
+            EstimationMethod::Mean,
+            EstimationMethod::Regression,
+            EstimationMethod::Hybrid,
+        ] {
+            let legacy = HistoryStore::new(1000);
+            for (i, (login, rt)) in entries.iter().enumerate() {
+                legacy.observe(
+                    meta(login, "q", 1),
+                    SimDuration::from_micros(rt * 1_000_000 + i as u64),
+                );
+            }
+            let est = RuntimeEstimator::new(legacy).with_method(method);
+            for target in ["alice", "bob", "dave"] {
+                let m = meta(target, "q", 1);
+                let ring = est.estimate(&m).unwrap();
+                let scan = est.estimate_columnar(&store, site, &m).unwrap();
+                let view = est.estimate_from_views(&store, site, &m).unwrap();
+                for other in [scan, view] {
+                    assert_eq!(ring.runtime, other.runtime, "{target} {method:?}");
+                    assert_eq!(ring.template_tier, other.template_tier, "{target}");
+                    assert_eq!(ring.samples, other.samples, "{target}");
+                    assert_eq!(ring.used_regression, other.used_regression, "{target}");
+                    assert_eq!(
+                        ring.std_dev_s.to_bits(),
+                        other.std_dev_s.to_bits(),
+                        "{target} {method:?}"
+                    );
+                    assert_eq!(ring.note, other.note, "{target}");
+                }
+            }
         }
         // Error parity: empty store and empty site both say what the
-        // legacy path says.
+        // legacy path says, on the scan and on the view path.
+        let est = RuntimeEstimator::new(HistoryStore::new(10));
+        let ring_err = est.estimate(&meta("alice", "q", 1)).unwrap_err();
         let empty = HistStore::new(HistConfig::default());
-        let err = est
-            .estimate_columnar(&empty, site, &meta("alice", "q", 1))
-            .unwrap_err();
-        assert!(err.to_string().contains("history is empty"), "{err}");
-        let err = est
-            .estimate_columnar(&store, SiteId::new(9), &meta("alice", "q", 1))
-            .unwrap_err();
-        assert!(err.to_string().contains("history is empty"), "{err}");
+        for (s, at) in [(&empty, site), (&store, SiteId::new(9))] {
+            let m = meta("alice", "q", 1);
+            let scan_err = est.estimate_columnar(s, at, &m).unwrap_err();
+            let view_err = est.estimate_from_views(s, at, &m).unwrap_err();
+            assert!(
+                scan_err.to_string().contains("history is empty"),
+                "{scan_err}"
+            );
+            assert_eq!(scan_err.to_string(), ring_err.to_string());
+            assert_eq!(view_err.to_string(), ring_err.to_string());
+        }
+    }
+
+    /// The `Moments` headroom (n ≤ 2³², y ≤ 2⁴⁰ µs) is a documented
+    /// bound, not a cliff: at the bound every statistic is still
+    /// computed; past it the estimate degrades to the exact mean with
+    /// a typed note — no panic, no wrapped sum.
+    #[test]
+    fn moments_at_and_past_the_headroom_bound() {
+        let est = RuntimeEstimator::new(HistoryStore::new(1)).with_method(EstimationMethod::Hybrid);
+        // 2³² points at t = 0..n, half of them 2⁴⁰ µs and half 2⁴⁰ − 2
+        // (alternating, so no trend): every sum in closed form.
+        let n: u128 = 1 << 32;
+        let (hi, lo): (u128, u128) = (1 << 40, (1 << 40) - 2);
+        let sum_t = n * (n - 1) / 2;
+        let at_bound = Moments {
+            n: n as u64,
+            sum_y: n / 2 * (hi + lo),
+            sum_yy: n / 2 * (hi * hi + lo * lo),
+            sum_t,
+            sum_tt: (n - 1) * n * (2 * n - 1) / 6,
+            // Even t carry `hi`, odd t carry `lo`; Σ even t = Σt − n/2 …
+            sum_ty: hi * ((sum_t - n / 2) / 2) + lo * ((sum_t + n / 2) / 2),
+            max_t: (n - 1) as u64,
+            saturated: false,
+        };
+        let e = est.estimate_from_moments(0, &at_bound);
+        assert_eq!(e.note, None);
+        assert_eq!(e.samples, 1 << 32);
+        assert_eq!(e.runtime, SimDuration::from_micros((1 << 40) - 1));
+        assert!(!e.used_regression, "alternating runtimes have no trend");
+        // Sample σ of ±1 µs around the mean: 1 µs · sqrt(n / (n − 1)).
+        assert!((e.std_dev_s - 1e-6).abs() < 1e-12, "σ {}", e.std_dev_s);
+
+        // One more sample than any u128 can square-sum: saturated.
+        let mut past = Moments {
+            sum_yy: u128::MAX - 1,
+            ..at_bound
+        };
+        past.push(1 << 32, (1 << 40) - 1);
+        assert!(past.saturated);
+        let e = est.estimate_from_moments(0, &past);
+        assert_eq!(e.note, Some(EstimateNote::MomentsSaturated));
+        assert_eq!(e.runtime, SimDuration::from_micros((1 << 40) - 1));
+        assert!(!e.used_regression);
+        assert_eq!(e.std_dev_s, 0.0);
+        // Regression-only degrades the same way.
+        let reg = RuntimeEstimator::new(HistoryStore::new(1))
+            .with_method(EstimationMethod::Regression)
+            .estimate_from_moments(0, &past);
+        assert_eq!((reg.runtime, reg.used_regression), (e.runtime, false));
     }
 
     /// The headline property behind Figure 5: on a Downey-style

@@ -4,7 +4,7 @@
 
 use crate::estimator::history::HistoryStore;
 use crate::estimator::queue_time::{estimate_queue_time, EstimateDb};
-use crate::estimator::runtime::{RuntimeEstimate, RuntimeEstimator};
+use crate::estimator::runtime::{EstimateNote, RuntimeEstimate, RuntimeEstimator};
 use crate::estimator::transfer::TransferEstimator;
 use crate::grid::Grid;
 use gae_rpc::{CallContext, MethodInfo, Service};
@@ -29,14 +29,17 @@ pub struct EstimatorService {
     /// is a pure function of the site's task history and the task's
     /// metadata tuple, so it stays valid until that site's history (or
     /// estimator) changes — the steering/flocking poll asks for the
-    /// same `(site, meta)` estimate many times between changes.
-    memo: RwLock<HashMap<(SiteId, TaskMeta), RuntimeEstimate>>,
+    /// same `(site, meta)` estimate many times between changes. Keyed
+    /// by site first so a lookup borrows the caller's `TaskMeta` and
+    /// invalidating a site is one `remove`.
+    memo: RwLock<HashMap<SiteId, HashMap<TaskMeta, RuntimeEstimate>>>,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
     /// The columnar history funnel, when the stack wired one. With it
-    /// attached, [`Self::estimate_meta`] scans the shared columnar
-    /// store (predicate pushdown) instead of the per-site rings; the
-    /// rings still absorb observations as the bounded fallback.
+    /// attached, [`Self::estimate_meta`] reads the shared columnar
+    /// store's runtime views (O(template tiers) hash probes) instead
+    /// of the per-site rings; the rings still absorb observations as
+    /// the bounded fallback.
     hist: RwLock<Option<Arc<crate::hist::HistFunnel>>>,
 }
 
@@ -84,7 +87,7 @@ impl EstimatorService {
     /// Drops every memoised estimate for `site`; called whenever the
     /// inputs an estimate depends on may have changed.
     fn invalidate_site(&self, site: SiteId) {
-        self.memo.write().retain(|(s, _), _| *s != site);
+        self.memo.write().remove(&site);
     }
 
     /// `(hits, misses)` of the estimate memo cache since start-up.
@@ -155,18 +158,26 @@ impl EstimatorService {
 
     /// Memoised estimate for an already-extracted metadata tuple.
     fn estimate_meta(&self, site: SiteId, meta: &TaskMeta) -> GaeResult<RuntimeEstimate> {
-        let key = (site, meta.clone());
-        if let Some(cached) = self.memo.read().get(&key) {
+        let cached = self
+            .memo
+            .read()
+            .get(&site)
+            .and_then(|m| m.get(meta).copied());
+        if let Some(cached) = cached {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(*cached);
+            return Ok(cached);
         }
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
         let estimator = self.runtime_estimator(site)?;
         let estimate = match self.hist.read().clone() {
-            Some(hist) => estimator.estimate_columnar(hist.store(), site, meta)?,
+            Some(hist) => estimator.estimate_from_views(hist.store(), site, meta)?,
             None => estimator.estimate(meta)?,
         };
-        self.memo.write().insert(key, estimate);
+        self.memo
+            .write()
+            .entry(site)
+            .or_default()
+            .insert(meta.clone(), estimate);
         Ok(estimate)
     }
 
@@ -285,13 +296,17 @@ impl Service for EstimatorRpc {
                     job_type: params[6].as_str()?.parse()?,
                 };
                 let est = self.service.estimate_meta(site, &meta)?;
-                Ok(Value::struct_of([
+                let mut members = vec![
                     ("runtime_s", Value::from(est.runtime.as_secs_f64())),
                     ("template_tier", Value::Int64(est.template_tier as i64)),
                     ("samples", Value::Int64(est.samples as i64)),
                     ("used_regression", Value::Bool(est.used_regression)),
                     ("std_dev_s", Value::from(est.std_dev_s)),
-                ]))
+                ];
+                if let Some(EstimateNote::MomentsSaturated) = est.note {
+                    members.push(("note", Value::from("moments_saturated")));
+                }
+                Ok(Value::struct_of(members))
             }
             "queue_time" => {
                 if params.len() != 2 {

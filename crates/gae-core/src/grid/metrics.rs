@@ -239,9 +239,9 @@ impl MetricSource for gae_obs::ObsHub {
 }
 
 /// Entity `hist`: the history store's shape — pure functions of its
-/// contents (scan and op counters deliberately stay out: they reset
-/// across recovery and would fork the metric streams of
-/// otherwise-identical runs).
+/// contents (scan, op and runtime-view counters deliberately stay
+/// out: they reset across recovery and would fork the metric streams
+/// of otherwise-identical runs).
 impl MetricSource for gae_hist::HistStats {
     fn report(&self, batch: &mut MetricBatch) {
         batch.gauges(

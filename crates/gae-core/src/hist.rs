@@ -193,6 +193,10 @@ impl HistoryRpc {
             ("segments_pruned", Value::from(s.segments_pruned)),
             ("rows_scanned", Value::from(s.rows_scanned)),
             ("dict_words", Value::from(s.dict_words)),
+            ("views", Value::from(s.views)),
+            ("view_keys", Value::from(s.view_keys)),
+            ("view_builds", Value::from(s.view_builds)),
+            ("view_lookups", Value::from(s.view_lookups)),
             ("digest", Value::from(store.digest())),
         ])
     }
@@ -244,7 +248,7 @@ impl Service for HistoryRpc {
             },
             MethodInfo {
                 name: "stats",
-                help: "row/segment/scan counters and the store digest",
+                help: "row/segment/scan/runtime-view counters and the store digest",
             },
         ]
     }

@@ -51,10 +51,8 @@ impl JobInformationCollector {
             };
             let info = self.info_from_record(site, record, &exec);
             let meta = TaskMeta::from_spec(&record.spec);
-            if event.status == TaskStatus::Completed {
-                self.estimators
-                    .observe_completion(site, meta.clone(), record.total_accrued());
-            }
+            let completion = (event.status == TaskStatus::Completed)
+                .then(|| (meta.clone(), record.total_accrued()));
             // Every terminal outcome — success or failure — becomes
             // one columnar history row (scans filter on the success
             // column when they want clean runtimes).
@@ -66,7 +64,7 @@ impl JobInformationCollector {
                 start_us: record.started_at.map(|t| t.as_micros()).unwrap_or(0),
                 finish_us: record.finished_at.map(|t| t.as_micros()).unwrap_or(0),
                 runtime_us: record.total_accrued().as_micros(),
-                success: event.status == TaskStatus::Completed,
+                success: completion.is_some(),
                 account: meta.account,
                 login: meta.login,
                 executable: meta.executable,
@@ -76,6 +74,12 @@ impl JobInformationCollector {
             };
             drop(exec);
             db.store_with_history(info, row);
+            // Only after the row is in the store: observing drops the
+            // site's memoised estimates, and one computed between an
+            // early invalidation and the ingest would outlive it.
+            if let Some((meta, runtime)) = completion {
+                self.estimators.observe_completion(site, meta, runtime);
+            }
             // The task left the queue: its submission-time estimate is
             // dead weight in the §6.2 database from here on. Evicting
             // on the terminal-event replay keeps a long-running stack

@@ -27,7 +27,11 @@ impl Dictionary {
         if let Some(code) = self.index.get(word) {
             return *code;
         }
-        let code = u32::try_from(self.words.len()).expect("dictionary overflow");
+        // Invariant: 2³² distinct words would need > 100 GB of word table
+        // (≥ 24 bytes of `String` header each, twice), so the process is
+        // out of memory long before a code fails to fit; the codec's
+        // word count is a `u32` for the same reason.
+        let code = u32::try_from(self.words.len()).expect("dictionary holds < 2^32 words");
         self.words.push(word.to_string());
         self.index.insert(word.to_string(), code);
         code

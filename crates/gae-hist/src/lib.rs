@@ -26,17 +26,26 @@
 //!   crash recovery and replication followers rebuild byte-identical
 //!   stores; [`HistStore::digest`] and [`HistStore::segment_digests`]
 //!   are the check.
+//! * **Runtime views.** The estimator's per-tier sums are kept as
+//!   exact integer [`Moments`] per `(site, equality-column set,
+//!   values)`, built by the first [`HistStore::runtime_moments`] query
+//!   that names a column set and updated by every later `Append` — so
+//!   an estimate is O(template tiers) hash probes, not a scan. Views
+//!   are derived state: never encoded, digested or journaled.
 //!
 //! See DESIGN.md §14 for the full columnar history contract.
 
 mod codec;
 mod dict;
+mod moments;
 mod predicate;
 mod schema;
 mod segment;
 mod store;
+mod view;
 
 pub use dict::Dictionary;
+pub use moments::Moments;
 pub use predicate::{naive_matches, CmpOp, ColumnPredicate, PredValue};
 pub use schema::{resolve_column, ColumnRef, HistOp, HistRecord, NUM_COLUMNS, STR_COLUMNS};
 pub use segment::Segment;

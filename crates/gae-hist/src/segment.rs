@@ -66,28 +66,18 @@ impl Segment {
         }
     }
 
-    /// Freezes the segment and computes its zone maps. Only non-empty
-    /// segments seal.
+    /// Freezes the segment and computes its zone maps. The store only
+    /// seals non-empty segments; an empty one gets the inverted zone
+    /// `(MAX, 0)`, under which a scan prunes it or visits its zero
+    /// rows — nothing matches either way.
     pub(crate) fn seal(&mut self) {
-        assert!(self.rows() > 0, "sealing an empty segment");
-        self.zones_num = self
-            .num
-            .iter()
-            .map(|col| {
-                let min = *col.iter().min().expect("non-empty");
-                let max = *col.iter().max().expect("non-empty");
-                (min, max)
+        fn zone<T: Copy + Ord>(col: &[T], lowest: T, highest: T) -> (T, T) {
+            col.iter().fold((highest, lowest), |(min, max), v| {
+                (min.min(*v), max.max(*v))
             })
-            .collect();
-        self.zones_str = self
-            .strs
-            .iter()
-            .map(|col| {
-                let min = *col.iter().min().expect("non-empty");
-                let max = *col.iter().max().expect("non-empty");
-                (min, max)
-            })
-            .collect();
+        }
+        self.zones_num = self.num.iter().map(|c| zone(c, 0, u64::MAX)).collect();
+        self.zones_str = self.strs.iter().map(|c| zone(c, 0, u32::MAX)).collect();
         self.sealed = true;
     }
 
@@ -161,6 +151,19 @@ mod tests {
         assert_eq!(seg.zone_num(0), (5, 9));
         assert_eq!(seg.zone_num(1), (1, 4));
         assert_eq!(seg.zone_str(0), (3, 7));
+    }
+
+    #[test]
+    fn sealing_an_empty_segment_yields_zones_nothing_matches() {
+        let mut seg = Segment::new();
+        seg.seal();
+        assert!(seg.is_sealed());
+        for col in 0..NUM_COLUMNS.len() {
+            assert_eq!(seg.zone_num(col), (u64::MAX, 0));
+        }
+        for col in 0..STR_COLUMNS.len() {
+            assert_eq!(seg.zone_str(col), (u32::MAX, 0));
+        }
     }
 
     #[test]

@@ -4,9 +4,11 @@
 
 use crate::codec;
 use crate::dict::Dictionary;
+use crate::moments::Moments;
 use crate::predicate::{compile, ColumnPredicate, Compiled};
 use crate::schema::{num, str_col, HistOp, HistRecord, NUM_COLUMNS, STR_COLUMNS};
 use crate::segment::Segment;
+use crate::view::{GroupQuery, Views};
 use gae_types::GaeResult;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -49,6 +51,15 @@ pub struct HistStats {
     pub rows_scanned: u64,
     /// Distinct interned words across every dictionary.
     pub dict_words: u64,
+    /// Runtime views currently built (one per equality-column set a
+    /// [`HistStore::runtime_moments`] query asked for).
+    pub views: u64,
+    /// Keys across every view.
+    pub view_keys: u64,
+    /// View builds, cumulative; each also counts as one scan.
+    pub view_builds: u64,
+    /// `runtime_moments` reads served, cumulative.
+    pub view_lookups: u64,
 }
 
 /// What one scan did: how far the zone maps got before rows were
@@ -112,6 +123,9 @@ pub(crate) struct Inner {
     /// Per-site successful-completion counters, the source of the
     /// `site_seq` column.
     pub(crate) site_seq: HashMap<u64, u64>,
+    /// Runtime views — derived state like `site_seq`, but built on
+    /// demand: `codec::decode` leaves this empty.
+    pub(crate) views: Views,
     pub(crate) appends: u64,
     pub(crate) seals: u64,
     pub(crate) compactions: u64,
@@ -124,10 +138,16 @@ impl Inner {
             sealed: Vec::new(),
             tail: Segment::new(),
             site_seq: HashMap::new(),
+            views: Views::default(),
             appends: 0,
             seals: 0,
             compactions: 0,
         }
+    }
+
+    /// Total stored rows (sealed + tail).
+    fn rows(&self) -> usize {
+        self.sealed.iter().map(Segment::rows).sum::<usize>() + self.tail.rows()
     }
 
     fn seal_tail(&mut self) {
@@ -145,6 +165,8 @@ pub struct HistStore {
     scans: AtomicU64,
     scan_rows: AtomicU64,
     scan_pruned: AtomicU64,
+    view_builds: AtomicU64,
+    view_lookups: AtomicU64,
 }
 
 impl HistStore {
@@ -157,6 +179,8 @@ impl HistStore {
             scans: AtomicU64::new(0),
             scan_rows: AtomicU64::new(0),
             scan_pruned: AtomicU64::new(0),
+            view_builds: AtomicU64::new(0),
+            view_lookups: AtomicU64::new(0),
         }
     }
 
@@ -171,6 +195,7 @@ impl HistStore {
     /// included.
     pub fn apply(&self, op: &HistOp) {
         let mut g = self.inner.write();
+        let g = &mut *g;
         match op {
             HistOp::Append(r) => {
                 let mut strs = [0u32; STR_COLUMNS.len()];
@@ -186,6 +211,7 @@ impl HistStore {
                 g.tail.push(&nums, &strs);
                 if r.success {
                     *g.site_seq.entry(r.site).or_insert(0) += 1;
+                    g.views.observe(&nums, &strs);
                 }
                 g.appends += 1;
                 if g.tail.rows() >= self.segment_rows {
@@ -198,7 +224,7 @@ impl HistStore {
                 }
             }
             HistOp::Compact => {
-                Self::apply_compact(&mut g, self.segment_rows);
+                Self::apply_compact(g, self.segment_rows);
             }
         }
     }
@@ -342,6 +368,36 @@ impl HistStore {
         Ok(out)
     }
 
+    /// Exact moments of `(site_seq, runtime_us)` over the successful
+    /// rows at `site` matching every equality in `eqs` — what
+    /// `runtime_points` over `site = .. ∧ success = 1 ∧ eqs` would fold
+    /// to, read from the runtime view of `eqs`' column set. The first
+    /// query naming a column set builds its view (one pass over every
+    /// row under the write lock, counted as one scan); later ones are
+    /// a hash probe. `eqs` may hold only `Eq` predicates on dictionary
+    /// columns or `nodes`; anything else is `GaeError::Parse`.
+    pub fn runtime_moments(&self, site: u64, eqs: &[ColumnPredicate]) -> GaeResult<Moments> {
+        let query = GroupQuery::parse(eqs)?;
+        self.view_lookups.fetch_add(1, Ordering::Relaxed);
+        {
+            let g = self.inner.read();
+            if let Some(m) = g.views.lookup(&query, site, &g.dicts) {
+                return Ok(m);
+            }
+        }
+        let mut g = self.inner.write();
+        let g = &mut *g;
+        // Another reader may have built it between the two locks.
+        if g.views.lookup(&query, site, &g.dicts).is_none() {
+            let segments = g.sealed.iter().chain(std::iter::once(&g.tail));
+            g.views.build(query.cols(), segments);
+            self.view_builds.fetch_add(1, Ordering::Relaxed);
+            self.scans.fetch_add(1, Ordering::Relaxed);
+            self.scan_rows.fetch_add(g.rows() as u64, Ordering::Relaxed);
+        }
+        Ok(g.views.lookup(&query, site, &g.dicts).unwrap_or_default())
+    }
+
     /// Successful completions recorded for `site` — the site's
     /// next-to-assign `site_seq` value, read O(1) from the counter map
     /// (the estimator's "does this site have any history" probe).
@@ -351,8 +407,7 @@ impl HistStore {
 
     /// Total stored rows.
     pub fn rows(&self) -> u64 {
-        let g = self.inner.read();
-        (g.sealed.iter().map(Segment::rows).sum::<usize>() + g.tail.rows()) as u64
+        self.inner.read().rows() as u64
     }
 
     /// Rows in the active tail.
@@ -364,7 +419,7 @@ impl HistStore {
     pub fn stats(&self) -> HistStats {
         let g = self.inner.read();
         HistStats {
-            rows: (g.sealed.iter().map(Segment::rows).sum::<usize>() + g.tail.rows()) as u64,
+            rows: g.rows() as u64,
             sealed_segments: g.sealed.len() as u64,
             tail_rows: g.tail.rows() as u64,
             appends: g.appends,
@@ -374,6 +429,10 @@ impl HistStore {
             segments_pruned: self.scan_pruned.load(Ordering::Relaxed),
             rows_scanned: self.scan_rows.load(Ordering::Relaxed),
             dict_words: g.dicts.iter().map(|d| d.len() as u64).sum(),
+            views: g.views.len() as u64,
+            view_keys: g.views.keys() as u64,
+            view_builds: self.view_builds.load(Ordering::Relaxed),
+            view_lookups: self.view_lookups.load(Ordering::Relaxed),
         }
     }
 
@@ -387,6 +446,7 @@ impl HistStore {
     /// Replaces the store's contents from [`HistStore::encode`] bytes
     /// (empty bytes reset to the empty store). Zone maps and site
     /// counters are recomputed; they are pure functions of the rows.
+    /// Runtime views are dropped and rebuilt by the next query.
     pub fn restore(&self, bytes: &[u8]) -> GaeResult<()> {
         let inner = if bytes.is_empty() {
             Inner::empty()
@@ -633,5 +693,154 @@ mod tests {
                 .collect();
             assert_eq!(rows, expect, "conjunction {preds:?}");
         }
+    }
+
+    fn site_success(site: u64) -> [ColumnPredicate; 2] {
+        [
+            ColumnPredicate::eq_num("site", site),
+            ColumnPredicate::eq_num("success", 1),
+        ]
+    }
+
+    #[test]
+    fn runtime_moments_equal_the_scan_fold_and_follow_appends() {
+        let s = small_store(4);
+        for t in 0..30 {
+            let login = format!("u{}", t % 3);
+            s.apply(&HistOp::Append(rec(
+                t,
+                t % 2,
+                &login,
+                t * 7 % 11,
+                t % 5 != 0,
+            )));
+        }
+        let eqs = [ColumnPredicate::eq_str("login", "u1")];
+        let check = |s: &HistStore| {
+            for site in 0..3 {
+                let mut preds = site_success(site).to_vec();
+                preds.extend(eqs.iter().cloned());
+                let scanned = Moments::from_points(s.runtime_points(&preds).unwrap());
+                assert_eq!(
+                    s.runtime_moments(site, &eqs).unwrap(),
+                    scanned,
+                    "site {site}"
+                );
+            }
+        };
+        check(&s);
+        let built = s.stats();
+        assert_eq!((built.views, built.view_builds), (1, 1));
+        // Appends, seals and compactions after the build keep the view
+        // in step without another build.
+        for t in 30..45 {
+            s.apply(&HistOp::Append(rec(t, t % 2, "u1", t, t % 4 != 0)));
+            if t % 6 == 0 {
+                s.apply(&HistOp::Seal);
+            }
+        }
+        s.apply(&HistOp::Compact);
+        check(&s);
+        assert_eq!(s.stats().view_builds, 1);
+        // The empty column set is a view too: all successes of a site.
+        let all = s.runtime_moments(1, &[]).unwrap();
+        assert_eq!(all.n, s.site_successes(1));
+        // Words never interned and contradictions match nothing.
+        let nobody = [ColumnPredicate::eq_str("login", "nobody")];
+        assert_eq!(s.runtime_moments(1, &nobody).unwrap(), Moments::default());
+        let both = [
+            ColumnPredicate::eq_str("login", "u1"),
+            ColumnPredicate::eq_str("login", "u2"),
+        ];
+        assert_eq!(s.runtime_moments(1, &both).unwrap(), Moments::default());
+    }
+
+    #[test]
+    fn runtime_moments_reject_what_they_cannot_group_by() {
+        let s = small_store(4);
+        s.apply(&HistOp::Append(rec(1, 1, "a", 10, true)));
+        let parse = |eqs: &[ColumnPredicate]| match s.runtime_moments(1, eqs) {
+            Err(gae_types::GaeError::Parse(m)) => m,
+            other => panic!("want Parse, got {other:?}"),
+        };
+        parse(&[ColumnPredicate::ge("nodes", 2)]);
+        parse(&[ColumnPredicate::le("runtime_us", 2)]);
+        parse(&[ColumnPredicate::eq_num("runtime_us", 2)]);
+        parse(&[ColumnPredicate::eq_num("site_seq", 0)]);
+        parse(&[ColumnPredicate::eq_num("login", 3)]);
+        parse(&[ColumnPredicate::eq_str("nodes", "four")]);
+        assert!(matches!(
+            s.runtime_moments(1, &[ColumnPredicate::eq_num("no_such", 1)]),
+            Err(gae_types::GaeError::NotFound(_))
+        ));
+        assert_eq!(s.stats().views, 0, "a rejected query builds nothing");
+    }
+
+    #[test]
+    fn views_are_derived_state_bytes_never_see_them() {
+        let plain = small_store(3);
+        let viewed = small_store(3);
+        let eqs = [ColumnPredicate::eq_str("login", "u0")];
+        for t in 0..10 {
+            let op = HistOp::Append(rec(t, t % 2, &format!("u{}", t % 2), t, true));
+            plain.apply(&op);
+            viewed.apply(&op);
+            viewed.runtime_moments(t % 2, &eqs).unwrap();
+            viewed.runtime_moments(t % 2, &[]).unwrap();
+        }
+        assert_eq!(viewed.stats().views, 2);
+        assert_eq!(viewed.encode(), plain.encode());
+        assert_eq!(viewed.digest(), plain.digest());
+        assert_eq!(viewed.segment_digests(), plain.segment_digests());
+        assert_eq!(viewed.tail_digest(), plain.tail_digest());
+        // Restore drops the views; the next query rebuilds the same one.
+        let before = viewed.runtime_moments(1, &eqs).unwrap();
+        viewed.restore(&plain.encode()).unwrap();
+        assert_eq!(viewed.stats().views, 0);
+        assert_eq!(viewed.runtime_moments(1, &eqs).unwrap(), before);
+        assert_eq!(viewed.stats().views, 1);
+    }
+
+    #[test]
+    fn view_costs_are_counted_builds_scan_lookups_do_not() {
+        let s = small_store(8);
+        for t in 0..20 {
+            s.apply(&HistOp::Append(rec(t, 1, "a", 5, true)));
+        }
+        let eqs = [ColumnPredicate::eq_str("login", "a")];
+        s.runtime_moments(1, &eqs).unwrap();
+        s.runtime_moments(1, &[ColumnPredicate::eq_str("queue", "short")])
+            .unwrap();
+        let st = s.stats();
+        assert_eq!((st.views, st.view_builds, st.view_lookups), (2, 2, 2));
+        assert_eq!(
+            (st.scans, st.rows_scanned),
+            (2, 40),
+            "a build is one full scan"
+        );
+        for _ in 0..50 {
+            s.runtime_moments(1, &eqs).unwrap();
+        }
+        let after = s.stats();
+        assert_eq!(after.view_lookups, 52);
+        assert_eq!(
+            (after.scans, after.rows_scanned),
+            (2, 40),
+            "lookups scan nothing"
+        );
+        // One completion touches one key per view: a row new in every
+        // grouped column adds exactly `views` keys, a repeat adds none,
+        // a failure touches nothing.
+        s.apply(&HistOp::Append(rec(99, 7, "newcomer", 5, true)));
+        assert_eq!(s.stats().view_keys, after.view_keys + after.views);
+        s.apply(&HistOp::Append(rec(100, 7, "newcomer", 6, true)));
+        s.apply(&HistOp::Append(rec(101, 8, "failed", 6, false)));
+        assert_eq!(s.stats().view_keys, after.view_keys + after.views);
+        assert_eq!(
+            s.runtime_moments(7, &[ColumnPredicate::eq_str("login", "newcomer")])
+                .unwrap()
+                .n,
+            2
+        );
     }
 }

@@ -116,6 +116,43 @@ pub struct ServiceStack {
     replication: RwLock<Option<Arc<dyn gae_repl::ReplicationSink>>>,
 }
 
+/// Each section is the owning service's own export, taken when the
+/// snapshot encoder reaches it.
+impl persist::SnapshotSource for ServiceStack {
+    fn balances(&self) -> Vec<(gae_types::UserId, f64)> {
+        self.quota.balances_snapshot()
+    }
+
+    fn events(&self) -> (Vec<gae_monitor::JobEvent>, u64) {
+        let monitor = self.grid.monitor();
+        (monitor.events_snapshot(), monitor.evicted_count())
+    }
+
+    fn hist(&self) -> Vec<u8> {
+        self.hist.store().encode()
+    }
+
+    fn jobmon(&self) -> Vec<crate::jobmon::JobMonitoringInfo> {
+        self.jobmon.db_snapshot()
+    }
+
+    fn ledger(&self) -> Vec<crate::quota::ChargeRecord> {
+        self.quota.ledger()
+    }
+
+    fn metrics(&self) -> (Vec<(gae_monitor::MetricKey, Vec<gae_monitor::Sample>)>, u64) {
+        self.grid.monitor().metrics_snapshot()
+    }
+
+    fn steering(&self) -> Vec<crate::steering::state::TrackedJob> {
+        self.steering.export_jobs()
+    }
+
+    fn xfer(&self) -> gae_xfer::XferExport {
+        self.grid.with_xfer(|x| x.export())
+    }
+}
+
 impl ServiceStack {
     /// Wires the whole architecture with default policies.
     ///
@@ -353,23 +390,6 @@ impl ServiceStack {
         self.grid.monitor().publish_batch(self.metrics());
     }
 
-    /// A full, deterministic image of every persisted service.
-    pub(crate) fn snapshot_state(&self) -> persist::SnapshotState {
-        let (metrics, metrics_published) = self.grid.monitor().metrics_snapshot();
-        persist::SnapshotState {
-            events: self.grid.monitor().events_snapshot(),
-            evicted: self.grid.monitor().evicted_count(),
-            metrics,
-            metrics_published,
-            jobmon: self.jobmon.db_snapshot(),
-            steering: self.steering.export_jobs(),
-            balances: self.quota.balances_snapshot(),
-            ledger: self.quota.ledger(),
-            xfer: self.grid.with_xfer(|x| x.export()),
-            hist: self.hist.store().encode(),
-        }
-    }
-
     /// Durably commits everything logged since the last checkpoint
     /// (one group-commit batch), rotating to a fresh snapshot
     /// generation when the snapshot cadence has elapsed. Returns the
@@ -384,8 +404,7 @@ impl ServiceStack {
         let index = p.commit()?;
         let now = self.grid.now();
         if p.snapshot_due(now) {
-            let snapshot = persist::encode_snapshot(&self.snapshot_state());
-            p.rotate(now, &snapshot)?;
+            p.rotate(now, |out| persist::encode_snapshot(self, out))?;
         }
         Ok(index)
     }
@@ -465,23 +484,37 @@ impl ServiceStack {
     ) -> GaeResult<(Arc<ServiceStack>, RecoveryReport)> {
         use gae_repl::StateMachine;
 
-        let recovered = DurableStore::recover(&config.dir)?;
         let stack = Self::assemble(grid, policy, poll_period);
-        let mut report = RecoveryReport::from_recovered(&recovered);
 
         // 1–2. Snapshot restore plus committed-WAL replay, in log
         //    order — both through the [`gae_repl::StateMachine`]
         //    contract, the same path a replication follower applies
-        //    mutations through.
-        stack.restore(&recovered.snapshot)?;
-        for record in &recovered.records {
-            stack.apply_mutation(&gae_repl::frame::decode_envelope(record)?)?;
-        }
+        //    mutations through. Each record is decoded, applied and
+        //    dropped as the scan delivers it: the log is never held.
+        let mut replayed = 0usize;
+        let at = DurableStore::replay(
+            &config.dir,
+            |snapshot| stack.restore(&snapshot),
+            |seq, record| {
+                replayed += 1;
+                let in_record = |what: &str, e: GaeError| {
+                    GaeError::Parse(format!("wal record {seq} ({what}): {e}"))
+                };
+                let mutation = gae_repl::frame::decode_envelope(&record)
+                    .map_err(|e| in_record("undecodable envelope", e))?;
+                stack
+                    .apply_mutation(&mutation)
+                    .map_err(|e| in_record(&format!("kind {:?}", mutation.kind), e))
+            },
+        )?;
+        let mut report = RecoveryReport::new(&at, replayed);
 
         // 3. Resume the store in a new generation anchored at a fresh
-        //    snapshot of the rebuilt state, and re-attach logging.
-        let snapshot = persist::encode_snapshot(&stack.snapshot_state());
-        let persistence = Persistence::resume(config, &recovered, &snapshot, stack.grid.now())?;
+        //    snapshot of the rebuilt state, streamed into its file,
+        //    and re-attach logging.
+        let persistence = Persistence::resume(config, &at, stack.grid.now(), |out| {
+            persist::encode_snapshot(&*stack, out)
+        })?;
         stack.attach_persistence(persistence);
 
         // 4. Re-arm, exactly once. First the explicit replications the

@@ -29,7 +29,7 @@ use crate::jobmon::info::JobMonitoringInfo;
 use crate::quota::ChargeRecord;
 use crate::steering::state::{TaskPhase, TrackedJob, TrackedTask};
 use crate::submit::{job_from_value, job_to_value};
-use gae_durable::{DurableStore, Recovered, TailState};
+use gae_durable::{DurableStore, RecoveryPoint};
 use gae_hist::{HistOp, HistRecord};
 use gae_monitor::{JobEvent, MetricKey, Sample};
 use gae_repl::frame;
@@ -38,10 +38,12 @@ use gae_types::{
     ConcretePlan, CondorId, GaeError, GaeResult, JobId, PlanId, SimDuration, SimTime, SiteId,
     TaskAssignment, TaskId, TaskStatus, UserId,
 };
-use gae_wire::{parse_value_document, write_value_document, Value};
+use gae_wire::writer::write_value;
+use gae_wire::{parse_value_document, Value};
 use gae_xfer::{JournalOp, XferCounters, XferExport};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::io;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -107,14 +109,15 @@ impl Persistence {
     }
 
     /// Continues a recovered store in a new generation anchored at a
-    /// fresh snapshot of the rebuilt state.
+    /// fresh snapshot of the rebuilt state, which `encode` streams
+    /// into the snapshot file.
     pub(crate) fn resume(
         config: &PersistenceConfig,
-        recovered: &Recovered,
-        snapshot: &[u8],
+        at: &RecoveryPoint,
         now: SimTime,
+        encode: impl FnOnce(&mut dyn io::Write) -> io::Result<()>,
     ) -> GaeResult<Arc<Self>> {
-        let store = DurableStore::resume(&config.dir, recovered, snapshot, config.fsync)?;
+        let store = DurableStore::resume_with(&config.dir, at, config.fsync, |w| encode(w))?;
         Ok(Arc::new(Persistence {
             store: Mutex::new(store),
             snapshot_every: config.snapshot_every,
@@ -159,17 +162,34 @@ impl Persistence {
         now.saturating_since(*self.last_snapshot.lock()) >= self.snapshot_every
     }
 
-    /// Rotates to a new generation anchored at `snapshot`. Callers
-    /// commit before rotating (checkpoint does), so the tee never
-    /// observes an implicit rotation-time commit.
-    pub(crate) fn rotate(&self, now: SimTime, snapshot: &[u8]) -> GaeResult<()> {
-        let (commit_index, record_seq) = {
-            let mut store = self.store.lock();
-            store.rotate(snapshot)?;
-            (store.commit_index(), store.record_seq())
-        };
+    /// Rotates to a new generation anchored at the snapshot `encode`
+    /// writes. Callers commit before rotating (checkpoint does), so
+    /// the tee never observes an implicit rotation-time commit.
+    ///
+    /// The store is not locked while `encode` runs: services append
+    /// under their own locks, and the encoder takes those same locks
+    /// to export them.
+    pub(crate) fn rotate(
+        &self,
+        now: SimTime,
+        encode: impl FnOnce(&mut dyn io::Write) -> io::Result<()>,
+    ) -> GaeResult<()> {
+        let encode_err = |e: io::Error| GaeError::Io(format!("encode snapshot: {e}"));
         if let Some(sink) = self.replication_sink() {
-            sink.on_rotate(commit_index, record_seq, snapshot);
+            // The tee needs the bytes: encode once, write and forward
+            // the same buffer.
+            let mut snapshot = Vec::new();
+            encode(&mut snapshot).map_err(encode_err)?;
+            let (commit_index, record_seq) = {
+                let mut store = self.store.lock();
+                store.rotate(&snapshot)?;
+                (store.commit_index(), store.record_seq())
+            };
+            sink.on_rotate(commit_index, record_seq, &snapshot);
+        } else {
+            let mut next = self.store.lock().begin_rotation()?;
+            encode(&mut next).map_err(encode_err)?;
+            self.store.lock().rotate_onto(next)?;
         }
         *self.last_snapshot.lock() = now;
         Ok(())
@@ -211,13 +231,13 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    pub(crate) fn from_recovered(rec: &Recovered) -> Self {
+    pub(crate) fn new(at: &RecoveryPoint, replayed_records: usize) -> Self {
         RecoveryReport {
-            generation: rec.generation,
-            commit_index: rec.commit_index,
-            replayed_records: rec.records.len(),
-            tail_was_torn: !matches!(rec.tail, TailState::Clean),
-            used_fallback: rec.used_fallback,
+            generation: at.generation,
+            commit_index: at.commit_index,
+            replayed_records,
+            tail_was_torn: !at.tail.is_clean(),
+            used_fallback: at.used_fallback,
             resubmitted: Vec::new(),
         }
     }
@@ -410,47 +430,28 @@ pub(crate) fn xfer_from_record(v: &Value) -> GaeResult<JournalOp> {
     })
 }
 
-fn xfer_export_to_value(x: &XferExport) -> Value {
+fn xfer_file_to_value((lfn, size, replicas): &(String, u64, Vec<SiteId>)) -> Value {
     Value::struct_of([
-        (
-            "files",
-            Value::Array(
-                x.files
-                    .iter()
-                    .map(|(lfn, size, replicas)| {
-                        Value::struct_of([
-                            ("lfn", Value::from(lfn.as_str())),
-                            ("size", Value::from(*size)),
-                            ("replicas", replicas_to_value(replicas)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "pending",
-            Value::Array(
-                x.pending
-                    .iter()
-                    .map(|(lfn, to)| {
-                        Value::struct_of([
-                            ("lfn", Value::from(lfn.as_str())),
-                            ("to", Value::from(to.raw())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "counters",
-            Value::struct_of([
-                ("completed", Value::from(x.counters.completed)),
-                ("failed", Value::from(x.counters.failed)),
-                ("retried", Value::from(x.counters.retried)),
-                ("evicted", Value::from(x.counters.evicted)),
-                ("history_dropped", Value::from(x.counters.history_dropped)),
-            ]),
-        ),
+        ("lfn", Value::from(lfn.as_str())),
+        ("size", Value::from(*size)),
+        ("replicas", replicas_to_value(replicas)),
+    ])
+}
+
+fn xfer_pending_to_value((lfn, to): &(String, SiteId)) -> Value {
+    Value::struct_of([
+        ("lfn", Value::from(lfn.as_str())),
+        ("to", Value::from(to.raw())),
+    ])
+}
+
+fn xfer_counters_to_value(c: &XferCounters) -> Value {
+    Value::struct_of([
+        ("completed", Value::from(c.completed)),
+        ("failed", Value::from(c.failed)),
+        ("retried", Value::from(c.retried)),
+        ("evicted", Value::from(c.evicted)),
+        ("history_dropped", Value::from(c.history_dropped)),
     ])
 }
 
@@ -562,33 +563,33 @@ fn event_from_value(v: &Value) -> GaeResult<JobEvent> {
     })
 }
 
-fn series_to_value(series: &[(MetricKey, Vec<Sample>)]) -> Value {
-    Value::Array(
-        series
-            .iter()
-            .map(|(k, samples)| {
-                Value::struct_of([
-                    ("site", Value::from(k.site.raw())),
-                    ("entity", Value::from(&*k.entity)),
-                    ("param", Value::from(&*k.param)),
-                    (
-                        "samples",
-                        Value::Array(
-                            samples
-                                .iter()
-                                .map(|s| {
-                                    Value::struct_of([
-                                        ("at_us", Value::from(s.at.as_micros())),
-                                        ("value", Value::Double(s.value)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect(),
-    )
+fn series_to_value((k, samples): &(MetricKey, Vec<Sample>)) -> Value {
+    Value::struct_of([
+        ("site", Value::from(k.site.raw())),
+        ("entity", Value::from(&*k.entity)),
+        ("param", Value::from(&*k.param)),
+        (
+            "samples",
+            Value::Array(
+                samples
+                    .iter()
+                    .map(|s| {
+                        Value::struct_of([
+                            ("at_us", Value::from(s.at.as_micros())),
+                            ("value", Value::Double(s.value)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+    ])
+}
+
+fn balance_to_value((user, amount): &(UserId, f64)) -> Value {
+    Value::struct_of([
+        ("user", Value::from(user.raw())),
+        ("amount", Value::Double(*amount)),
+    ])
 }
 
 fn series_from_value(v: &Value) -> GaeResult<Vec<(MetricKey, Vec<Sample>)>> {
@@ -686,46 +687,118 @@ fn tracked_job_from_value(v: &Value) -> GaeResult<TrackedJob> {
     })
 }
 
-pub(crate) fn encode_snapshot(state: &SnapshotState) -> Vec<u8> {
-    let doc = Value::struct_of([
-        (
-            "events",
-            Value::Array(state.events.iter().map(event_to_value).collect()),
-        ),
-        ("evicted", Value::from(state.evicted)),
-        ("metrics", series_to_value(&state.metrics)),
-        ("metrics_published", Value::from(state.metrics_published)),
-        (
-            "jobmon",
-            Value::Array(state.jobmon.iter().map(|i| i.to_value()).collect()),
-        ),
-        (
-            "steering",
-            Value::Array(state.steering.iter().map(tracked_job_to_value).collect()),
-        ),
-        (
-            "balances",
-            Value::Array(
-                state
-                    .balances
-                    .iter()
-                    .map(|(u, b)| {
-                        Value::struct_of([
-                            ("user", Value::from(u.raw())),
-                            ("amount", Value::Double(*b)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "ledger",
-            Value::Array(state.ledger.iter().map(charge_to_record).collect()),
-        ),
-        ("xfer", xfer_export_to_value(&state.xfer)),
-        ("hist", Value::Base64(state.hist.clone())),
-    ]);
-    write_value_document(&doc).into_bytes()
+/// Where [`encode_snapshot`] gets the state from: one persisted
+/// service per call, asked for only when its section is due, so the
+/// exports are alive one at a time.
+pub(crate) trait SnapshotSource {
+    fn balances(&self) -> Vec<(UserId, f64)>;
+    /// The job-event log and its eviction count.
+    fn events(&self) -> (Vec<JobEvent>, u64);
+    /// The history store's own binary encoding (it has a canonical
+    /// columnar codec; re-encoding it as XML would lose the layout).
+    fn hist(&self) -> Vec<u8>;
+    fn jobmon(&self) -> Vec<JobMonitoringInfo>;
+    fn ledger(&self) -> Vec<ChargeRecord>;
+    /// Every metric series and the published-sample total.
+    fn metrics(&self) -> (Vec<(MetricKey, Vec<Sample>)>, u64);
+    fn steering(&self) -> Vec<TrackedJob>;
+    fn xfer(&self) -> XferExport;
+}
+
+/// Bytes of history-store encoding turned to base64 per write: a
+/// multiple of three, so the pieces concatenate to the encoding of
+/// the whole.
+const BASE64_CHUNK: usize = 3 * 16 * 1024;
+
+/// Writes struct members one at a time, in the byte form
+/// `write_value` gives a `Value::Struct` holding them.
+struct MemberWriter<'a, W: io::Write + ?Sized> {
+    out: &'a mut W,
+    /// One element's XML, reused.
+    chunk: String,
+}
+
+impl<W: io::Write + ?Sized> MemberWriter<'_, W> {
+    fn raw(&mut self, xml: &str) -> io::Result<()> {
+        self.out.write_all(xml.as_bytes())
+    }
+
+    fn value(&mut self, v: &Value) -> io::Result<()> {
+        self.chunk.clear();
+        write_value(v, &mut self.chunk);
+        self.out.write_all(self.chunk.as_bytes())
+    }
+
+    /// `name` must need no XML escaping.
+    fn open(&mut self, name: &str, value_open: &str) -> io::Result<()> {
+        self.raw("<member><name>")?;
+        self.raw(name)?;
+        self.raw("</name>")?;
+        self.raw(value_open)
+    }
+
+    fn member(&mut self, name: &str, v: &Value) -> io::Result<()> {
+        self.open(name, "")?;
+        self.value(v)?;
+        self.raw("</member>")
+    }
+
+    fn array(&mut self, name: &str, items: impl Iterator<Item = Value>) -> io::Result<()> {
+        self.open(name, "<value><array><data>")?;
+        for item in items {
+            self.value(&item)?;
+        }
+        self.raw("</data></array></value></member>")
+    }
+
+    fn base64(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+        self.open(name, "<value><base64>")?;
+        for piece in bytes.chunks(BASE64_CHUNK) {
+            self.raw(&gae_wire::base64::encode(piece))?;
+        }
+        self.raw("</base64></value></member>")
+    }
+}
+
+/// Writes the snapshot document of `src` into `out`, section by
+/// section and element by element: at any moment one service's export,
+/// one element's `Value` and its XML exist — never the whole state,
+/// its `Value` tree or its document. The bytes are exactly
+/// `write_value_document` of the struct of all sections; members go
+/// out in the order that struct's `BTreeMap` would give them.
+pub(crate) fn encode_snapshot<W: io::Write + ?Sized>(
+    src: &impl SnapshotSource,
+    out: &mut W,
+) -> io::Result<()> {
+    let mut doc = MemberWriter {
+        out,
+        chunk: String::new(),
+    };
+    doc.raw("<?xml version=\"1.0\"?>\n<value><struct>")?;
+    doc.array("balances", src.balances().iter().map(balance_to_value))?;
+    {
+        let (events, evicted) = src.events();
+        doc.array("events", events.iter().map(event_to_value))?;
+        doc.member("evicted", &Value::from(evicted))?;
+    }
+    doc.base64("hist", &src.hist())?;
+    doc.array("jobmon", src.jobmon().iter().map(|i| i.to_value()))?;
+    doc.array("ledger", src.ledger().iter().map(charge_to_record))?;
+    {
+        let (metrics, published) = src.metrics();
+        doc.array("metrics", metrics.iter().map(series_to_value))?;
+        doc.member("metrics_published", &Value::from(published))?;
+    }
+    doc.array("steering", src.steering().iter().map(tracked_job_to_value))?;
+    {
+        let xfer = src.xfer();
+        doc.open("xfer", "<value><struct>")?;
+        doc.member("counters", &xfer_counters_to_value(&xfer.counters))?;
+        doc.array("files", xfer.files.iter().map(xfer_file_to_value))?;
+        doc.array("pending", xfer.pending.iter().map(xfer_pending_to_value))?;
+        doc.raw("</struct></value></member>")?;
+    }
+    doc.raw("</struct></value>")
 }
 
 pub(crate) fn decode_snapshot(bytes: &[u8]) -> GaeResult<SnapshotState> {
@@ -792,7 +865,138 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> GaeResult<SnapshotState> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gae_types::{JobSpec, TaskSpec};
+    use gae_types::{JobSpec, Priority, TaskSpec};
+    use gae_wire::write_value_document;
+    use proptest::prelude::*;
+
+    /// A decoded snapshot is a source too: what the differential
+    /// tests feed both encoders.
+    impl SnapshotSource for SnapshotState {
+        fn balances(&self) -> Vec<(UserId, f64)> {
+            self.balances.clone()
+        }
+        fn events(&self) -> (Vec<JobEvent>, u64) {
+            (self.events.clone(), self.evicted)
+        }
+        fn hist(&self) -> Vec<u8> {
+            self.hist.clone()
+        }
+        fn jobmon(&self) -> Vec<JobMonitoringInfo> {
+            self.jobmon.clone()
+        }
+        fn ledger(&self) -> Vec<ChargeRecord> {
+            self.ledger.clone()
+        }
+        fn metrics(&self) -> (Vec<(MetricKey, Vec<Sample>)>, u64) {
+            (self.metrics.clone(), self.metrics_published)
+        }
+        fn steering(&self) -> Vec<TrackedJob> {
+            self.steering.clone()
+        }
+        fn xfer(&self) -> XferExport {
+            self.xfer.clone()
+        }
+    }
+
+    /// Every section of `src` held at once — the whole-state image the
+    /// tree encoder needs and the streaming encoder exists to avoid.
+    fn collect(src: &impl SnapshotSource) -> SnapshotState {
+        let (events, evicted) = src.events();
+        let (metrics, metrics_published) = src.metrics();
+        SnapshotState {
+            events,
+            evicted,
+            metrics,
+            metrics_published,
+            jobmon: src.jobmon(),
+            steering: src.steering(),
+            balances: src.balances(),
+            ledger: src.ledger(),
+            xfer: src.xfer(),
+            hist: src.hist(),
+        }
+    }
+
+    /// The encoder this module shipped before the streaming one: one
+    /// `Value` tree of the whole state, written as one document. Kept
+    /// as the oracle [`encode_snapshot`] is compared against.
+    fn encode_snapshot_tree(state: &SnapshotState) -> Vec<u8> {
+        let array = |items: Vec<Value>| Value::Array(items);
+        let doc = Value::struct_of([
+            (
+                "events",
+                array(state.events.iter().map(event_to_value).collect()),
+            ),
+            ("evicted", Value::from(state.evicted)),
+            (
+                "metrics",
+                array(state.metrics.iter().map(series_to_value).collect()),
+            ),
+            ("metrics_published", Value::from(state.metrics_published)),
+            (
+                "jobmon",
+                array(state.jobmon.iter().map(|i| i.to_value()).collect()),
+            ),
+            (
+                "steering",
+                array(state.steering.iter().map(tracked_job_to_value).collect()),
+            ),
+            (
+                "balances",
+                array(state.balances.iter().map(balance_to_value).collect()),
+            ),
+            (
+                "ledger",
+                array(state.ledger.iter().map(charge_to_record).collect()),
+            ),
+            (
+                "xfer",
+                Value::struct_of([
+                    (
+                        "files",
+                        array(state.xfer.files.iter().map(xfer_file_to_value).collect()),
+                    ),
+                    (
+                        "pending",
+                        array(
+                            state
+                                .xfer
+                                .pending
+                                .iter()
+                                .map(xfer_pending_to_value)
+                                .collect(),
+                        ),
+                    ),
+                    ("counters", xfer_counters_to_value(&state.xfer.counters)),
+                ]),
+            ),
+            ("hist", Value::Base64(state.hist.clone())),
+        ]);
+        write_value_document(&doc).into_bytes()
+    }
+
+    fn encoded(src: &impl SnapshotSource) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_snapshot(src, &mut out).unwrap();
+        out
+    }
+
+    /// Streaming ≡ tree, byte for byte; and the two other sinks — the
+    /// running checksum and the snapshot file — see those same bytes.
+    fn assert_streams_like_the_tree(src: &impl SnapshotSource) -> Vec<u8> {
+        let streamed = encoded(src);
+        let tree = encode_snapshot_tree(&collect(src));
+        assert!(
+            streamed == tree,
+            "streamed snapshot differs from the tree encoder's:\n{}\n-- vs --\n{}",
+            String::from_utf8_lossy(&streamed),
+            String::from_utf8_lossy(&tree)
+        );
+        let mut crc = gae_durable::crc32::Crc32::new();
+        encode_snapshot(src, &mut crc).unwrap();
+        assert_eq!(crc.finish(), gae_durable::crc32::crc32(&tree));
+        streamed
+    }
 
     fn sample_plan() -> ConcretePlan {
         let mut job = JobSpec::new(JobId::new(7), "j7", UserId::new(3));
@@ -925,7 +1129,7 @@ mod tests {
             },
             hist: gae_hist::HistStore::new(gae_hist::HistConfig::default()).encode(),
         };
-        let decoded = decode_snapshot(&encode_snapshot(&state)).unwrap();
+        let decoded = decode_snapshot(&assert_streams_like_the_tree(&state)).unwrap();
         assert_eq!(decoded.events, state.events);
         assert_eq!(decoded.evicted, 3);
         assert_eq!(decoded.metrics, state.metrics);
@@ -1098,5 +1302,404 @@ mod tests {
         assert!(frame::decode_envelope(&[0xff, 0xfe, 0x00]).is_err());
         assert!(frame::decode_envelope(b"<value><int>3</int></value>").is_err());
         assert!(frame::decode_envelope(&doc.as_bytes()[..doc.len() / 2]).is_err());
+    }
+    /// Strings that need XML escaping, or none, or are empty.
+    fn arb_text() -> impl Strategy<Value = String> {
+        prop_oneof![
+            Just(String::new()),
+            "[a-z0-9_.-]{1,12}",
+            "[a-z<>&\"' ]{1,16}",
+        ]
+    }
+
+    fn arb_time() -> impl Strategy<Value = SimTime> {
+        (0u64..1 << 40).prop_map(SimTime::from_micros)
+    }
+
+    fn arb_span() -> impl Strategy<Value = SimDuration> {
+        (0u64..1 << 40).prop_map(SimDuration::from_micros)
+    }
+
+    fn arb_amount() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(0.1 + 0.2),
+            prop::num::f64::NORMAL,
+            (0u32..1_000_000).prop_map(|n| f64::from(n) / 64.0),
+        ]
+    }
+
+    fn arb_status() -> impl Strategy<Value = TaskStatus> {
+        (0usize..3).prop_map(|i| {
+            [
+                TaskStatus::Running,
+                TaskStatus::Completed,
+                TaskStatus::Failed,
+            ][i]
+        })
+    }
+
+    fn arb_info() -> impl Strategy<Value = JobMonitoringInfo> {
+        (
+            (0u64..50, 0u64..500, 0u64..500, 1u64..9),
+            arb_status(),
+            (any::<bool>(), arb_span(), arb_span(), arb_span()),
+            (any::<bool>(), 0usize..40, arb_time(), arb_time()),
+            (0u64..1 << 40, 0u64..1 << 40, 0u64..9),
+            (
+                prop::collection::vec((arb_text(), arb_text()), 0..3),
+                (0u32..=64).prop_map(|n| f64::from(n) / 64.0),
+            ),
+        )
+            .prop_map(|(ids, status, spans, times, io, (env, progress))| {
+                let (job, task, condor, site) = ids;
+                let (some, estimated, elapsed, cpu_time) = spans;
+                let (queued, position, submitted_at, later) = times;
+                JobMonitoringInfo {
+                    job: JobId::new(job),
+                    task: TaskId::new(task),
+                    condor: CondorId::new(condor),
+                    site: SiteId::new(site),
+                    status,
+                    estimated_runtime: some.then_some(estimated),
+                    remaining_time: some.then_some(elapsed),
+                    elapsed,
+                    queue_position: queued.then_some(position),
+                    priority: Priority::default(),
+                    submitted_at,
+                    started_at: some.then_some(later),
+                    completed_at: queued.then_some(later),
+                    cpu_time,
+                    input_io: io.0,
+                    output_io: io.1,
+                    owner: UserId::new(io.2),
+                    env,
+                    progress,
+                }
+            })
+    }
+
+    /// A tracked job of 1–4 chained tasks with assorted phases.
+    fn arb_tracked() -> impl Strategy<Value = TrackedJob> {
+        (
+            1u64..1000,
+            arb_text(),
+            prop::collection::vec((0usize..5, 1u64..9, 0u32..4), 1..5),
+            any::<bool>(),
+        )
+            .prop_map(|(id, name, tasks, notified)| {
+                let mut job = JobSpec::new(JobId::new(id), name, UserId::new(id % 7));
+                let task_id = |i: usize| TaskId::new(id * 10 + i as u64);
+                for (i, _) in tasks.iter().enumerate() {
+                    job.add_task(
+                        TaskSpec::new(task_id(i), format!("t<{i}>"), "app & co")
+                            .with_cpu_demand(SimDuration::from_secs(10 + i as u64)),
+                    );
+                    if i > 0 {
+                        job.add_dependency(task_id(i - 1), task_id(i));
+                    }
+                }
+                let assignments = tasks
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (_, site, _))| TaskAssignment {
+                        task: task_id(i),
+                        site: SiteId::new(*site),
+                    })
+                    .collect();
+                let plan = ConcretePlan::new(PlanId::new(id), job, assignments).unwrap();
+                let mut tracked = TrackedJob::subscribe(plan).unwrap();
+                for (i, (phase, site, n)) in tasks.into_iter().enumerate() {
+                    let site = SiteId::new(site);
+                    let t = tracked.tasks.get_mut(&task_id(i)).unwrap();
+                    t.phase = [
+                        TaskPhase::WaitingPrereqs,
+                        TaskPhase::Submitted {
+                            site,
+                            condor: CondorId::new(u64::from(n) + 40),
+                        },
+                        TaskPhase::Done { site },
+                        TaskPhase::Failed,
+                        TaskPhase::Killed,
+                    ][phase];
+                    t.recovery_attempts = n;
+                    t.moves = n / 2;
+                }
+                tracked.completion_notified = notified;
+                tracked
+            })
+    }
+
+    fn arb_charge() -> impl Strategy<Value = ChargeRecord> {
+        (0u64..9, 1u64..9, arb_span(), arb_amount()).prop_map(|(user, site, cpu_time, amount)| {
+            ChargeRecord {
+                user: UserId::new(user),
+                site: SiteId::new(site),
+                cpu_time,
+                amount,
+            }
+        })
+    }
+
+    fn arb_xfer() -> impl Strategy<Value = XferExport> {
+        let sites = || prop::collection::vec((1u64..9).prop_map(SiteId::new), 0..3);
+        (
+            prop::collection::vec((arb_text(), 0u64..1 << 40, sites()), 0..4),
+            prop::collection::vec((arb_text(), (1u64..9).prop_map(SiteId::new)), 0..3),
+            prop::collection::vec(0u64..1000, 5..6),
+        )
+            .prop_map(|(files, pending, c)| XferExport {
+                files,
+                pending,
+                counters: XferCounters {
+                    completed: c[0],
+                    failed: c[1],
+                    retried: c[2],
+                    evicted: c[3],
+                    history_dropped: c[4],
+                },
+            })
+    }
+
+    fn arb_state() -> impl Strategy<Value = SnapshotState> {
+        let event = (arb_time(), 0u64..50, 0u64..500, 1u64..9, arb_status()).prop_map(
+            |(at, job, task, site, status)| JobEvent {
+                at,
+                job: JobId::new(job),
+                task: TaskId::new(task),
+                site: SiteId::new(site),
+                status,
+            },
+        );
+        let sample = (arb_time(), arb_amount()).prop_map(|(at, value)| Sample { at, value });
+        let series = (
+            (0u64..9, arb_text(), arb_text()),
+            prop::collection::vec(sample, 0..5),
+        )
+            .prop_map(|((site, entity, param), samples)| {
+                (MetricKey::new(SiteId::new(site), entity, param), samples)
+            });
+        (
+            (prop::collection::vec(event, 0..5), 0u64..100),
+            (prop::collection::vec(series, 0..4), 0u64..10_000),
+            (
+                prop::collection::vec(arb_info(), 0..4),
+                prop::collection::vec(arb_tracked(), 0..3),
+            ),
+            (
+                prop::collection::vec(((0u64..9).prop_map(UserId::new), arb_amount()), 0..4),
+                prop::collection::vec(arb_charge(), 0..4),
+            ),
+            arb_xfer(),
+            // Around the base64 piece size and its 3-byte groups.
+            prop_oneof![
+                prop::collection::vec(any::<u8>(), 0..8),
+                (0usize..5).prop_map(|extra| vec![0x5A; 2 * BASE64_CHUNK - 2 + extra]),
+            ],
+        )
+            .prop_map(
+                |(
+                    (events, evicted),
+                    (metrics, metrics_published),
+                    (jobmon, steering),
+                    (balances, ledger),
+                    xfer,
+                    hist,
+                )| SnapshotState {
+                    events,
+                    evicted,
+                    metrics,
+                    metrics_published,
+                    jobmon,
+                    steering,
+                    balances,
+                    ledger,
+                    xfer,
+                    hist,
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Streaming encoder ≡ tree encoder on arbitrary states —
+        /// empty sections, escaped strings, awkward floats, history
+        /// blobs straddling a base64 piece — and the bytes decode.
+        #[test]
+        fn streamed_snapshot_is_the_tree_snapshot(state in arb_state()) {
+            let bytes = assert_streams_like_the_tree(&state);
+            let back = decode_snapshot(&bytes).unwrap();
+            prop_assert_eq!(encoded(&back), bytes);
+        }
+    }
+
+    #[test]
+    fn empty_state_streams_like_the_tree() {
+        assert_streams_like_the_tree(&SnapshotState::default());
+    }
+
+    /// The same differential over live stacks, every section
+    /// populated by the services themselves: a persisted two-site grid
+    /// with staged inputs, jobs at every stage of their life, charges,
+    /// history rows and metric rings — checked at several instants,
+    /// across a rotation, and after crash recovery (whose resume
+    /// snapshot goes through the file sink).
+    #[test]
+    fn live_stacks_stream_like_the_tree() {
+        use crate::grid::{GridBuilder, ServiceStack};
+        use crate::steering::SteeringPolicy;
+        use gae_repl::StateMachine;
+        use gae_types::{FileRef, SiteDescription};
+
+        let dir = gae_durable::fault::unique_temp_dir("persist-stream");
+        let config = PersistenceConfig::new(&dir)
+            .fsync(false)
+            .snapshot_every(SimDuration::from_secs(90));
+        let grid = |persist: bool| {
+            let b = GridBuilder::new()
+                .site_with_load(SiteDescription::new(SiteId::new(1), "busy", 2, 1), 2.0)
+                .site(SiteDescription::new(SiteId::new(2), "free", 2, 2));
+            if persist {
+                b.persist(config.clone())
+            } else {
+                b
+            }
+            .build()
+        };
+        let stack = ServiceStack::over(grid(true));
+        assert_streams_like_the_tree(&*stack);
+        for j in 1..=4u64 {
+            let mut job = JobSpec::new(JobId::new(j), format!("job <{j}>"), UserId::new(j % 2 + 1));
+            for i in 0..3u64 {
+                let task = TaskId::new(j * 10 + i);
+                job.add_task(
+                    TaskSpec::new(task, format!("t{i}"), "reco")
+                        .with_cpu_demand(SimDuration::from_secs(20 * (i + 1)))
+                        .with_inputs(vec![FileRef::new(format!("raw-{j}-{i}.root"), 30_000_000)
+                            .with_replicas(vec![SiteId::new(1)])]),
+                );
+                if i > 0 {
+                    job.add_dependency(TaskId::new(j * 10 + i - 1), task);
+                }
+            }
+            stack.submit_job(job).unwrap();
+            stack.run_until(SimTime::from_secs(40 * j));
+            let bytes = assert_streams_like_the_tree(&*stack);
+            assert_eq!(stack.snapshot(), bytes);
+            assert_eq!(
+                stack.query_state(),
+                format!("{:08x}", gae_durable::crc32::crc32(&bytes))
+            );
+        }
+        let generation = stack.persistence().unwrap().generation();
+        assert!(generation >= 1, "the cadence rotated at least once");
+        let before = encoded(&*stack);
+        drop(stack);
+
+        // The rotation wrote its snapshot through the file sink: the
+        // payload on disk is a document the decoder takes whole.
+        let on_disk = gae_durable::DurableStore::recover(&dir).unwrap();
+        assert_eq!(on_disk.generation, generation);
+        assert_streams_like_the_tree(&decode_snapshot(&on_disk.snapshot).unwrap());
+
+        let (recovered, report) = ServiceStack::recover_from_disk(
+            grid(false),
+            SteeringPolicy::default(),
+            SimDuration::from_secs(5),
+            &config,
+        )
+        .unwrap();
+        assert_eq!(report.replayed_records, on_disk.records.len());
+        assert_eq!(report.generation, generation);
+        // The resume snapshot went through the file sink too; it holds
+        // the replayed job repository (metric rings restart from the
+        // last rotation — only snapshots carry them).
+        let resumed = gae_durable::DurableStore::recover(&dir).unwrap();
+        assert_eq!(resumed.generation, generation + 1);
+        let resumed = decode_snapshot(&resumed.snapshot).unwrap();
+        assert_streams_like_the_tree(&resumed);
+        let crashed = decode_snapshot(&before).unwrap();
+        for (section, len) in [
+            ("events", crashed.events.len()),
+            ("metrics", crashed.metrics.len()),
+            ("jobmon", crashed.jobmon.len()),
+            ("steering", crashed.steering.len()),
+            ("balances", crashed.balances.len()),
+            ("ledger", crashed.ledger.len()),
+            ("xfer files", crashed.xfer.files.len()),
+            ("hist", crashed.hist.len()),
+        ] {
+            assert!(
+                len > 0,
+                "the {section} section is empty: the differential is vacuous"
+            );
+        }
+        assert_eq!(resumed.jobmon, crashed.jobmon);
+        assert_eq!(resumed.ledger, crashed.ledger);
+        assert_eq!(resumed.hist, crashed.hist);
+        assert_streams_like_the_tree(&*recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A record that cannot be replayed names itself: sequence number
+    /// and kind, not a bare parse message.
+    #[test]
+    fn a_bad_wal_record_is_reported_with_its_sequence_and_kind() {
+        use crate::grid::{GridBuilder, ServiceStack};
+        use crate::steering::SteeringPolicy;
+        use gae_types::SiteDescription;
+
+        let grid = || {
+            GridBuilder::new()
+                .site(SiteDescription::new(SiteId::new(1), "only", 2, 1))
+                .build()
+        };
+        let recover = |dir: &std::path::Path| {
+            ServiceStack::recover_from_disk(
+                grid(),
+                SteeringPolicy::default(),
+                SimDuration::from_secs(5),
+                &PersistenceConfig::new(dir).fsync(false),
+            )
+            .map(|(_, report)| report)
+        };
+        for (record, expected) in [
+            (
+                frame::encode_envelope("task", &Value::struct_of([("job", Value::from(1u64))])),
+                "wal record 2 (kind \"task\")",
+            ),
+            (
+                frame::encode_envelope("mystery", &Value::from(1u64)),
+                "wal record 2 (kind \"mystery\")",
+            ),
+            (
+                "<not-a-document".to_string(),
+                "wal record 2 (undecodable envelope)",
+            ),
+        ] {
+            let dir = gae_durable::fault::unique_temp_dir("persist-bad-record");
+            let mut store = DurableStore::create(&dir, false).unwrap();
+            store.append(
+                frame::encode_envelope("notified", &Value::struct_of([("job", Value::from(9u64))]))
+                    .into_bytes(),
+            );
+            store.commit().unwrap();
+            drop(store);
+            assert_eq!(recover(&dir).unwrap().replayed_records, 1);
+            // `recover` resumed into generation 1; the bad record
+            // lands there as record 2.
+            let at = DurableStore::recover(&dir).unwrap();
+            let mut store = DurableStore::resume(&dir, &at, &at.snapshot, false).unwrap();
+            store.append(record.into_bytes());
+            store.commit().unwrap();
+            drop(store);
+            let err = recover(&dir).unwrap_err();
+            assert!(
+                matches!(&err, GaeError::Parse(m) if m.starts_with(expected)),
+                "{err}"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

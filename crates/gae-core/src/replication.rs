@@ -62,14 +62,15 @@ impl StateMachine for ServiceStack {
     /// A deterministic digest of the persisted state: the CRC of the
     /// canonical snapshot encoding.
     fn query_state(&self) -> String {
-        format!(
-            "{:08x}",
-            gae_durable::crc32::crc32(&persist::encode_snapshot(&self.snapshot_state()))
-        )
+        let mut crc = gae_durable::crc32::Crc32::new();
+        persist::encode_snapshot(self, &mut crc).expect("a checksum accepts every write");
+        format!("{:08x}", crc.finish())
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        persist::encode_snapshot(&self.snapshot_state())
+        let mut snapshot = Vec::new();
+        persist::encode_snapshot(self, &mut snapshot).expect("a Vec accepts every write");
+        snapshot
     }
 
     /// Restores every persisted service from a snapshot payload (no

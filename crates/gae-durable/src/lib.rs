@@ -6,9 +6,10 @@
 //! CRC-32-checksummed, length-prefixed WAL with group-commit batching
 //! ([`DurableStore::commit`]), periodic compacting snapshots
 //! ([`DurableStore::rotate`]), and a deterministic, read-only recovery
-//! path ([`DurableStore::recover`]) that always lands on a
-//! prefix-consistent committed state — even with torn tails,
-//! bit flips, or duplicated segments injected by [`fault`].
+//! path ([`DurableStore::replay`], streamed to the caller one commit
+//! batch at a time; [`DurableStore::recover`] collects it) that always
+//! lands on a prefix-consistent committed state — even with torn
+//! tails, bit flips, or duplicated segments injected by [`fault`].
 //!
 //! Built on `std::fs` only, consistent with the workspace's offline
 //! shim policy. The service-level wiring (what gets logged, how state
@@ -23,7 +24,8 @@ pub mod store;
 pub mod wal;
 
 pub use fault::Corruption;
-pub use store::{DurableStore, Recovered, StoreStats};
+pub use snapshot::SnapshotWriter;
+pub use store::{DurableStore, Recovered, RecoveryPoint, StoreStats};
 pub use wal::TailState;
 
 #[cfg(test)]

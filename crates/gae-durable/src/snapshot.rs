@@ -21,18 +21,25 @@
 //! then atomically renamed into place, so a crash mid-write leaves the
 //! previous generation intact. Trailing junk after the payload is
 //! ignored (a duplicated tail cannot invalidate a snapshot).
+//!
+//! The payload is *streamed*: [`SnapshotWriter`] is an [`io::Write`]
+//! sink that checksums what passes through it, so the encoder's output
+//! is never held. The header is written last, over a placeholder —
+//! the commit point and the length are only final then.
 
-use crate::crc32::Crc32;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
-use std::path::Path;
+use crate::crc32::{self, Crc32};
+use crate::wal::{le_u32, le_u64};
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 
 /// Snapshot file magic.
 pub const MAGIC: &[u8; 8] = b"GAESNAP1";
 const HEADER_BYTES: usize = 8 + 8 + 8 + 8 + 4;
 
-/// A decoded snapshot header + payload.
-#[derive(Debug)]
+/// A decoded snapshot header + payload. The default is generation
+/// 0's: the empty state at commit 0.
+#[derive(Debug, Default)]
 pub struct Snapshot {
     /// Commit point the payload reflects.
     pub commit_index: u64,
@@ -42,45 +49,86 @@ pub struct Snapshot {
     pub payload: Vec<u8>,
 }
 
-/// Writes a snapshot atomically (temp file + rename + dir sync).
-pub fn write_snapshot(
-    path: &Path,
-    commit_index: u64,
-    record_seq: u64,
-    payload: &[u8],
-    fsync: bool,
-) -> io::Result<()> {
-    let dir = path.parent().unwrap_or(Path::new("."));
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)?;
+/// A snapshot file being written: payload bytes go in through
+/// [`io::Write`], [`SnapshotWriter::finish`] stamps the header and
+/// renames the file into place. Dropped unfinished, it leaves only a
+/// `.tmp` file the next writer truncates.
+#[derive(Debug)]
+pub struct SnapshotWriter {
+    path: PathBuf,
+    tmp: PathBuf,
+    file: BufWriter<File>,
+    payload_crc: Crc32,
+    payload_len: u64,
+}
+
+impl SnapshotWriter {
+    /// Starts the snapshot that will become `path`.
+    pub fn create(path: &Path) -> io::Result<Self> {
+        let tmp = path.with_extension("tmp");
+        let mut file = BufWriter::new(File::create(&tmp)?);
+        file.write_all(&[0u8; HEADER_BYTES])?;
+        Ok(SnapshotWriter {
+            path: path.to_path_buf(),
+            tmp,
+            file,
+            payload_crc: Crc32::new(),
+            payload_len: 0,
+        })
+    }
+
+    /// The file [`SnapshotWriter::finish`] will rename into place.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Stamps the header for the commit point the payload reflects,
+    /// makes the file durable (when `fsync`) and renames it into place.
+    pub fn finish(self, commit_index: u64, record_seq: u64, fsync: bool) -> io::Result<()> {
         let mut header = Vec::with_capacity(HEADER_BYTES);
         header.extend_from_slice(MAGIC);
         header.extend_from_slice(&commit_index.to_le_bytes());
         header.extend_from_slice(&record_seq.to_le_bytes());
-        header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let mut crc = Crc32::new();
-        crc.update(&header[8..]);
-        crc.update(payload);
-        header.extend_from_slice(&crc.finish().to_le_bytes());
-        f.write_all(&header)?;
-        f.write_all(payload)?;
+        header.extend_from_slice(&self.payload_len.to_le_bytes());
+        let crc = crc32::combine(
+            crc32::crc32(&header[8..]),
+            self.payload_crc.finish(),
+            self.payload_len,
+        );
+        header.extend_from_slice(&crc.to_le_bytes());
+        let mut file = self
+            .file
+            .into_inner()
+            .map_err(io::IntoInnerError::into_error)?;
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(&header)?;
         if fsync {
-            f.sync_all()?;
+            file.sync_all()?;
         }
-    }
-    fs::rename(&tmp, path)?;
-    if fsync {
-        // Persist the rename itself.
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
+        drop(file);
+        fs::rename(&self.tmp, &self.path)?;
+        if fsync {
+            // Persist the rename itself.
+            let dir = self.path.parent().unwrap_or(Path::new("."));
+            if let Ok(d) = File::open(dir) {
+                let _ = d.sync_all();
+            }
         }
+        Ok(())
     }
-    Ok(())
+}
+
+impl Write for SnapshotWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.file.write(buf)?;
+        self.payload_crc.update(&buf[..n]);
+        self.payload_len += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
 }
 
 /// Reads and validates a snapshot. Returns `Ok(None)` when the file is
@@ -94,30 +142,34 @@ pub fn read_snapshot(path: &Path) -> io::Result<Option<Snapshot>> {
     };
     let mut data = Vec::new();
     f.read_to_end(&mut data)?;
-    Ok(decode(&data))
+    Ok(decode(data))
 }
 
-fn decode(data: &[u8]) -> Option<Snapshot> {
-    if data.len() < HEADER_BYTES || &data[..8] != MAGIC {
+/// Validates `data` as a snapshot file and strips it down to the
+/// payload in place — the file is held once, however large.
+fn decode(mut data: Vec<u8>) -> Option<Snapshot> {
+    if data.get(..8)? != MAGIC {
         return None;
     }
-    let commit_index = u64::from_le_bytes(data[8..16].try_into().unwrap());
-    let record_seq = u64::from_le_bytes(data[16..24].try_into().unwrap());
-    let len = u64::from_le_bytes(data[24..32].try_into().unwrap());
-    let crc = u32::from_le_bytes(data[32..36].try_into().unwrap());
+    let commit_index = le_u64(&data, 8)?;
+    let record_seq = le_u64(&data, 16)?;
+    let len = le_u64(&data, 24)?;
+    let crc = le_u32(&data, 32)?;
     let end = HEADER_BYTES.checked_add(usize::try_from(len).ok()?)?;
     // Trailing bytes beyond `end` are tolerated (duplicated tails).
     let payload = data.get(HEADER_BYTES..end)?;
     let mut check = Crc32::new();
-    check.update(&data[8..32]);
+    check.update(data.get(8..32)?);
     check.update(payload);
     if check.finish() != crc {
         return None;
     }
+    data.truncate(end);
+    data.drain(..HEADER_BYTES);
     Some(Snapshot {
         commit_index,
         record_seq,
-        payload: payload.to_vec(),
+        payload: data,
     })
 }
 
@@ -125,6 +177,57 @@ fn decode(data: &[u8]) -> Option<Snapshot> {
 mod tests {
     use super::*;
     use crate::fault::unique_temp_dir;
+
+    fn write_snapshot(
+        path: &Path,
+        commit_index: u64,
+        record_seq: u64,
+        payload: &[u8],
+        fsync: bool,
+    ) -> io::Result<()> {
+        let mut w = SnapshotWriter::create(path)?;
+        w.write_all(payload)?;
+        w.finish(commit_index, record_seq, fsync)
+    }
+
+    /// The file the one-shot writer produced: header and checksum
+    /// computed over the payload in hand.
+    fn whole_file(commit_index: u64, record_seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&commit_index.to_le_bytes());
+        out.extend_from_slice(&record_seq.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        let mut crc = Crc32::new();
+        crc.update(&out[8..]);
+        crc.update(payload);
+        out.extend_from_slice(&crc.finish().to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn streamed_file_is_byte_identical_to_the_one_shot_file() {
+        let dir = unique_temp_dir("snap-stream");
+        let path = dir.join("snapshot.000003");
+        // Larger than the writer's buffer, fed in uneven pieces.
+        let payload: Vec<u8> = (0..100_000u32).map(|i| (i * 13 + 5) as u8).collect();
+        let mut w = SnapshotWriter::create(&path).unwrap();
+        assert_eq!(w.path(), path);
+        for piece in payload.chunks(7_001) {
+            w.write_all(piece).unwrap();
+        }
+        assert!(!path.exists(), "nothing is in place before finish");
+        w.finish(11, 99, true).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), whole_file(11, 99, &payload));
+        assert!(!path.with_extension("tmp").exists());
+        let snap = read_snapshot(&path).unwrap().expect("valid snapshot");
+        assert_eq!((snap.commit_index, snap.record_seq), (11, 99));
+        assert_eq!(snap.payload, payload);
+        // Empty payload: the header alone.
+        write_snapshot(&path, 0, 0, b"", false).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), whole_file(0, 0, b""));
+        fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn roundtrip() {

@@ -29,7 +29,7 @@
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
-use gae_durable::{DurableStore, Recovered, TailState};
+use gae_durable::{DurableStore, RecoveryPoint, TailState};
 use gae_types::{GaeError, GaeResult};
 use gae_wire::Value;
 use parking_lot::Mutex;
@@ -347,21 +347,20 @@ impl<M: StateMachine> ReplicatedLog<M> {
         }
         // Snapshot install: wipe the stale directory and rebase the
         // store on the leader's retained snapshot. The fabricated
-        // `Recovered` anchors generation 0 at the snapshot's commit
-        // point, so frame numbering continues exactly like the
+        // `RecoveryPoint` anchors generation 0 at the snapshot's
+        // commit point, so frame numbering continues exactly like the
         // leader's.
         std::fs::remove_dir_all(&f.dir)
             .map_err(|e| GaeError::Io(format!("wipe {}: {e}", f.dir.display())))?;
         std::fs::create_dir_all(&f.dir)
             .map_err(|e| GaeError::Io(format!("recreate {}: {e}", f.dir.display())))?;
-        let base = Recovered {
-            snapshot: Vec::new(),
-            records: Vec::new(),
+        let base = RecoveryPoint {
             commit_index: inner.snapshot.commit_index,
             record_seq: inner.snapshot.record_seq,
             generation: 0,
             tail: TailState::Clean,
             used_fallback: false,
+            max_batch_records: 0,
         };
         let mut store = DurableStore::resume(&f.dir, &base, &inner.snapshot.payload, fsync)?;
         f.machine.restore(&inner.snapshot.payload)?;

@@ -12,7 +12,6 @@
 //! cargo run -p gae-bench --bin ablation_queue --release
 //! ```
 
-use gae_core::estimator::{estimate_queue_time, EstimateDb};
 use gae_exec::{ExecutionService, SiteConfig};
 use gae_sim::rng::{lognormal_noise, seeded_rng};
 use gae_types::{
@@ -30,7 +29,6 @@ fn run_once(depth: usize, estimate_noise_sigma: f64, seed: u64) -> (f64, f64) {
         1,
         1,
     )));
-    let db = EstimateDb::new();
     for i in 0..depth {
         let demand = rng.gen_range(60.0..1_800.0);
         let spec = TaskSpec::new(TaskId::new(i as u64 + 1), format!("t{i}"), "x")
@@ -40,7 +38,8 @@ fn run_once(depth: usize, estimate_noise_sigma: f64, seed: u64) -> (f64, f64) {
         // The stored estimate is the true runtime distorted by the
         // runtime estimator's characteristic error.
         let estimate = demand * lognormal_noise(&mut rng, estimate_noise_sigma);
-        db.record(condor, SimDuration::from_secs_f64(estimate));
+        exec.set_estimate(condor, Some(SimDuration::from_secs_f64(estimate)))
+            .expect("just submitted");
     }
     let probe = exec
         .submit(
@@ -49,10 +48,9 @@ fn run_once(depth: usize, estimate_noise_sigma: f64, seed: u64) -> (f64, f64) {
             None,
         )
         .expect("probe");
-    db.record(probe, SimDuration::from_secs(10));
-    let estimated = estimate_queue_time(&exec, &db, probe)
-        .expect("estimable")
-        .as_secs_f64();
+    exec.set_estimate(probe, Some(SimDuration::from_secs(10)))
+        .expect("just submitted");
+    let estimated = exec.backlog_above(Priority::NORMAL).as_secs_f64();
     // Ground truth: run until the probe starts.
     let mut horizon = 600u64;
     let actual = loop {

@@ -24,7 +24,7 @@ pub mod service;
 pub mod transfer;
 
 pub use history::HistoryStore;
-pub use queue_time::{estimate_queue_time, EstimateDb};
+pub use queue_time::estimate_queue_time;
 pub use runtime::{EstimateNote, EstimationMethod, RuntimeEstimate, RuntimeEstimator};
 pub use service::EstimatorService;
 pub use transfer::TransferEstimator;

@@ -9,65 +9,24 @@
 //! estimated run time; this gives the remaining estimated run time
 //! for each task. The sum ... is the estimated queue time for the
 //! input task."
+//!
+//! Here the execution service holds both halves — the queue and, on
+//! each task's record, the estimate made when it was submitted — and
+//! keeps the sum indexed, so the estimator asks one question under
+//! one lock instead of walking the queue against a database.
 
 use gae_exec::ExecutionService;
 use gae_types::{CondorId, GaeError, GaeResult, SimDuration};
-use parking_lot::RwLock;
-use std::collections::HashMap;
-
-/// The "separate database" of runtimes "estimated at the time of task
-/// submission" (§6.2 step c). One per site, filled by whoever submits
-/// (the service stack records an estimate on every submission).
-#[derive(Default)]
-pub struct EstimateDb {
-    estimates: RwLock<HashMap<CondorId, SimDuration>>,
-}
-
-impl EstimateDb {
-    /// An empty database.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the runtime estimated at submission time.
-    pub fn record(&self, condor: CondorId, estimate: SimDuration) {
-        self.estimates.write().insert(condor, estimate);
-    }
-
-    /// The stored estimate, if any.
-    pub fn get(&self, condor: CondorId) -> Option<SimDuration> {
-        self.estimates.read().get(&condor).copied()
-    }
-
-    /// Drops the estimate for a task that left the queue (collected,
-    /// killed, or failed). Without eviction the database grows without
-    /// bound in a long-running stack; §6.2 only ever consults the
-    /// estimates of *live* tasks, so dead entries are pure leak.
-    pub fn evict(&self, condor: CondorId) -> Option<SimDuration> {
-        self.estimates.write().remove(&condor)
-    }
-
-    /// Number of stored estimates.
-    pub fn len(&self) -> usize {
-        self.estimates.read().len()
-    }
-
-    /// True when no estimates are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// Estimates how long the task `condor` will wait before starting at
-/// the site served by `exec`, following §6.2 exactly. Tasks with no
-/// stored submission-time estimate contribute their elapsed time
-/// clamped to zero (i.e. nothing) and are counted in the returned
-/// diagnostics.
-pub fn estimate_queue_time(
-    exec: &ExecutionService,
-    db: &EstimateDb,
-    condor: CondorId,
-) -> GaeResult<SimDuration> {
+/// the site served by `exec`, following §6.2 exactly. The runtimes
+/// "estimated at the time of task submission" (step c) live on the
+/// execution service's own records — the submitter stores one with
+/// [`ExecutionService::set_estimate`] — and the sum over them is
+/// [`ExecutionService::backlog_above`]: tasks with no stored estimate
+/// contribute nothing, and one that has outrun its estimate
+/// contributes zero.
+pub fn estimate_queue_time(exec: &ExecutionService, condor: CondorId) -> GaeResult<SimDuration> {
     let record = exec.record(condor)?;
     if !record.status.is_live() {
         return Err(GaeError::InvalidTransition {
@@ -76,19 +35,7 @@ pub fn estimate_queue_time(
             attempted: "estimate queue time".into(),
         });
     }
-    let ahead = exec.tasks_above_priority(record.priority);
-    let mut total = SimDuration::ZERO;
-    for (other, _task, elapsed) in ahead {
-        if other == condor {
-            continue;
-        }
-        if let Some(estimated) = db.get(other) {
-            total += estimated.saturating_sub(elapsed);
-        }
-        // No estimate stored: the paper's algorithm has nothing to
-        // subtract from, so the task contributes nothing.
-    }
-    Ok(total)
+    Ok(exec.backlog_above(record.priority))
 }
 
 #[cfg(test)]
@@ -115,34 +62,33 @@ mod tests {
     #[test]
     fn empty_queue_means_zero_wait() {
         let mut exec = site();
-        let db = EstimateDb::new();
         let c = exec.submit(task(1, 100, 0), None).unwrap();
-        db.record(c, SimDuration::from_secs(100));
-        assert_eq!(
-            estimate_queue_time(&exec, &db, c).unwrap(),
-            SimDuration::ZERO
-        );
+        exec.set_estimate(c, Some(SimDuration::from_secs(100)))
+            .unwrap();
+        assert_eq!(estimate_queue_time(&exec, c).unwrap(), SimDuration::ZERO);
     }
 
     #[test]
     fn sums_remaining_of_higher_priority() {
         let mut exec = site();
-        let db = EstimateDb::new();
         let a = exec.submit(task(1, 100, 5), None).unwrap(); // running
         let b = exec.submit(task(2, 200, 5), None).unwrap(); // queued
         let c = exec.submit(task(3, 50, 0), None).unwrap(); // the probe
-        db.record(a, SimDuration::from_secs(100));
-        db.record(b, SimDuration::from_secs(200));
-        db.record(c, SimDuration::from_secs(50));
+        exec.set_estimate(a, Some(SimDuration::from_secs(100)))
+            .unwrap();
+        exec.set_estimate(b, Some(SimDuration::from_secs(200)))
+            .unwrap();
+        exec.set_estimate(c, Some(SimDuration::from_secs(50)))
+            .unwrap();
         // Nothing has run yet: wait = 100 + 200.
         assert_eq!(
-            estimate_queue_time(&exec, &db, c).unwrap(),
+            estimate_queue_time(&exec, c).unwrap(),
             SimDuration::from_secs(300)
         );
         // After 40 s, a has accrued 40: wait = 60 + 200.
         exec.advance_to(SimTime::from_secs(40));
         assert_eq!(
-            estimate_queue_time(&exec, &db, c).unwrap(),
+            estimate_queue_time(&exec, c).unwrap(),
             SimDuration::from_secs(260)
         );
     }
@@ -151,15 +97,13 @@ mod tests {
     fn equal_priority_does_not_count() {
         // The paper counts only *strictly greater* priority.
         let mut exec = site();
-        let db = EstimateDb::new();
         let a = exec.submit(task(1, 100, 0), None).unwrap();
         let b = exec.submit(task(2, 50, 0), None).unwrap();
-        db.record(a, SimDuration::from_secs(100));
-        db.record(b, SimDuration::from_secs(50));
-        assert_eq!(
-            estimate_queue_time(&exec, &db, b).unwrap(),
-            SimDuration::ZERO
-        );
+        exec.set_estimate(a, Some(SimDuration::from_secs(100)))
+            .unwrap();
+        exec.set_estimate(b, Some(SimDuration::from_secs(50)))
+            .unwrap();
+        assert_eq!(estimate_queue_time(&exec, b).unwrap(), SimDuration::ZERO);
     }
 
     #[test]
@@ -167,14 +111,15 @@ mod tests {
         // A task that has run longer than its estimate contributes 0,
         // not a negative number.
         let mut exec = site();
-        let db = EstimateDb::new();
         let a = exec.submit(task(1, 300, 5), None).unwrap();
         let probe = exec.submit(task(2, 50, 0), None).unwrap();
-        db.record(a, SimDuration::from_secs(100)); // underestimate
-        db.record(probe, SimDuration::from_secs(50));
+        exec.set_estimate(a, Some(SimDuration::from_secs(100)))
+            .unwrap(); // underestimate
+        exec.set_estimate(probe, Some(SimDuration::from_secs(50)))
+            .unwrap();
         exec.advance_to(SimTime::from_secs(250)); // a still running
         assert_eq!(
-            estimate_queue_time(&exec, &db, probe).unwrap(),
+            estimate_queue_time(&exec, probe).unwrap(),
             SimDuration::ZERO
         );
     }
@@ -182,11 +127,10 @@ mod tests {
     #[test]
     fn missing_estimates_contribute_nothing() {
         let mut exec = site();
-        let db = EstimateDb::new();
         let _a = exec.submit(task(1, 100, 5), None).unwrap(); // no estimate stored
         let probe = exec.submit(task(2, 50, 0), None).unwrap();
         assert_eq!(
-            estimate_queue_time(&exec, &db, probe).unwrap(),
+            estimate_queue_time(&exec, probe).unwrap(),
             SimDuration::ZERO
         );
     }
@@ -194,20 +138,9 @@ mod tests {
     #[test]
     fn unknown_or_finished_task_is_error() {
         let mut exec = site();
-        let db = EstimateDb::new();
-        assert!(estimate_queue_time(&exec, &db, CondorId::new(9)).is_err());
+        assert!(estimate_queue_time(&exec, CondorId::new(9)).is_err());
         let c = exec.submit(task(1, 10, 0), None).unwrap();
         exec.advance_to(SimTime::from_secs(10));
-        assert!(estimate_queue_time(&exec, &db, c).is_err());
-    }
-
-    #[test]
-    fn estimate_db_roundtrip() {
-        let db = EstimateDb::new();
-        assert!(db.is_empty());
-        db.record(CondorId::new(1), SimDuration::from_secs(5));
-        assert_eq!(db.get(CondorId::new(1)), Some(SimDuration::from_secs(5)));
-        assert_eq!(db.get(CondorId::new(2)), None);
-        assert_eq!(db.len(), 1);
+        assert!(estimate_queue_time(&exec, c).is_err());
     }
 }

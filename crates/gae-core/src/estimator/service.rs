@@ -1,9 +1,9 @@
 //! The deployable Estimator Service: per-site runtime estimators
-//! (decentralised histories), the submission-time estimate database,
-//! the transfer estimator, and the XML-RPC facade.
+//! (decentralised histories), queue-time estimates over each site's
+//! execution service, the transfer estimator, and the XML-RPC facade.
 
 use crate::estimator::history::HistoryStore;
-use crate::estimator::queue_time::{estimate_queue_time, EstimateDb};
+use crate::estimator::queue_time::estimate_queue_time;
 use crate::estimator::runtime::{EstimateNote, RuntimeEstimate, RuntimeEstimator};
 use crate::estimator::transfer::TransferEstimator;
 use crate::grid::Grid;
@@ -23,7 +23,6 @@ const HISTORY_CAPACITY: usize = 10_000;
 pub struct EstimatorService {
     grid: Arc<Grid>,
     runtime: RwLock<BTreeMap<SiteId, Arc<RuntimeEstimator>>>,
-    estimate_db: BTreeMap<SiteId, Arc<EstimateDb>>,
     transfer: TransferEstimator,
     /// Memoised [`Self::estimate_runtime`] results. A runtime estimate
     /// is a pure function of the site's task history and the task's
@@ -48,20 +47,17 @@ impl EstimatorService {
     /// transfer estimator over its network model.
     pub fn new(grid: Arc<Grid>) -> Self {
         let mut runtime = BTreeMap::new();
-        let mut estimate_db = BTreeMap::new();
         for site in grid.site_ids() {
             runtime.insert(
                 site,
                 Arc::new(RuntimeEstimator::new(HistoryStore::new(HISTORY_CAPACITY))),
             );
-            estimate_db.insert(site, Arc::new(EstimateDb::new()));
         }
         let transfer = TransferEstimator::new(grid.network().clone(), 2005);
         transfer.attach_live_links(Arc::new(crate::grid::GridLinkView(grid.clone())));
         EstimatorService {
             grid,
             runtime: RwLock::new(runtime),
-            estimate_db,
             transfer,
             memo: RwLock::new(HashMap::new()),
             memo_hits: AtomicU64::new(0),
@@ -104,12 +100,6 @@ impl EstimatorService {
             .get(&site)
             .cloned()
             .ok_or_else(|| GaeError::NotFound(format!("runtime estimator at {site}")))
-    }
-
-    fn db(&self, site: SiteId) -> GaeResult<&Arc<EstimateDb>> {
-        self.estimate_db
-            .get(&site)
-            .ok_or_else(|| GaeError::NotFound(format!("estimate db at {site}")))
     }
 
     /// Seeds a site's history from an accounting trace.
@@ -182,10 +172,12 @@ impl EstimatorService {
     }
 
     /// Records the runtime "estimated at the time of task submission"
-    /// (§6.2c) in the site's separate database.
+    /// (§6.2c) on the task's record at the site's execution service.
     pub fn record_submission(&self, site: SiteId, condor: CondorId, estimate: SimDuration) {
-        if let Ok(db) = self.db(site) {
-            db.record(condor, estimate);
+        let Ok(exec) = self.grid.exec(site) else {
+            return;
+        };
+        if exec.lock().set_estimate(condor, Some(estimate)).is_ok() {
             // A new live task changes what subsequent estimates should
             // see at this site (conservative; keeps the cache honest
             // even if an estimator starts consulting live state).
@@ -195,33 +187,41 @@ impl EstimatorService {
 
     /// The stored submission-time estimate, if any.
     pub fn submission_estimate(&self, site: SiteId, condor: CondorId) -> Option<SimDuration> {
-        self.db(site).ok().and_then(|db| db.get(condor))
+        let exec = self.grid.exec(site).ok()?;
+        let exec = exec.lock();
+        exec.record(condor).ok()?.estimated
     }
 
-    /// Evicts a finished task's submission-time estimate (§6.2 only
-    /// consults live tasks, so entries for collected/killed tasks are
-    /// a leak). Called from the steering collect path and from exec
-    /// completion replay; a miss is fine — flocked tasks may have
-    /// their estimate recorded under the destination site only.
+    /// Clears a finished task's submission-time estimate (§6.2 only
+    /// consults live tasks, so one kept on a collected/killed task's
+    /// record is dead weight). Called from the steering collect path
+    /// and from exec completion replay; a miss is fine — flocked tasks
+    /// may have their estimate recorded under the destination site
+    /// only.
     pub fn evict_submission(&self, site: SiteId, condor: CondorId) {
-        if let Ok(db) = self.db(site) {
-            if db.evict(condor).is_some() {
-                self.invalidate_site(site);
-            }
+        let Ok(exec) = self.grid.exec(site) else {
+            return;
+        };
+        let evicted = exec.lock().set_estimate(condor, None);
+        if matches!(evicted, Ok(Some(_))) {
+            self.invalidate_site(site);
         }
     }
 
     /// Number of live submission-time estimates across every site
     /// (boundedness diagnostics for tests and monitoring).
     pub fn submission_estimate_count(&self) -> usize {
-        self.estimate_db.values().map(|db| db.len()).sum()
+        self.grid
+            .sites()
+            .map(|(_, exec)| exec.lock().estimate_count())
+            .sum()
     }
 
     /// §6.2: queue time of an already-submitted task, by Condor id.
     pub fn estimate_queue_time(&self, site: SiteId, condor: CondorId) -> GaeResult<SimDuration> {
         let exec = self.grid.exec(site)?;
         let exec = exec.lock();
-        estimate_queue_time(&exec, self.db(site)?, condor)
+        estimate_queue_time(&exec, condor)
     }
 
     /// Queue time a *new* task would face at `site` (used by the
@@ -234,16 +234,9 @@ impl EstimatorService {
     ) -> GaeResult<SimDuration> {
         let exec = self.grid.exec(site)?;
         let exec = exec.lock();
-        let db = self.db(site)?;
-        let mut total = SimDuration::ZERO;
-        for (condor, _task, elapsed) in exec.tasks_above_priority(spec.priority.lowered(1)) {
-            // `lowered(1)`: a new equal-priority task queues behind
-            // existing ones (FIFO), so equals count too.
-            if let Some(estimated) = db.get(condor) {
-                total += estimated.saturating_sub(elapsed);
-            }
-        }
-        Ok(total)
+        // `lowered(1)`: a new equal-priority task queues behind
+        // existing ones (FIFO), so equals count too.
+        Ok(exec.backlog_above(spec.priority.lowered(1)))
     }
 
     /// §6.3: staging time for a task's input set to `site`.

@@ -80,10 +80,10 @@ impl JobInformationCollector {
             if let Some((meta, runtime)) = completion {
                 self.estimators.observe_completion(site, meta, runtime);
             }
-            // The task left the queue: its submission-time estimate is
-            // dead weight in the §6.2 database from here on. Evicting
-            // on the terminal-event replay keeps a long-running stack
-            // bounded to live CondorIds.
+            // The task left the queue: §6.2 never reads its
+            // submission-time estimate again. Clearing it on the
+            // terminal-event replay keeps the estimates a long-running
+            // stack holds bounded to live CondorIds.
             self.estimators.evict_submission(site, event.condor);
         }
     }
@@ -95,7 +95,7 @@ impl JobInformationCollector {
         record: &TaskRecord,
         exec: &gae_exec::ExecutionService,
     ) -> JobMonitoringInfo {
-        let estimated = self.estimators.submission_estimate(site, record.condor);
+        let estimated = record.estimated;
         let remaining = estimated.map(|e| e.saturating_sub(record.total_accrued()));
         JobMonitoringInfo {
             job: record.spec.job,

@@ -34,17 +34,42 @@ impl GridSiteInfo {
     /// history cannot produce an estimate (empty history — the §6.1a
     /// "availability of the runtime estimator" caveat), fall back to
     /// the user's requested CPU hours scaled by the site's speed.
-    fn runtime_estimate(&self, site: SiteId, task: &TaskSpec) -> SimDuration {
-        let base = match self.estimators.estimate_runtime(site, task) {
+    fn runtime_estimate(&self, at: &SiteFacts, task: &TaskSpec) -> SimDuration {
+        let base = match self.estimators.estimate_runtime(at.site, task) {
             Ok(est) => est.runtime,
             Err(_) => SimDuration::from_secs_f64(task.requested_cpu_hours * 3600.0),
         };
         // Express as wall time on this site's CPUs.
-        match self.grid.description(site) {
-            Ok(desc) => base.div_f64(desc.speed_factor),
-            Err(_) => base,
+        match at.speed_factor {
+            Some(speed) => base.div_f64(speed),
+            None => base,
         }
     }
+
+    /// Reads what an estimate needs of a site whatever the task.
+    fn site_facts(&self, site: SiteId) -> SiteFacts {
+        SiteFacts {
+            site,
+            speed_factor: self.grid.description(site).ok().map(|d| d.speed_factor),
+            load: self.grid.monitor().site_load(site).unwrap_or_else(|| {
+                self.grid
+                    .exec(site)
+                    .map(|e| e.lock().current_load())
+                    .unwrap_or(0.0)
+            }),
+        }
+    }
+}
+
+/// The task-independent inputs of a [`SiteEstimate`], read once per
+/// site of a scheduling decision.
+struct SiteFacts {
+    site: SiteId,
+    /// `None` for a site the grid does not describe.
+    speed_factor: Option<f64>,
+    /// MonALISA's load for the site, or the execution service's own
+    /// reading before the first sample is published.
+    load: f64,
 }
 
 impl SiteInfoProvider for GridSiteInfo {
@@ -58,12 +83,14 @@ impl SiteInfoProvider for GridSiteInfo {
 
     fn estimate(&self, site: SiteId, task: &TaskSpec) -> GaeResult<SiteEstimate> {
         let queue_time = self.estimators.estimate_queue_time_for_spec(site, task);
-        self.estimate_given_queue(site, task, queue_time)
+        self.estimate_given_queue(&self.site_facts(site), task, queue_time)
     }
 
     /// The queue wait depends on the task only through its priority:
-    /// one scan of the site's queue per distinct priority in the plan.
+    /// one backlog read per distinct priority in the plan. The site's
+    /// load and speed do not depend on the task at all: one read each.
     fn estimate_all(&self, site: SiteId, tasks: &[&TaskSpec]) -> Vec<GaeResult<SiteEstimate>> {
+        let at = self.site_facts(site);
         let mut scanned: Vec<(Priority, GaeResult<SimDuration>)> = Vec::new();
         tasks
             .iter()
@@ -76,21 +103,23 @@ impl SiteInfoProvider for GridSiteInfo {
                         queue_time
                     }
                 };
-                self.estimate_given_queue(site, task, queue_time)
+                self.estimate_given_queue(&at, task, queue_time)
             })
             .collect()
     }
 }
 
 impl GridSiteInfo {
-    /// Everything of an estimate but the queue scan.
+    /// Everything of an estimate that does depend on the task, but
+    /// the queue read.
     fn estimate_given_queue(
         &self,
-        site: SiteId,
+        at: &SiteFacts,
         task: &TaskSpec,
         queue_time: GaeResult<SimDuration>,
     ) -> GaeResult<SiteEstimate> {
-        let runtime = self.runtime_estimate(site, task);
+        let site = at.site;
+        let runtime = self.runtime_estimate(at, task);
         let queue_time = queue_time?;
         // Files with no replica anywhere are produced by the job
         // itself; they cost nothing to stage.
@@ -101,18 +130,12 @@ impl GridSiteInfo {
             .cloned()
             .collect();
         let transfer_time = self.estimators.estimate_transfer(&stageable, site)?;
-        let load = self.grid.monitor().site_load(site).unwrap_or_else(|| {
-            self.grid
-                .exec(site)
-                .map(|e| e.lock().current_load())
-                .unwrap_or(0.0)
-        });
         let cost = self.quota.quote(site, runtime).unwrap_or(f64::MAX / 4.0);
         Ok(SiteEstimate {
             runtime,
             queue_time,
             transfer_time,
-            load,
+            load: at.load,
             cost,
         })
     }

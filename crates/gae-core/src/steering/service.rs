@@ -446,7 +446,7 @@ impl SteeringService {
     }
 
     /// Submits one task, recording its submission-time runtime
-    /// estimate in the site's estimate database (§6.2c).
+    /// estimate on its record at the site (§6.2c).
     fn submit_task_to(
         &self,
         job_id: JobId,

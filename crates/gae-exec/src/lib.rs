@@ -7,8 +7,10 @@
 //! services consume:
 //!
 //! * **Condor IDs** for queued/running tasks (§6.2 step a);
-//! * a priority queue whose contents (id, priority, elapsed runtime)
-//!   the queue-time estimator reads;
+//! * a priority queue, the submission-time runtime estimate on each
+//!   task's record, and — indexed, so it costs a lookup — the sum the
+//!   queue-time estimator wants of them (§6.2):
+//!   [`ExecutionService::backlog_above`];
 //! * per-task **accumulated wall-clock time** that, like Condor's,
 //!   "does not include the time during which the job is idle and
 //!   waiting for the CPU" (§7) — accrual follows each node's external
@@ -27,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+mod backlog;
 pub mod events;
 pub mod node;
 pub mod queue;

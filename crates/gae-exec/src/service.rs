@@ -13,6 +13,7 @@
 //! in freed slots at the exact completion instants — no ticks, no
 //! accumulation error.
 
+use crate::backlog::BacklogIndex;
 use crate::events::ExecEvent;
 use crate::node::Node;
 use crate::queue::PriorityQueue;
@@ -71,6 +72,10 @@ pub struct ExecutionService {
     queue: PriorityQueue,
     records: HashMap<CondorId, TaskRecord>,
     by_task: HashMap<TaskId, CondorId>,
+    /// Running set and per-priority queued backlog, kept in step with
+    /// `records` by [`Self::transition`], [`Self::set_priority`] and
+    /// [`Self::set_estimate`].
+    backlog: BacklogIndex,
     planned_finish: HashMap<CondorId, SimTime>,
     /// Tasks still staging their input files: Condor id → instant the
     /// transfer completes and the task enters the queue.
@@ -132,6 +137,7 @@ impl ExecutionService {
             queue: PriorityQueue::new(),
             records: HashMap::new(),
             by_task: HashMap::new(),
+            backlog: BacklogIndex::default(),
             planned_finish: HashMap::new(),
             staging_until: HashMap::new(),
             event_heap: BinaryHeap::new(),
@@ -211,20 +217,19 @@ impl ExecutionService {
         }
         let condor = CondorId::new(self.next_condor);
         self.next_condor += 1;
-        let mut record = TaskRecord::new(condor, spec, self.now, carried);
+        let record = TaskRecord::new(condor, spec, self.now, carried);
+        let priority = record.priority;
         self.by_task.insert(record.spec.id, condor);
+        self.records.insert(condor, record);
         if stage_in == SimDuration::ZERO {
-            self.queue.push(condor, record.priority);
-            self.emit(&record, TaskStatus::Queued, "submitted");
-            self.records.insert(condor, record);
+            self.queue.push(condor, priority);
+            self.transition(condor, TaskStatus::Queued, "submitted");
             self.dispatch();
         } else {
-            record.status = TaskStatus::Pending;
             let until = self.now + stage_in;
             self.staging_until.insert(condor, until);
             self.schedule(until, KIND_STAGING, condor);
-            self.emit(&record, TaskStatus::Pending, "staging input files");
-            self.records.insert(condor, record);
+            self.transition(condor, TaskStatus::Pending, "staging input files");
         }
         self.refresh_next();
         Ok(condor)
@@ -233,17 +238,14 @@ impl ExecutionService {
     /// Moves a task whose staging finished into the queue.
     fn finish_staging(&mut self, condor: CondorId) {
         self.staging_until.remove(&condor);
-        let Some(rec) = self.records.get_mut(&condor) else {
+        let Some(rec) = self.records.get(&condor) else {
             return;
         };
         if rec.status != TaskStatus::Pending {
             return; // killed or failed while staging
         }
-        rec.status = TaskStatus::Queued;
-        let priority = rec.priority;
-        self.queue.push(condor, priority);
-        let rec = self.records[&condor].clone();
-        self.emit(&rec, TaskStatus::Queued, "input staging complete");
+        self.queue.push(condor, rec.priority);
+        self.transition(condor, TaskStatus::Queued, "input staging complete");
         self.dispatch();
     }
 
@@ -275,11 +277,9 @@ impl ExecutionService {
             .records
             .get_mut(&condor)
             .ok_or_else(|| GaeError::NotFound(condor.to_string()))?;
-        rec.status = TaskStatus::Failed;
         rec.finished_at = Some(now);
-        let rec = self.records[&condor].clone();
-        self.emit(
-            &rec,
+        self.transition(
+            condor,
             TaskStatus::Failed,
             &format!("input staging failed: {reason}"),
         );
@@ -353,7 +353,6 @@ impl ExecutionService {
             let finish;
             {
                 let rec = self.records.get_mut(&entry.condor).expect("queued record");
-                rec.status = TaskStatus::Running;
                 rec.node = Some(node_id);
                 if rec.started_at.is_none() {
                     rec.started_at = Some(self.now);
@@ -363,8 +362,7 @@ impl ExecutionService {
             }
             self.planned_finish.insert(entry.condor, finish);
             self.schedule(finish, KIND_COMPLETION, entry.condor);
-            let rec = self.records[&entry.condor].clone();
-            self.emit(&rec, TaskStatus::Running, "dispatched");
+            self.transition(entry.condor, TaskStatus::Running, "dispatched");
         }
     }
 
@@ -374,9 +372,10 @@ impl ExecutionService {
     /// restart from zero (Condor vacate semantics).
     fn vacate_for(&mut self, incoming: Priority) -> bool {
         let victim = self
-            .records
-            .values()
-            .filter(|r| r.status == TaskStatus::Running)
+            .backlog
+            .running()
+            .iter()
+            .map(|c| &self.records[c])
             .min_by(|a, b| a.priority.cmp(&b.priority).then(a.condor.cmp(&b.condor)))
             .filter(|r| incoming.beats(r.priority))
             .map(|r| r.condor);
@@ -391,12 +390,14 @@ impl ExecutionService {
         }
         rec.accrued = SimDuration::ZERO;
         rec.accrued_as_of = self.now;
-        rec.status = TaskStatus::Queued;
         let priority = rec.priority;
         self.nodes[(node.raw() - 1) as usize].release();
         self.queue.push(condor, priority);
-        let rec = self.records[&condor].clone();
-        self.emit(&rec, TaskStatus::Queued, "vacated by higher-priority task");
+        self.transition(
+            condor,
+            TaskStatus::Queued,
+            "vacated by higher-priority task",
+        );
         true
     }
 
@@ -483,14 +484,13 @@ impl ExecutionService {
 
     /// Brings every running task's accrual up to `t`.
     fn accrue_all_to(&mut self, t: SimTime) {
-        for rec in self.records.values_mut() {
-            if rec.status == TaskStatus::Running {
-                let node = rec.node.expect("running task has a node");
-                let node = &self.nodes[(node.raw() - 1) as usize];
-                rec.accrued += node.accrued_between(rec.accrued_as_of, t);
-                rec.accrued_as_of = t;
-                rec.update_io();
-            }
+        for condor in self.backlog.running() {
+            let rec = self.records.get_mut(condor).expect("running record");
+            let node = rec.node.expect("running task has a node");
+            let node = &self.nodes[(node.raw() - 1) as usize];
+            rec.accrued += node.accrued_between(rec.accrued_as_of, t);
+            rec.accrued_as_of = t;
+            rec.update_io();
         }
     }
 
@@ -500,7 +500,6 @@ impl ExecutionService {
         // The planned finish is analytic; snap accrual to the demand
         // to avoid 1-microsecond float residue.
         rec.accrued = rec.demand;
-        rec.status = TaskStatus::Completed;
         rec.finished_at = Some(self.now);
         rec.update_io();
         let owner = rec.spec.owner;
@@ -508,14 +507,16 @@ impl ExecutionService {
         let node = rec.node.expect("running task has a node");
         *self.usage.entry(owner).or_insert(0.0) += used;
         self.nodes[(node.raw() - 1) as usize].release();
-        let rec = self.records[&condor].clone();
-        self.emit(&rec, TaskStatus::Completed, "finished");
+        self.transition(condor, TaskStatus::Completed, "finished");
     }
 
     // ---- steering commands (kill / pause / resume / priority) ----
 
-    fn live_record_mut(&mut self, condor: CondorId) -> GaeResult<&mut TaskRecord> {
-        match self.records.get_mut(&condor) {
+    fn live_record_mut(
+        records: &mut HashMap<CondorId, TaskRecord>,
+        condor: CondorId,
+    ) -> GaeResult<&mut TaskRecord> {
+        match records.get_mut(&condor) {
             Some(r) if r.status.is_live() => Ok(r),
             Some(r) => Err(GaeError::InvalidTransition {
                 entity: condor.to_string(),
@@ -529,14 +530,12 @@ impl ExecutionService {
     /// Suspends a running or queued task (keeps its slot if running,
     /// like a SIGSTOPped Condor job).
     pub fn suspend(&mut self, condor: CondorId) -> GaeResult<()> {
-        let rec = self.live_record_mut(condor)?;
+        let rec = Self::live_record_mut(&mut self.records, condor)?;
         match rec.status {
             TaskStatus::Running => {
-                rec.status = TaskStatus::Suspended;
                 self.planned_finish.remove(&condor);
             }
             TaskStatus::Queued => {
-                rec.status = TaskStatus::Suspended;
                 rec.node = None;
                 self.queue.remove(condor);
             }
@@ -548,8 +547,7 @@ impl ExecutionService {
                 })
             }
         }
-        let rec = self.records[&condor].clone();
-        self.emit(&rec, TaskStatus::Suspended, "suspended");
+        self.transition(condor, TaskStatus::Suspended, "suspended");
         self.refresh_next();
         Ok(())
     }
@@ -558,7 +556,7 @@ impl ExecutionService {
     /// queue-suspended tasks re-enter the queue.
     pub fn resume(&mut self, condor: CondorId) -> GaeResult<()> {
         let now = self.now;
-        let rec = self.live_record_mut(condor)?;
+        let rec = Self::live_record_mut(&mut self.records, condor)?;
         if rec.status != TaskStatus::Suspended {
             return Err(GaeError::InvalidTransition {
                 entity: condor.to_string(),
@@ -568,21 +566,17 @@ impl ExecutionService {
         }
         match rec.node {
             Some(node_id) => {
-                rec.status = TaskStatus::Running;
                 rec.accrued_as_of = now;
                 let remaining = rec.remaining();
                 let finish = self.nodes[(node_id.raw() - 1) as usize].finish_time(now, remaining);
                 self.planned_finish.insert(condor, finish);
                 self.schedule(finish, KIND_COMPLETION, condor);
-                let rec = self.records[&condor].clone();
-                self.emit(&rec, TaskStatus::Running, "resumed");
+                self.transition(condor, TaskStatus::Running, "resumed");
             }
             None => {
-                rec.status = TaskStatus::Queued;
                 let prio = rec.priority;
                 self.queue.push(condor, prio);
-                let rec = self.records[&condor].clone();
-                self.emit(&rec, TaskStatus::Queued, "re-queued after resume");
+                self.transition(condor, TaskStatus::Queued, "re-queued after resume");
                 self.dispatch();
             }
         }
@@ -593,9 +587,8 @@ impl ExecutionService {
     /// Kills a task (any live state).
     pub fn kill(&mut self, condor: CondorId) -> GaeResult<()> {
         let now = self.now;
-        let rec = self.live_record_mut(condor)?;
+        let rec = Self::live_record_mut(&mut self.records, condor)?;
         let was = rec.status;
-        rec.status = TaskStatus::Killed;
         rec.finished_at = Some(now);
         let node = rec.node;
         match was {
@@ -613,8 +606,7 @@ impl ExecutionService {
             }
             _ => {}
         }
-        let rec = self.records[&condor].clone();
-        self.emit(&rec, TaskStatus::Killed, "killed by steering command");
+        self.transition(condor, TaskStatus::Killed, "killed by steering command");
         self.dispatch();
         self.refresh_next();
         Ok(())
@@ -622,8 +614,8 @@ impl ExecutionService {
 
     /// Changes a task's priority; queued tasks are re-ordered.
     pub fn set_priority(&mut self, condor: CondorId, priority: Priority) -> GaeResult<()> {
-        let rec = self.live_record_mut(condor)?;
-        rec.priority = priority;
+        let rec = Self::live_record_mut(&mut self.records, condor)?;
+        self.backlog.update(rec, |rec| rec.priority = priority);
         if rec.status == TaskStatus::Queued {
             self.queue.reprioritize(condor, priority);
         }
@@ -637,9 +629,8 @@ impl ExecutionService {
         condor: CondorId,
     ) -> GaeResult<(TaskSpec, Option<Checkpoint>)> {
         let now = self.now;
-        let rec = self.live_record_mut(condor)?;
+        let rec = Self::live_record_mut(&mut self.records, condor)?;
         let was = rec.status;
-        rec.status = TaskStatus::Migrating;
         rec.finished_at = Some(now);
         let node = rec.node;
         let spec = rec.spec.clone();
@@ -669,8 +660,7 @@ impl ExecutionService {
             }
             _ => {}
         }
-        let rec = self.records[&condor].clone();
-        self.emit(&rec, TaskStatus::Migrating, "removed for migration");
+        self.transition(condor, TaskStatus::Migrating, "removed for migration");
         self.dispatch();
         self.refresh_next();
         Ok((spec, checkpoint))
@@ -700,10 +690,8 @@ impl ExecutionService {
             self.planned_finish.remove(&condor);
             let now = self.now;
             let rec = self.records.get_mut(&condor).expect("victim record");
-            rec.status = TaskStatus::Failed;
             rec.finished_at = Some(now);
-            let rec = self.records[&condor].clone();
-            self.emit(&rec, TaskStatus::Failed, &format!("{node_id} failed"));
+            self.transition(condor, TaskStatus::Failed, &format!("{node_id} failed"));
         }
         self.nodes[idx].fail();
         self.dispatch();
@@ -745,10 +733,8 @@ impl ExecutionService {
             self.queue.remove(condor);
             let now = self.now;
             let rec = self.records.get_mut(&condor).expect("victim record");
-            rec.status = TaskStatus::Failed;
             rec.finished_at = Some(now);
-            let rec = self.records[&condor].clone();
-            self.emit(&rec, TaskStatus::Failed, "execution service failed");
+            self.transition(condor, TaskStatus::Failed, "execution service failed");
         }
         for node in &mut self.nodes {
             node.fail();
@@ -804,16 +790,64 @@ impl ExecutionService {
 
     /// Number of running tasks.
     pub fn running_count(&self) -> usize {
+        self.backlog.running().len()
+    }
+
+    /// §6.2's queue time for priority `p`: the summed remaining
+    /// estimated runtimes of the running and queued tasks whose
+    /// priority is strictly above `p`. Tasks without a submission-time
+    /// estimate contribute nothing, and one that has outrun its
+    /// estimate contributes zero. O(priorities + slots): the queued
+    /// part is a range over the backlog index, the running part one
+    /// pass over at most a slot's worth of records.
+    pub fn backlog_above(&self, p: Priority) -> SimDuration {
+        let running: SimDuration = self
+            .backlog
+            .running()
+            .iter()
+            .map(|c| &self.records[c])
+            .filter(|r| r.priority.beats(p))
+            .filter_map(TaskRecord::estimated_remaining)
+            .sum();
+        self.backlog.queued_above(p) + running
+    }
+
+    /// Records (or with `None` clears) the runtime estimated for a
+    /// task at submission, returning the estimate it replaces.
+    pub fn set_estimate(
+        &mut self,
+        condor: CondorId,
+        estimate: Option<SimDuration>,
+    ) -> GaeResult<Option<SimDuration>> {
+        let rec = self
+            .records
+            .get_mut(&condor)
+            .ok_or_else(|| GaeError::NotFound(condor.to_string()))?;
+        Ok(self
+            .backlog
+            .update(rec, |rec| std::mem::replace(&mut rec.estimated, estimate)))
+    }
+
+    /// Number of records carrying a submission-time estimate (a
+    /// boundedness diagnostic: it walks the records).
+    pub fn estimate_count(&self) -> usize {
         self.records
             .values()
-            .filter(|r| r.status == TaskStatus::Running)
+            .filter(|r| r.estimated.is_some())
             .count()
     }
 
-    /// Condor ids and accrued runtimes of all live (running or
-    /// queued) tasks with priority strictly above `p` — the input to
-    /// the queue-time estimator (§6.2 steps a–b).
-    pub fn tasks_above_priority(&self, p: Priority) -> Vec<(CondorId, TaskId, SimDuration)> {
+    /// The backlog index itself, for the differential suite.
+    #[cfg(test)]
+    pub(crate) fn backlog_index(&self) -> &BacklogIndex {
+        &self.backlog
+    }
+
+    /// The record walk [`Self::backlog_above`] replaced, kept as its
+    /// differential oracle: Condor ids and accrued runtimes of all
+    /// running or queued tasks with priority strictly above `p`.
+    #[cfg(test)]
+    pub(crate) fn tasks_above_priority(&self, p: Priority) -> Vec<(CondorId, TaskId, SimDuration)> {
         let mut out: Vec<(CondorId, TaskId, SimDuration)> = self
             .records
             .values()
@@ -867,13 +901,18 @@ impl ExecutionService {
         std::mem::take(&mut self.events)
     }
 
-    fn emit(&mut self, rec: &TaskRecord, status: TaskStatus, detail: &str) {
+    /// Moves a task to `status` and emits the matching event. Every
+    /// status change goes through here — that is what keeps the
+    /// backlog index equal to a scan of the records.
+    fn transition(&mut self, condor: CondorId, status: TaskStatus, detail: &str) {
+        let rec = self.records.get_mut(&condor).expect("transitioning record");
+        self.backlog.update(rec, |rec| rec.status = status);
         let seq = self.next_event_seq;
         self.next_event_seq += 1;
         self.events.push(ExecEvent {
             seq,
             at: self.now,
-            condor: rec.condor,
+            condor,
             task: rec.spec.id,
             status,
             node: rec.node,

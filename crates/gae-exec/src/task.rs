@@ -46,6 +46,11 @@ pub struct TaskRecord {
     pub input_io: u64,
     /// Bytes of output written so far (grows with progress).
     pub output_io: u64,
+    /// The runtime "estimated at the time of task submission" (§6.2
+    /// step c), if the submitter recorded one. Set and cleared through
+    /// [`ExecutionService::set_estimate`](crate::ExecutionService::set_estimate)
+    /// so the site's backlog index follows.
+    pub estimated: Option<SimDuration>,
 }
 
 impl TaskRecord {
@@ -78,6 +83,7 @@ impl TaskRecord {
             priority,
             input_io: 0,
             output_io: 0,
+            estimated: None,
         }
     }
 
@@ -89,6 +95,14 @@ impl TaskRecord {
     /// Work still missing as of the record's last update.
     pub fn remaining(&self) -> SimDuration {
         self.demand.saturating_sub(self.accrued)
+    }
+
+    /// §6.2's "remaining estimated run time": the submission-time
+    /// estimate less the runtime accrued at this site, clamped at zero
+    /// for a task that has outrun its estimate. `None` without an
+    /// estimate — such a task adds nothing to a queue-time sum.
+    pub fn estimated_remaining(&self) -> Option<SimDuration> {
+        self.estimated.map(|e| e.saturating_sub(self.accrued))
     }
 
     /// Total work the task needs across all incarnations.

@@ -1,5 +1,5 @@
 //! Edge cases of the §6 estimators: partitioned links, orphaned
-//! replicas, EstimateDb lifetime, and probe-cache concurrency.
+//! replicas, submission-estimate lifetime, and probe-cache concurrency.
 
 use gae::core::estimator::TransferEstimator;
 use gae::prelude::*;
@@ -97,7 +97,7 @@ fn all_replicas_unreachable_names_the_file() {
     }
 }
 
-// ---- EstimateDb lifetime across a full job run ----
+// ---- submission-estimate lifetime across a full job run ----
 
 #[test]
 fn estimate_db_is_emptied_once_tasks_settle() {
@@ -126,13 +126,56 @@ fn estimate_db_is_emptied_once_tasks_settle() {
         );
     }
     // Every task settled, so every submission-time estimate must have
-    // been evicted — the §6.2 database only consults live tasks, and
-    // before the eviction fix this grew without bound.
+    // been evicted — §6.2 only consults live tasks, and before the
+    // eviction fix these grew without bound.
     assert_eq!(
         stack.estimators.submission_estimate_count(),
         0,
-        "EstimateDb retained entries for settled tasks"
+        "estimates retained for settled tasks"
     );
+}
+
+// ---- a task and its estimate are one record under one lock ----
+
+/// While the estimate lived in a database of its own, a reader holding
+/// the execution service's lock could see a task's estimate in the one
+/// and not the other. Now the record *is* the store: whatever a writer
+/// is doing, the queue-time sum read under the lock is the one the
+/// records read under the same lock add up to.
+#[test]
+fn a_reader_under_the_exec_lock_sees_task_and_estimate_agree() {
+    let grid = GridBuilder::new()
+        .site(SiteDescription::new(sid(1), "a", 1, 1))
+        .build();
+    let stack = ServiceStack::over(grid.clone());
+    let exec = grid.exec(sid(1)).unwrap();
+    let submit = |id: u64, priority: i32| {
+        let spec = TaskSpec::new(TaskId::new(id), format!("t{id}"), "x")
+            .with_cpu_demand(SimDuration::from_secs(1_000))
+            .with_priority(Priority::new(priority));
+        exec.lock().submit(spec, None).unwrap()
+    };
+    let _running = submit(1, 0);
+    let queued = submit(2, 5);
+    let estimate = SimDuration::from_secs(700);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for _ in 0..5_000 {
+                stack.estimators.record_submission(sid(1), queued, estimate);
+                stack.estimators.evict_submission(sid(1), queued);
+            }
+        });
+        for _ in 0..5_000 {
+            let guard = exec.lock();
+            let on_record = guard.record(queued).unwrap().estimated;
+            assert_eq!(
+                guard.backlog_above(Priority::NORMAL),
+                on_record.unwrap_or(SimDuration::ZERO)
+            );
+        }
+    });
+    assert_eq!(stack.estimators.submission_estimate(sid(1), queued), None);
+    assert_eq!(stack.estimators.submission_estimate_count(), 0);
 }
 
 // ---- probe-cache concurrency ----

@@ -7,21 +7,26 @@
 //! slab slot, not a thread. One reactor thread owns the listener, a
 //! [`Poller`] and all connection state; XML-RPC work crosses into the
 //! door's worker pool and completions come back through a
-//! mutex-guarded vector plus a [`Waker`] kick.
+//! mutex-guarded vector plus a [`Waker`] kick — except calls marked
+//! [`gae_rpc::Service::inline`], which the door runs to completion on
+//! this thread: their reply is queued and flushed in the loop
+//! iteration that framed them, with no thread hop at all.
 //!
 //! Per-connection lifecycle:
 //!
 //! ```text
 //!  Reading ──complete frame──▶ Dispatched ──completion──▶ Writing
-//!     ▲   (FrameParser, 408    (one in-flight request;    (queue drain,
-//!     │    deadline, 413 caps)  pipelined bytes buffered)  EPOLLOUT on
-//!     └────────── keep-alive ◀── queue empty ──────────── partial write)
+//!     ▲ │ (FrameParser, 408    (one in-flight request;    (queue drain,
+//!     │ │  deadline, 413 caps)  pipelined bytes buffered)  EPOLLOUT on
+//!     │ └──inline (marked method, body ≤ INLINE_BODY_CAP, ──▲ partial
+//!     │            budget left this iteration)                write)
+//!     └────────── keep-alive ◀── queue empty ─────────────────┘
 //! ```
 
 use crate::poller::{Event, Interest, Poller};
 use crate::wake::Waker;
 use gae_gate::Gate;
-use gae_rpc::door::{Deliver, DoorBackend};
+use gae_rpc::door::{Deliver, DoorBackend, Submitted};
 use gae_rpc::host::ServiceHost;
 use gae_rpc::http::{FrameLimits, FrameParser, HttpRequest, HttpResponse};
 use gae_types::{GaeError, GaeResult};
@@ -41,6 +46,25 @@ const LISTENER: u64 = 0;
 const WAKER: u64 = 1;
 /// Connection slab slot `i` registers under token `i + CONN_BASE`.
 const CONN_BASE: u64 = 2;
+
+/// Inline calls one loop iteration may run; the overflow takes the
+/// pooled path, where the gate's bounded queue, deadline and shed
+/// logic apply. A constant, not a knob: at ~15 µs a call it caps an
+/// iteration's inline work near 1 ms — what one `accept` burst already
+/// costs — so a read flood cannot starve `accept`, completions or the
+/// 408 sweep, while two closed-loop clients never come near it.
+pub const INLINE_BUDGET: u32 = 64;
+
+/// The accept queue the listener asks the kernel for (which clamps it
+/// to `net.core.somaxconn`). std binds with 128, which a connect ramp
+/// of a thousand clients overruns: the overflow's SYNs are dropped and
+/// retried a second later, and that luck — not the server — then sets
+/// the sweep's latencies.
+const LISTEN_BACKLOG: i32 = 4096;
+
+/// How late a 408 sweep or a shutdown check may run; also the period
+/// of the sweep itself. Readiness events arrive immediately.
+const TICK: Duration = Duration::from_millis(100);
 
 /// Reactor knobs.
 #[derive(Clone, Copy, Debug)]
@@ -102,7 +126,8 @@ enum ConnPhase {
 /// Per-connection state machine.
 struct Conn {
     stream: TcpStream,
-    peer: SocketAddr,
+    /// The peer address as services see it, rendered once at accept.
+    peer: String,
     parser: FrameParser,
     /// Bytes read but not yet fed to the parser (pipelined requests
     /// behind an in-flight one).
@@ -135,6 +160,7 @@ pub struct ReactorRpcServer {
     mailbox: Arc<Mailbox>,
     thread: Option<JoinHandle<()>>,
     requests_served: Arc<AtomicU64>,
+    inline_served: Arc<AtomicU64>,
     open_connections: Arc<AtomicU64>,
 }
 
@@ -182,10 +208,12 @@ impl ReactorRpcServer {
         gate: Option<Arc<Gate>>,
         config: ReactorConfig,
     ) -> GaeResult<ReactorRpcServer> {
+        let io = |what: &'static str| move |e: std::io::Error| GaeError::Io(format!("{what}: {e}"));
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let io = |what: &'static str| move |e: std::io::Error| GaeError::Io(format!("{what}: {e}"));
+        crate::sys::set_listen_backlog(listener.as_raw_fd(), LISTEN_BACKLOG)
+            .map_err(io("listen backlog"))?;
         let mailbox = Arc::new(Mailbox {
             completions: Mutex::new(Vec::new()),
             waker: Waker::new().map_err(io("waker"))?,
@@ -199,11 +227,13 @@ impl ReactorRpcServer {
             .map_err(io("register waker"))?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let requests_served = Arc::new(AtomicU64::new(0));
+        let inline_served = Arc::new(AtomicU64::new(0));
         let open_connections = Arc::new(AtomicU64::new(0));
         let thread = {
             let mailbox = mailbox.clone();
             let shutdown = shutdown.clone();
             let served = requests_served.clone();
+            let inline_served = inline_served.clone();
             let open = open_connections.clone();
             std::thread::Builder::new()
                 .name("gae-aio-reactor".to_string())
@@ -218,8 +248,11 @@ impl ReactorRpcServer {
                         slots: Vec::new(),
                         free: Vec::new(),
                         gen_watermarks: Vec::new(),
+                        read_buf: vec![0u8; 16 * 1024],
+                        inline_left: INLINE_BUDGET,
                         shutdown,
                         served,
+                        inline_served,
                         open,
                     };
                     r.run();
@@ -232,6 +265,7 @@ impl ReactorRpcServer {
             mailbox,
             thread: Some(thread),
             requests_served,
+            inline_served,
             open_connections,
         })
     }
@@ -249,6 +283,12 @@ impl ReactorRpcServer {
     /// Total requests served (diagnostics/benchmarks).
     pub fn requests_served(&self) -> u64 {
         self.requests_served.load(Ordering::Relaxed)
+    }
+
+    /// Of [`Self::requests_served`], the calls that ran to completion
+    /// on the reactor thread (diagnostics/tests).
+    pub fn inline_served(&self) -> u64 {
+        self.inline_served.load(Ordering::Relaxed)
     }
 
     /// Currently-open connections.
@@ -295,22 +335,27 @@ struct Reactor {
     free: Vec<usize>,
     /// Per-slot generation floor for the next tenant (see `close`).
     gen_watermarks: Vec<u64>,
+    /// Where every socket read lands before it is copied to its
+    /// connection's `inbuf`.
+    read_buf: Vec<u8>,
+    /// Inline calls this loop iteration may still run.
+    inline_left: u32,
     shutdown: Arc<AtomicBool>,
     served: Arc<AtomicU64>,
+    inline_served: Arc<AtomicU64>,
     open: Arc<AtomicU64>,
 }
 
 impl Reactor {
     fn run(&mut self) {
         let mut events: Vec<Event> = Vec::new();
-        // The tick bounds how late a 408 sweep or shutdown check can
-        // run; readiness events themselves arrive immediately.
-        let tick = Duration::from_millis(100);
+        let mut next_sweep = Instant::now() + TICK;
         while !self.shutdown.load(Ordering::Acquire) {
             events.clear();
-            if self.poller.wait(&mut events, Some(tick)).is_err() {
+            if self.poller.wait(&mut events, Some(TICK)).is_err() {
                 break;
             }
+            self.inline_left = INLINE_BUDGET;
             for &ev in &events {
                 match ev.token {
                     LISTENER => self.accept_ready(),
@@ -319,7 +364,13 @@ impl Reactor {
                 }
             }
             self.drain_completions();
-            self.sweep_deadlines();
+            // The 408 contract needs tick granularity, not a walk of
+            // every slot per wake-up.
+            let now = Instant::now();
+            if now >= next_sweep {
+                next_sweep = now + TICK;
+                self.sweep_deadlines();
+            }
         }
     }
 
@@ -356,7 +407,7 @@ impl Reactor {
         let fd = stream.as_raw_fd();
         let conn = Conn {
             stream,
-            peer,
+            peer: peer.to_string(),
             parser: FrameParser::new(self.config.limits),
             inbuf: Vec::new(),
             outq: VecDeque::new(),
@@ -405,14 +456,17 @@ impl Reactor {
     /// Reads everything the socket has. `Err` means the connection is
     /// gone (EOF or error).
     fn fill_inbuf(&mut self, slot: usize) -> Result<(), ()> {
+        // Bounded buffering even while a request is in flight: a
+        // pipelining flood cannot exceed one max-size frame of backlog.
+        let cap = self.config.limits.max_header_bytes + self.config.limits.max_body_bytes + 4096;
         // A slot can close mid-event (a reject whose goodbye fit the
         // socket buffer): every per-slot step treats that as done.
         let Some(Some(conn)) = self.slots.get_mut(slot) else {
             return Ok(());
         };
-        let mut buf = [0u8; 16 * 1024];
+        let buf = &mut self.read_buf[..];
         loop {
-            match conn.stream.read(&mut buf) {
+            match conn.stream.read(buf) {
                 // EOF: a client that hangs up mid-request (or with a
                 // request in flight) just goes away — the completion,
                 // if any, is discarded by the generation check.
@@ -425,20 +479,8 @@ impl Reactor {
                         conn.msg_started = Some(Instant::now());
                     }
                     conn.inbuf.extend_from_slice(&buf[..n]);
-                    // Bounded buffering even while a request is in
-                    // flight: a pipelining flood cannot exceed one
-                    // max-size frame of backlog.
-                    let cap = self.config.limits.max_header_bytes
-                        + self.config.limits.max_body_bytes
-                        + 4096;
                     if conn.inbuf.len() > cap {
-                        self.reject(
-                            slot,
-                            413,
-                            "Payload Too Large",
-                            "pipelined backlog exceeds frame limits",
-                        );
-                        return Ok(());
+                        break;
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
@@ -446,6 +488,13 @@ impl Reactor {
                 Err(_) => return Err(()),
             }
         }
+        self.reject(
+            slot,
+            413,
+            "Payload Too Large",
+            "pipelined backlog exceeds frame limits",
+        );
+        Ok(())
     }
 
     /// Feeds buffered bytes through the parser and dispatches any
@@ -509,23 +558,39 @@ impl Reactor {
         let Some(Some(conn)) = self.slots.get_mut(slot) else {
             return Ok(());
         };
-        conn.phase = ConnPhase::Dispatched;
-        conn.close_after_reply = !keep_alive;
         let generation = conn.generation;
-        let peer = conn.peer.to_string();
         let mailbox = self.mailbox.clone();
         let deliver: Deliver = Box::new(move |body| {
             mailbox.deliver(slot, generation, body);
         });
-        if self
+        let may_inline = self.inline_left > 0;
+        match self
             .door
-            .submit(&self.host, request, &peer, deliver)
-            .is_err()
+            .submit(&self.host, request, &conn.peer, may_inline, deliver)
         {
-            // Shutting down: typed 503 and close.
-            self.reject(slot, 503, "Service Unavailable", "shutting down");
+            // Ran to completion right here: the connection never left
+            // `Reading`, nothing crosses the mailbox.
+            Ok(Submitted::Inline(body)) => {
+                self.inline_left -= 1;
+                self.served.fetch_add(1, Ordering::Relaxed);
+                self.inline_served.fetch_add(1, Ordering::Relaxed);
+                self.enqueue(slot, HttpResponse::ok_xml(body).to_bytes(), !keep_alive);
+                self.flush(slot)
+            }
+            // The completion (even one delivered synchronously, a gate
+            // refusal) is drained by this thread later in the loop, so
+            // marking the phase after the hand-off cannot miss it.
+            Ok(Submitted::Pooled) => {
+                conn.phase = ConnPhase::Dispatched;
+                conn.close_after_reply = !keep_alive;
+                Ok(())
+            }
+            Err(_) => {
+                // Shutting down: typed 503 and close.
+                self.reject(slot, 503, "Service Unavailable", "shutting down");
+                Ok(())
+            }
         }
-        Ok(())
     }
 
     // ---- completions ----
@@ -636,20 +701,16 @@ impl Reactor {
     /// deadline. Idle connections (`msg_started == None`) never trip.
     fn sweep_deadlines(&mut self) {
         let deadline = self.config.request_deadline;
-        let expired: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                let conn = s.as_ref()?;
-                let started = conn.msg_started?;
-                (conn.phase == ConnPhase::Reading && !conn.dying && started.elapsed() > deadline)
-                    .then_some(i)
-            })
-            .collect();
-        for slot in expired {
-            let why = format!("request not complete within {} ms", deadline.as_millis());
-            self.reject(slot, 408, "Request Timeout", &why);
+        for slot in 0..self.slots.len() {
+            let expired = self.slots[slot].as_ref().is_some_and(|conn| {
+                conn.phase == ConnPhase::Reading
+                    && !conn.dying
+                    && conn.msg_started.is_some_and(|t| t.elapsed() > deadline)
+            });
+            if expired {
+                let why = format!("request not complete within {} ms", deadline.as_millis());
+                self.reject(slot, 408, "Request Timeout", &why);
+            }
         }
     }
 

@@ -102,6 +102,7 @@ extern "C" {
     pub fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     pub fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     pub fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const u8, optlen: u32) -> i32;
+    pub fn listen(fd: i32, backlog: i32) -> i32;
 }
 
 /// `-1` → the thread's errno as `io::Error`.
@@ -137,6 +138,17 @@ pub fn set_send_buffer(fd: i32, bytes: usize) -> std::io::Result<()> {
             (&val as *const i32).cast(),
             std::mem::size_of::<i32>() as u32,
         ))?;
+    }
+    Ok(())
+}
+
+/// Re-issues `listen(2)` on an already-listening socket to set its
+/// accept-queue length (`std` offers no way to choose it at bind time;
+/// the kernel clamps the value to its own maximum).
+pub fn set_listen_backlog(fd: i32, backlog: i32) -> std::io::Result<()> {
+    // SAFETY: plain listen on an owned, bound socket fd.
+    unsafe {
+        cvt(listen(fd, backlog))?;
     }
     Ok(())
 }

@@ -358,4 +358,13 @@ impl Service for EstimatorRpc {
             },
         ]
     }
+
+    /// `queue_time` is one site lock and a read of the backlog index,
+    /// O(priorities + slots). `estimate_runtime` is a hash probe once
+    /// warm, but the first query of a column set builds its runtime
+    /// view in one pass over every history row under the store's write
+    /// lock — unbounded in the history, so it keeps to the pool.
+    fn inline(&self, method: &str) -> bool {
+        method == "queue_time"
+    }
 }

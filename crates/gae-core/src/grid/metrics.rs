@@ -211,7 +211,10 @@ impl MetricSource for gae_xfer::XferMetrics {
 
 /// Entity `obs`: count + p50/p95/p99 per RPC method, gate disposition,
 /// link, replication op and history method (`<family><name>_<stat>`),
-/// each family name-sorted so the batch order is deterministic.
+/// each family name-sorted so the batch order is deterministic; then
+/// `trace_evictions`, once the trace ring has dropped anything (the
+/// `repl` precedent: a stack that never fills the ring publishes the
+/// series it always did).
 impl MetricSource for gae_obs::ObsHub {
     fn report(&self, batch: &mut MetricBatch) {
         let entity: Arc<str> = Arc::from("obs");
@@ -234,6 +237,10 @@ impl MetricSource for gae_obs::ObsHub {
                     .map(|(stat, v)| (format!("{family}{name}_{stat}"), v as f64)),
                 );
             }
+        }
+        let evicted = self.traces().evicted();
+        if evicted > 0 {
+            batch.gauges(entity, [("trace_evictions", evicted as f64)]);
         }
     }
 }

@@ -236,6 +236,14 @@ impl Service for JobMonitoringRpc {
             },
         ]
     }
+
+    /// The single-task reads: one short lock per site to locate the
+    /// task, one record read. `job_tasks`, `list_active` and
+    /// `job_aggregate_status` walk every record of every site
+    /// (`live_job_tasks`), so they stay on the pool.
+    fn inline(&self, method: &str) -> bool {
+        matches!(method, "job_status" | "job_info" | "remaining_time")
+    }
 }
 
 fn params_id(params: &[Value], i: usize) -> GaeResult<u64> {

@@ -58,9 +58,7 @@ impl ObsHub {
     /// The deterministic trace of a task submission, rooted on first
     /// use (both driver modes derive the same id from the CondorId).
     pub fn condor_trace(&self, condor_raw: u64, name: &str, at: SimTime) -> TraceContext {
-        let ctx = self.traces.root(TraceId::for_condor(condor_raw), name, at);
-        self.traces.bind_condor(condor_raw, ctx.trace);
-        ctx
+        self.traces.root_condor(condor_raw, name, at)
     }
 
     /// The deterministic trace of a managed transfer, rooted on first
@@ -246,6 +244,24 @@ mod tests {
         let b = hub.mint_trace("rpc");
         assert_eq!(a.trace.raw(), 1);
         assert_eq!(b.trace.raw(), 2);
+    }
+
+    #[test]
+    fn minted_traces_live_in_the_ring_and_job_traces_do_not() {
+        use crate::trace::RING_CAPACITY;
+        let (hub, _) = hub();
+        let job = hub.condor_trace(7, "task", hub.now());
+        let rendered = hub.render_condor(7).expect("rooted");
+        const MINTED: u64 = 50_000;
+        for _ in 0..MINTED {
+            hub.mint_trace("jobmon.job_info");
+        }
+        assert_eq!(hub.traces().len(), RING_CAPACITY + 1);
+        assert_eq!(hub.traces().evicted(), MINTED - RING_CAPACITY as u64);
+        assert!(hub.traces().spans(TraceId::new(1)).is_none(), "evicted");
+        assert!(hub.traces().spans(TraceId::new(MINTED)).is_some());
+        assert_eq!(hub.render_condor(7).as_deref(), Some(&rendered[..]));
+        assert_eq!(hub.traces().trace_for_condor(7), Some(job.trace));
     }
 
     #[test]

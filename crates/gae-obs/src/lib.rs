@@ -21,4 +21,4 @@ pub mod trace;
 pub use hist::{Histogram, HistogramSet, HistogramSnapshot};
 pub use hub::ObsHub;
 pub use timeline::{Timeline, TimelineEvent, TimelineStore};
-pub use trace::{SpanId, SpanRecord, TraceContext, TraceId, TraceStore};
+pub use trace::{SpanId, SpanRecord, TraceContext, TraceId, TraceStore, RING_CAPACITY};

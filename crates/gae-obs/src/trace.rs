@@ -7,11 +7,24 @@
 //! door-minted traces count up from 1, job traces derive from the
 //! CondorId — so the same workload yields byte-identical trees in
 //! both driver modes.
+//!
+//! Only job traces (rooted through [`TraceStore::root_condor`]) are
+//! kept for the life of the store. Every other trace — door-minted,
+//! joined through a client-chosen `X-GAE-Trace` id, `hist` / `repl` /
+//! `xfer` — lives in a ring of the newest [`RING_CAPACITY`]: a server
+//! answering requests for ever holds a bounded window of them.
 
 use gae_types::SimTime;
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+
+/// Traces the ring holds before the oldest is evicted. A constant, not
+/// a knob: a request trace is ~350 B (root + `rpc.*` span and their
+/// names), so 4,096 of them are ~1.5 MB, and at the door's measured
+/// ~10,000 requests/s that is still the last ~400 ms of traffic — the
+/// window a slow-request log reads.
+pub const RING_CAPACITY: usize = 4096;
 
 /// Identifies one causal tree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -147,35 +160,95 @@ pub struct SpanRecord {
     pub end: SimTime,
 }
 
-/// The span repository: every recorded trace, plus the CondorId →
+/// The traces themselves, both families behind one lock.
+#[derive(Default)]
+struct Traces {
+    /// CondorId-bound job traces: never evicted.
+    jobs: HashMap<TraceId, Vec<SpanRecord>>,
+    /// Every other trace, at most [`RING_CAPACITY`] of them, oldest
+    /// first; a trace's id is its root span's.
+    ring: VecDeque<Vec<SpanRecord>>,
+    /// Ring trace → the sequence number it entered under; the trace
+    /// with number `n` sits at `ring[n - ring_base]`.
+    ring_index: HashMap<TraceId, u64>,
+    /// Sequence number of `ring[0]` — which is also the number of
+    /// traces evicted so far.
+    ring_base: u64,
+}
+
+impl Traces {
+    fn get(&self, trace: TraceId) -> Option<&Vec<SpanRecord>> {
+        self.jobs.get(&trace).or_else(|| {
+            let seq = self.ring_index.get(&trace)?;
+            self.ring.get((seq - self.ring_base) as usize)
+        })
+    }
+
+    /// The spans of `trace`, which — unless it is a job trace — enters
+    /// the ring as `fresh()` when absent, evicting the oldest entry of
+    /// a full ring.
+    fn entry(
+        &mut self,
+        trace: TraceId,
+        fresh: impl FnOnce() -> SpanRecord,
+    ) -> &mut Vec<SpanRecord> {
+        // Only ids with the CondorId bit can be job traces; the door's
+        // counter ids skip the probe.
+        if trace.0 & CONDOR_BIT != 0 && self.jobs.contains_key(&trace) {
+            return self.jobs.get_mut(&trace).expect("probed above");
+        }
+        let next = self.ring_base + self.ring.len() as u64;
+        let seq = *self.ring_index.entry(trace).or_insert(next);
+        if seq == next {
+            self.ring.push_back(vec![fresh()]);
+            if self.ring.len() > RING_CAPACITY {
+                let oldest = self.ring.pop_front().expect("just pushed");
+                self.ring_index.remove(&oldest[0].trace);
+                self.ring_base += 1;
+            }
+        }
+        &mut self.ring[(seq - self.ring_base) as usize]
+    }
+}
+
+/// The span repository: the recorded traces, plus the CondorId →
 /// trace index job-lifecycle lookups go through.
 #[derive(Default)]
 pub struct TraceStore {
-    traces: RwLock<HashMap<TraceId, Vec<SpanRecord>>>,
+    traces: RwLock<Traces>,
     by_condor: RwLock<HashMap<u64, TraceId>>,
 }
 
 impl TraceStore {
-    /// An empty store.
+    /// An empty store. Allocates nothing: the ring grows with use.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Ensures `trace` has a root span (creating one named `name`
     /// starting at `at` if absent) and returns the context new child
-    /// spans should attach under.
+    /// spans should attach under. A trace created here lives in the
+    /// ring.
     pub fn root(&self, trace: TraceId, name: &str, at: SimTime) -> TraceContext {
-        let mut traces = self.traces.write();
-        traces.entry(trace).or_insert_with(|| {
-            vec![SpanRecord {
-                trace,
-                span: SpanId::ROOT,
-                parent: None,
-                name: name.to_string(),
-                start: at,
-                end: at,
-            }]
-        });
+        self.traces
+            .write()
+            .entry(trace, || root_span(trace, name, at, at));
+        TraceContext {
+            trace,
+            span: SpanId::ROOT,
+        }
+    }
+
+    /// [`Self::root`] for the trace of a submitted task: derived from
+    /// and bound to its CondorId, and kept for the life of the store.
+    pub fn root_condor(&self, condor_raw: u64, name: &str, at: SimTime) -> TraceContext {
+        let trace = TraceId::for_condor(condor_raw);
+        self.traces
+            .write()
+            .jobs
+            .entry(trace)
+            .or_insert_with(|| vec![root_span(trace, name, at, at)]);
+        self.by_condor.write().insert(condor_raw, trace);
         TraceContext {
             trace,
             span: SpanId::ROOT,
@@ -184,19 +257,11 @@ impl TraceStore {
 
     /// Appends a child span under `ctx` and stretches the root to
     /// cover it; span ids are assigned in recording order. Recording
-    /// into a trace with no root creates one spanning the child.
+    /// into a trace with no root — never rooted, or evicted since —
+    /// starts one in the ring spanning the child.
     pub fn child(&self, ctx: TraceContext, name: &str, start: SimTime, end: SimTime) -> SpanId {
         let mut traces = self.traces.write();
-        let spans = traces.entry(ctx.trace).or_insert_with(|| {
-            vec![SpanRecord {
-                trace: ctx.trace,
-                span: SpanId::ROOT,
-                parent: None,
-                name: "trace".to_string(),
-                start,
-                end,
-            }]
-        });
+        let spans = traces.entry(ctx.trace, || root_span(ctx.trace, "trace", start, end));
         let id = SpanId(spans.len() as u64 + 1);
         spans.push(SpanRecord {
             trace: ctx.trace,
@@ -212,9 +277,9 @@ impl TraceStore {
         id
     }
 
-    /// Binds a CondorId to its trace for later lookup.
-    pub fn bind_condor(&self, condor_raw: u64, trace: TraceId) {
-        self.by_condor.write().insert(condor_raw, trace);
+    /// Traces the ring has dropped to make room since start-up.
+    pub fn evicted(&self) -> u64 {
+        self.traces.read().ring_base
     }
 
     /// The trace a CondorId was bound to, if any.
@@ -223,21 +288,31 @@ impl TraceStore {
     }
 
     /// Every span of a trace in span-id order; `None` for an unknown
-    /// trace.
+    /// trace, an evicted one included.
     pub fn spans(&self, trace: TraceId) -> Option<Vec<SpanRecord>> {
-        self.traces.read().get(&trace).cloned()
+        self.traces.read().get(trace).cloned()
     }
 
-    /// All recorded trace ids, sorted.
+    /// All held trace ids, sorted.
     pub fn trace_ids(&self) -> Vec<TraceId> {
-        let mut ids: Vec<TraceId> = self.traces.read().keys().copied().collect();
+        let traces = self.traces.read();
+        let mut ids: Vec<TraceId> = traces
+            .jobs
+            .keys()
+            .chain(traces.ring_index.keys())
+            .copied()
+            .collect();
         ids.sort();
+        // A ring entry a client joined under a job's id before the job
+        // was rooted shares that id until it ages out.
+        ids.dedup();
         ids
     }
 
-    /// Number of recorded traces.
+    /// Number of held traces (job traces plus the ring).
     pub fn len(&self) -> usize {
-        self.traces.read().len()
+        let traces = self.traces.read();
+        traces.jobs.len() + traces.ring.len()
     }
 
     /// True when nothing has been recorded.
@@ -272,6 +347,17 @@ impl TraceStore {
             walk(&mut out, &spans, root.span, 1);
         }
         Some(out)
+    }
+}
+
+fn root_span(trace: TraceId, name: &str, start: SimTime, end: SimTime) -> SpanRecord {
+    SpanRecord {
+        trace,
+        span: SpanId::ROOT,
+        parent: None,
+        name: name.to_string(),
+        start,
+        end,
     }
 }
 
@@ -344,9 +430,8 @@ mod tests {
     #[test]
     fn condor_binding_resolves() {
         let store = TraceStore::new();
-        let t = TraceId::for_condor(9);
-        store.root(t, "task", SimTime::ZERO);
-        store.bind_condor(9, t);
+        let t = store.root_condor(9, "task", SimTime::ZERO).trace;
+        assert_eq!(t, TraceId::for_condor(9));
         assert_eq!(store.trace_for_condor(9), Some(t));
         assert_eq!(store.trace_for_condor(10), None);
     }
@@ -371,5 +456,93 @@ mod tests {
         assert!(text.contains("- task j1/t1"), "{text}");
         assert!(text.contains("  - schedule"), "{text}");
         assert!(text.contains("    - gate.admit"), "{text}");
+    }
+
+    const FLOOD: u64 = 50_000;
+
+    #[test]
+    fn rooted_traces_beyond_capacity_evict_the_oldest() {
+        let store = TraceStore::new();
+        for id in 1..=FLOOD {
+            store.root(TraceId::new(id), "rpc", SimTime::ZERO);
+        }
+        assert_eq!(store.len(), RING_CAPACITY);
+        assert_eq!(store.evicted(), FLOOD - RING_CAPACITY as u64);
+        // The newest window survives, in order; older ids read as
+        // unknown.
+        let ids = store.trace_ids();
+        assert_eq!(ids[0], TraceId::new(FLOOD - RING_CAPACITY as u64 + 1));
+        assert_eq!(ids[RING_CAPACITY - 1], TraceId::new(FLOOD));
+        assert_eq!(store.spans(TraceId::new(1)), None);
+        assert!(store.render(TraceId::new(1)).is_none());
+        assert!(store.spans(TraceId::new(FLOOD)).is_some());
+    }
+
+    #[test]
+    fn joined_ids_are_bounded_like_minted_ones() {
+        // A client picks its own `X-GAE-Trace` ids: the door records
+        // the dispatch span under each without ever rooting it.
+        let store = TraceStore::new();
+        for id in 1..=FLOOD {
+            let ctx = TraceContext {
+                trace: TraceId::new(id << 8),
+                span: SpanId::ROOT,
+            };
+            store.child(ctx, "rpc.system.ping", SimTime::ZERO, SimTime::ZERO);
+        }
+        assert_eq!(store.len(), RING_CAPACITY);
+        assert_eq!(store.evicted(), FLOOD - RING_CAPACITY as u64);
+    }
+
+    #[test]
+    fn job_traces_outlive_any_flood() {
+        let store = TraceStore::new();
+        let job = store.root_condor(7, "task j1/t1", SimTime::ZERO);
+        store.child(job, "exec.run", SimTime::ZERO, SimTime::from_micros(5));
+        for id in 1..=FLOOD {
+            store.root(TraceId::new(id), "rpc", SimTime::ZERO);
+        }
+        assert_eq!(store.len(), RING_CAPACITY + 1);
+        assert_eq!(store.trace_for_condor(7), Some(job.trace));
+        let spans = store.spans(job.trace).expect("never evicted");
+        assert_eq!(spans.len(), 2);
+        // Still appendable, and appending evicts nothing.
+        let before = store.evicted();
+        store.child(job, "steer.collect", SimTime::ZERO, SimTime::ZERO);
+        assert_eq!(store.evicted(), before);
+        assert_eq!(store.spans(job.trace).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn a_condor_shaped_id_nobody_submitted_lands_in_the_ring() {
+        // The CondorId bit alone buys no residency: only
+        // `root_condor` does, so a client cannot grow `jobs`.
+        let store = TraceStore::new();
+        for raw in 1..=FLOOD {
+            let ctx = TraceContext {
+                trace: TraceId::for_condor(raw),
+                span: SpanId::ROOT,
+            };
+            store.child(ctx, "rpc.system.ping", SimTime::ZERO, SimTime::ZERO);
+        }
+        assert_eq!(store.len(), RING_CAPACITY);
+        assert_eq!(store.trace_for_condor(1), None);
+    }
+
+    #[test]
+    fn child_of_an_evicted_trace_starts_a_fresh_entry() {
+        let store = TraceStore::new();
+        let first = store.root(TraceId::new(1), "rpc", SimTime::ZERO);
+        for id in 2..=RING_CAPACITY as u64 + 1 {
+            store.root(TraceId::new(id), "rpc", SimTime::ZERO);
+        }
+        assert_eq!(store.spans(first.trace), None, "evicted");
+        let at = SimTime::from_micros(9);
+        let span = store.child(first, "late", at, at);
+        assert_eq!(span, SpanId::new(2));
+        let spans = store.spans(first.trace).expect("fresh entry");
+        assert_eq!(spans[0].name, "trace", "a stand-in root, not the old one");
+        assert_eq!(spans[0].start, at);
+        assert_eq!(store.len(), RING_CAPACITY);
     }
 }

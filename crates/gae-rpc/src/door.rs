@@ -9,6 +9,11 @@
 //! its connection; the reactor backs it with a per-connection
 //! completion slot + waker kick.
 //!
+//! A call marked [`crate::Service::inline`] never reaches the pool:
+//! once admitted it runs to completion on the submitting thread and
+//! its body is the return value of [`DoorBackend::submit`]
+//! ([`Submitted::Inline`]), so a cheap read costs no thread hop.
+//!
 //! Because the door is public, a second transport over it answers
 //! with identical bytes by construction: `tests/reactor_transport.rs`
 //! keeps a blocking thread-per-connection loop as exactly that
@@ -20,7 +25,7 @@ use crate::http::HttpRequest;
 use crate::threadpool::{ExecuteError, ThreadPool};
 use gae_gate::{Gate, Principal};
 use gae_types::{GaeError, SessionId};
-use gae_wire::{parse_call, write_response};
+use gae_wire::{parse_call, write_response, MethodCall};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -38,6 +43,25 @@ pub const DEFAULT_VO: &str = "gae";
 /// Invoked exactly once for every accepted request (result, fault,
 /// or typed overload) — a transport blocked on it never hangs.
 pub type Deliver = Box<dyn FnOnce(Vec<u8>) + Send + 'static>;
+
+/// Largest POST body the door parses on the submitting thread to learn
+/// its method. A constant, not a knob: every marked method takes a
+/// handful of scalars (a `job_info` call is ~200 B), so 4 KiB admits
+/// all of them while capping what one request can make the event loop
+/// parse at a few microseconds. Larger bodies (an 8.5 KB `submit_job`)
+/// go to the pool unparsed.
+pub const INLINE_BODY_CAP: usize = 4096;
+
+/// What became of a submitted request.
+#[derive(Debug)]
+pub enum Submitted {
+    /// Ran to completion on the submitting thread: this is the
+    /// response body, and `deliver` was dropped unused.
+    Inline(Vec<u8>),
+    /// Handed to the pool (or faulted at the gate): `deliver` fires,
+    /// exactly once.
+    Pooled,
+}
 
 /// The door refused the request because the server is shutting
 /// down; `deliver` was dropped unused and the transport should
@@ -64,26 +88,70 @@ impl DoorBackend {
         }
     }
 
-    /// Submits one POSTed request. `deliver` is called exactly once
-    /// with the response body — possibly synchronously (rate-limit
+    /// Submits one POSTed request. Either the request runs here and
+    /// its body comes back as [`Submitted::Inline`] — only when
+    /// `may_inline` allows it and the method is marked
+    /// ([`ServiceHost::runs_inline`]) — or `deliver` is called exactly
+    /// once with the response body, possibly synchronously (rate-limit
     /// refusals and saturation sheds are faulted on the submitting
-    /// thread) — unless the door is closed, in which case `deliver`
-    /// is dropped and [`DoorClosed`] returned.
+    /// thread). If the door is closed, `deliver` is dropped and
+    /// [`DoorClosed`] returned.
+    ///
+    /// `may_inline` is the transport's fairness budget: an event loop
+    /// passes `false` once it has run its share of inline calls this
+    /// iteration, and the overflow queues like any pooled call.
     pub fn submit(
         &self,
         host: &Arc<ServiceHost>,
         request: HttpRequest,
         peer: &str,
+        may_inline: bool,
         deliver: Deliver,
-    ) -> Result<(), DoorClosed> {
+    ) -> Result<Submitted, DoorClosed> {
         match self {
-            DoorBackend::Plain(pool) => submit_plain(host, pool, request, peer, deliver),
-            DoorBackend::Gated(pool, gate) => {
-                submit_gated(host, pool, gate, request, peer, deliver);
-                Ok(())
+            DoorBackend::Plain(pool) => {
+                submit_plain(host, pool, request, peer, may_inline, deliver)
             }
+            DoorBackend::Gated(pool, gate) => Ok(submit_gated(
+                host, pool, gate, request, peer, may_inline, deliver,
+            )),
         }
     }
+}
+
+/// A small body's parse, made once at the door.
+enum Parsed {
+    /// A marked method within the transport's budget: run it here.
+    Inline(MethodCall),
+    /// Everything else. `Some` carries the parse (or its error) to the
+    /// worker so nothing is parsed twice; `None` is a body above
+    /// [`INLINE_BODY_CAP`], which the worker parses as it always has.
+    Pooled(Option<gae_types::GaeResult<MethodCall>>),
+}
+
+fn parse_small(host: &ServiceHost, request: &HttpRequest, may_inline: bool) -> Parsed {
+    if request.body.len() > INLINE_BODY_CAP {
+        return Parsed::Pooled(None);
+    }
+    match parse_call(&request.body) {
+        Ok(call) if may_inline && host.runs_inline(&call.name) => Parsed::Inline(call),
+        parsed => Parsed::Pooled(Some(parsed)),
+    }
+}
+
+/// Who the gate bills the request to: a resolvable session bills its
+/// user, everything else shares the VO's anonymous principal. A
+/// *stale* session is not faulted here — the request's own session
+/// step produces the proper Unauthorized fault.
+fn principal_of(host: &ServiceHost, request: &HttpRequest, peer: &str) -> Principal {
+    request
+        .session()
+        .ok()
+        .flatten()
+        .and_then(|sid| host.resolve_session(Some(SessionId::new(sid)), peer).ok())
+        .and_then(|ctx| ctx.user)
+        .map(|u| Principal::user(u, DEFAULT_VO))
+        .unwrap_or_else(|| Principal::anonymous(DEFAULT_VO))
 }
 
 /// An XML-RPC fault response body for `e` (HTTP 200; the typed error
@@ -92,25 +160,37 @@ pub fn fault_body(e: &GaeError) -> Vec<u8> {
     write_response(&gae_wire::Response::Fault(gae_wire::Fault::from_error(e))).into_bytes()
 }
 
-/// Runs one request on the plain bounded pool.
+/// Runs one request inline or on the plain bounded pool.
 fn submit_plain(
     host: &Arc<ServiceHost>,
     pool: &ThreadPool,
     request: HttpRequest,
     peer: &str,
+    may_inline: bool,
     deliver: Deliver,
-) -> Result<(), DoorClosed> {
+) -> Result<Submitted, DoorClosed> {
+    let parsed = match parse_small(host, &request, may_inline) {
+        Parsed::Inline(call) => {
+            return Ok(Submitted::Inline(respond(
+                host,
+                &request,
+                peer,
+                Some(Ok(call)),
+            )))
+        }
+        Parsed::Pooled(parsed) => parsed,
+    };
     let slot: DeliverSlot = Arc::new(Mutex::new(Some(deliver)));
     let host = host.clone();
     let peer = peer.to_string();
     let in_job = slot.clone();
     match pool.execute(move || {
-        let body = process_request(&host, &request, &peer);
+        let body = respond(&host, &request, &peer, parsed);
         if let Some(deliver) = in_job.lock().take() {
             deliver(body);
         }
     }) {
-        Ok(()) => Ok(()),
+        Ok(()) => Ok(Submitted::Pooled),
         Err(ExecuteError::Saturated { .. }) => {
             // The backlog is full: shed with a typed retry-after so
             // clients back off instead of piling on. 10 ms ≈ one
@@ -122,42 +202,43 @@ fn submit_plain(
                 retry_after_us: 10_000,
                 shed_class: "pool".to_string(),
             }));
-            Ok(())
+            Ok(Submitted::Pooled)
         }
         Err(ExecuteError::ShuttingDown) => Err(DoorClosed),
     }
 }
 
-/// Runs one request through the gate: principal attribution, token
-/// bucket, bounded priority queue. Every path delivers a body.
+/// Runs one request through the gate: principal attribution and the
+/// token bucket for both lanes, then either the call itself (inline)
+/// or the bounded priority queue. Every path yields a body.
 fn submit_gated(
     host: &Arc<ServiceHost>,
     pool: &GatedPool,
     gate: &Arc<Gate>,
     request: HttpRequest,
     peer: &str,
+    may_inline: bool,
     deliver: Deliver,
-) {
-    // Attribute the request: a resolvable session bills its user,
-    // everything else shares the VO's anonymous principal. A *stale*
-    // session is not faulted here — the worker produces the proper
-    // Unauthorized fault.
-    let principal = request
-        .session()
-        .ok()
-        .flatten()
-        .and_then(|sid| host.resolve_session(Some(SessionId::new(sid)), peer).ok())
-        .and_then(|ctx| ctx.user)
-        .map(|u| Principal::user(u, DEFAULT_VO))
-        .unwrap_or_else(|| Principal::anonymous(DEFAULT_VO));
+) -> Submitted {
+    let principal = principal_of(host, &request, peer);
     let arrived = gate.clock().now();
     let class = match gate.admit(&principal) {
         Ok(class) => class,
         Err(e) => {
             gate.observe_disposition("rate_limited", gae_types::SimDuration::ZERO);
             deliver(fault_body(&e));
-            return;
+            return Submitted::Pooled;
         }
+    };
+    let parsed = match parse_small(host, &request, may_inline) {
+        Parsed::Inline(call) => {
+            // Never queued, so it holds no queue slot and has one
+            // disposition: `run`, after the admission alone.
+            let waited = gate.clock().now().saturating_since(arrived);
+            gate.observe_disposition("run", waited);
+            return Submitted::Inline(respond(host, &request, peer, Some(Ok(call))));
+        }
+        Parsed::Pooled(parsed) => parsed,
     };
     let slot: DeliverSlot = Arc::new(Mutex::new(Some(deliver)));
     let host = host.clone();
@@ -173,7 +254,7 @@ fn submit_gated(
             let body = match disposition {
                 Disposition::Run => {
                     gate_in_job.observe_disposition("run", waited);
-                    process_request(&host, &request, &peer)
+                    respond(&host, &request, &peer, parsed)
                 }
                 Disposition::Expired { retry_after } | Disposition::Shed { retry_after } => {
                     gate_in_job.observe_disposition(
@@ -205,6 +286,7 @@ fn submit_gated(
             shed_class: class.name().to_string(),
         }));
     }
+    Submitted::Pooled
 }
 
 /// Parses, authenticates, dispatches. Always yields a response body
@@ -212,10 +294,23 @@ fn submit_gated(
 /// carrying `X-GAE-Trace` joins that trace; otherwise a fresh one is
 /// minted here when observability is wired.
 pub fn process_request(host: &ServiceHost, request: &HttpRequest, peer: &str) -> Vec<u8> {
+    respond(host, request, peer, None)
+}
+
+/// [`process_request`] for a body the door may already have parsed:
+/// `parsed` stands in for the `parse_call` step at the point where it
+/// would run, so session faults keep their precedence over parse
+/// faults on both lanes.
+fn respond(
+    host: &ServiceHost,
+    request: &HttpRequest,
+    peer: &str,
+    parsed: Option<gae_types::GaeResult<MethodCall>>,
+) -> Vec<u8> {
     let response = (|| -> gae_types::GaeResult<gae_wire::Response> {
         let session = request.session()?.map(SessionId::new);
         let mut ctx = host.resolve_session(session, peer)?;
-        let call = parse_call(&request.body)?;
+        let call = parsed.unwrap_or_else(|| parse_call(&request.body))?;
         if let Some(hub) = host.obs() {
             ctx.trace = request
                 .trace()

@@ -164,6 +164,20 @@ impl ServiceHost {
         }
     }
 
+    /// Whether `full_method` (`"service.method"`) is marked to run on
+    /// the submitting thread (see [`Service::inline`]). Unknown
+    /// services and malformed names are not: their fault comes from
+    /// the pool like any other.
+    pub fn runs_inline(&self, full_method: &str) -> bool {
+        let Some((service_name, method)) = full_method.split_once('.') else {
+            return false;
+        };
+        self.services
+            .read()
+            .get(service_name)
+            .is_some_and(|s| s.inline(method))
+    }
+
     /// Full request→response handling for transports: never panics,
     /// always produces a `Response`.
     pub fn handle(&self, ctx: &CallContext, call: &MethodCall) -> Response {
@@ -332,6 +346,11 @@ impl Service for SystemService {
             },
         ]
     }
+
+    /// Everything but `multicall`, whose cost is its batch.
+    fn inline(&self, method: &str) -> bool {
+        matches!(method, "ping" | "echo" | "listMethods" | "methodHelp")
+    }
 }
 
 /// `auth.*`: session lifecycle.
@@ -383,6 +402,12 @@ impl Service for AuthService {
                 help: "user id of the calling session, or nil",
             },
         ]
+    }
+
+    /// `whoami` reads the context; `login` hashes a password and
+    /// `logout` writes the session table.
+    fn inline(&self, method: &str) -> bool {
+        method == "whoami"
     }
 }
 
@@ -602,6 +627,31 @@ mod tests {
             host.dispatch(&ctx, "math.add", &[Value::Int(1)]).unwrap(),
             Value::Int64(1)
         );
+    }
+
+    #[test]
+    fn inline_marking_is_per_method_and_opt_in() {
+        let host = ServiceHost::open();
+        host.register(Arc::new(Adder));
+        for marked in [
+            "system.ping",
+            "system.echo",
+            "system.listMethods",
+            "system.methodHelp",
+            "auth.whoami",
+        ] {
+            assert!(host.runs_inline(marked), "{marked}");
+        }
+        for pooled in [
+            "system.multicall", // its cost is its batch
+            "auth.login",
+            "auth.logout",
+            "math.add", // a service that says nothing stays on the pool
+            "no.such",
+            "nodots",
+        ] {
+            assert!(!host.runs_inline(pooled), "{pooled}");
+        }
     }
 
     #[test]

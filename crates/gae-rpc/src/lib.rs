@@ -23,7 +23,9 @@
 //!   keep-alive), the framing XML-RPC runs over;
 //! * [`door`] — the transport-independent dispatch path (principal
 //!   attribution, gate admission, fault encoding) the `gae-aio`
-//!   reactor — the one server — submits every POST to;
+//!   reactor — the one server — submits every POST to; calls marked
+//!   [`Service::inline`] run to completion there, the rest go to a
+//!   pool;
 //! * [`tcp`] — the real-socket client used by the Figure 6 experiment;
 //! * [`inproc`] — a zero-copy in-process transport with the same
 //!   client interface, used by the simulator and unit tests;
@@ -46,7 +48,7 @@ pub mod threadpool;
 
 pub use auth::{AccessControl, Credentials, SessionManager};
 pub use discovery::{Endpoint, LookupService};
-pub use door::{fault_body, process_request, Deliver, DoorBackend, DoorClosed};
+pub use door::{fault_body, process_request, Deliver, DoorBackend, DoorClosed, Submitted};
 pub use gatedpool::{Disposition, GatedJob, GatedPool};
 pub use host::ServiceHost;
 pub use http::{FrameLimits, FrameParser, ReadDeadline};

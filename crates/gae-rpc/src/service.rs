@@ -83,6 +83,17 @@ pub trait Service: Send + Sync {
 
     /// The methods this service exposes, for discovery/introspection.
     fn methods(&self) -> Vec<MethodInfo>;
+
+    /// Whether `method` may run to completion on the thread that
+    /// framed the request (the reactor's event loop) instead of a
+    /// pool worker. Mark only calls that are read-only, cost O(1) in
+    /// the number of records held, and take no lock a pump tick holds
+    /// for longer than one site's turn: whatever runs here delays
+    /// every connection of the server (DESIGN.md §16). A wrapper that
+    /// does not forward the marking keeps its calls on the pool.
+    fn inline(&self, _method: &str) -> bool {
+        false
+    }
 }
 
 /// Client-side view of an RPC endpoint. Implemented by the in-process

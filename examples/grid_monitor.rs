@@ -97,6 +97,10 @@ fn main() {
     }
 
     client.logout().expect("logout");
-    println!("\nrequests served: {}", server.requests_served());
+    println!(
+        "\nrequests served: {} ({} on the reactor thread)",
+        server.requests_served(),
+        server.inline_served()
+    );
     server.stop();
 }

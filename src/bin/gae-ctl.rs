@@ -238,27 +238,34 @@ fn serve(port: u16) {
     stack.submit_job(job).expect("schedulable");
 
     let addr = format!("127.0.0.1:{port}");
-    let endpoint = match gae::aio::ReactorRpcServer::bind(host, 16, &addr) {
-        Ok(s) => {
-            let e = s.endpoint();
-            std::mem::forget(s); // serves until the process dies
-            e
-        }
+    // Held, never stopped: it serves until the process dies.
+    let server = match gae::aio::ReactorRpcServer::bind(host, 16, &addr) {
+        Ok(s) => s,
         Err(e) => {
             eprintln!("gae-ctl: cannot bind port {port}: {e}");
             std::process::exit(1);
         }
     };
-    println!("gae-ctl: serving on {endpoint}");
+    println!("gae-ctl: serving on {}", server.endpoint());
     println!("gae-ctl: demo user alice / analysis; tasks 1..3 of job 1 are live");
     println!("gae-ctl: virtual time tracks wall time; Ctrl-C to stop");
 
-    // Pump virtual time 1:1 with real time.
+    // Pump virtual time 1:1 with real time; every ten seconds say what
+    // the door did, if it did anything.
     let start = std::time::Instant::now();
-    loop {
+    let mut reported = 0;
+    for tick in 1u64.. {
         std::thread::sleep(std::time::Duration::from_millis(200));
         let now = SimTime::from_secs_f64(start.elapsed().as_secs_f64());
         stack.run_until(now);
         catalog.poll();
+        let served = server.requests_served();
+        if tick % 50 == 0 && served != reported {
+            reported = served;
+            println!(
+                "gae-ctl: {served} requests served, {} of them on the reactor thread",
+                server.inline_served()
+            );
+        }
     }
 }

@@ -6,10 +6,18 @@
 //! connection loop over the same public `gae_rpc::door` dispatch and
 //! `gae_rpc::http` framing, so the same bytes in must produce the
 //! same bytes out.
+//!
+//! Calls a service marks `inline` run to completion on the reactor
+//! thread (DESIGN.md §16); the second half of this file holds that
+//! lane to its promises: neither lane holds up the other, replies keep
+//! request order across lanes, the gate accounts an inline call
+//! exactly once, and a half-written inline reply dies with its
+//! connection.
 
+use gae::aio::reactor::INLINE_BUDGET;
 use gae::aio::{ReactorConfig, ReactorRpcServer};
 use gae::gate::{Gate, GateConfig, QueueConfig, TokenBucketConfig, WallClock};
-use gae::rpc::door::{Deliver, DoorBackend};
+use gae::rpc::door::{Deliver, DoorBackend, Submitted};
 use gae::rpc::http::{
     read_request_limited, FrameLimits, FrameParser, HttpRequest, HttpResponse, ReadDeadline,
 };
@@ -20,10 +28,10 @@ use gae::wire::{write_call, MethodCall, Value};
 use proptest::prelude::*;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The reference the reactor is compared against: an acceptor thread
 /// hands each connection to its own thread, which frames requests
@@ -151,15 +159,15 @@ fn serve_blocking(
             let deliver: Deliver = Box::new(move |body| {
                 let _ = tx.send(body);
             });
-            if door
-                .submit(&host, request, &peer.to_string(), deliver)
-                .is_err()
-            {
-                return goodbye(&mut writer, 503, "Service Unavailable", "shutting down");
-            }
-            match rx.recv() {
-                Ok(body) => HttpResponse::ok_xml(body),
-                Err(_) => return,
+            // A thread per connection has no loop to keep fair: inline
+            // whenever the method is marked.
+            match door.submit(&host, request, &peer.to_string(), true, deliver) {
+                Ok(Submitted::Inline(body)) => HttpResponse::ok_xml(body),
+                Ok(Submitted::Pooled) => match rx.recv() {
+                    Ok(body) => HttpResponse::ok_xml(body),
+                    Err(_) => return,
+                },
+                Err(_) => return goodbye(&mut writer, 503, "Service Unavailable", "shutting down"),
             }
         };
         if response.write_to(&mut writer).is_err() || !keep_alive {
@@ -168,15 +176,27 @@ fn serve_blocking(
     }
 }
 
-struct Echo;
+/// The test service. Its `i*` methods are marked inline; the two
+/// counters let a test see what the server is doing without sleeping
+/// on a guess.
+#[derive(Default)]
+struct Echo {
+    /// `test.sleep` calls currently holding a worker.
+    sleeping: AtomicU64,
+    /// `test.itick` calls run so far.
+    ticks: AtomicU64,
+}
 
 impl Service for Echo {
     fn name(&self) -> &'static str {
         "test"
     }
+    fn inline(&self, method: &str) -> bool {
+        matches!(method, "isum" | "ifail" | "itick")
+    }
     fn call(&self, _ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
         match method {
-            "sum" => {
+            "sum" | "isum" => {
                 let mut s = 0i64;
                 for p in params {
                     s += p.as_i64()?;
@@ -193,10 +213,22 @@ impl Service for Echo {
             // admission queue deterministically.
             "sleep" => {
                 let ms = u64::try_from(params[0].as_i64()?).unwrap_or(0);
+                self.sleeping.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(Duration::from_millis(ms));
+                self.sleeping.fetch_sub(1, Ordering::SeqCst);
                 Ok(Value::Int64(0))
             }
-            "fail" => Err(GaeError::ExecutionFailure("deliberate".into())),
+            // Stalls whichever thread runs it for a moment — the
+            // reactor itself when inline — and counts; echoes its
+            // argument so a reader can check reply order.
+            "itick" => {
+                std::thread::sleep(Duration::from_micros(200));
+                self.ticks.fetch_add(1, Ordering::SeqCst);
+                Ok(params[0].clone())
+            }
+            // How many `itick`s had run when a worker got to this.
+            "ticks" => Ok(Value::Int64(self.ticks.load(Ordering::SeqCst) as i64)),
+            "fail" | "ifail" => Err(GaeError::ExecutionFailure("deliberate".into())),
             other => Err(gae::rpc::service::unknown_method("test", other)),
         }
     }
@@ -206,17 +238,45 @@ impl Service for Echo {
 }
 
 fn echo_host() -> Arc<ServiceHost> {
+    echo_host_with(Arc::new(Echo::default()))
+}
+
+fn echo_host_with(echo: Arc<Echo>) -> Arc<ServiceHost> {
     let host = ServiceHost::open();
-    host.register(Arc::new(Echo));
+    host.register(echo);
     host
 }
 
 /// Serialises one XML-RPC call as raw keep-alive HTTP bytes.
 fn raw_call(method: &str, params: Vec<Value>) -> Vec<u8> {
+    raw_call_as(method, params, None)
+}
+
+/// [`raw_call`] carrying a session header.
+fn raw_call_as(method: &str, params: Vec<Value>, session: Option<u64>) -> Vec<u8> {
     let body = write_call(&MethodCall::new(method, params)).into_bytes();
     let mut buf = Vec::new();
-    HttpRequest::xmlrpc(body, None).write_to(&mut buf).unwrap();
+    HttpRequest::xmlrpc(body, session)
+        .write_to(&mut buf)
+        .unwrap();
     buf
+}
+
+/// The XML-RPC result (or typed fault) inside a 200 response.
+fn result_of(response: &HttpResponse) -> GaeResult<Value> {
+    assert_eq!(response.status, 200);
+    gae::wire::parse_response(&response.body)
+        .unwrap()
+        .into_result()
+}
+
+/// Spins (bounded) until `done` holds.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 /// Reads framed responses off a blocking socket, preserving bytes
@@ -457,8 +517,15 @@ fn gate_refusals_agree_across_transports() {
 /// One request's worth of raw bytes for the equivalence proptest.
 #[derive(Clone, Debug)]
 enum Probe {
-    /// A well-formed call (service result or service fault).
+    /// A well-formed call (service result or service fault), pooled
+    /// or — the `i*` methods and `system.ping` — inline.
     Call { method: String, args: Vec<i64> },
+    /// A marked method whose body exceeds the inline cap: it must take
+    /// the pool and still answer the same.
+    BigEcho,
+    /// A marked method under a session the server never issued: the
+    /// typed `Unauthorized`, not a downgrade to anonymous.
+    StaleSession,
     /// A non-POST method: typed 405 from both transports.
     BadVerb,
     /// A declared body far past the cap: typed 413 from both.
@@ -473,6 +540,8 @@ impl Probe {
             Probe::Call { method, args } => {
                 raw_call(method, args.iter().map(|&a| Value::Int64(a)).collect())
             }
+            Probe::BigEcho => raw_call("system.echo", vec![Value::from("e".repeat(5 * 1024))]),
+            Probe::StaleSession => raw_call_as("system.ping", vec![], Some(0xdead_beef)),
             Probe::BadVerb => b"PUT /RPC2 HTTP/1.1\r\nContent-Length: 0\r\n\r\n".to_vec(),
             Probe::Oversized => format!(
                 "POST /RPC2 HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
@@ -484,13 +553,29 @@ impl Probe {
     }
 }
 
+impl Probe {
+    /// Whether the reactor answers this probe on its own thread.
+    fn runs_inline(&self) -> bool {
+        match self {
+            Probe::Call { method, .. } => {
+                matches!(method.as_str(), "test.isum" | "test.ifail" | "system.ping")
+            }
+            Probe::StaleSession => true,
+            _ => false,
+        }
+    }
+}
+
 fn arb_probe() -> impl Strategy<Value = Probe> {
     (
-        0u8..9,
+        0u8..12,
         prop_oneof![
             Just("test.sum".to_string()),
             Just("test.fail".to_string()),
             Just("no.such".to_string()),
+            Just("test.isum".to_string()),
+            Just("test.ifail".to_string()),
+            Just("system.ping".to_string()),
         ],
         proptest::collection::vec(-1000i64..1000, 0..4),
     )
@@ -498,6 +583,8 @@ fn arb_probe() -> impl Strategy<Value = Probe> {
             0 => Probe::BadVerb,
             1 => Probe::Oversized,
             2 => Probe::Garbage,
+            3 => Probe::BigEcho,
+            4 => Probe::StaleSession,
             _ => Probe::Call { method, args },
         })
 }
@@ -507,8 +594,10 @@ proptest! {
 
     /// The reactor is a scheduling change, not a semantic one: for
     /// any probe — valid calls, faults, bad verbs, oversized frames,
-    /// garbage — both front doors return the identical response
-    /// frame (status, reason, headers, body).
+    /// garbage, on either lane — both front doors return the
+    /// identical response frame (status, reason, headers, body), and
+    /// the reactor ran on its own thread exactly the probes the
+    /// marking says it should.
     #[test]
     fn blocking_and_reactor_answer_identically(probes in proptest::collection::vec(arb_probe(), 1..5)) {
         let host = echo_host();
@@ -525,13 +614,254 @@ proptest! {
             let b = fetch(reactor.addr());
             prop_assert_eq!(&a, &b, "transports disagree on {:?}", probe);
             match probe {
-                Probe::Call { .. } => prop_assert_eq!(a.status, 200),
+                Probe::Call { .. } | Probe::BigEcho => prop_assert_eq!(a.status, 200),
+                Probe::StaleSession => prop_assert!(
+                    matches!(result_of(&a), Err(GaeError::Unauthorized(_))),
+                    "stale session must fault, got {:?}", result_of(&a)
+                ),
                 Probe::BadVerb => prop_assert_eq!(a.status, 405),
                 Probe::Oversized => prop_assert_eq!(a.status, 413),
                 Probe::Garbage => prop_assert_eq!(a.status, 400),
             }
         }
+        let inline = probes.iter().filter(|p| p.runs_inline()).count() as u64;
+        prop_assert_eq!(reactor.inline_served(), inline);
         blocking.stop();
         reactor.stop();
     }
+}
+
+// ---- the inline lane ----
+
+#[test]
+fn parked_workers_do_not_delay_an_inline_call() {
+    let echo = Arc::new(Echo::default());
+    let server = ReactorRpcServer::start(echo_host_with(echo.clone()), 2).unwrap();
+    // Both workers sit in a one-second call.
+    let mut parked: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut s = TcpStream::connect(server.addr()).unwrap();
+            s.write_all(&raw_call("test.sleep", vec![Value::Int64(1_000)]))
+                .unwrap();
+            s
+        })
+        .collect();
+    wait_until("both workers parked", || {
+        echo.sleeping.load(Ordering::SeqCst) == 2
+    });
+    let mut client = TcpRpcClient::connect(server.addr());
+    // A pooled call now queues behind the sleepers ...
+    let queued = std::thread::spawn({
+        let addr = server.addr();
+        move || {
+            let started = Instant::now();
+            let mut pooled = TcpRpcClient::connect(addr);
+            pooled.call("test.sum", vec![Value::Int(1)]).unwrap();
+            started.elapsed()
+        }
+    });
+    // ... while inline ones are answered at once, repeatedly.
+    for i in 0..20 {
+        let started = Instant::now();
+        let v = client
+            .call("test.isum", vec![Value::Int(i), Value::Int(1)])
+            .unwrap();
+        assert_eq!(v, Value::Int64(i64::from(i) + 1));
+        assert!(
+            started.elapsed() < Duration::from_millis(50),
+            "inline call {i} waited {:?} behind parked workers",
+            started.elapsed()
+        );
+    }
+    assert_eq!(echo.sleeping.load(Ordering::SeqCst), 2, "still parked");
+    assert_eq!(server.inline_served(), 20);
+    let waited = queued.join().unwrap();
+    assert!(
+        waited > Duration::from_millis(300),
+        "the wedge was real: a pooled call waited only {waited:?}"
+    );
+    for s in &mut parked {
+        assert_eq!(read_one_response(s).status, 200);
+    }
+    server.stop();
+}
+
+#[test]
+fn an_inline_burst_does_not_starve_a_pooled_call() {
+    const BURST: i64 = 1_000;
+    let echo = Arc::new(Echo::default());
+    let server = ReactorRpcServer::start(echo_host_with(echo.clone()), 2).unwrap();
+    let mut flood = TcpStream::connect(server.addr()).unwrap();
+    let mut other = TcpStream::connect(server.addr()).unwrap();
+    wait_until("both accepted", || server.open_connections() == 2);
+    // 1,000 pipelined inline calls, each stalling the reactor 200 µs,
+    // land in one write; a pooled call on another connection follows
+    // within microseconds, i.e. while the first loop iteration is
+    // still chewing on the burst.
+    let burst: Vec<u8> = (0..BURST)
+        .flat_map(|i| raw_call("test.itick", vec![Value::Int64(i)]))
+        .collect();
+    let mut replies = ResponseReader::new(&flood);
+    flood.write_all(&burst).unwrap();
+    other.write_all(&raw_call("test.ticks", vec![])).unwrap();
+    // Unbudgeted, the loop would finish the whole burst before it
+    // looked at the other socket and the worker would read 1,000.
+    // Budgeted, the call is picked up on the next iteration: one
+    // budget's worth ran before it, a second may run beside it.
+    let seen = result_of(&read_one_response(&other))
+        .unwrap()
+        .as_i64()
+        .unwrap();
+    assert!(
+        seen <= 3 * i64::from(INLINE_BUDGET),
+        "pooled call saw {seen} of {BURST} burst calls run first"
+    );
+    // The burst itself is answered completely and in order; what the
+    // budget turned away went through the pool.
+    for i in 0..BURST {
+        assert_eq!(result_of(&replies.next()).unwrap(), Value::Int64(i));
+    }
+    let pooled = server.requests_served() - server.inline_served();
+    assert!(
+        pooled > 1,
+        "every call past the budget ran inline ({} of {})",
+        server.inline_served(),
+        server.requests_served()
+    );
+    server.stop();
+}
+
+#[test]
+fn replies_keep_request_order_across_lanes() {
+    let server = ReactorRpcServer::start(echo_host(), 2).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = ResponseReader::new(&stream);
+    // inline, pooled (slow enough that the third is long buffered),
+    // inline — in one segment.
+    let mut burst = raw_call("test.isum", vec![Value::Int(1)]);
+    burst.extend_from_slice(&raw_call("test.sleep", vec![Value::Int64(50)]));
+    burst.extend_from_slice(&raw_call("test.isum", vec![Value::Int(3)]));
+    stream.write_all(&burst).unwrap();
+    for expected in [1i64, 0, 3] {
+        assert_eq!(
+            result_of(&reader.next()).unwrap(),
+            Value::Int64(expected),
+            "replies out of request order"
+        );
+    }
+    assert_eq!(server.requests_served(), 3);
+    assert_eq!(server.inline_served(), 2);
+    server.stop();
+}
+
+#[test]
+fn the_gate_accounts_an_inline_call_exactly_once() {
+    const CALLS: u64 = 25;
+    // Buckets that never refill, one per principal: the anonymous
+    // login draws on its own, alice's holds exactly CALLS.
+    let gate = Gate::new(
+        GateConfig {
+            bucket: TokenBucketConfig::new(CALLS as f64, 1e-9),
+            queue: QueueConfig::new(8, SimDuration::from_secs(5)),
+            ..GateConfig::default()
+        },
+        Arc::new(WallClock::new()),
+    );
+    let dispositions = Arc::new(std::sync::Mutex::new(Vec::<(String, SimDuration)>::new()));
+    gate.set_disposition_observer({
+        let seen = dispositions.clone();
+        move |name, waited| seen.lock().unwrap().push((name.to_string(), waited))
+    });
+    let count = |name: &str| {
+        let seen = dispositions.lock().unwrap();
+        seen.iter().filter(|(n, _)| n == name).count() as u64
+    };
+    let host = echo_host();
+    host.sessions()
+        .register(&gae::rpc::Credentials::new("alice", "pw"))
+        .unwrap();
+    let server = ReactorRpcServer::start_gated(host, 2, gate.clone()).unwrap();
+    let mut client = TcpRpcClient::connect(server.addr());
+    client.login("alice", "pw").unwrap(); // pooled: the one call that queues
+    let after_login = gate.stats();
+    assert_eq!(count("run"), 1);
+    assert_eq!(after_login.peak_queue_depth, 1);
+
+    for i in 0..CALLS {
+        let v = client
+            .call("test.isum", vec![Value::Int64(i as i64)])
+            .unwrap();
+        assert_eq!(v, Value::Int64(i as i64));
+    }
+    let stats = gate.stats();
+    assert_eq!(server.inline_served(), CALLS);
+    assert_eq!(count("run"), 1 + CALLS, "one `run` per inline call");
+    assert_eq!(dispositions.lock().unwrap().len() as u64, 1 + CALLS);
+    assert_eq!(stats.total_admitted(), 1 + CALLS, "each spent a token");
+    assert_eq!(stats.peak_queue_depth, 1, "inline calls never queue");
+    assert_eq!(stats.queue_depth, 0);
+    assert_eq!(stats.total_rejected(), 0);
+
+    // The bucket is dry: the same inline call is now refused by the
+    // gate, typed, before it is ever parsed.
+    let refused = client.call("test.isum", vec![Value::Int(1)]);
+    assert!(
+        matches!(refused, Err(GaeError::RateLimited { retry_after_us }) if retry_after_us > 0),
+        "expected the typed rate-limit fault, got {refused:?}"
+    );
+    assert_eq!(count("rate_limited"), 1);
+    assert_eq!(count("run"), 1 + CALLS);
+    assert_eq!(server.inline_served(), CALLS);
+    server.stop();
+}
+
+#[test]
+fn a_half_written_inline_reply_dies_with_its_connection() {
+    let config = ReactorConfig {
+        so_sndbuf: Some(1),
+        ..ReactorConfig::default()
+    };
+    let server = ReactorRpcServer::bind_tuned(echo_host(), 2, "127.0.0.1:0", None, config).unwrap();
+    // 400 pipelined inline echoes of 3 KiB and a client that never
+    // reads: ~1.3 MB of replies against a minimal send buffer, so the
+    // reactor is left holding a partly written queue.
+    let mut deaf = TcpStream::connect(server.addr()).unwrap();
+    let payload = Value::from("p".repeat(3 * 1024));
+    let burst: Vec<u8> = (0..400)
+        .flat_map(|_| raw_call("system.echo", vec![payload.clone()]))
+        .collect();
+    deaf.write_all(&burst).unwrap();
+    // (All but the few calls past an iteration's budget run inline.)
+    wait_until("the burst to be served", || server.requests_served() == 400);
+    assert!(server.inline_served() >= 300, "{}", server.inline_served());
+    assert_eq!(server.open_connections(), 1, "blocked on writing, not gone");
+    drop(deaf);
+    wait_until("the hang-up to be noticed", || {
+        server.open_connections() == 0
+    });
+    // The slot's next tenant gets its own answers and nothing else.
+    let mut next = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = ResponseReader::new(&next);
+    for i in 0..3 {
+        next.write_all(&raw_call("test.isum", vec![Value::Int(i), Value::Int(40)]))
+            .unwrap();
+        assert_eq!(
+            result_of(&reader.next()).unwrap(),
+            Value::Int64(i64::from(i) + 40)
+        );
+    }
+    next.set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    let mut stray = [0u8; 64];
+    match next.read(&mut stray) {
+        Ok(n) => panic!("{n} stray bytes from the previous tenant"),
+        Err(e) => assert!(
+            matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "{e}"
+        ),
+    }
+    server.stop();
 }

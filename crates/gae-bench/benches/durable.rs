@@ -3,7 +3,7 @@
 //! the full `recover_from_disk` rebuild path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gae_core::grid::{DriverMode, Grid, GridBuilder, ServiceStack};
+use gae_core::grid::{Grid, GridBuilder, ServiceStack};
 use gae_core::persist::PersistenceConfig;
 use gae_core::steering::SteeringPolicy;
 use gae_durable::fault::unique_temp_dir;
@@ -39,7 +39,7 @@ fn wal_append(c: &mut Criterion) {
 }
 
 fn grid_of(sites: u64, persist: Option<&PersistenceConfig>) -> Arc<Grid> {
-    let mut builder = GridBuilder::new().driver(DriverMode::Sequential);
+    let mut builder = GridBuilder::new();
     for i in 1..=sites {
         builder = builder.site(SiteDescription::new(SiteId::new(i), format!("s{i}"), 4, 2));
     }

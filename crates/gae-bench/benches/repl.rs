@@ -7,42 +7,80 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gae_durable::fault::unique_temp_dir;
-use gae_repl::{MirrorMachine, ReplConfig, ReplicatedLog};
+use gae_durable::DurableStore;
+use gae_repl::{
+    frame, MirrorMachine, Mutation, ReplConfig, ReplicatedLog, ReplicationSink, StateMachine,
+};
 use gae_wire::Value;
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// Records appended per commit, matching the poll-boundary batching
 /// the service stack produces.
 const RECORDS_PER_COMMIT: usize = 8;
 
-fn record_body(i: usize) -> Value {
-    Value::from(format!("payload-{i:04}"))
+/// The leader the followers mirror: a bare store in `node-0` plus a
+/// machine, teeing commits and rotations into the cluster's sink the
+/// way `gae-core`'s persistence layer does.
+struct Leader {
+    store: DurableStore,
+    machine: MirrorMachine,
+    cluster: Arc<ReplicatedLog<MirrorMachine>>,
 }
 
-/// One committed batch of [`RECORDS_PER_COMMIT`] records, swept over
-/// total voting nodes N = 1 (no replication), 2, 3.
+impl Leader {
+    fn new(dir: &std::path::Path, nodes: usize) -> Self {
+        let config = ReplConfig {
+            followers: nodes - 1,
+            fsync: false,
+        };
+        Leader {
+            cluster: ReplicatedLog::attached(dir, config, |_| MirrorMachine::new())
+                .expect("cluster"),
+            store: DurableStore::create(&dir.join("node-0"), false).expect("leader store"),
+            machine: MirrorMachine::new(),
+        }
+    }
+
+    /// One committed batch of [`RECORDS_PER_COMMIT`] records.
+    fn commit_batch(&mut self) -> u64 {
+        let records: Vec<Mutation> = (0..RECORDS_PER_COMMIT)
+            .map(|i| Mutation {
+                kind: "bench".to_string(),
+                body: Value::from(format!("payload-{i:04}")),
+            })
+            .collect();
+        for m in &records {
+            self.cluster.on_append(&m.kind, &m.body);
+            self.store
+                .append(frame::encode_envelope(&m.kind, &m.body).into_bytes());
+        }
+        let index = self.store.commit().expect("commit");
+        for m in &records {
+            self.machine.apply_mutation(m).expect("apply");
+        }
+        self.cluster.on_commit(index);
+        index
+    }
+
+    fn rotate(&mut self) {
+        let payload = self.machine.snapshot();
+        self.store.rotate(&payload).expect("rotate");
+        self.cluster
+            .on_rotate(self.store.commit_index(), self.store.record_seq(), &payload);
+    }
+}
+
+/// One committed batch, swept over total voting nodes N = 1 (no
+/// replication), 2, 3.
 fn repl_commit(c: &mut Criterion) {
     let mut group = c.benchmark_group("repl_commit");
     for nodes in [1usize, 2, 3] {
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, &nodes| {
             let dir = unique_temp_dir(&format!("bench-repl-{nodes}"));
-            let cluster = ReplicatedLog::standalone(
-                &dir,
-                ReplConfig {
-                    followers: nodes - 1,
-                    fsync: false,
-                },
-                MirrorMachine::new(),
-                |_| MirrorMachine::new(),
-            )
-            .expect("cluster");
-            b.iter(|| {
-                for i in 0..RECORDS_PER_COMMIT {
-                    cluster.append("bench", record_body(i)).expect("append");
-                }
-                black_box(cluster.commit().expect("commit"))
-            });
-            drop(cluster);
+            let mut leader = Leader::new(&dir, nodes);
+            b.iter(|| black_box(leader.commit_batch()));
+            drop(leader);
             std::fs::remove_dir_all(&dir).ok();
         });
     }
@@ -56,25 +94,13 @@ fn repl_rotate(c: &mut Criterion) {
     for nodes in [1usize, 2, 3] {
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, &nodes| {
             let dir = unique_temp_dir(&format!("bench-rotate-{nodes}"));
-            let cluster = ReplicatedLog::standalone(
-                &dir,
-                ReplConfig {
-                    followers: nodes - 1,
-                    fsync: false,
-                },
-                MirrorMachine::new(),
-                |_| MirrorMachine::new(),
-            )
-            .expect("cluster");
+            let mut leader = Leader::new(&dir, nodes);
             b.iter(|| {
-                for i in 0..RECORDS_PER_COMMIT {
-                    cluster.append("bench", record_body(i)).expect("append");
-                }
-                cluster.commit().expect("commit");
-                cluster.rotate().expect("rotate");
-                black_box(cluster.quorum_commit())
+                leader.commit_batch();
+                leader.rotate();
+                black_box(leader.cluster.quorum_commit())
             });
-            drop(cluster);
+            drop(leader);
             std::fs::remove_dir_all(&dir).ok();
         });
     }

@@ -81,7 +81,7 @@ pub struct ClientTotals {
 }
 
 impl ClientTotals {
-    /// Merges another fleet's totals (for sharded drivers).
+    /// Merges another fleet's totals into this one.
     pub fn merge(&mut self, other: &ClientTotals) {
         self.admitted += other.admitted;
         self.admitted_sum += other.admitted_sum;

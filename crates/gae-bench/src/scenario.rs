@@ -23,7 +23,7 @@
 //! its promises), and per-scenario metrics are published to MonALISA
 //! under entity `"scenario"`.
 
-use gae_core::grid::{DriverMode, Grid, GridBuilder, ServiceStack};
+use gae_core::grid::{Grid, GridBuilder, ServiceStack};
 use gae_core::persist::PersistenceConfig;
 use gae_core::steering::SteeringPolicy;
 use gae_gate::{
@@ -54,8 +54,6 @@ const DRAIN_CHUNK_S: u64 = 120;
 pub struct ScenarioOptions {
     /// Autonomous steering migration (the Optimizer) on or off.
     pub migration: bool,
-    /// Grid driver (Sequential≡Sharded equivalence runs both).
-    pub driver: DriverMode,
     /// Honour the spec's `crash_at_s` tick (needs `persist_dir`).
     pub crash: bool,
     /// Durable-store directory for the crash path.
@@ -73,7 +71,6 @@ impl Default for ScenarioOptions {
     fn default() -> Self {
         ScenarioOptions {
             migration: true,
-            driver: DriverMode::Sequential,
             crash: false,
             persist_dir: None,
             replication: 0,
@@ -112,7 +109,7 @@ pub struct ScenarioReport {
     pub xfer: XferCounters,
     /// Violated invariants (empty = all promises kept).
     pub invariant_failures: Vec<String>,
-    /// Canonical run digest: byte-identical across driver modes.
+    /// Canonical run digest: byte-identical run to run.
     pub digest: String,
     /// [`gae_repl::StateMachine::query_state`] of the final stack: the
     /// CRC of its full snapshot, metric series included (the digest
@@ -136,7 +133,7 @@ fn gate_config() -> GateConfig {
 
 /// The scenario's grid: its sites under the runner's gate shape.
 pub fn build_grid(spec: &ScenarioSpec, opts: &ScenarioOptions) -> Arc<Grid> {
-    let mut builder = GridBuilder::new().driver(opts.driver).gate(gate_config());
+    let mut builder = GridBuilder::new().gate(gate_config());
     for (i, site) in spec.sites.iter().enumerate() {
         builder = builder.site_with_load(
             SiteDescription::new(sid(i), format!("site-{i}"), site.nodes, site.slots),
@@ -576,8 +573,7 @@ fn finish(
 
 /// Canonical end-state digest: per-task terminal state (sorted), the
 /// final clock, and the gate/xfer counters. Byte-identical digests
-/// across Sequential and Sharded drivers are the equivalence
-/// contract.
+/// from two runs of one seed are the determinism contract.
 fn digest(stack: &ServiceStack, gate: &GateStats, xfer: &XferCounters) -> String {
     let mut tasks: Vec<String> = stack
         .jobmon
@@ -669,9 +665,6 @@ fn check_invariants(
                     }
                 }
             }
-            // Cross-run by construction: the harness executes the
-            // scenario under both drivers and compares digests.
-            Invariant::SequentialShardedEquivalence => {}
             // Vacuous without replication attached (the named-fleet
             // default run); with it, the failover block compared the
             // promoted follower's recovery against the dead leader's

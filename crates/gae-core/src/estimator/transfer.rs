@@ -50,7 +50,7 @@ impl TransferEstimator {
     /// The cache lock is held across the whole check-probe-insert so
     /// concurrent callers cannot double-probe: a second probe would
     /// draw different rng noise and silently overwrite the first,
-    /// breaking probe-count determinism under the sharded driver.
+    /// breaking probe-count determinism.
     pub fn measured_bandwidth(&self, from: SiteId, to: SiteId) -> f64 {
         let mut cache = self.cache.lock();
         if let Some(bw) = cache.get(&(from, to)) {

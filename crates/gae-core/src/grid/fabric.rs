@@ -35,8 +35,6 @@ pub struct Grid {
     /// notifiers; shared (`Arc`) because those notifier closures
     /// capture it without holding the grid itself.
     pub(super) next_index: Arc<Mutex<NextEventIndex>>,
-    /// Sequential or sharded advancement (fixed at build time).
-    pub(super) driver: DriverMode,
     /// Where a service stack over this grid should persist itself.
     persist_config: Option<PersistenceConfig>,
     /// Admission-control policy for service stacks over this grid.
@@ -48,7 +46,6 @@ pub struct GridBuilder {
     configs: Vec<SiteConfig>,
     network: NetworkModel,
     monitor: Option<Arc<MonAlisaRepository>>,
-    driver: DriverMode,
     persist: Option<PersistenceConfig>,
     gate: Option<GateConfig>,
     xfer: Option<XferConfig>,
@@ -61,7 +58,6 @@ impl GridBuilder {
             configs: Vec::new(),
             network: NetworkModel::wan_2005(),
             monitor: None,
-            driver: DriverMode::Sequential,
             persist: None,
             gate: None,
             xfer: None,
@@ -85,9 +81,10 @@ impl GridBuilder {
         self
     }
 
-    /// Selects the advancement driver (sequential by default).
-    pub fn driver(mut self, driver: DriverMode) -> Self {
-        self.driver = driver;
+    // A no-op `perf grid_tick` still calls; a benchmark-only PR drops
+    // that call and then this goes, with `DriverMode`.
+    #[doc(hidden)]
+    pub fn driver(self, _: DriverMode) -> Self {
         self
     }
 
@@ -175,7 +172,6 @@ impl GridBuilder {
             metric_keys,
             xfer: Mutex::new(xfer),
             next_index,
-            driver: self.driver,
             persist_config: self.persist,
             gate_config: self.gate,
         });

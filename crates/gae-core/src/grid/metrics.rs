@@ -7,12 +7,12 @@
 //! they describe, so that gae-gate, gae-xfer, gae-obs, gae-hist and
 //! gae-repl keep no dependency on the monitoring crate.
 
-use super::{DriverMode, Grid, ServiceStack};
+use super::{Grid, ServiceStack};
 use crate::estimator::EstimatorService;
 use gae_exec::ExecutionService;
 use gae_gate::{Gate, GateClass};
 use gae_monitor::{MetricBatch, MetricKey};
-use gae_types::{SimTime, SiteId};
+use gae_types::SiteId;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -65,15 +65,19 @@ impl SiteMetricKeys {
 }
 
 impl Grid {
-    /// Collects one tick's samples for a run of sites, in site order:
-    /// farm load, queue length, then per-node load and slot occupancy.
-    fn collect_samples<'a>(
-        &self,
-        sites: impl Iterator<Item = (&'a SiteId, &'a Arc<Mutex<ExecutionService>>)>,
-        now: SimTime,
-    ) -> MetricBatch {
+    /// Publishes per-site load and queue length to MonALISA (§6.1d's
+    /// "status of load at execution sites"), plus per-node load and
+    /// slot occupancy (MonALISA's Farm/Node hierarchy).
+    ///
+    /// All of a tick's samples go to the repository as one
+    /// [`gae_monitor::MonAlisaRepository::publish_batch`] call — one
+    /// store-lock acquisition per tick instead of one per metric —
+    /// using the keys interned at construction, in site order: farm
+    /// load, queue length, then per-node load and slot occupancy.
+    pub fn publish_metrics(&self) {
+        let now = self.now();
         let mut batch = MetricBatch::at(now);
-        for (id, site) in sites {
+        for (id, site) in &self.sites {
             let site = site.lock();
             let keys = &self.metric_keys[id];
             batch.push(keys.site_load.clone(), site.current_load());
@@ -83,33 +87,7 @@ impl Grid {
                 batch.push(slots_key.clone(), f64::from(node.busy_slots()));
             }
         }
-        batch
-    }
-
-    /// Publishes per-site load and queue length to MonALISA (§6.1d's
-    /// "status of load at execution sites"), plus per-node load and
-    /// slot occupancy (MonALISA's Farm/Node hierarchy).
-    ///
-    /// All of a tick's samples go to the repository as one
-    /// [`gae_monitor::MonAlisaRepository::publish_batch`] call — one
-    /// store-lock acquisition per tick instead of one per metric —
-    /// using the keys interned at construction. Sample order is site
-    /// order regardless of driver mode.
-    pub fn publish_metrics(&self) {
-        let now = self.now();
-        match self.driver {
-            DriverMode::Sequential => self
-                .monitor
-                .publish_batch(self.collect_samples(self.sites.iter(), now)),
-            DriverMode::Sharded { threads } => {
-                // Chunks are contiguous in site order, so in-order
-                // concatenation equals the sequential sample order.
-                let shards = self.run_sharded(threads, |chunk| {
-                    self.collect_samples(chunk.iter().map(|(id, site)| (id, site)), now)
-                });
-                self.monitor.publish_batch(shards.into_iter().flatten())
-            }
-        };
+        self.monitor.publish_batch(batch);
     }
 }
 
@@ -313,7 +291,7 @@ mod tests {
     use crate::grid::{two_site_grid, GridBuilder};
     use crate::persist::PersistenceConfig;
     use gae_types::{
-        FileRef, JobId, JobSpec, SimDuration, SiteDescription, TaskId, TaskSpec, UserId,
+        FileRef, JobId, JobSpec, SimDuration, SimTime, SiteDescription, TaskId, TaskSpec, UserId,
     };
     use std::collections::BTreeSet;
 

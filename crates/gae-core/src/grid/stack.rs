@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// observability hub: admission decisions replay deterministically
 /// inside simulations, and spans, histograms and lifecycle timelines
 /// are deterministic functions of the workload — two runs of the same
-/// seed produce byte-identical trace trees in both driver modes. (A
+/// seed produce byte-identical trace trees. (A
 /// gate fronting a real TCP server wants `gae_types::WallClock`
 /// instead — virtual time only advances when something drives the
 /// grid.)
@@ -533,8 +533,8 @@ impl ServiceStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{two_site_grid, DriverMode, GridBuilder};
-    use gae_types::{JobId, SiteDescription, SiteId, TaskId, TaskSpec, TaskStatus, UserId};
+    use crate::grid::two_site_grid;
+    use gae_types::{JobId, SiteId, TaskId, TaskSpec, TaskStatus, UserId};
 
     #[test]
     fn stack_runs_simple_job_to_completion() {
@@ -585,24 +585,6 @@ mod tests {
         stack.run_until(SimTime::from_secs(50));
         stack.run_until(SimTime::from_secs(50));
         assert_eq!(stack.grid.now(), SimTime::from_secs(50));
-    }
-
-    #[test]
-    fn stack_over_sharded_grid_completes_jobs() {
-        let grid = GridBuilder::new()
-            .driver(DriverMode::sharded(2))
-            .site_with_load(SiteDescription::new(SiteId::new(1), "busy", 2, 1), 3.0)
-            .site(SiteDescription::new(SiteId::new(2), "free", 2, 1))
-            .build();
-        let stack = ServiceStack::over(grid);
-        let mut job = JobSpec::new(JobId::new(1), "demo", UserId::new(1));
-        job.add_task(
-            TaskSpec::new(TaskId::new(1), "t", "prime").with_cpu_demand(SimDuration::from_secs(60)),
-        );
-        stack.submit_job(job).unwrap();
-        stack.run_until(SimTime::from_secs(120));
-        let info = stack.jobmon.job_info(TaskId::new(1)).unwrap();
-        assert_eq!(info.status, TaskStatus::Completed);
     }
 
     #[test]

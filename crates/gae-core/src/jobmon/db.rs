@@ -129,8 +129,8 @@ impl DbManager {
     }
 
     /// Every stored snapshot, task-id-sorted. The sort key is total
-    /// and independent of insertion order, so Sequential and Sharded
-    /// driver runs — whose stores interleave differently — export
+    /// and independent of insertion order, so two runs of one
+    /// workload — whose `HashMap`s iterate differently — export
     /// byte-identical documents, and so does a store rebuilt from a
     /// snapshot. It doubles as the snapshot export and the crash-test
     /// digest.

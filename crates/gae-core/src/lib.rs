@@ -69,7 +69,7 @@ pub mod submit;
 
 pub use analysis_session::{AnalysisSessionRpc, AnalysisSessionStore};
 pub use estimator::EstimatorService;
-pub use grid::{DriverMode, Grid, GridBuilder, ServiceStack};
+pub use grid::{Grid, GridBuilder, ServiceStack};
 pub use hist::{HistFunnel, HistoryRpc};
 pub use jobmon::JobMonitoringService;
 pub use monalisa::MonAlisaRpc;

@@ -195,25 +195,24 @@ impl Persistence {
         now: SimTime,
         encode: impl FnOnce(&mut dyn io::Write) -> io::Result<()>,
     ) -> GaeResult<()> {
-        let encode_err = |e: io::Error| GaeError::Io(format!("encode snapshot: {e}"));
-        if let Some(sink) = self.replication_sink() {
-            // The tee needs the bytes: encode once, write and forward
-            // the same buffer.
-            let mut snapshot = Vec::new();
-            encode(&mut snapshot).map_err(encode_err)?;
-            let (commit_index, record_seq) = {
-                let mut store = self.store.lock();
-                self.drain_buffer_into(&mut store);
-                store.rotate(&snapshot)?;
-                (store.commit_index(), store.record_seq())
-            };
-            sink.on_rotate(commit_index, record_seq, &snapshot);
-        } else {
-            let mut next = self.store.lock().begin_rotation()?;
-            encode(&mut next).map_err(encode_err)?;
+        let sink = self.replication_sink();
+        let mut next = self.store.lock().begin_rotation()?;
+        // The sink needs the bytes too: copy them only while one is
+        // armed.
+        let mut snapshot = Vec::new();
+        encode(&mut Tee {
+            file: &mut next,
+            copy: sink.is_some().then_some(&mut snapshot),
+        })
+        .map_err(|e| GaeError::Io(format!("encode snapshot: {e}")))?;
+        let (commit_index, record_seq) = {
             let mut store = self.store.lock();
             self.drain_buffer_into(&mut store);
             store.rotate_onto(next)?;
+            (store.commit_index(), store.record_seq())
+        };
+        if let Some(sink) = sink {
+            sink.on_rotate(commit_index, record_seq, &snapshot);
         }
         *self.last_snapshot.lock() = now;
         Ok(())
@@ -232,6 +231,27 @@ impl Persistence {
     /// Cumulative I/O statistics (benches).
     pub fn stats(&self) -> gae_durable::StoreStats {
         self.store.lock().stats()
+    }
+}
+
+/// Streams a snapshot into its file, copying the bytes for the
+/// replication sink when there is one.
+struct Tee<'a> {
+    file: &'a mut gae_durable::SnapshotWriter,
+    copy: Option<&'a mut Vec<u8>>,
+}
+
+impl io::Write for Tee<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.file.write(buf)?;
+        if let Some(copy) = &mut self.copy {
+            copy.extend_from_slice(&buf[..n]);
+        }
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
     }
 }
 

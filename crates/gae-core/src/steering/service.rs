@@ -677,9 +677,9 @@ impl SteeringService {
     /// Service, detect failures, recover, optimize, and notify.
     pub fn poll(&self) {
         // Live jobs only, in id order: a round is a deterministic
-        // function of the tracked state (the sharded-driver
-        // equivalence contract relies on this) and costs nothing for
-        // jobs that already settled and told their client.
+        // function of the tracked state (the run-to-run determinism
+        // contract relies on this) and costs nothing for jobs that
+        // already settled and told their client.
         for job_id in self.live_job_ids() {
             self.process_job(job_id);
         }

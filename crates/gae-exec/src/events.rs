@@ -12,8 +12,7 @@ use gae_types::{CondorId, NodeId, SimTime, TaskId, TaskStatus};
 pub struct ExecEvent {
     /// Site-local emission order, starting at 0 and never reused.
     /// Together with the site id this totally orders events across the
-    /// grid, which is what lets a sharded driver merge per-site event
-    /// buffers back into the exact sequential drain order.
+    /// grid: `Grid::drain_events` yields them in `(site, seq)` order.
     pub seq: u64,
     /// When it happened (virtual time).
     pub at: SimTime,

@@ -1,13 +1,15 @@
-//! The replicated log proper: one leader, N in-process followers.
+//! The replicated log proper: N in-process followers mirroring one
+//! external leader — whatever journals through [`ReplicationSink`];
+//! in a service stack, `gae-core`'s persistence layer.
 //!
-//! Every node — leader included — owns a [`DurableStore`] in its own
-//! `node-<id>` subdirectory, so node loss is modeled exactly like the
-//! single-node crashes in `tests/crash_recovery.rs`: drop the handle,
-//! recover from the directory. Streaming happens synchronously at
-//! commit time over the [`crate::frame`] batch documents; uncommitted
-//! leader appends are never visible to followers, which is what makes
-//! every follower a prefix-consistent copy of the leader by
-//! construction.
+//! Every follower owns a [`DurableStore`] in its own `node-<id>`
+//! subdirectory, byte-compatible with the leader's, so node loss is
+//! modeled exactly like the single-node crashes in
+//! `tests/crash_recovery.rs`: drop the handle, recover from the
+//! directory. Streaming happens synchronously at commit time over the
+//! [`crate::frame`] batch documents; uncommitted leader appends are
+//! never visible to followers, which is what makes every follower a
+//! prefix-consistent copy of the leader by construction.
 //!
 //! ## Quorum rule
 //!
@@ -139,21 +141,11 @@ struct Follower<M> {
     alive: bool,
 }
 
-/// The standalone leader node (absent in attached mode, where the
-/// external service stack's persistence layer is the leader).
-struct LeaderNode<M> {
-    store: DurableStore,
-    machine: M,
-    pending: Vec<Mutation>,
-}
-
 struct Inner<M> {
     fsync: bool,
-    leader: Option<LeaderNode<M>>,
     leader_alive: bool,
     leader_commit: u64,
-    /// Attached-mode append buffer (standalone buffers on the leader
-    /// node itself).
+    /// Leader appends not yet committed.
     pending: Vec<Mutation>,
     followers: Vec<Follower<M>>,
     snapshot: RetainedSnapshot,
@@ -167,49 +159,23 @@ struct Inner<M> {
     elections: u64,
 }
 
-/// A deterministic replicated log: leader append, synchronous follower
-/// replay, quorum commit index, snapshot-install catch-up, and
-/// deterministic failover.
+/// A deterministic replicated log: synchronous follower replay of the
+/// leader's commits, quorum commit index, snapshot-install catch-up,
+/// and deterministic failover.
 pub struct ReplicatedLog<M: StateMachine> {
     dir: PathBuf,
     inner: Mutex<Inner<M>>,
 }
 
 impl<M: StateMachine> ReplicatedLog<M> {
-    /// A self-contained cluster: the leader owns `node-0` under `dir`
-    /// plus its own machine; followers are built by `mk`.
-    pub fn standalone(
-        dir: &Path,
-        config: ReplConfig,
-        leader_machine: M,
-        mk: impl Fn(NodeId) -> M,
-    ) -> GaeResult<Self> {
-        let store = DurableStore::create(&dir.join("node-0"), config.fsync)?;
-        let leader = LeaderNode {
-            store,
-            machine: leader_machine,
-            pending: Vec::new(),
-        };
-        Self::build(dir, config, Some(leader), mk)
-    }
-
-    /// Follower-only cluster for attaching to an external leader (the
-    /// service stack's own persistence): the returned log implements
-    /// [`ReplicationSink`] and mirrors every leader commit.
+    /// A follower cluster under `dir` for attaching to a leader: the
+    /// returned log implements [`ReplicationSink`] and mirrors every
+    /// leader commit into followers built by `mk`.
     pub fn attached(
         dir: &Path,
         config: ReplConfig,
         mk: impl Fn(NodeId) -> M,
     ) -> GaeResult<std::sync::Arc<Self>> {
-        Ok(std::sync::Arc::new(Self::build(dir, config, None, mk)?))
-    }
-
-    fn build(
-        dir: &Path,
-        config: ReplConfig,
-        leader: Option<LeaderNode<M>>,
-        mk: impl Fn(NodeId) -> M,
-    ) -> GaeResult<Self> {
         let mut followers = Vec::new();
         for i in 1..=config.followers as u64 {
             let id = NodeId(i);
@@ -227,11 +193,10 @@ impl<M: StateMachine> ReplicatedLog<M> {
                 alive: true,
             });
         }
-        Ok(ReplicatedLog {
+        Ok(std::sync::Arc::new(ReplicatedLog {
             dir: dir.to_path_buf(),
             inner: Mutex::new(Inner {
                 fsync: config.fsync,
-                leader,
                 leader_alive: true,
                 leader_commit: 0,
                 pending: Vec::new(),
@@ -249,63 +214,12 @@ impl<M: StateMachine> ReplicatedLog<M> {
                 snapshot_installs: 0,
                 elections: 0,
             }),
-        })
+        }))
     }
 
     /// The cluster's root directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Buffer one mutation on the standalone leader.
-    pub fn append(&self, kind: &str, body: Value) -> GaeResult<()> {
-        let mut inner = self.inner.lock();
-        let leader = standalone_leader(&mut inner)?;
-        leader.pending.push(Mutation {
-            kind: kind.to_string(),
-            body,
-        });
-        Ok(())
-    }
-
-    /// Commit the buffered mutations on the standalone leader and
-    /// stream the batch to every live follower. Returns the leader's
-    /// new commit index.
-    pub fn commit(&self) -> GaeResult<u64> {
-        let mut inner = self.inner.lock();
-        let leader = standalone_leader(&mut inner)?;
-        let records: Vec<Mutation> = std::mem::take(&mut leader.pending);
-        for m in &records {
-            leader
-                .store
-                .append(frame::encode_envelope(&m.kind, &m.body).into_bytes());
-        }
-        let index = leader.store.commit()?;
-        for m in &records {
-            leader.machine.apply_mutation(m)?;
-        }
-        replicate(&mut inner, index, &records);
-        Ok(index)
-    }
-
-    /// Rotate the standalone leader to a snapshot of its machine state
-    /// and forward the rotation to every live follower; batches at or
-    /// before the snapshot point are released from the catch-up log.
-    pub fn rotate(&self) -> GaeResult<()> {
-        let mut inner = self.inner.lock();
-        let leader = standalone_leader(&mut inner)?;
-        if !leader.pending.is_empty() {
-            return Err(GaeError::InvalidTransition {
-                entity: "replicated log".to_string(),
-                from: format!("{} uncommitted records", leader.pending.len()),
-                attempted: "rotate before commit".to_string(),
-            });
-        }
-        let payload = leader.machine.snapshot();
-        leader.store.rotate(&payload)?;
-        let (commit_index, record_seq) = (leader.store.commit_index(), leader.store.record_seq());
-        install_rotation(&mut inner, commit_index, record_seq, &payload);
-        Ok(())
     }
 
     /// Kill a follower: its store handle drops (as if the process
@@ -402,7 +316,6 @@ impl<M: StateMachine> ReplicatedLog<M> {
             });
         }
         inner.leader_alive = false;
-        inner.leader = None;
         inner.pending.clear();
         let winner = inner
             .followers
@@ -438,12 +351,6 @@ impl<M: StateMachine> ReplicatedLog<M> {
     pub fn follower_state(&self, node: NodeId) -> GaeResult<String> {
         let mut inner = self.inner.lock();
         Ok(follower_mut(&mut inner, node)?.machine.query_state())
-    }
-
-    /// The standalone leader's machine digest.
-    pub fn leader_state(&self) -> GaeResult<String> {
-        let mut inner = self.inner.lock();
-        Ok(standalone_leader(&mut inner)?.machine.query_state())
     }
 
     /// Every configured follower id.
@@ -498,20 +405,6 @@ impl<M: StateMachine> ReplicationSink for ReplicatedLog<M> {
     fn stats(&self) -> ReplStats {
         Self::stats_locked(&self.inner.lock())
     }
-}
-
-fn standalone_leader<M: StateMachine>(inner: &mut Inner<M>) -> GaeResult<&mut LeaderNode<M>> {
-    if !inner.leader_alive {
-        return Err(GaeError::InvalidTransition {
-            entity: "leader".to_string(),
-            from: "dead".to_string(),
-            attempted: "leader operation".to_string(),
-        });
-    }
-    inner
-        .leader
-        .as_mut()
-        .ok_or_else(|| GaeError::NotFound("standalone leader (cluster is attached)".to_string()))
 }
 
 fn follower_mut<M: StateMachine>(

@@ -5,21 +5,22 @@
 //! steering/jobmon/quota/xfer state survives the loss of a whole
 //! machine. The design stays inside the repo's determinism contract:
 //! no wall clock, no RNG, no threads — replication is a synchronous,
-//! in-process fan-out that behaves identically under the Sequential
-//! and Sharded drivers.
+//! in-process fan-out that behaves identically run to run.
 //!
 //! | module | contents |
 //! |---|---|
 //! | [`frame`] | record envelope + per-commit batch documents on gae-wire framing |
 //! | [`machine`] | the [`StateMachine`] trait extracted from the ad-hoc replay paths, plus [`MirrorMachine`] |
-//! | [`cluster`] | [`ReplicatedLog`]: leader append, follower replay, quorum commit, snapshot install, election |
+//! | [`cluster`] | [`ReplicatedLog`]: follower replay of a leader's commits, quorum commit, snapshot install, election |
 //!
 //! ## Shape
 //!
-//! * The **leader** appends committed WAL records — the existing
-//!   journal ops (`jobmon` / `plan` / `task` / `notified` / `charge` /
-//!   `xfer`) are already the mutation language — and streams each
-//!   commit as one [`frame`] batch document to N in-process followers.
+//! * The **leader** is whatever journals through [`ReplicationSink`]
+//!   (`gae-core`'s persistence layer): the existing journal ops
+//!   (`jobmon` / `plan` / `task` / `notified` / `charge` / `xfer`) are
+//!   already the mutation language, and each of its commits is
+//!   streamed as one [`frame`] batch document to N in-process
+//!   followers.
 //! * Each **follower** owns its own [`gae_durable::DurableStore`] in a
 //!   `node-<id>` subdirectory plus a [`StateMachine`]; it decodes the
 //!   batch, appends the records to its own WAL, commits, applies the

@@ -118,9 +118,6 @@ pub enum Invariant {
     /// After a mid-scenario crash, recovery re-arms each in-flight
     /// task exactly once and the continuation settles them all.
     ExactlyOnceRearm,
-    /// The Sequential and Sharded drivers must produce byte-identical
-    /// schedules for this scenario (checked by running it twice).
-    SequentialShardedEquivalence,
     /// After a leader loss, the promoted follower's recovered state
     /// digest must equal the dead leader's at the recovered commit
     /// index — the continuation is a prefix-consistent extension of
@@ -306,7 +303,6 @@ impl ScenarioSpec {
                 Invariant::NoAdmittedStarvation,
                 Invariant::BoundedQueueDepth,
                 Invariant::NoPermanentPending,
-                Invariant::SequentialShardedEquivalence,
             ],
         }
     }
@@ -363,7 +359,6 @@ impl ScenarioSpec {
             invariants: vec![
                 Invariant::NoAdmittedStarvation,
                 Invariant::NoPermanentPending,
-                Invariant::SequentialShardedEquivalence,
             ],
         }
     }
@@ -477,7 +472,6 @@ impl ScenarioSpec {
                 Invariant::NoAdmittedStarvation,
                 Invariant::NoPermanentPending,
                 Invariant::ExactlyOnceRearm,
-                Invariant::SequentialShardedEquivalence,
             ],
         }
     }
@@ -589,7 +583,6 @@ impl ScenarioSpec {
                 Invariant::NoPermanentPending,
                 Invariant::ExactlyOnceRearm,
                 Invariant::PrefixConsistentFailover,
-                Invariant::SequentialShardedEquivalence,
             ],
         }
     }
@@ -676,7 +669,6 @@ impl ScenarioSpec {
                 Invariant::NoAdmittedStarvation,
                 Invariant::BoundedQueueDepth,
                 Invariant::NoPermanentPending,
-                Invariant::SequentialShardedEquivalence,
             ],
         }
     }

@@ -29,8 +29,7 @@
 //! The scheduler is a deterministic fluid model: all state lives in
 //! ordered containers, events are fired in `(time, transfer-id)`
 //! order, and no wall clock or RNG is consulted — the same workload
-//! produces byte-identical schedules in the Sequential and Sharded
-//! drivers.
+//! produces byte-identical schedules run to run.
 
 #![warn(missing_docs)]
 

@@ -1106,11 +1106,10 @@ impl XferScheduler {
     }
 
     /// The original O(K) linear scan over every transfer, retained as
-    /// the differential oracle for the event heap and as the bench
-    /// baseline (`naive-oracle` feature). Recomputes each active due
-    /// time from `remaining` instead of trusting the heap.
-    #[cfg(any(test, feature = "naive-oracle"))]
-    pub fn naive_next_event(&self) -> Option<(SimTime, u64)> {
+    /// the differential oracle for the event heap. Recomputes each
+    /// active due time from `remaining` instead of trusting the heap.
+    #[cfg(test)]
+    fn naive_next_event(&self) -> Option<(SimTime, u64)> {
         let mut counts: BTreeMap<(SiteId, SiteId), usize> = BTreeMap::new();
         for t in self.transfers.values() {
             if t.state == TState::Active {
@@ -1133,12 +1132,6 @@ impl XferScheduler {
             }
         }
         best
-    }
-
-    /// The heap's answer in oracle form, for differential tests.
-    #[cfg(any(test, feature = "naive-oracle"))]
-    pub fn heap_next_event(&mut self) -> Option<(SimTime, u64)> {
-        self.next_internal_event()
     }
 
     /// The next instant at which transfer-plane state changes, if
@@ -1780,7 +1773,7 @@ mod tests {
                     }
                 }
                 let naive = x.naive_next_event();
-                let heap = x.heap_next_event();
+                let heap = x.next_internal_event();
                 match (naive, heap) {
                     (None, None) => {}
                     (Some((tn, idn)), Some((th, idh))) => {

@@ -1,8 +1,7 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! Provides the subset the workspace uses: multi-producer
-//! multi-consumer channels ([`channel`]) and scoped threads
-//! ([`thread`]), built on `std::sync` and `std::thread`. One
+//! multi-consumer channels ([`channel`]), built on `std::sync`. One
 //! deviation: a `bounded(0)` channel behaves like `bounded(1)`
 //! (buffered hand-off rather than a strict rendezvous); no caller in
 //! this workspace depends on rendezvous blocking.
@@ -251,45 +250,6 @@ pub mod channel {
     }
 }
 
-pub mod thread {
-    //! Scoped threads with `crossbeam::thread`'s API shape, backed by
-    //! `std::thread::scope` (stable since 1.63).
-
-    /// Spawns scoped threads; all are joined before `scope` returns.
-    ///
-    /// Unlike real crossbeam this cannot observe child panics as an
-    /// `Err` — a panicking child propagates when the scope joins — so
-    /// the `Ok` arm is the only one that ever returns.
-    pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
-    where
-        F: for<'a, 'scope> FnOnce(&'a Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| {
-            let wrapper = Scope { inner: s };
-            f(&wrapper)
-        }))
-    }
-
-    /// A scope handle mirroring `crossbeam::thread::Scope`.
-    #[derive(Clone, Copy)]
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a thread inside the scope. The closure receives the
-        /// scope (crossbeam's signature) so workers can spawn more.
-        pub fn spawn<F, T>(&self, f: F) -> std::thread::ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let scope = *self;
-            self.inner.spawn(move || f(&scope))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::channel::*;
@@ -357,17 +317,5 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(10)),
             Err(RecvTimeoutError::Timeout)
         );
-    }
-
-    #[test]
-    fn scoped_threads_join() {
-        let mut values = vec![0u32; 4];
-        super::thread::scope(|s| {
-            for (i, v) in values.iter_mut().enumerate() {
-                s.spawn(move |_| *v = i as u32 + 1);
-            }
-        })
-        .unwrap();
-        assert_eq!(values, vec![1, 2, 3, 4]);
     }
 }

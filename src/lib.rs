@@ -78,7 +78,7 @@ pub use gae_xfer as xfer;
 /// Everything most programs need, in one import.
 pub mod prelude {
     pub use gae_core::estimator::{EstimationMethod, RuntimeEstimator};
-    pub use gae_core::grid::{DriverMode, Grid, GridBuilder, ServiceStack};
+    pub use gae_core::grid::{Grid, GridBuilder, ServiceStack};
     pub use gae_core::jobmon::{JobMonitoringInfo, JobMonitoringService};
     pub use gae_core::persist::{PersistenceConfig, RecoveryReport};
     pub use gae_core::steering::{Notification, SteeringCommand, SteeringPolicy, SteeringService};

@@ -8,8 +8,7 @@
 //! point — torn tail, flipped bit, or duplicated tail — and a fresh
 //! stack is rebuilt with `recover_from_disk`. Recovery must always
 //! succeed, and the rebuilt state must be *prefix-consistent*: exactly
-//! equal to the reference digest at the reported commit index, under
-//! both the sequential and the sharded driver.
+//! equal to the reference digest at the reported commit index.
 
 use gae::durable::fault::unique_temp_dir;
 use gae::prelude::*;
@@ -18,15 +17,12 @@ use proptest::prelude::*;
 #[path = "harness/mod.rs"]
 mod harness;
 use harness::{
-    arb_scenario, build_grid, corrupt_store, digest, driver_for, estimate_probe, persisted_run,
+    arb_scenario, build_grid, corrupt_store, digest, estimate_probe, persisted_run,
     reference_digests, reference_stack_at, Scenario,
 };
 
 proptest! {
-    // 128 cases by default (CI raises this via PROPTEST_CASES); the
-    // `sharded` flag inside the scenario alternates drivers, so both
-    // DriverMode::Sequential and DriverMode::Sharded recovery paths
-    // see ~half the corpus each.
+    // 128 cases by default (CI raises this via PROPTEST_CASES).
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
@@ -41,9 +37,8 @@ proptest! {
         persisted_run(&scenario, &config);
         let what = corrupt_store(&scenario, &dir);
 
-        // Recovery must always succeed under a single fault, and may
-        // recover with the opposite driver mode from the writer.
-        let grid = build_grid(&scenario, driver_for(&scenario), None);
+        // Recovery must always succeed under a single fault.
+        let grid = build_grid(&scenario, None);
         let (stack, report) = ServiceStack::recover_from_disk(
             grid,
             SteeringPolicy::default(),
@@ -86,9 +81,9 @@ proptest! {
 /// the uniform proptest workload, the submissions follow the chaos-
 /// grid scenario's non-uniform arrival pattern — heavy-tailed task
 /// demands at bursty instants, staggered across step boundaries. The
-/// persisted sharded run crashes at the scenario's own crash tick;
-/// recovery must land exactly on the sequential reference digest at
-/// that commit point and then drive the remaining work to settlement.
+/// persisted run crashes at the scenario's own crash tick; recovery
+/// must land exactly on the reference run's digest at that commit
+/// point and then drive the remaining work to settlement.
 #[test]
 fn recovery_is_prefix_consistent_under_scenario_load() {
     use gae::trace::ScenarioSpec;
@@ -106,8 +101,8 @@ fn recovery_is_prefix_consistent_under_scenario_load() {
         .collect();
     boundaries.push(crash_at);
 
-    let build = |driver: DriverMode, persist: Option<&PersistenceConfig>| {
-        let mut builder = GridBuilder::new().driver(driver);
+    let build = |persist: Option<&PersistenceConfig>| {
+        let mut builder = GridBuilder::new();
         for (i, site) in spec.sites.iter().enumerate() {
             let desc = SiteDescription::new(
                 SiteId::new(i as u64 + 1),
@@ -158,9 +153,9 @@ fn recovery_is_prefix_consistent_under_scenario_load() {
         }
     };
 
-    // Reference: sequential, no persistence, digest at every commit.
+    // Reference: no persistence, digest at every commit.
     let reference = {
-        let stack = ServiceStack::over(build(DriverMode::Sequential, None));
+        let stack = ServiceStack::over(build(None));
         let mut digests = vec![digest(&stack)];
         let mut from = 0;
         for &t in &boundaries {
@@ -172,14 +167,14 @@ fn recovery_is_prefix_consistent_under_scenario_load() {
         digests
     };
 
-    // Persisted sharded run, killed right after the crash-tick commit
+    // Persisted run, killed right after the crash-tick commit
     // (dropped before any further submission).
     let dir = unique_temp_dir("crash-scenario-load");
     let config = PersistenceConfig::new(&dir)
         .snapshot_every(SimDuration::from_secs(3 * step))
         .fsync(false);
     {
-        let stack = ServiceStack::over(build(DriverMode::sharded(2), Some(&config)));
+        let stack = ServiceStack::over(build(Some(&config)));
         let mut from = 0;
         for &t in &boundaries {
             submit_window(&stack, from, t);
@@ -189,7 +184,7 @@ fn recovery_is_prefix_consistent_under_scenario_load() {
     }
 
     let (stack, report) = ServiceStack::recover_from_disk(
-        build(DriverMode::sharded(2), None),
+        build(None),
         SteeringPolicy::default(),
         SimDuration::from_secs(5),
         &config,
@@ -238,7 +233,6 @@ fn recovered_stack_runs_to_completion() {
         steps: 3,
         step_secs: 20,
         snapshot_steps: 1,
-        sharded: false,
         victim: 0,
         kind: 0,
         extent: 0,
@@ -246,7 +240,7 @@ fn recovered_stack_runs_to_completion() {
     };
     persisted_run(&scenario, &config);
 
-    let grid = build_grid(&scenario, DriverMode::sharded(2), None);
+    let grid = build_grid(&scenario, None);
     let (stack, report) = ServiceStack::recover_from_disk(
         grid,
         SteeringPolicy::default(),

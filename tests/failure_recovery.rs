@@ -125,6 +125,7 @@ fn recovery_attempts_exhaust_into_job_failure() {
         tracked.is_failed(),
         "task must be abandoned after 2 attempts"
     );
+    assert_eq!(tracked.tasks[&task].recovery_attempts, 3);
     let notes = stack.steering.drain_notifications();
     assert!(notes
         .iter()
@@ -215,17 +216,11 @@ fn dag_job_survives_mid_pipeline_failure() {
 }
 
 #[test]
-fn sharded_driver_recovers_each_task_exactly_once() {
-    // Backup & Recovery under the parallel driver: kill a site while
-    // the sharded workers are mid-run, then check every stranded task
-    // is resubmitted exactly once (one Recovery move each, one
-    // recovery_attempt each) and completes elsewhere.
-    let grid = GridBuilder::new()
-        .driver(DriverMode::sharded(3))
-        .site(SiteDescription::new(SiteId::new(1), "alpha", 2, 1))
-        .site(SiteDescription::new(SiteId::new(2), "beta", 2, 1))
-        .site(SiteDescription::new(SiteId::new(3), "gamma", 2, 1))
-        .build();
+fn site_failure_recovers_each_stranded_task_exactly_once() {
+    // Kill a site mid-run with a whole queue on it, then check every
+    // stranded task is resubmitted exactly once (one Recovery move
+    // each, one recovery_attempt each) and completes elsewhere.
+    let grid = grid3();
     let stack = ServiceStack::over(grid.clone());
     let mut job = JobSpec::new(JobId::new(1), "wide", UserId::new(1));
     let tasks: Vec<TaskId> = (1..=4)
@@ -278,44 +273,4 @@ fn sharded_driver_recovers_each_task_exactly_once() {
             assert_ne!(info.site, victim, "task {t} must have left the dead site");
         }
     }
-}
-
-#[test]
-fn sharded_driver_respects_recovery_attempt_cap() {
-    // Same attempt-budget semantics as the sequential driver: with
-    // max_recovery_attempts = 2, the third failure abandons the task.
-    let grid = GridBuilder::new()
-        .driver(DriverMode::sharded(2))
-        .site(SiteDescription::new(SiteId::new(1), "alpha", 1, 1))
-        .site(SiteDescription::new(SiteId::new(2), "beta", 1, 1))
-        .build();
-    let policy = SteeringPolicy {
-        max_recovery_attempts: 2,
-        ..SteeringPolicy::default()
-    };
-    let stack = ServiceStack::with_policy(grid.clone(), policy, SimDuration::from_secs(5));
-    let (job, task) = one_task_job(10_000);
-    stack.submit_job(job).unwrap();
-
-    for round in 0..4 {
-        stack.run_until(SimTime::from_secs(20 * (round + 1)));
-        if let Ok(info) = stack.jobmon.job_info(task) {
-            if info.status.is_live() {
-                for s in grid.site_ids() {
-                    if s != info.site && !grid.is_alive(s) {
-                        grid.exec(s).unwrap().lock().recover_site();
-                    }
-                }
-                grid.exec(info.site).unwrap().lock().fail_site();
-            }
-        }
-    }
-    stack.run_until(SimTime::from_secs(200));
-    let tracked = stack.steering.tracked_job(JobId::new(1)).unwrap();
-    assert!(tracked.is_failed(), "abandoned after the attempt budget");
-    assert_eq!(tracked.tasks[&task].recovery_attempts, 3);
-    let notes = stack.steering.drain_notifications();
-    assert!(notes
-        .iter()
-        .any(|n| matches!(n, Notification::JobFailed { .. })));
 }

@@ -30,9 +30,6 @@ pub struct Scenario {
     pub step_secs: u64,
     /// Snapshot cadence in steps (1 = rotate at every checkpoint).
     pub snapshot_steps: u64,
-    /// Whether the persisted run and the recovered run use the
-    /// sharded driver (the reference is always sequential).
-    pub sharded: bool,
     /// Which store file the corruption lands in (modulo file count).
     /// The failover tests reuse it as the kill-step selector.
     pub victim: u64,
@@ -60,18 +57,12 @@ pub fn arb_scenario() -> impl Strategy<Value = Scenario> {
             5u64..40,
             1u64..4,
         ),
-        (
-            any::<bool>(),
-            0u64..1_000_000,
-            0u8..3,
-            0u64..1_000_000,
-            0u8..8,
-        ),
+        (0u64..1_000_000, 0u8..3, 0u64..1_000_000, 0u8..8),
     )
         .prop_map(
             |(
                 (sites, raw_flocks, raw_jobs, steps, step_secs, snapshot_steps),
-                (sharded, victim, kind, extent, bit),
+                (victim, kind, extent, bit),
             )| {
                 let n = sites.len();
                 let flock_edges = raw_flocks
@@ -96,7 +87,6 @@ pub fn arb_scenario() -> impl Strategy<Value = Scenario> {
                     steps,
                     step_secs,
                     snapshot_steps,
-                    sharded,
                     victim,
                     kind,
                     extent,
@@ -106,12 +96,8 @@ pub fn arb_scenario() -> impl Strategy<Value = Scenario> {
         )
 }
 
-pub fn build_grid(
-    scenario: &Scenario,
-    driver: DriverMode,
-    persist: Option<&PersistenceConfig>,
-) -> Arc<Grid> {
-    let mut builder = GridBuilder::new().driver(driver);
+pub fn build_grid(scenario: &Scenario, persist: Option<&PersistenceConfig>) -> Arc<Grid> {
+    let mut builder = GridBuilder::new();
     for (i, (nodes, slots, load_quarters)) in scenario.sites.iter().enumerate() {
         let desc = SiteDescription::new(SiteId::new(i as u64 + 1), format!("s{i}"), *nodes, *slots);
         builder = if *load_quarters == 0 {
@@ -221,11 +207,11 @@ pub fn digest(stack: &ServiceStack) -> String {
     out
 }
 
-/// Reference stack (sequential driver, no persistence) driven to the
+/// Reference stack (no persistence) driven to the
 /// given commit point — for comparing *derived* state, like runtime
 /// estimates, against a recovered or promoted stack at that commit.
 pub fn reference_stack_at(scenario: &Scenario, steps: u64) -> Arc<ServiceStack> {
-    let stack = ServiceStack::over(build_grid(scenario, DriverMode::Sequential, None));
+    let stack = ServiceStack::over(build_grid(scenario, None));
     submit_workload(scenario, &stack);
     for step in 1..=steps {
         stack.run_until(SimTime::from_secs(step * scenario.step_secs));
@@ -254,10 +240,10 @@ pub fn estimate_probe(stack: &ServiceStack) -> Vec<String> {
         .collect()
 }
 
-/// Reference run (no persistence, sequential driver): the digest at
-/// every commit point `0..=steps`.
+/// Reference run (no persistence): the digest at every commit point
+/// `0..=steps`.
 pub fn reference_digests(scenario: &Scenario) -> Vec<String> {
-    let grid = build_grid(scenario, DriverMode::Sequential, None);
+    let grid = build_grid(scenario, None);
     let stack = ServiceStack::over(grid);
     // Commit 0 is the state before anything was committed: empty.
     let mut digests = vec![digest(&stack)];
@@ -269,17 +255,9 @@ pub fn reference_digests(scenario: &Scenario) -> Vec<String> {
     digests
 }
 
-pub fn driver_for(scenario: &Scenario) -> DriverMode {
-    if scenario.sharded {
-        DriverMode::sharded(3)
-    } else {
-        DriverMode::Sequential
-    }
-}
-
 /// Runs the persisted stack to the crash horizon and drops it.
 pub fn persisted_run(scenario: &Scenario, config: &PersistenceConfig) {
-    let grid = build_grid(scenario, driver_for(scenario), Some(config));
+    let grid = build_grid(scenario, Some(config));
     let stack = ServiceStack::over(grid);
     submit_workload(scenario, &stack);
     for step in 1..=scenario.steps {

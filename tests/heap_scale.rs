@@ -1,8 +1,9 @@
 //! Event-heap scale proof (DESIGN.md §15): the simulation core must
-//! drive 1,000+ sites with 100k+ in-flight tasks to settlement, and
-//! the sharded driver must produce a byte-identical event schedule —
-//! checked here as equal FNV-1a digests over every drained event, so
-//! the full streams never have to be held side by side.
+//! drive 1,000+ sites with 100k+ in-flight tasks to settlement, and a
+//! second run in fresh state (new `Grid`, new `HashMap` seeds) must
+//! produce a byte-identical event schedule — checked here as equal
+//! FNV-1a digests over every drained event, so the full streams never
+//! have to be held side by side.
 //!
 //! The 64-site smoke variant always runs; the 1,000-site run is
 //! skipped under unoptimised builds unless `HEAP_SCALE=1` forces it
@@ -51,8 +52,8 @@ impl Digest {
 /// input from the next site over, and drives it to settlement in
 /// coarse one-hour strides. Returns the event digest, the event
 /// count, and the settlement instant.
-fn settle(sites: u64, tasks_per_site: u64, driver: DriverMode) -> (u64, u64, SimTime) {
-    let mut builder = GridBuilder::new().driver(driver);
+fn settle(sites: u64, tasks_per_site: u64) -> (u64, u64, SimTime) {
+    let mut builder = GridBuilder::new();
     for s in 1..=sites {
         builder = builder.site(SiteDescription::new(SiteId::new(s), format!("s{s}"), 2, 2));
     }
@@ -86,32 +87,33 @@ fn settle(sites: u64, tasks_per_site: u64, driver: DriverMode) -> (u64, u64, Sim
             break;
         }
     }
-    assert_eq!(
-        grid.next_event_time_uncached(),
-        None,
+    assert!(
+        grid.sites()
+            .all(|(_, site)| site.lock().next_event_time().is_none())
+            && grid.with_xfer(|x| x.next_event_time()).is_none(),
         "cached index says settled but the site scan disagrees"
     );
     (digest.0, count, grid.now())
 }
 
-fn assert_drivers_agree(sites: u64, tasks_per_site: u64, threads: usize) {
-    let (seq_digest, seq_count, seq_now) = settle(sites, tasks_per_site, DriverMode::Sequential);
-    let (sh_digest, sh_count, sh_now) = settle(sites, tasks_per_site, DriverMode::sharded(threads));
-    assert_eq!(seq_count, sh_count, "event counts diverged");
-    assert_eq!(seq_now, sh_now, "settlement instants diverged");
-    assert_eq!(seq_digest, sh_digest, "event streams diverged");
+fn assert_runs_agree(sites: u64, tasks_per_site: u64) {
+    let (digest, count, now) = settle(sites, tasks_per_site);
+    let (digest_again, count_again, now_again) = settle(sites, tasks_per_site);
+    assert_eq!(count, count_again, "event counts diverged");
+    assert_eq!(now, now_again, "settlement instants diverged");
+    assert_eq!(digest, digest_again, "event streams diverged");
     // Every submitted task must have produced at least its queued /
     // running / terminal transitions.
     assert!(
-        seq_count >= sites * tasks_per_site * 3,
-        "only {seq_count} events for {} tasks",
+        count >= sites * tasks_per_site * 3,
+        "only {count} events for {} tasks",
         sites * tasks_per_site
     );
 }
 
 #[test]
 fn smoke_64_sites_settle_identically() {
-    assert_drivers_agree(64, 8, 4);
+    assert_runs_agree(64, 8);
 }
 
 #[test]
@@ -120,5 +122,5 @@ fn thousand_sites_hundred_thousand_tasks_settle_identically() {
         eprintln!("skipping 1,000-site run under an unoptimised build (set HEAP_SCALE=1 to force)");
         return;
     }
-    assert_drivers_agree(1_000, 100, 8);
+    assert_runs_agree(1_000, 100);
 }

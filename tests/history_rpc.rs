@@ -4,7 +4,7 @@
 //! caller's tree, `hist.*` spans land under the deterministic query
 //! trace), and a 128-case proptest holding `history.query` to the
 //! naive reference filter on random predicates. Also home of the
-//! jobmon export-determinism check (Sequential ≡ Sharded) and the
+//! jobmon export-determinism check (run to run) and the
 //! scaled pushdown test over a 10⁵/10⁶-row store.
 
 use gae::aio::ReactorRpcServer;
@@ -506,10 +506,10 @@ proptest! {
     }
 }
 
-// ---- jobmon export determinism (Sequential ≡ Sharded) ----
+// ---- jobmon export determinism (run to run) ----
 
 #[test]
-fn jobmon_export_digests_are_identical_across_driver_modes() {
+fn jobmon_export_is_deterministic_run_to_run() {
     let scenario = Scenario {
         sites: vec![(2, 2, 0), (3, 1, 1), (2, 1, 0)],
         flock_edges: vec![(0, 1)],
@@ -521,38 +521,29 @@ fn jobmon_export_digests_are_identical_across_driver_modes() {
         steps: 6,
         step_secs: 30,
         snapshot_steps: 2,
-        sharded: false,
         victim: 0,
         kind: 0,
         extent: 0,
         bit: 0,
     };
-    let run = |driver: DriverMode| {
-        let stack = ServiceStack::over(build_grid(&scenario, driver, None));
+    // Two runs in fresh state: new `Grid`, new `HashMap` seeds.
+    let run = || {
+        let stack = ServiceStack::over(build_grid(&scenario, None));
         submit_workload(&scenario, &stack);
         stack.run_until(SimTime::from_secs(
             scenario.steps as u64 * scenario.step_secs,
         ));
-        let export = format!("{:?}", stack.jobmon.db_snapshot());
-        (export, stack.hist.store().digest())
+        (stack.jobmon.db_snapshot(), stack.hist.store().digest())
     };
-    let (seq_export, seq_hist) = run(DriverMode::Sequential);
-    let (shard_export, shard_hist) = run(DriverMode::sharded(3));
+    let (infos, hist) = run();
+    let (infos_again, hist_again) = run();
     assert_eq!(
-        seq_export, shard_export,
-        "DBManager::export() order diverged across driver modes"
+        infos, infos_again,
+        "DBManager::export() order diverged run to run"
     );
-    assert_eq!(seq_hist, shard_hist, "hist store diverged across modes");
+    assert_eq!(hist, hist_again, "hist store diverged run to run");
     // The export is TaskId-sorted, so it is deterministic by
     // construction, not by accident of hash order.
-    let infos = {
-        let stack = ServiceStack::over(build_grid(&scenario, DriverMode::Sequential, None));
-        submit_workload(&scenario, &stack);
-        stack.run_until(SimTime::from_secs(
-            scenario.steps as u64 * scenario.step_secs,
-        ));
-        stack.jobmon.db_snapshot()
-    };
     let mut sorted = infos.clone();
     sorted.sort_by_key(|i| i.task);
     assert_eq!(infos, sorted, "export is not TaskId-sorted");

@@ -1,6 +1,6 @@
 //! End-to-end observability (DESIGN.md §10): one submitted job yields
 //! one connected causal tree retrievable over RPC by CondorId, trace
-//! trees replay byte-identically across driver modes, latency
+//! trees replay byte-identically run to run, latency
 //! histograms publish under the MonALISA `obs` entity, and the
 //! `X-GAE-Trace` header carries contexts across the TCP transport.
 
@@ -13,9 +13,8 @@ use gae::types::WallClock;
 use gae::wire::Value;
 use std::sync::Arc;
 
-fn one_job_stack(driver: DriverMode) -> Arc<ServiceStack> {
+fn one_job_stack() -> Arc<ServiceStack> {
     let grid = GridBuilder::new()
-        .driver(driver)
         .site_with_load(SiteDescription::new(SiteId::new(1), "busy", 2, 1), 2.0)
         .site(SiteDescription::new(SiteId::new(2), "free", 2, 1))
         .build();
@@ -36,7 +35,7 @@ fn one_job_stack(driver: DriverMode) -> Arc<ServiceStack> {
 
 #[test]
 fn submitted_job_yields_one_connected_trace_tree_over_rpc() {
-    let stack = one_job_stack(DriverMode::Sequential);
+    let stack = one_job_stack();
     let info = stack.jobmon.job_info(TaskId::new(1)).unwrap();
     assert_eq!(info.status, TaskStatus::Completed);
     let condor = info.condor.raw();
@@ -110,12 +109,13 @@ fn submitted_job_yields_one_connected_trace_tree_over_rpc() {
     assert!(text.contains("complete"), "{text}");
 }
 
-// ---- determinism across driver modes ----
+// ---- determinism run to run ----
 
 #[test]
-fn trace_trees_replay_byte_identically_across_driver_modes() {
-    let render_all = |driver: DriverMode| -> Vec<String> {
-        let stack = one_job_stack(driver);
+fn trace_trees_are_deterministic_run_to_run() {
+    // Each call is a fresh stack: new `Grid`, new `HashMap` seeds.
+    let render_all = || -> Vec<String> {
+        let stack = one_job_stack();
         (1..=3u64)
             .map(|i| {
                 let condor = stack.jobmon.job_info(TaskId::new(i)).unwrap().condor.raw();
@@ -123,18 +123,14 @@ fn trace_trees_replay_byte_identically_across_driver_modes() {
             })
             .collect()
     };
-    let sequential = render_all(DriverMode::Sequential);
-    let sequential_again = render_all(DriverMode::Sequential);
-    let sharded = render_all(DriverMode::Sharded { threads: 4 });
-    assert_eq!(sequential, sequential_again, "same-mode replay diverged");
-    assert_eq!(sequential, sharded, "cross-mode trace trees diverged");
+    assert_eq!(render_all(), render_all(), "replayed trace trees diverged");
 }
 
 // ---- histogram publication under the `obs` entity ----
 
 #[test]
 fn latency_histograms_publish_under_the_obs_entity() {
-    let stack = one_job_stack(DriverMode::Sequential);
+    let stack = one_job_stack();
 
     // Drive some RPCs through a host wired to the stack's hub so
     // per-method histograms have samples.

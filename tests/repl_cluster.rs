@@ -1,34 +1,91 @@
 //! Replicated-log cluster semantics (DESIGN.md §13), exercised on a
-//! standalone cluster with [`MirrorMachine`] state: commit-time
-//! streaming, snapshot-install catch-up for lagging followers, the
-//! quorum rule under follower loss, deterministic elections, and the
+//! follower cluster with [`MirrorMachine`] state, driven through its
+//! [`ReplicationSink`] by a small local leader: commit-time streaming,
+//! snapshot-install catch-up for lagging followers, the quorum rule
+//! under follower loss, deterministic elections, and the
 //! recoverability of a promoted follower's store.
 
 use gae::durable::fault::unique_temp_dir;
 use gae::durable::DurableStore;
 use gae::prelude::*;
+use gae::repl::{frame, Mutation};
 use gae::wire::Value;
+use std::sync::Arc;
 
-fn cluster_at(dir: &std::path::Path, followers: usize) -> ReplicatedLog<MirrorMachine> {
-    ReplicatedLog::standalone(
+/// The leader these followers mirror: a bare store in `node-0` plus a
+/// machine of its own, teeing every append / commit / rotate into the
+/// cluster's sink the way `gae-core`'s persistence layer does.
+struct Leader {
+    store: DurableStore,
+    machine: MirrorMachine,
+    pending: Vec<Mutation>,
+    cluster: Arc<ReplicatedLog<MirrorMachine>>,
+}
+
+impl Leader {
+    fn append(&mut self, kind: &str, body: Value) {
+        self.cluster.on_append(kind, &body);
+        self.pending.push(Mutation {
+            kind: kind.to_string(),
+            body,
+        });
+    }
+
+    /// Commits the buffered mutations locally, then streams the batch.
+    fn commit(&mut self) -> u64 {
+        let records = std::mem::take(&mut self.pending);
+        for m in &records {
+            self.store
+                .append(frame::encode_envelope(&m.kind, &m.body).into_bytes());
+        }
+        let index = self.store.commit().expect("leader commit");
+        for m in &records {
+            self.machine.apply_mutation(m).expect("leader apply");
+        }
+        self.cluster.on_commit(index);
+        index
+    }
+
+    fn commit_batch(&mut self, tag: &str, records: usize) -> u64 {
+        for i in 0..records {
+            self.append(tag, Value::from(format!("{tag}-{i}")));
+        }
+        self.commit()
+    }
+
+    /// Rotates to a snapshot of the leader machine and forwards it.
+    fn rotate(&mut self) {
+        let payload = self.machine.snapshot();
+        self.store.rotate(&payload).expect("leader rotate");
+        self.cluster
+            .on_rotate(self.store.commit_index(), self.store.record_seq(), &payload);
+    }
+
+    fn state(&self) -> String {
+        self.machine.query_state()
+    }
+}
+
+fn cluster_at(
+    dir: &std::path::Path,
+    followers: usize,
+) -> (Leader, Arc<ReplicatedLog<MirrorMachine>>) {
+    let cluster = ReplicatedLog::attached(
         dir,
         ReplConfig {
             followers,
             fsync: false,
         },
-        MirrorMachine::new(),
         |_| MirrorMachine::new(),
     )
-    .expect("cluster")
-}
-
-fn commit_batch(cluster: &ReplicatedLog<MirrorMachine>, tag: &str, records: usize) -> u64 {
-    for i in 0..records {
-        cluster
-            .append(tag, Value::from(format!("{tag}-{i}")))
-            .expect("append");
-    }
-    cluster.commit().expect("commit")
+    .expect("cluster");
+    let leader = Leader {
+        store: DurableStore::create(&dir.join("node-0"), false).expect("leader store"),
+        machine: MirrorMachine::new(),
+        pending: Vec::new(),
+        cluster: cluster.clone(),
+    };
+    (leader, cluster)
 }
 
 /// Committed batches land on every follower — store and machine — in
@@ -36,15 +93,15 @@ fn commit_batch(cluster: &ReplicatedLog<MirrorMachine>, tag: &str, records: usiz
 #[test]
 fn followers_replay_every_committed_batch() {
     let dir = unique_temp_dir("repl-replay");
-    let cluster = cluster_at(&dir, 2);
+    let (mut leader, cluster) = cluster_at(&dir, 2);
     for round in 0..5 {
-        commit_batch(&cluster, &format!("r{round}"), 3);
+        leader.commit_batch(&format!("r{round}"), 3);
     }
-    let leader = cluster.leader_state().expect("leader state");
+    let leader_state = leader.state();
     for node in cluster.follower_ids() {
         assert_eq!(
             cluster.follower_state(node).expect("follower state"),
-            leader,
+            leader_state,
             "{node} diverged from the leader"
         );
         assert_eq!(cluster.follower_commit(node).expect("commit"), 5);
@@ -52,12 +109,10 @@ fn followers_replay_every_committed_batch() {
     assert_eq!(cluster.quorum_commit(), 5);
 
     // An append the leader has not committed must not leak.
-    cluster
-        .append("pending", Value::from("never"))
-        .expect("append");
+    leader.append("pending", Value::from("never"));
     for node in cluster.follower_ids() {
         assert_eq!(cluster.follower_commit(node).expect("commit"), 5);
-        assert_eq!(cluster.follower_state(node).expect("state"), leader);
+        assert_eq!(cluster.follower_state(node).expect("state"), leader_state);
     }
 
     let stats = cluster.stats();
@@ -78,18 +133,18 @@ fn followers_replay_every_committed_batch() {
 #[test]
 fn snapshot_install_catches_up_lagging_follower() {
     let dir = unique_temp_dir("repl-install");
-    let cluster = cluster_at(&dir, 2);
+    let (mut leader, cluster) = cluster_at(&dir, 2);
     let lagger = NodeId(1);
-    commit_batch(&cluster, "before", 4);
+    leader.commit_batch("before", 4);
     cluster.kill_follower(lagger).expect("kill");
     assert_eq!(cluster.stats().followers_alive, 1);
 
     // The leader advances past a rotation while the follower is dead:
     // the pre-rotation batches are released from the catch-up log, so
     // rejoin *must* go through snapshot install.
-    commit_batch(&cluster, "missed", 2);
-    cluster.rotate().expect("rotate");
-    let after_rotation = commit_batch(&cluster, "suffix", 3);
+    leader.commit_batch("missed", 2);
+    leader.rotate();
+    let after_rotation = leader.commit_batch("suffix", 3);
 
     cluster.rejoin_follower(lagger).expect("rejoin");
     let stats = cluster.stats();
@@ -102,7 +157,7 @@ fn snapshot_install_catches_up_lagging_follower() {
     );
     assert_eq!(
         cluster.follower_state(lagger).expect("state"),
-        cluster.leader_state().expect("leader state"),
+        leader.state(),
         "byte-identical state digest after snapshot install + suffix replay"
     );
     assert_eq!(cluster.quorum_commit(), after_rotation);
@@ -115,14 +170,14 @@ fn snapshot_install_catches_up_lagging_follower() {
 #[test]
 fn quorum_stalls_without_followers_and_recovers() {
     let dir = unique_temp_dir("repl-quorum");
-    let cluster = cluster_at(&dir, 2);
-    let committed = commit_batch(&cluster, "healthy", 2);
+    let (mut leader, cluster) = cluster_at(&dir, 2);
+    let committed = leader.commit_batch("healthy", 2);
     assert_eq!(cluster.quorum_commit(), committed);
     assert_eq!(cluster.stats().quorum_stalls, 0);
 
     cluster.kill_follower(NodeId(1)).expect("kill 1");
     cluster.kill_follower(NodeId(2)).expect("kill 2");
-    let alone = commit_batch(&cluster, "alone", 2);
+    let alone = leader.commit_batch("alone", 2);
     assert_eq!(cluster.stats().leader_commit, alone);
     assert_eq!(
         cluster.quorum_commit(),
@@ -148,8 +203,8 @@ fn quorum_stalls_without_followers_and_recovers() {
 fn election_is_deterministic() {
     // All followers in sync: the tie breaks on node id.
     let dir = unique_temp_dir("repl-elect-tie");
-    let cluster = cluster_at(&dir, 3);
-    let committed = commit_batch(&cluster, "sync", 2);
+    let (mut leader, cluster) = cluster_at(&dir, 3);
+    let committed = leader.commit_batch("sync", 2);
     let promotion = cluster.fail_leader().expect("election");
     assert_eq!(promotion.node, NodeId(3));
     assert_eq!(promotion.commit_index, committed);
@@ -161,10 +216,10 @@ fn election_is_deterministic() {
     // so the commit-index component of the rule only discriminates
     // against the dead.
     let dir = unique_temp_dir("repl-elect-dead");
-    let cluster = cluster_at(&dir, 3);
-    commit_batch(&cluster, "early", 2);
+    let (mut leader, cluster) = cluster_at(&dir, 3);
+    leader.commit_batch("early", 2);
     cluster.kill_follower(NodeId(3)).expect("kill");
-    commit_batch(&cluster, "late", 2);
+    leader.commit_batch("late", 2);
     let promotion = cluster.fail_leader().expect("election");
     assert_eq!(promotion.node, NodeId(2), "dead node-3 is not electable");
     std::fs::remove_dir_all(&dir).ok();
@@ -176,12 +231,12 @@ fn election_is_deterministic() {
 #[test]
 fn promoted_follower_store_is_recoverable() {
     let dir = unique_temp_dir("repl-promote");
-    let cluster = cluster_at(&dir, 2);
-    commit_batch(&cluster, "gen0", 3);
-    cluster.rotate().expect("rotate");
-    commit_batch(&cluster, "gen1", 2);
+    let (mut leader, cluster) = cluster_at(&dir, 2);
+    leader.commit_batch("gen0", 3);
+    leader.rotate();
+    leader.commit_batch("gen1", 2);
     let promotion = cluster.fail_leader().expect("election");
-    drop(cluster);
+    drop((leader, cluster));
 
     let leader = DurableStore::recover(&dir.join("node-0")).expect("recover leader dir");
     let follower = DurableStore::recover(&promotion.dir).expect("recover promoted dir");
@@ -198,8 +253,8 @@ fn promoted_follower_store_is_recoverable() {
 #[test]
 fn lifecycle_misuse_is_refused() {
     let dir = unique_temp_dir("repl-misuse");
-    let cluster = cluster_at(&dir, 2);
-    commit_batch(&cluster, "x", 1);
+    let (mut leader, cluster) = cluster_at(&dir, 2);
+    leader.commit_batch("x", 1);
     assert!(
         cluster.rejoin_follower(NodeId(1)).is_err(),
         "rejoin of a live follower"
@@ -208,6 +263,12 @@ fn lifecycle_misuse_is_refused() {
     assert!(cluster.kill_follower(NodeId(1)).is_err(), "double kill");
     cluster.fail_leader().expect("first election");
     assert!(cluster.fail_leader().is_err(), "the leader is already dead");
-    assert!(cluster.commit().is_err(), "a dead leader cannot commit");
+    // Sink calls after `fail_leader` change nothing: a dead leader
+    // cannot commit into, or rotate, the surviving followers.
+    let (stats, state) = (cluster.stats(), cluster.follower_state(NodeId(2)));
+    leader.commit_batch("posthumous", 2);
+    leader.rotate();
+    assert_eq!(cluster.stats(), stats);
+    assert_eq!(cluster.follower_state(NodeId(2)), state);
     std::fs::remove_dir_all(&dir).ok();
 }

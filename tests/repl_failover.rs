@@ -19,8 +19,8 @@ use proptest::prelude::*;
 #[path = "harness/mod.rs"]
 mod harness;
 use harness::{
-    arb_scenario, build_grid, digest, driver_for, estimate_probe, reference_digests,
-    reference_stack_at, submit_workload, Scenario,
+    arb_scenario, build_grid, digest, estimate_probe, reference_digests, reference_stack_at,
+    submit_workload, Scenario,
 };
 
 /// Runs the replicated leader for `kill_after` commit points, kills
@@ -31,7 +31,7 @@ fn replicated_run(scenario: &Scenario, dir: &std::path::Path, kill_after: usize)
             scenario.snapshot_steps * scenario.step_secs,
         ))
         .fsync(false);
-    let grid = build_grid(scenario, driver_for(scenario), Some(&config));
+    let grid = build_grid(scenario, Some(&config));
     let stack = ServiceStack::over(grid);
     let cluster = ReplicatedLog::attached(
         &dir.join("repl"),
@@ -55,9 +55,7 @@ fn replicated_run(scenario: &Scenario, dir: &std::path::Path, kill_after: usize)
 }
 
 proptest! {
-    // 128 cases in CI (the replication job sets PROPTEST_CASES); the
-    // `sharded` flag inside the scenario alternates drivers so both
-    // recovery paths see ~half the corpus each.
+    // 128 cases in CI (the replication job sets PROPTEST_CASES).
     #![proptest_config(ProptestConfig::with_cases(
         std::env::var("PROPTEST_CASES")
             .ok()
@@ -77,7 +75,7 @@ proptest! {
         // follower's store — exactly what the scenario runner does.
         let config = PersistenceConfig::new(&promotion.dir).fsync(false);
         let (stack, report) = ServiceStack::recover_from_disk(
-            build_grid(&scenario, driver_for(&scenario), None),
+            build_grid(&scenario, None),
             SteeringPolicy::default(),
             SimDuration::from_secs(5),
             &config,

@@ -269,7 +269,6 @@ fn fleet() -> Scenario {
         steps: 6,
         step_secs: 30,
         snapshot_steps: 2,
-        sharded: false,
         victim: 0,
         kind: 0,
         extent: 0,
@@ -286,7 +285,7 @@ fn recovered_and_promoted_stacks_estimate_like_the_leader() {
             scenario.snapshot_steps * scenario.step_secs,
         ))
         .fsync(false);
-    let leader = ServiceStack::over(build_grid(&scenario, DriverMode::Sequential, Some(&config)));
+    let leader = ServiceStack::over(build_grid(&scenario, Some(&config)));
     let cluster = ReplicatedLog::attached(
         &dir.join("repl"),
         ReplConfig {
@@ -328,7 +327,7 @@ fn recovered_and_promoted_stacks_estimate_like_the_leader() {
         ("promoted follower", promotion.dir),
     ] {
         let (stack, _report) = ServiceStack::recover_from_disk(
-            build_grid(&scenario, DriverMode::Sequential, None),
+            build_grid(&scenario, None),
             SteeringPolicy::default(),
             SimDuration::from_secs(5),
             &PersistenceConfig::new(&from).fsync(false),

@@ -1,10 +1,9 @@
 //! The fleet itself: every named scenario end to end, invariants
-//! asserted; Sequential ≡ Sharded equivalence under scenario load;
+//! asserted; run-to-run determinism under scenario load;
 //! the chaos-grid adaptive-loop payoff.
 
 use crate::maybe_smoke;
 use gae::durable::fault::unique_temp_dir;
-use gae::prelude::DriverMode;
 use gae::trace::ScenarioSpec;
 use gae_bench::scenario::{run_scenario, ScenarioOptions};
 use proptest::prelude::*;
@@ -112,18 +111,17 @@ fn leader_loss_fails_over_prefix_consistently() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Sequential ≡ Sharded must survive a failover: running the
-/// leader-loss scenario under both driver modes (replication on for
-/// each, separate stores) yields byte-identical end-state digests.
+/// Determinism must survive a failover: running the leader-loss
+/// scenario twice (replication on for each, separate stores, fresh
+/// `Grid` and `HashMap` seeds) yields byte-identical end-state digests.
 #[test]
-fn leader_loss_keeps_sequential_sharded_equivalence() {
+fn leader_loss_is_deterministic_run_to_run() {
     let spec = maybe_smoke(ScenarioSpec::leader_loss(SEED));
-    let run = |driver: DriverMode, tag: &str| {
+    let run = |tag: &str| {
         let dir = unique_temp_dir(&format!("scenario-fleet-ll-{tag}"));
         let report = run_scenario(
             &spec,
             &ScenarioOptions {
-                driver,
                 replication: 2,
                 persist_dir: Some(dir.clone()),
                 ..ScenarioOptions::default()
@@ -132,11 +130,10 @@ fn leader_loss_keeps_sequential_sharded_equivalence() {
         std::fs::remove_dir_all(&dir).ok();
         report
     };
-    let sequential = run(DriverMode::Sequential, "seq");
-    let sharded = run(DriverMode::sharded(3), "shard");
     assert_eq!(
-        sequential.digest, sharded.digest,
-        "driver modes diverged across the failover"
+        run("first").digest,
+        run("second").digest,
+        "two runs diverged across the failover"
     );
 }
 
@@ -176,10 +173,11 @@ fn chaos_grid_migration_beats_migration_off() {
 }
 
 proptest! {
-    // The Sequential ≡ Sharded contract under adversarial load: for
-    // any seed and any named scenario (reduced horizon), both driver
-    // modes must produce byte-identical run digests — task terminal
-    // states, placements, instants, gate and xfer counters.
+    // The determinism contract under adversarial load: for any seed
+    // and any named scenario (reduced horizon), two runs in fresh state
+    // (new `Grid`, new `HashMap` seeds) must produce byte-identical run
+    // digests — task terminal states, placements, instants, gate and
+    // xfer counters.
     #![proptest_config(ProptestConfig::with_cases(
         std::env::var("PROPTEST_CASES")
             .ok()
@@ -188,24 +186,17 @@ proptest! {
     ))]
 
     #[test]
-    fn sequential_and_sharded_schedules_are_byte_identical(
+    fn scenario_schedules_are_deterministic_run_to_run(
         seed in 0u64..1_000_000,
         which in 0usize..5,
-        threads in 2usize..5,
     ) {
         let spec = ScenarioSpec::all(seed).swap_remove(which).smoke();
-        let sequential = run_scenario(&spec, &ScenarioOptions::default());
-        let sharded = run_scenario(
-            &spec,
-            &ScenarioOptions {
-                driver: DriverMode::sharded(threads),
-                ..ScenarioOptions::default()
-            },
-        );
+        let first = run_scenario(&spec, &ScenarioOptions::default());
+        let second = run_scenario(&spec, &ScenarioOptions::default());
         prop_assert_eq!(
-            sequential.digest,
-            sharded.digest,
-            "driver modes diverged on {} (seed {})",
+            first.digest,
+            second.digest,
+            "two runs diverged on {} (seed {})",
             spec.name,
             seed
         );

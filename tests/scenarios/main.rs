@@ -5,8 +5,8 @@
 //!
 //! Structure:
 //! * [`fleet`] — every named scenario runs end to end and must keep
-//!   its declared invariants; Sequential ≡ Sharded byte-identical
-//!   digests under scenario load; the chaos-grid migration payoff.
+//!   its declared invariants; run-to-run byte-identical digests
+//!   under scenario load; the chaos-grid migration payoff.
 //! * [`gate_inversion`] — the admission queue's priority contract
 //!   under every scenario arrival process (proptest).
 //! * [`link_flapping`] — deterministic link-flap schedules against

@@ -9,7 +9,7 @@
 //! budgets with pin-while-referenced protection, the delete-race fix
 //! (an in-flight transfer never materializes data from a deleted
 //! source), staging that keeps tasks `Pending` until the *contended*
-//! completion, Sequential ≡ Sharded schedule equivalence, and
+//! completion, run-to-run schedule determinism, and
 //! crash-recovery that re-arms in-flight transfers exactly once.
 
 use gae::core::replica::ReplicaCatalog;
@@ -289,7 +289,7 @@ fn contended_staging_keeps_the_task_pending_until_actual_completion() {
     );
 }
 
-// ---- Sequential ≡ Sharded schedule equivalence ----
+// ---- run-to-run schedule determinism ----
 
 /// One generated data-grid workload in plain data form.
 #[derive(Clone, Debug)]
@@ -307,8 +307,6 @@ struct Scenario {
     steps: usize,
     /// Seconds of virtual time per step.
     step_secs: u64,
-    /// Worker count for the sharded run.
-    threads: usize,
 }
 
 fn arb_scenario() -> impl Strategy<Value = Scenario> {
@@ -329,10 +327,10 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
             prop::collection::vec(request, 0..8),
             prop::collection::vec(task, 1..5),
         ),
-        (1usize..6, 5u64..40, 2usize..5),
+        (1usize..6, 5u64..40),
     )
         .prop_map(
-            |((sites, raw_files, raw_requests, raw_tasks), (steps, step_secs, threads))| {
+            |((sites, raw_files, raw_requests, raw_tasks), (steps, step_secs))| {
                 let nf = raw_files.len();
                 let files = raw_files
                     .into_iter()
@@ -353,7 +351,6 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                     tasks,
                     steps,
                     step_secs,
-                    threads,
                 }
             },
         )
@@ -369,9 +366,9 @@ struct XferOutcome {
     tasks: Vec<Option<(TaskStatus, SiteId, Option<SimTime>)>>,
 }
 
-fn run(scenario: &Scenario, driver: DriverMode) -> XferOutcome {
+fn run(scenario: &Scenario) -> XferOutcome {
     let net = NetworkModel::new(Link::new(1e6, SimDuration::ZERO));
-    let mut builder = GridBuilder::new().driver(driver).network(net);
+    let mut builder = GridBuilder::new().network(net);
     for i in 1..=scenario.sites as u64 {
         builder = builder.site(SiteDescription::new(s(i), format!("s{i}"), 2, 1));
     }
@@ -403,7 +400,7 @@ fn run(scenario: &Scenario, driver: DriverMode) -> XferOutcome {
         job.add_task(spec);
         task_ids.push(id);
     }
-    // Scheduling can legitimately fail, identically in both modes.
+    // Scheduling can legitimately fail, identically in both runs.
     let _ = stack.submit_job(job);
 
     for step in 0..scenario.steps {
@@ -452,10 +449,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn transfer_schedule_is_driver_mode_invariant(scenario in arb_scenario()) {
-        let sequential = run(&scenario, DriverMode::Sequential);
-        let sharded = run(&scenario, DriverMode::sharded(scenario.threads));
-        prop_assert_eq!(sequential, sharded);
+    fn transfer_schedule_is_deterministic_run_to_run(scenario in arb_scenario()) {
+        // Each run is a fresh stack: new `Grid`, new `HashMap` seeds.
+        prop_assert_eq!(run(&scenario), run(&scenario));
     }
 }
 

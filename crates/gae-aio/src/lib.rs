@@ -33,10 +33,11 @@ pub use wake::Waker;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gae_gate::{Gate, GateConfig, QueueConfig, TokenBucketConfig, WallClock};
     use gae_rpc::http::{read_response, FrameLimits};
     use gae_rpc::service::{CallContext, MethodInfo, Rpc, Service};
     use gae_rpc::{Credentials, ServiceHost, TcpRpcClient};
-    use gae_types::{GaeError, GaeResult};
+    use gae_types::{GaeError, GaeResult, SimDuration};
     use gae_wire::Value;
     use std::io::{BufReader, Write};
     use std::net::TcpStream;
@@ -74,12 +75,25 @@ mod tests {
         host
     }
 
+    /// A gate for tests that only want transport: a bucket nobody can
+    /// drain, a `4 × workers` backlog, nothing expires.
+    fn open_gate(workers: usize) -> Arc<Gate> {
+        Gate::new(
+            GateConfig {
+                bucket: TokenBucketConfig::new(1e9, 1e9),
+                queue: QueueConfig::new(4 * workers, SimDuration::from_secs(60)),
+                ..GateConfig::default()
+            },
+            Arc::new(WallClock::new()),
+        )
+    }
+
     fn server() -> ReactorRpcServer {
-        ReactorRpcServer::start(echo_host(), 4).unwrap()
+        ReactorRpcServer::start_gated(echo_host(), 4, open_gate(4)).unwrap()
     }
 
     fn tuned(config: ReactorConfig) -> ReactorRpcServer {
-        ReactorRpcServer::bind_tuned(echo_host(), 2, "127.0.0.1:0", None, config).unwrap()
+        ReactorRpcServer::bind_tuned(echo_host(), 2, "127.0.0.1:0", open_gate(2), config).unwrap()
     }
 
     #[test]
@@ -103,17 +117,9 @@ mod tests {
         // An `Ok` from any constructor means the loop is polling its
         // listener: start-up failures are `Err`, never a bound socket
         // nobody serves.
-        let gate = || {
-            gae_gate::Gate::new(
-                gae_gate::GateConfig::default(),
-                Arc::new(gae_gate::WallClock::new()),
-            )
-        };
         let servers = [
-            ReactorRpcServer::start(echo_host(), 1).unwrap(),
-            ReactorRpcServer::bind(echo_host(), 1, "127.0.0.1:0").unwrap(),
-            ReactorRpcServer::start_gated(echo_host(), 1, gate()).unwrap(),
-            ReactorRpcServer::bind_gated(echo_host(), 1, "127.0.0.1:0", gate()).unwrap(),
+            ReactorRpcServer::start_gated(echo_host(), 1, open_gate(1)).unwrap(),
+            ReactorRpcServer::bind_gated(echo_host(), 1, "127.0.0.1:0", open_gate(1)).unwrap(),
             tuned(ReactorConfig::default()),
         ];
         for server in servers {
@@ -131,7 +137,7 @@ mod tests {
     fn bind_failure_is_a_typed_error() {
         let first = server();
         let taken = first.addr().to_string();
-        let second = ReactorRpcServer::bind(echo_host(), 1, &taken);
+        let second = ReactorRpcServer::bind_gated(echo_host(), 1, &taken, open_gate(1));
         assert!(matches!(second, Err(GaeError::Io(_))));
         first.stop();
     }
@@ -185,7 +191,7 @@ mod tests {
         host.sessions()
             .register(&Credentials::new("alice", "pw"))
             .unwrap();
-        let server = ReactorRpcServer::start(host, 4).unwrap();
+        let server = ReactorRpcServer::start_gated(host, 4, open_gate(4)).unwrap();
         let mut client = TcpRpcClient::connect(server.addr());
         // Anonymous first.
         assert!(client.call("test.user", vec![]).unwrap().is_nil());
@@ -204,7 +210,7 @@ mod tests {
         host.sessions()
             .register(&Credentials::new("alice", "pw"))
             .unwrap();
-        let server = ReactorRpcServer::start(host.clone(), 4).unwrap();
+        let server = ReactorRpcServer::start_gated(host.clone(), 4, open_gate(4)).unwrap();
         let mut client = TcpRpcClient::connect(server.addr());
         // The server forgets the session the client still carries: a
         // fault, not a silent downgrade to anonymous.

@@ -22,6 +22,10 @@
 //!     │            budget left this iteration)                write)
 //!     └────────── keep-alive ◀── queue empty ─────────────────┘
 //! ```
+//!
+//! `Reading` parses only while at most `MAX_QUEUED_REPLIES` replies
+//! wait for socket space: a peer that does not read its answers stops
+//! being asked for more of them.
 
 use crate::poller::{Event, Interest, Poller};
 use crate::wake::Waker;
@@ -61,6 +65,13 @@ pub const INLINE_BUDGET: u32 = 64;
 /// retried a second later, and that luck — not the server — then sets
 /// the sweep's latencies.
 const LISTEN_BACKLOG: i32 = 4096;
+
+/// Replies a connection may have waiting for socket space before the
+/// reactor stops parsing its input: a client that pipelines and never
+/// reads then backs up into `inbuf`, whose cap closes it with the
+/// typed 413, instead of growing `outq` without bound. A reply being
+/// written with one more behind it is a pipeliner that keeps up.
+const MAX_QUEUED_REPLIES: usize = 2;
 
 /// How late a 408 sweep or a shutdown check may run; also the period
 /// of the sweep itself. Readiness events arrive immediately.
@@ -152,6 +163,13 @@ struct Conn {
     dying: bool,
 }
 
+impl Conn {
+    /// Whether parsing waits for the peer to read what it was sent.
+    fn backed_up(&self) -> bool {
+        self.outq.len() > MAX_QUEUED_REPLIES
+    }
+}
+
 /// The XML-RPC server: a readiness reactor sized for C10k-scale
 /// keep-alive fleets.
 pub struct ReactorRpcServer {
@@ -166,19 +184,10 @@ pub struct ReactorRpcServer {
 
 impl ReactorRpcServer {
     /// Binds `127.0.0.1:0` (ephemeral port) and starts serving `host`
-    /// with `workers` request processors behind the door.
-    pub fn start(host: Arc<ServiceHost>, workers: usize) -> GaeResult<ReactorRpcServer> {
-        Self::bind(host, workers, "127.0.0.1:0")
-    }
-
-    /// Binds an explicit address.
-    pub fn bind(host: Arc<ServiceHost>, workers: usize, addr: &str) -> GaeResult<ReactorRpcServer> {
-        Self::bind_tuned(host, workers, addr, None, ReactorConfig::default())
-    }
-
-    /// Binds `127.0.0.1:0` with `gate` fronting the request path:
-    /// every POST is classified and rate-limited per principal, then
-    /// queued through the gate's bounded priority admission queue.
+    /// with `workers` request processors behind `gate`: every POST is
+    /// classified and rate-limited per principal, then either run
+    /// inline or queued through the gate's bounded priority admission
+    /// queue.
     pub fn start_gated(
         host: Arc<ServiceHost>,
         workers: usize,
@@ -187,14 +196,14 @@ impl ReactorRpcServer {
         Self::bind_gated(host, workers, "127.0.0.1:0", gate)
     }
 
-    /// Binds an explicit address with `gate` fronting the request path.
+    /// Binds an explicit address.
     pub fn bind_gated(
         host: Arc<ServiceHost>,
         workers: usize,
         addr: &str,
         gate: Arc<Gate>,
     ) -> GaeResult<ReactorRpcServer> {
-        Self::bind_tuned(host, workers, addr, Some(gate), ReactorConfig::default())
+        Self::bind_tuned(host, workers, addr, gate, ReactorConfig::default())
     }
 
     /// Fully explicit constructor. Everything that can fail — bind,
@@ -205,7 +214,7 @@ impl ReactorRpcServer {
         host: Arc<ServiceHost>,
         workers: usize,
         addr: &str,
-        gate: Option<Arc<Gate>>,
+        gate: Arc<Gate>,
         config: ReactorConfig,
     ) -> GaeResult<ReactorRpcServer> {
         let io = |what: &'static str| move |e: std::io::Error| GaeError::Io(format!("{what}: {e}"));
@@ -442,11 +451,13 @@ impl Reactor {
         if ev.readable || ev.hangup {
             fate = self.fill_inbuf(slot);
         }
-        if fate.is_ok() && !dying {
-            fate = self.advance(slot);
-        }
+        // Flush first: draining `outq` is what lets a backed-up
+        // connection's buffered requests be parsed again.
         if fate.is_ok() && ev.writable {
             fate = self.flush(slot);
+        }
+        if fate.is_ok() && !dying {
+            fate = self.advance(slot);
         }
         if fate.is_err() {
             self.close(slot);
@@ -504,7 +515,11 @@ impl Reactor {
             let Some(Some(conn)) = self.slots.get_mut(slot) else {
                 return Ok(()); // closed while handling a prior frame
             };
-            if conn.phase != ConnPhase::Reading || conn.dying || conn.inbuf.is_empty() {
+            if conn.phase != ConnPhase::Reading
+                || conn.dying
+                || conn.backed_up()
+                || conn.inbuf.is_empty()
+            {
                 return Ok(());
             }
             let consumed = match conn.parser.feed(&conn.inbuf) {
@@ -570,7 +585,7 @@ impl Reactor {
         {
             // Ran to completion right here: the connection never left
             // `Reading`, nothing crosses the mailbox.
-            Ok(Submitted::Inline(body)) => {
+            Submitted::Inline(body) => {
                 self.inline_left -= 1;
                 self.served.fetch_add(1, Ordering::Relaxed);
                 self.inline_served.fetch_add(1, Ordering::Relaxed);
@@ -580,14 +595,9 @@ impl Reactor {
             // The completion (even one delivered synchronously, a gate
             // refusal) is drained by this thread later in the loop, so
             // marking the phase after the hand-off cannot miss it.
-            Ok(Submitted::Pooled) => {
+            Submitted::Pooled => {
                 conn.phase = ConnPhase::Dispatched;
                 conn.close_after_reply = !keep_alive;
-                Ok(())
-            }
-            Err(_) => {
-                // Shutting down: typed 503 and close.
-                self.reject(slot, 503, "Service Unavailable", "shutting down");
                 Ok(())
             }
         }
@@ -612,7 +622,7 @@ impl Reactor {
             self.served.fetch_add(1, Ordering::Relaxed);
             self.enqueue(c.slot, HttpResponse::ok_xml(c.body).to_bytes(), close);
             // A pipelined second request may be fully buffered already.
-            let fate = self.advance(c.slot).and_then(|()| self.flush(c.slot));
+            let fate = self.flush(c.slot).and_then(|()| self.advance(c.slot));
             if fate.is_err() {
                 self.close(c.slot);
             }
@@ -698,13 +708,15 @@ impl Reactor {
     // ---- housekeeping ----
 
     /// Typed 408 for connections whose current request outlived its
-    /// deadline. Idle connections (`msg_started == None`) never trip.
+    /// deadline. Idle connections (`msg_started == None`) never trip,
+    /// nor do backed-up ones: their bytes wait on us, not on the peer.
     fn sweep_deadlines(&mut self) {
         let deadline = self.config.request_deadline;
         for slot in 0..self.slots.len() {
             let expired = self.slots[slot].as_ref().is_some_and(|conn| {
                 conn.phase == ConnPhase::Reading
                     && !conn.dying
+                    && !conn.backed_up()
                     && conn.msg_started.is_some_and(|t| t.elapsed() > deadline)
             });
             if expired {

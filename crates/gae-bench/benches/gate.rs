@@ -1,15 +1,13 @@
 //! Criterion benches for the admission gate (DESIGN.md §9): the
-//! per-request hot path a gated server pays — token-bucket admit,
-//! breaker check, bounded-queue hand-off — plus a full gated TCP
-//! round trip against the plain path benched in `rpc.rs`.
+//! per-request hot path every server pays — token-bucket admit,
+//! breaker check, bounded-queue hand-off. The full round trip through
+//! the gate is `tcp_roundtrip_ping` in `rpc.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gae_aio::ReactorRpcServer;
 use gae_gate::{
     AdmissionQueue, Gate, GateClass, GateConfig, ManualClock, Popped, Principal, QueueConfig,
-    TokenBucketConfig, WallClock,
+    TokenBucketConfig,
 };
-use gae_rpc::{Rpc, ServiceHost, TcpRpcClient};
 use gae_types::{SimDuration, UserId};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -73,32 +71,5 @@ fn bench_queue(c: &mut Criterion) {
     });
 }
 
-fn bench_gated_tcp(c: &mut Criterion) {
-    let host = ServiceHost::open();
-    let gate = Gate::new(
-        GateConfig {
-            bucket: TokenBucketConfig::new(1e12, 1e12),
-            ..GateConfig::default()
-        },
-        Arc::new(WallClock::new()),
-    );
-    let server = ReactorRpcServer::start_gated(host, 4, gate).expect("bind");
-    let mut client = TcpRpcClient::connect(server.addr());
-    client.call("system.ping", vec![]).expect("ping");
-    // Compare with `tcp_roundtrip_ping` in rpc.rs: the difference is
-    // the full admission path (classify + bucket + queue hand-off).
-    c.bench_function("tcp_gated_roundtrip_ping", |b| {
-        b.iter(|| black_box(client.call("system.ping", vec![]).expect("ping")))
-    });
-    drop(client);
-    server.stop();
-}
-
-criterion_group!(
-    benches,
-    bench_admit,
-    bench_breaker,
-    bench_queue,
-    bench_gated_tcp
-);
+criterion_group!(benches, bench_admit, bench_breaker, bench_queue);
 criterion_main!(benches);

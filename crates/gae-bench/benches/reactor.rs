@@ -7,9 +7,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gae_aio::ReactorRpcServer;
+use gae_bench::gate::queue_only_gate;
 use gae_rpc::service::{CallContext, MethodInfo, Rpc, Service};
 use gae_rpc::{ServiceHost, TcpRpcClient};
-use gae_types::GaeResult;
+use gae_types::{GaeResult, SimDuration};
 use gae_wire::Value;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -44,7 +45,9 @@ fn host() -> Arc<ServiceHost> {
 /// One keep-alive XML-RPC roundtrip through the front door, on each
 /// lane of the same service.
 fn bench_roundtrip(c: &mut Criterion) {
-    let reactor = ReactorRpcServer::start(host(), 4).expect("bind");
+    let reactor =
+        ReactorRpcServer::start_gated(host(), 4, queue_only_gate(16, SimDuration::from_secs(60)))
+            .expect("bind");
     let mut client = TcpRpcClient::connect(reactor.addr());
     for (name, method) in [
         ("roundtrip/reactor", "bench.echo"),
@@ -99,7 +102,9 @@ fn bench_roundtrip(c: &mut Criterion) {
 /// Client connection reuse vs a fresh TCP connect per call — the
 /// number that justifies keep-alive in `TcpRpcClient`.
 fn bench_client_reuse(c: &mut Criterion) {
-    let server = ReactorRpcServer::start(host(), 4).expect("bind");
+    let server =
+        ReactorRpcServer::start_gated(host(), 4, queue_only_gate(16, SimDuration::from_secs(60)))
+            .expect("bind");
     let addr = server.addr();
 
     let mut reused = TcpRpcClient::connect(addr);

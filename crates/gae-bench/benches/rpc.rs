@@ -4,7 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gae_aio::ReactorRpcServer;
+use gae_bench::gate::queue_only_gate;
 use gae_rpc::{InProcClient, Rpc, ServiceHost, TcpRpcClient};
+use gae_types::SimDuration;
 use gae_wire::{
     parse_call, parse_response, write_call, write_response, MethodCall, Response, Value,
 };
@@ -85,7 +87,9 @@ fn bench_inproc(c: &mut Criterion) {
 
 fn bench_tcp_roundtrip(c: &mut Criterion) {
     let host = ServiceHost::open();
-    let server = ReactorRpcServer::start(host, 4).expect("bind");
+    let server =
+        ReactorRpcServer::start_gated(host, 4, queue_only_gate(16, SimDuration::from_secs(60)))
+            .expect("bind");
     let mut client = TcpRpcClient::connect(server.addr());
     // Warm the connection.
     client.call("system.ping", vec![]).expect("ping");

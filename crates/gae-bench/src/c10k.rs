@@ -15,7 +15,6 @@
 //! (tests, CI smoke).
 
 use gae_aio::{Event, Interest, Poller, ReactorRpcServer};
-use gae_gate::{Gate, GateConfig, QueueConfig, TokenBucketConfig, WallClock};
 use gae_rpc::http::{FrameLimits, FrameParser, HttpRequest};
 use gae_rpc::ServiceHost;
 use gae_types::{GaeError, GaeResult, SimDuration};
@@ -381,18 +380,9 @@ pub fn c10k_with_fleet(
     host.register(crate::gate::delay_service(Duration::from_millis(
         config.service_delay_ms,
     )));
-    let gate = Gate::new(
-        GateConfig {
-            // The bounded queue is the only shedding mechanism
-            // under test, as in the Figure 6 gate sweep.
-            bucket: TokenBucketConfig::new(1e9, 1e9),
-            queue: QueueConfig::new(
-                config.queue_capacity,
-                SimDuration::from_millis(config.queue_deadline_ms),
-            ),
-            ..GateConfig::default()
-        },
-        Arc::new(WallClock::new()),
+    let gate = crate::gate::queue_only_gate(
+        config.queue_capacity,
+        SimDuration::from_millis(config.queue_deadline_ms),
     );
     let server = ReactorRpcServer::start_gated(host, config.workers, gate.clone())?;
     let t0 = Instant::now();

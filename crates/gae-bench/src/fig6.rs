@@ -103,6 +103,10 @@ fn monitored_stack(tasks: usize) -> Arc<ServiceStack> {
     stack
 }
 
+/// The longest a shed client waits before asking again: about one
+/// 2005 request service time.
+const SHED_BACKOFF: Duration = Duration::from_millis(10);
+
 /// Runs the experiment for each client count.
 pub fn figure6(client_counts: &[usize], config: Fig6Config) -> Vec<Fig6Row> {
     let stack = monitored_stack(config.tasks);
@@ -111,7 +115,10 @@ pub fn figure6(client_counts: &[usize], config: Fig6Config) -> Vec<Fig6Row> {
         inner: Arc::new(JobMonitoringRpc::new(stack.jobmon.clone())),
         delay: Duration::from_millis(config.service_delay_ms),
     }));
-    let server = ReactorRpcServer::start(host, config.workers).expect("bind loopback");
+    // The era's servlet container: four queued requests per worker,
+    // and a queued request waits as long as the sweep runs.
+    let gate = crate::gate::queue_only_gate(4 * config.workers, SimDuration::from_secs(3_600));
+    let server = ReactorRpcServer::start_gated(host, config.workers, gate).expect("bind loopback");
     let addr = server.addr();
 
     let mut rows = Vec::new();
@@ -130,13 +137,15 @@ pub fn figure6(client_counts: &[usize], config: Fig6Config) -> Vec<Fig6Row> {
                     // Past workers + backlog the door sheds with a
                     // typed retry-after where the 2005 server queued
                     // without bound: the era's client waits and asks
-                    // again, inside the timed span.
+                    // again, inside the timed span. The hint is the
+                    // time to the oldest queued deadline — here the
+                    // whole sweep — so it is capped at a service time.
                     loop {
                         match client.call("jobmon.job_info", vec![Value::from(task)]) {
                             Ok(_) => break,
-                            Err(GaeError::Overloaded { retry_after_us, .. }) => {
-                                std::thread::sleep(Duration::from_micros(retry_after_us))
-                            }
+                            Err(GaeError::Overloaded { retry_after_us, .. }) => std::thread::sleep(
+                                SHED_BACKOFF.min(Duration::from_micros(retry_after_us)),
+                            ),
                             Err(e) => panic!("monitoring query: {e}"),
                         }
                     }

@@ -99,6 +99,20 @@ pub(crate) fn delay_service(delay: Duration) -> Arc<dyn Service> {
     Arc::new(DelayRpc { delay })
 }
 
+/// A gate whose bounded queue is its only shedding mechanism: every
+/// bench client is the anonymous principal, and per-principal rate
+/// limiting is not what these harnesses measure.
+pub fn queue_only_gate(capacity: usize, deadline: SimDuration) -> Arc<Gate> {
+    Gate::new(
+        GateConfig {
+            bucket: TokenBucketConfig::new(1e9, 1e9),
+            queue: QueueConfig::new(capacity, deadline),
+            ..GateConfig::default()
+        },
+        Arc::new(WallClock::new()),
+    )
+}
+
 /// Runs the gated overload experiment for each client count.
 pub fn gate_sweep(client_counts: &[usize], config: GateSweepConfig) -> Vec<GateSweepRow> {
     let mut rows = Vec::new();
@@ -108,18 +122,9 @@ pub fn gate_sweep(client_counts: &[usize], config: GateSweepConfig) -> Vec<GateS
         host.register(Arc::new(DelayRpc {
             delay: Duration::from_millis(config.service_delay_ms),
         }));
-        let gate = Gate::new(
-            GateConfig {
-                // Per-principal rate limiting is not under test; the
-                // bounded queue is the only shedding mechanism.
-                bucket: TokenBucketConfig::new(1e9, 1e9),
-                queue: QueueConfig::new(
-                    config.queue_capacity,
-                    SimDuration::from_millis(config.queue_deadline_ms),
-                ),
-                ..GateConfig::default()
-            },
-            Arc::new(WallClock::new()),
+        let gate = queue_only_gate(
+            config.queue_capacity,
+            SimDuration::from_millis(config.queue_deadline_ms),
         );
         let server = ReactorRpcServer::start_gated(host, config.workers, gate.clone())
             .expect("bind loopback");

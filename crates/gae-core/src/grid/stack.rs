@@ -20,10 +20,10 @@ use std::sync::Arc;
 /// observability hub: admission decisions replay deterministically
 /// inside simulations, and spans, histograms and lifecycle timelines
 /// are deterministic functions of the workload — two runs of the same
-/// seed produce byte-identical trace trees. (A
-/// gate fronting a real TCP server wants `gae_types::WallClock`
-/// instead — virtual time only advances when something drives the
-/// grid.)
+/// seed produce byte-identical trace trees. The stack's gate also
+/// fronts the served socket (`gae-ctl serve`): there the pump that
+/// tracks wall time is what advances this clock, so buckets refill and
+/// queue deadlines pass one pump step at a time.
 struct GridClock(Arc<Grid>);
 
 impl Clock for GridClock {

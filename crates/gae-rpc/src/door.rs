@@ -22,7 +22,6 @@
 use crate::gatedpool::{Disposition, GatedPool};
 use crate::host::ServiceHost;
 use crate::http::HttpRequest;
-use crate::threadpool::{ExecuteError, ThreadPool};
 use gae_gate::{Gate, Principal};
 use gae_types::{GaeError, SessionId};
 use gae_wire::{parse_call, write_response, MethodCall};
@@ -63,39 +62,30 @@ pub enum Submitted {
     Pooled,
 }
 
-/// The door refused the request because the server is shutting
-/// down; `deliver` was dropped unused and the transport should
-/// answer HTTP 503 and close.
-#[derive(Debug)]
-pub struct DoorClosed;
-
-/// The request-processing backend behind a server's acceptor:
-/// either the plain bounded pool, or the gate's admission pipeline.
-pub enum DoorBackend {
-    /// Bounded hand-off; saturation sheds with a typed overload fault.
-    Plain(ThreadPool),
-    /// Rate limiting + priority admission queue in front of the pool.
-    Gated(GatedPool, Arc<Gate>),
+/// The request-processing backend behind a server's acceptor: the
+/// gate's admission pipeline in front of a bounded worker pool.
+pub struct DoorBackend {
+    pool: GatedPool,
+    gate: Arc<Gate>,
 }
 
 impl DoorBackend {
-    /// A door with `workers` request processors, gated when `gate`
-    /// is present.
-    pub fn new(workers: usize, gate: Option<Arc<Gate>>) -> DoorBackend {
-        match gate {
-            Some(g) => DoorBackend::Gated(GatedPool::new(&g, workers), g),
-            None => DoorBackend::Plain(ThreadPool::new(workers)),
+    /// A door with `workers` request processors behind `gate`.
+    pub fn new(workers: usize, gate: Arc<Gate>) -> DoorBackend {
+        DoorBackend {
+            pool: GatedPool::new(&gate, workers),
+            gate,
         }
     }
 
-    /// Submits one POSTed request. Either the request runs here and
-    /// its body comes back as [`Submitted::Inline`] — only when
-    /// `may_inline` allows it and the method is marked
+    /// Submits one POSTed request through the gate: principal
+    /// attribution and the token bucket for both lanes, then either the
+    /// call itself or the bounded priority queue. Either the request
+    /// runs here and its body comes back as [`Submitted::Inline`] —
+    /// only when `may_inline` allows it and the method is marked
     /// ([`ServiceHost::runs_inline`]) — or `deliver` is called exactly
     /// once with the response body, possibly synchronously (rate-limit
-    /// refusals and saturation sheds are faulted on the submitting
-    /// thread). If the door is closed, `deliver` is dropped and
-    /// [`DoorClosed`] returned.
+    /// and full-queue refusals are faulted on the submitting thread).
     ///
     /// `may_inline` is the transport's fairness budget: an event loop
     /// passes `false` once it has run its share of inline calls this
@@ -107,15 +97,76 @@ impl DoorBackend {
         peer: &str,
         may_inline: bool,
         deliver: Deliver,
-    ) -> Result<Submitted, DoorClosed> {
-        match self {
-            DoorBackend::Plain(pool) => {
-                submit_plain(host, pool, request, peer, may_inline, deliver)
+    ) -> Submitted {
+        let gate = &self.gate;
+        let principal = principal_of(host, &request, peer);
+        let arrived = gate.clock().now();
+        let class = match gate.admit(&principal) {
+            Ok(class) => class,
+            Err(e) => {
+                gate.observe_disposition("rate_limited", gae_types::SimDuration::ZERO);
+                deliver(fault_body(&e));
+                return Submitted::Pooled;
             }
-            DoorBackend::Gated(pool, gate) => Ok(submit_gated(
-                host, pool, gate, request, peer, may_inline, deliver,
-            )),
+        };
+        let parsed = match parse_small(host, &request, may_inline) {
+            Parsed::Inline(call) => {
+                // Never queued, so it holds no queue slot and has one
+                // disposition: `run`, after the admission alone.
+                let waited = gate.clock().now().saturating_since(arrived);
+                gate.observe_disposition("run", waited);
+                return Submitted::Inline(respond(host, &request, peer, Some(Ok(call))));
+            }
+            Parsed::Pooled(parsed) => parsed,
+        };
+        let slot: DeliverSlot = Arc::new(Mutex::new(Some(deliver)));
+        let host = host.clone();
+        let peer = peer.to_string();
+        let gate_in_job = gate.clone();
+        let in_job = slot.clone();
+        let submitted = self.pool.submit(
+            class,
+            Box::new(move |disposition| {
+                // The admission latency: arrival to disposition decision,
+                // on the gate's own clock.
+                let waited = gate_in_job.clock().now().saturating_since(arrived);
+                let body = match disposition {
+                    Disposition::Run => {
+                        gate_in_job.observe_disposition("run", waited);
+                        respond(&host, &request, &peer, parsed)
+                    }
+                    Disposition::Expired { retry_after } | Disposition::Shed { retry_after } => {
+                        gate_in_job.observe_disposition(
+                            if matches!(disposition, Disposition::Expired { .. }) {
+                                "expired"
+                            } else {
+                                "shed"
+                            },
+                            waited,
+                        );
+                        fault_body(&GaeError::Overloaded {
+                            retry_after_us: retry_after.as_micros().max(1),
+                            shed_class: class.name().to_string(),
+                        })
+                    }
+                };
+                if let Some(deliver) = in_job.lock().take() {
+                    deliver(body);
+                }
+            }),
+        );
+        // Refused on arrival: queue full of equal-or-better work. The
+        // dropped job never ran, so the slot still holds `deliver`.
+        if let Err(retry_after) = submitted {
+            gate.observe_disposition("refused", gae_types::SimDuration::ZERO);
+            if let Some(deliver) = slot.lock().take() {
+                deliver(fault_body(&GaeError::Overloaded {
+                    retry_after_us: retry_after.as_micros().max(1),
+                    shed_class: class.name().to_string(),
+                }));
+            }
         }
+        Submitted::Pooled
     }
 }
 
@@ -158,135 +209,6 @@ fn principal_of(host: &ServiceHost, request: &HttpRequest, peer: &str) -> Princi
 /// round-trips through `GaeError::from_fault` on the client).
 pub fn fault_body(e: &GaeError) -> Vec<u8> {
     write_response(&gae_wire::Response::Fault(gae_wire::Fault::from_error(e))).into_bytes()
-}
-
-/// Runs one request inline or on the plain bounded pool.
-fn submit_plain(
-    host: &Arc<ServiceHost>,
-    pool: &ThreadPool,
-    request: HttpRequest,
-    peer: &str,
-    may_inline: bool,
-    deliver: Deliver,
-) -> Result<Submitted, DoorClosed> {
-    let parsed = match parse_small(host, &request, may_inline) {
-        Parsed::Inline(call) => {
-            return Ok(Submitted::Inline(respond(
-                host,
-                &request,
-                peer,
-                Some(Ok(call)),
-            )))
-        }
-        Parsed::Pooled(parsed) => parsed,
-    };
-    let slot: DeliverSlot = Arc::new(Mutex::new(Some(deliver)));
-    let host = host.clone();
-    let peer = peer.to_string();
-    let in_job = slot.clone();
-    match pool.execute(move || {
-        let body = respond(&host, &request, &peer, parsed);
-        if let Some(deliver) = in_job.lock().take() {
-            deliver(body);
-        }
-    }) {
-        Ok(()) => Ok(Submitted::Pooled),
-        Err(ExecuteError::Saturated { .. }) => {
-            // The backlog is full: shed with a typed retry-after so
-            // clients back off instead of piling on. 10 ms ≈ one
-            // request service time at the measured throughput. The
-            // job closure was dropped unexecuted, so the slot still
-            // holds `deliver`.
-            let deliver = slot.lock().take().expect("refused job never ran");
-            deliver(fault_body(&GaeError::Overloaded {
-                retry_after_us: 10_000,
-                shed_class: "pool".to_string(),
-            }));
-            Ok(Submitted::Pooled)
-        }
-        Err(ExecuteError::ShuttingDown) => Err(DoorClosed),
-    }
-}
-
-/// Runs one request through the gate: principal attribution and the
-/// token bucket for both lanes, then either the call itself (inline)
-/// or the bounded priority queue. Every path yields a body.
-fn submit_gated(
-    host: &Arc<ServiceHost>,
-    pool: &GatedPool,
-    gate: &Arc<Gate>,
-    request: HttpRequest,
-    peer: &str,
-    may_inline: bool,
-    deliver: Deliver,
-) -> Submitted {
-    let principal = principal_of(host, &request, peer);
-    let arrived = gate.clock().now();
-    let class = match gate.admit(&principal) {
-        Ok(class) => class,
-        Err(e) => {
-            gate.observe_disposition("rate_limited", gae_types::SimDuration::ZERO);
-            deliver(fault_body(&e));
-            return Submitted::Pooled;
-        }
-    };
-    let parsed = match parse_small(host, &request, may_inline) {
-        Parsed::Inline(call) => {
-            // Never queued, so it holds no queue slot and has one
-            // disposition: `run`, after the admission alone.
-            let waited = gate.clock().now().saturating_since(arrived);
-            gate.observe_disposition("run", waited);
-            return Submitted::Inline(respond(host, &request, peer, Some(Ok(call))));
-        }
-        Parsed::Pooled(parsed) => parsed,
-    };
-    let slot: DeliverSlot = Arc::new(Mutex::new(Some(deliver)));
-    let host = host.clone();
-    let peer = peer.to_string();
-    let gate_in_job = gate.clone();
-    let in_job = slot.clone();
-    let submitted = pool.submit(
-        class,
-        Box::new(move |disposition| {
-            // The admission latency: arrival to disposition decision,
-            // on the gate's own clock.
-            let waited = gate_in_job.clock().now().saturating_since(arrived);
-            let body = match disposition {
-                Disposition::Run => {
-                    gate_in_job.observe_disposition("run", waited);
-                    respond(&host, &request, &peer, parsed)
-                }
-                Disposition::Expired { retry_after } | Disposition::Shed { retry_after } => {
-                    gate_in_job.observe_disposition(
-                        if matches!(disposition, Disposition::Expired { .. }) {
-                            "expired"
-                        } else {
-                            "shed"
-                        },
-                        waited,
-                    );
-                    fault_body(&GaeError::Overloaded {
-                        retry_after_us: retry_after.as_micros().max(1),
-                        shed_class: class.name().to_string(),
-                    })
-                }
-            };
-            if let Some(deliver) = in_job.lock().take() {
-                deliver(body);
-            }
-        }),
-    );
-    // Refused on arrival: queue full of equal-or-better work. The
-    // dropped job never ran, so the slot still holds `deliver`.
-    if let Err(retry_after) = submitted {
-        gate.observe_disposition("refused", gae_types::SimDuration::ZERO);
-        let deliver = slot.lock().take().expect("refused job never ran");
-        deliver(fault_body(&GaeError::Overloaded {
-            retry_after_us: retry_after.as_micros().max(1),
-            shed_class: class.name().to_string(),
-        }));
-    }
-    Submitted::Pooled
 }
 
 /// Parses, authenticates, dispatches. Always yields a response body

@@ -1,12 +1,13 @@
 //! A worker pool fed through the gate's bounded admission queue.
 //!
-//! This is the gated replacement for the plain [`crate::ThreadPool`]
-//! hand-off: jobs enter through an [`AdmissionQueue`] that is bounded,
-//! priority-aware and deadline-expiring, and every job — served,
-//! expired or displaced — is *always invoked exactly once* with its
-//! [`Disposition`], so the connection thread blocked on the response
-//! channel always receives a body (a result or a typed overload
-//! fault), never a hang.
+//! The door's one hand-off (the paper's Figure 6 measures exactly
+//! this: response time as parallel clients grow beyond the server's
+//! service capacity): jobs enter through an [`AdmissionQueue`] that is
+//! bounded, priority-aware and deadline-expiring, and every job —
+//! served, expired or displaced — is *always invoked exactly once*
+//! with its [`Disposition`], so the connection waiting on the response
+//! always receives a body (a result or a typed overload fault), never
+//! a hang.
 
 use gae_gate::{AdmissionQueue, Gate, GateClass, Popped, RejectReason, Rejected};
 use gae_types::SimDuration;
@@ -181,22 +182,35 @@ mod tests {
 
     #[test]
     fn runs_submitted_jobs() {
-        let gate = small_gate(64);
-        let pool = GatedPool::new(&gate, 4);
-        let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..50 {
-            let c = counter.clone();
-            pool.submit(
-                GateClass::Production,
-                Box::new(move |d| {
-                    assert_eq!(d, Disposition::Run);
-                    c.fetch_add(1, Ordering::Relaxed);
-                }),
-            )
-            .unwrap();
+        // A pool asked for no workers still gets one.
+        for (asked, size) in [(0, 1), (4, 4)] {
+            let gate = small_gate(64);
+            let pool = GatedPool::new(&gate, asked);
+            assert_eq!(pool.size(), size);
+            // The first `size` jobs meet at a barrier: it releases only
+            // if every worker is inside a job at the same time.
+            let barrier = Arc::new(std::sync::Barrier::new(size));
+            let counter = Arc::new(AtomicU64::new(0));
+            for i in 0..50 {
+                let c = counter.clone();
+                let barrier = barrier.clone();
+                pool.submit(
+                    GateClass::Production,
+                    Box::new(move |d| {
+                        assert_eq!(d, Disposition::Run);
+                        if i < size {
+                            barrier.wait();
+                        }
+                        c.fetch_add(1, Ordering::Relaxed);
+                    }),
+                )
+                .unwrap();
+            }
+            let in_flight = pool.in_flight.clone();
+            drop(pool); // drains the queue
+            assert_eq!(counter.load(Ordering::Relaxed), 50);
+            assert_eq!(in_flight.load(Ordering::Relaxed), 0);
         }
-        drop(pool);
-        assert_eq!(counter.load(Ordering::Relaxed), 50);
     }
 
     #[test]
@@ -211,7 +225,7 @@ mod tests {
         };
         let gate = Gate::new(config, Arc::new(ManualClock::new()));
         let pool = GatedPool::new(&gate, 1);
-        let (stall_tx, stall_rx) = crossbeam::channel::bounded::<()>(1);
+        let (stall_tx, stall_rx) = std::sync::mpsc::sync_channel::<()>(1);
         let stall_rx = Arc::new(Mutex::new(stall_rx));
         let dispositions = Arc::new(AtomicU64::new(0));
         let runs = Arc::new(AtomicU64::new(0));

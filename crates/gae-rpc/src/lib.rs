@@ -15,17 +15,17 @@
 //! * [`host`] — the [`ServiceHost`]: a registry of
 //!   services with full-method dispatch (`"jobmon.job_status"`), the
 //!   built-in `system.*` introspection service, and fault mapping;
-//! * [`threadpool`], [`gatedpool`] — the two bounded worker pools the
-//!   door dispatches onto: plain (a full hand-off queue is a typed
-//!   `Saturated` refusal) and gate-admitted (priority classes,
+//! * [`gatedpool`] — the bounded worker pool the door dispatches onto,
+//!   fed through the gate's admission queue (priority classes,
 //!   deadlines, shedding);
 //! * [`http`] — a minimal HTTP/1.1 subset (POST + Content-Length +
 //!   keep-alive), the framing XML-RPC runs over;
 //! * [`door`] — the transport-independent dispatch path (principal
 //!   attribution, gate admission, fault encoding) the `gae-aio`
-//!   reactor — the one server — submits every POST to; calls marked
-//!   [`Service::inline`] run to completion there, the rest go to a
-//!   pool;
+//!   reactor — the one server — submits every POST to; every call is
+//!   admitted by a [`gae_gate::Gate`], calls marked
+//!   [`Service::inline`] then run to completion there, the rest go to
+//!   the pool;
 //! * [`tcp`] — the real-socket client used by the Figure 6 experiment;
 //! * [`inproc`] — a zero-copy in-process transport with the same
 //!   client interface, used by the simulator and unit tests;
@@ -44,15 +44,13 @@ pub mod http;
 pub mod inproc;
 pub mod service;
 pub mod tcp;
-pub mod threadpool;
 
 pub use auth::{AccessControl, Credentials, SessionManager};
 pub use discovery::{Endpoint, LookupService};
-pub use door::{fault_body, process_request, Deliver, DoorBackend, DoorClosed, Submitted};
+pub use door::{fault_body, process_request, Deliver, DoorBackend, Submitted};
 pub use gatedpool::{Disposition, GatedJob, GatedPool};
 pub use host::ServiceHost;
 pub use http::{FrameLimits, FrameParser, ReadDeadline};
 pub use inproc::InProcClient;
 pub use service::{CallContext, MethodInfo, Rpc, Service};
 pub use tcp::TcpRpcClient;
-pub use threadpool::{ExecuteError, ThreadPool};

@@ -28,7 +28,8 @@ fn main() {
         .expect("fresh user");
     host.register(Arc::new(JobMonitoringRpc::new(stack.jobmon.clone())));
     host.register(Arc::new(SteeringRpc::new(stack.steering.clone())));
-    let server = ReactorRpcServer::start(host.clone(), 8).expect("bind ephemeral port");
+    let server = ReactorRpcServer::start_gated(host.clone(), 8, stack.gate.clone())
+        .expect("bind ephemeral port");
     println!("Clarens host listening on {}", server.endpoint());
 
     // Submit a job server-side and advance the grid a little.

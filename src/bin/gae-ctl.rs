@@ -238,8 +238,11 @@ fn serve(port: u16) {
     stack.submit_job(job).expect("schedulable");
 
     let addr = format!("127.0.0.1:{port}");
-    // Held, never stopped: it serves until the process dies.
-    let server = match gae::aio::ReactorRpcServer::bind(host, 16, &addr) {
+    // Held, never stopped: it serves until the process dies. The
+    // stack's own gate fronts the socket, so the quota-derived classes
+    // and the published `gate` entity are about this traffic; its
+    // clock is the virtual time the loop below pumps.
+    let server = match gae::aio::ReactorRpcServer::bind_gated(host, 16, &addr, stack.gate.clone()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("gae-ctl: cannot bind port {port}: {e}");

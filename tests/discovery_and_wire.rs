@@ -2,6 +2,9 @@
 //! access-control over the live transport, and wire-level edge cases
 //! seen through the public client API.
 
+mod door;
+
+use door::open_gate;
 use gae::aio::ReactorRpcServer;
 use gae::prelude::*;
 use gae::rpc::discovery::Endpoint;
@@ -46,7 +49,7 @@ fn acl_denies_until_granted_over_tcp() {
     // Everyone may log in, nothing else.
     acl.grant_service(None, "auth");
     let host = ServiceHost::new(sessions, acl.clone());
-    let server = ReactorRpcServer::start(host.clone(), 2).unwrap();
+    let server = ReactorRpcServer::start_gated(host.clone(), 2, open_gate(2)).unwrap();
     let mut client = TcpRpcClient::connect(server.addr());
 
     // Even ping is denied under default-deny.
@@ -77,7 +80,7 @@ fn acl_denies_until_granted_over_tcp() {
 #[test]
 fn values_of_every_type_survive_the_live_wire() {
     let host = ServiceHost::open();
-    let server = ReactorRpcServer::start(host, 2).unwrap();
+    let server = ReactorRpcServer::start_gated(host, 2, open_gate(2)).unwrap();
     let mut client = TcpRpcClient::connect(server.addr());
     let nasty = Value::struct_of([
         ("int", Value::Int(i32::MIN)),
@@ -111,7 +114,7 @@ fn values_of_every_type_survive_the_live_wire() {
 #[test]
 fn large_payloads_roundtrip() {
     let host = ServiceHost::open();
-    let server = ReactorRpcServer::start(host, 2).unwrap();
+    let server = ReactorRpcServer::start_gated(host, 2, open_gate(2)).unwrap();
     let mut client = TcpRpcClient::connect(server.addr());
     // ~1 MB of base64 payload through HTTP framing.
     let blob = Value::Base64(vec![0xAB; 1_000_000]);
@@ -125,7 +128,7 @@ fn session_expiry_is_enforced_on_the_wire() {
     let sessions = Arc::new(SessionManager::new(std::time::Duration::from_millis(50)));
     sessions.register(&Credentials::new("brief", "pw")).unwrap();
     let host = ServiceHost::new(sessions, Arc::new(AccessControl::allow_all()));
-    let server = ReactorRpcServer::start(host, 2).unwrap();
+    let server = ReactorRpcServer::start_gated(host, 2, open_gate(2)).unwrap();
     let mut client = TcpRpcClient::connect(server.addr());
     client.login("brief", "pw").unwrap();
     assert!(client.call("auth.whoami", vec![]).unwrap().as_u64().is_ok());
@@ -159,7 +162,7 @@ fn web_interface_serves_index_and_execution_state() {
         stack.jobmon.clone(),
     )));
     host.register_web(stack.steering.web_handler());
-    let server = ReactorRpcServer::start(host, 2).unwrap();
+    let server = ReactorRpcServer::start_gated(host, 2, open_gate(2)).unwrap();
 
     let get = |path: &str| -> (u16, String) {
         let mut stream = TcpStream::connect(server.addr()).unwrap();
@@ -197,7 +200,7 @@ fn non_post_non_get_is_rejected() {
     use std::io::{BufReader, Write};
     use std::net::TcpStream;
     let host = ServiceHost::open();
-    let server = ReactorRpcServer::start(host, 2).unwrap();
+    let server = ReactorRpcServer::start_gated(host, 2, open_gate(2)).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     write!(stream, "DELETE /RPC2 HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -230,8 +233,8 @@ fn two_hosts_one_grid() {
     host_b.register(Arc::new(gae::core::jobmon::JobMonitoringRpc::new(
         stack.jobmon.clone(),
     )));
-    let server_a = ReactorRpcServer::start(host_a, 2).unwrap();
-    let server_b = ReactorRpcServer::start(host_b, 2).unwrap();
+    let server_a = ReactorRpcServer::start_gated(host_a, 2, open_gate(2)).unwrap();
+    let server_b = ReactorRpcServer::start_gated(host_b, 2, open_gate(2)).unwrap();
 
     let mut ca = TcpRpcClient::connect(server_a.addr());
     let mut cb = TcpRpcClient::connect(server_b.addr());

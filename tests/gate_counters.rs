@@ -4,11 +4,13 @@
 //! published on the stack's poll tick and be queryable like any other
 //! MonALISA metric, mirroring `monitor_counters.rs`.
 
+use gae::aio::ReactorRpcServer;
 use gae::core::monalisa::MonAlisaRpc;
 use gae::gate::{BreakerConfig, GateClass, GateConfig, Principal, TokenBucketConfig};
 use gae::prelude::*;
-use gae::rpc::{CallContext, Service};
+use gae::rpc::{CallContext, Rpc, Service, ServiceHost, TcpRpcClient};
 use gae::wire::Value;
+use std::sync::Arc;
 
 fn ctx() -> CallContext {
     CallContext::anonymous("test")
@@ -129,4 +131,48 @@ fn quota_exhausted_principals_drop_to_scavenger() {
         stack.gate.stats().admitted[GateClass::Scavenger as usize],
         1
     );
+}
+
+/// `gae-ctl serve`'s wiring: the stack's own gate fronts the socket,
+/// so what the `gate` entity and the `gate:run` histogram publish is
+/// the served traffic — on both lanes.
+#[test]
+fn served_traffic_moves_the_published_gate_entity() {
+    const EACH: u64 = 5;
+    let grid = GridBuilder::new()
+        .site(SiteDescription::new(SiteId::new(1), "alpha", 2, 2))
+        .build();
+    let stack = ServiceStack::over(grid);
+    let host = ServiceHost::open();
+    host.register(Arc::new(MonAlisaRpc::new(stack.grid.monitor().clone())));
+    let server = ReactorRpcServer::start_gated(host, 2, stack.gate.clone()).unwrap();
+    let mut client = TcpRpcClient::connect(server.addr());
+    let mut wire_latest = |entity: &str, param: &str| {
+        let args = vec![Value::from(0u64), Value::from(entity), Value::from(param)];
+        match client.call("monalisa.latest", args).expect("latest call") {
+            Value::Nil => None,
+            v => Some(v.member("value").unwrap().as_f64().unwrap()),
+        }
+    };
+    // Nothing is published before the first poll, so these pooled
+    // calls only count; the pings run on the reactor thread.
+    for _ in 0..EACH {
+        assert_eq!(wire_latest("gate", "admitted_production"), None);
+    }
+    let mut pinger = TcpRpcClient::connect(server.addr());
+    for _ in 0..EACH {
+        assert_eq!(
+            pinger.call("system.ping", vec![]).unwrap(),
+            Value::from("pong")
+        );
+    }
+    assert_eq!(server.inline_served(), EACH);
+
+    stack.run_until(SimTime::from_secs(10));
+
+    let served = (2 * EACH) as f64;
+    assert_eq!(wire_latest("gate", "admitted_production"), Some(served));
+    assert_eq!(wire_latest("obs", "gate_run_count"), Some(served));
+    assert_eq!(wire_latest("gate", "rate_limited_production"), Some(0.0));
+    server.stop();
 }

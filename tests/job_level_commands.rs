@@ -2,6 +2,9 @@
 //! priority of the job" (§4) applied to whole jobs, in-process and
 //! over the wire.
 
+mod door;
+
+use door::open_gate;
 use gae::aio::ReactorRpcServer;
 use gae::core::steering::{SteeringCommand, SteeringRpc};
 use gae::prelude::*;
@@ -123,7 +126,7 @@ fn job_commands_over_the_wire() {
     let owner = host.sessions().user_id("alice").unwrap();
     let (stack, job) = stack_with_job(3, owner);
     host.register(Arc::new(SteeringRpc::new(stack.steering.clone())));
-    let server = ReactorRpcServer::start(host, 4).unwrap();
+    let server = ReactorRpcServer::start_gated(host, 4, open_gate(4)).unwrap();
     let mut client = TcpRpcClient::connect(server.addr());
     client.login("alice", "pw").unwrap();
 

@@ -4,6 +4,9 @@
 //! histograms publish under the MonALISA `obs` entity, and the
 //! `X-GAE-Trace` header carries contexts across the TCP transport.
 
+mod door;
+
+use door::open_gate;
 use gae::aio::ReactorRpcServer;
 use gae::core::{StatsRpc, TraceRpc};
 use gae::obs::{ObsHub, SpanId, TraceContext, TraceId};
@@ -193,7 +196,7 @@ fn trace_context_propagates_over_the_wire() {
     let hub = ObsHub::new(Arc::new(WallClock::new()));
     let host = ServiceHost::open();
     host.attach_obs(hub.clone());
-    let server = ReactorRpcServer::start(host, 2).unwrap();
+    let server = ReactorRpcServer::start_gated(host, 2, open_gate(2)).unwrap();
     let mut client = TcpRpcClient::connect(server.addr());
 
     // A client-chosen context rides the X-GAE-Trace header; the

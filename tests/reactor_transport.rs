@@ -14,6 +14,9 @@
 //! exactly once, and a half-written inline reply dies with its
 //! connection.
 
+mod door;
+
+use door::open_gate;
 use gae::aio::reactor::INLINE_BUDGET;
 use gae::aio::{ReactorConfig, ReactorRpcServer};
 use gae::gate::{Gate, GateConfig, QueueConfig, TokenBucketConfig, WallClock};
@@ -49,7 +52,7 @@ impl BlockingOracle {
     fn start(
         host: Arc<ServiceHost>,
         workers: usize,
-        gate: Option<Arc<Gate>>,
+        gate: Arc<Gate>,
         request_deadline: Duration,
     ) -> BlockingOracle {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -162,12 +165,11 @@ fn serve_blocking(
             // A thread per connection has no loop to keep fair: inline
             // whenever the method is marked.
             match door.submit(&host, request, &peer.to_string(), true, deliver) {
-                Ok(Submitted::Inline(body)) => HttpResponse::ok_xml(body),
-                Ok(Submitted::Pooled) => match rx.recv() {
+                Submitted::Inline(body) => HttpResponse::ok_xml(body),
+                Submitted::Pooled => match rx.recv() {
                     Ok(body) => HttpResponse::ok_xml(body),
                     Err(_) => return,
                 },
-                Err(_) => return goodbye(&mut writer, 503, "Service Unavailable", "shutting down"),
             }
         };
         if response.write_to(&mut writer).is_err() || !keep_alive {
@@ -279,6 +281,20 @@ fn wait_until(what: &str, done: impl Fn() -> bool) {
     }
 }
 
+/// Spins (bounded) until the server has served something and then
+/// nothing more for 100 ms; returns how much it served.
+fn wait_until_stalled(server: &ReactorRpcServer) -> u64 {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let before = server.requests_served();
+        std::thread::sleep(Duration::from_millis(100));
+        if before > 0 && server.requests_served() == before {
+            return before;
+        }
+        assert!(Instant::now() < deadline, "the server never stalled");
+    }
+}
+
 /// Reads framed responses off a blocking socket, preserving bytes
 /// past each message boundary (pipelined responses share reads).
 struct ResponseReader {
@@ -326,7 +342,7 @@ fn read_one_response(stream: &TcpStream) -> HttpResponse {
 
 #[test]
 fn mid_request_disconnect_leaves_the_reactor_healthy() {
-    let server = ReactorRpcServer::start(echo_host(), 2).unwrap();
+    let server = ReactorRpcServer::start_gated(echo_host(), 2, open_gate(2)).unwrap();
     let addr = server.addr();
     // Half a request, then vanish.
     let mut half = TcpStream::connect(addr).unwrap();
@@ -362,7 +378,8 @@ fn partial_writes_through_a_tiny_send_buffer_arrive_intact() {
         so_sndbuf: Some(1),
         ..ReactorConfig::default()
     };
-    let server = ReactorRpcServer::bind_tuned(echo_host(), 2, "127.0.0.1:0", None, config).unwrap();
+    let server =
+        ReactorRpcServer::bind_tuned(echo_host(), 2, "127.0.0.1:0", open_gate(2), config).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     let mut reader = ResponseReader::new(&stream);
     let n = 1_000_000i64;
@@ -388,7 +405,7 @@ fn partial_writes_through_a_tiny_send_buffer_arrive_intact() {
 
 #[test]
 fn pipelined_requests_are_answered_in_order() {
-    let server = ReactorRpcServer::start(echo_host(), 2).unwrap();
+    let server = ReactorRpcServer::start_gated(echo_host(), 2, open_gate(2)).unwrap();
     let stream = TcpStream::connect(server.addr()).unwrap();
     let mut reader = ResponseReader::new(&stream);
     let mut stream = stream;
@@ -424,13 +441,13 @@ fn dribbled_request_gets_the_same_408_frame() {
     // sends half a header and stalls must read the identical typed
     // 408 from each, and then EOF.
     let budget = Duration::from_millis(200);
-    let blocking = BlockingOracle::start(echo_host(), 2, None, budget);
+    let blocking = BlockingOracle::start(echo_host(), 2, open_gate(2), budget);
     let config = ReactorConfig {
         request_deadline: budget,
         ..ReactorConfig::default()
     };
     let reactor =
-        ReactorRpcServer::bind_tuned(echo_host(), 2, "127.0.0.1:0", None, config).unwrap();
+        ReactorRpcServer::bind_tuned(echo_host(), 2, "127.0.0.1:0", open_gate(2), config).unwrap();
     let dribble = |addr: SocketAddr| {
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(b"POST /RPC2 HTTP/1.1\r\nContent-Le").unwrap();
@@ -455,7 +472,8 @@ fn gate_refusals_agree_across_transports() {
     // third arrival must be refused at the door with the same typed
     // Overloaded fault on both transports. (The fault's retry_after
     // is clock-derived, so the comparison is kind + class, while the
-    // ungated proptest below covers byte-level identity.)
+    // proptest below, behind a gate that never refuses, covers
+    // byte-level identity.)
     let tiny_gate = || {
         Gate::new(
             GateConfig {
@@ -466,7 +484,7 @@ fn gate_refusals_agree_across_transports() {
             Arc::new(WallClock::new()),
         )
     };
-    let blocking = BlockingOracle::start(echo_host(), 1, Some(tiny_gate()), DEADLINE);
+    let blocking = BlockingOracle::start(echo_host(), 1, tiny_gate(), DEADLINE);
     let reactor = ReactorRpcServer::start_gated(echo_host(), 1, tiny_gate()).unwrap();
     let refusal = |addr: SocketAddr| {
         // A: occupies the only worker for a second.
@@ -601,8 +619,8 @@ proptest! {
     #[test]
     fn blocking_and_reactor_answer_identically(probes in proptest::collection::vec(arb_probe(), 1..5)) {
         let host = echo_host();
-        let blocking = BlockingOracle::start(host.clone(), 2, None, DEADLINE);
-        let reactor = ReactorRpcServer::start(host, 2).unwrap();
+        let blocking = BlockingOracle::start(host.clone(), 2, open_gate(2), DEADLINE);
+        let reactor = ReactorRpcServer::start_gated(host, 2, open_gate(2)).unwrap();
         for probe in &probes {
             let bytes = probe.to_bytes();
             let fetch = |addr: SocketAddr| {
@@ -636,7 +654,8 @@ proptest! {
 #[test]
 fn parked_workers_do_not_delay_an_inline_call() {
     let echo = Arc::new(Echo::default());
-    let server = ReactorRpcServer::start(echo_host_with(echo.clone()), 2).unwrap();
+    let server =
+        ReactorRpcServer::start_gated(echo_host_with(echo.clone()), 2, open_gate(2)).unwrap();
     // Both workers sit in a one-second call.
     let mut parked: Vec<TcpStream> = (0..2)
         .map(|_| {
@@ -690,7 +709,8 @@ fn parked_workers_do_not_delay_an_inline_call() {
 fn an_inline_burst_does_not_starve_a_pooled_call() {
     const BURST: i64 = 1_000;
     let echo = Arc::new(Echo::default());
-    let server = ReactorRpcServer::start(echo_host_with(echo.clone()), 2).unwrap();
+    let server =
+        ReactorRpcServer::start_gated(echo_host_with(echo.clone()), 2, open_gate(2)).unwrap();
     let mut flood = TcpStream::connect(server.addr()).unwrap();
     let mut other = TcpStream::connect(server.addr()).unwrap();
     wait_until("both accepted", || server.open_connections() == 2);
@@ -733,7 +753,7 @@ fn an_inline_burst_does_not_starve_a_pooled_call() {
 
 #[test]
 fn replies_keep_request_order_across_lanes() {
-    let server = ReactorRpcServer::start(echo_host(), 2).unwrap();
+    let server = ReactorRpcServer::start_gated(echo_host(), 2, open_gate(2)).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     let mut reader = ResponseReader::new(&stream);
     // inline, pooled (slow enough that the third is long buffered),
@@ -821,19 +841,21 @@ fn a_half_written_inline_reply_dies_with_its_connection() {
         so_sndbuf: Some(1),
         ..ReactorConfig::default()
     };
-    let server = ReactorRpcServer::bind_tuned(echo_host(), 2, "127.0.0.1:0", None, config).unwrap();
+    let server =
+        ReactorRpcServer::bind_tuned(echo_host(), 2, "127.0.0.1:0", open_gate(2), config).unwrap();
     // 400 pipelined inline echoes of 3 KiB and a client that never
-    // reads: ~1.3 MB of replies against a minimal send buffer, so the
-    // reactor is left holding a partly written queue.
+    // reads: the replies fill the client's receive window and the
+    // minimal send buffer, and the reactor is left holding a partly
+    // written queue — short, because it stops parsing a connection
+    // that does not read.
     let mut deaf = TcpStream::connect(server.addr()).unwrap();
     let payload = Value::from("p".repeat(3 * 1024));
     let burst: Vec<u8> = (0..400)
         .flat_map(|_| raw_call("system.echo", vec![payload.clone()]))
         .collect();
     deaf.write_all(&burst).unwrap();
-    // (All but the few calls past an iteration's budget run inline.)
-    wait_until("the burst to be served", || server.requests_served() == 400);
-    assert!(server.inline_served() >= 300, "{}", server.inline_served());
+    let served = wait_until_stalled(&server);
+    assert!((3..400).contains(&served), "{served}");
     assert_eq!(server.open_connections(), 1, "blocked on writing, not gone");
     drop(deaf);
     wait_until("the hang-up to be noticed", || {
@@ -863,5 +885,58 @@ fn a_half_written_inline_reply_dies_with_its_connection() {
             "{e}"
         ),
     }
+    server.stop();
+}
+
+#[test]
+fn a_client_that_never_reads_cannot_grow_the_reply_queue() {
+    let limits = FrameLimits {
+        max_body_bytes: 64 * 1024,
+        ..FrameLimits::DEFAULT
+    };
+    // What the reactor lets one connection's unparsed input reach.
+    let input_cap = limits.max_header_bytes + limits.max_body_bytes + 4096;
+    let config = ReactorConfig {
+        limits,
+        ..ReactorConfig::default()
+    };
+    let server =
+        ReactorRpcServer::bind_tuned(echo_host(), 2, "127.0.0.1:0", open_gate(2), config).unwrap();
+    // Small requests, 256 KiB replies, and a client that reads none:
+    // three quarters of the input cap asks for some 70 MB.
+    const REPLY: u64 = 256 * 1024;
+    let one = raw_call("test.blob", vec![Value::Int64(REPLY as i64)]);
+    let fits = input_cap * 3 / 4 / one.len();
+    let mut deaf = TcpStream::connect(server.addr()).unwrap();
+    deaf.write_all(&one.repeat(fits)).unwrap();
+    // The server answers what the peer's kernel buffers absorb plus a
+    // three-frame queue, then leaves the rest unparsed. A reply exists
+    // only if its request was served, so this bounds the queued bytes.
+    let served = wait_until_stalled(&server);
+    assert!(
+        served * REPLY < 16 << 20,
+        "{served} of {fits} replies made for a client that reads none"
+    );
+    // Another connection is served as if nothing happened.
+    let mut client = TcpRpcClient::connect(server.addr());
+    for i in 0..50 {
+        let v = client
+            .call("test.sum", vec![Value::Int(i), Value::Int(1)])
+            .unwrap();
+        assert_eq!(v, Value::Int64(i64::from(i) + 1));
+    }
+    assert_eq!(server.requests_served(), served + 50);
+    // More pipelined input overruns the cap. When the client does
+    // read: its replies, the typed refusal of the backlog, EOF. (The
+    // pause lets the flood's tail reach the server first: input that
+    // lands on a socket closed behind its goodbye resets the
+    // connection and takes the unread replies with it.)
+    let _ = deaf.write_all(&one.repeat(fits));
+    std::thread::sleep(Duration::from_millis(200));
+    let mut reader = ResponseReader::new(&deaf);
+    for _ in 0..served {
+        assert_eq!(reader.next().status, 200);
+    }
+    assert_eq!(reader.next().status, 413);
     server.stop();
 }

@@ -3,6 +3,9 @@
 //! steers it, and downloads the outcome — never touching an
 //! in-process handle.
 
+mod door;
+
+use door::open_gate;
 use gae::aio::ReactorRpcServer;
 use gae::core::jobmon::JobMonitoringInfo;
 use gae::core::submit::{job_to_value, SchedulerRpc};
@@ -33,7 +36,7 @@ fn deploy() -> Deployment {
     host.register(Arc::new(gae::core::steering::SteeringRpc::new(
         stack.steering.clone(),
     )));
-    let server = ReactorRpcServer::start(host, 4).unwrap();
+    let server = ReactorRpcServer::start_gated(host, 4, open_gate(4)).unwrap();
     Deployment { stack, server }
 }
 

@@ -2,6 +2,9 @@
 //! registered on one Clarens host, exercised by genuine network
 //! clients — sessions, faults, concurrency, and the steering flow.
 
+mod door;
+
+use door::open_gate;
 use gae::aio::ReactorRpcServer;
 use gae::core::jobmon::{JobMonitoringInfo, JobMonitoringRpc};
 use gae::core::steering::SteeringRpc;
@@ -37,7 +40,7 @@ fn deploy() -> Deployment {
     host.register(Arc::new(gae::core::estimator::service::EstimatorRpc::new(
         stack.estimators.clone(),
     )));
-    let server = ReactorRpcServer::start(host.clone(), 8).unwrap();
+    let server = ReactorRpcServer::start_gated(host.clone(), 8, open_gate(8)).unwrap();
 
     let mut job = JobSpec::new(JobId::new(1), "wired", owner);
     let task = job.add_task(

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gae_exec::PriorityQueue;
-use gae_monitor::{MetricKey, Sample, TimeSeriesStore};
+use gae_monitor::{MetricKey, Sample, SeriesId, TimeSeriesStore};
 use gae_sim::LoadTrace;
 use gae_trace::WorkloadModel;
 use gae_types::{CondorId, Priority, SimDuration, SimTime, SiteId};
@@ -63,6 +63,39 @@ fn bench_monitor_store(c: &mut Criterion) {
                     value: t as f64,
                 },
             )
+        })
+    });
+    // One grid tick's farm publication — 256 sites × (2 + 4 nodes × 2)
+    // series — by key and by interned handle.
+    let keys: Vec<MetricKey> = (1..=256u64)
+        .flat_map(|site| {
+            let farm =
+                ["cpu_load", "queue_length"].map(|p| MetricKey::site_wide(SiteId::new(site), p));
+            let nodes = (1..=4).flat_map(move |n| {
+                ["cpu_load", "busy_slots"]
+                    .map(|p| MetricKey::new(SiteId::new(site), format!("node-{n}"), p))
+            });
+            farm.into_iter().chain(nodes)
+        })
+        .collect();
+    assert_eq!(keys.len(), 2_560);
+    let values = vec![0.5; keys.len()];
+    c.bench_function("monitor_publish_batch_2560_keyed", |b| {
+        let mut store = TimeSeriesStore::new(4_096);
+        let mut t = 0u64;
+        b.iter(|| {
+            t += 1;
+            let at = SimTime::from_secs(t);
+            store.publish_batch(keys.iter().map(|k| (k.clone(), Sample { at, value: 0.5 })))
+        })
+    });
+    c.bench_function("monitor_publish_ids_2560", |b| {
+        let mut store = TimeSeriesStore::new(4_096);
+        let ids: Vec<SeriesId> = keys.iter().map(|k| store.intern(k.clone())).collect();
+        let mut t = 0u64;
+        b.iter(|| {
+            t += 1;
+            store.publish_ids(SimTime::from_secs(t), &ids, &values)
         })
     });
     let mut store = TimeSeriesStore::new(4_096);

@@ -3,18 +3,19 @@
 //! and Condor-style flocking between partner sites.
 
 use super::driver::{DriverMode, NextEventIndex};
-use super::metrics::SiteMetricKeys;
+use super::metrics::intern_site_series;
 use crate::persist::PersistenceConfig;
-use gae_exec::{Checkpoint, ExecutionService, SiteConfig};
+use gae_exec::{Checkpoint, ExecutionService, SiteConfig, TaskProbe};
 use gae_gate::GateConfig;
-use gae_monitor::MonAlisaRepository;
+use gae_monitor::{MonAlisaRepository, SeriesId};
 use gae_sim::{LoadTrace, NetworkModel};
 use gae_types::{
-    CondorId, GaeError, GaeResult, SimDuration, SimTime, SiteDescription, SiteId, TaskSpec,
+    CondorId, GaeError, GaeResult, SimDuration, SimTime, SiteDescription, SiteId, TaskId, TaskSpec,
 };
 use gae_xfer::{XferConfig, XferScheduler, XferUpdate};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The execution fabric: sites + monitoring + network, one clock.
@@ -27,14 +28,18 @@ pub struct Grid {
     /// Directed flocking partnerships: queued work at the key site
     /// may overflow to the listed partners (Condor flocking, §7).
     flock_partners: RwLock<BTreeMap<SiteId, Vec<SiteId>>>,
-    /// Pre-interned publication keys, one entry per site.
-    pub(super) metric_keys: BTreeMap<SiteId, SiteMetricKeys>,
+    /// The monitor's handles of the per-tick series, in publication
+    /// order.
+    pub(super) metric_ids: Vec<SeriesId>,
     /// The managed data plane: every inter-site byte moves through it.
     pub(super) xfer: Mutex<XferScheduler>,
     /// Cached cross-site next-event minimum, fed by per-site
     /// notifiers; shared (`Arc`) because those notifier closures
     /// capture it without holding the grid itself.
     pub(super) next_index: Arc<Mutex<NextEventIndex>>,
+    /// Every site's transition epoch, readable without the site's
+    /// lock (see [`Grid::site_epoch`]).
+    epochs: BTreeMap<SiteId, Arc<AtomicU64>>,
     /// Where a service stack over this grid should persist itself.
     persist_config: Option<PersistenceConfig>,
     /// Admission-control policy for service stacks over this grid.
@@ -145,7 +150,7 @@ impl GridBuilder {
             descriptions.insert(id, config.description.clone());
             sites.insert(id, Arc::new(Mutex::new(ExecutionService::new(config))));
         }
-        let metric_keys = SiteMetricKeys::intern_all(&sites);
+        let metric_ids = intern_site_series(&sites, &monitor);
         let xfer = XferScheduler::new(
             self.network.clone(),
             sites.keys().copied(),
@@ -156,11 +161,13 @@ impl GridBuilder {
         // reports the service's current answer, so the index starts
         // consistent even for sites built with queued state.
         let next_index = Arc::new(Mutex::new(NextEventIndex::default()));
+        let mut epochs = BTreeMap::new();
         for (id, site) in &sites {
             let idx = next_index.clone();
             let sid = *id;
-            site.lock()
-                .set_event_notifier(Box::new(move |next| idx.lock().note(sid, next)));
+            let mut site = site.lock();
+            site.set_event_notifier(Box::new(move |next| idx.lock().note(sid, next)));
+            epochs.insert(sid, site.transition_epoch().clone());
         }
         let grid = Arc::new(Grid {
             sites,
@@ -169,9 +176,10 @@ impl GridBuilder {
             network: self.network,
             now: RwLock::new(SimTime::ZERO),
             flock_partners: RwLock::new(BTreeMap::new()),
-            metric_keys,
+            metric_ids,
             xfer: Mutex::new(xfer),
             next_index,
+            epochs,
             persist_config: self.persist,
             gate_config: self.gate,
         });
@@ -380,6 +388,26 @@ impl Grid {
             .unwrap_or(false)
     }
 
+    /// A site's transition epoch, read without its lock: the count of
+    /// status transitions, failures and recoveries its execution
+    /// service has been through. While it stands still, whatever a
+    /// [`Grid::probe`] there answered [`TaskProbe::Parked`] for is
+    /// still parked, and the site still up.
+    pub fn site_epoch(&self, site: SiteId) -> Option<u64> {
+        self.epochs.get(&site).map(|e| e.load(Ordering::Acquire))
+    }
+
+    /// Probes the task tracked at `(site, condor)` under that one
+    /// site's lock — liveness included; an unknown site reads as down.
+    /// `None` when the location is stale (see
+    /// [`ExecutionService::probe`]).
+    pub fn probe(&self, site: SiteId, task: TaskId, condor: CondorId) -> Option<TaskProbe> {
+        match self.sites.get(&site) {
+            Some(exec) => exec.lock().probe(task, condor),
+            None => Some(TaskProbe::SiteDown),
+        }
+    }
+
     /// The persistence configuration the builder attached, if any.
     pub fn persistence_config(&self) -> Option<&PersistenceConfig> {
         self.persist_config.as_ref()
@@ -470,7 +498,7 @@ impl Grid {
 #[derive(Clone, Debug)]
 pub struct FlockMove {
     /// The task that flocked.
-    pub task: gae_types::TaskId,
+    pub task: TaskId,
     /// Its specification (for estimate re-registration).
     pub spec: TaskSpec,
     /// Overloaded source site.
@@ -485,7 +513,6 @@ pub struct FlockMove {
 mod tests {
     use super::*;
     use crate::grid::two_site_grid;
-    use gae_types::TaskId;
 
     #[test]
     fn builder_registers_sites() {

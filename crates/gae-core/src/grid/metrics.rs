@@ -1,9 +1,9 @@
-//! How everything reports to MonALISA: one [`MetricBatch`] per round,
-//! handed to one `publish_batch`. Every grid tick
-//! [`Grid::publish_metrics`] samples each site's farm and nodes under
-//! keys interned at construction; every service poll
-//! [`ServiceStack::metrics`] asks each [`MetricSource`] in a fixed
-//! order (DESIGN.md §17). The impls live here, not beside the types
+//! How everything reports to MonALISA: one batch per round, under one
+//! store lock. Every grid tick [`Grid::publish_metrics`] samples each
+//! site's farm and nodes into series interned at construction
+//! (`publish_ids`); every service poll [`ServiceStack::metrics`] asks
+//! each [`MetricSource`] in a fixed order for one [`MetricBatch`]
+//! (`publish_batch`; DESIGN.md §17). The impls live here, not beside the types
 //! they describe, so that gae-gate, gae-xfer, gae-obs, gae-hist and
 //! gae-repl keep no dependency on the monitoring crate.
 
@@ -11,57 +11,34 @@ use super::{Grid, ServiceStack};
 use crate::estimator::EstimatorService;
 use gae_exec::ExecutionService;
 use gae_gate::{Gate, GateClass};
-use gae_monitor::{MetricBatch, MetricKey};
+use gae_monitor::{MetricBatch, MetricKey, MonAlisaRepository, SeriesId};
 use gae_types::SiteId;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Interned metric keys for one site, built once at grid construction
-/// so the per-tick publication loop performs no string allocation.
-pub(super) struct SiteMetricKeys {
-    /// Farm-wide CPU load.
-    site_load: MetricKey,
-    /// Farm-wide queue length.
-    queue_length: MetricKey,
-    /// Per node, in `nodes()` order: (`cpu_load`, `busy_slots`).
-    node_keys: Vec<(MetricKey, MetricKey)>,
-}
-
-impl SiteMetricKeys {
-    /// Interns every publication key up front: two shared parameter
-    /// names, one entity name per node. The hot loop then only clones
-    /// `Arc`s.
-    pub(super) fn intern_all(
-        sites: &BTreeMap<SiteId, Arc<Mutex<ExecutionService>>>,
-    ) -> BTreeMap<SiteId, SiteMetricKeys> {
-        let cpu_load: Arc<str> = Arc::from("cpu_load");
-        let busy_slots: Arc<str> = Arc::from("busy_slots");
-        let mut metric_keys = BTreeMap::new();
-        for (id, site) in sites {
-            let exec = site.lock();
-            let node_keys = exec
-                .nodes()
-                .iter()
-                .map(|node| {
-                    let entity: Arc<str> = Arc::from(node.id.to_string());
-                    (
-                        MetricKey::new(*id, entity.clone(), cpu_load.clone()),
-                        MetricKey::new(*id, entity, busy_slots.clone()),
-                    )
-                })
-                .collect();
-            metric_keys.insert(
-                *id,
-                SiteMetricKeys {
-                    site_load: MetricKey::site_wide(*id, cpu_load.clone()),
-                    queue_length: MetricKey::site_wide(*id, "queue_length"),
-                    node_keys,
-                },
-            );
+/// Interns every per-tick publication series up front, in the order
+/// [`Grid::publish_metrics`] samples them: per site (ascending id)
+/// farm load, queue length, then per node in `nodes()` order
+/// `cpu_load`, `busy_slots`. The tick then publishes by handle — no
+/// key is built, hashed or cloned again.
+pub(super) fn intern_site_series(
+    sites: &BTreeMap<SiteId, Arc<Mutex<ExecutionService>>>,
+    monitor: &MonAlisaRepository,
+) -> Vec<SeriesId> {
+    let cpu_load: Arc<str> = Arc::from("cpu_load");
+    let busy_slots: Arc<str> = Arc::from("busy_slots");
+    let mut ids = Vec::new();
+    for (id, site) in sites {
+        ids.push(monitor.intern(MetricKey::site_wide(*id, cpu_load.clone())));
+        ids.push(monitor.intern(MetricKey::site_wide(*id, "queue_length")));
+        for node in site.lock().nodes() {
+            let entity: Arc<str> = Arc::from(node.id.to_string());
+            ids.push(monitor.intern(MetricKey::new(*id, entity.clone(), cpu_load.clone())));
+            ids.push(monitor.intern(MetricKey::new(*id, entity, busy_slots.clone())));
         }
-        metric_keys
     }
+    ids
 }
 
 impl Grid {
@@ -70,24 +47,23 @@ impl Grid {
     /// slot occupancy (MonALISA's Farm/Node hierarchy).
     ///
     /// All of a tick's samples go to the repository as one
-    /// [`gae_monitor::MonAlisaRepository::publish_batch`] call — one
+    /// [`gae_monitor::MonAlisaRepository::publish_ids`] call — one
     /// store-lock acquisition per tick instead of one per metric —
-    /// using the keys interned at construction, in site order: farm
-    /// load, queue length, then per-node load and slot occupancy.
+    /// through the handles interned at construction, in site order:
+    /// farm load, queue length, then per-node load and slot occupancy.
     pub fn publish_metrics(&self) {
         let now = self.now();
-        let mut batch = MetricBatch::at(now);
-        for (id, site) in &self.sites {
+        let mut values = Vec::with_capacity(self.metric_ids.len());
+        for site in self.sites.values() {
             let site = site.lock();
-            let keys = &self.metric_keys[id];
-            batch.push(keys.site_load.clone(), site.current_load());
-            batch.push(keys.queue_length.clone(), site.queue_length() as f64);
-            for (node, (load_key, slots_key)) in site.nodes().iter().zip(&keys.node_keys) {
-                batch.push(load_key.clone(), node.load_at(now));
-                batch.push(slots_key.clone(), f64::from(node.busy_slots()));
+            values.push(site.current_load());
+            values.push(site.queue_length() as f64);
+            for node in site.nodes() {
+                values.push(node.load_at(now));
+                values.push(f64::from(node.busy_slots()));
             }
         }
-        self.monitor.publish_batch(batch);
+        self.monitor.publish_ids(now, &self.metric_ids, &values);
     }
 }
 

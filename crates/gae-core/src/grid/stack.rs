@@ -368,6 +368,18 @@ impl ServiceStack {
     /// steering, then history maintenance, and last one MonALISA batch
     /// with every [`MetricSource`](super::MetricSource)'s samples.
     pub fn poll(&self) {
+        self.poll_steering_by(SteeringService::poll);
+    }
+
+    /// [`Self::poll`] with the steering round run by its full-sweep
+    /// oracle — what `tests/steering_round.rs` drives a twin stack
+    /// with.
+    #[doc(hidden)]
+    pub fn poll_full_sweep(&self) {
+        self.poll_steering_by(SteeringService::poll_full_sweep);
+    }
+
+    fn poll_steering_by(&self, steering_round: fn(&SteeringService)) {
         for mv in self.grid.flock_pass() {
             let estimate = self
                 .estimators
@@ -382,7 +394,7 @@ impl ServiceStack {
                 .note_external_move(mv.task, mv.from, mv.to, mv.condor);
         }
         self.jobmon.poll();
-        self.steering.poll();
+        steering_round(&self.steering);
         // History maintenance rides the poll loop: seal a lingering
         // tail and compact undersized segments on the virtual clock,
         // each decision journaled before it is applied.

@@ -49,9 +49,10 @@ impl JobMonitoringService {
         self.manager.info_at(task, site, condor)
     }
 
-    /// [`Self::job_info_at`] for the steering round, which acts only
-    /// on tasks that are running or finished: `None`, with nothing
-    /// built, while the task is pending, queued or suspended.
+    /// [`Self::job_info_at`] for a polling loop that acts only on
+    /// tasks that are running or finished (the steering round's
+    /// full-sweep oracle): `None`, with nothing built, while the task
+    /// is pending, queued or suspended.
     pub fn job_info_unless_parked(
         &self,
         task: TaskId,

@@ -18,6 +18,7 @@
 //! * **Session Manager** ([`session`]) — "makes sure that the
 //!   authorized users steer the jobs".
 
+mod round;
 pub mod rpc;
 #[allow(clippy::module_inception)]
 pub mod service;

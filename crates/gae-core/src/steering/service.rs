@@ -3,20 +3,23 @@
 
 use crate::estimator::EstimatorService;
 use crate::grid::Grid;
+use crate::jobmon::JobMonitoringInfo;
 use crate::jobmon::JobMonitoringService;
 use crate::persist::{self, Persistence};
 use crate::quota::{ChargeRecord, QuotaService};
+use crate::steering::round::{InFlight, RoundIndex};
 use crate::steering::session::JobAuthorizer;
 use crate::steering::state::{TaskPhase, TrackedJob, TrackedTask};
 use crate::steering::SteeringPolicy;
-use gae_exec::Checkpoint;
+use gae_exec::{Checkpoint, Progress, TaskProbe};
 use gae_sched::Scheduler;
 use gae_types::{
-    ConcretePlan, GaeError, GaeResult, JobId, OptimizationPreference, Priority, SimDuration,
-    SimTime, SiteId, TaskId, TaskSpec, TaskStatus, UserId,
+    ConcretePlan, CondorId, GaeError, GaeResult, JobId, OptimizationPreference, Priority,
+    SimDuration, SimTime, SiteId, TaskId, TaskSpec, TaskStatus, UserId,
 };
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A client-visible steering command (§4: "kill, pause, and resume,
@@ -155,11 +158,14 @@ pub struct SteeringService {
     quota: Arc<QuotaService>,
     policy: RwLock<SteeringPolicy>,
     jobs: RwLock<HashMap<JobId, TrackedJob>>,
-    /// The jobs a round still has work for: those whose
-    /// `completion_notified` is false, in id order. Derived from
-    /// `jobs` (never journaled), so a round costs what is live, not
-    /// what was ever tracked. Lock order: `jobs`, then `live_jobs`.
-    live_jobs: Mutex<BTreeSet<JobId>>,
+    /// What a round walks: the jobs it still has work for — those
+    /// whose `completion_notified` is false — each with its
+    /// `Submitted` tasks. Derived from `jobs` (never journaled; every
+    /// write to a tracked phase is followed by a `reindex`), so a
+    /// round costs what is live and awake, not what was ever tracked,
+    /// and reads no plan and no task map to find it. Lock order:
+    /// `jobs`, then `round_index`.
+    round_index: Mutex<RoundIndex>,
     task_index: RwLock<HashMap<TaskId, JobId>>,
     authorizer: JobAuthorizer,
     notifications: Mutex<Vec<Notification>>,
@@ -173,6 +179,20 @@ pub struct SteeringService {
     /// The observability hub spans and lifecycle marks go to.
     /// Installed by the composition root; absent in bare wirings.
     obs: RwLock<Option<Arc<gae_obs::ObsHub>>>,
+    /// Site-lock probes the last round made (its cost, as a count).
+    last_round_probes: AtomicU64,
+}
+
+/// One round's buffers, reused from job to job.
+#[derive(Default)]
+struct RoundScratch {
+    /// The job's walk entries, copied out of the lock.
+    in_flight: Vec<InFlight>,
+    /// The probed entries whose stamp the probe changed: to the site
+    /// epoch it saw when it found the task parked, to none otherwise.
+    restamp: Vec<(InFlight, Option<u64>)>,
+    /// Site-lock probes made so far this round.
+    probes: u64,
 }
 
 impl SteeringService {
@@ -193,7 +213,7 @@ impl SteeringService {
             quota,
             policy: RwLock::new(policy),
             jobs: RwLock::new(HashMap::new()),
-            live_jobs: Mutex::new(BTreeSet::new()),
+            round_index: Mutex::new(RoundIndex::default()),
             task_index: RwLock::new(HashMap::new()),
             authorizer: JobAuthorizer::new(),
             notifications: Mutex::new(Vec::new()),
@@ -202,6 +222,7 @@ impl SteeringService {
             persist: RwLock::new(None),
             gate: RwLock::new(None),
             obs: RwLock::new(None),
+            last_round_probes: AtomicU64::new(0),
         }
     }
 
@@ -277,6 +298,7 @@ impl SteeringService {
         match jobs.get_mut(&job_id) {
             Some(tracked) => {
                 tracked.plan = plan;
+                self.round_index.lock().retrack(job_id, tracked);
             }
             None => {
                 let tracked = TrackedJob::subscribe(plan)?;
@@ -285,7 +307,7 @@ impl SteeringService {
                     index.insert(t, job_id);
                 }
                 jobs.insert(job_id, tracked);
-                self.live_jobs.lock().insert(job_id);
+                self.round_index.lock().track(job_id, Vec::new());
             }
         }
         Ok(())
@@ -295,7 +317,9 @@ impl SteeringService {
     pub(crate) fn replay_task(&self, job_id: JobId, task: TrackedTask) {
         self.task_index.write().insert(task.task, job_id);
         if let Some(tracked) = self.jobs.write().get_mut(&job_id) {
-            tracked.tasks.insert(task.task, task);
+            let id = task.task;
+            tracked.tasks.insert(id, task);
+            self.round_index.lock().reindex(job_id, tracked, id);
         }
     }
 
@@ -303,7 +327,7 @@ impl SteeringService {
     pub(crate) fn replay_notified(&self, job_id: JobId) {
         if let Some(tracked) = self.jobs.write().get_mut(&job_id) {
             tracked.completion_notified = true;
-            self.live_jobs.lock().remove(&job_id);
+            self.round_index.lock().forget(job_id);
         }
     }
 
@@ -317,11 +341,11 @@ impl SteeringService {
             }
         }
         let mut jobs = self.jobs.write();
-        let mut live = self.live_jobs.lock();
+        let mut index = self.round_index.lock();
         if tracked.completion_notified {
-            live.remove(&job_id);
+            index.forget(job_id);
         } else {
-            live.insert(job_id);
+            index.track(job_id, InFlight::all_of(&tracked));
         }
         jobs.insert(job_id, tracked);
     }
@@ -410,7 +434,7 @@ impl SteeringService {
         {
             let mut jobs = self.jobs.write();
             jobs.insert(job_id, tracked);
-            self.live_jobs.lock().insert(job_id);
+            self.round_index.lock().track(job_id, Vec::new());
         }
         self.log_plan(job_id);
         self.submit_ready(job_id)
@@ -593,7 +617,7 @@ impl SteeringService {
             .ok_or_else(|| GaeError::NotFound(format!("{task} is not steered here")))
     }
 
-    fn location(&self, job_id: JobId, task: TaskId) -> GaeResult<(SiteId, gae_types::CondorId)> {
+    fn location(&self, job_id: JobId, task: TaskId) -> GaeResult<(SiteId, CondorId)> {
         let jobs = self.jobs.read();
         jobs.get(&job_id)
             .and_then(|j| j.location(task))
@@ -675,74 +699,195 @@ impl SteeringService {
 
     /// One steering round: track progress through the Job Monitoring
     /// Service, detect failures, recover, optimize, and notify.
+    ///
+    /// It costs what changed (DESIGN.md §7.1): every running task is
+    /// probed, a parked one only if its site has been through a
+    /// transition since a round last found it parked there.
     pub fn poll(&self) {
         // Live jobs only, in id order: a round is a deterministic
         // function of the tracked state (the run-to-run determinism
         // contract relies on this) and costs nothing for jobs that
-        // already settled and told their client.
+        // already settled and told their client — or that sleep.
+        let mut round = RoundScratch::default();
+        let mut awake = self.awake_jobs_after(None);
+        let mut next = 0;
+        while let Some(&job_id) = awake.get(next) {
+            next += 1;
+            if self.process_job(job_id, &mut round) {
+                // The round did something, which may have moved a
+                // site on and a job further down out of its sleep.
+                awake = self.awake_jobs_after(Some(job_id));
+                next = 0;
+            }
+        }
+        self.last_round_probes
+            .store(round.probes, Ordering::Relaxed);
+    }
+
+    /// The jobs a round has yet to visit after `after`: the live jobs
+    /// not asleep, once those parked at a site that has been through a
+    /// transition are woken.
+    fn awake_jobs_after(&self, after: Option<JobId>) -> Vec<JobId> {
+        let mut index = self.round_index.lock();
+        index.wake_transitioned(|site| self.grid.site_epoch(site));
+        index.awake_after(after)
+    }
+
+    /// How many site-lock probes the last [`Self::poll`] made: the
+    /// round's cost as a count, for the tests that hold it to "running
+    /// tasks plus the parked ones at sites that transitioned".
+    #[doc(hidden)]
+    pub fn last_round_probes(&self) -> u64 {
+        self.last_round_probes.load(Ordering::Relaxed)
+    }
+
+    /// The round as it was before parked stamps and the progress
+    /// probe — a liveness check and a look-before-you-build snapshot
+    /// of every `Submitted` task, a settled check of every live job —
+    /// kept as the differential oracle of [`Self::poll`]: driven from
+    /// the same state, both act on the same tasks in the same order.
+    #[doc(hidden)]
+    pub fn poll_full_sweep(&self) {
         for job_id in self.live_job_ids() {
-            self.process_job(job_id);
+            let submitted: Vec<(TaskId, SiteId, CondorId)> = {
+                let jobs = self.jobs.read();
+                let Some(tracked) = jobs.get(&job_id) else {
+                    continue;
+                };
+                let tasks = tracked.plan.job.tasks.iter();
+                tasks
+                    .filter_map(|t| tracked.location(t.id).map(|(s, c)| (t.id, s, c)))
+                    .collect()
+            };
+            for (task, site, condor) in submitted {
+                if !self.grid.is_alive(site) {
+                    self.recover_task(job_id, task, site, condor, "execution service failed");
+                } else if let Ok(Some(info)) =
+                    self.jobmon.job_info_unless_parked(task, site, condor)
+                {
+                    self.act_on(job_id, task, site, condor, &info);
+                }
+            }
+            self.maybe_notify_settled(job_id);
         }
     }
 
     /// The jobs not yet notified as settled, id-sorted.
     fn live_job_ids(&self) -> Vec<JobId> {
-        self.live_jobs.lock().iter().copied().collect()
+        self.round_index.lock().live_jobs()
     }
 
     /// Sets one tracked task's phase; a task the tracker does not hold
     /// is skipped.
     fn set_phase(&self, job_id: JobId, task: TaskId, phase: TaskPhase) {
-        if let Some(t) = self
-            .jobs
-            .write()
-            .get_mut(&job_id)
-            .and_then(|j| j.tasks.get_mut(&task))
-        {
+        let mut jobs = self.jobs.write();
+        let Some(tracked) = jobs.get_mut(&job_id) else {
+            return;
+        };
+        if let Some(t) = tracked.tasks.get_mut(&task) {
             t.phase = phase;
+            self.round_index.lock().reindex(job_id, tracked, task);
         }
     }
 
-    fn process_job(&self, job_id: JobId) {
-        let submitted: Vec<(TaskId, SiteId, gae_types::CondorId)> = {
-            let jobs = self.jobs.read();
-            let Some(tracked) = jobs.get(&job_id) else {
-                return;
-            };
-            tracked
-                .plan
-                .job
-                .tasks
-                .iter()
-                .filter_map(|t| tracked.location(t.id).map(|(s, c)| (t.id, s, c)))
-                .collect()
-        };
-        for (task, site, condor) in submitted {
-            // Backup & Recovery "continuously checks all the
-            // Execution Services ... for failure".
-            if !self.grid.is_alive(site) {
-                self.recover_task(job_id, task, site, condor, "execution service failed");
+    /// One job's turn in a round. True if the round did anything for
+    /// it but probe.
+    fn process_job(&self, job_id: JobId, round: &mut RoundScratch) -> bool {
+        round.in_flight.clear();
+        match self.round_index.lock().entries(job_id) {
+            Some(walk) => round.in_flight.extend_from_slice(walk),
+            None => return false,
+        }
+        // Whether the round did anything but probe: only then can a
+        // task have left `Submitted` or a site have moved on.
+        let mut disturbed = false;
+        for entry in &round.in_flight {
+            let InFlight {
+                task, site, condor, ..
+            } = *entry;
+            // Parked when last probed and no transition at the site
+            // since: still parked, the site still up — a probe would
+            // answer `Parked` again.
+            let stamp = entry.parked_epoch;
+            if stamp.is_some() && stamp == self.grid.site_epoch(site) {
                 continue;
             }
-            // One probe of the site the task is tracked at; a task
-            // still waiting there needs nothing from this round.
-            let Ok(Some(info)) = self.jobmon.job_info_unless_parked(task, site, condor) else {
-                continue;
+            round.probes += 1;
+            // Backup & Recovery "continuously checks all the
+            // Execution Services ... for failure": one probe of the
+            // site the task is tracked at answers for both.
+            let probe = self.grid.probe(site, task, condor);
+            let parked_at = match probe {
+                Some(TaskProbe::Parked { epoch }) => Some(epoch),
+                _ => None,
             };
-            match info.status {
-                TaskStatus::Completed => self.settle_completed(job_id, task, site, &info),
-                TaskStatus::Failed => self.recover_task(job_id, task, site, condor, "task failed"),
-                TaskStatus::Killed => {
-                    self.set_phase(job_id, task, TaskPhase::Killed);
-                    self.estimators.evict_submission(site, info.condor);
-                    self.grid.release_task_data(site, info.condor);
-                    self.log_task(job_id, task);
+            if parked_at.is_some() || stamp.is_some() {
+                round.restamp.push((*entry, parked_at));
+            }
+            match probe {
+                // Still waiting there: nothing to do this round.
+                Some(TaskProbe::Parked { .. }) => {}
+                Some(TaskProbe::SiteDown) => {
+                    disturbed = true;
+                    self.recover_task(job_id, task, site, condor, "execution service failed");
                 }
-                TaskStatus::Running => self.maybe_optimize(job_id, task, site, &info),
-                _ => {}
+                Some(TaskProbe::Running(progress)) => {
+                    disturbed |= self.maybe_optimize(job_id, task, site, progress);
+                }
+                // Settled there, or no longer there: the full snapshot
+                // (resolved across the grid when the location is
+                // stale) says what to do.
+                Some(TaskProbe::Settled) | None => {
+                    disturbed = true;
+                    if let Ok(info) = self.jobmon.job_info_at(task, site, condor) {
+                        self.act_on(job_id, task, site, condor, &info);
+                    }
+                }
             }
         }
-        self.maybe_notify_settled(job_id);
+        {
+            let mut index = self.round_index.lock();
+            for (probed, stamp) in round.restamp.drain(..) {
+                index.restamp(job_id, &probed, stamp);
+            }
+            index.rest(job_id);
+        }
+        // A job with tasks in flight that the round left alone cannot
+        // have settled.
+        if disturbed || round.in_flight.is_empty() {
+            self.maybe_notify_settled(job_id);
+        }
+        disturbed
+    }
+
+    /// What a round does about a task whose full snapshot it read.
+    fn act_on(
+        &self,
+        job_id: JobId,
+        task: TaskId,
+        site: SiteId,
+        condor: CondorId,
+        info: &JobMonitoringInfo,
+    ) {
+        match info.status {
+            TaskStatus::Completed => self.settle_completed(job_id, task, site, info),
+            TaskStatus::Failed => self.recover_task(job_id, task, site, condor, "task failed"),
+            TaskStatus::Killed => {
+                self.set_phase(job_id, task, TaskPhase::Killed);
+                self.estimators.evict_submission(site, info.condor);
+                self.grid.release_task_data(site, info.condor);
+                self.log_task(job_id, task);
+            }
+            TaskStatus::Running => {
+                let progress = Progress {
+                    elapsed: info.elapsed,
+                    cpu_time: info.cpu_time,
+                    remaining_time: info.remaining_time,
+                };
+                self.maybe_optimize(job_id, task, site, progress);
+            }
+            _ => {}
+        }
     }
 
     fn settle_completed(
@@ -750,7 +895,7 @@ impl SteeringService {
         job_id: JobId,
         task: TaskId,
         site: SiteId,
-        info: &crate::jobmon::JobMonitoringInfo,
+        info: &JobMonitoringInfo,
     ) {
         {
             let mut jobs = self.jobs.write();
@@ -764,6 +909,7 @@ impl SteeringService {
                 return;
             }
             t.phase = TaskPhase::Done { site };
+            self.round_index.lock().reindex(job_id, tracked, task);
         }
         self.log_task(job_id, task);
         // Accounting: charge the owner for the CPU actually used. The
@@ -796,12 +942,7 @@ impl SteeringService {
     /// §4.2.4: pulls the execution state (including the output files
     /// produced so far) from the execution service and keeps it for
     /// download.
-    fn collect_execution_state(
-        &self,
-        task: TaskId,
-        site: SiteId,
-        info: &crate::jobmon::JobMonitoringInfo,
-    ) {
+    fn collect_execution_state(&self, task: TaskId, site: SiteId, info: &JobMonitoringInfo) {
         self.execution_states.lock().insert(
             task,
             ExecutionState {
@@ -850,13 +991,7 @@ impl SteeringService {
     /// Updates bookkeeping after an execution-layer migration the
     /// steering service did not itself initiate (flocking): the task
     /// is now at `to` under a new Condor id.
-    pub fn note_external_move(
-        &self,
-        task: TaskId,
-        from: SiteId,
-        to: SiteId,
-        condor: gae_types::CondorId,
-    ) {
+    pub fn note_external_move(&self, task: TaskId, from: SiteId, to: SiteId, condor: CondorId) {
         let Ok(job_id) = self.job_of(task) else {
             return;
         };
@@ -878,6 +1013,7 @@ impl SteeringService {
                 }
                 t.phase = TaskPhase::Submitted { site: to, condor };
                 t.moves += 1;
+                self.round_index.lock().reindex(job_id, tracked, task);
             }
             if let Ok(replanned) = tracked.plan.reassigned(task, to) {
                 tracked.plan = replanned;
@@ -901,7 +1037,7 @@ impl SteeringService {
         job_id: JobId,
         task: TaskId,
         failed_site: SiteId,
-        condor: gae_types::CondorId,
+        condor: CondorId,
         reason: &str,
     ) {
         let at = self.grid.now();
@@ -1009,28 +1145,22 @@ impl SteeringService {
 
     /// The Optimizer's autonomous decision (§7's Figure 7 behaviour):
     /// if a running task accrues CPU time much slower than wall time
-    /// and a markedly better site exists, move it.
-    fn maybe_optimize(
-        &self,
-        job_id: JobId,
-        task: TaskId,
-        site: SiteId,
-        info: &crate::jobmon::JobMonitoringInfo,
-    ) {
+    /// and a markedly better site exists, move it. True if it tried.
+    fn maybe_optimize(&self, job_id: JobId, task: TaskId, site: SiteId, info: Progress) -> bool {
         let policy = *self.policy.read();
         if !policy.auto_move {
-            return;
+            return false;
         }
         if info.elapsed < policy.min_observation {
-            return;
+            return false;
         }
         let elapsed = info.elapsed.as_secs_f64();
         if elapsed <= 0.0 {
-            return;
+            return false;
         }
         let rate = info.cpu_time.as_secs_f64() / elapsed;
         if rate >= policy.slow_rate_threshold {
-            return;
+            return false;
         }
         let spec = {
             let jobs = self.jobs.read();
@@ -1038,7 +1168,7 @@ impl SteeringService {
                 .get(&job_id)
                 .and_then(|j| j.plan.job.task(task).cloned())
             else {
-                return;
+                return false;
             };
             s
         };
@@ -1046,14 +1176,14 @@ impl SteeringService {
             .scheduler
             .best_site(&spec, |_| true, &[site], policy.preference)
         else {
-            return;
+            return false;
         };
         // Only move if the candidate's effective rate beats the
         // observed one with margin (moving costs a restart unless the
         // task checkpoints).
         let candidate_rate = 1.0 / (1.0 + candidate.estimate.load.max(0.0));
         if candidate_rate <= rate * 1.5 {
-            return;
+            return false;
         }
         // Xfer-aware veto: a move re-stages the task's inputs at the
         // candidate, so price staying (finish at the observed rate)
@@ -1072,10 +1202,11 @@ impl SteeringService {
                 + est.transfer_time.as_secs_f64()
                 + remaining / candidate_rate;
             if move_secs * 1.2 >= stay_secs {
-                return;
+                return false;
             }
         }
         let _ = self.move_task(job_id, task, Some(candidate.site), MoveReason::SlowProgress);
+        true
     }
 
     fn maybe_notify_settled(&self, job_id: JobId) {
@@ -1088,7 +1219,7 @@ impl SteeringService {
                 return;
             }
             tracked.completion_notified = true;
-            self.live_jobs.lock().remove(&job_id);
+            self.round_index.lock().forget(job_id);
             (tracked.is_completed(), tracked.is_failed())
         };
         self.log_notified(job_id);
@@ -1144,7 +1275,7 @@ impl SteeringService {
 mod tests {
     use super::*;
     use crate::grid::{GridBuilder, ServiceStack};
-    use gae_types::{CondorId, JobSpec, PlanId, SiteDescription, TaskAssignment};
+    use gae_types::{JobSpec, PlanId, SiteDescription, TaskAssignment};
 
     fn stack() -> Arc<ServiceStack> {
         ServiceStack::over(

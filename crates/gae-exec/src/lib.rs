@@ -39,5 +39,5 @@ pub mod task;
 pub use events::ExecEvent;
 pub use node::Node;
 pub use queue::PriorityQueue;
-pub use service::{ExecutionService, SiteConfig};
+pub use service::{ExecutionService, Progress, SiteConfig, TaskProbe};
 pub use task::{Checkpoint, TaskRecord};

@@ -25,6 +25,8 @@ use gae_types::{
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Event kinds ordering pending-event heap entries at equal instants:
 /// completions run before staging arrivals so a freshly staged task
@@ -65,6 +67,36 @@ impl SiteConfig {
     }
 }
 
+/// A running task's progress as the Optimizer reads it — the three
+/// numbers of the monitoring snapshot it decides on, `Copy`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Progress {
+    /// Wall time since the task first started.
+    pub elapsed: SimDuration,
+    /// CPU time accrued across incarnations.
+    pub cpu_time: SimDuration,
+    /// Submission-time estimate less `cpu_time`, if one was recorded.
+    pub remaining_time: Option<SimDuration>,
+}
+
+/// The answer of [`ExecutionService::probe`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum TaskProbe {
+    /// The execution service is down.
+    SiteDown,
+    /// Pending, queued or suspended: nothing for a steering round to
+    /// do, and nothing will be until the site's transition epoch
+    /// moves past `epoch`.
+    Parked {
+        /// The site's transition epoch at the probe.
+        epoch: u64,
+    },
+    /// Running, with its progress.
+    Running(Progress),
+    /// Completed, failed or killed.
+    Settled,
+}
+
 /// The Condor-substitute execution engine for one site.
 pub struct ExecutionService {
     site: SiteDescription,
@@ -91,6 +123,15 @@ pub struct ExecutionService {
     last_next: Option<SimTime>,
     /// Fires on every `last_next` change (grid next-event index).
     notifier: Option<NextEventNotifier>,
+    /// Bumped by every status transition and by the site failing or
+    /// recovering — always under the service's lock, while readers
+    /// (the steering round) load it without: an unchanged epoch means
+    /// no record here changed status, no task was (re)submitted and
+    /// the site's liveness is what it was.
+    epoch: Arc<AtomicU64>,
+    /// Per node, the last `(from, to, work)` [`Self::accrue_all_to`]
+    /// computed: tasks sharing a node share the step.
+    accrual_memo: Vec<(SimTime, SimTime, SimDuration)>,
     next_condor: u64,
     now: SimTime,
     alive: bool,
@@ -131,6 +172,7 @@ impl ExecutionService {
                 trace,
             ));
         }
+        let accrual_memo = vec![(SimTime::ZERO, SimTime::ZERO, SimDuration::ZERO); nodes.len()];
         ExecutionService {
             site: description,
             nodes,
@@ -143,6 +185,8 @@ impl ExecutionService {
             event_heap: BinaryHeap::new(),
             last_next: None,
             notifier: None,
+            epoch: Arc::new(AtomicU64::new(0)),
+            accrual_memo,
             next_condor: 1,
             now: SimTime::ZERO,
             alive: true,
@@ -190,6 +234,42 @@ impl ExecutionService {
     /// False after [`ExecutionService::fail_site`].
     pub fn is_alive(&self) -> bool {
         self.alive
+    }
+
+    /// The site's transition epoch, shared so a holder can read it
+    /// without this service's lock (the grid takes its clone at build
+    /// time, beside the next-event notifier).
+    pub fn transition_epoch(&self) -> &Arc<AtomicU64> {
+        &self.epoch
+    }
+
+    /// What the steering round asks about the task it tracks here as
+    /// `condor`, read under this one lock and building nothing. `None`
+    /// when that is no longer the site's current, resident record for
+    /// `task` (superseded, or a `Migrating` husk): the caller's hint is
+    /// stale.
+    pub fn probe(&self, task: TaskId, condor: CondorId) -> Option<TaskProbe> {
+        if !self.alive {
+            return Some(TaskProbe::SiteDown);
+        }
+        if self.condor_of(task) != Some(condor) {
+            return None;
+        }
+        let rec = self.records.get(&condor)?;
+        match rec.status {
+            TaskStatus::Migrating => None,
+            TaskStatus::Pending | TaskStatus::Queued | TaskStatus::Suspended => {
+                Some(TaskProbe::Parked {
+                    epoch: self.epoch.load(Ordering::Acquire),
+                })
+            }
+            TaskStatus::Running => Some(TaskProbe::Running(Progress {
+                elapsed: rec.elapsed(self.now),
+                cpu_time: rec.total_accrued(),
+                remaining_time: rec.estimated.map(|e| e.saturating_sub(rec.total_accrued())),
+            })),
+            _ => Some(TaskProbe::Settled),
+        }
     }
 
     // ---- submission & dispatch ----
@@ -482,13 +562,25 @@ impl ExecutionService {
         self.refresh_next();
     }
 
-    /// Brings every running task's accrual up to `t`.
+    /// Brings every running task's accrual up to `t`. The step a
+    /// node's trace yields over `[from, t]` is computed once per
+    /// `(node, from)` and shared by the tasks running there. Each
+    /// instant is still stepped to: a step is rounded to the
+    /// microsecond, so skipping one would move `accrued`.
     fn accrue_all_to(&mut self, t: SimTime) {
         for condor in self.backlog.running() {
             let rec = self.records.get_mut(condor).expect("running record");
             let node = rec.node.expect("running task has a node");
-            let node = &self.nodes[(node.raw() - 1) as usize];
-            rec.accrued += node.accrued_between(rec.accrued_as_of, t);
+            let idx = (node.raw() - 1) as usize;
+            let memo = &mut self.accrual_memo[idx];
+            if (memo.0, memo.1) != (rec.accrued_as_of, t) {
+                *memo = (
+                    rec.accrued_as_of,
+                    t,
+                    self.nodes[idx].accrued_between(rec.accrued_as_of, t),
+                );
+            }
+            rec.accrued += memo.2;
             rec.accrued_as_of = t;
             rec.update_io();
         }
@@ -719,6 +811,7 @@ impl ExecutionService {
     /// empties, and further submissions are refused until recovery.
     pub fn fail_site(&mut self) {
         self.alive = false;
+        self.epoch.fetch_add(1, Ordering::Release);
         let mut victims: Vec<CondorId> = self
             .records
             .values()
@@ -745,6 +838,7 @@ impl ExecutionService {
     /// Brings the site back up; only downed nodes are reset.
     pub fn recover_site(&mut self) {
         self.alive = true;
+        self.epoch.fetch_add(1, Ordering::Release);
         for node in &mut self.nodes {
             if !node.is_alive() {
                 node.recover();
@@ -903,10 +997,12 @@ impl ExecutionService {
 
     /// Moves a task to `status` and emits the matching event. Every
     /// status change goes through here — that is what keeps the
-    /// backlog index equal to a scan of the records.
+    /// backlog index equal to a scan of the records, and the
+    /// transition epoch a witness of "nothing changed status".
     fn transition(&mut self, condor: CondorId, status: TaskStatus, detail: &str) {
         let rec = self.records.get_mut(&condor).expect("transitioning record");
         self.backlog.update(rec, |rec| rec.status = status);
+        self.epoch.fetch_add(1, Ordering::Release);
         let seq = self.next_event_seq;
         self.next_event_seq += 1;
         self.events.push(ExecEvent {
@@ -1629,6 +1725,109 @@ mod tests {
                 None,                         // completion drained the heap
             ]
         );
+    }
+
+    /// The epoch moves exactly when a status, the task→record map or
+    /// the site's liveness does — and the probe's answers are the
+    /// ones whose persistence an unmoved epoch vouches for.
+    #[test]
+    fn transition_epoch_witnesses_every_status_change() {
+        let mut svc = free_service();
+        let epoch = svc.transition_epoch().clone();
+        let read = || epoch.load(Ordering::Acquire);
+        let running = svc.submit(task(1, 100), None).unwrap();
+        let queued = svc.submit(task(2, 50), None).unwrap();
+        let staging = svc
+            .submit_staged(task(3, 50), None, SimDuration::from_secs(500))
+            .unwrap();
+        let e = read();
+        assert_eq!(e, 4, "queued+running, queued, pending");
+        let parked = Some(TaskProbe::Parked { epoch: e });
+        assert_eq!(svc.probe(TaskId::new(2), queued), parked);
+        assert_eq!(svc.probe(TaskId::new(3), staging), parked);
+        assert_eq!(
+            svc.probe(TaskId::new(2), running),
+            None,
+            "not task 2's record"
+        );
+        assert_eq!(svc.probe(TaskId::new(9), queued), None);
+
+        // Time, priorities, estimates and staging corrections are not
+        // transitions.
+        svc.advance_to(SimTime::from_secs(10));
+        svc.set_priority(queued, Priority::HIGH).unwrap();
+        svc.set_estimate(queued, Some(SimDuration::from_secs(5)))
+            .unwrap();
+        svc.restage(staging, SimTime::from_secs(400)).unwrap();
+        assert_eq!(read(), e);
+        assert_eq!(svc.probe(TaskId::new(2), queued), parked);
+        let Some(TaskProbe::Running(progress)) = svc.probe(TaskId::new(1), running) else {
+            panic!("task 1 runs");
+        };
+        assert_eq!(progress.elapsed, SimDuration::from_secs(10));
+        assert_eq!(progress.cpu_time, SimDuration::from_secs(10));
+        assert_eq!(progress.remaining_time, None);
+
+        svc.suspend(queued).unwrap();
+        assert_eq!(read(), e + 1);
+        svc.resume(queued).unwrap();
+        assert_eq!(read(), e + 2);
+        svc.advance_to(SimTime::from_secs(100));
+        assert_eq!(read(), e + 4, "completed, and the queued task dispatched");
+        assert_eq!(svc.probe(TaskId::new(1), running), Some(TaskProbe::Settled));
+        svc.remove_for_migration(queued).unwrap();
+        assert_eq!(svc.probe(TaskId::new(2), queued), None, "a husk");
+
+        let before = read();
+        svc.fail_site();
+        assert_eq!(read(), before + 3, "the outage, the staging task, the husk");
+        assert_eq!(
+            svc.probe(TaskId::new(3), staging),
+            Some(TaskProbe::SiteDown)
+        );
+        svc.recover_site();
+        assert_eq!(read(), before + 4);
+        assert_eq!(svc.probe(TaskId::new(3), staging), Some(TaskProbe::Settled));
+    }
+
+    /// The accrual memo shares a node's step between its tasks; each
+    /// task still accrues what its own per-step sum gives, including
+    /// one dispatched between steps (another `from`).
+    #[test]
+    fn shared_accrual_step_equals_per_task_accrual() {
+        let trace = LoadTrace::from_steps(vec![
+            (SimTime::ZERO, 0.37),
+            (SimTime::from_secs(7), 2.11),
+            (SimTime::from_secs(19), 0.0),
+        ]);
+        let cfg = SiteConfig::uniform_load(site(1, 1, 3), trace);
+        let node = Node::new(NodeId::new(1), 1.0, 3, cfg.node_traces[0].clone());
+        let mut svc = ExecutionService::new(cfg);
+        let a = svc.submit(task(1, 10_000), None).unwrap();
+        let b = svc.submit(task(2, 10_000), None).unwrap();
+        let mut expected = [SimDuration::ZERO; 3];
+        let mut late = None;
+        let mut from = SimTime::ZERO;
+        for (i, at_us) in [1_000_001u64, 3_333_333, 7_000_000, 7_000_001, 30_123_457]
+            .into_iter()
+            .enumerate()
+        {
+            let to = SimTime::from_micros(at_us);
+            svc.advance_to(to);
+            let step = node.accrued_between(from, to);
+            expected[0] += step;
+            expected[1] += step;
+            if late.is_some() {
+                expected[2] += step;
+            }
+            if i == 1 {
+                late = Some(svc.submit(task(3, 10_000), None).unwrap());
+            }
+            from = to;
+        }
+        for (condor, expected) in [a, b, late.unwrap()].into_iter().zip(expected) {
+            assert_eq!(svc.record(condor).unwrap().accrued, expected);
+        }
     }
 
     #[test]

@@ -19,4 +19,4 @@ pub mod repository;
 pub mod store;
 
 pub use repository::{evictions_metric_key, JobEvent, MonAlisaRepository, SubscriptionId};
-pub use store::{MetricBatch, MetricKey, Sample, TimeSeriesStore};
+pub use store::{MetricBatch, MetricKey, Sample, SeriesId, TimeSeriesStore};

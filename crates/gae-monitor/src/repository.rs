@@ -1,9 +1,9 @@
 //! The typed monitoring façade the other GAE services consume.
 
-use crate::store::{MetricKey, Sample, TimeSeriesStore};
+use crate::store::{MetricKey, Sample, SeriesId, TimeSeriesStore};
 use gae_types::{JobId, SimTime, SiteId, TaskId, TaskStatus};
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Handle for cancelling a subscription.
@@ -34,7 +34,8 @@ type EventCallback = Box<dyn Fn(&JobEvent) + Send + Sync>;
 /// scheduler and optimizer read concurrently.
 pub struct MonAlisaRepository {
     metrics: RwLock<TimeSeriesStore>,
-    job_events: RwLock<Vec<JobEvent>>,
+    /// Oldest first; a deque, so eviction at the cap is O(1).
+    job_events: RwLock<VecDeque<JobEvent>>,
     subscribers: RwLock<HashMap<SubscriptionId, EventCallback>>,
     next_subscription: std::sync::atomic::AtomicU64,
     /// Cap on the retained job-event log.
@@ -55,7 +56,7 @@ impl MonAlisaRepository {
     pub fn new(metric_capacity: usize, event_capacity: usize) -> Arc<Self> {
         Arc::new(MonAlisaRepository {
             metrics: RwLock::new(TimeSeriesStore::new(metric_capacity)),
-            job_events: RwLock::new(Vec::new()),
+            job_events: RwLock::new(VecDeque::new()),
             subscribers: RwLock::new(HashMap::new()),
             next_subscription: std::sync::atomic::AtomicU64::new(1),
             event_capacity: event_capacity.max(1),
@@ -82,6 +83,19 @@ impl MonAlisaRepository {
     /// samples that arrived in time order.
     pub fn publish_batch(&self, samples: impl IntoIterator<Item = (MetricKey, Sample)>) -> usize {
         self.metrics.write().publish_batch(samples)
+    }
+
+    /// The store handle of `key`, for a publisher that reports the
+    /// same series every round (see [`Self::publish_ids`]).
+    pub fn intern(&self, key: MetricKey) -> SeriesId {
+        self.metrics.write().intern(key)
+    }
+
+    /// [`Self::publish_batch`] by handle: `values[i]`, stamped `at`,
+    /// goes to the series `ids[i]`, under one store lock acquisition
+    /// and with no key hashed or cloned.
+    pub fn publish_ids(&self, at: SimTime, ids: &[SeriesId], values: &[f64]) -> usize {
+        self.metrics.write().publish_ids(at, ids, values)
     }
 
     /// Publishes a site's farm-wide CPU load (what the scheduler reads
@@ -137,7 +151,7 @@ impl MonAlisaRepository {
         let evicted_total = {
             let mut log = self.job_events.write();
             let evicted = if log.len() == self.event_capacity {
-                log.remove(0);
+                log.pop_front();
                 Some(
                     self.evicted
                         .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
@@ -146,7 +160,7 @@ impl MonAlisaRepository {
             } else {
                 None
             };
-            log.push(event.clone());
+            log.push_back(event.clone());
             evicted
         };
         if let Some(total) = evicted_total {
@@ -192,19 +206,15 @@ impl MonAlisaRepository {
 
     /// The retained job-event log, oldest first (snapshot export).
     pub fn events_snapshot(&self) -> Vec<JobEvent> {
-        self.job_events.read().clone()
+        self.job_events.read().iter().cloned().collect()
     }
 
     /// Replaces the retained event log and eviction counter, as when
     /// restoring from a snapshot. Subscribers are *not* notified —
     /// restored events were already observed before the crash.
     pub fn restore_events(&self, events: Vec<JobEvent>, evicted: u64) {
-        let mut log = self.job_events.write();
-        *log = events;
-        let drop_n = log.len().saturating_sub(self.event_capacity);
-        if drop_n > 0 {
-            log.drain(..drop_n);
-        }
+        let drop_n = events.len().saturating_sub(self.event_capacity);
+        *self.job_events.write() = events.into_iter().skip(drop_n).collect();
         self.evicted
             .store(evicted, std::sync::atomic::Ordering::Relaxed);
     }
@@ -335,6 +345,57 @@ mod tests {
         );
         assert_eq!(series.len(), 7);
         assert_eq!(series[0].value, 1.0);
+    }
+
+    /// The log as it was held before the deque — a `Vec` evicting
+    /// with `remove(0)` — answers the same, event for event, through
+    /// three capacities' worth of publications and a restore.
+    #[test]
+    fn deque_log_equals_the_vec_log_through_3x_capacity() {
+        const CAP: usize = 8;
+        let repo = MonAlisaRepository::new(4_096, CAP);
+        let mut log: Vec<JobEvent> = Vec::new();
+        let mut evicted = 0u64;
+        for i in 0..3 * CAP as u64 {
+            let e = event(i, i % 3, i % 5, TaskStatus::Running);
+            if log.len() == CAP {
+                log.remove(0);
+                evicted += 1;
+            }
+            log.push(e.clone());
+            repo.publish_job_event(e);
+            if i == CAP as u64 + 3 {
+                // Over-long restore: only the newest CAP survive.
+                let mut longer = vec![event(0, 9, 9, TaskStatus::Queued); 3];
+                longer.extend(log.iter().cloned());
+                repo.restore_events(longer.clone(), evicted);
+                log = longer.split_off(longer.len() - CAP);
+            }
+            assert_eq!(repo.events_snapshot(), log, "after event {i}");
+            assert_eq!(repo.event_count(), log.len());
+            assert_eq!(repo.evicted_count(), evicted);
+            for job in 0..3 {
+                let history: Vec<JobEvent> = log
+                    .iter()
+                    .filter(|e| e.job == JobId::new(job))
+                    .cloned()
+                    .collect();
+                assert_eq!(repo.job_history(JobId::new(job)), history);
+            }
+            for task in 0..5 {
+                let latest = log.iter().rev().find(|e| e.task == TaskId::new(task));
+                assert_eq!(repo.task_latest(TaskId::new(task)).as_ref(), latest);
+            }
+        }
+        assert_eq!(evicted, 2 * CAP as u64);
+        let series = repo.range(
+            &evictions_metric_key(),
+            SimTime::ZERO,
+            SimTime::from_secs(100),
+        );
+        let counts: Vec<f64> = series.iter().map(|s| s.value).collect();
+        assert_eq!(counts, (1..=evicted).map(|n| n as f64).collect::<Vec<_>>());
+        assert_eq!(series[0].at, SimTime::from_secs(CAP as u64));
     }
 
     #[test]

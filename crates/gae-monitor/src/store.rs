@@ -107,9 +107,22 @@ impl IntoIterator for MetricBatch {
     }
 }
 
-/// A map of metric keys to bounded sample rings.
+/// Handle of one series in the [`TimeSeriesStore`] that issued it
+/// ([`TimeSeriesStore::intern`]): publishing through it costs an
+/// index, not a hash of the key. It names the key, not its samples —
+/// it stays valid across [`TimeSeriesStore::restore`] — and means
+/// nothing to any other store.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct SeriesId(u32);
+
+/// Bounded sample rings, addressed by key or by interned handle.
+///
+/// A series exists for the readers (`keys`, `export`, `len`) once it
+/// retains a sample; a key that was only interned is a reserved slot.
 pub struct TimeSeriesStore {
-    series: HashMap<MetricKey, VecDeque<Sample>>,
+    ids: HashMap<MetricKey, SeriesId>,
+    /// Indexed by [`SeriesId`]; slots are never removed.
+    series: Vec<(MetricKey, VecDeque<Sample>)>,
     capacity: usize,
     total_published: u64,
 }
@@ -119,18 +132,42 @@ impl TimeSeriesStore {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "store capacity must be positive");
         TimeSeriesStore {
-            series: HashMap::new(),
+            ids: HashMap::new(),
+            series: Vec::new(),
             capacity,
             total_published: 0,
         }
+    }
+
+    /// The handle of `key`'s series, reserving an empty one the first
+    /// time. Callers that publish the same keys every round intern
+    /// them once and publish through [`Self::publish_ids`].
+    pub fn intern(&mut self, key: MetricKey) -> SeriesId {
+        if let Some(id) = self.ids.get(&key) {
+            return *id;
+        }
+        let id = SeriesId(u32::try_from(self.series.len()).expect("fewer than 2^32 series"));
+        self.ids.insert(key.clone(), id);
+        self.series.push((key, VecDeque::new()));
+        id
+    }
+
+    fn ring(&self, key: &MetricKey) -> Option<&VecDeque<Sample>> {
+        self.ids.get(key).map(|id| &self.series[id.0 as usize].1)
     }
 
     /// Records a sample. Out-of-order samples (older than the newest)
     /// are accepted but flagged by the return value (`false`), since
     /// grid monitoring streams are usually but not always ordered.
     pub fn publish(&mut self, key: MetricKey, sample: Sample) -> bool {
+        let id = self.intern(key);
+        self.publish_id(id, sample)
+    }
+
+    /// [`Self::publish`] for a series the caller holds the handle of.
+    fn publish_id(&mut self, id: SeriesId, sample: Sample) -> bool {
         self.total_published += 1;
-        let ring = self.series.entry(key).or_default();
+        let ring = &mut self.series[id.0 as usize].1;
         let in_order = ring.back().map(|last| sample.at >= last.at).unwrap_or(true);
         if ring.len() == self.capacity {
             ring.pop_front();
@@ -163,14 +200,28 @@ impl TimeSeriesStore {
         in_order
     }
 
+    /// [`Self::publish_batch`] by handle: `values[i]`, stamped `at`,
+    /// goes to the series `ids[i]` — the same samples in the same
+    /// order, with no key hashed or cloned.
+    pub fn publish_ids(&mut self, at: SimTime, ids: &[SeriesId], values: &[f64]) -> usize {
+        assert_eq!(ids.len(), values.len(), "one value per series");
+        let mut in_order = 0;
+        for (id, value) in ids.iter().zip(values) {
+            if self.publish_id(*id, Sample { at, value: *value }) {
+                in_order += 1;
+            }
+        }
+        in_order
+    }
+
     /// Latest sample of a metric.
     pub fn latest(&self, key: &MetricKey) -> Option<Sample> {
-        self.series.get(key).and_then(|r| r.back().copied())
+        self.ring(key).and_then(|r| r.back().copied())
     }
 
     /// All samples in `[from, to]`, in time order.
     pub fn range(&self, key: &MetricKey, from: SimTime, to: SimTime) -> Vec<Sample> {
-        match self.series.get(key) {
+        match self.ring(key) {
             Some(ring) => ring
                 .iter()
                 .filter(|s| s.at >= from && s.at <= to)
@@ -221,7 +272,7 @@ impl TimeSeriesStore {
 
     /// Number of samples currently retained for a metric.
     pub fn len(&self, key: &MetricKey) -> usize {
-        self.series.get(key).map(|r| r.len()).unwrap_or(0)
+        self.ring(key).map(|r| r.len()).unwrap_or(0)
     }
 
     /// True if nothing has been retained for `key`.
@@ -229,9 +280,14 @@ impl TimeSeriesStore {
         self.len(key) == 0
     }
 
+    /// The series retaining at least one sample.
+    fn retained(&self) -> impl Iterator<Item = &(MetricKey, VecDeque<Sample>)> {
+        self.series.iter().filter(|(_, ring)| !ring.is_empty())
+    }
+
     /// All keys with at least one retained sample.
     pub fn keys(&self) -> Vec<&MetricKey> {
-        self.series.keys().collect()
+        self.retained().map(|(key, _)| key).collect()
     }
 
     /// Lifetime count of published samples (including aged-out ones).
@@ -243,8 +299,7 @@ impl TimeSeriesStore {
     /// deterministic order for snapshot encoding.
     pub fn export(&self) -> Vec<(MetricKey, Vec<Sample>)> {
         let mut out: Vec<(MetricKey, Vec<Sample>)> = self
-            .series
-            .iter()
+            .retained()
             .map(|(k, ring)| (k.clone(), ring.iter().copied().collect()))
             .collect();
         out.sort_by(|(a, _), (b, _)| {
@@ -256,12 +311,15 @@ impl TimeSeriesStore {
     /// Replaces all retained series with `series` (each truncated to
     /// capacity, keeping the newest samples), as when restoring a
     /// snapshot. `total_published` resumes from the restored count.
+    /// Handles issued before the call keep naming their keys.
     pub fn restore(&mut self, series: Vec<(MetricKey, Vec<Sample>)>, total_published: u64) {
-        self.series.clear();
+        for (_, ring) in &mut self.series {
+            ring.clear();
+        }
         for (key, samples) in series {
             let skip = samples.len().saturating_sub(self.capacity);
-            self.series
-                .insert(key, samples.into_iter().skip(skip).collect());
+            let id = self.intern(key);
+            self.series[id.0 as usize].1 = samples.into_iter().skip(skip).collect();
         }
         self.total_published = total_published;
     }
@@ -270,6 +328,7 @@ impl TimeSeriesStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key() -> MetricKey {
         MetricKey::site_wide(SiteId::new(1), "cpu_load")
@@ -439,6 +498,200 @@ mod tests {
                 (grid_wide("peak_queue_depth"), s(7, 4.0)),
             ]
         );
+    }
+
+    #[test]
+    fn interning_reserves_a_slot_readers_do_not_see() {
+        let mut store = TimeSeriesStore::new(4);
+        let id = store.intern(key());
+        assert_eq!(store.intern(key()), id, "one handle per key");
+        assert!(store.keys().is_empty() && store.export().is_empty());
+        assert!(store.is_empty(&key()) && store.latest(&key()).is_none());
+        assert_eq!(store.total_published(), 0);
+        assert_eq!(store.publish_ids(SimTime::from_secs(1), &[id], &[2.0]), 1);
+        assert_eq!(store.latest(&key()), Some(s(1, 2.0)));
+        assert_eq!(store.export(), vec![(key(), vec![s(1, 2.0)])]);
+    }
+
+    #[test]
+    fn handles_survive_restore() {
+        let mut store = TimeSeriesStore::new(4);
+        let id = store.intern(key());
+        store.publish_ids(SimTime::from_secs(1), &[id], &[1.0]);
+        let other = MetricKey::new(SiteId::new(2), "node-1", "cpu_load");
+        store.restore(vec![(other.clone(), vec![s(5, 5.0)])], 9);
+        assert_eq!(store.export(), vec![(other, vec![s(5, 5.0)])]);
+        store.publish_ids(SimTime::from_secs(6), &[id], &[6.0]);
+        assert_eq!(store.latest(&key()), Some(s(6, 6.0)));
+        assert_eq!(store.total_published(), 10);
+    }
+
+    /// The store as it was before handles — a map from key to ring —
+    /// kept as the differential oracle of the interned one.
+    struct KeyedStore {
+        series: HashMap<MetricKey, VecDeque<Sample>>,
+        capacity: usize,
+        total_published: u64,
+    }
+
+    impl KeyedStore {
+        fn publish(&mut self, key: MetricKey, sample: Sample) -> bool {
+            self.total_published += 1;
+            let ring = self.series.entry(key).or_default();
+            let in_order = ring.back().map(|last| sample.at >= last.at).unwrap_or(true);
+            if ring.len() == self.capacity {
+                ring.pop_front();
+            }
+            if in_order {
+                ring.push_back(sample);
+            } else {
+                let pos = ring.partition_point(|s| s.at <= sample.at);
+                ring.insert(pos, sample);
+            }
+            in_order
+        }
+
+        fn export(&self) -> Vec<(MetricKey, Vec<Sample>)> {
+            let mut out: Vec<(MetricKey, Vec<Sample>)> = self
+                .series
+                .iter()
+                .map(|(k, ring)| (k.clone(), ring.iter().copied().collect()))
+                .collect();
+            out.sort_by(|(a, _), (b, _)| {
+                (a.site, &*a.entity, &*a.param).cmp(&(b.site, &*b.entity, &*b.param))
+            });
+            out
+        }
+
+        fn restore(&mut self, series: Vec<(MetricKey, Vec<Sample>)>, total_published: u64) {
+            self.series.clear();
+            for (key, samples) in series {
+                let skip = samples.len().saturating_sub(self.capacity);
+                self.series
+                    .insert(key, samples.into_iter().skip(skip).collect());
+            }
+            self.total_published = total_published;
+        }
+    }
+
+    /// One of six keys: few enough that rings fill and evict.
+    fn small_key(n: u8) -> MetricKey {
+        let entity = ["farm", "node-1", "node-2"][usize::from(n % 3)];
+        MetricKey::new(SiteId::new(u64::from(n / 3)), entity, "cpu_load")
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Publish(u8, u64, f64),
+        PublishBatch(Vec<(u8, u64, f64)>),
+        Intern(u8),
+        /// Through whatever handles `Intern` has collected so far.
+        PublishIds(u64, Vec<f64>),
+        /// Non-empty series, as `export` emits them.
+        Restore(Vec<(u8, Vec<(u64, f64)>)>, u64),
+    }
+
+    fn arb_sample() -> impl Strategy<Value = (u8, u64, f64)> {
+        // Instants from a small range: out-of-order arrivals and ties.
+        (0u8..6, 0u64..40, -4.0f64..4.0)
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            arb_sample().prop_map(|(k, at, v)| Op::Publish(k, at, v)),
+            prop::collection::vec(arb_sample(), 0..8).prop_map(Op::PublishBatch),
+            (0u8..6).prop_map(Op::Intern),
+            (0u8..6).prop_map(Op::Intern),
+            (0u64..40, prop::collection::vec(-4.0f64..4.0, 6))
+                .prop_map(|(at, v)| Op::PublishIds(at, v)),
+            (0u64..40, prop::collection::vec(-4.0f64..4.0, 6))
+                .prop_map(|(at, v)| Op::PublishIds(at, v)),
+            (
+                prop::collection::vec(
+                    (
+                        0u8..6,
+                        prop::collection::vec((0u64..40, -4.0f64..4.0), 1..9)
+                    ),
+                    0..4
+                ),
+                0u64..1_000
+            )
+                .prop_map(|(series, total)| Op::Restore(series, total)),
+        ]
+    }
+
+    proptest! {
+        /// Any interleaving of keyed and handle publication, eviction
+        /// and restore leaves what the keyed-only store holds.
+        #[test]
+        fn interned_store_equals_the_keyed_store(
+            capacity in 1usize..6,
+            ops in prop::collection::vec(arb_op(), 1..60),
+        ) {
+            let mut store = TimeSeriesStore::new(capacity);
+            let mut oracle = KeyedStore {
+                series: HashMap::new(),
+                capacity,
+                total_published: 0,
+            };
+            let mut handles: Vec<(u8, SeriesId)> = Vec::new();
+            for op in ops {
+                match op {
+                    Op::Publish(k, at, v) => {
+                        prop_assert_eq!(
+                            store.publish(small_key(k), s(at, v)),
+                            oracle.publish(small_key(k), s(at, v))
+                        );
+                    }
+                    Op::PublishBatch(samples) => {
+                        let keyed = |&(k, at, v): &(u8, u64, f64)| (small_key(k), s(at, v));
+                        let in_order = store.publish_batch(samples.iter().map(keyed));
+                        let expected = samples
+                            .iter()
+                            .map(keyed)
+                            .filter(|(k, smp)| oracle.publish(k.clone(), *smp))
+                            .count();
+                        prop_assert_eq!(in_order, expected);
+                    }
+                    Op::Intern(k) => {
+                        let id = store.intern(small_key(k));
+                        if !handles.contains(&(k, id)) {
+                            prop_assert!(handles.iter().all(|(hk, hid)| *hk != k && *hid != id));
+                            handles.push((k, id));
+                        }
+                    }
+                    Op::PublishIds(at, values) => {
+                        let ids: Vec<SeriesId> = handles.iter().map(|(_, id)| *id).collect();
+                        let values = &values[..ids.len()];
+                        let in_order = store.publish_ids(SimTime::from_secs(at), &ids, values);
+                        let expected = handles
+                            .iter()
+                            .zip(values)
+                            .filter(|((k, _), v)| oracle.publish(small_key(*k), s(at, **v)))
+                            .count();
+                        prop_assert_eq!(in_order, expected);
+                    }
+                    Op::Restore(series, total) => {
+                        let series: Vec<(MetricKey, Vec<Sample>)> = series
+                            .into_iter()
+                            .map(|(k, samples)| {
+                                let samples = samples.into_iter().map(|(at, v)| s(at, v)).collect();
+                                (small_key(k), samples)
+                            })
+                            .collect();
+                        store.restore(series.clone(), total);
+                        oracle.restore(series, total);
+                    }
+                }
+                prop_assert_eq!(store.export(), oracle.export());
+                prop_assert_eq!(store.total_published(), oracle.total_published);
+                let mut keys: Vec<MetricKey> = store.keys().into_iter().cloned().collect();
+                keys.sort_by(|a, b| (a.site, &*a.entity).cmp(&(b.site, &*b.entity)));
+                let exported: Vec<MetricKey> =
+                    oracle.export().into_iter().map(|(k, _)| k).collect();
+                prop_assert_eq!(keys, exported);
+            }
+        }
     }
 
     #[test]

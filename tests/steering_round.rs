@@ -2,12 +2,17 @@
 //! each tracked task at the one site steering tracks it at, and that
 //! hint is *verified* — whatever the execution layer did behind
 //! steering's back, the hinted probe answers exactly what the
-//! grid-wide sweep answers. Count- and equality-based throughout; no
-//! wall-clock assertions.
+//! grid-wide sweep answers. And it probes only what can have changed:
+//! driven from one seed, the indexed round (parked stamps, sleeping
+//! jobs, progress probes) and the full-sweep round it replaced leave
+//! the same state after every poll, while the indexed one probes the
+//! running tasks plus the parked ones at sites that transitioned.
+//! Count- and equality-based throughout; no wall-clock assertions.
 
-use gae::core::steering::{MoveReason, TaskPhase};
+use gae::core::steering::{MoveReason, MoveRecord, TaskPhase};
 use gae::durable::fault::unique_temp_dir;
 use gae::prelude::*;
+use gae::repl::StateMachine;
 use gae::trace::ScenarioSpec;
 use gae::types::{CondorId, TaskStatus};
 use gae_bench::scenario::{apply_fault, build_grid, job_for, ScenarioOptions};
@@ -75,7 +80,23 @@ fn advance(grid: &Grid, t: SimTime) {
 /// flap, heal, Optimizer moves) with flocking switched on, calling
 /// `check` on the state each poll is about to see and on the state it
 /// leaves behind.
-fn drive_chaos(seed: u64, mut check: impl FnMut(&ServiceStack)) -> Arc<ServiceStack> {
+fn drive_chaos(seed: u64, check: impl FnMut(&ServiceStack)) -> Arc<ServiceStack> {
+    drive_chaos_by(seed, ServiceStack::poll, None, check)
+}
+
+/// [`drive_chaos`] with the poll round of the caller's choice. With
+/// `meddle`, every third job has its first task moved in the instant
+/// it was submitted, and every fourth poll is preceded by the
+/// execution layer moving the first tracked task of a live site
+/// behind steering's back (its hint goes stale; the counter says how
+/// often) — both picked from the state alone, so two runs of one seed
+/// meddle alike.
+fn drive_chaos_by(
+    seed: u64,
+    poll: fn(&ServiceStack),
+    mut meddle: Option<&mut usize>,
+    mut check: impl FnMut(&ServiceStack),
+) -> Arc<ServiceStack> {
     const POLL_S: u64 = 15;
     let spec = ScenarioSpec::chaos_grid(seed).smoke();
     let grid = build_grid(&spec, &ScenarioOptions::default());
@@ -92,6 +113,10 @@ fn drive_chaos(seed: u64, mut check: impl FnMut(&ServiceStack)) -> Arc<ServiceSt
         SteeringPolicy::default(),
         SimDuration::from_secs(POLL_S),
     );
+    let other_live_site = |not: SiteId| {
+        let sites = stack.grid.site_ids().into_iter();
+        sites.rev().find(|s| *s != not && stack.grid.is_alive(*s))
+    };
 
     let end = spec.horizon_s + spec.drain_s;
     let mut instants: Vec<u64> = (0..=end / POLL_S).map(|k| k * POLL_S).collect();
@@ -101,20 +126,39 @@ fn drive_chaos(seed: u64, mut check: impl FnMut(&ServiceStack)) -> Arc<ServiceSt
     instants.dedup();
 
     let (mut next_fault, mut next_arrival, mut next_task) = (0, 0, 1);
-    for t in instants {
+    for (step, t) in instants.into_iter().enumerate() {
         advance(&stack.grid, SimTime::from_secs(t));
         while next_fault < spec.faults.len() && spec.faults[next_fault].at_s <= t {
             apply_fault(&stack.grid, spec.faults[next_fault].kind);
             next_fault += 1;
         }
         while next_arrival < spec.arrivals.len() && spec.arrivals[next_arrival].at_s <= t {
-            let (job, _) = job_for(&spec, next_arrival, &mut next_task);
+            let (job, tasks) = job_for(&spec, next_arrival, &mut next_task);
+            let owner = job.owner;
             // Unschedulable during the outage is a legitimate answer.
-            let _ = stack.submit_job(job);
+            let plan = stack.submit_job(job);
+            if let (true, Ok(plan)) = (meddle.is_some() && next_arrival % 3 == 0, plan) {
+                let target = plan.site_of(tasks[0]).and_then(other_live_site);
+                let _ = stack
+                    .steering
+                    .command(owner, tasks[0], SteeringCommand::Move(target));
+            }
             next_arrival += 1;
         }
+        if let (Some(stale_hints), 3) = (meddle.as_deref_mut(), step % 4) {
+            let tracked = tracked_locations(&stack);
+            let live = tracked.iter().find(|(_, s, _)| stack.grid.is_alive(*s));
+            if let Some(&(_, site, condor)) = live {
+                let exec = stack.grid.exec(site).unwrap();
+                let removed = exec.lock().remove_for_migration(condor);
+                if let (Ok((spec, checkpoint)), Some(to)) = (removed, other_live_site(site)) {
+                    let _ = stack.grid.submit(to, spec, checkpoint);
+                    *stale_hints += 1;
+                }
+            }
+        }
         check(&stack);
-        stack.poll();
+        poll(&stack);
         check(&stack);
     }
     stack
@@ -162,6 +206,394 @@ proptest! {
         drive_chaos(seed, |s| {
             hinted_probe_equals_sweep(s);
         });
+    }
+}
+
+/// Everything a round can leave behind, in a comparable form: the
+/// move log, the notifications (drained — both twins drain alike), the
+/// tracker, the quota ledger and balances, and the CRC of the whole
+/// canonical snapshot (metric series included).
+fn round_outcome(stack: &ServiceStack) -> Vec<String> {
+    let mut out = vec![
+        format!("moves {:?}", stack.steering.move_log()),
+        format!("notified {:?}", stack.steering.drain_notifications()),
+        format!("ledger {:?}", stack.quota.ledger()),
+        format!("balances {:?}", stack.quota.balances_snapshot()),
+        format!("state {}", stack.query_state()),
+    ];
+    for job in stack.steering.export_jobs() {
+        let mut tasks: Vec<_> = job.tasks.values().collect();
+        tasks.sort_by_key(|t| t.task);
+        out.push(format!(
+            "{} rev {} notified {} {:?} {tasks:?}",
+            job.plan.job_id(),
+            job.plan.revision,
+            job.completion_notified,
+            job.plan.assignments
+        ));
+    }
+    out
+}
+
+/// The chaos grid polled by `poll`: the outcome after every poll, and
+/// the stack it ended in.
+fn chaos_transcript(
+    seed: u64,
+    poll: fn(&ServiceStack),
+    meddle: Option<&mut usize>,
+) -> (Vec<Vec<String>>, Arc<ServiceStack>) {
+    let mut transcript = Vec::new();
+    let mut polled = false;
+    let stack = drive_chaos_by(seed, poll, meddle, |s| {
+        // `check` runs before and after each poll; record the afters.
+        if polled {
+            transcript.push(round_outcome(s));
+        }
+        polled = !polled;
+    });
+    (transcript, stack)
+}
+
+/// One seed, two twins: polled by the indexed round and by the
+/// full-sweep oracle they must be indistinguishable after every poll.
+/// Returns the moves made and the hints the meddling left stale.
+fn indexed_round_equals_full_sweep(seed: u64, meddle: bool) -> (Vec<MoveRecord>, usize) {
+    let (mut stale_hints, mut twin_hints) = (0, 0);
+    let (indexed, stack) =
+        chaos_transcript(seed, ServiceStack::poll, meddle.then_some(&mut stale_hints));
+    let (swept, _) = chaos_transcript(
+        seed,
+        ServiceStack::poll_full_sweep,
+        meddle.then_some(&mut twin_hints),
+    );
+    assert_eq!(indexed.len(), swept.len());
+    for (poll, (indexed, swept)) in indexed.iter().zip(&swept).enumerate() {
+        assert_eq!(indexed, swept, "seed {seed}: diverged at poll {poll}");
+    }
+    assert_eq!(stale_hints, twin_hints);
+    (stack.steering.move_log(), stale_hints)
+}
+
+/// The fixed seed, left alone and meddled with, with the evidence
+/// that the comparison had something to bite on: between them the two
+/// runs made every kind of move and left hints stale.
+#[test]
+fn indexed_round_equals_full_sweep_through_the_chaos_grid() {
+    let (mut moves, _) = indexed_round_equals_full_sweep(2005, false);
+    let (meddled, stale_hints) = indexed_round_equals_full_sweep(2005, true);
+    assert!(stale_hints > 0, "no hint was ever left stale");
+    moves.extend(meddled);
+    for reason in [
+        MoveReason::Manual,
+        MoveReason::Recovery,
+        MoveReason::Flocked,
+        MoveReason::SlowProgress,
+    ] {
+        assert!(
+            moves.iter().any(|m| m.reason == reason),
+            "the scenario never exercised a {reason:?} move"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(6)
+    ))]
+
+    /// Any seed — the odd ones meddled with.
+    #[test]
+    fn indexed_round_equals_full_sweep_for_any_seed(seed in 0u64..1_000_000) {
+        indexed_round_equals_full_sweep(seed, seed % 2 == 1);
+    }
+}
+
+/// `tasks` long single-task jobs' worth of work over `sites` free
+/// sites of `slots` slots each — the shape of the `benches/steering.rs`
+/// sweep stack: what fits runs, the rest queues, nothing to move.
+/// Task 1 alone is short (100 s) and first in, so it runs.
+fn queued_up_stack(sites: u64, slots: u32, tasks: u64) -> Arc<ServiceStack> {
+    let mut builder = GridBuilder::new();
+    for s in 1..=sites {
+        builder = builder.site(SiteDescription::new(
+            SiteId::new(s),
+            format!("s{s}"),
+            slots / 2,
+            2,
+        ));
+    }
+    let stack = ServiceStack::over(builder.build());
+    for j in 1..=tasks / 4 {
+        let mut job = JobSpec::new(JobId::new(j), format!("j{j}"), UserId::new(1));
+        for k in 0..4 {
+            let task = TaskId::new((j - 1) * 4 + k + 1);
+            let demand = if task == TaskId::new(1) { 100 } else { 50_000 };
+            job.add_task(
+                TaskSpec::new(task, format!("t{task}"), "reco")
+                    .with_cpu_demand(SimDuration::from_secs(demand)),
+            );
+        }
+        stack.submit_job(job).unwrap();
+    }
+    stack
+}
+
+/// The tracked tasks in `status`, as the execution layer reads them.
+fn tracked_in(stack: &ServiceStack, status: TaskStatus) -> Vec<(TaskId, SiteId, CondorId)> {
+    let mut tracked = tracked_locations(stack);
+    tracked.retain(|(_, site, condor)| {
+        stack.grid.exec(*site).unwrap().lock().status(*condor) == Ok(status)
+    });
+    tracked
+}
+
+/// The cost contract as counts: a round probes the running tasks, and
+/// of the parked ones only those at a site that has been through a
+/// transition since a round last looked.
+#[test]
+fn a_round_probes_running_tasks_and_parked_ones_at_transitioned_sites() {
+    let stack = queued_up_stack(8, 8, 400);
+    let steering = &stack.steering;
+    stack.run_until(SimTime::from_secs(30));
+    let running = tracked_in(&stack, TaskStatus::Running);
+    let queued = tracked_in(&stack, TaskStatus::Queued);
+    assert_eq!((running.len(), queued.len()), (64, 336));
+
+    // Nothing moved since the last poll of `run_until`.
+    steering.poll();
+    assert_eq!(steering.last_round_probes(), 64);
+    steering.poll();
+    assert_eq!(steering.last_round_probes(), 64);
+
+    // One completion, at one site: the short task finishes and a
+    // queued one takes its slot.
+    let site = running
+        .iter()
+        .find(|(t, ..)| *t == TaskId::new(1))
+        .unwrap()
+        .1;
+    let parked_there = queued.iter().filter(|(_, s, _)| *s == site).count();
+    assert!(parked_there > 0 && parked_there < queued.len() / 2);
+    advance(&stack.grid, SimTime::from_secs(101));
+    assert_eq!(tracked_in(&stack, TaskStatus::Completed).len(), 1);
+    stack.jobmon.poll();
+    steering.poll();
+    assert_eq!(steering.last_round_probes(), (64 + parked_there) as u64);
+    assert_eq!(tracked_in(&stack, TaskStatus::Running).len(), 64);
+    steering.poll();
+    assert_eq!(steering.last_round_probes(), 64);
+
+    // An outage is a transition too: everything tracked there is
+    // probed and recovered — onto sites that thereby transition, so
+    // the parked tasks there are looked at once more, and then the
+    // round is back to the running tasks alone.
+    let other = SiteId::new(site.raw() % 8 + 1);
+    let tracked_there = || {
+        tracked_locations(&stack)
+            .iter()
+            .filter(|t| t.1 == other)
+            .count()
+    };
+    let at_other = tracked_there();
+    stack.grid.exec(other).unwrap().lock().fail_site();
+    steering.poll();
+    assert!(steering.last_round_probes() >= (64 - 8 + at_other) as u64);
+    assert_eq!(
+        tracked_there(),
+        0,
+        "everything at the failed site was recovered"
+    );
+    steering.poll();
+    steering.poll();
+    assert_eq!(tracked_in(&stack, TaskStatus::Running).len(), 64 - 8);
+    assert_eq!(steering.last_round_probes(), 64 - 8);
+}
+
+/// A sleeping job — everything it has in flight parked — is woken by
+/// a write to one of its phases, not only by its site: killed, it
+/// must be told failed by the next round although no probe was due.
+#[test]
+fn a_command_wakes_a_sleeping_job() {
+    let grid = GridBuilder::new()
+        .site(SiteDescription::new(SiteId::new(1), "solo", 1, 1))
+        .build();
+    let stack = ServiceStack::over(grid);
+    for (j, demand) in [(1, 1_000), (2, 10)] {
+        let mut job = JobSpec::new(JobId::new(j), format!("j{j}"), UserId::new(1));
+        job.add_task(
+            TaskSpec::new(TaskId::new(j), "t", "x").with_cpu_demand(SimDuration::from_secs(demand)),
+        );
+        stack.submit_job(job).unwrap();
+    }
+    stack.run_until(SimTime::from_secs(20));
+    stack.steering.poll();
+    assert_eq!(
+        stack.steering.last_round_probes(),
+        1,
+        "the queued task's job sleeps"
+    );
+    stack.steering.drain_notifications();
+
+    let kill = SteeringCommand::Kill;
+    stack
+        .steering
+        .command(UserId::new(1), TaskId::new(2), kill)
+        .unwrap();
+    stack.steering.poll();
+    let told = stack.steering.drain_notifications();
+    assert!(
+        matches!(told[..], [Notification::JobFailed { job, .. }] if job == JobId::new(2)),
+        "{told:?}"
+    );
+}
+
+/// The round's own actions are transitions too: a recovery that lands
+/// a task on a site moves that site on, and a job further down the
+/// round that sleeps there is looked at in this round, not the next —
+/// as the full sweep, which looks at everything, would have.
+#[test]
+fn a_round_wakes_the_jobs_it_disturbs_itself() {
+    let stack = ServiceStack::over(two_sites());
+    // Site 2 (two slots): jobs 3 and 4 run, job 2 queues and sleeps.
+    // Site 1: job 1 runs, and is first in the round.
+    for (j, site) in [(3, 2), (4, 2), (2, 2), (1, 1), (5, 1)] {
+        let mut job = JobSpec::new(JobId::new(j), format!("j{j}"), UserId::new(1));
+        job.add_task(
+            TaskSpec::new(TaskId::new(j), "t", "x").with_cpu_demand(SimDuration::from_secs(5_000)),
+        );
+        let plan = AbstractPlan::new(job).restricted_to(vec![SiteId::new(site)]);
+        stack.submit_plan(&plan).unwrap();
+    }
+    stack.run_until(SimTime::from_secs(20));
+    stack.steering.poll();
+    assert_eq!(
+        tracked_in(&stack, TaskStatus::Queued),
+        [(TaskId::new(2), SiteId::new(2), CondorId::new(3))]
+    );
+    assert_eq!(
+        stack.steering.last_round_probes(),
+        4,
+        "jobs 1, 3, 4, 5 run; job 2 sleeps"
+    );
+
+    stack.grid.exec(SiteId::new(1)).unwrap().lock().fail_site();
+    stack.steering.poll();
+    let queued_at_2 = tracked_in(&stack, TaskStatus::Queued);
+    assert_eq!(
+        queued_at_2.len(),
+        3,
+        "jobs 1 and 5 recovered onto site 2's queue"
+    );
+    assert_eq!(
+        stack.steering.last_round_probes(),
+        5,
+        "job 2 was woken by job 1's recovery"
+    );
+}
+
+/// Copies a persistence directory (flat files and one level of
+/// subdirectories are all a store has).
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// Stamps are derived state: a stack rebuilt by `recover_from_disk` —
+/// from the snapshot or from the log — has none, so its first round
+/// probes every task in flight, and from there on it equals a twin
+/// recovered from the same bytes and polled by the full-sweep oracle.
+#[test]
+fn a_recovered_stack_has_no_stamps_and_equals_the_oracle() {
+    for (tag, snapshot_every_s) in [
+        ("steering-stamps-wal", 1_000_000),
+        ("steering-stamps-snap", 20),
+    ] {
+        let build = |persist: Option<&PersistenceConfig>| {
+            let mut builder = GridBuilder::new();
+            for s in 1..=2 {
+                builder = builder.site(SiteDescription::new(SiteId::new(s), format!("s{s}"), 1, 2));
+            }
+            match persist {
+                Some(config) => builder.persist(config.clone()).build(),
+                None => builder.build(),
+            }
+        };
+        let dir = unique_temp_dir(tag);
+        let config = PersistenceConfig::new(dir.join("live"))
+            .snapshot_every(SimDuration::from_secs(snapshot_every_s))
+            .fsync(false);
+        {
+            let stack = ServiceStack::over(build(Some(&config)));
+            for j in 1..=10 {
+                let mut job = JobSpec::new(JobId::new(j), format!("j{j}"), UserId::new(1));
+                job.add_task(
+                    TaskSpec::new(TaskId::new(j), format!("t{j}"), "x")
+                        .with_cpu_demand(SimDuration::from_secs(40 + 15 * j)),
+                );
+                stack.submit_job(job).unwrap();
+            }
+            for t in [30, 60] {
+                stack.run_until(SimTime::from_secs(t));
+            }
+            // The crashing stack had its parked tasks stamped.
+            stack.steering.poll();
+            assert_eq!(stack.steering.last_round_probes(), 4);
+            assert_eq!(tracked_locations(&stack).len(), 9);
+        }
+        let recover = |copy: &str| {
+            let config = PersistenceConfig::new(dir.join(copy)).fsync(false);
+            copy_dir(&dir.join("live"), &config.dir);
+            let (stack, report) = ServiceStack::recover_from_disk(
+                build(None),
+                SteeringPolicy::default(),
+                SimDuration::from_secs(5),
+                &config,
+            )
+            .unwrap();
+            assert_eq!(report.resubmitted.len(), 9);
+            stack
+        };
+        let (indexed, swept) = (recover("indexed"), recover("swept"));
+        indexed.poll();
+        swept.poll_full_sweep();
+        assert_eq!(
+            indexed.steering.last_round_probes(),
+            9,
+            "{tag}: a stamp survived"
+        );
+        assert_eq!(
+            round_outcome(&indexed),
+            round_outcome(&swept),
+            "{tag}: first round"
+        );
+        for t in (10..=400).step_by(10) {
+            advance(&indexed.grid, SimTime::from_secs(t));
+            advance(&swept.grid, SimTime::from_secs(t));
+            indexed.poll();
+            swept.poll_full_sweep();
+            assert_eq!(
+                round_outcome(&indexed),
+                round_outcome(&swept),
+                "{tag}: at {t} s"
+            );
+        }
+        assert!(indexed
+            .steering
+            .export_jobs()
+            .iter()
+            .all(|j| j.completion_notified));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

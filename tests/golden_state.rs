@@ -22,6 +22,7 @@
 //! out, so the fleet rows can only name the scenario that moved.)
 
 use gae::core::jobmon::JobMonitoringRpc;
+use gae::durable::crc32::crc32;
 use gae::durable::fault::unique_temp_dir;
 use gae::gate::{BreakerConfig, TokenBucketConfig};
 use gae::prelude::*;
@@ -49,6 +50,44 @@ const FLEET_GOLDEN: [(&str, &str); 5] = [
 
 /// `query_state` of [`gated_stack`].
 const GATED_STACK_GOLDEN: &str = "128fd849";
+
+/// `(path under the store directory, CRC-32)` of every file
+/// [`gated_stack`] leaves once it has rotated at its 700 s checkpoint
+/// (the default cadence is 600 s) and journaled one more job into the
+/// new generation by 800 s: the leader's WAL segments and snapshots of
+/// both generations, and each follower's store under `repl/` (a
+/// follower's files are the leader's, byte for byte). Every file is
+/// deterministic. Generated at the commit before the `Machine`
+/// refactor (ISSUE 25) — two runs there agreed file for file — and
+/// never to be regenerated by a PR that claims "every WAL, snapshot
+/// and replication byte stays identical".
+const STORE_FILES_GOLDEN: [(&str, &str); 12] = [
+    ("repl/node-1/snapshot.000000", "7951b56c"),
+    ("repl/node-1/snapshot.000001", "7fe651dc"),
+    ("repl/node-1/wal.000000", "3568d62b"),
+    ("repl/node-1/wal.000001", "a2e2ddfc"),
+    ("repl/node-2/snapshot.000000", "7951b56c"),
+    ("repl/node-2/snapshot.000001", "7fe651dc"),
+    ("repl/node-2/wal.000000", "3568d62b"),
+    ("repl/node-2/wal.000001", "a2e2ddfc"),
+    ("snapshot.000000", "7951b56c"),
+    ("snapshot.000001", "7fe651dc"),
+    ("wal.000000", "3568d62b"),
+    ("wal.000001", "a2e2ddfc"),
+];
+
+/// `(kind, CRC-32 of its envelope)` for the first WAL record of each
+/// of the seven kinds [`gated_stack`] journals by t = 400 s. Same
+/// provenance as [`STORE_FILES_GOLDEN`].
+const RECORD_GOLDEN: [(&str, &str); 7] = [
+    ("charge", "04edc225"),
+    ("hist", "1463845b"),
+    ("jobmon", "d4b54a53"),
+    ("notified", "30264fec"),
+    ("plan", "f93d4a08"),
+    ("task", "3edb245b"),
+    ("xfer", "d400e543"),
+];
 
 #[test]
 fn scenario_fleet_state_crcs_match_golden() {
@@ -194,5 +233,85 @@ fn gated_stack_state_crc_matches_golden() {
         GATED_STACK_GOLDEN,
         "full-state CRC moved; last value per published key:\n{}",
         rows.join("\n")
+    );
+}
+
+/// Every file under `dir`, as `(path relative to dir, CRC-32)`, sorted.
+fn file_crcs(dir: &std::path::Path) -> Vec<(String, String)> {
+    fn walk(root: &std::path::Path, dir: &std::path::Path, out: &mut Vec<(String, String)>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(root, &path, out);
+            } else {
+                let name = path.strip_prefix(root).unwrap().display().to_string();
+                let bytes = std::fs::read(&path).unwrap();
+                out.push((name, format!("{:08x}", crc32(&bytes))));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(dir, dir, &mut out);
+    out.sort();
+    out
+}
+
+/// The journal's bytes, pinned before the `Machine` refactor: one
+/// record of each kind (the codecs) and every file of a store that
+/// rotated once and feeds two followers (framing, snapshot encoding,
+/// replication). On a mismatch the test prints both tables.
+#[test]
+fn gated_stack_journal_bytes_match_golden() {
+    let dir = unique_temp_dir("golden-state-journal");
+    let stack = gated_stack(&dir);
+    let log = gae::durable::DurableStore::recover(&dir).unwrap();
+    let mut records: Vec<(String, String)> = Vec::new();
+    for record in &log.records {
+        let kind = gae::repl::frame::decode_envelope(record).unwrap().kind;
+        if !records.iter().any(|(k, _)| *k == kind) {
+            records.push((kind, format!("{:08x}", crc32(record))));
+        }
+    }
+    records.sort();
+    // Rotate at the 700 s checkpoint, then journal into the new
+    // generation too.
+    stack.run_until(SimTime::from_secs(700));
+    let mut job = JobSpec::new(JobId::new(2), "after rotation", UserId::new(2));
+    job.add_task(
+        TaskSpec::new(TaskId::new(4), "t4", "reco").with_cpu_demand(SimDuration::from_secs(40)),
+    );
+    stack.submit_job(job).unwrap();
+    stack.run_until(SimTime::from_secs(800));
+    assert_eq!(stack.persistence().unwrap().generation(), 1, "one rotation");
+    drop(stack);
+    let files = file_crcs(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+
+    let table = |rows: &[(String, String)]| {
+        rows.iter()
+            .map(|(name, crc)| format!("    (\"{name}\", \"{crc}\"),"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let golden = |rows: &[(&str, &str)]| {
+        rows.iter()
+            .map(|(a, b)| (a.to_string(), b.to_string()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        records.len(),
+        7,
+        "every kind journaled:\n{}",
+        table(&records)
+    );
+    assert!(
+        records == golden(&RECORD_GOLDEN),
+        "record envelope CRCs moved:\n{}",
+        table(&records)
+    );
+    assert!(
+        files == golden(&STORE_FILES_GOLDEN),
+        "store file CRCs moved:\n{}",
+        table(&files)
     );
 }

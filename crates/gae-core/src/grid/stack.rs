@@ -5,7 +5,7 @@
 use super::Grid;
 use crate::estimator::EstimatorService;
 use crate::jobmon::JobMonitoringService;
-use crate::persist::{self, Persistence, PersistenceConfig, RecoveryReport};
+use crate::persist::{self, Machine, Persistence, PersistenceConfig, RecoveryReport};
 use crate::provider::GridSiteInfo;
 use crate::quota::QuotaService;
 use crate::steering::{SteeringPolicy, SteeringService};
@@ -114,43 +114,6 @@ pub struct ServiceStack {
     /// The replication tee, when [`ServiceStack::attach_replication`]
     /// armed one (wrapped in `repl.*` instrumentation).
     replication: RwLock<Option<Arc<dyn gae_repl::ReplicationSink>>>,
-}
-
-/// Each section is the owning service's own export, taken when the
-/// snapshot encoder reaches it.
-impl persist::SnapshotSource for ServiceStack {
-    fn balances(&self) -> Vec<(gae_types::UserId, f64)> {
-        self.quota.balances_snapshot()
-    }
-
-    fn events(&self) -> (Vec<gae_monitor::JobEvent>, u64) {
-        let monitor = self.grid.monitor();
-        (monitor.events_snapshot(), monitor.evicted_count())
-    }
-
-    fn hist(&self) -> Vec<u8> {
-        self.hist.store().encode()
-    }
-
-    fn jobmon(&self) -> Vec<crate::jobmon::JobMonitoringInfo> {
-        self.jobmon.db_snapshot()
-    }
-
-    fn ledger(&self) -> Vec<crate::quota::ChargeRecord> {
-        self.quota.ledger()
-    }
-
-    fn metrics(&self) -> (Vec<(gae_monitor::MetricKey, Vec<gae_monitor::Sample>)>, u64) {
-        self.grid.monitor().metrics_snapshot()
-    }
-
-    fn steering(&self) -> Vec<crate::steering::state::TrackedJob> {
-        self.steering.export_jobs()
-    }
-
-    fn xfer(&self) -> gae_xfer::XferExport {
-        self.grid.with_xfer(|x| x.export())
-    }
 }
 
 impl ServiceStack {
@@ -273,19 +236,28 @@ impl ServiceStack {
         })
     }
 
-    /// Routes every future state transition of the job repository and
-    /// the steering tracker through the WAL.
+    /// Every journaled subsystem, in restore order — the one list the
+    /// durability loops (`persist::encode_snapshot`, and replay and
+    /// restore in `replication.rs`) walk. A new journaled subsystem is
+    /// its own `impl Machine` plus one entry here. The history store
+    /// is first: its columnar blob is decoded by the store's own
+    /// `restore`, the only install step that can fail, so a corrupt
+    /// blob fails before any other machine installs anything.
+    pub(crate) fn machines(&self) -> [&dyn Machine; 6] {
+        [
+            &*self.hist,
+            &**self.grid.monitor(),
+            self.jobmon.manager().db(),
+            &*self.steering,
+            &*self.quota,
+            &*self.grid,
+        ]
+    }
+
+    /// Routes every future mutation of every machine through the WAL.
     fn attach_persistence(&self, persistence: Arc<Persistence>) {
-        self.jobmon.attach_persistence(persistence.clone());
-        self.steering.attach_persistence(persistence.clone());
-        self.hist.attach_persistence(persistence.clone());
-        {
-            let p = persistence.clone();
-            self.grid.with_xfer(|x| {
-                x.set_journal(Box::new(move |op| {
-                    p.append("xfer", persist::xfer_to_record(op));
-                }));
-            });
+        for machine in self.machines() {
+            machine.attach(&persistence);
         }
         *self.persistence.write() = Some(persistence);
     }
@@ -416,7 +388,7 @@ impl ServiceStack {
         let index = p.commit()?;
         let now = self.grid.now();
         if p.snapshot_due(now) {
-            p.rotate(now, |out| persist::encode_snapshot(self, out))?;
+            p.rotate(now, |out| persist::encode_snapshot(&self.machines(), out))?;
         }
         Ok(index)
     }
@@ -519,13 +491,12 @@ impl ServiceStack {
                     .map_err(|e| in_record(&format!("kind {:?}", mutation.kind), e))
             },
         )?;
-        let mut report = RecoveryReport::new(&at, replayed);
 
         // 3. Resume the store in a new generation anchored at a fresh
         //    snapshot of the rebuilt state, streamed into its file,
         //    and re-attach logging.
         let persistence = Persistence::resume(config, &at, stack.grid.now(), |out| {
-            persist::encode_snapshot(&*stack, out)
+            persist::encode_snapshot(&stack.machines(), out)
         })?;
         stack.attach_persistence(persistence);
 
@@ -536,7 +507,14 @@ impl ServiceStack {
         //    `Grid::submit` (staged inputs re-arm with the task, never
         //    through the transfer journal, so nothing runs twice).
         stack.grid.with_xfer(|x| x.rearm_pending());
-        report.resubmitted = stack.steering.rearm_submitted()?;
+        let report = RecoveryReport {
+            generation: at.generation,
+            commit_index: at.commit_index,
+            replayed_records: replayed,
+            tail_was_torn: !at.tail.is_clean(),
+            used_fallback: at.used_fallback,
+            resubmitted: stack.steering.rearm_submitted()?,
+        };
         stack.checkpoint()?;
         Ok((stack, report))
     }

@@ -7,17 +7,18 @@
 //! Every op it applies is first appended as a `"hist"` WAL record
 //! (when persistence is attached), so the store's contents — segment
 //! boundaries included — are a pure function of the journal. Crash
-//! recovery and replication followers replay the same ops through
-//! [`HistFunnel::replay`] and rebuild byte-identical segments; see
+//! recovery and replication followers replay the same ops through the
+//! funnel's [`Machine`] impl and rebuild byte-identical segments; see
 //! DESIGN.md §14.
 
-use crate::persist::{self, Persistence};
+use crate::persist::{self, Install, Journal, Machine, MemberWriter, Owns, Persistence};
 use gae_hist::{CmpOp, ColumnPredicate, HistConfig, HistOp, HistRecord, HistStore, PredValue};
 use gae_obs::ObsHub;
 use gae_rpc::{CallContext, MethodInfo, Service};
 use gae_types::{GaeError, GaeResult, SimDuration, SimTime};
 use gae_wire::Value;
 use parking_lot::{Mutex, RwLock};
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -53,15 +54,10 @@ impl HistFunnel {
         &self.store
     }
 
-    /// Routes every future op through the WAL as `"hist"` records.
-    pub(crate) fn attach_persistence(&self, persistence: Arc<Persistence>) {
-        *self.persist.write() = Some(persistence);
-    }
-
     /// Journals `op` (when persistence is attached) and applies it.
     fn log_apply(&self, op: HistOp) {
         if let Some(p) = self.persist.read().as_ref() {
-            p.append("hist", persist::hist_to_record(&op));
+            p.log(&op);
         }
         self.store.apply(&op);
     }
@@ -69,12 +65,6 @@ impl HistFunnel {
     /// Appends one terminal task outcome (the jobmon funnel's feed).
     pub fn ingest(&self, record: HistRecord) {
         self.log_apply(HistOp::Append(record));
-    }
-
-    /// Applies a journaled op without re-logging — the WAL-replay and
-    /// follower path.
-    pub(crate) fn replay(&self, op: HistOp) {
-        self.store.apply(&op);
     }
 
     /// The grid-clock maintenance sweep, called from the service
@@ -98,11 +88,80 @@ impl HistFunnel {
             self.log_apply(HistOp::Compact);
         }
     }
+}
 
-    /// Replaces the store's contents from snapshot bytes (restore
-    /// path; no logging).
-    pub(crate) fn restore(&self, bytes: &[u8]) -> GaeResult<()> {
-        self.store.restore(bytes)
+/// One history-store op as a WAL record. `append` carries the full
+/// row; `seal` and `compact` are bare markers — the store derives the
+/// resulting layout deterministically, so the marker alone replays to
+/// identical segments.
+impl Journal for HistOp {
+    const KINDS: &'static [&'static str] = &["hist"];
+
+    fn encode(&self) -> Value {
+        match self {
+            HistOp::Append(r) => persist::tagged("append", record_to_value(r)),
+            HistOp::Seal => persist::tagged("seal", Value::empty_struct()),
+            HistOp::Compact => persist::tagged("compact", Value::empty_struct()),
+        }
+    }
+
+    fn decode(_: &str, v: &Value) -> GaeResult<Self> {
+        Ok(match v.member("op")?.as_str()? {
+            "append" => HistOp::Append(HistRecord {
+                task: v.member("task")?.as_u64()?,
+                site: v.member("site")?.as_u64()?,
+                nodes: v.member("nodes")?.as_u64()?,
+                submit_us: v.member("submit_us")?.as_u64()?,
+                start_us: v.member("start_us")?.as_u64()?,
+                finish_us: v.member("finish_us")?.as_u64()?,
+                runtime_us: v.member("runtime_us")?.as_u64()?,
+                success: v.member("success")?.as_bool()?,
+                account: v.member("account")?.as_str()?.to_string(),
+                login: v.member("login")?.as_str()?.to_string(),
+                executable: v.member("executable")?.as_str()?.to_string(),
+                queue: v.member("queue")?.as_str()?.to_string(),
+                partition: v.member("partition")?.as_str()?.to_string(),
+                job_type: v.member("job_type")?.as_str()?.to_string(),
+            }),
+            "seal" => HistOp::Seal,
+            "compact" => HistOp::Compact,
+            other => return Err(GaeError::Parse(format!("unknown hist op {other:?}"))),
+        })
+    }
+}
+
+/// The store's snapshot member is its own binary encoding: it has a
+/// canonical columnar codec, and re-encoding it as XML would lose the
+/// layout.
+impl Machine for HistFunnel {
+    fn attach(&self, persistence: &Arc<Persistence>) {
+        *self.persist.write() = Some(persistence.clone());
+    }
+
+    fn owns(&self) -> Owns {
+        (HistOp::KINDS, &["hist"])
+    }
+
+    fn apply(&self, kind: &str, body: &Value) -> GaeResult<()> {
+        self.store.apply(&HistOp::decode(kind, body)?);
+        Ok(())
+    }
+
+    fn write_member(&self, name: &str, doc: &mut MemberWriter<'_>) -> io::Result<()> {
+        doc.base64(name, &self.store.encode())
+    }
+
+    /// The blob is decoded by the store's own `restore`, which leaves
+    /// the store as it was when the blob is corrupt.
+    fn decode<'a>(&'a self, doc: &'a Value) -> GaeResult<Install<'a>> {
+        // Snapshots predating the columnar history carry none: start
+        // it empty.
+        let bytes = persist::optional_section(doc, "hist", Value::as_bytes)?;
+        Ok(Box::new(move || {
+            self.store
+                .restore(bytes)
+                .map_err(|e| persist::in_member("hist", e))
+        }))
     }
 }
 
@@ -313,6 +372,17 @@ mod tests {
             partition: "p".into(),
             job_type: "batch".into(),
         }
+    }
+
+    #[test]
+    fn hist_record_roundtrip_all_ops() {
+        for op in [HistOp::Append(rec(9, 2)), HistOp::Seal, HistOp::Compact] {
+            assert_eq!(op.kind(), "hist");
+            let decoded = HistOp::decode("hist", &op.encode()).unwrap();
+            assert_eq!(decoded, op);
+        }
+        let bogus = Value::struct_of([("op", Value::from("truncate"))]);
+        assert!(HistOp::decode("hist", &bogus).is_err());
     }
 
     #[test]

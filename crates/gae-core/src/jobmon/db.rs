@@ -7,12 +7,16 @@
 
 use crate::hist::HistFunnel;
 use crate::jobmon::info::JobMonitoringInfo;
-use crate::persist::Persistence;
+use crate::persist::{
+    array_of, section, Install, Journal, Machine, MemberWriter, Owns, Persistence,
+};
 use gae_hist::HistRecord;
 use gae_monitor::{JobEvent, MonAlisaRepository};
-use gae_types::{JobId, TaskId};
+use gae_types::{GaeResult, JobId, TaskId};
+use gae_wire::Value;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::io;
 use std::sync::Arc;
 
 /// Snapshot store plus MonALISA publication.
@@ -36,11 +40,6 @@ impl DbManager {
             obs: RwLock::new(None),
             hist: RwLock::new(None),
         }
-    }
-
-    /// Routes every future [`Self::store`] through the WAL.
-    pub(crate) fn attach_persistence(&self, persistence: Arc<Persistence>) {
-        *self.persist.write() = Some(persistence);
     }
 
     /// Routes lifecycle timelines and execution spans into the hub.
@@ -68,7 +67,7 @@ impl DbManager {
     /// MonALISA.
     pub fn store(&self, info: JobMonitoringInfo) {
         if let Some(p) = self.persist.read().as_ref() {
-            p.append("jobmon", info.to_value());
+            p.log(&info);
         }
         self.replay(info);
     }
@@ -171,6 +170,49 @@ impl DbManager {
     /// True when the repository is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// A stored snapshot is journaled whole, in its wire encoding.
+impl Journal for JobMonitoringInfo {
+    const KINDS: &'static [&'static str] = &["jobmon"];
+
+    fn encode(&self) -> Value {
+        self.to_value()
+    }
+
+    fn decode(_: &str, body: &Value) -> GaeResult<Self> {
+        JobMonitoringInfo::from_value(body)
+    }
+}
+
+impl Machine for DbManager {
+    /// Routes every future [`DbManager::store`] through the WAL.
+    fn attach(&self, persistence: &Arc<Persistence>) {
+        *self.persist.write() = Some(persistence.clone());
+    }
+
+    fn owns(&self) -> Owns {
+        (JobMonitoringInfo::KINDS, &["jobmon"])
+    }
+
+    fn apply(&self, kind: &str, body: &Value) -> GaeResult<()> {
+        self.replay(JobMonitoringInfo::decode(kind, body)?);
+        Ok(())
+    }
+
+    fn write_member(&self, name: &str, doc: &mut MemberWriter<'_>) -> io::Result<()> {
+        doc.array(name, self.export().iter().map(JobMonitoringInfo::to_value))
+    }
+
+    fn decode<'a>(&'a self, doc: &'a Value) -> GaeResult<Install<'a>> {
+        let infos = section(doc, "jobmon", |v| {
+            array_of(v, JobMonitoringInfo::from_value)
+        })?;
+        Ok(Box::new(move || {
+            infos.into_iter().for_each(|info| self.restore(info));
+            Ok(())
+        }))
     }
 }
 

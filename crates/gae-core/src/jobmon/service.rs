@@ -114,11 +114,6 @@ impl JobMonitoringService {
 
     // ---- durability hooks ----
 
-    /// Routes every future DBManager store through the WAL.
-    pub(crate) fn attach_persistence(&self, persistence: Arc<crate::persist::Persistence>) {
-        self.manager.db().attach_persistence(persistence);
-    }
-
     /// Routes lifecycle timelines and execution spans into the hub.
     pub(crate) fn attach_obs(&self, obs: Arc<gae_obs::ObsHub>) {
         self.manager.db().attach_obs(obs);
@@ -133,16 +128,6 @@ impl JobMonitoringService {
     /// tasks in insertion order (snapshot encoding + crash digests).
     pub fn db_snapshot(&self) -> Vec<JobMonitoringInfo> {
         self.manager.db().export()
-    }
-
-    /// Upserts a snapshot without publishing or logging (restore).
-    pub(crate) fn restore_info(&self, info: JobMonitoringInfo) {
-        self.manager.db().restore(info);
-    }
-
-    /// Re-applies a logged store: publish + upsert, no re-log (replay).
-    pub(crate) fn replay_info(&self, info: JobMonitoringInfo) {
-        self.manager.db().replay(info);
     }
 }
 

@@ -5,11 +5,17 @@
 //! load from it (§6.1d); this facade also lets external dashboards —
 //! the "Grid weather" view the introduction motivates — query the
 //! same repository over the wire.
+//!
+//! The repository is also a journaled subsystem's state: its job-event
+//! log and metric rings are snapshot members it owns ([`Machine`]),
+//! though it journals no records of its own.
 
-use gae_monitor::{MetricKey, MonAlisaRepository};
+use crate::persist::{array_of, section, Install, Machine, MemberWriter, Owns};
+use gae_monitor::{JobEvent, MetricKey, MonAlisaRepository, Sample};
 use gae_rpc::{CallContext, MethodInfo, Service};
-use gae_types::{GaeError, GaeResult, JobId, SimTime, SiteId};
+use gae_types::{GaeError, GaeResult, JobId, SimTime, SiteId, TaskId};
 use gae_wire::Value;
+use std::io;
 use std::sync::Arc;
 
 /// The `monalisa` RPC service.
@@ -78,31 +84,17 @@ impl Service for MonAlisaRpc {
                 // publish_batch([{site, entity, param, at_us, value}, ...])
                 let batch = params
                     .first()
-                    .ok_or_else(|| GaeError::Parse("publish_batch(samples)".into()))?
-                    .as_array()?;
-                let mut samples = Vec::with_capacity(batch.len());
-                for entry in batch {
-                    let key = MetricKey::new(
-                        SiteId::new(entry.member("site")?.as_u64()?),
-                        entry.member("entity")?.as_str()?.to_string(),
-                        entry.member("param")?.as_str()?.to_string(),
-                    );
-                    let sample = gae_monitor::Sample {
-                        at: SimTime::from_micros(entry.member("at_us")?.as_u64()?),
-                        value: entry.member("value")?.as_f64()?,
-                    };
-                    samples.push((key, sample));
-                }
+                    .ok_or_else(|| GaeError::Parse("publish_batch(samples)".into()))?;
+                let samples = array_of(batch, |entry| {
+                    Ok((key_from_value(entry)?, sample_from_value(entry)?))
+                })?;
                 let in_order = self.repo.publish_batch(samples);
                 Ok(Value::from(in_order as u64))
             }
             "latest" => {
                 let key = Self::key_from(params)?;
                 Ok(match self.repo.latest(&key) {
-                    Some(s) => Value::struct_of([
-                        ("at_us", Value::from(s.at.as_micros())),
-                        ("value", Value::from(s.value)),
-                    ]),
+                    Some(s) => sample_to_value(&s),
                     None => Value::Nil,
                 })
             }
@@ -119,13 +111,8 @@ impl Service for MonAlisaRpc {
                 Ok(Value::Array(
                     self.repo
                         .range(&key, from, to)
-                        .into_iter()
-                        .map(|s| {
-                            Value::struct_of([
-                                ("at_us", Value::from(s.at.as_micros())),
-                                ("value", Value::from(s.value)),
-                            ])
-                        })
+                        .iter()
+                        .map(sample_to_value)
                         .collect(),
                 ))
             }
@@ -187,6 +174,94 @@ impl Service for MonAlisaRpc {
             },
         ]
     }
+}
+
+impl Machine for MonAlisaRepository {
+    fn owns(&self) -> Owns {
+        (&[], &["events", "evicted", "metrics", "metrics_published"])
+    }
+
+    fn write_member(&self, name: &str, doc: &mut MemberWriter<'_>) -> io::Result<()> {
+        match name {
+            "events" => doc.array(name, self.events_snapshot().iter().map(event_to_value)),
+            "evicted" => doc.member(name, &Value::from(self.evicted_count())),
+            "metrics" => doc.array(name, self.metrics_snapshot().0.iter().map(series_to_value)),
+            _ => doc.member(name, &Value::from(self.total_published())),
+        }
+    }
+
+    fn decode<'a>(&'a self, doc: &'a Value) -> GaeResult<Install<'a>> {
+        let events = section(doc, "events", |v| array_of(v, event_from_value))?;
+        let evicted = section(doc, "evicted", Value::as_u64)?;
+        let metrics = section(doc, "metrics", |v| array_of(v, series_from_value))?;
+        let published = section(doc, "metrics_published", Value::as_u64)?;
+        Ok(Box::new(move || {
+            self.restore_events(events, evicted);
+            self.restore_metrics(metrics, published);
+            Ok(())
+        }))
+    }
+}
+
+fn sample_to_value(s: &Sample) -> Value {
+    Value::struct_of([
+        ("at_us", Value::from(s.at.as_micros())),
+        ("value", Value::Double(s.value)),
+    ])
+}
+
+pub(crate) fn event_to_value(e: &JobEvent) -> Value {
+    Value::struct_of([
+        ("at_us", Value::from(e.at.as_micros())),
+        ("job", Value::from(e.job.raw())),
+        ("task", Value::from(e.task.raw())),
+        ("site", Value::from(e.site.raw())),
+        ("status", Value::from(e.status.to_string())),
+    ])
+}
+
+fn event_from_value(v: &Value) -> GaeResult<JobEvent> {
+    Ok(JobEvent {
+        at: SimTime::from_micros(v.member("at_us")?.as_u64()?),
+        job: JobId::new(v.member("job")?.as_u64()?),
+        task: TaskId::new(v.member("task")?.as_u64()?),
+        site: SiteId::new(v.member("site")?.as_u64()?),
+        status: v.member("status")?.as_str()?.parse()?,
+    })
+}
+
+pub(crate) fn series_to_value((k, samples): &(MetricKey, Vec<Sample>)) -> Value {
+    Value::struct_of([
+        ("site", Value::from(k.site.raw())),
+        ("entity", Value::from(&*k.entity)),
+        ("param", Value::from(&*k.param)),
+        (
+            "samples",
+            Value::Array(samples.iter().map(sample_to_value).collect()),
+        ),
+    ])
+}
+
+fn series_from_value(v: &Value) -> GaeResult<(MetricKey, Vec<Sample>)> {
+    let samples = array_of(v.member("samples")?, sample_from_value)?;
+    Ok((key_from_value(v)?, samples))
+}
+
+/// The `(site, entity, param)` members of `v`.
+fn key_from_value(v: &Value) -> GaeResult<MetricKey> {
+    Ok(MetricKey::new(
+        SiteId::new(v.member("site")?.as_u64()?),
+        v.member("entity")?.as_str()?.to_string(),
+        v.member("param")?.as_str()?.to_string(),
+    ))
+}
+
+/// The `(at_us, value)` members of `v`.
+fn sample_from_value(v: &Value) -> GaeResult<Sample> {
+    Ok(Sample {
+        at: SimTime::from_micros(v.member("at_us")?.as_u64()?),
+        value: v.member("value")?.as_f64()?,
+    })
 }
 
 #[cfg(test)]

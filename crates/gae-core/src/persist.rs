@@ -1,51 +1,40 @@
-//! Service-level persistence over [`gae_durable`]: what gets logged,
-//! how snapshots are encoded, and how a crashed stack is rebuilt.
+//! Service-level persistence over [`gae_durable`]: the journal contract
+//! every persisted subsystem implements, the handle it logs through,
+//! and the snapshot document it streams into.
 //!
 //! The paper's Steering Service keeps a Backup & Recovery module that
 //! must "recollect" job state after a service failure (§4), and the
 //! Job Monitoring Service "stores the job information in a repository"
 //! (§5). This module is that repository's durable form. See DESIGN.md
-//! §8 for the full durability contract.
+//! §8 for the full durability contract, and its "How a subsystem
+//! journals" for which subsystem owns which record kind and snapshot
+//! member.
 //!
 //! Record payloads and snapshots are XML-RPC `Value` documents — the
-//! same wire codecs (`submit.rs`, `jobmon/info.rs`) the RPC layer
-//! uses, so everything that crosses the wire can also cross a crash.
-//! Rust's shortest-roundtrip `f64` formatting makes the encoding
-//! bit-exact, which the crash-equivalence tests rely on.
+//! same wire codecs the RPC layer uses, so everything that crosses the
+//! wire can also cross a crash. Rust's shortest-roundtrip `f64`
+//! formatting makes the encoding bit-exact, which the crash-equivalence
+//! tests rely on.
 //!
-//! Seven record kinds exist:
+//! A journaled subsystem is a [`Machine`]: its [`Journal`] mutation
+//! type owns some record kinds and carries their codec, and the machine
+//! owns some members of the snapshot document. The codecs live in the
+//! subsystems' own modules, next to the types they encode; this module
+//! holds the traits, [`Persistence`], and the snapshot loop
+//! [`encode_snapshot`] over [`ServiceStack::machines`] — replay and
+//! restore are the loops of `replication.rs`.
 //!
-//! | kind       | payload                            | written by            |
-//! |------------|------------------------------------|-----------------------|
-//! | `jobmon`   | full [`JobMonitoringInfo`]         | DBManager store       |
-//! | `plan`     | full plan (job spec + assignments) | subscribe/reschedule  |
-//! | `task`     | one [`TrackedTask`]                | every phase change    |
-//! | `notified` | job id                             | completion notice     |
-//! | `charge`   | one [`ChargeRecord`]               | accounting on settle  |
-//! | `xfer`     | one [`gae_xfer::JournalOp`]        | transfer scheduler    |
-//! | `hist`     | one [`gae_hist::HistOp`]           | history funnel        |
+//! [`ServiceStack::machines`]: crate::grid::ServiceStack
 
-use crate::jobmon::info::JobMonitoringInfo;
-use crate::quota::ChargeRecord;
-use crate::steering::state::{TaskPhase, TrackedJob, TrackedTask};
-use crate::submit::{job_from_value, job_to_value};
 use gae_durable::{DurableStore, RecoveryPoint};
-use gae_hist::{HistOp, HistRecord};
-use gae_monitor::{JobEvent, MetricKey, Sample};
 use gae_repl::frame;
 use gae_repl::ReplicationSink;
-use gae_types::{
-    ConcretePlan, CondorId, GaeError, GaeResult, JobId, PlanId, SimDuration, SimTime, SiteId,
-    TaskAssignment, TaskId, TaskStatus, UserId,
-};
+use gae_types::{GaeError, GaeResult, SimDuration, SimTime, TaskId};
 use gae_wire::writer::write_value;
 use gae_wire::{parse_value_document, Value};
-use gae_xfer::{JournalOp, XferCounters, XferExport};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
-use std::str::FromStr;
 use std::sync::Arc;
 
 /// Where and how a grid persists itself.
@@ -105,13 +94,17 @@ impl Persistence {
     /// recover it instead of overwriting history).
     pub fn create(config: &PersistenceConfig) -> GaeResult<Arc<Self>> {
         let store = DurableStore::create(&config.dir, config.fsync)?;
-        Ok(Arc::new(Persistence {
+        Ok(Self::over(store, config, SimTime::ZERO))
+    }
+
+    fn over(store: DurableStore, config: &PersistenceConfig, last_snapshot: SimTime) -> Arc<Self> {
+        Arc::new(Persistence {
             store: Mutex::new(store),
             buffer: Mutex::new(Vec::new()),
             snapshot_every: config.snapshot_every,
-            last_snapshot: Mutex::new(SimTime::ZERO),
+            last_snapshot: Mutex::new(last_snapshot),
             repl: Mutex::new(None),
-        }))
+        })
     }
 
     /// Continues a recovered store in a new generation anchored at a
@@ -124,13 +117,7 @@ impl Persistence {
         encode: impl FnOnce(&mut dyn io::Write) -> io::Result<()>,
     ) -> GaeResult<Arc<Self>> {
         let store = DurableStore::resume_with(&config.dir, at, config.fsync, |w| encode(w))?;
-        Ok(Arc::new(Persistence {
-            store: Mutex::new(store),
-            buffer: Mutex::new(Vec::new()),
-            snapshot_every: config.snapshot_every,
-            last_snapshot: Mutex::new(now),
-            repl: Mutex::new(None),
-        }))
+        Ok(Self::over(store, config, now))
     }
 
     /// Arms the replication tee. The sink must be attached before any
@@ -139,13 +126,11 @@ impl Persistence {
         *self.repl.lock() = Some(sink);
     }
 
-    fn replication_sink(&self) -> Option<Arc<dyn ReplicationSink>> {
-        self.repl.lock().clone()
-    }
-
-    /// Appends one typed record to the group-commit buffer.
-    pub(crate) fn append(&self, kind: &str, body: Value) {
-        if let Some(sink) = self.replication_sink() {
+    /// Appends one mutation to the group-commit buffer, under the kind
+    /// its own type gives it.
+    pub(crate) fn log(&self, op: &impl Journal) {
+        let (kind, body) = (op.kind(), op.encode());
+        if let Some(sink) = self.repl.lock().clone() {
             sink.on_append(kind, &body);
         }
         let doc = frame::encode_envelope(kind, &body);
@@ -171,7 +156,7 @@ impl Persistence {
         };
         // The sink streams outside the store lock: follower replay
         // must never extend the leader's commit critical section.
-        if let Some(sink) = self.replication_sink() {
+        if let Some(sink) = self.repl.lock().clone() {
             sink.on_commit(index);
         }
         Ok(index)
@@ -195,7 +180,7 @@ impl Persistence {
         now: SimTime,
         encode: impl FnOnce(&mut dyn io::Write) -> io::Result<()>,
     ) -> GaeResult<()> {
-        let sink = self.replication_sink();
+        let sink = self.repl.lock().clone();
         let mut next = self.store.lock().begin_rotation()?;
         // The sink needs the bytes too: copy them only while one is
         // armed.
@@ -274,479 +259,66 @@ pub struct RecoveryReport {
     pub resubmitted: Vec<TaskId>,
 }
 
-impl RecoveryReport {
-    pub(crate) fn new(at: &RecoveryPoint, replayed_records: usize) -> Self {
-        RecoveryReport {
-            generation: at.generation,
-            commit_index: at.commit_index,
-            replayed_records,
-            tail_was_torn: !at.tail.is_clean(),
-            used_fallback: at.used_fallback,
-            resubmitted: Vec::new(),
-        }
+// ---------------------------------------------------------------- contract
+
+/// A journaled mutation: the record kinds it is written under, and its
+/// codec. [`Persistence::log`] takes a record's kind and its body from
+/// the same value, so the two cannot disagree.
+pub(crate) trait Journal: Sized {
+    /// Every kind this type is written under. Its owner is the only
+    /// machine that replays them.
+    const KINDS: &'static [&'static str];
+
+    /// The kind this mutation is written under (the one kind, for a
+    /// type that has one).
+    fn kind(&self) -> &'static str {
+        Self::KINDS[0]
     }
+
+    /// The record body.
+    fn encode(&self) -> Value;
+
+    /// A record body of one of [`Self::KINDS`], decoded.
+    fn decode(kind: &str, body: &Value) -> GaeResult<Self>;
 }
 
-// ---------------------------------------------------------------- records
+/// `(record kinds, snapshot members)` a [`Machine`] owns.
+pub(crate) type Owns = (&'static [&'static str], &'static [&'static str]);
 
-/// Full plan record: unlike the RPC `plan_to_value`, this embeds the
-/// job spec and owner so a plan is reconstructible from the log alone.
-pub(crate) fn plan_to_record(plan: &ConcretePlan) -> Value {
-    Value::struct_of([
-        ("id", Value::from(plan.id.raw())),
-        ("revision", Value::from(u64::from(plan.revision))),
-        ("owner", Value::from(plan.job.owner.raw())),
-        ("job", job_to_value(&plan.job)),
-        (
-            "assignments",
-            Value::Array(
-                plan.assignments
-                    .iter()
-                    .map(|a| {
-                        Value::struct_of([
-                            ("task", Value::from(a.task.raw())),
-                            ("site", Value::from(a.site.raw())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
+/// Installs what [`Machine::decode`] decoded.
+pub(crate) type Install<'a> = Box<dyn FnOnce() -> GaeResult<()> + 'a>;
 
-pub(crate) fn plan_from_record(v: &Value) -> GaeResult<ConcretePlan> {
-    let owner = UserId::new(v.member("owner")?.as_u64()?);
-    let job = job_from_value(v.member("job")?, owner)?;
-    let assignments = v
-        .member("assignments")?
-        .as_array()?
-        .iter()
-        .map(|a| {
-            Ok(TaskAssignment {
-                task: TaskId::new(a.member("task")?.as_u64()?),
-                site: SiteId::new(a.member("site")?.as_u64()?),
-            })
-        })
-        .collect::<GaeResult<Vec<_>>>()?;
-    let mut plan = ConcretePlan::new(PlanId::new(v.member("id")?.as_u64()?), job, assignments)?;
-    plan.revision = u32::try_from(v.member("revision")?.as_u64()?)
-        .map_err(|_| GaeError::Parse("plan revision out of range".into()))?;
-    Ok(plan)
-}
+/// One journaled subsystem: the record kinds it replays and the
+/// snapshot members it owns. Every durability path is one loop over
+/// `ServiceStack::machines`; a new subsystem is its own `impl Machine`
+/// plus one entry in that list.
+pub(crate) trait Machine {
+    /// Routes its future mutations through `persistence` (nothing to
+    /// route, for the monitor and quota — steering logs the charges).
+    fn attach(&self, _persistence: &Arc<Persistence>) {}
 
-fn phase_to_value(phase: TaskPhase) -> Value {
-    match phase {
-        TaskPhase::WaitingPrereqs => Value::struct_of([("kind", Value::from("waiting"))]),
-        TaskPhase::Submitted { site, condor } => Value::struct_of([
-            ("kind", Value::from("submitted")),
-            ("site", Value::from(site.raw())),
-            ("condor", Value::from(condor.raw())),
-        ]),
-        TaskPhase::Done { site } => Value::struct_of([
-            ("kind", Value::from("done")),
-            ("site", Value::from(site.raw())),
-        ]),
-        TaskPhase::Failed => Value::struct_of([("kind", Value::from("failed"))]),
-        TaskPhase::Killed => Value::struct_of([("kind", Value::from("killed"))]),
+    /// What it owns: the record kinds it replays — its [`Journal`]
+    /// type's `KINDS`, none for the monitor, whose state is
+    /// snapshot-only — and the snapshot members it streams and
+    /// restores.
+    fn owns(&self) -> Owns;
+
+    /// Replays one committed record of a kind it owns, decoded
+    /// through its [`Journal`] type — WAL replay and follower apply,
+    /// never logging.
+    fn apply(&self, kind: &str, _body: &Value) -> GaeResult<()> {
+        Err(GaeError::Parse(format!("unknown wal record kind {kind:?}")))
     }
-}
 
-fn phase_from_value(v: &Value) -> GaeResult<TaskPhase> {
-    Ok(match v.member("kind")?.as_str()? {
-        "waiting" => TaskPhase::WaitingPrereqs,
-        "submitted" => TaskPhase::Submitted {
-            site: SiteId::new(v.member("site")?.as_u64()?),
-            condor: CondorId::new(v.member("condor")?.as_u64()?),
-        },
-        "done" => TaskPhase::Done {
-            site: SiteId::new(v.member("site")?.as_u64()?),
-        },
-        "failed" => TaskPhase::Failed,
-        "killed" => TaskPhase::Killed,
-        other => return Err(GaeError::Parse(format!("unknown task phase {other:?}"))),
-    })
-}
+    /// Streams member `name`, one it owns, from the live state.
+    fn write_member(&self, name: &str, doc: &mut MemberWriter<'_>) -> io::Result<()>;
 
-pub(crate) fn task_to_record(job: JobId, t: &TrackedTask) -> Value {
-    Value::struct_of([
-        ("job", Value::from(job.raw())),
-        ("task", Value::from(t.task.raw())),
-        ("phase", phase_to_value(t.phase)),
-        (
-            "recovery_attempts",
-            Value::from(u64::from(t.recovery_attempts)),
-        ),
-        ("moves", Value::from(u64::from(t.moves))),
-    ])
-}
-
-pub(crate) fn task_from_record(v: &Value) -> GaeResult<(JobId, TrackedTask)> {
-    let job = JobId::new(v.member("job")?.as_u64()?);
-    let task = TaskId::new(v.member("task")?.as_u64()?);
-    Ok((
-        job,
-        TrackedTask {
-            task,
-            phase: phase_from_value(v.member("phase")?)?,
-            recovery_attempts: v.member("recovery_attempts")?.as_u64()? as u32,
-            moves: v.member("moves")?.as_u64()? as u32,
-        },
-    ))
-}
-
-pub(crate) fn charge_to_record(c: &ChargeRecord) -> Value {
-    Value::struct_of([
-        ("user", Value::from(c.user.raw())),
-        ("site", Value::from(c.site.raw())),
-        ("cpu_us", Value::from(c.cpu_time.as_micros())),
-        ("amount", Value::Double(c.amount)),
-    ])
-}
-
-pub(crate) fn charge_from_record(v: &Value) -> GaeResult<ChargeRecord> {
-    Ok(ChargeRecord {
-        user: UserId::new(v.member("user")?.as_u64()?),
-        site: SiteId::new(v.member("site")?.as_u64()?),
-        cpu_time: SimDuration::from_micros(v.member("cpu_us")?.as_u64()?),
-        amount: v.member("amount")?.as_f64()?,
-    })
-}
-
-fn replicas_to_value(replicas: &[SiteId]) -> Value {
-    Value::Array(replicas.iter().map(|s| Value::from(s.raw())).collect())
-}
-
-fn replicas_from_value(v: &Value) -> GaeResult<Vec<SiteId>> {
-    v.as_array()?
-        .iter()
-        .map(|s| Ok(SiteId::new(s.as_u64()?)))
-        .collect()
-}
-
-pub(crate) fn xfer_to_record(op: &JournalOp) -> Value {
-    let simple = |kind: &str, lfn: &str, site: SiteId| {
-        Value::struct_of([
-            ("op", Value::from(kind)),
-            ("lfn", Value::from(lfn)),
-            ("site", Value::from(site.raw())),
-        ])
-    };
-    match op {
-        JournalOp::Register {
-            lfn,
-            size,
-            replicas,
-        } => Value::struct_of([
-            ("op", Value::from(op.kind())),
-            ("lfn", Value::from(lfn.as_str())),
-            ("size", Value::from(*size)),
-            ("replicas", replicas_to_value(replicas)),
-        ]),
-        JournalOp::Requested { lfn, to } => simple(op.kind(), lfn, *to),
-        JournalOp::Landed { lfn, to } => simple(op.kind(), lfn, *to),
-        JournalOp::Failed { lfn, to } => simple(op.kind(), lfn, *to),
-        JournalOp::Deleted { lfn, site } => simple(op.kind(), lfn, *site),
-        JournalOp::Evicted { lfn, site } => simple(op.kind(), lfn, *site),
-    }
-}
-
-pub(crate) fn xfer_from_record(v: &Value) -> GaeResult<JournalOp> {
-    let lfn = v.member("lfn")?.as_str()?.to_string();
-    Ok(match v.member("op")?.as_str()? {
-        "register" => JournalOp::Register {
-            lfn,
-            size: v.member("size")?.as_u64()?,
-            replicas: replicas_from_value(v.member("replicas")?)?,
-        },
-        kind => {
-            let site = SiteId::new(v.member("site")?.as_u64()?);
-            match kind {
-                "requested" => JournalOp::Requested { lfn, to: site },
-                "landed" => JournalOp::Landed { lfn, to: site },
-                "failed" => JournalOp::Failed { lfn, to: site },
-                "deleted" => JournalOp::Deleted { lfn, site },
-                "evicted" => JournalOp::Evicted { lfn, site },
-                other => {
-                    return Err(GaeError::Parse(format!("unknown xfer op {other:?}")));
-                }
-            }
-        }
-    })
-}
-
-fn xfer_file_to_value((lfn, size, replicas): &(String, u64, Vec<SiteId>)) -> Value {
-    Value::struct_of([
-        ("lfn", Value::from(lfn.as_str())),
-        ("size", Value::from(*size)),
-        ("replicas", replicas_to_value(replicas)),
-    ])
-}
-
-fn xfer_pending_to_value((lfn, to): &(String, SiteId)) -> Value {
-    Value::struct_of([
-        ("lfn", Value::from(lfn.as_str())),
-        ("to", Value::from(to.raw())),
-    ])
-}
-
-fn xfer_counters_to_value(c: &XferCounters) -> Value {
-    Value::struct_of([
-        ("completed", Value::from(c.completed)),
-        ("failed", Value::from(c.failed)),
-        ("retried", Value::from(c.retried)),
-        ("evicted", Value::from(c.evicted)),
-        ("history_dropped", Value::from(c.history_dropped)),
-    ])
-}
-
-fn xfer_export_from_value(v: &Value) -> GaeResult<XferExport> {
-    let counters = v.member("counters")?;
-    Ok(XferExport {
-        files: v
-            .member("files")?
-            .as_array()?
-            .iter()
-            .map(|f| {
-                Ok((
-                    f.member("lfn")?.as_str()?.to_string(),
-                    f.member("size")?.as_u64()?,
-                    replicas_from_value(f.member("replicas")?)?,
-                ))
-            })
-            .collect::<GaeResult<Vec<_>>>()?,
-        pending: v
-            .member("pending")?
-            .as_array()?
-            .iter()
-            .map(|p| {
-                Ok((
-                    p.member("lfn")?.as_str()?.to_string(),
-                    SiteId::new(p.member("to")?.as_u64()?),
-                ))
-            })
-            .collect::<GaeResult<Vec<_>>>()?,
-        counters: XferCounters {
-            completed: counters.member("completed")?.as_u64()?,
-            failed: counters.member("failed")?.as_u64()?,
-            retried: counters.member("retried")?.as_u64()?,
-            evicted: counters.member("evicted")?.as_u64()?,
-            history_dropped: counters.member("history_dropped")?.as_u64()?,
-        },
-    })
-}
-
-/// One history-store op as a WAL record. `append` carries the full
-/// row; `seal` and `compact` are bare markers — the store derives the
-/// resulting layout deterministically, so the marker alone replays to
-/// identical segments.
-pub(crate) fn hist_to_record(op: &HistOp) -> Value {
-    match op {
-        HistOp::Append(r) => Value::struct_of([
-            ("op", Value::from("append")),
-            ("task", Value::from(r.task)),
-            ("site", Value::from(r.site)),
-            ("nodes", Value::from(r.nodes)),
-            ("submit_us", Value::from(r.submit_us)),
-            ("start_us", Value::from(r.start_us)),
-            ("finish_us", Value::from(r.finish_us)),
-            ("runtime_us", Value::from(r.runtime_us)),
-            ("success", Value::Bool(r.success)),
-            ("account", Value::from(r.account.as_str())),
-            ("login", Value::from(r.login.as_str())),
-            ("executable", Value::from(r.executable.as_str())),
-            ("queue", Value::from(r.queue.as_str())),
-            ("partition", Value::from(r.partition.as_str())),
-            ("job_type", Value::from(r.job_type.as_str())),
-        ]),
-        HistOp::Seal => Value::struct_of([("op", Value::from("seal"))]),
-        HistOp::Compact => Value::struct_of([("op", Value::from("compact"))]),
-    }
-}
-
-pub(crate) fn hist_from_record(v: &Value) -> GaeResult<HistOp> {
-    Ok(match v.member("op")?.as_str()? {
-        "append" => HistOp::Append(HistRecord {
-            task: v.member("task")?.as_u64()?,
-            site: v.member("site")?.as_u64()?,
-            nodes: v.member("nodes")?.as_u64()?,
-            submit_us: v.member("submit_us")?.as_u64()?,
-            start_us: v.member("start_us")?.as_u64()?,
-            finish_us: v.member("finish_us")?.as_u64()?,
-            runtime_us: v.member("runtime_us")?.as_u64()?,
-            success: v.member("success")?.as_bool()?,
-            account: v.member("account")?.as_str()?.to_string(),
-            login: v.member("login")?.as_str()?.to_string(),
-            executable: v.member("executable")?.as_str()?.to_string(),
-            queue: v.member("queue")?.as_str()?.to_string(),
-            partition: v.member("partition")?.as_str()?.to_string(),
-            job_type: v.member("job_type")?.as_str()?.to_string(),
-        }),
-        "seal" => HistOp::Seal,
-        "compact" => HistOp::Compact,
-        other => return Err(GaeError::Parse(format!("unknown hist op {other:?}"))),
-    })
-}
-
-fn event_to_value(e: &JobEvent) -> Value {
-    Value::struct_of([
-        ("at_us", Value::from(e.at.as_micros())),
-        ("job", Value::from(e.job.raw())),
-        ("task", Value::from(e.task.raw())),
-        ("site", Value::from(e.site.raw())),
-        ("status", Value::from(e.status.to_string())),
-    ])
-}
-
-fn event_from_value(v: &Value) -> GaeResult<JobEvent> {
-    Ok(JobEvent {
-        at: SimTime::from_micros(v.member("at_us")?.as_u64()?),
-        job: JobId::new(v.member("job")?.as_u64()?),
-        task: TaskId::new(v.member("task")?.as_u64()?),
-        site: SiteId::new(v.member("site")?.as_u64()?),
-        status: TaskStatus::from_str(v.member("status")?.as_str()?)?,
-    })
-}
-
-fn series_to_value((k, samples): &(MetricKey, Vec<Sample>)) -> Value {
-    Value::struct_of([
-        ("site", Value::from(k.site.raw())),
-        ("entity", Value::from(&*k.entity)),
-        ("param", Value::from(&*k.param)),
-        (
-            "samples",
-            Value::Array(
-                samples
-                    .iter()
-                    .map(|s| {
-                        Value::struct_of([
-                            ("at_us", Value::from(s.at.as_micros())),
-                            ("value", Value::Double(s.value)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn balance_to_value((user, amount): &(UserId, f64)) -> Value {
-    Value::struct_of([
-        ("user", Value::from(user.raw())),
-        ("amount", Value::Double(*amount)),
-    ])
-}
-
-fn series_from_value(v: &Value) -> GaeResult<Vec<(MetricKey, Vec<Sample>)>> {
-    v.as_array()?
-        .iter()
-        .map(|entry| {
-            let key = MetricKey::new(
-                SiteId::new(entry.member("site")?.as_u64()?),
-                entry.member("entity")?.as_str()?.to_string(),
-                entry.member("param")?.as_str()?.to_string(),
-            );
-            let samples = entry
-                .member("samples")?
-                .as_array()?
-                .iter()
-                .map(|s| {
-                    Ok(Sample {
-                        at: SimTime::from_micros(s.member("at_us")?.as_u64()?),
-                        value: s.member("value")?.as_f64()?,
-                    })
-                })
-                .collect::<GaeResult<Vec<_>>>()?;
-            Ok((key, samples))
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------- snapshot
-
-/// Decoded snapshot payload: full state of every persisted service.
-#[derive(Debug, Default)]
-pub(crate) struct SnapshotState {
-    pub events: Vec<JobEvent>,
-    pub evicted: u64,
-    pub metrics: Vec<(MetricKey, Vec<Sample>)>,
-    pub metrics_published: u64,
-    pub jobmon: Vec<JobMonitoringInfo>,
-    pub steering: Vec<TrackedJob>,
-    pub balances: Vec<(UserId, f64)>,
-    pub ledger: Vec<ChargeRecord>,
-    pub xfer: XferExport,
-    /// The history store's own binary encoding (it has a canonical
-    /// columnar codec; re-encoding it as XML would lose the layout).
-    pub hist: Vec<u8>,
-}
-
-fn tracked_job_to_value(j: &TrackedJob) -> Value {
-    let mut task_ids: Vec<&TaskId> = j.tasks.keys().collect();
-    task_ids.sort();
-    Value::struct_of([
-        ("plan", plan_to_record(&j.plan)),
-        ("notified", Value::Bool(j.completion_notified)),
-        (
-            "tasks",
-            Value::Array(
-                task_ids
-                    .into_iter()
-                    .map(|t| task_to_record(j.plan.job_id(), &j.tasks[t]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Decodes one tracked job. The steering round indexes `tasks` by
-/// every id of the plan, so a snapshot whose records do not cover the
-/// plan exactly (missing, extra or duplicate ids) is refused here
-/// instead of panicking on the next poll.
-fn tracked_job_from_value(v: &Value) -> GaeResult<TrackedJob> {
-    let plan = plan_from_record(v.member("plan")?)?;
-    let mut tasks = HashMap::new();
-    for t in v.member("tasks")?.as_array()? {
-        let (_, tracked) = task_from_record(t)?;
-        if let Some(twice) = tasks.insert(tracked.task, tracked) {
-            return Err(GaeError::Parse(format!(
-                "snapshot of {} tracks {} twice",
-                plan.job_id(),
-                twice.task
-            )));
-        }
-    }
-    let planned = plan.job.task_ids();
-    if tasks.len() != planned.len() || !planned.iter().all(|t| tasks.contains_key(t)) {
-        return Err(GaeError::Parse(format!(
-            "snapshot of {} tracks {} task records, not exactly its plan's {} tasks",
-            plan.job_id(),
-            tasks.len(),
-            planned.len()
-        )));
-    }
-    Ok(TrackedJob {
-        plan,
-        tasks,
-        completion_notified: v.member("notified")?.as_bool()?,
-    })
-}
-
-/// Where [`encode_snapshot`] gets the state from: one persisted
-/// service per call, asked for only when its section is due, so the
-/// exports are alive one at a time.
-pub(crate) trait SnapshotSource {
-    fn balances(&self) -> Vec<(UserId, f64)>;
-    /// The job-event log and its eviction count.
-    fn events(&self) -> (Vec<JobEvent>, u64);
-    /// The history store's own binary encoding (it has a canonical
-    /// columnar codec; re-encoding it as XML would lose the layout).
-    fn hist(&self) -> Vec<u8>;
-    fn jobmon(&self) -> Vec<JobMonitoringInfo>;
-    fn ledger(&self) -> Vec<ChargeRecord>;
-    /// Every metric series and the published-sample total.
-    fn metrics(&self) -> (Vec<(MetricKey, Vec<Sample>)>, u64);
-    fn steering(&self) -> Vec<TrackedJob>;
-    fn xfer(&self) -> XferExport;
+    /// Decodes its members out of a snapshot document, changing
+    /// nothing, into the step that installs them. Only the machine
+    /// listed first may fail to install (the history store, whose
+    /// columnar blob its own `restore` decodes): the restore loop
+    /// decodes every member before it installs any.
+    fn decode<'a>(&'a self, doc: &'a Value) -> GaeResult<Install<'a>>;
 }
 
 /// Bytes of history-store encoding turned to base64 per write: a
@@ -756,14 +328,14 @@ const BASE64_CHUNK: usize = 3 * 16 * 1024;
 
 /// Writes struct members one at a time, in the byte form
 /// `write_value` gives a `Value::Struct` holding them.
-struct MemberWriter<'a, W: io::Write + ?Sized> {
-    out: &'a mut W,
+pub(crate) struct MemberWriter<'a> {
+    out: &'a mut dyn io::Write,
     /// One element's XML, reused.
     chunk: String,
 }
 
-impl<W: io::Write + ?Sized> MemberWriter<'_, W> {
-    fn raw(&mut self, xml: &str) -> io::Result<()> {
+impl MemberWriter<'_> {
+    pub(crate) fn raw(&mut self, xml: &str) -> io::Result<()> {
         self.out.write_all(xml.as_bytes())
     }
 
@@ -774,20 +346,24 @@ impl<W: io::Write + ?Sized> MemberWriter<'_, W> {
     }
 
     /// `name` must need no XML escaping.
-    fn open(&mut self, name: &str, value_open: &str) -> io::Result<()> {
+    pub(crate) fn open(&mut self, name: &str, value_open: &str) -> io::Result<()> {
         self.raw("<member><name>")?;
         self.raw(name)?;
         self.raw("</name>")?;
         self.raw(value_open)
     }
 
-    fn member(&mut self, name: &str, v: &Value) -> io::Result<()> {
+    pub(crate) fn member(&mut self, name: &str, v: &Value) -> io::Result<()> {
         self.open(name, "")?;
         self.value(v)?;
         self.raw("</member>")
     }
 
-    fn array(&mut self, name: &str, items: impl Iterator<Item = Value>) -> io::Result<()> {
+    pub(crate) fn array(
+        &mut self,
+        name: &str,
+        items: impl Iterator<Item = Value>,
+    ) -> io::Result<()> {
         self.open(name, "<value><array><data>")?;
         for item in items {
             self.value(&item)?;
@@ -795,7 +371,7 @@ impl<W: io::Write + ?Sized> MemberWriter<'_, W> {
         self.raw("</data></array></value></member>")
     }
 
-    fn base64(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+    pub(crate) fn base64(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
         self.open(name, "<value><base64>")?;
         for piece in bytes.chunks(BASE64_CHUNK) {
             self.raw(&gae_wire::base64::encode(piece))?;
@@ -804,160 +380,153 @@ impl<W: io::Write + ?Sized> MemberWriter<'_, W> {
     }
 }
 
-/// Writes the snapshot document of `src` into `out`, section by
-/// section and element by element: at any moment one service's export,
-/// one element's `Value` and its XML exist — never the whole state,
-/// its `Value` tree or its document. The bytes are exactly
-/// `write_value_document` of the struct of all sections; members go
-/// out in the order that struct's `BTreeMap` would give them.
-pub(crate) fn encode_snapshot<W: io::Write + ?Sized>(
-    src: &impl SnapshotSource,
-    out: &mut W,
+// ---------------------------------------------------------------- snapshot
+
+/// Writes the snapshot document of `machines` into `out`: members in
+/// name order — the order the document's `BTreeMap` gives them,
+/// whichever machine owns each — and element by element. At any moment
+/// one member's export, one element's `Value` and its XML exist, never
+/// the whole state, its `Value` tree or its document; the bytes are
+/// exactly `write_value_document` of the struct of all members.
+pub(crate) fn encode_snapshot(
+    machines: &[&dyn Machine],
+    out: &mut dyn io::Write,
 ) -> io::Result<()> {
+    let mut owned: Vec<(&str, &dyn Machine)> = machines
+        .iter()
+        .flat_map(|m| m.owns().1.iter().map(move |name| (*name, *m)))
+        .collect();
+    owned.sort_by_key(|(name, _)| *name);
     let mut doc = MemberWriter {
         out,
         chunk: String::new(),
     };
     doc.raw("<?xml version=\"1.0\"?>\n<value><struct>")?;
-    doc.array("balances", src.balances().iter().map(balance_to_value))?;
-    {
-        let (events, evicted) = src.events();
-        doc.array("events", events.iter().map(event_to_value))?;
-        doc.member("evicted", &Value::from(evicted))?;
-    }
-    doc.base64("hist", &src.hist())?;
-    doc.array("jobmon", src.jobmon().iter().map(|i| i.to_value()))?;
-    doc.array("ledger", src.ledger().iter().map(charge_to_record))?;
-    {
-        let (metrics, published) = src.metrics();
-        doc.array("metrics", metrics.iter().map(series_to_value))?;
-        doc.member("metrics_published", &Value::from(published))?;
-    }
-    doc.array("steering", src.steering().iter().map(tracked_job_to_value))?;
-    {
-        let xfer = src.xfer();
-        doc.open("xfer", "<value><struct>")?;
-        doc.member("counters", &xfer_counters_to_value(&xfer.counters))?;
-        doc.array("files", xfer.files.iter().map(xfer_file_to_value))?;
-        doc.array("pending", xfer.pending.iter().map(xfer_pending_to_value))?;
-        doc.raw("</struct></value></member>")?;
+    for (name, machine) in owned {
+        machine.write_member(name, &mut doc)?;
     }
     doc.raw("</struct></value>")
 }
 
-pub(crate) fn decode_snapshot(bytes: &[u8]) -> GaeResult<SnapshotState> {
+/// Parses a snapshot payload into the document the machines decode
+/// their members from. Generation-0 snapshots are empty bytes: the
+/// empty state, whose document has no members.
+pub(crate) fn decode_snapshot(bytes: &[u8]) -> GaeResult<Value> {
     if bytes.is_empty() {
-        // Generation-0 snapshots are the empty state.
-        return Ok(SnapshotState::default());
+        return Ok(Value::empty_struct());
     }
     let text = std::str::from_utf8(bytes)
         .map_err(|e| GaeError::Parse(format!("snapshot is not UTF-8: {e}")))?;
-    let v = parse_value_document(text)?;
-    Ok(SnapshotState {
-        events: v
-            .member("events")?
-            .as_array()?
-            .iter()
-            .map(event_from_value)
-            .collect::<GaeResult<Vec<_>>>()?,
-        evicted: v.member("evicted")?.as_u64()?,
-        metrics: series_from_value(v.member("metrics")?)?,
-        metrics_published: v.member("metrics_published")?.as_u64()?,
-        jobmon: v
-            .member("jobmon")?
-            .as_array()?
-            .iter()
-            .map(JobMonitoringInfo::from_value)
-            .collect::<GaeResult<Vec<_>>>()?,
-        steering: v
-            .member("steering")?
-            .as_array()?
-            .iter()
-            .map(tracked_job_from_value)
-            .collect::<GaeResult<Vec<_>>>()?,
-        balances: v
-            .member("balances")?
-            .as_array()?
-            .iter()
-            .map(|b| {
-                Ok((
-                    UserId::new(b.member("user")?.as_u64()?),
-                    b.member("amount")?.as_f64()?,
-                ))
-            })
-            .collect::<GaeResult<Vec<_>>>()?,
-        ledger: v
-            .member("ledger")?
-            .as_array()?
-            .iter()
-            .map(charge_from_record)
-            .collect::<GaeResult<Vec<_>>>()?,
-        // Snapshots from before the data plane existed carry no
-        // transfer state; start it empty.
-        xfer: match v.member("xfer") {
-            Ok(x) => xfer_export_from_value(x)?,
-            Err(_) => XferExport::default(),
-        },
-        // Likewise for snapshots predating the columnar history.
-        hist: match v.member("hist") {
-            Ok(h) => h.as_bytes()?.to_vec(),
-            Err(_) => Vec::new(),
-        },
-    })
+    parse_value_document(text)
+}
+
+/// Decodes snapshot member `name` of `doc`, naming the member in any
+/// error. In the empty document every member is its empty default.
+pub(crate) fn section<'a, T: Default>(
+    doc: &'a Value,
+    name: &str,
+    decode: impl FnOnce(&'a Value) -> GaeResult<T>,
+) -> GaeResult<T> {
+    let members = doc.as_struct()?;
+    match members.get(name) {
+        Some(v) => decode(v).map_err(|e| in_member(name, e)),
+        None if members.is_empty() => Ok(T::default()),
+        None => Err(GaeError::Parse(format!("missing struct member {name:?}"))),
+    }
+}
+
+/// [`section`] for a member older snapshots predate: absent, it is its
+/// empty default.
+pub(crate) fn optional_section<'a, T: Default>(
+    doc: &'a Value,
+    name: &str,
+    decode: impl FnOnce(&'a Value) -> GaeResult<T>,
+) -> GaeResult<T> {
+    if doc.as_struct()?.contains_key(name) {
+        section(doc, name, decode)
+    } else {
+        Ok(T::default())
+    }
+}
+
+/// `body`, a struct, with member `op` set to `tag` — how a journal
+/// whose type has several variants names the variant.
+pub(crate) fn tagged(tag: &str, mut body: Value) -> Value {
+    if let Value::Struct(members) = &mut body {
+        members.insert("op".into(), Value::from(tag));
+    }
+    body
+}
+
+/// `e`, raised while decoding or installing snapshot member `name`.
+pub(crate) fn in_member(name: &str, e: GaeError) -> GaeError {
+    GaeError::Parse(format!("snapshot member {name:?}: {e}"))
+}
+
+/// Every element of an array value, decoded.
+pub(crate) fn array_of<T>(
+    v: &Value,
+    decode: impl FnMut(&Value) -> GaeResult<T>,
+) -> GaeResult<Vec<T>> {
+    v.as_array()?.iter().map(decode).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gae_types::{JobSpec, Priority, TaskSpec};
+    use crate::grid::{GridBuilder, ServiceStack};
+    use crate::jobmon::JobMonitoringInfo;
+    use crate::monalisa::{event_to_value, series_to_value};
+    use crate::quota::{balance_to_value, ChargeRecord};
+    use crate::replica::{counters_to_value, file_to_value, pending_to_value};
+    use crate::steering::state::{plan_to_record, tracked_job_to_value, TaskPhase, TrackedJob};
+    use crate::steering::SteeringPolicy;
+    use gae_durable::crc32::crc32;
+    use gae_hist::{HistConfig, HistOp, HistRecord, HistStore};
+    use gae_monitor::{JobEvent, MetricKey, Sample};
+    use gae_repl::{Mutation, StateMachine};
+    use gae_types::{
+        ConcretePlan, CondorId, JobId, JobSpec, PlanId, Priority, SiteDescription, SiteId,
+        TaskAssignment, TaskSpec, TaskStatus, UserId,
+    };
     use gae_wire::write_value_document;
+    use gae_xfer::{XferCounters, XferExport};
     use proptest::prelude::*;
 
-    /// A decoded snapshot is a source too: what the differential
-    /// tests feed both encoders.
-    impl SnapshotSource for SnapshotState {
-        fn balances(&self) -> Vec<(UserId, f64)> {
-            self.balances.clone()
-        }
-        fn events(&self) -> (Vec<JobEvent>, u64) {
-            (self.events.clone(), self.evicted)
-        }
-        fn hist(&self) -> Vec<u8> {
-            self.hist.clone()
-        }
-        fn jobmon(&self) -> Vec<JobMonitoringInfo> {
-            self.jobmon.clone()
-        }
-        fn ledger(&self) -> Vec<ChargeRecord> {
-            self.ledger.clone()
-        }
-        fn metrics(&self) -> (Vec<(MetricKey, Vec<Sample>)>, u64) {
-            (self.metrics.clone(), self.metrics_published)
-        }
-        fn steering(&self) -> Vec<TrackedJob> {
-            self.steering.clone()
-        }
-        fn xfer(&self) -> XferExport {
-            self.xfer.clone()
-        }
+    /// Every member of a snapshot, held at once: the whole-state image
+    /// the tree encoder takes and the streaming encoder exists to
+    /// avoid.
+    #[derive(Debug, Default)]
+    struct SnapshotState {
+        events: Vec<JobEvent>,
+        evicted: u64,
+        metrics: Vec<(MetricKey, Vec<Sample>)>,
+        metrics_published: u64,
+        jobmon: Vec<JobMonitoringInfo>,
+        steering: Vec<TrackedJob>,
+        balances: Vec<(UserId, f64)>,
+        ledger: Vec<ChargeRecord>,
+        xfer: XferExport,
+        hist: Vec<u8>,
     }
 
-    /// Every section of `src` held at once — the whole-state image the
-    /// tree encoder needs and the streaming encoder exists to avoid.
-    fn collect(src: &impl SnapshotSource) -> SnapshotState {
-        let (events, evicted) = src.events();
-        let (metrics, metrics_published) = src.metrics();
+    /// What each machine of `stack` exports for its members — the
+    /// tree encoder's input, taken through the services' own export
+    /// calls rather than through the machines.
+    fn collect(stack: &ServiceStack) -> SnapshotState {
+        let monitor = stack.grid.monitor();
+        let (metrics, metrics_published) = monitor.metrics_snapshot();
         SnapshotState {
-            events,
-            evicted,
+            events: monitor.events_snapshot(),
+            evicted: monitor.evicted_count(),
             metrics,
             metrics_published,
-            jobmon: src.jobmon(),
-            steering: src.steering(),
-            balances: src.balances(),
-            ledger: src.ledger(),
-            xfer: src.xfer(),
-            hist: src.hist(),
+            jobmon: stack.jobmon.db_snapshot(),
+            steering: stack.steering.export_jobs(),
+            balances: stack.quota.balances_snapshot(),
+            ledger: stack.quota.ledger(),
+            xfer: stack.grid.with_xfer(|x| x.export()),
+            hist: stack.hist.store().encode(),
         }
     }
 
@@ -965,53 +534,28 @@ mod tests {
     /// `Value` tree of the whole state, written as one document. Kept
     /// as the oracle [`encode_snapshot`] is compared against.
     fn encode_snapshot_tree(state: &SnapshotState) -> Vec<u8> {
-        let array = |items: Vec<Value>| Value::Array(items);
+        fn array<T>(items: &[T], f: impl Fn(&T) -> Value) -> Value {
+            Value::Array(items.iter().map(f).collect())
+        }
+        let xfer = &state.xfer;
         let doc = Value::struct_of([
-            (
-                "events",
-                array(state.events.iter().map(event_to_value).collect()),
-            ),
+            ("events", array(&state.events, event_to_value)),
             ("evicted", Value::from(state.evicted)),
-            (
-                "metrics",
-                array(state.metrics.iter().map(series_to_value).collect()),
-            ),
+            ("metrics", array(&state.metrics, series_to_value)),
             ("metrics_published", Value::from(state.metrics_published)),
-            (
-                "jobmon",
-                array(state.jobmon.iter().map(|i| i.to_value()).collect()),
-            ),
-            (
-                "steering",
-                array(state.steering.iter().map(tracked_job_to_value).collect()),
-            ),
-            (
-                "balances",
-                array(state.balances.iter().map(balance_to_value).collect()),
-            ),
-            (
-                "ledger",
-                array(state.ledger.iter().map(charge_to_record).collect()),
-            ),
+            ("jobmon", array(&state.jobmon, JobMonitoringInfo::to_value)),
+            ("steering", array(&state.steering, tracked_job_to_value)),
+            ("balances", array(&state.balances, balance_to_value)),
+            ("ledger", array(&state.ledger, Journal::encode)),
             (
                 "xfer",
                 Value::struct_of([
                     (
                         "files",
-                        array(state.xfer.files.iter().map(xfer_file_to_value).collect()),
+                        array(&xfer.files, |(l, size, r)| file_to_value(l, *size, r)),
                     ),
-                    (
-                        "pending",
-                        array(
-                            state
-                                .xfer
-                                .pending
-                                .iter()
-                                .map(xfer_pending_to_value)
-                                .collect(),
-                        ),
-                    ),
-                    ("counters", xfer_counters_to_value(&state.xfer.counters)),
+                    ("pending", array(&xfer.pending, pending_to_value)),
+                    ("counters", counters_to_value(&xfer.counters)),
                 ]),
             ),
             ("hist", Value::Base64(state.hist.clone())),
@@ -1019,27 +563,34 @@ mod tests {
         write_value_document(&doc).into_bytes()
     }
 
-    fn encoded(src: &impl SnapshotSource) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_snapshot(src, &mut out).unwrap();
-        out
-    }
-
-    /// Streaming ≡ tree, byte for byte; and the two other sinks — the
-    /// running checksum and the snapshot file — see those same bytes.
-    fn assert_streams_like_the_tree(src: &impl SnapshotSource) -> Vec<u8> {
-        let streamed = encoded(src);
-        let tree = encode_snapshot_tree(&collect(src));
+    /// Streaming ≡ tree, byte for byte, for the state `stack` holds;
+    /// the checksum sink sees those same bytes.
+    fn assert_streams_like_the_tree(stack: &ServiceStack) -> Vec<u8> {
+        let streamed = stack.snapshot();
+        let tree = encode_snapshot_tree(&collect(stack));
         assert!(
             streamed == tree,
             "streamed snapshot differs from the tree encoder's:\n{}\n-- vs --\n{}",
             String::from_utf8_lossy(&streamed),
             String::from_utf8_lossy(&tree)
         );
-        let mut crc = gae_durable::crc32::Crc32::new();
-        encode_snapshot(src, &mut crc).unwrap();
-        assert_eq!(crc.finish(), gae_durable::crc32::crc32(&tree));
+        assert_eq!(stack.query_state(), format!("{:08x}", crc32(&tree)));
         streamed
+    }
+
+    fn fresh() -> Arc<ServiceStack> {
+        ServiceStack::over(
+            GridBuilder::new()
+                .site(SiteDescription::new(SiteId::new(1), "only", 2, 1))
+                .build(),
+        )
+    }
+
+    /// A fresh stack restored from `bytes`.
+    fn restored(bytes: &[u8]) -> Arc<ServiceStack> {
+        let stack = fresh();
+        stack.restore(bytes).expect("the snapshot restores");
+        stack
     }
 
     fn sample_plan() -> ConcretePlan {
@@ -1068,60 +619,41 @@ mod tests {
         plan
     }
 
-    #[test]
-    fn plan_record_roundtrip() {
-        let plan = sample_plan();
-        let decoded = plan_from_record(&plan_to_record(&plan)).unwrap();
-        assert_eq!(decoded.id, plan.id);
-        assert_eq!(decoded.revision, 4);
-        assert_eq!(decoded.job.owner, UserId::new(3));
-        assert_eq!(decoded.job.task_ids(), plan.job.task_ids());
-        assert_eq!(decoded.assignments, plan.assignments);
-    }
-
-    #[test]
-    fn task_record_roundtrip_all_phases() {
-        for phase in [
-            TaskPhase::WaitingPrereqs,
-            TaskPhase::Submitted {
-                site: SiteId::new(2),
-                condor: CondorId::new(19),
-            },
-            TaskPhase::Done {
-                site: SiteId::new(5),
-            },
-            TaskPhase::Failed,
-            TaskPhase::Killed,
-        ] {
-            let t = TrackedTask {
-                task: TaskId::new(9),
-                phase,
-                recovery_attempts: 2,
-                moves: 1,
-            };
-            let (job, decoded) = task_from_record(&task_to_record(JobId::new(4), &t)).unwrap();
-            assert_eq!(job, JobId::new(4));
-            assert_eq!(decoded.task, t.task);
-            assert_eq!(decoded.phase, t.phase);
-            assert_eq!(decoded.recovery_attempts, 2);
-            assert_eq!(decoded.moves, 1);
+    fn hist_row(task: u64, job_type: &str) -> HistRecord {
+        HistRecord {
+            task,
+            site: 2,
+            nodes: 4,
+            submit_us: 1_000_000,
+            start_us: 2_000_000,
+            finish_us: 5_000_000,
+            runtime_us: 3_000_000,
+            success: task.is_multiple_of(2),
+            account: "cms".into(),
+            login: "alice".into(),
+            executable: "reco <&>".into(),
+            queue: "prod".into(),
+            partition: "batch".into(),
+            job_type: job_type.into(),
         }
     }
 
-    #[test]
-    fn charge_record_roundtrip_is_bit_exact() {
-        let c = ChargeRecord {
-            user: UserId::new(1),
-            site: SiteId::new(2),
-            cpu_time: SimDuration::from_secs(12345),
-            // Deliberately awkward float: must survive bit-for-bit.
-            amount: 0.1 + 0.2,
-        };
-        let decoded = charge_from_record(&charge_to_record(&c)).unwrap();
-        assert_eq!(decoded, c);
-        assert_eq!(decoded.amount.to_bits(), c.amount.to_bits());
+    /// The columnar encoding of a store that took `rows`, sealed after
+    /// the first `sealed` of them.
+    fn hist_blob(rows: &[HistRecord], sealed: usize) -> Vec<u8> {
+        let store = HistStore::new(HistConfig::default());
+        for (i, row) in rows.iter().enumerate() {
+            if i == sealed {
+                store.apply(&HistOp::Seal);
+            }
+            store.apply(&HistOp::Append(row.clone()));
+        }
+        store.encode()
     }
 
+    /// A hand-built state with every member populated survives tree
+    /// encoding, restore into a fresh stack and re-streaming, and the
+    /// services hold what it says.
     #[test]
     fn snapshot_roundtrip() {
         let mut tracked = TrackedJob::subscribe(sample_plan()).unwrap();
@@ -1129,7 +661,6 @@ mod tests {
             site: SiteId::new(1),
             condor: CondorId::new(40),
         };
-        tracked.completion_notified = false;
         let state = SnapshotState {
             events: vec![JobEvent {
                 at: SimTime::from_secs(9),
@@ -1171,17 +702,21 @@ mod tests {
                     history_dropped: 7,
                 },
             },
-            hist: gae_hist::HistStore::new(gae_hist::HistConfig::default()).encode(),
+            hist: hist_blob(&[hist_row(9, "analysis")], 1),
         };
-        let decoded = decode_snapshot(&assert_streams_like_the_tree(&state)).unwrap();
-        assert_eq!(decoded.events, state.events);
-        assert_eq!(decoded.evicted, 3);
-        assert_eq!(decoded.metrics, state.metrics);
-        assert_eq!(decoded.metrics_published, 11);
-        assert_eq!(decoded.balances, state.balances);
-        assert_eq!(decoded.ledger, state.ledger);
-        assert_eq!(decoded.steering.len(), 1);
-        let j = &decoded.steering[0];
+        let tree = encode_snapshot_tree(&state);
+        let stack = restored(&tree);
+        assert_eq!(assert_streams_like_the_tree(&stack), tree);
+        let back = collect(&stack);
+        assert_eq!(back.events, state.events);
+        assert_eq!(back.evicted, 3);
+        assert_eq!(back.metrics, state.metrics);
+        assert_eq!(back.metrics_published, 11);
+        assert_eq!(back.balances, state.balances);
+        assert_eq!(back.ledger, state.ledger);
+        assert_eq!(back.xfer, state.xfer);
+        assert_eq!(back.hist, state.hist);
+        let j = &back.steering[0];
         assert_eq!(j.plan.revision, 4);
         assert_eq!(
             j.tasks[&TaskId::new(70)].phase,
@@ -1191,8 +726,6 @@ mod tests {
             }
         );
         assert!(!j.completion_notified);
-        assert_eq!(decoded.xfer, state.xfer);
-        assert_eq!(decoded.hist, state.hist);
     }
 
     /// A snapshot whose task records do not cover the plan must fail
@@ -1200,17 +733,6 @@ mod tests {
     /// `tasks[t]` for every planned id on the next steering round.
     #[test]
     fn restore_rejects_task_records_that_do_not_cover_the_plan() {
-        use crate::grid::{GridBuilder, ServiceStack};
-        use gae_repl::StateMachine;
-        use gae_types::SiteDescription;
-
-        let fresh = || {
-            ServiceStack::over(
-                GridBuilder::new()
-                    .site(SiteDescription::new(SiteId::new(1), "only", 2, 1))
-                    .build(),
-            )
-        };
         let stack = fresh();
         stack.submit_job(sample_plan().job).unwrap();
         let valid = stack.snapshot();
@@ -1251,80 +773,21 @@ mod tests {
         }
     }
 
+    /// An empty payload (a generation-0 snapshot) is the empty state:
+    /// every member empty — the grid's build-time metric samples
+    /// dropped — and the history store the empty store.
     #[test]
-    fn empty_snapshot_decodes_to_default() {
-        let s = decode_snapshot(&[]).unwrap();
-        assert!(s.events.is_empty());
-        assert!(s.steering.is_empty());
-        assert_eq!(s.evicted, 0);
-        assert_eq!(s.xfer, XferExport::default());
-    }
-
-    #[test]
-    fn xfer_record_roundtrip_all_ops() {
-        for op in [
-            JournalOp::Register {
-                lfn: "a".into(),
-                size: 42,
-                replicas: vec![SiteId::new(1), SiteId::new(9)],
-            },
-            JournalOp::Requested {
-                lfn: "a".into(),
-                to: SiteId::new(2),
-            },
-            JournalOp::Landed {
-                lfn: "a".into(),
-                to: SiteId::new(2),
-            },
-            JournalOp::Failed {
-                lfn: "a".into(),
-                to: SiteId::new(2),
-            },
-            JournalOp::Deleted {
-                lfn: "a".into(),
-                site: SiteId::new(1),
-            },
-            JournalOp::Evicted {
-                lfn: "a".into(),
-                site: SiteId::new(1),
-            },
-        ] {
-            let decoded = xfer_from_record(&xfer_to_record(&op)).unwrap();
-            assert_eq!(decoded, op);
-        }
-        // Unknown ops decode to typed parse errors, never panics.
-        let bogus = Value::struct_of([
-            ("op", Value::from("compress")),
-            ("lfn", Value::from("a")),
-            ("site", Value::from(1u64)),
-        ]);
-        assert!(xfer_from_record(&bogus).is_err());
-    }
-
-    #[test]
-    fn hist_record_roundtrip_all_ops() {
-        let append = HistOp::Append(HistRecord {
-            task: 9,
-            site: 2,
-            nodes: 4,
-            submit_us: 1_000_000,
-            start_us: 2_000_000,
-            finish_us: 5_000_000,
-            runtime_us: 3_000_000,
-            success: true,
-            account: "cms".into(),
-            login: "alice".into(),
-            executable: "reco".into(),
-            queue: "prod".into(),
-            partition: "batch".into(),
-            job_type: "analysis".into(),
-        });
-        for op in [append, HistOp::Seal, HistOp::Compact] {
-            let decoded = hist_from_record(&hist_to_record(&op)).unwrap();
-            assert_eq!(decoded, op);
-        }
-        let bogus = Value::struct_of([("op", Value::from("truncate"))]);
-        assert!(hist_from_record(&bogus).is_err());
+    fn empty_snapshot_restores_the_empty_state() {
+        let empty = SnapshotState {
+            hist: hist_blob(&[], 0),
+            ..SnapshotState::default()
+        };
+        let stack = restored(&[]);
+        assert_eq!(
+            assert_streams_like_the_tree(&stack),
+            encode_snapshot_tree(&empty)
+        );
+        assert_streams_like_the_tree(&fresh());
     }
 
     #[test]
@@ -1333,10 +796,10 @@ mod tests {
         let doc = frame::encode_envelope("plan", &plan_to_record(&plan));
         let m = frame::decode_envelope(doc.as_bytes()).unwrap();
         assert_eq!(m.kind, "plan");
-        assert!(plan_from_record(&m.body).is_ok());
+        assert!(crate::steering::state::plan_from_record(&m.body).is_ok());
         // The envelope codec now lives in gae-repl (leader and
         // followers must agree on bytes); this pins the on-disk format
-        // to what [`Persistence::append`] actually writes.
+        // to what [`Persistence::log`] actually writes.
         let legacy = write_value_document(&Value::struct_of([
             ("kind", Value::from("plan")),
             ("body", plan_to_record(&plan)),
@@ -1347,6 +810,146 @@ mod tests {
         assert!(frame::decode_envelope(b"<value><int>3</int></value>").is_err());
         assert!(frame::decode_envelope(&doc.as_bytes()[..doc.len() / 2]).is_err());
     }
+
+    /// The ten snapshot members the format has always had.
+    const MEMBERS: [&str; 10] = [
+        "balances",
+        "events",
+        "evicted",
+        "hist",
+        "jobmon",
+        "ledger",
+        "metrics",
+        "metrics_published",
+        "steering",
+        "xfer",
+    ];
+
+    /// Every record kind has exactly one owning machine, every member
+    /// exactly one owner, and together they are the seven kinds and ten
+    /// members the format has always had.
+    #[test]
+    fn every_kind_and_member_has_exactly_one_owner() {
+        let stack = fresh();
+        let machines = stack.machines();
+        let mut kinds: Vec<&str> = machines
+            .iter()
+            .flat_map(|m| m.owns().0.iter().copied())
+            .collect();
+        kinds.sort_unstable();
+        assert_eq!(
+            kinds,
+            ["charge", "hist", "jobmon", "notified", "plan", "task", "xfer"],
+            "each kind once, owned"
+        );
+        let mut members: Vec<&str> = machines
+            .iter()
+            .flat_map(|m| m.owns().1.iter().copied())
+            .collect();
+        members.sort_unstable();
+        assert_eq!(members, MEMBERS, "each member once, owned");
+    }
+
+    /// A record no machine owns is the typed error it always was.
+    #[test]
+    fn an_unknown_kind_is_a_typed_parse_error() {
+        let err = fresh()
+            .apply_mutation(&Mutation {
+                kind: "mystery".into(),
+                body: Value::from(1u64),
+            })
+            .unwrap_err();
+        assert!(
+            matches!(&err, GaeError::Parse(m) if m == "unknown wal record kind \"mystery\""),
+            "{err}"
+        );
+    }
+
+    /// `doc` with member `name` replaced by `with`.
+    fn with_member(doc: &[u8], name: &str, with: Value) -> Vec<u8> {
+        let mut doc = parse_value_document(std::str::from_utf8(doc).unwrap()).unwrap();
+        let Value::Struct(members) = &mut doc else {
+            panic!("snapshot is a struct")
+        };
+        assert!(members.insert(name.into(), with).is_some(), "{name}");
+        write_value_document(&doc).into_bytes()
+    }
+
+    /// A snapshot with a right checksum and one member that does not
+    /// decode (or, for the history blob, install) is refused with a
+    /// typed error naming the member. A live stack asked to restore it
+    /// keeps exactly what it held — nothing half-installed, though the
+    /// snapshot's other members all differ from the live state — and
+    /// recovery from a store anchored at it returns the error and no
+    /// stack.
+    #[test]
+    fn a_corrupt_member_names_itself_and_installs_nothing() {
+        let stack = fresh();
+        stack.submit_job(sample_plan().job).unwrap();
+        stack.run_until(SimTime::from_secs(20));
+        let earlier = stack.snapshot();
+        stack.run_until(SimTime::from_secs(200));
+        let live = stack.snapshot();
+        assert_ne!(earlier, live);
+        for (member, corrupt) in [
+            ("events", Value::from("not an array")),
+            ("ledger", Value::Array(vec![Value::from(1u64)])),
+            ("xfer", Value::empty_struct()),
+            ("hist", Value::Base64(b"not a history store".to_vec())),
+        ] {
+            let bad = with_member(&earlier, member, corrupt);
+            let named = |err: &GaeError| {
+                matches!(err, GaeError::Parse(m)
+                    if m.starts_with(&format!("snapshot member {member:?}: ")))
+            };
+            let err = stack.restore(&bad).unwrap_err();
+            assert!(named(&err), "{member}: {err}");
+            assert!(
+                stack.snapshot() == live,
+                "{member}: restore changed the stack"
+            );
+
+            let dir = gae_durable::fault::unique_temp_dir("persist-corrupt-member");
+            let mut store = DurableStore::create(&dir, false).unwrap();
+            store.rotate(&bad).unwrap();
+            drop(store);
+            let recovered = ServiceStack::recover_from_disk(
+                fresh().grid.clone(),
+                SteeringPolicy::default(),
+                SimDuration::from_secs(5),
+                &PersistenceConfig::new(&dir).fsync(false),
+            );
+            match recovered {
+                Err(err) => assert!(named(&err), "{member}: {err}"),
+                Ok(_) => panic!("{member}: recovered from a corrupt snapshot"),
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// Streams base64 around the piece size and its 3-byte groups:
+    /// the pieces concatenate to the encoding of the whole.
+    #[test]
+    fn base64_members_stream_like_the_tree() {
+        for len in 2 * BASE64_CHUNK - 2..2 * BASE64_CHUNK + 3 {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            let mut out = Vec::new();
+            MemberWriter {
+                out: &mut out,
+                chunk: String::new(),
+            }
+            .base64("hist", &bytes)
+            .unwrap();
+            let mut tree = String::new();
+            write_value(&Value::Base64(bytes), &mut tree);
+            assert_eq!(
+                String::from_utf8(out).unwrap(),
+                format!("<member><name>hist</name>{tree}</member>"),
+                "{len} bytes"
+            );
+        }
+    }
+
     /// Strings that need XML escaping, or none, or are empty.
     fn arb_text() -> impl Strategy<Value = String> {
         prop_oneof![
@@ -1486,14 +1089,24 @@ mod tests {
     }
 
     fn arb_xfer() -> impl Strategy<Value = XferExport> {
-        let sites = || prop::collection::vec((1u64..9).prop_map(SiteId::new), 0..3);
+        /// Up to two distinct items, sorted.
+        fn set<S: Strategy>(items: S) -> impl Strategy<Value = Vec<S::Value>>
+        where
+            S::Value: Ord,
+        {
+            prop::collection::btree_map(items, Just(()), 0..3).prop_map(|m| m.into_keys().collect())
+        }
+        let site = || (1u64..9).prop_map(SiteId::new);
         (
-            prop::collection::vec((arb_text(), 0u64..1 << 40, sites()), 0..4),
-            prop::collection::vec((arb_text(), (1u64..9).prop_map(SiteId::new)), 0..3),
+            prop::collection::btree_map(arb_text(), (0u64..1 << 40, set(site())), 0..4),
+            set((arb_text(), site())),
             prop::collection::vec(0u64..1000, 5..6),
         )
             .prop_map(|(files, pending, c)| XferExport {
-                files,
+                files: files
+                    .into_iter()
+                    .map(|(lfn, (size, sites))| (lfn, size, sites))
+                    .collect(),
                 pending,
                 counters: XferCounters {
                     completed: c[0],
@@ -1505,6 +1118,18 @@ mod tests {
             })
     }
 
+    /// A random snapshot state *a live stack can export*: restoring
+    /// normalises its input, so the generator does it first. Metric
+    /// series are key-unique, `(site, entity, param)`-sorted and hold
+    /// at least one sample (the store exports no empty ring); job
+    /// reports are task-unique and task-sorted, tracked jobs job-unique
+    /// and job-sorted, balances user-unique and user-sorted (each store
+    /// is keyed, and exports in key order); transfer files are
+    /// lfn-unique and lfn-sorted with sorted, distinct replicas, and
+    /// pending requests sorted and distinct (the scheduler holds sets);
+    /// the history member is a real columnar encoding (it is decoded,
+    /// not carried). Lengths stay under the event-log and ring
+    /// capacities, which would truncate.
     fn arb_state() -> impl Strategy<Value = SnapshotState> {
         let event = (arb_time(), 0u64..50, 0u64..500, 1u64..9, arb_status()).prop_map(
             |(at, job, task, site, status)| JobEvent {
@@ -1516,30 +1141,49 @@ mod tests {
             },
         );
         let sample = (arb_time(), arb_amount()).prop_map(|(at, value)| Sample { at, value });
-        let series = (
+        let metrics = prop::collection::btree_map(
             (0u64..9, arb_text(), arb_text()),
-            prop::collection::vec(sample, 0..5),
+            prop::collection::vec(sample, 1..5),
+            0..4,
         )
-            .prop_map(|((site, entity, param), samples)| {
-                (MetricKey::new(SiteId::new(site), entity, param), samples)
+        .prop_map(|series| {
+            series
+                .into_iter()
+                .map(|((site, entity, param), samples)| {
+                    (MetricKey::new(SiteId::new(site), entity, param), samples)
+                })
+                .collect::<Vec<_>>()
+        });
+        fn by_key<T>(mut items: Vec<T>, key: impl Fn(&T) -> u64) -> Vec<T> {
+            items.sort_by_key(&key);
+            items.dedup_by_key(|i| key(i));
+            items
+        }
+        let jobmon = prop::collection::vec(arb_info(), 0..4)
+            .prop_map(|infos| by_key(infos, |i| i.task.raw()));
+        let steering = prop::collection::vec(arb_tracked(), 0..3)
+            .prop_map(|jobs| by_key(jobs, |j| j.plan.job_id().raw()));
+        let balances =
+            prop::collection::btree_map((0u64..9).prop_map(UserId::new), arb_amount(), 0..4)
+                .prop_map(|b| b.into_iter().collect::<Vec<_>>());
+        let hist = (
+            prop::collection::vec((0u64..1000, arb_text()), 0..6),
+            0usize..6,
+        )
+            .prop_map(|(rows, sealed)| {
+                let rows: Vec<HistRecord> = rows
+                    .iter()
+                    .map(|(task, kind)| hist_row(*task, kind))
+                    .collect();
+                hist_blob(&rows, sealed)
             });
         (
             (prop::collection::vec(event, 0..5), 0u64..100),
-            (prop::collection::vec(series, 0..4), 0u64..10_000),
-            (
-                prop::collection::vec(arb_info(), 0..4),
-                prop::collection::vec(arb_tracked(), 0..3),
-            ),
-            (
-                prop::collection::vec(((0u64..9).prop_map(UserId::new), arb_amount()), 0..4),
-                prop::collection::vec(arb_charge(), 0..4),
-            ),
+            (metrics, 0u64..10_000),
+            (jobmon, steering),
+            (balances, prop::collection::vec(arb_charge(), 0..4)),
             arb_xfer(),
-            // Around the base64 piece size and its 3-byte groups.
-            prop_oneof![
-                prop::collection::vec(any::<u8>(), 0..8),
-                (0usize..5).prop_map(|extra| vec![0x5A; 2 * BASE64_CHUNK - 2 + extra]),
-            ],
+            hist,
         )
             .prop_map(
                 |(
@@ -1567,20 +1211,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Streaming encoder ≡ tree encoder on arbitrary states —
-        /// empty sections, escaped strings, awkward floats, history
-        /// blobs straddling a base64 piece — and the bytes decode.
+        /// A tree-encoded random state restored into a fresh stack
+        /// re-streams to the same bytes — decode, restore, export and
+        /// the streaming encoder held to the tree encoder at once, over
+        /// empty members, escaped strings and awkward floats.
         #[test]
-        fn streamed_snapshot_is_the_tree_snapshot(state in arb_state()) {
-            let bytes = assert_streams_like_the_tree(&state);
-            let back = decode_snapshot(&bytes).unwrap();
-            prop_assert_eq!(encoded(&back), bytes);
+        fn restored_random_states_restream_like_the_tree(state in arb_state()) {
+            let tree = encode_snapshot_tree(&state);
+            let stack = restored(&tree);
+            prop_assert!(stack.snapshot() == tree);
+            prop_assert_eq!(stack.query_state(), format!("{:08x}", crc32(&tree)));
         }
-    }
-
-    #[test]
-    fn empty_state_streams_like_the_tree() {
-        assert_streams_like_the_tree(&SnapshotState::default());
     }
 
     /// The same differential over live stacks, every section
@@ -1591,10 +1232,7 @@ mod tests {
     /// snapshot goes through the file sink).
     #[test]
     fn live_stacks_stream_like_the_tree() {
-        use crate::grid::{GridBuilder, ServiceStack};
-        use crate::steering::SteeringPolicy;
-        use gae_repl::StateMachine;
-        use gae_types::{FileRef, SiteDescription};
+        use gae_types::FileRef;
 
         let dir = gae_durable::fault::unique_temp_dir("persist-stream");
         let config = PersistenceConfig::new(&dir)
@@ -1612,7 +1250,7 @@ mod tests {
             .build()
         };
         let stack = ServiceStack::over(grid(true));
-        assert_streams_like_the_tree(&*stack);
+        assert_streams_like_the_tree(&stack);
         for j in 1..=4u64 {
             let mut job = JobSpec::new(JobId::new(j), format!("job <{j}>"), UserId::new(j % 2 + 1));
             for i in 0..3u64 {
@@ -1629,23 +1267,19 @@ mod tests {
             }
             stack.submit_job(job).unwrap();
             stack.run_until(SimTime::from_secs(40 * j));
-            let bytes = assert_streams_like_the_tree(&*stack);
-            assert_eq!(stack.snapshot(), bytes);
-            assert_eq!(
-                stack.query_state(),
-                format!("{:08x}", gae_durable::crc32::crc32(&bytes))
-            );
+            assert_streams_like_the_tree(&stack);
         }
         let generation = stack.persistence().unwrap().generation();
         assert!(generation >= 1, "the cadence rotated at least once");
-        let before = encoded(&*stack);
+        let crashed = collect(&stack);
         drop(stack);
 
         // The rotation wrote its snapshot through the file sink: the
-        // payload on disk is a document the decoder takes whole.
-        let on_disk = gae_durable::DurableStore::recover(&dir).unwrap();
+        // payload on disk restores whole and re-streams to itself.
+        let on_disk = DurableStore::recover(&dir).unwrap();
         assert_eq!(on_disk.generation, generation);
-        assert_streams_like_the_tree(&decode_snapshot(&on_disk.snapshot).unwrap());
+        let at_rotation = restored(&on_disk.snapshot);
+        assert_eq!(assert_streams_like_the_tree(&at_rotation), on_disk.snapshot);
 
         let (recovered, report) = ServiceStack::recover_from_disk(
             grid(false),
@@ -1659,11 +1293,13 @@ mod tests {
         // The resume snapshot went through the file sink too; it holds
         // the replayed job repository (metric rings restart from the
         // last rotation — only snapshots carry them).
-        let resumed = gae_durable::DurableStore::recover(&dir).unwrap();
+        let resumed = DurableStore::recover(&dir).unwrap();
         assert_eq!(resumed.generation, generation + 1);
-        let resumed = decode_snapshot(&resumed.snapshot).unwrap();
-        assert_streams_like_the_tree(&resumed);
-        let crashed = decode_snapshot(&before).unwrap();
+        let resumed_stack = restored(&resumed.snapshot);
+        assert_eq!(
+            assert_streams_like_the_tree(&resumed_stack),
+            resumed.snapshot
+        );
         for (section, len) in [
             ("events", crashed.events.len()),
             ("metrics", crashed.metrics.len()),
@@ -1679,15 +1315,31 @@ mod tests {
                 "the {section} section is empty: the differential is vacuous"
             );
         }
+        let resumed = collect(&resumed_stack);
         assert_eq!(resumed.jobmon, crashed.jobmon);
         assert_eq!(resumed.ledger, crashed.ledger);
         assert_eq!(resumed.hist, crashed.hist);
-        assert_streams_like_the_tree(&*recovered);
+        assert_streams_like_the_tree(&recovered);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn numbered(n: u64) -> Value {
         Value::struct_of([("n", Value::from(n))])
+    }
+
+    /// A record of kind `n` carrying its number.
+    struct Numbered(u64);
+
+    impl Journal for Numbered {
+        const KINDS: &'static [&'static str] = &["n"];
+
+        fn encode(&self) -> Value {
+            numbered(self.0)
+        }
+
+        fn decode(_: &str, body: &Value) -> GaeResult<Self> {
+            Ok(Numbered(body.member("n")?.as_u64()?))
+        }
     }
 
     /// The `n`s of every record in `dir`'s log, oldest first — read
@@ -1751,7 +1403,7 @@ mod tests {
         for step in script {
             match step {
                 Append(n) => {
-                    p.append("n", numbered(n));
+                    p.log(&Numbered(n));
                     store.append(frame::encode_envelope("n", &numbered(n)).into_bytes());
                 }
                 Commit => assert_eq!(p.commit().unwrap(), store.commit().unwrap()),
@@ -1778,13 +1430,13 @@ mod tests {
     fn appenders_never_wait_for_a_commit() {
         let dir = gae_durable::fault::unique_temp_dir("persist-nowait");
         let p = Persistence::create(&PersistenceConfig::new(&dir)).unwrap();
-        p.append("n", numbered(1));
+        p.log(&Numbered(1));
         assert_eq!(p.commit().unwrap(), 1);
         let (done, appended) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
             let in_commit = p.store.lock();
             s.spawn(|| {
-                p.append("n", numbered(2));
+                p.log(&Numbered(2));
                 done.send(()).unwrap();
             });
             let returned = appended.recv_timeout(std::time::Duration::from_secs(20));
@@ -1832,7 +1484,7 @@ mod tests {
                     while n > begun.load(Ordering::SeqCst) * PER_COMMIT + AHEAD {
                         std::thread::yield_now();
                     }
-                    p.append("n", numbered(n));
+                    p.log(&Numbered(n));
                     appended.store(n, Ordering::SeqCst);
                 }
             });
@@ -1867,10 +1519,6 @@ mod tests {
     /// and kind, not a bare parse message.
     #[test]
     fn a_bad_wal_record_is_reported_with_its_sequence_and_kind() {
-        use crate::grid::{GridBuilder, ServiceStack};
-        use crate::steering::SteeringPolicy;
-        use gae_types::SiteDescription;
-
         let grid = || {
             GridBuilder::new()
                 .site(SiteDescription::new(SiteId::new(1), "only", 2, 1))

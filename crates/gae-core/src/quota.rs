@@ -6,9 +6,12 @@
 //! site charge rates, per-user balances, cost quotes, and charging on
 //! completion.
 
+use crate::persist::{array_of, section, Install, Journal, Machine, MemberWriter, Owns};
 use gae_types::{GaeError, GaeResult, SimDuration, SiteDescription, SiteId, UserId};
+use gae_wire::Value;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::io;
 
 /// One accounting ledger entry.
 #[derive(Clone, Debug, PartialEq)]
@@ -94,29 +97,12 @@ impl QuotaService {
         self.ledger.read().clone()
     }
 
-    /// Re-applies a ledger entry verbatim — the WAL replay path.
-    /// Unlike [`Self::charge`] this does not re-quote: the logged
-    /// amount is deducted bit-for-bit, so recovery never depends on
-    /// rate registration order or floating-point re-derivation.
-    pub fn apply_charge(&self, record: ChargeRecord) {
-        *self.balances.write().entry(record.user).or_insert(0.0) -= record.amount;
-        self.ledger.write().push(record);
-    }
-
     /// All balances, user-sorted (deterministic snapshot export).
     pub fn balances_snapshot(&self) -> Vec<(UserId, f64)> {
         let mut out: Vec<(UserId, f64)> =
             self.balances.read().iter().map(|(u, b)| (*u, *b)).collect();
         out.sort_by_key(|(u, _)| *u);
         out
-    }
-
-    /// Replaces balances and ledger, as when restoring a snapshot.
-    /// Registered rates are untouched — they derive from the grid
-    /// topology, not from accounting history.
-    pub fn restore(&self, balances: Vec<(UserId, f64)>, ledger: Vec<ChargeRecord>) {
-        *self.balances.write() = balances.into_iter().collect();
-        *self.ledger.write() = ledger;
     }
 
     /// Total charged to one user.
@@ -136,9 +122,100 @@ impl Default for QuotaService {
     }
 }
 
+/// A charge is journaled with its amount, so replay never re-quotes.
+impl Journal for ChargeRecord {
+    const KINDS: &'static [&'static str] = &["charge"];
+
+    fn encode(&self) -> Value {
+        Value::struct_of([
+            ("user", Value::from(self.user.raw())),
+            ("site", Value::from(self.site.raw())),
+            ("cpu_us", Value::from(self.cpu_time.as_micros())),
+            ("amount", Value::Double(self.amount)),
+        ])
+    }
+
+    fn decode(_: &str, v: &Value) -> GaeResult<Self> {
+        Ok(ChargeRecord {
+            user: UserId::new(v.member("user")?.as_u64()?),
+            site: SiteId::new(v.member("site")?.as_u64()?),
+            cpu_time: SimDuration::from_micros(v.member("cpu_us")?.as_u64()?),
+            amount: v.member("amount")?.as_f64()?,
+        })
+    }
+}
+
+/// Restoring replaces balances and ledger; registered rates are
+/// untouched — they derive from the grid topology, not from accounting
+/// history.
+impl Machine for QuotaService {
+    fn owns(&self) -> Owns {
+        (ChargeRecord::KINDS, &["balances", "ledger"])
+    }
+
+    /// Re-applies a ledger entry verbatim. Unlike [`Self::charge`]
+    /// this does not re-quote: the logged amount is deducted
+    /// bit-for-bit, so recovery never depends on rate registration
+    /// order or floating-point re-derivation.
+    fn apply(&self, kind: &str, body: &Value) -> GaeResult<()> {
+        let record = ChargeRecord::decode(kind, body)?;
+        *self.balances.write().entry(record.user).or_insert(0.0) -= record.amount;
+        self.ledger.write().push(record);
+        Ok(())
+    }
+
+    fn write_member(&self, name: &str, doc: &mut MemberWriter<'_>) -> io::Result<()> {
+        if name == "ledger" {
+            doc.array(name, self.ledger().iter().map(Journal::encode))
+        } else {
+            doc.array(name, self.balances_snapshot().iter().map(balance_to_value))
+        }
+    }
+
+    fn decode<'a>(&'a self, doc: &'a Value) -> GaeResult<Install<'a>> {
+        let balances = section(doc, "balances", |v| array_of(v, balance_from_value))?;
+        let ledger = section(doc, "ledger", |v| {
+            array_of(v, |c| ChargeRecord::decode("charge", c))
+        })?;
+        Ok(Box::new(move || {
+            *self.balances.write() = balances.into_iter().collect();
+            *self.ledger.write() = ledger;
+            Ok(())
+        }))
+    }
+}
+
+fn balance_from_value(b: &Value) -> GaeResult<(UserId, f64)> {
+    Ok((
+        UserId::new(b.member("user")?.as_u64()?),
+        b.member("amount")?.as_f64()?,
+    ))
+}
+
+pub(crate) fn balance_to_value((user, amount): &(UserId, f64)) -> Value {
+    Value::struct_of([
+        ("user", Value::from(user.raw())),
+        ("amount", Value::Double(*amount)),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn charge_record_roundtrip_is_bit_exact() {
+        let c = ChargeRecord {
+            user: UserId::new(1),
+            site: SiteId::new(2),
+            cpu_time: SimDuration::from_secs(12345),
+            // Deliberately awkward float: must survive bit-for-bit.
+            amount: 0.1 + 0.2,
+        };
+        let decoded = ChargeRecord::decode(c.kind(), &c.encode()).unwrap();
+        assert_eq!(decoded, c);
+        assert_eq!(decoded.amount.to_bits(), c.amount.to_bits());
+    }
 
     fn site(id: u64, rate: f64) -> SiteDescription {
         SiteDescription::new(SiteId::new(id), format!("s{id}"), 1, 1).with_charge(rate, 0.1)

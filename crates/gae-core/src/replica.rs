@@ -17,10 +17,13 @@
 //! lands them during [`Grid::advance_to`], no catalog poll needed.
 
 use crate::grid::Grid;
+use crate::persist::{self, array_of, Install, Journal, Machine, MemberWriter, Owns, Persistence};
 use gae_rpc::{CallContext, MethodInfo, Service};
 use gae_types::{FileRef, GaeError, GaeResult, SimTime, SiteId, TaskSpec};
 use gae_wire::Value;
+use gae_xfer::{JournalOp, XferCounters, XferExport};
 use parking_lot::Mutex;
+use std::io;
 use std::sync::Arc;
 
 pub use gae_xfer::TransferRecord;
@@ -157,14 +160,7 @@ impl Service for ReplicaRpc {
                     .ok_or_else(|| GaeError::Parse("lookup(lfn)".into()))?
                     .as_str()?;
                 Ok(match self.catalog.lookup(lfn) {
-                    Some(f) => Value::struct_of([
-                        ("lfn", Value::from(f.logical_name)),
-                        ("size", Value::from(f.size_bytes)),
-                        (
-                            "replicas",
-                            Value::Array(f.replicas.iter().map(|s| Value::from(s.raw())).collect()),
-                        ),
-                    ]),
+                    Some(f) => file_to_value(&f.logical_name, f.size_bytes, &f.replicas),
                     None => Value::Nil,
                 })
             }
@@ -211,12 +207,209 @@ impl Service for ReplicaRpc {
     }
 }
 
+/// The transfer journal: one record per op, its own tag under `op`.
+impl Journal for JournalOp {
+    const KINDS: &'static [&'static str] = &["xfer"];
+
+    fn encode(&self) -> Value {
+        let body = match self {
+            JournalOp::Register {
+                lfn,
+                size,
+                replicas,
+            } => file_to_value(lfn, *size, replicas),
+            JournalOp::Requested { lfn, to }
+            | JournalOp::Landed { lfn, to }
+            | JournalOp::Failed { lfn, to }
+            | JournalOp::Deleted { lfn, site: to }
+            | JournalOp::Evicted { lfn, site: to } => Value::struct_of([
+                ("lfn", Value::from(lfn.as_str())),
+                ("site", Value::from(to.raw())),
+            ]),
+        };
+        // `JournalOp::kind` is the op's own tag (inherent), not the
+        // record kind.
+        persist::tagged(JournalOp::kind(self), body)
+    }
+
+    fn decode(_: &str, v: &Value) -> GaeResult<Self> {
+        let op = v.member("op")?.as_str()?;
+        if op == "register" {
+            let (lfn, size, replicas) = file_from_value(v)?;
+            return Ok(JournalOp::Register {
+                lfn,
+                size,
+                replicas,
+            });
+        }
+        let lfn = v.member("lfn")?.as_str()?.to_string();
+        let site = SiteId::new(v.member("site")?.as_u64()?);
+        Ok(match op {
+            "requested" => JournalOp::Requested { lfn, to: site },
+            "landed" => JournalOp::Landed { lfn, to: site },
+            "failed" => JournalOp::Failed { lfn, to: site },
+            "deleted" => JournalOp::Deleted { lfn, site },
+            "evicted" => JournalOp::Evicted { lfn, site },
+            other => return Err(GaeError::Parse(format!("unknown xfer op {other:?}"))),
+        })
+    }
+}
+
+/// The grid is the transfer scheduler's machine: it owns the
+/// scheduler's lock, and every call through it drains the
+/// scheduler's updates into the execution services.
+impl Machine for Grid {
+    /// The scheduler journals through a callback: gae-xfer knows
+    /// nothing of the WAL.
+    fn attach(&self, persistence: &Arc<Persistence>) {
+        let p = persistence.clone();
+        self.with_xfer(|x| x.set_journal(Box::new(move |op| p.log(op))));
+    }
+
+    fn owns(&self) -> Owns {
+        (JournalOp::KINDS, &["xfer"])
+    }
+
+    fn apply(&self, kind: &str, body: &Value) -> GaeResult<()> {
+        let op = JournalOp::decode(kind, body)?;
+        self.with_xfer(|x| x.apply_journal(&op));
+        Ok(())
+    }
+
+    fn write_member(&self, name: &str, doc: &mut MemberWriter<'_>) -> io::Result<()> {
+        let xfer = self.with_xfer(|x| x.export());
+        doc.open(name, "<value><struct>")?;
+        doc.member("counters", &counters_to_value(&xfer.counters))?;
+        doc.array(
+            "files",
+            xfer.files
+                .iter()
+                .map(|(l, size, r)| file_to_value(l, *size, r)),
+        )?;
+        doc.array("pending", xfer.pending.iter().map(pending_to_value))?;
+        doc.raw("</struct></value></member>")
+    }
+
+    fn decode<'a>(&'a self, doc: &'a Value) -> GaeResult<Install<'a>> {
+        // Snapshots from before the data plane existed carry no
+        // transfer state; start it empty.
+        let export = persist::optional_section(doc, "xfer", export_from_value)?;
+        Ok(Box::new(move || {
+            self.with_xfer(|x| x.restore(&export));
+            Ok(())
+        }))
+    }
+}
+
+fn replicas_to_value(replicas: &[SiteId]) -> Value {
+    Value::Array(replicas.iter().map(|s| Value::from(s.raw())).collect())
+}
+
+fn replicas_from_value(v: &Value) -> GaeResult<Vec<SiteId>> {
+    array_of(v, |s| Ok(SiteId::new(s.as_u64()?)))
+}
+
+pub(crate) fn file_to_value(lfn: &str, size: u64, replicas: &[SiteId]) -> Value {
+    Value::struct_of([
+        ("lfn", Value::from(lfn)),
+        ("size", Value::from(size)),
+        ("replicas", replicas_to_value(replicas)),
+    ])
+}
+
+fn file_from_value(v: &Value) -> GaeResult<(String, u64, Vec<SiteId>)> {
+    Ok((
+        v.member("lfn")?.as_str()?.to_string(),
+        v.member("size")?.as_u64()?,
+        replicas_from_value(v.member("replicas")?)?,
+    ))
+}
+
+pub(crate) fn counters_to_value(c: &XferCounters) -> Value {
+    Value::struct_of([
+        ("completed", Value::from(c.completed)),
+        ("failed", Value::from(c.failed)),
+        ("retried", Value::from(c.retried)),
+        ("evicted", Value::from(c.evicted)),
+        ("history_dropped", Value::from(c.history_dropped)),
+    ])
+}
+
+pub(crate) fn pending_to_value((lfn, to): &(String, SiteId)) -> Value {
+    Value::struct_of([
+        ("lfn", Value::from(lfn.as_str())),
+        ("to", Value::from(to.raw())),
+    ])
+}
+
+fn export_from_value(v: &Value) -> GaeResult<XferExport> {
+    let counters = v.member("counters")?;
+    Ok(XferExport {
+        files: array_of(v.member("files")?, file_from_value)?,
+        pending: array_of(v.member("pending")?, |p| {
+            Ok((
+                p.member("lfn")?.as_str()?.to_string(),
+                SiteId::new(p.member("to")?.as_u64()?),
+            ))
+        })?,
+        counters: XferCounters {
+            completed: counters.member("completed")?.as_u64()?,
+            failed: counters.member("failed")?.as_u64()?,
+            retried: counters.member("retried")?.as_u64()?,
+            evicted: counters.member("evicted")?.as_u64()?,
+            history_dropped: counters.member("history_dropped")?.as_u64()?,
+        },
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::GridBuilder;
     use gae_sim::{Link, NetworkModel};
     use gae_types::{SimDuration, SiteDescription};
+
+    #[test]
+    fn xfer_record_roundtrip_all_ops() {
+        for op in [
+            JournalOp::Register {
+                lfn: "a".into(),
+                size: 42,
+                replicas: vec![SiteId::new(1), SiteId::new(9)],
+            },
+            JournalOp::Requested {
+                lfn: "a".into(),
+                to: SiteId::new(2),
+            },
+            JournalOp::Landed {
+                lfn: "a".into(),
+                to: SiteId::new(2),
+            },
+            JournalOp::Failed {
+                lfn: "a".into(),
+                to: SiteId::new(2),
+            },
+            JournalOp::Deleted {
+                lfn: "a".into(),
+                site: SiteId::new(1),
+            },
+            JournalOp::Evicted {
+                lfn: "a".into(),
+                site: SiteId::new(1),
+            },
+        ] {
+            assert_eq!(Journal::kind(&op), "xfer");
+            let decoded = JournalOp::decode("xfer", &op.encode()).unwrap();
+            assert_eq!(decoded, op);
+        }
+        // Unknown ops decode to typed parse errors, never panics.
+        let bogus = Value::struct_of([
+            ("op", Value::from("compress")),
+            ("lfn", Value::from("a")),
+            ("site", Value::from(1u64)),
+        ]);
+        assert!(JournalOp::decode("xfer", &bogus).is_err());
+    }
 
     fn grid() -> Arc<Grid> {
         let mut net = NetworkModel::new(Link::new(1e6, SimDuration::ZERO));

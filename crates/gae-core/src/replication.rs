@@ -1,8 +1,12 @@
 //! The service stack as a replicated state machine.
 //!
-//! Satellite of DESIGN.md §13: the ad-hoc replay paths — steering
-//! plans/tasks/notifications, jobmon info, quota charges, xfer
-//! journal ops, history-store ops — are one [`StateMachine`] here. Single-node
+//! Satellite of DESIGN.md §13: [`StateMachine`] for [`ServiceStack`] is
+//! the loop over [`ServiceStack::machines`] — a committed record goes to
+//! the one machine whose journal owns its kind, a snapshot is every
+//! machine's members in name order, and a restore decodes every
+//! machine's members before it installs any. No subsystem is named
+//! here: each one's replay and restore live with its codecs, in its own
+//! module (DESIGN.md §8 "How a subsystem journals"). Single-node
 //! recovery ([`ServiceStack::recover_from_disk`]) and replication
 //! followers drive the exact same code, which is why a promoted
 //! follower's rebuilt schedule is byte-identical to what the dead
@@ -15,6 +19,7 @@
 
 use crate::grid::ServiceStack;
 use crate::persist;
+use gae_durable::crc32::Crc32;
 use gae_obs::ObsHub;
 use gae_repl::{Mutation, ReplStats, ReplicationSink, StateMachine};
 use gae_types::{GaeError, GaeResult, SimTime};
@@ -24,74 +29,47 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 impl StateMachine for ServiceStack {
-    /// Applies one committed journal record — the replay language the
-    /// WAL has always spoken, shared verbatim with crash recovery.
+    /// Applies one committed journal record through the machine that
+    /// owns its kind — the replay language the WAL has always spoken,
+    /// shared verbatim with crash recovery.
     fn apply_mutation(&self, mutation: &Mutation) -> GaeResult<()> {
-        let body = &mutation.body;
-        match mutation.kind.as_str() {
-            "jobmon" => {
-                let info = crate::jobmon::JobMonitoringInfo::from_value(body)?;
-                self.jobmon.replay_info(info);
-            }
-            "plan" => self
-                .steering
-                .replay_plan(persist::plan_from_record(body)?)?,
-            "task" => {
-                let (job, task) = persist::task_from_record(body)?;
-                self.steering.replay_task(job, task);
-            }
-            "notified" => {
-                let job = gae_types::JobId::new(body.member("job")?.as_u64()?);
-                self.steering.replay_notified(job);
-            }
-            "charge" => self.quota.apply_charge(persist::charge_from_record(body)?),
-            "xfer" => {
-                let op = persist::xfer_from_record(body)?;
-                self.grid.with_xfer(|x| x.apply_journal(&op));
-            }
-            "hist" => self.hist.replay(persist::hist_from_record(body)?),
-            other => {
-                return Err(GaeError::Parse(format!(
-                    "unknown wal record kind {other:?}"
-                )))
-            }
-        }
-        Ok(())
+        let kind = mutation.kind.as_str();
+        self.machines()
+            .iter()
+            .find(|m| m.owns().0.contains(&kind))
+            .ok_or_else(|| GaeError::Parse(format!("unknown wal record kind {kind:?}")))?
+            .apply(kind, &mutation.body)
     }
 
     /// A deterministic digest of the persisted state: the CRC of the
     /// canonical snapshot encoding.
     fn query_state(&self) -> String {
-        let mut crc = gae_durable::crc32::Crc32::new();
-        persist::encode_snapshot(self, &mut crc).expect("a checksum accepts every write");
+        let mut crc = Crc32::new();
+        persist::encode_snapshot(&self.machines(), &mut crc)
+            .expect("invariant: a checksum accepts every write");
         format!("{:08x}", crc.finish())
     }
 
     fn snapshot(&self) -> Vec<u8> {
         let mut snapshot = Vec::new();
-        persist::encode_snapshot(self, &mut snapshot).expect("a Vec accepts every write");
+        persist::encode_snapshot(&self.machines(), &mut snapshot)
+            .expect("invariant: a Vec accepts every write");
         snapshot
     }
 
-    /// Restores every persisted service from a snapshot payload (no
-    /// publication, no logging).
+    /// Restores every machine's members from a snapshot payload (no
+    /// publication, no logging). Every member is decoded before any is
+    /// installed, so a payload that fails to decode leaves the stack as
+    /// it was; the one install that can fail runs first (see
+    /// [`ServiceStack::machines`]).
     fn restore(&self, snapshot: &[u8]) -> GaeResult<()> {
-        let snap = persist::decode_snapshot(snapshot)?;
-        self.grid
-            .monitor()
-            .restore_events(snap.events, snap.evicted);
-        self.grid
-            .monitor()
-            .restore_metrics(snap.metrics, snap.metrics_published);
-        for info in snap.jobmon {
-            self.jobmon.restore_info(info);
-        }
-        for job in snap.steering {
-            self.steering.restore_job(job);
-        }
-        self.quota.restore(snap.balances, snap.ledger);
-        self.grid.with_xfer(|x| x.restore(&snap.xfer));
-        self.hist.restore(&snap.hist)?;
+        let doc = persist::decode_snapshot(snapshot)?;
+        let machines = self.machines();
+        let installs = machines
+            .iter()
+            .map(|m| m.decode(&doc))
+            .collect::<GaeResult<Vec<_>>>()?;
+        installs.into_iter().try_for_each(|install| install())?;
         Ok(())
     }
 }

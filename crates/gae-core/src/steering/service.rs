@@ -5,11 +5,13 @@ use crate::estimator::EstimatorService;
 use crate::grid::Grid;
 use crate::jobmon::JobMonitoringInfo;
 use crate::jobmon::JobMonitoringService;
-use crate::persist::{self, Persistence};
+use crate::persist::{
+    array_of, section, Install, Journal, Machine, MemberWriter, Owns, Persistence,
+};
 use crate::quota::{ChargeRecord, QuotaService};
 use crate::steering::round::{InFlight, RoundIndex};
 use crate::steering::session::JobAuthorizer;
-use crate::steering::state::{TaskPhase, TrackedJob, TrackedTask};
+use crate::steering::state::{self, SteeringOp, TaskPhase, TrackedJob};
 use crate::steering::SteeringPolicy;
 use gae_exec::{Checkpoint, Progress, TaskProbe};
 use gae_sched::Scheduler;
@@ -17,8 +19,10 @@ use gae_types::{
     ConcretePlan, CondorId, GaeError, GaeResult, JobId, OptimizationPreference, Priority,
     SimDuration, SimTime, SiteId, TaskId, TaskSpec, TaskStatus, UserId,
 };
+use gae_wire::Value;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -245,109 +249,16 @@ impl SteeringService {
 
     // ---- durability (Backup & Recovery's persistent half) ----
 
-    /// Routes every future state transition through the WAL.
-    pub(crate) fn attach_persistence(&self, persistence: Arc<Persistence>) {
-        *self.persist.write() = Some(persistence);
-    }
-
-    /// Logs the current plan of a job. Call *after* the mutation, with
-    /// no job lock held.
-    fn log_plan(&self, job_id: JobId) {
+    /// Journals the record `op` reads off a job's tracked state. Call
+    /// *after* the mutation, with no job lock held; a job that is gone
+    /// by then logs nothing.
+    fn log(&self, job_id: JobId, op: impl FnOnce(&TrackedJob) -> Option<SteeringOp<'_>>) {
         let Some(p) = self.persist.read().clone() else {
             return;
         };
-        let jobs = self.jobs.read();
-        if let Some(tracked) = jobs.get(&job_id) {
-            p.append("plan", persist::plan_to_record(&tracked.plan));
+        if let Some(op) = self.jobs.read().get(&job_id).and_then(op) {
+            p.log(&op);
         }
-    }
-
-    /// Logs the current tracked state of one task. Call *after* the
-    /// mutation, with no job lock held.
-    fn log_task(&self, job_id: JobId, task: TaskId) {
-        let Some(p) = self.persist.read().clone() else {
-            return;
-        };
-        let jobs = self.jobs.read();
-        if let Some(t) = jobs.get(&job_id).and_then(|j| j.tasks.get(&task)) {
-            p.append("task", persist::task_to_record(job_id, t));
-        }
-    }
-
-    fn log_notified(&self, job_id: JobId) {
-        if let Some(p) = self.persist.read().clone() {
-            p.append(
-                "notified",
-                gae_wire::Value::struct_of([("job", gae_wire::Value::from(job_id.raw()))]),
-            );
-        }
-    }
-
-    fn log_charge(&self, record: &ChargeRecord) {
-        if let Some(p) = self.persist.read().clone() {
-            p.append("charge", persist::charge_to_record(record));
-        }
-    }
-
-    /// Replaces (or installs) a job's plan from the WAL, *without*
-    /// submitting anything — submissions are re-armed explicitly after
-    /// replay finishes.
-    pub(crate) fn replay_plan(&self, plan: ConcretePlan) -> GaeResult<()> {
-        let job_id = plan.job_id();
-        let mut jobs = self.jobs.write();
-        match jobs.get_mut(&job_id) {
-            Some(tracked) => {
-                tracked.plan = plan;
-                self.round_index.lock().retrack(job_id, tracked);
-            }
-            None => {
-                let tracked = TrackedJob::subscribe(plan)?;
-                let mut index = self.task_index.write();
-                for t in tracked.plan.job.task_ids() {
-                    index.insert(t, job_id);
-                }
-                jobs.insert(job_id, tracked);
-                self.round_index.lock().track(job_id, Vec::new());
-            }
-        }
-        Ok(())
-    }
-
-    /// Overwrites one task's tracked state from the WAL.
-    pub(crate) fn replay_task(&self, job_id: JobId, task: TrackedTask) {
-        self.task_index.write().insert(task.task, job_id);
-        if let Some(tracked) = self.jobs.write().get_mut(&job_id) {
-            let id = task.task;
-            tracked.tasks.insert(id, task);
-            self.round_index.lock().reindex(job_id, tracked, id);
-        }
-    }
-
-    /// Marks a job's completion notification as already delivered.
-    pub(crate) fn replay_notified(&self, job_id: JobId) {
-        if let Some(tracked) = self.jobs.write().get_mut(&job_id) {
-            tracked.completion_notified = true;
-            self.round_index.lock().forget(job_id);
-        }
-    }
-
-    /// Installs a whole tracked job from a snapshot.
-    pub(crate) fn restore_job(&self, tracked: TrackedJob) {
-        let job_id = tracked.plan.job_id();
-        {
-            let mut index = self.task_index.write();
-            for t in tracked.plan.job.task_ids() {
-                index.insert(t, job_id);
-            }
-        }
-        let mut jobs = self.jobs.write();
-        let mut index = self.round_index.lock();
-        if tracked.completion_notified {
-            index.forget(job_id);
-        } else {
-            index.track(job_id, InFlight::all_of(&tracked));
-        }
-        jobs.insert(job_id, tracked);
     }
 
     /// Deterministic export of the tracker: jobs id-sorted (snapshot
@@ -425,19 +336,28 @@ impl SteeringService {
     pub fn subscribe_plan(&self, plan: ConcretePlan) -> GaeResult<()> {
         let job_id = plan.job_id();
         let tracked = TrackedJob::subscribe(plan)?;
+        self.track(&mut self.jobs.write(), tracked);
+        self.log(job_id, SteeringOp::plan_of);
+        self.submit_ready(job_id)
+    }
+
+    /// Files `tracked` under its job: the task index, the tracker
+    /// `jobs` (locked by the caller) and the round's live set.
+    fn track(&self, jobs: &mut HashMap<JobId, TrackedJob>, tracked: TrackedJob) {
+        let job_id = tracked.plan.job_id();
         {
             let mut index = self.task_index.write();
             for t in tracked.plan.job.task_ids() {
                 index.insert(t, job_id);
             }
         }
-        {
-            let mut jobs = self.jobs.write();
-            jobs.insert(job_id, tracked);
-            self.round_index.lock().track(job_id, Vec::new());
+        let mut round = self.round_index.lock();
+        if tracked.completion_notified {
+            round.forget(job_id);
+        } else {
+            round.track(job_id, InFlight::all_of(&tracked));
         }
-        self.log_plan(job_id);
-        self.submit_ready(job_id)
+        jobs.insert(job_id, tracked);
     }
 
     /// Submits every ready task of a job to its planned site.
@@ -523,7 +443,7 @@ impl SteeringService {
             hub.mark_at(condor.raw(), gae_obs::TimelineEvent::Submit, now);
         }
         self.set_phase(job_id, task, TaskPhase::Submitted { site, condor });
-        self.log_task(job_id, task);
+        self.log(job_id, |j| SteeringOp::task_of(j, task));
         Ok(())
     }
 
@@ -547,7 +467,7 @@ impl SteeringService {
                 self.grid.release_task_data(site, condor);
                 self.set_phase(job_id, task, TaskPhase::Killed);
                 self.estimators.evict_submission(site, condor);
-                self.log_task(job_id, task);
+                self.log(job_id, |j| SteeringOp::task_of(j, task));
                 Ok(())
             }
             SteeringCommand::Pause => {
@@ -676,8 +596,8 @@ impl SteeringService {
                 }
             }
         }
-        self.log_task(job_id, task);
-        self.log_plan(job_id);
+        self.log(job_id, |j| SteeringOp::task_of(j, task));
+        self.log(job_id, SteeringOp::plan_of);
         self.moves.lock().push(MoveRecord {
             task,
             from,
@@ -876,7 +796,7 @@ impl SteeringService {
                 self.set_phase(job_id, task, TaskPhase::Killed);
                 self.estimators.evict_submission(site, info.condor);
                 self.grid.release_task_data(site, info.condor);
-                self.log_task(job_id, task);
+                self.log(job_id, |j| SteeringOp::task_of(j, task));
             }
             TaskStatus::Running => {
                 let progress = Progress {
@@ -911,16 +831,18 @@ impl SteeringService {
             t.phase = TaskPhase::Done { site };
             self.round_index.lock().reindex(job_id, tracked, task);
         }
-        self.log_task(job_id, task);
+        self.log(job_id, |j| SteeringOp::task_of(j, task));
         // Accounting: charge the owner for the CPU actually used. The
         // charged amount is logged verbatim so replay never re-quotes.
         if let Ok(amount) = self.quota.charge(info.owner, site, info.cpu_time) {
-            self.log_charge(&ChargeRecord {
-                user: info.owner,
-                site,
-                cpu_time: info.cpu_time,
-                amount,
-            });
+            if let Some(p) = self.persist.read().as_ref() {
+                p.log(&ChargeRecord {
+                    user: info.owner,
+                    site,
+                    cpu_time: info.cpu_time,
+                    amount,
+                });
+            }
         }
         self.collect_execution_state(task, site, info);
         // Backup & Recovery collected the state: the submission-time
@@ -1019,8 +941,8 @@ impl SteeringService {
                 tracked.plan = replanned;
             }
         }
-        self.log_task(job_id, task);
-        self.log_plan(job_id);
+        self.log(job_id, |j| SteeringOp::task_of(j, task));
+        self.log(job_id, SteeringOp::plan_of);
         self.moves.lock().push(MoveRecord {
             task,
             from,
@@ -1068,7 +990,7 @@ impl SteeringService {
                 tracked.plan.clone(),
             )
         };
-        self.log_task(job_id, task);
+        self.log(job_id, |j| SteeringOp::task_of(j, task));
         if attempts_exceeded {
             self.fail_task(job_id, task, "recovery attempts exhausted");
             return;
@@ -1100,7 +1022,7 @@ impl SteeringService {
                         tracked.plan = new_plan;
                     }
                 }
-                self.log_plan(job_id);
+                self.log(job_id, SteeringOp::plan_of);
                 // Failure lost the in-memory state; restart from zero
                 // (a checkpointable task's checkpoint died with the
                 // site in this model).
@@ -1135,7 +1057,7 @@ impl SteeringService {
     fn fail_task(&self, job_id: JobId, task: TaskId, reason: &str) {
         let at = self.grid.now();
         self.set_phase(job_id, task, TaskPhase::Failed);
-        self.log_task(job_id, task);
+        self.log(job_id, |j| SteeringOp::task_of(j, task));
         self.notifications.lock().push(Notification::JobFailed {
             job: job_id,
             at,
@@ -1222,7 +1144,7 @@ impl SteeringService {
             self.round_index.lock().forget(job_id);
             (tracked.is_completed(), tracked.is_failed())
         };
-        self.log_notified(job_id);
+        self.log(job_id, |_| Some(SteeringOp::Notified(job_id)));
         let at = self.grid.now();
         if completed {
             // "For completed jobs, the Backup and Recovery module
@@ -1271,10 +1193,79 @@ impl SteeringService {
     }
 }
 
+/// The tracker's snapshot member: every tracked job, id-sorted.
+/// Backup & Recovery's persistent half: the log replays without
+/// submitting anything — submissions are re-armed explicitly, once,
+/// after replay finishes (`rearm_submitted`).
+impl Machine for SteeringService {
+    fn attach(&self, persistence: &Arc<Persistence>) {
+        *self.persist.write() = Some(persistence.clone());
+    }
+
+    fn owns(&self) -> Owns {
+        (SteeringOp::KINDS, &["steering"])
+    }
+
+    fn apply(&self, kind: &str, body: &Value) -> GaeResult<()> {
+        match SteeringOp::decode(kind, body)? {
+            // Replaces (or installs) a job's plan.
+            SteeringOp::Plan(plan) => {
+                let plan = plan.into_owned();
+                let job_id = plan.job_id();
+                let mut jobs = self.jobs.write();
+                match jobs.get_mut(&job_id) {
+                    Some(tracked) => {
+                        tracked.plan = plan;
+                        self.round_index.lock().retrack(job_id, tracked);
+                    }
+                    None => self.track(&mut jobs, TrackedJob::subscribe(plan)?),
+                }
+            }
+            // Overwrites one task's tracked state.
+            SteeringOp::Task(job_id, task) => {
+                self.task_index.write().insert(task.task, job_id);
+                if let Some(tracked) = self.jobs.write().get_mut(&job_id) {
+                    let id = task.task;
+                    tracked.tasks.insert(id, task);
+                    self.round_index.lock().reindex(job_id, tracked, id);
+                }
+            }
+            // The completion notice was already delivered.
+            SteeringOp::Notified(job_id) => {
+                if let Some(tracked) = self.jobs.write().get_mut(&job_id) {
+                    tracked.completion_notified = true;
+                    self.round_index.lock().forget(job_id);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn write_member(&self, name: &str, doc: &mut MemberWriter<'_>) -> io::Result<()> {
+        doc.array(
+            name,
+            self.export_jobs().iter().map(state::tracked_job_to_value),
+        )
+    }
+
+    fn decode<'a>(&'a self, doc: &'a Value) -> GaeResult<Install<'a>> {
+        let jobs = section(doc, "steering", |v| {
+            array_of(v, state::tracked_job_from_value)
+        })?;
+        Ok(Box::new(move || {
+            let mut tracker = self.jobs.write();
+            jobs.into_iter()
+                .for_each(|job| self.track(&mut tracker, job));
+            Ok(())
+        }))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::{GridBuilder, ServiceStack};
+    use crate::steering::state::TrackedTask;
     use gae_types::{JobSpec, PlanId, SiteDescription, TaskAssignment};
 
     fn stack() -> Arc<ServiceStack> {
@@ -1302,18 +1293,35 @@ mod tests {
 
     /// The live set follows `completion_notified` through every path
     /// that installs or settles a job, and a round walks nothing else.
+    /// Replays `op` as its WAL record.
+    fn replay(steering: &SteeringService, op: SteeringOp<'_>) {
+        steering.apply(op.kind(), &op.encode()).unwrap();
+    }
+
+    fn replay_plan(steering: &SteeringService, plan: ConcretePlan) {
+        replay(steering, SteeringOp::Plan(std::borrow::Cow::Owned(plan)));
+    }
+
     #[test]
     fn live_set_tracks_unnotified_jobs() {
         let steering = &stack().steering;
-        steering.replay_plan(plan(1, &[1])).unwrap();
-        steering.replay_plan(plan(2, &[2])).unwrap();
-        steering.replay_plan(plan(2, &[2])).unwrap();
-        steering.replay_notified(JobId::new(2));
-        steering.replay_notified(JobId::new(9));
+        replay_plan(steering, plan(1, &[1]));
+        replay_plan(steering, plan(2, &[2]));
+        replay_plan(steering, plan(2, &[2]));
+        replay(steering, SteeringOp::Notified(JobId::new(2)));
+        replay(steering, SteeringOp::Notified(JobId::new(9)));
         let mut restored = TrackedJob::subscribe(plan(3, &[3])).unwrap();
         restored.completion_notified = true;
-        steering.restore_job(restored);
-        steering.restore_job(TrackedJob::subscribe(plan(4, &[4])).unwrap());
+        let snapshot = Value::struct_of([(
+            "steering",
+            Value::Array(
+                [restored, TrackedJob::subscribe(plan(4, &[4])).unwrap()]
+                    .iter()
+                    .map(state::tracked_job_to_value)
+                    .collect(),
+            ),
+        )]);
+        Machine::decode(&**steering, &snapshot).unwrap()().unwrap();
         assert_eq!(steering.live_job_ids(), vec![JobId::new(1), JobId::new(4)]);
         let unnotified: Vec<JobId> = steering
             .export_jobs()
@@ -1330,7 +1338,7 @@ mod tests {
     #[test]
     fn inconsistent_replay_is_skipped_not_panicked() {
         let steering = &stack().steering;
-        steering.replay_plan(plan(1, &[1])).unwrap();
+        replay_plan(steering, plan(1, &[1]));
         let stray = |task: u64| TrackedTask {
             task: TaskId::new(task),
             phase: TaskPhase::Submitted {
@@ -1340,8 +1348,8 @@ mod tests {
             recovery_attempts: 0,
             moves: 0,
         };
-        steering.replay_task(JobId::new(1), stray(5));
-        steering.replay_task(JobId::new(8), stray(6));
+        replay(steering, SteeringOp::Task(JobId::new(1), stray(5)));
+        replay(steering, SteeringOp::Task(JobId::new(8), stray(6)));
         steering.poll();
         steering.set_phase(JobId::new(1), TaskId::new(99), TaskPhase::Killed);
         steering.fail_task(JobId::new(8), TaskId::new(6), "unplanned");

@@ -197,11 +197,6 @@ impl MonAlisaRepository {
             .cloned()
     }
 
-    /// Number of retained job events.
-    pub fn event_count(&self) -> usize {
-        self.job_events.read().len()
-    }
-
     // ---- durability hooks ----
 
     /// The retained job-event log, oldest first (snapshot export).
@@ -224,6 +219,11 @@ impl MonAlisaRepository {
     pub fn metrics_snapshot(&self) -> (Vec<(MetricKey, Vec<Sample>)>, u64) {
         let store = self.metrics.read();
         (store.export(), store.total_published())
+    }
+
+    /// Lifetime count of published samples (including aged-out ones).
+    pub fn total_published(&self) -> u64 {
+        self.metrics.read().total_published()
     }
 
     /// Replaces all metric series, as when restoring from a snapshot.
@@ -293,7 +293,7 @@ mod tests {
         let h = repo.job_history(JobId::new(1));
         assert_eq!(h.len(), 2);
         assert_eq!(h[1].status, TaskStatus::Running);
-        assert_eq!(repo.event_count(), 3);
+        assert_eq!(repo.events_snapshot().len(), 3);
     }
 
     #[test]
@@ -314,7 +314,7 @@ mod tests {
         for i in 0..10 {
             repo.publish_job_event(event(i, 1, 1, TaskStatus::Running));
         }
-        assert_eq!(repo.event_count(), 3);
+        assert_eq!(repo.events_snapshot().len(), 3);
         let h = repo.job_history(JobId::new(1));
         assert_eq!(h[0].at, SimTime::from_secs(7));
     }
@@ -372,7 +372,7 @@ mod tests {
                 log = longer.split_off(longer.len() - CAP);
             }
             assert_eq!(repo.events_snapshot(), log, "after event {i}");
-            assert_eq!(repo.event_count(), log.len());
+            assert_eq!(repo.events_snapshot().len(), log.len());
             assert_eq!(repo.evicted_count(), evicted);
             for job in 0..3 {
                 let history: Vec<JobEvent> = log

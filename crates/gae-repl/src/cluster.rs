@@ -283,17 +283,9 @@ impl<M: StateMachine> ReplicatedLog<M> {
         // Log suffix: every retained batch past the snapshot point,
         // replayed off the wire documents.
         for batch in &inner.retained {
-            let (index, records) = frame::decode_batch(&batch.doc)?;
-            for m in &records {
-                store.append(frame::encode_envelope(&m.kind, &m.body).into_bytes());
-            }
-            let committed = store.commit()?;
-            debug_assert_eq!(committed, index);
-            for m in &records {
-                f.machine.apply_mutation(m)?;
-            }
+            let (committed, n) = apply_batch(&mut store, &f.machine, &batch.doc)?;
             f.commit_index = committed;
-            inner.streamed_records += records.len() as u64;
+            inner.streamed_records += n;
             inner.acks += 1;
         }
         f.store = Some(store);
@@ -425,26 +417,14 @@ fn follower_mut<M: StateMachine>(
 fn replicate<M: StateMachine>(inner: &mut Inner<M>, index: u64, records: &[Mutation]) {
     let doc = frame::encode_batch(index, records);
     for f in inner.followers.iter_mut().filter(|f| f.alive) {
-        let applied = (|| -> GaeResult<u64> {
-            let (batch_index, mutations) = frame::decode_batch(&doc)?;
-            let store = f
-                .store
-                .as_mut()
-                .ok_or_else(|| GaeError::NotFound(f.id.to_string()))?;
-            for m in &mutations {
-                store.append(frame::encode_envelope(&m.kind, &m.body).into_bytes());
-            }
-            let committed = store.commit()?;
-            debug_assert_eq!(committed, batch_index);
-            for m in &mutations {
-                f.machine.apply_mutation(m)?;
-            }
-            Ok(committed)
-        })();
+        let applied = match f.store.as_mut() {
+            Some(store) => apply_batch(store, &f.machine, &doc),
+            None => Err(GaeError::NotFound(f.id.to_string())),
+        };
         match applied {
-            Ok(committed) => {
+            Ok((committed, n)) => {
                 f.commit_index = committed;
-                inner.streamed_records += records.len() as u64;
+                inner.streamed_records += n;
                 inner.acks += 1;
             }
             Err(_) => {
@@ -459,6 +439,27 @@ fn replicate<M: StateMachine>(inner: &mut Inner<M>, index: u64, records: &[Mutat
     if inner.quorum_commit < index {
         inner.quorum_stalls += 1;
     }
+}
+
+/// Takes one streamed batch into a follower — appended to its store,
+/// committed, applied to its machine: the one path a batch takes, live
+/// ([`replicate`]) or catching up after a snapshot install. Returns the
+/// commit index and how many records the batch held.
+fn apply_batch<M: StateMachine>(
+    store: &mut DurableStore,
+    machine: &M,
+    doc: &str,
+) -> GaeResult<(u64, u64)> {
+    let (index, records) = frame::decode_batch(doc)?;
+    for m in &records {
+        store.append(frame::encode_envelope(&m.kind, &m.body).into_bytes());
+    }
+    let committed = store.commit()?;
+    debug_assert_eq!(committed, index);
+    for m in &records {
+        machine.apply_mutation(m)?;
+    }
+    Ok((committed, records.len() as u64))
 }
 
 /// Forward a leader rotation: every live follower rotates its own

@@ -18,39 +18,37 @@ use crate::machine::Mutation;
 use gae_types::{GaeError, GaeResult};
 use gae_wire::{parse_value_document, write_value_document, Value};
 
+/// The `{kind, body}` struct of one record.
+fn envelope(kind: &str, body: &Value) -> Value {
+    Value::struct_of([("kind", Value::from(kind)), ("body", body.clone())])
+}
+
+/// The record an envelope struct holds.
+fn mutation(envelope: &Value) -> GaeResult<Mutation> {
+    Ok(Mutation {
+        kind: envelope.member("kind")?.as_str()?.to_string(),
+        body: envelope.member("body")?.clone(),
+    })
+}
+
 /// Encode one journal record as the `{kind, body}` envelope document.
 pub fn encode_envelope(kind: &str, body: &Value) -> String {
-    write_value_document(&Value::struct_of([
-        ("kind", Value::from(kind)),
-        ("body", body.clone()),
-    ]))
+    write_value_document(&envelope(kind, body))
 }
 
 /// Decode a WAL record back into its mutation.
 pub fn decode_envelope(bytes: &[u8]) -> GaeResult<Mutation> {
     let text = std::str::from_utf8(bytes)
         .map_err(|e| GaeError::Parse(format!("journal record is not UTF-8: {e}")))?;
-    let value = parse_value_document(text)?;
-    Ok(Mutation {
-        kind: value.member("kind")?.as_str()?.to_string(),
-        body: value.member("body")?.clone(),
-    })
+    mutation(&parse_value_document(text)?)
 }
 
 /// Encode the batch the leader streams for one commit.
 pub fn encode_batch(commit_index: u64, records: &[Mutation]) -> String {
-    let records = records
-        .iter()
-        .map(|m| {
-            Value::struct_of([
-                ("kind", Value::from(m.kind.as_str())),
-                ("body", m.body.clone()),
-            ])
-        })
-        .collect::<Vec<_>>();
+    let records = records.iter().map(|m| envelope(&m.kind, &m.body));
     write_value_document(&Value::struct_of([
         ("commit", Value::from(commit_index)),
-        ("records", Value::Array(records)),
+        ("records", Value::Array(records.collect())),
     ]))
 }
 
@@ -58,14 +56,8 @@ pub fn encode_batch(commit_index: u64, records: &[Mutation]) -> String {
 pub fn decode_batch(doc: &str) -> GaeResult<(u64, Vec<Mutation>)> {
     let value = parse_value_document(doc)?;
     let commit_index = value.member("commit")?.as_u64()?;
-    let mut records = Vec::new();
-    for entry in value.member("records")?.as_array()? {
-        records.push(Mutation {
-            kind: entry.member("kind")?.as_str()?.to_string(),
-            body: entry.member("body")?.clone(),
-        });
-    }
-    Ok((commit_index, records))
+    let records = value.member("records")?.as_array()?.iter().map(mutation);
+    Ok((commit_index, records.collect::<GaeResult<_>>()?))
 }
 
 #[cfg(test)]

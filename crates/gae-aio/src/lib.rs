@@ -35,9 +35,9 @@ mod tests {
     use super::*;
     use gae_gate::{Gate, GateConfig, QueueConfig, TokenBucketConfig, WallClock};
     use gae_rpc::http::{read_response, FrameLimits};
-    use gae_rpc::service::{CallContext, MethodInfo, Rpc, Service};
+    use gae_rpc::service::{Method, Methods, Rpc};
     use gae_rpc::{Credentials, ServiceHost, TcpRpcClient};
-    use gae_types::{GaeError, GaeResult, SimDuration};
+    use gae_types::{GaeError, SimDuration};
     use gae_wire::Value;
     use std::io::{BufReader, Write};
     use std::net::TcpStream;
@@ -45,28 +45,40 @@ mod tests {
     use std::time::{Duration, Instant};
 
     struct Echo;
-    impl Service for Echo {
-        fn name(&self) -> &'static str {
-            "test"
-        }
-        fn call(&self, ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
-            match method {
-                "peer" => Ok(Value::from(ctx.peer.clone())),
-                "user" => Ok(ctx.user.map(|u| u.raw()).into()),
-                "sum" => {
+    impl Methods for Echo {
+        const NAME: &'static str = "test";
+        const METHODS: &'static [Method<Self>] = &[
+            Method {
+                name: "peer",
+                help: "the caller's peer address",
+                inline: false,
+                handler: |_, ctx, _| Ok(Value::from(ctx.peer.clone())),
+            },
+            Method {
+                name: "user",
+                help: "the caller's user id, or nil",
+                inline: false,
+                handler: |_, ctx, _| Ok(ctx.user.map(|u| u.raw()).into()),
+            },
+            Method {
+                name: "sum",
+                help: "sum of integer parameters",
+                inline: false,
+                handler: |_, _, p| {
                     let mut s = 0i64;
-                    for p in params {
-                        s += p.as_i64()?;
+                    for v in p.0 {
+                        s += v.as_i64()?;
                     }
                     Ok(Value::Int64(s))
-                }
-                "fail" => Err(GaeError::ExecutionFailure("deliberate".into())),
-                other => Err(gae_rpc::service::unknown_method("test", other)),
-            }
-        }
-        fn methods(&self) -> Vec<MethodInfo> {
-            vec![]
-        }
+                },
+            },
+            Method {
+                name: "fail",
+                help: "always faults",
+                inline: false,
+                handler: |_, _, _| Err(GaeError::ExecutionFailure("deliberate".into())),
+            },
+        ];
     }
 
     fn echo_host() -> Arc<ServiceHost> {

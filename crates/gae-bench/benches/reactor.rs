@@ -31,8 +31,11 @@ impl Service for Echo {
             other => Err(gae_rpc::service::unknown_method("bench", other)),
         }
     }
+    /// The host answers only the methods a service lists.
     fn methods(&self) -> Vec<MethodInfo> {
-        vec![]
+        ["echo", "iecho"]
+            .map(|name| MethodInfo { name, help: "" })
+            .into()
     }
 }
 

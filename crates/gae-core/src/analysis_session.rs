@@ -8,7 +8,7 @@
 //! client, and pick up where they left off.
 
 use crate::grid::Grid;
-use gae_rpc::{CallContext, MethodInfo, Service};
+use gae_rpc::{Method, Methods};
 use gae_types::{GaeError, GaeResult, JobId, SimTime, UserId};
 use gae_wire::Value;
 use parking_lot::RwLock;
@@ -140,43 +140,27 @@ impl AnalysisSessionStore {
 }
 
 fn session_to_value(s: &AnalysisSession) -> Value {
+    let jobs = s.jobs.iter().map(|j| Value::from(j.raw()));
+    let notes = s.notes.iter().map(|(at, text)| {
+        Value::struct_of([
+            ("at_us", Value::from(at.as_micros())),
+            ("text", Value::from(text.as_str())),
+        ])
+    });
+    let bookmarks = s.bookmarks.iter().map(|(label, payload)| {
+        Value::struct_of([
+            ("label", Value::from(label.as_str())),
+            ("payload", Value::from(payload.as_str())),
+        ])
+    });
     Value::struct_of([
         ("name", Value::from(s.name.as_str())),
         ("owner", Value::from(s.owner.raw())),
         ("created_us", Value::from(s.created_at.as_micros())),
         ("updated_us", Value::from(s.updated_at.as_micros())),
-        (
-            "jobs",
-            Value::Array(s.jobs.iter().map(|j| Value::from(j.raw())).collect()),
-        ),
-        (
-            "notes",
-            Value::Array(
-                s.notes
-                    .iter()
-                    .map(|(at, text)| {
-                        Value::struct_of([
-                            ("at_us", Value::from(at.as_micros())),
-                            ("text", Value::from(text.as_str())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "bookmarks",
-            Value::Array(
-                s.bookmarks
-                    .iter()
-                    .map(|(l, p)| {
-                        Value::struct_of([
-                            ("label", Value::from(l.as_str())),
-                            ("payload", Value::from(p.as_str())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("jobs", Value::Array(jobs.collect())),
+        ("notes", Value::Array(notes.collect())),
+        ("bookmarks", Value::Array(bookmarks.collect())),
     ])
 }
 
@@ -193,87 +177,91 @@ impl AnalysisSessionRpc {
     }
 }
 
-impl Service for AnalysisSessionRpc {
-    fn name(&self) -> &'static str {
-        "sessionstore"
-    }
-
-    fn call(&self, ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
-        let user = ctx.require_user()?;
-        let str_param = |i: usize| -> GaeResult<&str> {
-            params
-                .get(i)
-                .ok_or_else(|| GaeError::Parse(format!("missing parameter {i}")))?
-                .as_str()
-        };
-        match method {
-            "open" => Ok(session_to_value(&self.store.open(user, str_param(0)?))),
-            "get" => Ok(session_to_value(&self.store.get(user, str_param(0)?)?)),
-            "list" => Ok(Value::Array(
-                self.store.list(user).into_iter().map(Value::from).collect(),
-            )),
-            "attach_job" => {
-                let job = JobId::new(
-                    params
-                        .get(1)
-                        .ok_or_else(|| GaeError::Parse("attach_job(name, job)".into()))?
-                        .as_u64()?,
-                );
-                self.store.attach_job(user, str_param(0)?, job)?;
+/// Every method acts for the caller, who must be logged in; the
+/// session's name is parameter 0 (read after the job id in
+/// `attach_job`).
+impl Methods for AnalysisSessionRpc {
+    const NAME: &'static str = "sessionstore";
+    const METHODS: &'static [Method<Self>] = &[
+        Method {
+            name: "open",
+            help: "open (or reopen) a named analysis session",
+            inline: false,
+            handler: |s, ctx, p| {
+                let (user, name) = (ctx.require_user()?, p.str(0, "missing parameter 0")?);
+                Ok(session_to_value(&s.store.open(user, name)))
+            },
+        },
+        Method {
+            name: "get",
+            help: "fetch one of the caller's sessions",
+            inline: false,
+            handler: |s, ctx, p| {
+                let (user, name) = (ctx.require_user()?, p.str(0, "missing parameter 0")?);
+                Ok(session_to_value(&s.store.get(user, name)?))
+            },
+        },
+        Method {
+            name: "list",
+            help: "the caller's session names",
+            inline: false,
+            handler: |s, ctx, _| {
+                let names = s.store.list(ctx.require_user()?);
+                Ok(Value::Array(names.into_iter().map(Value::from).collect()))
+            },
+        },
+        Method {
+            name: "attach_job",
+            help: "record a job as part of a session",
+            inline: false,
+            handler: |s, ctx, p| {
+                let user = ctx.require_user()?;
+                let job = JobId::new(p.u64(1, "attach_job(name, job)")?);
+                let name = p.str(0, "missing parameter 0")?;
+                s.store.attach_job(user, name, job)?;
                 Ok(Value::Bool(true))
-            }
-            "note" => {
-                self.store.note(user, str_param(0)?, str_param(1)?)?;
+            },
+        },
+        Method {
+            name: "note",
+            help: "append a timestamped note",
+            inline: false,
+            handler: |s, ctx, p| {
+                let (user, name) = (ctx.require_user()?, p.str(0, "missing parameter 0")?);
+                let text = p.str(1, "missing parameter 1")?;
+                s.store.note(user, name, text)?;
                 Ok(Value::Bool(true))
-            }
-            "bookmark" => {
-                self.store
-                    .bookmark(user, str_param(0)?, str_param(1)?, str_param(2)?)?;
+            },
+        },
+        Method {
+            name: "bookmark",
+            help: "set a named bookmark (dataset, plot, ...)",
+            inline: false,
+            handler: |s, ctx, p| {
+                let (user, name) = (ctx.require_user()?, p.str(0, "missing parameter 0")?);
+                let label = p.str(1, "missing parameter 1")?;
+                let payload = p.str(2, "missing parameter 2")?;
+                s.store.bookmark(user, name, label, payload)?;
                 Ok(Value::Bool(true))
-            }
-            "delete" => Ok(Value::Bool(self.store.delete(user, str_param(0)?))),
-            other => Err(gae_rpc::service::unknown_method("sessionstore", other)),
-        }
-    }
-
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo {
-                name: "open",
-                help: "open (or reopen) a named analysis session",
             },
-            MethodInfo {
-                name: "get",
-                help: "fetch one of the caller's sessions",
+        },
+        Method {
+            name: "delete",
+            help: "delete a session",
+            inline: false,
+            handler: |s, ctx, p| {
+                let (user, name) = (ctx.require_user()?, p.str(0, "missing parameter 0")?);
+                Ok(Value::Bool(s.store.delete(user, name)))
             },
-            MethodInfo {
-                name: "list",
-                help: "the caller's session names",
-            },
-            MethodInfo {
-                name: "attach_job",
-                help: "record a job as part of a session",
-            },
-            MethodInfo {
-                name: "note",
-                help: "append a timestamped note",
-            },
-            MethodInfo {
-                name: "bookmark",
-                help: "set a named bookmark (dataset, plot, ...)",
-            },
-            MethodInfo {
-                name: "delete",
-                help: "delete a session",
-            },
-        ]
-    }
+        },
+    ];
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::GridBuilder;
+    use gae_rpc::{CallContext, Service};
     use gae_types::{SimTime, SiteDescription, SiteId};
 
     fn store() -> (Arc<Grid>, Arc<AnalysisSessionStore>) {

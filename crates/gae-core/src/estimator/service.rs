@@ -7,7 +7,7 @@ use crate::estimator::queue_time::estimate_queue_time;
 use crate::estimator::runtime::{EstimateNote, RuntimeEstimate, RuntimeEstimator};
 use crate::estimator::transfer::TransferEstimator;
 use crate::grid::Grid;
-use gae_rpc::{CallContext, MethodInfo, Service};
+use gae_rpc::{Method, Methods};
 use gae_trace::{ParagonRecord, TaskMeta};
 use gae_types::{CondorId, FileRef, GaeError, GaeResult, SimDuration, SiteId, TaskSpec};
 use gae_wire::Value;
@@ -262,33 +262,34 @@ impl EstimatorRpc {
     }
 }
 
-impl Service for EstimatorRpc {
-    fn name(&self) -> &'static str {
-        "estimator"
-    }
-
-    fn call(&self, _ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
-        match method {
-            // estimate_runtime(site, login, executable, queue,
-            //                  partition, nodes, job_type)
-            "estimate_runtime" => {
-                if params.len() != 7 {
-                    return Err(GaeError::Parse(
-                        "estimate_runtime(site, login, executable, queue, partition, nodes, job_type)"
-                            .into(),
-                    ));
-                }
-                let site = SiteId::new(params[0].as_u64()?);
+impl Methods for EstimatorRpc {
+    const NAME: &'static str = "estimator";
+    const METHODS: &'static [Method<Self>] = &[
+        // estimate_runtime(site, login, executable, queue, partition,
+        // nodes, job_type). A hash probe once warm, but the first query
+        // of a column set builds its runtime view in one pass over
+        // every history row under the store's write lock — unbounded
+        // in the history, so it keeps to the pool.
+        Method {
+            name: "estimate_runtime",
+            help: "history-based runtime prediction for a task at a site",
+            inline: false,
+            handler: |s, _, p| {
+                let [site, login, executable, queue, partition, nodes, job_type] = p.exact(
+                    "estimate_runtime(site, login, executable, queue, partition, nodes, job_type)",
+                )?;
+                let site = SiteId::new(site.as_u64()?);
                 let meta = TaskMeta {
                     account: String::new(),
-                    login: params[1].as_str()?.to_string(),
-                    executable: params[2].as_str()?.to_string(),
-                    queue: params[3].as_str()?.to_string(),
-                    partition: params[4].as_str()?.to_string(),
-                    nodes: params[5].as_u64()? as u32,
-                    job_type: params[6].as_str()?.parse()?,
+                    login: login.as_str()?.to_string(),
+                    executable: executable.as_str()?.to_string(),
+                    queue: queue.as_str()?.to_string(),
+                    partition: partition.as_str()?.to_string(),
+                    nodes: u32::try_from(nodes.as_u64()?)
+                        .map_err(|_| GaeError::Parse("nodes out of range".into()))?,
+                    job_type: job_type.as_str()?.parse()?,
                 };
-                let est = self.service.estimate_meta(site, &meta)?;
+                let est = s.service.estimate_meta(site, &meta)?;
                 let mut members = vec![
                     ("runtime_s", Value::from(est.runtime.as_secs_f64())),
                     ("template_tier", Value::Int64(est.template_tier as i64)),
@@ -300,71 +301,46 @@ impl Service for EstimatorRpc {
                     members.push(("note", Value::from("moments_saturated")));
                 }
                 Ok(Value::struct_of(members))
-            }
-            "queue_time" => {
-                if params.len() != 2 {
-                    return Err(GaeError::Parse("queue_time(site, condor)".into()));
-                }
-                let site = SiteId::new(params[0].as_u64()?);
-                let condor = CondorId::new(params[1].as_u64()?);
-                let d = self.service.estimate_queue_time(site, condor)?;
+            },
+        },
+        // One site lock and a read of the backlog index,
+        // O(priorities + slots).
+        Method {
+            name: "queue_time",
+            help: "estimated queue wait of a submitted task (by Condor id)",
+            inline: true,
+            handler: |s, _, p| {
+                let [site, condor] = p.exact("queue_time(site, condor)")?;
+                let site = SiteId::new(site.as_u64()?);
+                let d = s
+                    .service
+                    .estimate_queue_time(site, CondorId::new(condor.as_u64()?))?;
                 Ok(Value::from(d.as_secs_f64()))
-            }
-            "transfer_time" => {
-                if params.len() != 3 {
-                    return Err(GaeError::Parse("transfer_time(from, to, bytes)".into()));
-                }
-                let from = SiteId::new(params[0].as_u64()?);
-                let to = SiteId::new(params[1].as_u64()?);
-                let bytes = params[2].as_u64()?;
-                Ok(Value::from(
-                    self.service
-                        .transfer
-                        .estimate_bytes(from, to, bytes)?
-                        .as_secs_f64(),
-                ))
-            }
-            "measured_bandwidth" => {
-                if params.len() != 2 {
-                    return Err(GaeError::Parse("measured_bandwidth(from, to)".into()));
-                }
-                let from = SiteId::new(params[0].as_u64()?);
-                let to = SiteId::new(params[1].as_u64()?);
-                Ok(Value::from(
-                    self.service.transfer.measured_bandwidth(from, to),
-                ))
-            }
-            other => Err(gae_rpc::service::unknown_method("estimator", other)),
-        }
-    }
-
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo {
-                name: "estimate_runtime",
-                help: "history-based runtime prediction for a task at a site",
             },
-            MethodInfo {
-                name: "queue_time",
-                help: "estimated queue wait of a submitted task (by Condor id)",
+        },
+        Method {
+            name: "transfer_time",
+            help: "estimated seconds to move N bytes between two sites",
+            inline: false,
+            handler: |s, _, p| {
+                let [from, to, bytes] = p.exact("transfer_time(from, to, bytes)")?;
+                let (from, to) = (SiteId::new(from.as_u64()?), SiteId::new(to.as_u64()?));
+                let d = s
+                    .service
+                    .transfer
+                    .estimate_bytes(from, to, bytes.as_u64()?)?;
+                Ok(Value::from(d.as_secs_f64()))
             },
-            MethodInfo {
-                name: "transfer_time",
-                help: "estimated seconds to move N bytes between two sites",
+        },
+        Method {
+            name: "measured_bandwidth",
+            help: "iperf-measured bandwidth between two sites (bytes/s)",
+            inline: false,
+            handler: |s, _, p| {
+                let [from, to] = p.exact("measured_bandwidth(from, to)")?;
+                let (from, to) = (SiteId::new(from.as_u64()?), SiteId::new(to.as_u64()?));
+                Ok(Value::from(s.service.transfer.measured_bandwidth(from, to)))
             },
-            MethodInfo {
-                name: "measured_bandwidth",
-                help: "iperf-measured bandwidth between two sites (bytes/s)",
-            },
-        ]
-    }
-
-    /// `queue_time` is one site lock and a read of the backlog index,
-    /// O(priorities + slots). `estimate_runtime` is a hash probe once
-    /// warm, but the first query of a column set builds its runtime
-    /// view in one pass over every history row under the store's write
-    /// lock — unbounded in the history, so it keeps to the pool.
-    fn inline(&self, method: &str) -> bool {
-        method == "queue_time"
-    }
+        },
+    ];
 }

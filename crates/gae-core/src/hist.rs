@@ -14,7 +14,7 @@
 use crate::persist::{self, Install, Journal, Machine, MemberWriter, Owns, Persistence};
 use gae_hist::{CmpOp, ColumnPredicate, HistConfig, HistOp, HistRecord, HistStore, PredValue};
 use gae_obs::ObsHub;
-use gae_rpc::{CallContext, MethodInfo, Service};
+use gae_rpc::{Method, Methods, Params};
 use gae_types::{GaeError, GaeResult, SimDuration, SimTime};
 use gae_wire::Value;
 use parking_lot::{Mutex, RwLock};
@@ -184,10 +184,23 @@ impl HistoryRpc {
         }
     }
 
-    fn query(&self, params: &[Value]) -> GaeResult<Value> {
-        let spec = params
-            .first()
-            .ok_or_else(|| GaeError::Parse("query({predicates, limit?})".into()))?;
+    /// Runs one call body, timed into the hub's `hist:*` histograms.
+    /// Latencies are wall-clock: the point of those histograms is real
+    /// scan cost, which the virtual clock cannot see. The
+    /// determinism-equivalence suites never call this facade, so the
+    /// nondeterministic numbers never enter compared state.
+    fn timed(&self, method: &str, body: impl FnOnce() -> GaeResult<Value>) -> GaeResult<Value> {
+        let started = std::time::Instant::now();
+        let out = body();
+        self.hub.record_hist(
+            method,
+            SimDuration::from_micros(started.elapsed().as_micros() as u64),
+        );
+        out
+    }
+
+    fn query(&self, p: Params<'_>) -> GaeResult<Value> {
+        let spec = p.get(0, "query({predicates, limit?})")?;
         let preds = parse_predicates(spec.member("predicates")?)?;
         let limit = match spec.member("limit") {
             Ok(v) => usize::try_from(v.as_u64()?)
@@ -261,56 +274,34 @@ impl HistoryRpc {
     }
 }
 
-impl Service for HistoryRpc {
-    fn name(&self) -> &'static str {
-        "history"
-    }
-
-    fn call(&self, _ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
-        // Latencies are wall-clock: the point of the hist:* histograms
-        // is real scan cost, which the virtual clock cannot see. The
-        // determinism-equivalence suites never call this facade, so
-        // the nondeterministic numbers never enter compared state.
-        let started = std::time::Instant::now();
-        let out = match method {
-            "query" => self.query(params),
-            "export" => {
-                if !params.is_empty() {
-                    return Err(GaeError::Parse("export()".into()));
-                }
-                Ok(self.export())
-            }
-            "stats" => {
-                if !params.is_empty() {
-                    return Err(GaeError::Parse("stats()".into()));
-                }
-                Ok(self.stats())
-            }
-            other => return Err(gae_rpc::service::unknown_method("history", other)),
-        };
-        self.hub.record_hist(
-            method,
-            SimDuration::from_micros(started.elapsed().as_micros() as u64),
-        );
-        out
-    }
-
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo {
-                name: "query",
-                help: "predicate-pushdown scan over the columnar job history",
+impl Methods for HistoryRpc {
+    const NAME: &'static str = "history";
+    const METHODS: &'static [Method<Self>] = &[
+        Method {
+            name: "query",
+            help: "predicate-pushdown scan over the columnar job history",
+            inline: false,
+            handler: |s, _, p| s.timed("query", || s.query(p)),
+        },
+        Method {
+            name: "export",
+            help: "canonical binary encoding of the store, with segment digests",
+            inline: false,
+            handler: |s, _, p| {
+                p.exact::<0>("export()")?;
+                s.timed("export", || Ok(s.export()))
             },
-            MethodInfo {
-                name: "export",
-                help: "canonical binary encoding of the store, with segment digests",
+        },
+        Method {
+            name: "stats",
+            help: "row/segment/scan/runtime-view counters and the store digest",
+            inline: false,
+            handler: |s, _, p| {
+                p.exact::<0>("stats()")?;
+                s.timed("stats", || Ok(s.stats()))
             },
-            MethodInfo {
-                name: "stats",
-                help: "row/segment/scan/runtime-view counters and the store digest",
-            },
-        ]
-    }
+        },
+    ];
 }
 
 /// Parses the wire shape of a predicate list: an array of

@@ -6,7 +6,7 @@ use crate::jobmon::collector::JobInformationCollector;
 use crate::jobmon::db::DbManager;
 use crate::jobmon::info::JobMonitoringInfo;
 use crate::jobmon::manager::JmManager;
-use gae_rpc::{CallContext, MethodInfo, Service};
+use gae_rpc::{Method, Methods};
 use gae_types::{CondorId, GaeResult, JobId, JobStatus, SiteId, TaskId, TaskStatus};
 use gae_wire::Value;
 use std::sync::Arc;
@@ -145,96 +145,68 @@ impl JobMonitoringRpc {
     }
 }
 
-impl Service for JobMonitoringRpc {
-    fn name(&self) -> &'static str {
-        "jobmon"
-    }
-
-    fn call(&self, _ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
-        match method {
-            "job_status" => {
-                let task = TaskId::new(params_id(params, 0)?);
-                Ok(Value::from(self.service.task_status(task)?.to_string()))
-            }
-            "job_info" => {
-                let task = TaskId::new(params_id(params, 0)?);
-                Ok(self.service.job_info(task)?.to_value())
-            }
-            "remaining_time" => {
-                let task = TaskId::new(params_id(params, 0)?);
-                Ok(self
-                    .service
-                    .job_info(task)?
-                    .remaining_time
-                    .map(|d| d.as_secs_f64())
-                    .into())
-            }
-            "job_tasks" => {
-                let job = JobId::new(params_id(params, 0)?);
-                Ok(Value::Array(
-                    self.service
-                        .job_tasks(job)
-                        .iter()
-                        .map(|i| i.to_value())
-                        .collect(),
-                ))
-            }
-            "list_active" => Ok(Value::Array(
-                self.service
-                    .list_active()
-                    .iter()
-                    .map(|i| i.to_value())
-                    .collect(),
-            )),
-            "job_aggregate_status" => {
-                let job = JobId::new(params_id(params, 0)?);
-                Ok(Value::from(self.service.job_status(job).to_string()))
-            }
-            other => Err(gae_rpc::service::unknown_method("jobmon", other)),
-        }
-    }
-
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo {
-                name: "job_status",
-                help: "status string of one task",
+impl Methods for JobMonitoringRpc {
+    const NAME: &'static str = "jobmon";
+    const METHODS: &'static [Method<Self>] = &[
+        // The single-task reads (this and the next two) run inline: one
+        // short lock per site to locate the task, one record read.
+        Method {
+            name: "job_status",
+            help: "status string of one task",
+            inline: true,
+            handler: |s, _, p| {
+                let task = TaskId::new(p.u64(0, "missing parameter 0")?);
+                Ok(Value::from(s.service.task_status(task)?.to_string()))
             },
-            MethodInfo {
-                name: "job_info",
-                help: "full monitoring struct of one task",
+        },
+        Method {
+            name: "job_info",
+            help: "full monitoring struct of one task",
+            inline: true,
+            handler: |s, _, p| {
+                let task = TaskId::new(p.u64(0, "missing parameter 0")?);
+                Ok(s.service.job_info(task)?.to_value())
             },
-            MethodInfo {
-                name: "remaining_time",
-                help: "estimated remaining seconds, or nil",
+        },
+        Method {
+            name: "remaining_time",
+            help: "estimated remaining seconds, or nil",
+            inline: true,
+            handler: |s, _, p| {
+                let task = TaskId::new(p.u64(0, "missing parameter 0")?);
+                let remaining = s.service.job_info(task)?.remaining_time;
+                Ok(remaining.map(|d| d.as_secs_f64()).into())
             },
-            MethodInfo {
-                name: "job_tasks",
-                help: "monitoring structs of all tasks of a job",
+        },
+        // This and the next two walk every record of every site
+        // (`live_job_tasks`), so they stay on the pool.
+        Method {
+            name: "job_tasks",
+            help: "monitoring structs of all tasks of a job",
+            inline: false,
+            handler: |s, _, p| {
+                let job = JobId::new(p.u64(0, "missing parameter 0")?);
+                let infos = s.service.job_tasks(job);
+                Ok(Value::Array(infos.iter().map(|i| i.to_value()).collect()))
             },
-            MethodInfo {
-                name: "job_aggregate_status",
-                help: "aggregate job status derived from its tasks",
+        },
+        Method {
+            name: "job_aggregate_status",
+            help: "aggregate job status derived from its tasks",
+            inline: false,
+            handler: |s, _, p| {
+                let job = JobId::new(p.u64(0, "missing parameter 0")?);
+                Ok(Value::from(s.service.job_status(job).to_string()))
             },
-            MethodInfo {
-                name: "list_active",
-                help: "monitoring structs of every live task on the grid",
+        },
+        Method {
+            name: "list_active",
+            help: "monitoring structs of every live task on the grid",
+            inline: false,
+            handler: |s, _, _| {
+                let infos = s.service.list_active();
+                Ok(Value::Array(infos.iter().map(|i| i.to_value()).collect()))
             },
-        ]
-    }
-
-    /// The single-task reads: one short lock per site to locate the
-    /// task, one record read. `job_tasks`, `list_active` and
-    /// `job_aggregate_status` walk every record of every site
-    /// (`live_job_tasks`), so they stay on the pool.
-    fn inline(&self, method: &str) -> bool {
-        matches!(method, "job_status" | "job_info" | "remaining_time")
-    }
-}
-
-fn params_id(params: &[Value], i: usize) -> GaeResult<u64> {
-    params
-        .get(i)
-        .ok_or_else(|| gae_types::GaeError::Parse(format!("missing parameter {i}")))?
-        .as_u64()
+        },
+    ];
 }

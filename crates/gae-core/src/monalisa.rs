@@ -12,7 +12,7 @@
 
 use crate::persist::{array_of, section, Install, Machine, MemberWriter, Owns};
 use gae_monitor::{JobEvent, MetricKey, MonAlisaRepository, Sample};
-use gae_rpc::{CallContext, MethodInfo, Service};
+use gae_rpc::{Method, Methods, Params};
 use gae_types::{GaeError, GaeResult, JobId, SimTime, SiteId, TaskId};
 use gae_wire::Value;
 use std::io;
@@ -28,152 +28,107 @@ impl MonAlisaRpc {
     pub fn new(repo: Arc<MonAlisaRepository>) -> Self {
         MonAlisaRpc { repo }
     }
-
-    fn key_from(params: &[Value]) -> GaeResult<MetricKey> {
-        if params.len() < 3 {
-            return Err(GaeError::Parse(
-                "expected (site, entity, param, ...)".into(),
-            ));
-        }
-        Ok(MetricKey::new(
-            SiteId::new(params[0].as_u64()?),
-            params[1].as_str()?.to_string(),
-            params[2].as_str()?.to_string(),
-        ))
-    }
 }
 
-impl Service for MonAlisaRpc {
-    fn name(&self) -> &'static str {
-        "monalisa"
-    }
+/// The metric a call names in its first three parameters.
+fn metric_key(p: Params<'_>) -> GaeResult<MetricKey> {
+    let [site, entity, param] =
+        p.0.first_chunk()
+            .ok_or_else(|| GaeError::Parse("expected (site, entity, param, ...)".into()))?;
+    Ok(MetricKey::new(
+        SiteId::new(site.as_u64()?),
+        entity.as_str()?.to_string(),
+        param.as_str()?.to_string(),
+    ))
+}
 
-    fn call(&self, _ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
-        match method {
-            "site_load" => {
-                let site = SiteId::new(
-                    params
-                        .first()
-                        .ok_or_else(|| GaeError::Parse("site_load(site)".into()))?
-                        .as_u64()?,
-                );
-                Ok(self.repo.site_load(site).into())
-            }
-            "queue_length" => {
-                let site = SiteId::new(
-                    params
-                        .first()
-                        .ok_or_else(|| GaeError::Parse("queue_length(site)".into()))?
-                        .as_u64()?,
-                );
-                Ok(self.repo.queue_length(site).into())
-            }
-            "publish" => {
-                // publish(site, entity, param, at_us, value)
-                if params.len() != 5 {
-                    return Err(GaeError::Parse(
-                        "publish(site, entity, param, at_us, value)".into(),
-                    ));
-                }
-                let key = Self::key_from(params)?;
-                let at = SimTime::from_micros(params[3].as_u64()?);
-                self.repo.publish_metric(key, at, params[4].as_f64()?);
+impl Methods for MonAlisaRpc {
+    const NAME: &'static str = "monalisa";
+    const METHODS: &'static [Method<Self>] = &[
+        Method {
+            name: "site_load",
+            help: "latest farm-wide cpu load of a site",
+            inline: false,
+            handler: |s, _, p| {
+                let site = SiteId::new(p.u64(0, "site_load(site)")?);
+                Ok(s.repo.site_load(site).into())
+            },
+        },
+        Method {
+            name: "queue_length",
+            help: "latest queue length of a site",
+            inline: false,
+            handler: |s, _, p| {
+                let site = SiteId::new(p.u64(0, "queue_length(site)")?);
+                Ok(s.repo.queue_length(site).into())
+            },
+        },
+        Method {
+            name: "publish",
+            help: "publish one metric sample",
+            inline: false,
+            handler: |s, _, p| {
+                let [_, _, _, at, value] = p.exact("publish(site, entity, param, at_us, value)")?;
+                let key = metric_key(p)?;
+                let at = SimTime::from_micros(at.as_u64()?);
+                s.repo.publish_metric(key, at, value.as_f64()?);
                 Ok(Value::Bool(true))
-            }
-            "publish_batch" => {
-                // publish_batch([{site, entity, param, at_us, value}, ...])
-                let batch = params
-                    .first()
-                    .ok_or_else(|| GaeError::Parse("publish_batch(samples)".into()))?;
-                let samples = array_of(batch, |entry| {
+            },
+        },
+        // publish_batch([{site, entity, param, at_us, value}, ...])
+        Method {
+            name: "publish_batch",
+            help: "publish many metric samples in one call",
+            inline: false,
+            handler: |s, _, p| {
+                let samples = array_of(p.get(0, "publish_batch(samples)")?, |entry| {
                     Ok((key_from_value(entry)?, sample_from_value(entry)?))
                 })?;
-                let in_order = self.repo.publish_batch(samples);
-                Ok(Value::from(in_order as u64))
-            }
-            "latest" => {
-                let key = Self::key_from(params)?;
-                Ok(match self.repo.latest(&key) {
-                    Some(s) => sample_to_value(&s),
+                Ok(Value::from(s.repo.publish_batch(samples) as u64))
+            },
+        },
+        Method {
+            name: "latest",
+            help: "latest sample of (site, entity, param)",
+            inline: false,
+            handler: |s, _, p| {
+                Ok(match s.repo.latest(&metric_key(p)?) {
+                    Some(sample) => sample_to_value(&sample),
                     None => Value::Nil,
                 })
-            }
-            "range" => {
-                // range(site, entity, param, from_us, to_us)
-                if params.len() != 5 {
-                    return Err(GaeError::Parse(
-                        "range(site, entity, param, from_us, to_us)".into(),
-                    ));
-                }
-                let key = Self::key_from(params)?;
-                let from = SimTime::from_micros(params[3].as_u64()?);
-                let to = SimTime::from_micros(params[4].as_u64()?);
-                Ok(Value::Array(
-                    self.repo
-                        .range(&key, from, to)
-                        .iter()
-                        .map(sample_to_value)
-                        .collect(),
-                ))
-            }
-            "job_history" => {
-                let job = JobId::new(
-                    params
-                        .first()
-                        .ok_or_else(|| GaeError::Parse("job_history(job)".into()))?
-                        .as_u64()?,
-                );
-                Ok(Value::Array(
-                    self.repo
-                        .job_history(job)
-                        .into_iter()
-                        .map(|e| {
-                            Value::struct_of([
-                                ("at_us", Value::from(e.at.as_micros())),
-                                ("task", Value::from(e.task.raw())),
-                                ("site", Value::from(e.site.raw())),
-                                ("status", Value::from(e.status.to_string())),
-                            ])
-                        })
-                        .collect(),
-                ))
-            }
-            other => Err(gae_rpc::service::unknown_method("monalisa", other)),
-        }
-    }
-
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo {
-                name: "site_load",
-                help: "latest farm-wide cpu load of a site",
             },
-            MethodInfo {
-                name: "queue_length",
-                help: "latest queue length of a site",
+        },
+        Method {
+            name: "range",
+            help: "samples of a metric within a time window",
+            inline: false,
+            handler: |s, _, p| {
+                let [_, _, _, from, to] = p.exact("range(site, entity, param, from_us, to_us)")?;
+                let key = metric_key(p)?;
+                let from = SimTime::from_micros(from.as_u64()?);
+                let to = SimTime::from_micros(to.as_u64()?);
+                let samples = s.repo.range(&key, from, to);
+                Ok(Value::Array(samples.iter().map(sample_to_value).collect()))
             },
-            MethodInfo {
-                name: "publish",
-                help: "publish one metric sample",
+        },
+        Method {
+            name: "job_history",
+            help: "state-change events of a job",
+            inline: false,
+            handler: |s, _, p| {
+                let job = JobId::new(p.u64(0, "job_history(job)")?);
+                let events = s.repo.job_history(job).into_iter().map(|e| {
+                    Value::struct_of([
+                        ("at_us", Value::from(e.at.as_micros())),
+                        ("task", Value::from(e.task.raw())),
+                        ("site", Value::from(e.site.raw())),
+                        ("status", Value::from(e.status.to_string())),
+                    ])
+                });
+                Ok(Value::Array(events.collect()))
             },
-            MethodInfo {
-                name: "publish_batch",
-                help: "publish many metric samples in one call",
-            },
-            MethodInfo {
-                name: "latest",
-                help: "latest sample of (site, entity, param)",
-            },
-            MethodInfo {
-                name: "range",
-                help: "samples of a metric within a time window",
-            },
-            MethodInfo {
-                name: "job_history",
-                help: "state-change events of a job",
-            },
-        ]
-    }
+        },
+    ];
 }
 
 impl Machine for MonAlisaRepository {
@@ -267,6 +222,7 @@ fn sample_from_value(v: &Value) -> GaeResult<Sample> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gae_rpc::{CallContext, Service};
 
     fn ctx() -> CallContext {
         CallContext::anonymous("test")

@@ -8,8 +8,8 @@
 //!   `stats.methods`, `stats.render`.
 
 use gae_obs::{HistogramSnapshot, ObsHub, TimelineEvent};
-use gae_rpc::{CallContext, MethodInfo, Service};
-use gae_types::{GaeError, GaeResult};
+use gae_rpc::{Method, Methods};
+use gae_types::GaeError;
 use gae_wire::Value;
 use std::sync::Arc;
 
@@ -25,108 +25,85 @@ impl TraceRpc {
     }
 }
 
-fn condor_param(params: &[Value]) -> GaeResult<u64> {
-    params
-        .first()
-        .ok_or_else(|| GaeError::Parse("missing CondorId parameter".into()))?
-        .as_u64()
-}
-
 fn micros(at: gae_types::SimTime) -> Value {
     Value::Int64(at.as_micros() as i64)
 }
 
-impl Service for TraceRpc {
-    fn name(&self) -> &'static str {
-        "trace"
-    }
-
-    fn call(&self, _ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
-        match method {
-            // The causal tree of one CondorId as a struct: the trace
-            // id (hex, as on the wire header) plus every span in
-            // span-id order.
-            "get" => {
-                let condor = condor_param(params)?;
-                let trace = self
-                    .hub
-                    .traces()
-                    .trace_for_condor(condor)
-                    .ok_or_else(|| GaeError::NotFound(format!("trace for condor {condor}")))?;
-                let spans = self
-                    .hub
-                    .traces()
-                    .spans(trace)
-                    .ok_or_else(|| GaeError::NotFound(format!("spans of trace {trace}")))?;
-                Ok(Value::struct_of([
-                    ("trace", Value::from(format!("{trace}"))),
-                    (
-                        "spans",
-                        Value::Array(
-                            spans
-                                .iter()
-                                .map(|s| {
-                                    Value::struct_of([
-                                        ("span", Value::Int64(s.span.raw() as i64)),
-                                        (
-                                            "parent",
-                                            s.parent
-                                                .map(|p| Value::Int64(p.raw() as i64))
-                                                .unwrap_or(Value::Nil),
-                                        ),
-                                        ("name", Value::from(s.name.as_str())),
-                                        ("start_us", micros(s.start)),
-                                        ("end_us", micros(s.end)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ]))
-            }
-            // The lifecycle timeline of one CondorId: recorded events
-            // mapped to their µs instants, unrecorded events absent.
-            "timeline" => {
-                let condor = condor_param(params)?;
-                let tl = self
-                    .hub
-                    .timeline(condor)
-                    .ok_or_else(|| GaeError::NotFound(format!("timeline for condor {condor}")))?;
-                Ok(Value::struct_of(TimelineEvent::ALL.iter().filter_map(
-                    |ev| {
-                        tl.instant(*ev)
-                            .map(|at| (format!("{}_us", ev.name()), micros(at)))
-                    },
-                )))
-            }
-            // The human-readable dump bench bins print.
-            "render" => {
-                let condor = condor_param(params)?;
-                self.hub
-                    .render_condor(condor)
-                    .map(Value::from)
-                    .ok_or_else(|| GaeError::NotFound(format!("trace for condor {condor}")))
-            }
-            other => Err(gae_rpc::service::unknown_method("trace", other)),
-        }
-    }
-
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo {
+impl Methods for TraceRpc {
+    const NAME: &'static str = "trace";
+    const METHODS: &'static [Method<Self>] =
+        &[
+            // The causal tree of one CondorId as a struct: the trace id
+            // (hex, as on the wire header) plus every span in span-id
+            // order.
+            Method {
                 name: "get",
                 help: "causal tree of a CondorId: trace id + spans",
+                inline: false,
+                handler: |s, _, p| {
+                    let condor = p.u64(0, "missing CondorId parameter")?;
+                    let trace =
+                        s.hub.traces().trace_for_condor(condor).ok_or_else(|| {
+                            GaeError::NotFound(format!("trace for condor {condor}"))
+                        })?;
+                    let spans = s
+                        .hub
+                        .traces()
+                        .spans(trace)
+                        .ok_or_else(|| GaeError::NotFound(format!("spans of trace {trace}")))?;
+                    let spans = spans.iter().map(|span| {
+                        Value::struct_of([
+                            ("span", Value::Int64(span.span.raw() as i64)),
+                            (
+                                "parent",
+                                span.parent
+                                    .map(|parent| Value::Int64(parent.raw() as i64))
+                                    .unwrap_or(Value::Nil),
+                            ),
+                            ("name", Value::from(span.name.as_str())),
+                            ("start_us", micros(span.start)),
+                            ("end_us", micros(span.end)),
+                        ])
+                    });
+                    Ok(Value::struct_of([
+                        ("trace", Value::from(format!("{trace}"))),
+                        ("spans", Value::Array(spans.collect())),
+                    ]))
+                },
             },
-            MethodInfo {
+            // The lifecycle timeline of one CondorId: recorded events
+            // mapped to their µs instants, unrecorded events absent.
+            Method {
                 name: "timeline",
                 help: "lifecycle instants of a CondorId (µs)",
+                inline: false,
+                handler: |s, _, p| {
+                    let condor = p.u64(0, "missing CondorId parameter")?;
+                    let tl = s.hub.timeline(condor).ok_or_else(|| {
+                        GaeError::NotFound(format!("timeline for condor {condor}"))
+                    })?;
+                    Ok(Value::struct_of(TimelineEvent::ALL.iter().filter_map(
+                        |ev| {
+                            tl.instant(*ev)
+                                .map(|at| (format!("{}_us", ev.name()), micros(at)))
+                        },
+                    )))
+                },
             },
-            MethodInfo {
+            // The human-readable dump bench bins print.
+            Method {
                 name: "render",
                 help: "human-readable trace + timeline dump",
+                inline: false,
+                handler: |s, _, p| {
+                    let condor = p.u64(0, "missing CondorId parameter")?;
+                    s.hub
+                        .render_condor(condor)
+                        .map(Value::from)
+                        .ok_or_else(|| GaeError::NotFound(format!("trace for condor {condor}")))
+                },
             },
-        ]
-    }
+        ];
 }
 
 /// The `stats` service: latency distributions, over the wire.
@@ -170,54 +147,40 @@ fn snapshot_value(s: HistogramSnapshot) -> Value {
     ])
 }
 
-impl Service for StatsRpc {
-    fn name(&self) -> &'static str {
-        "stats"
-    }
-
-    fn call(&self, _ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
-        match method {
-            "histogram" => {
-                let name = params
-                    .first()
-                    .ok_or_else(|| GaeError::Parse("missing histogram name".into()))?
-                    .as_str()?;
-                self.lookup(name)
+impl Methods for StatsRpc {
+    const NAME: &'static str = "stats";
+    const METHODS: &'static [Method<Self>] = &[
+        Method {
+            name: "histogram",
+            help: "latency snapshot of one method (or gate:<disposition>)",
+            inline: false,
+            handler: |s, _, p| {
+                let name = p.str(0, "missing histogram name")?;
+                s.lookup(name)
                     .map(snapshot_value)
                     .ok_or_else(|| GaeError::NotFound(format!("histogram {name}")))
-            }
-            "methods" => Ok(Value::Array(
-                self.hub
+            },
+        },
+        Method {
+            name: "methods",
+            help: "every histogram name with samples",
+            inline: false,
+            handler: |s, _, _| {
+                let rpc = s
+                    .hub
                     .rpc_snapshot()
                     .into_iter()
-                    .map(|(k, _)| Value::from(k))
-                    .chain(
-                        self.hub
-                            .gate_snapshot()
-                            .into_iter()
-                            .map(|(k, _)| Value::from(format!("gate:{k}"))),
-                    )
-                    .collect(),
-            )),
-            "render" => Ok(Value::from(self.hub.render_histograms())),
-            other => Err(gae_rpc::service::unknown_method("stats", other)),
-        }
-    }
-
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo {
-                name: "histogram",
-                help: "latency snapshot of one method (or gate:<disposition>)",
+                    .map(|(k, _)| Value::from(k));
+                let gate = s.hub.gate_snapshot().into_iter();
+                let gate = gate.map(|(k, _)| Value::from(format!("gate:{k}")));
+                Ok(Value::Array(rpc.chain(gate).collect()))
             },
-            MethodInfo {
-                name: "methods",
-                help: "every histogram name with samples",
-            },
-            MethodInfo {
-                name: "render",
-                help: "human-readable latency table",
-            },
-        ]
-    }
+        },
+        Method {
+            name: "render",
+            help: "human-readable latency table",
+            inline: false,
+            handler: |s, _, _| Ok(Value::from(s.hub.render_histograms())),
+        },
+    ];
 }

@@ -18,7 +18,7 @@
 
 use crate::grid::Grid;
 use crate::persist::{self, array_of, Install, Journal, Machine, MemberWriter, Owns, Persistence};
-use gae_rpc::{CallContext, MethodInfo, Service};
+use gae_rpc::{Method, Methods};
 use gae_types::{FileRef, GaeError, GaeResult, SimTime, SiteId, TaskSpec};
 use gae_wire::Value;
 use gae_xfer::{JournalOp, XferCounters, XferExport};
@@ -135,76 +135,58 @@ impl ReplicaRpc {
     }
 }
 
-impl Service for ReplicaRpc {
-    fn name(&self) -> &'static str {
-        "replica"
-    }
-
-    fn call(&self, _ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
-        match method {
-            "register" => {
-                // register(lfn, size, [site...])
-                if params.len() != 3 {
-                    return Err(GaeError::Parse("register(lfn, size, sites)".into()));
+impl Methods for ReplicaRpc {
+    const NAME: &'static str = "replica";
+    const METHODS: &'static [Method<Self>] = &[
+        Method {
+            name: "register",
+            help: "catalogue a logical file with replicas",
+            inline: false,
+            handler: |s, _, p| {
+                let [lfn, size, sites] = p.exact("register(lfn, size, sites)")?;
+                let mut file = FileRef::new(lfn.as_str()?, size.as_u64()?);
+                for site in sites.as_array()? {
+                    file.replicas.push(SiteId::new(site.as_u64()?));
                 }
-                let mut file = FileRef::new(params[0].as_str()?, params[1].as_u64()?);
-                for s in params[2].as_array()? {
-                    file.replicas.push(SiteId::new(s.as_u64()?));
-                }
-                self.catalog.register(file);
+                s.catalog.register(file);
                 Ok(Value::Bool(true))
-            }
-            "lookup" => {
-                let lfn = params
-                    .first()
-                    .ok_or_else(|| GaeError::Parse("lookup(lfn)".into()))?
-                    .as_str()?;
-                Ok(match self.catalog.lookup(lfn) {
+            },
+        },
+        Method {
+            name: "lookup",
+            help: "replicas and size of a logical file",
+            inline: false,
+            handler: |s, _, p| {
+                Ok(match s.catalog.lookup(p.str(0, "lookup(lfn)")?) {
                     Some(f) => file_to_value(&f.logical_name, f.size_bytes, &f.replicas),
                     None => Value::Nil,
                 })
-            }
-            "replicate" => {
-                if params.len() != 2 {
-                    return Err(GaeError::Parse("replicate(lfn, to_site)".into()));
-                }
-                let lfn = params[0].as_str()?;
-                let to = SiteId::new(params[1].as_u64()?);
-                let arrives = self.catalog.replicate(lfn, to)?;
+            },
+        },
+        Method {
+            name: "replicate",
+            help: "start a managed replication; returns the projected arrival time (µs)",
+            inline: false,
+            handler: |s, _, p| {
+                let [lfn, to] = p.exact("replicate(lfn, to_site)")?;
+                let arrives = s
+                    .catalog
+                    .replicate(lfn.as_str()?, SiteId::new(to.as_u64()?))?;
                 Ok(Value::from(arrives.as_micros()))
-            }
-            "delete_replica" => {
-                if params.len() != 2 {
-                    return Err(GaeError::Parse("delete_replica(lfn, site)".into()));
-                }
-                self.catalog
-                    .delete_replica(params[0].as_str()?, SiteId::new(params[1].as_u64()?))?;
+            },
+        },
+        Method {
+            name: "delete_replica",
+            help: "drop one replica of a file",
+            inline: false,
+            handler: |s, _, p| {
+                let [lfn, site] = p.exact("delete_replica(lfn, site)")?;
+                s.catalog
+                    .delete_replica(lfn.as_str()?, SiteId::new(site.as_u64()?))?;
                 Ok(Value::Bool(true))
-            }
-            other => Err(gae_rpc::service::unknown_method("replica", other)),
-        }
-    }
-
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo {
-                name: "register",
-                help: "catalogue a logical file with replicas",
             },
-            MethodInfo {
-                name: "lookup",
-                help: "replicas and size of a logical file",
-            },
-            MethodInfo {
-                name: "replicate",
-                help: "start a managed replication; returns the projected arrival time (µs)",
-            },
-            MethodInfo {
-                name: "delete_replica",
-                help: "drop one replica of a file",
-            },
-        ]
-    }
+        },
+    ];
 }
 
 /// The transfer journal: one record per op, its own tag under `op`.
@@ -366,6 +348,7 @@ fn export_from_value(v: &Value) -> GaeResult<XferExport> {
 mod tests {
     use super::*;
     use crate::grid::GridBuilder;
+    use gae_rpc::{CallContext, Service};
     use gae_sim::{Link, NetworkModel};
     use gae_types::{SimDuration, SiteDescription};
 

@@ -4,8 +4,8 @@
 //! Manager then checks the caller owns the job (or is an operator).
 
 use crate::steering::service::{SteeringCommand, SteeringService};
-use gae_rpc::{CallContext, MethodInfo, Service};
-use gae_types::{GaeResult, Priority, SiteId, TaskId};
+use gae_rpc::{CallContext, Method, Methods, Params};
+use gae_types::{GaeResult, JobId, Priority, SiteId, TaskId};
 use gae_wire::Value;
 use std::sync::Arc;
 
@@ -20,188 +20,155 @@ impl SteeringRpc {
         SteeringRpc { service }
     }
 
-    fn task_param(params: &[Value], i: usize) -> GaeResult<TaskId> {
-        Ok(TaskId::new(
-            params
-                .get(i)
-                .ok_or_else(|| gae_types::GaeError::Parse(format!("missing parameter {i}")))?
-                .as_u64()?,
-        ))
+    /// The caller's `command` (read after the task id) on the task in
+    /// parameter 0.
+    fn task_command(
+        &self,
+        ctx: &CallContext,
+        p: Params<'_>,
+        command: impl FnOnce() -> GaeResult<SteeringCommand>,
+    ) -> GaeResult<Value> {
+        let user = ctx.require_user()?;
+        let task = TaskId::new(p.u64(0, "missing parameter 0")?);
+        self.service.command(user, task, command()?)?;
+        Ok(Value::Bool(true))
+    }
+
+    /// The caller's `command` (read after the job id) on every live
+    /// task of the job in parameter 0; answers how many it reached.
+    fn job_command(
+        &self,
+        ctx: &CallContext,
+        p: Params<'_>,
+        command: impl FnOnce() -> GaeResult<SteeringCommand>,
+    ) -> GaeResult<Value> {
+        let user = ctx.require_user()?;
+        let job = JobId::new(p.u64(0, "missing job id")?);
+        let affected = self.service.command_job(user, job, command()?)?;
+        Ok(Value::Int64(affected as i64))
     }
 }
 
-impl Service for SteeringRpc {
-    fn name(&self) -> &'static str {
-        "steering"
-    }
-
-    fn call(&self, ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
-        let user = ctx.require_user()?;
-        match method {
-            "kill" => {
-                let task = Self::task_param(params, 0)?;
-                self.service.command(user, task, SteeringCommand::Kill)?;
-                Ok(Value::Bool(true))
-            }
-            "pause" => {
-                let task = Self::task_param(params, 0)?;
-                self.service.command(user, task, SteeringCommand::Pause)?;
-                Ok(Value::Bool(true))
-            }
-            "resume" => {
-                let task = Self::task_param(params, 0)?;
-                self.service.command(user, task, SteeringCommand::Resume)?;
-                Ok(Value::Bool(true))
-            }
-            "set_priority" => {
-                let task = Self::task_param(params, 0)?;
-                let level = params
-                    .get(1)
-                    .ok_or_else(|| gae_types::GaeError::Parse("missing priority".into()))?
-                    .as_i32()?;
-                self.service.command(
-                    user,
-                    task,
-                    SteeringCommand::SetPriority(Priority::new(level)),
-                )?;
-                Ok(Value::Bool(true))
-            }
-            "move" => {
-                let task = Self::task_param(params, 0)?;
-                // Second parameter: target site id, or 0/absent for
-                // "let the Optimizer choose".
-                let target = match params.get(1) {
-                    Some(v) if !v.is_nil() => {
-                        let raw = v.as_u64()?;
-                        if raw == 0 {
-                            None
-                        } else {
-                            Some(SiteId::new(raw))
-                        }
-                    }
-                    _ => None,
-                };
-                self.service
-                    .command(user, task, SteeringCommand::Move(target))?;
-                Ok(Value::Bool(true))
-            }
-            "kill_job" | "pause_job" | "resume_job" => {
-                let job = gae_types::JobId::new(
-                    params
-                        .first()
-                        .ok_or_else(|| gae_types::GaeError::Parse("missing job id".into()))?
-                        .as_u64()?,
-                );
-                let cmd = match method {
-                    "kill_job" => SteeringCommand::Kill,
-                    "pause_job" => SteeringCommand::Pause,
-                    _ => SteeringCommand::Resume,
-                };
-                let affected = self.service.command_job(user, job, cmd)?;
-                Ok(Value::Int64(affected as i64))
-            }
-            "set_job_priority" => {
-                let job = gae_types::JobId::new(
-                    params
-                        .first()
-                        .ok_or_else(|| gae_types::GaeError::Parse("missing job id".into()))?
-                        .as_u64()?,
-                );
-                let level = params
-                    .get(1)
-                    .ok_or_else(|| gae_types::GaeError::Parse("missing priority".into()))?
-                    .as_i32()?;
-                let affected = self.service.command_job(
-                    user,
-                    job,
-                    SteeringCommand::SetPriority(Priority::new(level)),
-                )?;
-                Ok(Value::Int64(affected as i64))
-            }
-            "my_jobs" => Ok(Value::Array(
-                self.service
-                    .jobs_of(user)
-                    .into_iter()
-                    .map(|j| Value::from(j.raw()))
-                    .collect(),
-            )),
-            "execution_state" => {
-                let task = Self::task_param(params, 0)?;
-                match self.service.execution_state(task) {
-                    Some(state) => Ok(Value::struct_of([
-                        ("task", Value::from(state.task.raw())),
-                        ("site", Value::from(state.site.raw())),
-                        ("status", Value::from(state.status.to_string())),
-                        ("cpu_time_s", Value::from(state.cpu_time.as_secs_f64())),
-                        ("output_bytes", Value::from(state.output_bytes)),
-                        ("collected_us", Value::from(state.collected_at.as_micros())),
-                    ])),
-                    None => Ok(Value::Nil),
-                }
-            }
-            "job_progress" => {
-                let task = Self::task_param(params, 0)?;
-                let (cpu, elapsed, progress) = self.service.job_progress(task)?;
+impl Methods for SteeringRpc {
+    const NAME: &'static str = "steering";
+    const METHODS: &'static [Method<Self>] = &[
+        Method {
+            name: "kill",
+            help: "kill a task (owner or operator only)",
+            inline: false,
+            handler: |s, ctx, p| s.task_command(ctx, p, || Ok(SteeringCommand::Kill)),
+        },
+        Method {
+            name: "pause",
+            help: "suspend a running task",
+            inline: false,
+            handler: |s, ctx, p| s.task_command(ctx, p, || Ok(SteeringCommand::Pause)),
+        },
+        Method {
+            name: "resume",
+            help: "resume a suspended task",
+            inline: false,
+            handler: |s, ctx, p| s.task_command(ctx, p, || Ok(SteeringCommand::Resume)),
+        },
+        Method {
+            name: "set_priority",
+            help: "change a task's priority",
+            inline: false,
+            handler: |s, ctx, p| {
+                s.task_command(ctx, p, || {
+                    let level = p.i32(1, "missing priority")?;
+                    Ok(SteeringCommand::SetPriority(Priority::new(level)))
+                })
+            },
+        },
+        // Second parameter: target site id, or 0/nil/absent for "let
+        // the Optimizer choose".
+        Method {
+            name: "move",
+            help: "move a task to a site (0 = let the optimizer choose)",
+            inline: false,
+            handler: |s, ctx, p| {
+                s.task_command(ctx, p, || {
+                    let target = p.opt(1).map(Value::as_u64).transpose()?;
+                    let target = target.filter(|&raw| raw != 0).map(SiteId::new);
+                    Ok(SteeringCommand::Move(target))
+                })
+            },
+        },
+        Method {
+            name: "job_progress",
+            help: "cpu time, elapsed time and progress fraction of a task",
+            inline: false,
+            handler: |s, ctx, p| {
+                ctx.require_user()?;
+                let task = TaskId::new(p.u64(0, "missing parameter 0")?);
+                let (cpu, elapsed, progress) = s.service.job_progress(task)?;
                 Ok(Value::struct_of([
                     ("cpu_time_s", Value::from(cpu.as_secs_f64())),
                     ("elapsed_s", Value::from(elapsed.as_secs_f64())),
                     ("progress", Value::from(progress)),
                 ]))
-            }
-            other => Err(gae_rpc::service::unknown_method("steering", other)),
-        }
-    }
-
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo {
-                name: "kill",
-                help: "kill a task (owner or operator only)",
             },
-            MethodInfo {
-                name: "pause",
-                help: "suspend a running task",
+        },
+        Method {
+            name: "execution_state",
+            help: "collected execution state of a settled task, or nil",
+            inline: false,
+            handler: |s, ctx, p| {
+                ctx.require_user()?;
+                let task = TaskId::new(p.u64(0, "missing parameter 0")?);
+                let Some(state) = s.service.execution_state(task) else {
+                    return Ok(Value::Nil);
+                };
+                Ok(Value::struct_of([
+                    ("task", Value::from(state.task.raw())),
+                    ("site", Value::from(state.site.raw())),
+                    ("status", Value::from(state.status.to_string())),
+                    ("cpu_time_s", Value::from(state.cpu_time.as_secs_f64())),
+                    ("output_bytes", Value::from(state.output_bytes)),
+                    ("collected_us", Value::from(state.collected_at.as_micros())),
+                ]))
             },
-            MethodInfo {
-                name: "resume",
-                help: "resume a suspended task",
+        },
+        Method {
+            name: "kill_job",
+            help: "kill every live task of a job",
+            inline: false,
+            handler: |s, ctx, p| s.job_command(ctx, p, || Ok(SteeringCommand::Kill)),
+        },
+        Method {
+            name: "pause_job",
+            help: "suspend every live task of a job",
+            inline: false,
+            handler: |s, ctx, p| s.job_command(ctx, p, || Ok(SteeringCommand::Pause)),
+        },
+        Method {
+            name: "resume_job",
+            help: "resume every live task of a job",
+            inline: false,
+            handler: |s, ctx, p| s.job_command(ctx, p, || Ok(SteeringCommand::Resume)),
+        },
+        Method {
+            name: "set_job_priority",
+            help: "change the priority of every live task of a job",
+            inline: false,
+            handler: |s, ctx, p| {
+                s.job_command(ctx, p, || {
+                    let level = p.i32(1, "missing priority")?;
+                    Ok(SteeringCommand::SetPriority(Priority::new(level)))
+                })
             },
-            MethodInfo {
-                name: "set_priority",
-                help: "change a task's priority",
+        },
+        Method {
+            name: "my_jobs",
+            help: "job ids owned by the calling session",
+            inline: false,
+            handler: |s, ctx, _| {
+                let jobs = s.service.jobs_of(ctx.require_user()?);
+                Ok(Value::Array(
+                    jobs.into_iter().map(|j| Value::from(j.raw())).collect(),
+                ))
             },
-            MethodInfo {
-                name: "move",
-                help: "move a task to a site (0 = let the optimizer choose)",
-            },
-            MethodInfo {
-                name: "job_progress",
-                help: "cpu time, elapsed time and progress fraction of a task",
-            },
-            MethodInfo {
-                name: "execution_state",
-                help: "collected execution state of a settled task, or nil",
-            },
-            MethodInfo {
-                name: "kill_job",
-                help: "kill every live task of a job",
-            },
-            MethodInfo {
-                name: "pause_job",
-                help: "suspend every live task of a job",
-            },
-            MethodInfo {
-                name: "resume_job",
-                help: "resume every live task of a job",
-            },
-            MethodInfo {
-                name: "set_job_priority",
-                help: "change the priority of every live task of a job",
-            },
-            MethodInfo {
-                name: "my_jobs",
-                help: "job ids owned by the calling session",
-            },
-        ]
-    }
+        },
+    ];
 }

@@ -8,7 +8,7 @@
 //! back.
 
 use crate::grid::ServiceStack;
-use gae_rpc::{CallContext, MethodInfo, Service};
+use gae_rpc::{Method, Methods};
 use gae_types::{
     AbstractPlan, ConcretePlan, FileRef, GaeError, GaeResult, JobId, JobSpec,
     OptimizationPreference, Priority, SimDuration, SiteId, TaskId, TaskSpec,
@@ -96,7 +96,8 @@ pub fn task_from_value(v: &Value) -> GaeResult<TaskSpec> {
         t.args.push(a.as_str()?.to_string());
     }
     t.priority = Priority::new(v.member("priority")?.as_i32()?);
-    t.requested_nodes = v.member("requested_nodes")?.as_u64()? as u32;
+    t.requested_nodes = u32::try_from(v.member("requested_nodes")?.as_u64()?)
+        .map_err(|_| GaeError::Parse("requested_nodes out of range".into()))?;
     t.requested_cpu_hours = v.member("requested_cpu_hours")?.as_f64()?;
     t.queue = v.member("queue")?.as_str()?.to_string();
     t.partition = v.member("partition")?.as_str()?.to_string();
@@ -212,24 +213,19 @@ impl SchedulerRpc {
     }
 }
 
-impl Service for SchedulerRpc {
-    fn name(&self) -> &'static str {
-        "scheduler"
-    }
-
-    fn call(&self, ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
-        match method {
-            // submit_job(job_struct [, preference [, allowed_sites]])
-            "submit_job" => {
+impl Methods for SchedulerRpc {
+    const NAME: &'static str = "scheduler";
+    const METHODS: &'static [Method<Self>] = &[
+        // submit_job(job_struct [, preference [, allowed_sites]])
+        Method {
+            name: "submit_job",
+            help: "schedule a job (struct) and subscribe it for steering; returns the plan",
+            inline: false,
+            handler: |s, ctx, p| {
                 let owner = ctx.require_user()?;
-                let job = job_from_value(
-                    params
-                        .first()
-                        .ok_or_else(|| GaeError::Parse("submit_job(job, ...)".into()))?,
-                    owner,
-                )?;
+                let job = job_from_value(p.get(0, "submit_job(job, ...)")?, owner)?;
                 let mut plan = AbstractPlan::new(job);
-                if let Some(pref) = params.get(1).filter(|v| !v.is_nil()) {
+                if let Some(pref) = p.opt(1) {
                     plan.preference = match pref.as_str()? {
                         "fast" => OptimizationPreference::Fast,
                         "cheap" => OptimizationPreference::Cheap,
@@ -238,52 +234,38 @@ impl Service for SchedulerRpc {
                         }
                     };
                 }
-                if let Some(sites) = params.get(2).filter(|v| !v.is_nil()) {
-                    for s in sites.as_array()? {
-                        plan.allowed_sites.push(SiteId::new(s.as_u64()?));
+                if let Some(sites) = p.opt(2) {
+                    for site in sites.as_array()? {
+                        plan.allowed_sites.push(SiteId::new(site.as_u64()?));
                     }
                 }
-                let concrete = self.stack()?.submit_plan(&plan)?;
+                let concrete = s.stack()?.submit_plan(&plan)?;
                 Ok(plan_to_value(&concrete))
-            }
-            "sites" => {
-                let stack = self.stack()?;
-                Ok(Value::Array(
-                    stack
-                        .grid
-                        .site_ids()
-                        .into_iter()
-                        .map(|s| {
-                            let d = stack.grid.description(s).expect("listed site");
-                            Value::struct_of([
-                                ("id", Value::from(s.raw())),
-                                ("name", Value::from(d.name.as_str())),
-                                ("nodes", Value::from(d.nodes)),
-                                ("slots_per_node", Value::from(d.slots_per_node)),
-                                ("speed_factor", Value::from(d.speed_factor)),
-                                ("charge_per_cpu_hour", Value::from(d.charge_per_cpu_hour)),
-                                ("alive", Value::Bool(stack.grid.is_alive(s))),
-                            ])
-                        })
-                        .collect(),
-                ))
-            }
-            other => Err(gae_rpc::service::unknown_method("scheduler", other)),
-        }
-    }
-
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo {
-                name: "submit_job",
-                help: "schedule a job (struct) and subscribe it for steering; returns the plan",
             },
-            MethodInfo {
-                name: "sites",
-                help: "descriptions and liveness of every site",
+        },
+        Method {
+            name: "sites",
+            help: "descriptions and liveness of every site",
+            inline: false,
+            handler: |s, _, _| {
+                let stack = s.stack()?;
+                let sites = stack.grid.sites().map(|(id, exec)| {
+                    let exec = exec.lock();
+                    let d = exec.site();
+                    Value::struct_of([
+                        ("id", Value::from(id.raw())),
+                        ("name", Value::from(d.name.as_str())),
+                        ("nodes", Value::from(d.nodes)),
+                        ("slots_per_node", Value::from(d.slots_per_node)),
+                        ("speed_factor", Value::from(d.speed_factor)),
+                        ("charge_per_cpu_hour", Value::from(d.charge_per_cpu_hour)),
+                        ("alive", Value::Bool(exec.is_alive())),
+                    ])
+                });
+                Ok(Value::Array(sites.collect()))
             },
-        ]
-    }
+        },
+    ];
 }
 
 #[cfg(test)]

@@ -12,7 +12,9 @@
 //! A call marked [`crate::Service::inline`] never reaches the pool:
 //! once admitted it runs to completion on the submitting thread and
 //! its body is the return value of [`DoorBackend::submit`]
-//! ([`Submitted::Inline`]), so a cheap read costs no thread hop.
+//! ([`Submitted::Inline`]), so a cheap read costs no thread hop. The
+//! door resolves a call's method name once, when it reads the body,
+//! and both the inline decision and the dispatch use that resolution.
 //!
 //! Because the door is public, a second transport over it answers
 //! with identical bytes by construction: `tests/reactor_transport.rs`
@@ -20,7 +22,7 @@
 //! reference and proptests "blocking ≡ reactor" end to end.
 
 use crate::gatedpool::{Disposition, GatedPool};
-use crate::host::ServiceHost;
+use crate::host::{Resolved, ServiceHost};
 use crate::http::HttpRequest;
 use gae_gate::{Gate, Principal};
 use gae_types::{GaeError, SessionId};
@@ -170,22 +172,32 @@ impl DoorBackend {
     }
 }
 
-/// A small body's parse, made once at the door.
+/// A parsed call and what its method name resolved to.
+type Call = (MethodCall, gae_types::GaeResult<Arc<Resolved>>);
+
+/// A small body's parse and resolution, made once at the door.
 enum Parsed {
     /// A marked method within the transport's budget: run it here.
-    Inline(MethodCall),
+    Inline(Call),
     /// Everything else. `Some` carries the parse (or its error) to the
-    /// worker so nothing is parsed twice; `None` is a body above
-    /// [`INLINE_BODY_CAP`], which the worker parses as it always has.
-    Pooled(Option<gae_types::GaeResult<MethodCall>>),
+    /// worker so nothing is parsed or resolved twice; `None` is a body
+    /// above [`INLINE_BODY_CAP`], which the worker parses as it always
+    /// has.
+    Pooled(Option<gae_types::GaeResult<Call>>),
+}
+
+fn parse(host: &ServiceHost, body: &[u8]) -> gae_types::GaeResult<Call> {
+    let call = parse_call(body)?;
+    let method = host.resolve(&call.name);
+    Ok((call, method))
 }
 
 fn parse_small(host: &ServiceHost, request: &HttpRequest, may_inline: bool) -> Parsed {
     if request.body.len() > INLINE_BODY_CAP {
         return Parsed::Pooled(None);
     }
-    match parse_call(&request.body) {
-        Ok(call) if may_inline && host.runs_inline(&call.name) => Parsed::Inline(call),
+    match parse(host, &request.body) {
+        Ok(call) if may_inline && call.1.as_ref().is_ok_and(|m| m.inline) => Parsed::Inline(call),
         parsed => Parsed::Pooled(Some(parsed)),
     }
 }
@@ -219,27 +231,28 @@ pub fn process_request(host: &ServiceHost, request: &HttpRequest, peer: &str) ->
     respond(host, request, peer, None)
 }
 
-/// [`process_request`] for a body the door may already have parsed:
-/// `parsed` stands in for the `parse_call` step at the point where it
-/// would run, so session faults keep their precedence over parse
+/// [`process_request`] for a body the door may already have parsed
+/// and resolved: `parsed` stands in for that step at the point where
+/// it would run, so session faults keep their precedence over parse
 /// faults on both lanes.
 fn respond(
     host: &ServiceHost,
     request: &HttpRequest,
     peer: &str,
-    parsed: Option<gae_types::GaeResult<MethodCall>>,
+    parsed: Option<gae_types::GaeResult<Call>>,
 ) -> Vec<u8> {
     let response = (|| -> gae_types::GaeResult<gae_wire::Response> {
         let session = request.session()?.map(SessionId::new);
         let mut ctx = host.resolve_session(session, peer)?;
-        let call = parsed.unwrap_or_else(|| parse_call(&request.body))?;
+        let (call, method) = parsed.unwrap_or_else(|| parse(host, &request.body))?;
         if let Some(hub) = host.obs() {
             ctx.trace = request
                 .trace()
                 .and_then(gae_obs::TraceContext::parse)
                 .or_else(|| Some(hub.mint_trace(&call.name)));
         }
-        Ok(host.handle(&ctx, &call))
+        let result = host.call(&ctx, &call.name, method, &call.params);
+        Ok(gae_wire::Response::from_result(result))
     })()
     .unwrap_or_else(|e| gae_wire::Response::Fault(gae_wire::Fault::from_error(&e)));
     write_response(&response).into_bytes()

@@ -1,31 +1,55 @@
 //! The service host: Clarens' dispatch core.
 //!
 //! A [`ServiceHost`] owns a set of named [`Service`]s, a
-//! [`SessionManager`] and an [`AccessControl`] list. Every transport
-//! (TCP, in-process) funnels calls through [`ServiceHost::dispatch`],
-//! which resolves the session, enforces the ACL, routes
-//! `"service.method"` and maps errors to XML-RPC faults.
+//! [`SessionManager`] and an [`AccessControl`] list. Every call goes
+//! through one path — from the door the `gae-aio` reactor serves
+//! ([`crate::door`]) or from an [`crate::InProcClient`] — which
+//! resolves the session, enforces the ACL, routes `"service.method"`
+//! and maps errors to XML-RPC faults.
+//!
+//! [`ServiceHost::register`] reads a service's methods once. A call's
+//! name then resolves with one lookup into its method entry — the
+//! service, the `&'static` method name, the inline marking, the
+//! histogram key and the span name — and the inline decision, the
+//! -32601 fault, the dispatch and the per-method histogram all come
+//! from that entry (DESIGN.md §16, "How a service declares its
+//! methods").
 //!
 //! Two services are built in, mirroring Clarens' common services:
 //!
-//! * `system` — `listMethods`, `methodHelp`, `ping`, `echo`;
+//! * `system` — `listMethods`, `methodHelp`, `ping`, `echo`,
+//!   `multicall`;
 //! * `auth` — `login`, `logout`, `whoami`.
 
 use crate::auth::{AccessControl, Credentials, SessionManager};
-use crate::service::{unknown_method, CallContext, MethodInfo, Service};
+use crate::service::{unknown_method, CallContext, Method, Methods, Params, Service};
 use gae_types::{GaeError, GaeResult, SessionId};
 use gae_wire::{MethodCall, Response, Value};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// A pluggable handler for HTTP GET requests: returns
 /// `(content_type, body)` for paths it serves.
 pub type WebHandler = Box<dyn Fn(&str) -> Option<(String, Vec<u8>)> + Send + Sync>;
 
+/// One registered method: what a `"service.method"` name resolves to.
+pub(crate) struct Resolved {
+    service: Arc<dyn Service>,
+    method: &'static str,
+    help: &'static str,
+    /// Runs on the submitting thread ([`Service::inline`]).
+    pub(crate) inline: bool,
+    /// `service.method`: the listed name and the histogram's key.
+    full: String,
+    /// `rpc.service.method`: the span's name.
+    span: String,
+}
+
 /// A registry of services plus the security layer.
 pub struct ServiceHost {
-    services: RwLock<BTreeMap<&'static str, Arc<dyn Service>>>,
+    /// Each service's methods in declaration order, by service name.
+    services: RwLock<BTreeMap<&'static str, Vec<Arc<Resolved>>>>,
     sessions: Arc<SessionManager>,
     acl: Arc<AccessControl>,
     web_handlers: RwLock<Vec<WebHandler>>,
@@ -60,15 +84,26 @@ impl ServiceHost {
         )
     }
 
-    /// Registers a service. Re-registering a name replaces the old
-    /// instance (used when a service restarts after failure).
+    /// Registers a service, reading its methods and their inline
+    /// markings once. Re-registering a name replaces the old instance
+    /// (used when a service restarts after failure).
     pub fn register(&self, service: Arc<dyn Service>) {
-        self.services.write().insert(service.name(), service);
-    }
-
-    /// Removes a service (used by failure-injection tests).
-    pub fn unregister(&self, name: &str) -> bool {
-        self.services.write().remove(name).is_some()
+        let name = service.name();
+        let methods = service
+            .methods()
+            .into_iter()
+            .map(|m| {
+                Arc::new(Resolved {
+                    service: service.clone(),
+                    method: m.name,
+                    help: m.help,
+                    inline: service.inline(m.name),
+                    full: format!("{name}.{}", m.name),
+                    span: format!("rpc.{name}.{}", m.name),
+                })
+            })
+            .collect();
+        self.services.write().insert(name, methods);
     }
 
     /// The session manager, for transports that resolve sessions.
@@ -81,9 +116,10 @@ impl ServiceHost {
         &self.acl
     }
 
-    /// Installs the observability hub: from here on every dispatch is
-    /// timed into the hub's per-method histograms, and calls carrying
-    /// a trace context record an `rpc.<service.method>` span.
+    /// Installs the observability hub: from here on every dispatch of a
+    /// registered method is timed into the hub's per-method histograms,
+    /// and calls carrying a trace context record an
+    /// `rpc.<service.method>` span.
     pub fn attach_obs(&self, hub: Arc<gae_obs::ObsHub>) {
         *self.obs.write() = Some(hub);
     }
@@ -119,63 +155,80 @@ impl ServiceHost {
         }
     }
 
-    /// Routes one call. `full_method` is `"service.method"`. When an
-    /// observability hub is attached the dispatch is timed on the
-    /// hub's clock into the per-method histogram, and a span is
-    /// recorded under the request's trace context when it carries
-    /// one.
+    /// The method `full_method` (`"service.method"`) names: one split,
+    /// one lookup. A malformed name, or one no registered service
+    /// lists, is the -32601 fault.
+    pub(crate) fn resolve(&self, full_method: &str) -> GaeResult<Arc<Resolved>> {
+        let (service, method) = full_method.split_once('.').ok_or_else(|| GaeError::Rpc {
+            code: -32601,
+            message: format!("{full_method}: expected service.method"),
+        })?;
+        self.services
+            .read()
+            .get(service)
+            .and_then(|methods| methods.iter().find(|m| m.method == method))
+            .cloned()
+            .ok_or_else(|| unknown_method(service, method))
+    }
+
+    /// Routes one call. `full_method` is `"service.method"`.
     pub fn dispatch(
         &self,
         ctx: &CallContext,
         full_method: &str,
         params: &[Value],
     ) -> GaeResult<Value> {
+        self.call(ctx, full_method, self.resolve(full_method), params)
+    }
+
+    /// [`Self::dispatch`] with `full_method` already resolved (the door
+    /// resolves it when it reads the request). The ACL answers first,
+    /// for a name that resolved and one that did not. When an
+    /// observability hub is attached a resolved call is timed on the
+    /// hub's clock into its method's histogram, and spanned under the
+    /// request's trace context when it carries one; a name that
+    /// resolved to nothing records nothing, so names a client makes up
+    /// cost nothing to keep.
+    pub(crate) fn call(
+        &self,
+        ctx: &CallContext,
+        full_method: &str,
+        method: GaeResult<Arc<Resolved>>,
+        params: &[Value],
+    ) -> GaeResult<Value> {
+        let method = match method {
+            Ok(method) => method,
+            Err(e) => {
+                if let Some((service, name)) = full_method.split_once('.') {
+                    self.acl.enforce(ctx.user, service, name)?;
+                }
+                return Err(e);
+            }
+        };
         let Some(hub) = self.obs() else {
-            return self.dispatch_inner(ctx, full_method, params);
+            return self.invoke(ctx, &method, params);
         };
         let start = hub.now();
-        let result = self.dispatch_inner(ctx, full_method, params);
+        let result = self.invoke(ctx, &method, params);
         let end = hub.now();
-        hub.record_rpc(full_method, end.saturating_since(start));
+        hub.record_rpc(&method.full, end.saturating_since(start));
         if let Some(trace) = ctx.trace {
-            hub.span(trace, &format!("rpc.{full_method}"), start, end);
+            hub.span(trace, &method.span, start, end);
         }
         result
     }
 
-    fn dispatch_inner(
-        &self,
-        ctx: &CallContext,
-        full_method: &str,
-        params: &[Value],
-    ) -> GaeResult<Value> {
-        let (service_name, method) = full_method.split_once('.').ok_or_else(|| GaeError::Rpc {
-            code: -32601,
-            message: format!("{full_method}: expected service.method"),
-        })?;
-        self.acl.enforce(ctx.user, service_name, method)?;
-        let service = {
-            let services = self.services.read();
-            services.get(service_name).cloned()
-        };
-        match service {
-            Some(s) => s.call(ctx, method, params),
-            None => Err(unknown_method(service_name, method)),
-        }
+    fn invoke(&self, ctx: &CallContext, m: &Resolved, params: &[Value]) -> GaeResult<Value> {
+        self.acl.enforce(ctx.user, m.service.name(), m.method)?;
+        m.service.call(ctx, m.method, params)
     }
 
     /// Whether `full_method` (`"service.method"`) is marked to run on
     /// the submitting thread (see [`Service::inline`]). Unknown
-    /// services and malformed names are not: their fault comes from
+    /// methods and malformed names are not: their fault comes from
     /// the pool like any other.
     pub fn runs_inline(&self, full_method: &str) -> bool {
-        let Some((service_name, method)) = full_method.split_once('.') else {
-            return false;
-        };
-        self.services
-            .read()
-            .get(service_name)
-            .is_some_and(|s| s.inline(method))
+        self.resolve(full_method).is_ok_and(|m| m.inline)
     }
 
     /// Full request→response handling for transports: never panics,
@@ -216,13 +269,12 @@ impl ServiceHost {
              <h1>Grid Analysis Environment &mdash; Clarens host</h1>\n\
              <p>XML-RPC endpoint: POST /RPC2</p>\n",
         );
-        let services = self.services.read();
-        for (name, svc) in services.iter() {
+        for (name, methods) in self.services.read().iter() {
             html.push_str(&format!("<h2>{name}</h2>\n<ul>\n"));
-            for m in svc.methods() {
+            for m in methods {
                 html.push_str(&format!(
-                    "<li><code>{name}.{}</code> &mdash; {}</li>\n",
-                    m.name, m.help
+                    "<li><code>{}</code> &mdash; {}</li>\n",
+                    m.full, m.help
                 ));
             }
             html.push_str("</ul>\n");
@@ -234,123 +286,103 @@ impl ServiceHost {
 
 /// `system.*`: introspection, liveness, echo.
 struct SystemService {
-    host: std::sync::Weak<ServiceHost>,
+    host: Weak<ServiceHost>,
 }
 
-impl Service for SystemService {
-    fn name(&self) -> &'static str {
-        "system"
+impl SystemService {
+    fn host(&self) -> GaeResult<Arc<ServiceHost>> {
+        self.host
+            .upgrade()
+            .ok_or_else(|| GaeError::ExecutionFailure("host shut down".into()))
     }
 
-    fn call(&self, _ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
-        match method {
-            "ping" => Ok(Value::from("pong")),
-            "echo" => Ok(Value::Array(params.to_vec())),
-            "multicall" => {
-                // The standard boxcarring extension: one array of
-                // {methodName, params} structs in, one array out where
-                // each element is either a 1-element array holding the
-                // result or a fault struct. Individual failures do not
-                // abort the batch.
-                let host = self
-                    .host
-                    .upgrade()
-                    .ok_or_else(|| GaeError::ExecutionFailure("host shut down".into()))?;
-                let calls = params
-                    .first()
-                    .ok_or_else(|| GaeError::Parse("multicall needs an array of calls".into()))?
-                    .as_array()?;
-                let mut results = Vec::with_capacity(calls.len());
-                for call in calls {
-                    let outcome = (|| -> GaeResult<Value> {
-                        let name = call.member("methodName")?.as_str()?;
-                        if name == "system.multicall" {
-                            return Err(GaeError::Parse(
-                                "recursive multicall is not allowed".into(),
-                            ));
-                        }
-                        let args = call.member("params")?.as_array()?;
-                        host.dispatch(_ctx, name, args)
-                    })();
-                    results.push(match outcome {
-                        Ok(v) => Value::Array(vec![v]),
-                        Err(e) => Value::struct_of([
-                            ("faultCode", Value::Int(e.fault_code())),
-                            ("faultString", Value::from(e.to_string())),
-                        ]),
-                    });
+    /// The standard boxcarring extension: one array of {methodName,
+    /// params} structs in, one array out where each element is either
+    /// a 1-element array holding the result or a fault struct.
+    /// Individual failures do not abort the batch.
+    fn multicall(&self, ctx: &CallContext, p: Params<'_>) -> GaeResult<Value> {
+        let host = self.host()?;
+        let calls = p.get(0, "multicall needs an array of calls")?.as_array()?;
+        let mut results = Vec::with_capacity(calls.len());
+        for call in calls {
+            let outcome = (|| -> GaeResult<Value> {
+                let name = call.member("methodName")?.as_str()?;
+                if name == "system.multicall" {
+                    return Err(GaeError::Parse("recursive multicall is not allowed".into()));
                 }
-                Ok(Value::Array(results))
-            }
-            "listMethods" => {
-                let host = self
-                    .host
-                    .upgrade()
-                    .ok_or_else(|| GaeError::ExecutionFailure("host shut down".into()))?;
+                let args = call.member("params")?.as_array()?;
+                host.dispatch(ctx, name, args)
+            })();
+            results.push(match outcome {
+                Ok(v) => Value::Array(vec![v]),
+                Err(e) => Value::struct_of([
+                    ("faultCode", Value::Int(e.fault_code())),
+                    ("faultString", Value::from(e.to_string())),
+                ]),
+            });
+        }
+        Ok(Value::Array(results))
+    }
+}
+
+impl Methods for SystemService {
+    const NAME: &'static str = "system";
+    const METHODS: &'static [Method<Self>] = &[
+        // This and the next three read only the request and the
+        // registry: inline.
+        Method {
+            name: "ping",
+            help: "liveness probe; returns \"pong\"",
+            inline: true,
+            handler: |_, _, _| Ok(Value::from("pong")),
+        },
+        Method {
+            name: "echo",
+            help: "returns its parameters as an array",
+            inline: true,
+            handler: |_, _, p| Ok(Value::Array(p.0.to_vec())),
+        },
+        Method {
+            name: "listMethods",
+            help: "all service.method names on this host",
+            inline: true,
+            handler: |s, _, _| {
+                let host = s.host()?;
                 let services = host.services.read();
-                let mut names = Vec::new();
-                for (svc_name, svc) in services.iter() {
-                    for m in svc.methods() {
-                        names.push(Value::from(format!("{svc_name}.{}", m.name)));
-                    }
-                }
-                Ok(Value::Array(names))
-            }
-            "methodHelp" => {
-                let full = params
-                    .first()
-                    .ok_or_else(|| GaeError::Parse("methodHelp needs a method name".into()))?
-                    .as_str()?;
-                let (svc_name, m_name) = full
+                let names = services.values().flatten();
+                Ok(Value::Array(
+                    names.map(|m| Value::from(m.full.as_str())).collect(),
+                ))
+            },
+        },
+        Method {
+            name: "methodHelp",
+            help: "help string for one service.method",
+            inline: true,
+            handler: |s, _, p| {
+                let full = p.str(0, "methodHelp needs a method name")?;
+                let (service, method) = full
                     .split_once('.')
                     .ok_or_else(|| GaeError::Parse("expected service.method".into()))?;
-                let host = self
-                    .host
-                    .upgrade()
-                    .ok_or_else(|| GaeError::ExecutionFailure("host shut down".into()))?;
+                let host = s.host()?;
                 let services = host.services.read();
-                let svc = services
-                    .get(svc_name)
-                    .ok_or_else(|| GaeError::NotFound(format!("service {svc_name}")))?;
-                svc.methods()
-                    .into_iter()
-                    .find(|m| m.name == m_name)
+                services
+                    .get(service)
+                    .ok_or_else(|| GaeError::NotFound(format!("service {service}")))?
+                    .iter()
+                    .find(|m| m.method == method)
                     .map(|m| Value::from(m.help))
                     .ok_or_else(|| GaeError::NotFound(format!("method {full}")))
-            }
-            other => Err(unknown_method("system", other)),
-        }
-    }
-
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo {
-                name: "ping",
-                help: "liveness probe; returns \"pong\"",
             },
-            MethodInfo {
-                name: "echo",
-                help: "returns its parameters as an array",
-            },
-            MethodInfo {
-                name: "listMethods",
-                help: "all service.method names on this host",
-            },
-            MethodInfo {
-                name: "methodHelp",
-                help: "help string for one service.method",
-            },
-            MethodInfo {
-                name: "multicall",
-                help: "execute a batch of {methodName, params} calls in one request",
-            },
-        ]
-    }
-
-    /// Everything but `multicall`, whose cost is its batch.
-    fn inline(&self, method: &str) -> bool {
-        matches!(method, "ping" | "echo" | "listMethods" | "methodHelp")
-    }
+        },
+        // The one `system` method on the pool: its cost is its batch.
+        Method {
+            name: "multicall",
+            help: "execute a batch of {methodName, params} calls in one request",
+            inline: false,
+            handler: SystemService::multicall,
+        },
+    ];
 }
 
 /// `auth.*`: session lifecycle.
@@ -358,62 +390,46 @@ struct AuthService {
     sessions: Arc<SessionManager>,
 }
 
-impl Service for AuthService {
-    fn name(&self) -> &'static str {
-        "auth"
-    }
-
-    fn call(&self, ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
-        match method {
-            "login" => {
-                if params.len() != 2 {
-                    return Err(GaeError::Parse("auth.login(username, password)".into()));
-                }
-                let creds = Credentials::new(params[0].as_str()?, params[1].as_str()?);
-                let sid = self.sessions.login(&creds)?;
-                Ok(Value::from(sid.raw()))
-            }
-            "logout" => {
+impl Methods for AuthService {
+    const NAME: &'static str = "auth";
+    const METHODS: &'static [Method<Self>] = &[
+        // Hashes a password: pooled.
+        Method {
+            name: "login",
+            help: "open a session; returns the session id",
+            inline: false,
+            handler: |s, _, p| {
+                let [user, password] = p.exact("auth.login(username, password)")?;
+                let creds = Credentials::new(user.as_str()?, password.as_str()?);
+                Ok(Value::from(s.sessions.login(&creds)?.raw()))
+            },
+        },
+        // Writes the session table: pooled.
+        Method {
+            name: "logout",
+            help: "close the calling session",
+            inline: false,
+            handler: |s, ctx, _| {
                 if let Some(sid) = ctx.session {
-                    self.sessions.logout(sid);
+                    s.sessions.logout(sid);
                 }
                 Ok(Value::Bool(true))
-            }
-            "whoami" => match ctx.user {
-                Some(u) => Ok(Value::from(u.raw())),
-                None => Ok(Value::Nil),
             },
-            other => Err(unknown_method("auth", other)),
-        }
-    }
-
-    fn methods(&self) -> Vec<MethodInfo> {
-        vec![
-            MethodInfo {
-                name: "login",
-                help: "open a session; returns the session id",
-            },
-            MethodInfo {
-                name: "logout",
-                help: "close the calling session",
-            },
-            MethodInfo {
-                name: "whoami",
-                help: "user id of the calling session, or nil",
-            },
-        ]
-    }
-
-    /// `whoami` reads the context; `login` hashes a password and
-    /// `logout` writes the session table.
-    fn inline(&self, method: &str) -> bool {
-        method == "whoami"
-    }
+        },
+        // Reads the context only.
+        Method {
+            name: "whoami",
+            help: "user id of the calling session, or nil",
+            inline: true,
+            handler: |_, ctx, _| Ok(ctx.user.map_or(Value::Nil, |u| Value::from(u.raw()))),
+        },
+    ];
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::MethodInfo;
     use gae_types::UserId;
 
     struct Adder;
@@ -438,10 +454,16 @@ mod tests {
             }
         }
         fn methods(&self) -> Vec<MethodInfo> {
-            vec![MethodInfo {
-                name: "add",
-                help: "sum of integer parameters",
-            }]
+            vec![
+                MethodInfo {
+                    name: "add",
+                    help: "sum of integer parameters",
+                },
+                MethodInfo {
+                    name: "whoami_user",
+                    help: "the caller's user id",
+                },
+            ]
         }
     }
 
@@ -652,15 +674,6 @@ mod tests {
         ] {
             assert!(!host.runs_inline(pooled), "{pooled}");
         }
-    }
-
-    #[test]
-    fn unregister_makes_service_unknown() {
-        let host = ServiceHost::open();
-        host.register(Arc::new(Adder));
-        assert!(host.unregister("math"));
-        assert!(!host.unregister("math"));
-        assert!(host.dispatch(&anon(), "math.add", &[]).is_err());
     }
 
     #[test]

@@ -107,24 +107,26 @@ impl Rpc for InProcClient {
 mod tests {
     use super::*;
     use crate::auth::Credentials;
-    use crate::service::{MethodInfo, Service};
+    use crate::service::{Method, Methods};
     use gae_types::GaeError;
 
     struct Probe;
-    impl Service for Probe {
-        fn name(&self) -> &'static str {
-            "probe"
-        }
-        fn call(&self, ctx: &CallContext, method: &str, params: &[Value]) -> GaeResult<Value> {
-            match method {
-                "whoami" => Ok(ctx.user.map(|u| u.raw()).into()),
-                "double" => Ok(Value::Int64(params[0].as_i64()? * 2)),
-                other => Err(crate::service::unknown_method("probe", other)),
-            }
-        }
-        fn methods(&self) -> Vec<MethodInfo> {
-            vec![]
-        }
+    impl Methods for Probe {
+        const NAME: &'static str = "probe";
+        const METHODS: &'static [Method<Self>] = &[
+            Method {
+                name: "whoami",
+                help: "the caller's user id, or nil",
+                inline: false,
+                handler: |_, ctx, _| Ok(ctx.user.map(|u| u.raw()).into()),
+            },
+            Method {
+                name: "double",
+                help: "twice an integer",
+                inline: false,
+                handler: |_, _, p| Ok(Value::Int64(p.get(0, "double(n)")?.as_i64()? * 2)),
+            },
+        ];
     }
 
     #[test]

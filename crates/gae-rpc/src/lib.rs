@@ -7,8 +7,10 @@
 //! crate is the Rust substitute:
 //!
 //! * [`service`] — the [`Service`] trait every GAE
-//!   web service implements, plus the call context carrying the
-//!   authenticated session;
+//!   web service implements, the [`Methods`] table a service declares
+//!   it through (one entry per method: name, help, inline marking,
+//!   handler), the [`Params`] reader, and the call context carrying
+//!   the authenticated session;
 //! * [`auth`] — session management and per-method access control
 //!   (Clarens' authentication/ACL layer, and the backing store for
 //!   the Steering Service's Session Manager, §4.2.5);
@@ -52,5 +54,5 @@ pub use gatedpool::{Disposition, GatedJob, GatedPool};
 pub use host::ServiceHost;
 pub use http::{FrameLimits, FrameParser, ReadDeadline};
 pub use inproc::InProcClient;
-pub use service::{CallContext, MethodInfo, Rpc, Service};
+pub use service::{CallContext, Method, MethodInfo, Methods, Params, Rpc, Service};
 pub use tcp::TcpRpcClient;

@@ -234,8 +234,12 @@ impl Service for Echo {
             other => Err(gae::rpc::service::unknown_method("test", other)),
         }
     }
+    /// The host answers only the methods a service lists.
     fn methods(&self) -> Vec<MethodInfo> {
-        vec![]
+        let names = [
+            "sum", "isum", "blob", "sleep", "itick", "ticks", "fail", "ifail",
+        ];
+        names.map(|name| MethodInfo { name, help: "" }).into()
     }
 }
 

@@ -8,18 +8,22 @@
 //!
 //! * [`sys`] — the `extern "C"` syscall bindings (std already links
 //!   libc; no external crates);
-//! * [`poller`] — level-triggered multiplexing: epoll on Linux,
-//!   `poll(2)` elsewhere;
-//! * [`wake`] — eventfd (Linux) or pipe wakeup for worker→reactor
-//!   completions;
+//! * [`poller`] — level-triggered epoll multiplexing;
+//! * [`wake`] — eventfd wakeup for worker→reactor completions;
 //! * [`reactor`] — [`ReactorRpcServer`].
 //!
 //! Framing ([`gae_rpc::http::FrameParser`], shared limits, typed
 //! 408/413) and dispatch ([`gae_rpc::door`]: gate admission, auth,
 //! observability and fault bytes) both live in `gae-rpc`: the reactor
 //! adds scheduling, not semantics.
+//!
+//! Linux is the one platform: epoll and eventfd are all the reactor is
+//! written against, and it has never been built or run anywhere else.
 
 #![warn(missing_docs)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("gae-aio drives sockets through epoll and eventfd: it builds on Linux only");
 
 pub mod poller;
 pub mod reactor;
@@ -391,42 +395,24 @@ mod tests {
         server.stop();
     }
 
-    /// The waker contract, once per (poller, waker) pair this platform
-    /// compiles.
-    macro_rules! waker_wakes_and_drains {
-        ($name:ident, $poller:path, $waker:path) => {
-            #[test]
-            fn $name() {
-                let w = $waker().unwrap();
-                let mut p = <$poller>::new().unwrap();
-                p.add(w.as_raw_fd(), 7, Interest::READ).unwrap();
-                let mut events = Vec::new();
-                // Nothing yet: the wait times out empty.
-                p.wait(&mut events, Some(Duration::from_millis(20)))
-                    .unwrap();
-                assert!(events.is_empty());
-                w.wake();
-                w.wake(); // coalesces
-                p.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-                assert!(events.iter().any(|e| e.token == 7 && e.readable));
-                w.drain();
-                events.clear();
-                p.wait(&mut events, Some(Duration::from_millis(20)))
-                    .unwrap();
-                assert!(events.is_empty(), "drained waker is quiet: {events:?}");
-            }
-        };
+    #[test]
+    fn waker_wakes_and_drains() {
+        let w = Waker::new().unwrap();
+        let mut p = Poller::new().unwrap();
+        p.add(w.as_raw_fd(), 7, Interest::READ).unwrap();
+        let mut events = Vec::new();
+        // Nothing yet: the wait times out empty.
+        p.wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert!(events.is_empty());
+        w.wake();
+        w.wake(); // coalesces
+        p.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        assert!(events.iter().any(|e| e.token == 7 && e.readable));
+        w.drain();
+        events.clear();
+        p.wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert!(events.is_empty(), "drained waker is quiet: {events:?}");
     }
-
-    #[cfg(target_os = "linux")]
-    waker_wakes_and_drains!(
-        waker_wakes_and_drains_epoll_eventfd,
-        poller::epoll::Poller,
-        Waker::eventfd
-    );
-    waker_wakes_and_drains!(
-        waker_wakes_and_drains_poll_pipe,
-        poller::poll::Poller,
-        Waker::pipe
-    );
 }

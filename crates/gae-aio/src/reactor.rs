@@ -37,7 +37,7 @@ use gae_types::{GaeError, GaeResult};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -74,7 +74,9 @@ const LISTEN_BACKLOG: i32 = 4096;
 const MAX_QUEUED_REPLIES: usize = 2;
 
 /// How late a 408 sweep or a shutdown check may run; also the period
-/// of the sweep itself. Readiness events arrive immediately.
+/// of the sweep itself, and how long a connection whose goodbye is
+/// written keeps draining its input. Readiness events arrive
+/// immediately.
 const TICK: Duration = Duration::from_millis(100);
 
 /// Reactor knobs.
@@ -158,9 +160,14 @@ struct Conn {
     generation: u64,
     /// Current poller registration.
     interest: Interest,
-    /// A terminal error response is queued: stop parsing, discard
-    /// further input, close once the queue drains.
+    /// A terminal response is queued or written: stop parsing,
+    /// discard further input.
     dying: bool,
+    /// When the terminal response was written and the write side shut.
+    /// The slot closes on EOF or one [`TICK`] later: closing while
+    /// input is still arriving would send RST, and RST discards
+    /// whatever of the response the kernel has not sent yet.
+    shut: Option<Instant>,
 }
 
 impl Conn {
@@ -426,6 +433,7 @@ impl Reactor {
             generation,
             interest: Interest::READ,
             dying: false,
+            shut: None,
         };
         if self
             .poller
@@ -484,7 +492,10 @@ impl Reactor {
                 Ok(0) => return Err(()),
                 Ok(n) => {
                     if conn.dying {
-                        continue; // discard: only the goodbye matters
+                        // Discard: only the goodbye matters. One read a
+                        // wakeup, so a peer that never stops sending
+                        // cannot hold the loop.
+                        return Ok(());
                     }
                     if conn.msg_started.is_none() {
                         conn.msg_started = Some(Instant::now());
@@ -614,8 +625,9 @@ impl Reactor {
             let Some(Some(conn)) = self.slots.get_mut(c.slot) else {
                 continue;
             };
-            if conn.generation != c.generation || conn.phase != ConnPhase::Dispatched {
-                continue; // tenant changed under the completion
+            if conn.generation != c.generation || conn.phase != ConnPhase::Dispatched || conn.dying
+            {
+                continue; // tenant changed, or said goodbye, under the completion
             }
             conn.phase = ConnPhase::Reading;
             let close = conn.close_after_reply;
@@ -639,7 +651,8 @@ impl Reactor {
         }
     }
 
-    /// Queues a terminal error response: written, then closed.
+    /// Queues a terminal error response: written, then the connection
+    /// drains and closes.
     fn reject(&mut self, slot: usize, status: u16, reason: &str, body: &str) {
         {
             let Some(Some(conn)) = self.slots.get_mut(slot) else {
@@ -665,7 +678,6 @@ impl Reactor {
         let Some(Some(conn)) = self.slots.get_mut(slot) else {
             return Ok(());
         };
-        let mut closed = false;
         'queue: while let Some((bytes, offset, close_after)) = conn.outq.front_mut() {
             while *offset < bytes.len() {
                 match conn.stream.write(&bytes[*offset..]) {
@@ -676,14 +688,16 @@ impl Reactor {
                     Err(_) => return Err(()),
                 }
             }
-            closed = *close_after;
-            conn.outq.pop_front();
-            if closed {
-                break;
+            if *close_after {
+                // The last response is written: FIN behind it, then
+                // drain until EOF or the sweep (see `Conn::shut`).
+                conn.outq.clear();
+                conn.dying = true;
+                conn.shut = Some(Instant::now());
+                conn.stream.shutdown(Shutdown::Write).map_err(|_| ())?;
+            } else {
+                conn.outq.pop_front();
             }
-        }
-        if closed {
-            return Err(()); // graceful: response fully written, now close
         }
         // Register/deregister write interest to match queue state.
         let want = if conn.outq.is_empty() {
@@ -710,15 +724,22 @@ impl Reactor {
     /// Typed 408 for connections whose current request outlived its
     /// deadline. Idle connections (`msg_started == None`) never trip,
     /// nor do backed-up ones: their bytes wait on us, not on the peer.
+    /// Also closes the connections that have drained for a [`TICK`]
+    /// behind their goodbye.
     fn sweep_deadlines(&mut self) {
         let deadline = self.config.request_deadline;
         for slot in 0..self.slots.len() {
-            let expired = self.slots[slot].as_ref().is_some_and(|conn| {
-                conn.phase == ConnPhase::Reading
-                    && !conn.dying
-                    && !conn.backed_up()
-                    && conn.msg_started.is_some_and(|t| t.elapsed() > deadline)
-            });
+            let Some(conn) = &self.slots[slot] else {
+                continue;
+            };
+            if conn.shut.is_some_and(|t| t.elapsed() >= TICK) {
+                self.close(slot);
+                continue;
+            }
+            let expired = conn.phase == ConnPhase::Reading
+                && !conn.dying
+                && !conn.backed_up()
+                && conn.msg_started.is_some_and(|t| t.elapsed() > deadline);
             if expired {
                 let why = format!("request not complete within {} ms", deadline.as_millis());
                 self.reject(slot, 408, "Request Timeout", &why);

@@ -70,17 +70,6 @@ impl RuntimeEstimate {
             SimDuration::from_secs_f64(mid + self.std_dev_s),
         )
     }
-
-    /// Coefficient of variation of the similar runtimes (σ / mean of
-    /// the prediction); a rough "how much should I trust this".
-    pub fn relative_spread(&self) -> f64 {
-        let mid = self.runtime.as_secs_f64();
-        if mid > 0.0 {
-            self.std_dev_s / mid
-        } else {
-            0.0
-        }
-    }
 }
 
 /// The per-site runtime estimator.
@@ -383,7 +372,6 @@ mod tests {
         assert!((e.std_dev_s - 28.28).abs() < 0.1, "σ {}", e.std_dev_s);
         let (lo, hi) = e.interval();
         assert!(lo < e.runtime && e.runtime < hi);
-        assert!((e.relative_spread() - 28.28 / 120.0).abs() < 0.01);
     }
 
     #[test]

@@ -22,7 +22,7 @@ const HISTORY_CAPACITY: usize = 10_000;
 /// The Estimator Service (§6), one instance per GAE deployment.
 pub struct EstimatorService {
     grid: Arc<Grid>,
-    runtime: RwLock<BTreeMap<SiteId, Arc<RuntimeEstimator>>>,
+    runtime: BTreeMap<SiteId, RuntimeEstimator>,
     transfer: TransferEstimator,
     /// Memoised [`Self::estimate_runtime`] results. A runtime estimate
     /// is a pure function of the site's task history and the task's
@@ -50,14 +50,14 @@ impl EstimatorService {
         for site in grid.site_ids() {
             runtime.insert(
                 site,
-                Arc::new(RuntimeEstimator::new(HistoryStore::new(HISTORY_CAPACITY))),
+                RuntimeEstimator::new(HistoryStore::new(HISTORY_CAPACITY)),
             );
         }
         let transfer = TransferEstimator::new(grid.network().clone(), 2005);
         transfer.attach_live_links(Arc::new(crate::grid::GridLinkView(grid.clone())));
         EstimatorService {
             grid,
-            runtime: RwLock::new(runtime),
+            runtime,
             transfer,
             memo: RwLock::new(HashMap::new()),
             memo_hits: AtomicU64::new(0),
@@ -74,12 +74,6 @@ impl EstimatorService {
         self.memo.write().clear();
     }
 
-    /// Replaces one site's runtime estimator (ablation studies).
-    pub fn set_runtime_estimator(&self, site: SiteId, estimator: RuntimeEstimator) {
-        self.runtime.write().insert(site, Arc::new(estimator));
-        self.invalidate_site(site);
-    }
-
     /// Drops every memoised estimate for `site`; called whenever the
     /// inputs an estimate depends on may have changed.
     fn invalidate_site(&self, site: SiteId) {
@@ -94,11 +88,9 @@ impl EstimatorService {
         )
     }
 
-    fn runtime_estimator(&self, site: SiteId) -> GaeResult<Arc<RuntimeEstimator>> {
+    fn runtime_estimator(&self, site: SiteId) -> GaeResult<&RuntimeEstimator> {
         self.runtime
-            .read()
             .get(&site)
-            .cloned()
             .ok_or_else(|| GaeError::NotFound(format!("runtime estimator at {site}")))
     }
 

@@ -345,41 +345,6 @@ impl Grid {
         self.xfer.lock().metrics()
     }
 
-    /// Ground-truth input staging time at a site: sequential transfer
-    /// of every missing input from its nearest *reachable* replica.
-    /// Files with no replica anywhere are produced by the job itself
-    /// and cost nothing; replicas behind dead or zero-bandwidth links
-    /// are skipped, and a file whose every replica is unreachable is
-    /// the estimator's typed error — not a finite time over a link
-    /// that cannot carry the bytes.
-    pub fn staging_time(&self, site: SiteId, spec: &TaskSpec) -> GaeResult<SimDuration> {
-        let xfer = self.xfer.lock();
-        let mut total = SimDuration::ZERO;
-        for f in spec
-            .input_files
-            .iter()
-            .filter(|f| !f.available_at(site) && !f.replicas.is_empty())
-        {
-            let best = f
-                .replicas
-                .iter()
-                .filter(|src| !xfer.link_blocked(**src, site))
-                .map(|src| self.network.transfer_time(*src, site, f.size_bytes))
-                .min();
-            match best {
-                Some(t) => total += t,
-                None => {
-                    return Err(GaeError::Estimator(format!(
-                        "{} has no reachable replica to stage to {site} (of {})",
-                        f.logical_name,
-                        f.replicas.len()
-                    )))
-                }
-            }
-        }
-        Ok(total)
-    }
-
     /// Whether a site's execution service answers.
     pub fn is_alive(&self, site: SiteId) -> bool {
         self.sites
@@ -536,102 +501,5 @@ mod tests {
         let events = grid.drain_events();
         assert_eq!(events.len(), 3, "queued, running, completed");
         assert!(events.iter().all(|(s, _)| *s == SiteId::new(2)));
-    }
-
-    /// Three-site grid where site 3 has a deliberately fast link to
-    /// site 1 (so the buggy raw-minimum would prefer it) and site 2 a
-    /// slow one.
-    fn staging_grid() -> Arc<Grid> {
-        let mut network = gae_sim::NetworkModel::new(gae_sim::Link::new(1e6, SimDuration::ZERO));
-        network.set_link(
-            SiteId::new(3),
-            SiteId::new(1),
-            gae_sim::Link::new(1e8, SimDuration::ZERO),
-        );
-        GridBuilder::new()
-            .network(network)
-            .site(SiteDescription::new(SiteId::new(1), "dest", 2, 1))
-            .site(SiteDescription::new(SiteId::new(2), "slow-src", 2, 1))
-            .site(SiteDescription::new(SiteId::new(3), "fast-src", 2, 1))
-            .build()
-    }
-
-    fn staged_spec() -> TaskSpec {
-        TaskSpec::new(TaskId::new(1), "t", "x").with_inputs(vec![gae_types::FileRef::new(
-            "data.root",
-            100_000_000,
-        )
-        .with_replicas(vec![SiteId::new(2), SiteId::new(3)])])
-    }
-
-    #[test]
-    fn staging_time_skips_dead_links() {
-        let grid = staging_grid();
-        let spec = staged_spec();
-        // Both sources live: the fast 3→1 link (1 s) wins.
-        assert_eq!(
-            grid.staging_time(SiteId::new(1), &spec).unwrap(),
-            SimDuration::from_secs(1)
-        );
-        // Kill the fast link: the oracle must fall back to the live
-        // slow source (100 s), not keep quoting the dead fast one.
-        grid.with_xfer(|x| x.fail_link(SiteId::new(3), SiteId::new(1)));
-        assert_eq!(
-            grid.staging_time(SiteId::new(1), &spec).unwrap(),
-            SimDuration::from_secs(100)
-        );
-    }
-
-    #[test]
-    fn staging_time_with_no_reachable_replica_is_typed_error() {
-        let grid = staging_grid();
-        let spec = staged_spec();
-        grid.with_xfer(|x| {
-            x.fail_link(SiteId::new(2), SiteId::new(1));
-            x.fail_link(SiteId::new(3), SiteId::new(1));
-        });
-        let err = grid.staging_time(SiteId::new(1), &spec).unwrap_err();
-        assert!(
-            matches!(err, GaeError::Estimator(_)),
-            "want the estimator's typed unreachable convention, got {err}"
-        );
-        // A file already resident at the destination costs nothing
-        // even when every link is down.
-        let local =
-            TaskSpec::new(TaskId::new(2), "t2", "x").with_inputs(vec![gae_types::FileRef::new(
-                "local.root",
-                1,
-            )
-            .with_replicas(vec![SiteId::new(1)])]);
-        assert_eq!(
-            grid.staging_time(SiteId::new(1), &local).unwrap(),
-            SimDuration::ZERO
-        );
-    }
-
-    #[test]
-    fn staging_time_skips_zero_bandwidth_links() {
-        // The fast source sits behind a hand-built zero-bandwidth
-        // link: reachable per the replica catalogue, useless per the
-        // fabric. The oracle must quote the slow-but-live source.
-        let mut network = gae_sim::NetworkModel::new(gae_sim::Link::new(1e6, SimDuration::ZERO));
-        network.set_link(
-            SiteId::new(3),
-            SiteId::new(1),
-            gae_sim::Link {
-                bandwidth_bps: 0.0,
-                latency: SimDuration::ZERO,
-            },
-        );
-        let grid = GridBuilder::new()
-            .network(network)
-            .site(SiteDescription::new(SiteId::new(1), "dest", 2, 1))
-            .site(SiteDescription::new(SiteId::new(2), "slow-src", 2, 1))
-            .site(SiteDescription::new(SiteId::new(3), "zero-src", 2, 1))
-            .build();
-        assert_eq!(
-            grid.staging_time(SiteId::new(1), &staged_spec()).unwrap(),
-            SimDuration::from_secs(100)
-        );
     }
 }

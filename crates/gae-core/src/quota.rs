@@ -72,11 +72,6 @@ impl QuotaService {
         Ok(cpu_rate * cpu_time.as_secs_f64() / 3600.0)
     }
 
-    /// Whether `user` can afford `cpu_time` at `site`.
-    pub fn can_afford(&self, user: UserId, site: SiteId, cpu_time: SimDuration) -> GaeResult<bool> {
-        Ok(self.balance(user) >= self.quote(site, cpu_time)?)
-    }
-
     /// Charges a completed run against the owner's balance. Balances
     /// may go negative (grids bill after the fact); the record lands
     /// in the ledger either way.
@@ -243,20 +238,6 @@ mod tests {
         q.grant(UserId::new(1), 100.0);
         q.grant(UserId::new(1), 50.0);
         assert_eq!(q.balance(UserId::new(1)), 150.0);
-    }
-
-    #[test]
-    fn affordability() {
-        let q = QuotaService::new();
-        q.register_site(&site(1, 1.0));
-        let u = UserId::new(1);
-        q.grant(u, 1.0);
-        assert!(q
-            .can_afford(u, SiteId::new(1), SimDuration::from_secs(3600))
-            .unwrap());
-        assert!(!q
-            .can_afford(u, SiteId::new(1), SimDuration::from_secs(7200))
-            .unwrap());
     }
 
     #[test]

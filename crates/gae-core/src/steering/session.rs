@@ -27,11 +27,6 @@ impl JobAuthorizer {
         self.operators.write().insert(user);
     }
 
-    /// Revokes operator rights.
-    pub fn remove_operator(&self, user: UserId) -> bool {
-        self.operators.write().remove(&user)
-    }
-
     /// True if `user` is an operator.
     pub fn is_operator(&self, user: UserId) -> bool {
         self.operators.read().contains(&user)
@@ -84,10 +79,8 @@ mod tests {
         assert!(auth
             .authorize(UserId::new(7), JobId::new(1), UserId::new(1))
             .is_ok());
-        assert!(auth.remove_operator(UserId::new(7)));
-        assert!(!auth.remove_operator(UserId::new(7)));
         assert!(auth
-            .authorize(UserId::new(7), JobId::new(1), UserId::new(1))
+            .authorize(UserId::new(8), JobId::new(1), UserId::new(1))
             .is_err());
     }
 }

@@ -75,16 +75,6 @@ impl PriorityQueue {
         self.entries.iter().position(|e| e.condor == condor)
     }
 
-    /// Entries with priority strictly greater than `p`, in queue
-    /// order — the set the queue-time estimator sums over (§6.2).
-    pub fn above_priority(&self, p: Priority) -> Vec<QueueEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.priority.beats(p))
-            .copied()
-            .collect()
-    }
-
     /// Snapshot of the whole queue in order.
     pub fn snapshot(&self) -> Vec<QueueEntry> {
         self.entries.iter().copied().collect()
@@ -155,19 +145,6 @@ mod tests {
         assert!(q.reprioritize(c(3), Priority::HIGH));
         assert_eq!(q.position(c(3)), Some(0));
         assert!(!q.reprioritize(c(99), Priority::HIGH));
-    }
-
-    #[test]
-    fn above_priority_filters() {
-        let mut q = PriorityQueue::new();
-        q.push(c(1), Priority::new(5));
-        q.push(c(2), Priority::new(0));
-        q.push(c(3), Priority::new(-2));
-        let above = q.above_priority(Priority::new(0));
-        assert_eq!(above.len(), 1);
-        assert_eq!(above[0].condor, c(1));
-        assert_eq!(q.above_priority(Priority::new(-10)).len(), 3);
-        assert!(q.above_priority(Priority::new(10)).is_empty());
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::queue::PriorityQueue;
 use crate::task::{Checkpoint, TaskRecord};
 use gae_sim::LoadTrace;
 use gae_types::{
-    CondorId, GaeError, GaeResult, NodeId, Priority, SimDuration, SimTime, SiteDescription, SiteId,
-    TaskId, TaskSpec, TaskStatus,
+    CondorId, GaeError, GaeResult, NodeId, Priority, SimDuration, SimTime, SiteDescription, TaskId,
+    TaskSpec, TaskStatus,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -215,11 +215,6 @@ impl ExecutionService {
     }
 
     // ---- identity & time ----
-
-    /// The site this service runs.
-    pub fn site_id(&self) -> SiteId {
-        self.site.id
-    }
 
     /// The static site description.
     pub fn site(&self) -> &SiteDescription {
@@ -1020,7 +1015,7 @@ impl ExecutionService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gae_types::TaskId;
+    use gae_types::{SiteId, TaskId};
 
     fn site(id: u64, nodes: u32, slots: u32) -> SiteDescription {
         SiteDescription::new(SiteId::new(id), format!("site-{id}"), nodes, slots)

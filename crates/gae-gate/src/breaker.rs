@@ -211,15 +211,6 @@ impl BreakerBank {
             .record(ok, now);
     }
 
-    /// The state of `key`'s breaker (Closed if never used).
-    pub fn state(&self, key: &str) -> BreakerState {
-        self.breakers
-            .lock()
-            .get(key)
-            .map(|b| b.state())
-            .unwrap_or(BreakerState::Closed)
-    }
-
     /// Every materialised breaker's state, key-sorted.
     pub fn states(&self) -> Vec<(String, BreakerState)> {
         self.breakers
@@ -286,12 +277,14 @@ mod tests {
         bank.record("exec-site-1", false);
         assert!(bank.check("exec-site-1").is_err());
         assert!(bank.check("exec-site-2").is_ok());
-        assert_eq!(bank.state("exec-site-1"), BreakerState::Open);
-        assert_eq!(bank.state("exec-site-2"), BreakerState::Closed);
-        assert_eq!(bank.state("never-used"), BreakerState::Closed);
-        let states = bank.states();
-        assert_eq!(states.len(), 2);
-        assert!(states.windows(2).all(|w| w[0].0 <= w[1].0), "key-sorted");
+        assert_eq!(
+            bank.states(),
+            [
+                ("exec-site-1".to_string(), BreakerState::Open),
+                ("exec-site-2".to_string(), BreakerState::Closed),
+            ],
+            "key-sorted, never-used keys absent"
+        );
     }
 
     #[test]

@@ -82,12 +82,6 @@ impl TokenBucket {
             ))
         }
     }
-
-    /// Tokens currently available (after refill at `now`).
-    pub fn available(&mut self, now: SimTime) -> f64 {
-        self.refill(now);
-        self.tokens
-    }
 }
 
 #[cfg(test)]
@@ -116,15 +110,21 @@ mod tests {
     #[test]
     fn refill_caps_at_capacity() {
         let mut b = TokenBucket::new(TokenBucketConfig::new(2.0, 1000.0), SimTime::ZERO);
-        assert_eq!(b.available(SimTime::from_secs(100)), 2.0);
+        let late = SimTime::from_secs(100);
+        assert!(b.try_take(late).is_ok() && b.try_take(late).is_ok());
+        assert!(
+            b.try_take(late).is_err(),
+            "100 s of refill holds two tokens"
+        );
     }
 
     #[test]
     fn clock_regression_is_not_negative_refill() {
         let mut b = TokenBucket::new(TokenBucketConfig::new(2.0, 1.0), SimTime::from_secs(10));
         assert!(b.try_take(SimTime::from_secs(10)).is_ok());
-        // An earlier "now" must not mint or destroy tokens.
-        assert_eq!(b.available(SimTime::from_secs(5)), 1.0);
+        // An earlier "now" must not mint or destroy tokens: one left.
+        assert!(b.try_take(SimTime::from_secs(5)).is_ok());
+        assert!(b.try_take(SimTime::from_secs(5)).is_err());
     }
 
     #[test]

@@ -38,16 +38,6 @@ pub struct GateConfig {
     pub breaker: BreakerConfig,
 }
 
-impl GateConfig {
-    /// Config with an explicit queue capacity, defaults elsewhere.
-    pub fn with_queue_capacity(capacity: usize) -> Self {
-        GateConfig {
-            queue: QueueConfig::new(capacity, QueueConfig::default().deadline),
-            ..Self::default()
-        }
-    }
-}
-
 /// The admission-control and overload-protection service.
 pub struct Gate {
     config: GateConfig,
@@ -162,11 +152,6 @@ impl Gate {
         self.breakers.record(key, ok);
     }
 
-    /// The state of one downstream breaker.
-    pub fn breaker_state(&self, key: &str) -> BreakerState {
-        self.breakers.state(key)
-    }
-
     /// Every materialised breaker's state, key-sorted.
     pub fn breaker_states(&self) -> Vec<(String, BreakerState)> {
         self.breakers.states()
@@ -236,7 +221,10 @@ mod tests {
         assert!(gate.breaker_check(key, GateClass::Production).is_ok());
         gate.breaker_record(key, false);
         gate.breaker_record(key, false);
-        assert_eq!(gate.breaker_state(key), BreakerState::Open);
+        assert_eq!(
+            gate.breaker_states(),
+            [(key.to_string(), BreakerState::Open)]
+        );
         match gate.breaker_check(key, GateClass::Production) {
             Err(GaeError::Overloaded {
                 retry_after_us,
@@ -255,6 +243,9 @@ mod tests {
         clock.advance_micros(10_000_000);
         assert!(gate.breaker_check(key, GateClass::Production).is_ok());
         gate.breaker_record(key, true);
-        assert_eq!(gate.breaker_state(key), BreakerState::Closed);
+        assert_eq!(
+            gate.breaker_states(),
+            [(key.to_string(), BreakerState::Closed)]
+        );
     }
 }

@@ -124,11 +124,6 @@ impl RateLimiter {
     pub fn admit(&self, principal: &Principal, clock: &dyn Clock) -> Result<(), SimDuration> {
         self.admit_at(principal, clock.now())
     }
-
-    /// Number of principals with a materialised bucket.
-    pub fn tracked_principals(&self) -> usize {
-        self.buckets.lock().len()
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +146,6 @@ mod tests {
         assert!(limiter.admit_at(&alice, SimTime::ZERO).is_err());
         // Alice exhausting her bucket does not touch Bob's.
         assert!(limiter.admit_at(&bob, SimTime::ZERO).is_ok());
-        assert_eq!(limiter.tracked_principals(), 2);
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl Segment {
         self.num[0].len()
     }
 
-    /// True once [`Segment::seal`] ran.
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
-    }
-
     /// Appends one decomposed row.
     pub(crate) fn push(&mut self, nums: &[u64], strs: &[u32]) {
         debug_assert!(!self.sealed, "appending to a sealed segment");
@@ -145,9 +140,9 @@ mod tests {
         row(&mut seg, 5, 2, 3);
         row(&mut seg, 9, 1, 7);
         row(&mut seg, 7, 4, 5);
-        assert!(!seg.is_sealed());
+        assert!(!seg.sealed);
         seg.seal();
-        assert!(seg.is_sealed());
+        assert!(seg.sealed);
         assert_eq!(seg.zone_num(0), (5, 9));
         assert_eq!(seg.zone_num(1), (1, 4));
         assert_eq!(seg.zone_str(0), (3, 7));
@@ -157,7 +152,7 @@ mod tests {
     fn sealing_an_empty_segment_yields_zones_nothing_matches() {
         let mut seg = Segment::new();
         seg.seal();
-        assert!(seg.is_sealed());
+        assert!(seg.sealed);
         for col in 0..NUM_COLUMNS.len() {
             assert_eq!(seg.zone_num(col), (u64::MAX, 0));
         }

@@ -18,5 +18,5 @@
 pub mod repository;
 pub mod store;
 
-pub use repository::{evictions_metric_key, JobEvent, MonAlisaRepository, SubscriptionId};
+pub use repository::{evictions_metric_key, JobEvent, MonAlisaRepository};
 pub use store::{MetricBatch, MetricKey, Sample, SeriesId, TimeSeriesStore};

@@ -3,12 +3,8 @@
 use crate::store::{MetricKey, Sample, SeriesId, TimeSeriesStore};
 use gae_types::{JobId, SimTime, SiteId, TaskId, TaskStatus};
 use parking_lot::RwLock;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
-
-/// Handle for cancelling a subscription.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct SubscriptionId(u64);
 
 /// A job state-change event, as published by the Job Monitoring
 /// Service's DBManager "whenever the state of a job changes" (§5).
@@ -36,8 +32,7 @@ pub struct MonAlisaRepository {
     metrics: RwLock<TimeSeriesStore>,
     /// Oldest first; a deque, so eviction at the cap is O(1).
     job_events: RwLock<VecDeque<JobEvent>>,
-    subscribers: RwLock<HashMap<SubscriptionId, EventCallback>>,
-    next_subscription: std::sync::atomic::AtomicU64,
+    subscribers: RwLock<Vec<EventCallback>>,
     /// Cap on the retained job-event log.
     event_capacity: usize,
     /// Monotonic count of job events dropped by the retention cap.
@@ -57,8 +52,7 @@ impl MonAlisaRepository {
         Arc::new(MonAlisaRepository {
             metrics: RwLock::new(TimeSeriesStore::new(metric_capacity)),
             job_events: RwLock::new(VecDeque::new()),
-            subscribers: RwLock::new(HashMap::new()),
-            next_subscription: std::sync::atomic::AtomicU64::new(1),
+            subscribers: RwLock::new(Vec::new()),
             event_capacity: event_capacity.max(1),
             evicted: std::sync::atomic::AtomicU64::new(0),
         })
@@ -112,11 +106,6 @@ impl MonAlisaRepository {
             .map(|s| s.value)
     }
 
-    /// Publishes a site's queue length.
-    pub fn publish_queue_length(&self, site: SiteId, at: SimTime, length: f64) {
-        self.publish_metric(MetricKey::site_wide(site, "queue_length"), at, length);
-    }
-
     /// Latest queue length of a site.
     pub fn queue_length(&self, site: SiteId) -> Option<f64> {
         self.metrics
@@ -167,7 +156,7 @@ impl MonAlisaRepository {
             self.publish_metric(evictions_metric_key(), event.at, total as f64);
         }
         let subs = self.subscribers.read();
-        for cb in subs.values() {
+        for cb in subs.iter() {
             cb(&event);
         }
     }
@@ -185,16 +174,6 @@ impl MonAlisaRepository {
             .filter(|e| e.job == job)
             .cloned()
             .collect()
-    }
-
-    /// The most recent event for a task, if retained.
-    pub fn task_latest(&self, task: TaskId) -> Option<JobEvent> {
-        self.job_events
-            .read()
-            .iter()
-            .rev()
-            .find(|e| e.task == task)
-            .cloned()
     }
 
     // ---- durability hooks ----
@@ -234,28 +213,17 @@ impl MonAlisaRepository {
     // ---- subscriptions ----
 
     /// Registers a callback invoked on every future job event.
-    pub fn subscribe<F>(&self, callback: F) -> SubscriptionId
+    pub fn subscribe<F>(&self, callback: F)
     where
         F: Fn(&JobEvent) + Send + Sync + 'static,
     {
-        let id = SubscriptionId(
-            self.next_subscription
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-        );
-        self.subscribers.write().insert(id, Box::new(callback));
-        id
-    }
-
-    /// Cancels a subscription (idempotent).
-    pub fn unsubscribe(&self, id: SubscriptionId) -> bool {
-        self.subscribers.write().remove(&id).is_some()
+        self.subscribers.write().push(Box::new(callback));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn event(at: u64, job: u64, task: u64, status: TaskStatus) -> JobEvent {
         JobEvent {
@@ -278,13 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_length_roundtrip() {
-        let repo = MonAlisaRepository::with_defaults();
-        repo.publish_queue_length(SiteId::new(3), SimTime::from_secs(1), 12.0);
-        assert_eq!(repo.queue_length(SiteId::new(3)), Some(12.0));
-    }
-
-    #[test]
     fn job_history_filters_by_job() {
         let repo = MonAlisaRepository::with_defaults();
         repo.publish_job_event(event(1, 1, 1, TaskStatus::Queued));
@@ -294,18 +255,6 @@ mod tests {
         assert_eq!(h.len(), 2);
         assert_eq!(h[1].status, TaskStatus::Running);
         assert_eq!(repo.events_snapshot().len(), 3);
-    }
-
-    #[test]
-    fn task_latest_returns_newest() {
-        let repo = MonAlisaRepository::with_defaults();
-        repo.publish_job_event(event(1, 1, 7, TaskStatus::Queued));
-        repo.publish_job_event(event(2, 1, 7, TaskStatus::Running));
-        assert_eq!(
-            repo.task_latest(TaskId::new(7)).unwrap().status,
-            TaskStatus::Running
-        );
-        assert!(repo.task_latest(TaskId::new(8)).is_none());
     }
 
     #[test]
@@ -382,10 +331,6 @@ mod tests {
                     .collect();
                 assert_eq!(repo.job_history(JobId::new(job)), history);
             }
-            for task in 0..5 {
-                let latest = log.iter().rev().find(|e| e.task == TaskId::new(task));
-                assert_eq!(repo.task_latest(TaskId::new(task)).as_ref(), latest);
-            }
         }
         assert_eq!(evicted, 2 * CAP as u64);
         let series = repo.range(
@@ -419,22 +364,6 @@ mod tests {
         let (s2, t2) = fresh.metrics_snapshot();
         assert_eq!(s1, s2);
         assert_eq!(t1, t2);
-    }
-
-    #[test]
-    fn subscriptions_fire_and_cancel() {
-        let repo = MonAlisaRepository::with_defaults();
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h2 = hits.clone();
-        let sub = repo.subscribe(move |_| {
-            h2.fetch_add(1, Ordering::Relaxed);
-        });
-        repo.publish_job_event(event(1, 1, 1, TaskStatus::Queued));
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
-        assert!(repo.unsubscribe(sub));
-        assert!(!repo.unsubscribe(sub));
-        repo.publish_job_event(event(2, 1, 1, TaskStatus::Running));
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
     }
 
     #[test]

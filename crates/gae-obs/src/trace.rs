@@ -293,22 +293,6 @@ impl TraceStore {
         self.traces.read().get(trace).cloned()
     }
 
-    /// All held trace ids, sorted.
-    pub fn trace_ids(&self) -> Vec<TraceId> {
-        let traces = self.traces.read();
-        let mut ids: Vec<TraceId> = traces
-            .jobs
-            .keys()
-            .chain(traces.ring_index.keys())
-            .copied()
-            .collect();
-        ids.sort();
-        // A ring entry a client joined under a job's id before the job
-        // was rooted shares that id until it ages out.
-        ids.dedup();
-        ids
-    }
-
     /// Number of held traces (job traces plus the ring).
     pub fn len(&self) -> usize {
         let traces = self.traces.read();
@@ -468,11 +452,10 @@ mod tests {
         }
         assert_eq!(store.len(), RING_CAPACITY);
         assert_eq!(store.evicted(), FLOOD - RING_CAPACITY as u64);
-        // The newest window survives, in order; older ids read as
-        // unknown.
-        let ids = store.trace_ids();
-        assert_eq!(ids[0], TraceId::new(FLOOD - RING_CAPACITY as u64 + 1));
-        assert_eq!(ids[RING_CAPACITY - 1], TraceId::new(FLOOD));
+        // The newest window survives; older ids read as unknown.
+        let oldest_kept = FLOOD - RING_CAPACITY as u64 + 1;
+        assert!(store.spans(TraceId::new(oldest_kept)).is_some());
+        assert_eq!(store.spans(TraceId::new(oldest_kept - 1)), None);
         assert_eq!(store.spans(TraceId::new(1)), None);
         assert!(store.render(TraceId::new(1)).is_none());
         assert!(store.spans(TraceId::new(FLOOD)).is_some());

@@ -152,11 +152,6 @@ impl SessionManager {
         self.sessions.write().remove(&session);
     }
 
-    /// Number of live sessions (diagnostics).
-    pub fn live_sessions(&self) -> usize {
-        self.sessions.read().len()
-    }
-
     /// Looks up the id of a registered user by name.
     pub fn user_id(&self, username: &str) -> Option<UserId> {
         self.users.read().get(username).map(|r| r.id)
@@ -240,26 +235,6 @@ impl AccessControl {
         });
     }
 
-    /// Allows one specific method.
-    pub fn grant_method(&self, user: Option<UserId>, service: &str, method: &str) {
-        self.push(Rule {
-            user,
-            service: Some(service.to_string()),
-            method: Some(method.to_string()),
-            effect: Effect::Allow,
-        });
-    }
-
-    /// Denies a whole service for `user` (or everyone if `None`).
-    pub fn deny_service(&self, user: Option<UserId>, service: &str) {
-        self.push(Rule {
-            user,
-            service: Some(service.to_string()),
-            method: None,
-            effect: Effect::Deny,
-        });
-    }
-
     /// Denies one specific method.
     pub fn deny_method(&self, user: Option<UserId>, service: &str, method: &str) {
         self.push(Rule {
@@ -319,10 +294,10 @@ mod tests {
         let uid = sm.register(&creds).unwrap();
         let sid = sm.login(&creds).unwrap();
         assert_eq!(sm.validate(sid).unwrap(), uid);
-        assert_eq!(sm.live_sessions(), 1);
+        assert_eq!(sm.sessions.read().len(), 1);
         sm.logout(sid);
         assert!(sm.validate(sid).is_err());
-        assert_eq!(sm.live_sessions(), 0);
+        assert_eq!(sm.sessions.read().len(), 0);
     }
 
     #[test]
@@ -349,7 +324,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(25));
         assert!(sm.validate(sid).is_err());
         // Expired session was reaped.
-        assert_eq!(sm.live_sessions(), 0);
+        assert_eq!(sm.sessions.read().len(), 0);
     }
 
     #[test]
@@ -421,18 +396,24 @@ mod tests {
     fn acl_deny_beats_allow_at_same_specificity() {
         let acl = AccessControl::allow_all();
         let u = UserId::new(5);
-        acl.grant_method(Some(u), "svc", "m");
-        acl.deny_method(Some(u), "svc", "m");
+        let rule = |effect| Rule {
+            user: Some(u),
+            service: Some("svc".into()),
+            method: Some("m".into()),
+            effect,
+        };
+        acl.push(rule(Effect::Allow));
+        acl.push(rule(Effect::Deny));
         assert!(!acl.check(Some(u), "svc", "m"));
     }
 
     #[test]
     fn acl_anonymous_grant() {
         let acl = AccessControl::default_deny();
-        acl.grant_method(None, "system", "listMethods");
+        acl.grant_service(None, "system");
         assert!(acl.check(None, "system", "listMethods"));
         assert!(acl.check(Some(UserId::new(1)), "system", "listMethods"));
-        assert!(!acl.check(None, "system", "shutdown"));
+        assert!(!acl.check(None, "jobmon", "job_status"));
     }
 
     #[test]
@@ -440,7 +421,7 @@ mod tests {
         let acl = AccessControl::default_deny();
         let u = UserId::new(9);
         acl.grant_service(None, "jobmon"); // everyone may monitor
-        acl.deny_service(Some(u), "jobmon"); // ... except u
+        acl.deny_method(Some(u), "jobmon", "job_status"); // ... except u
         assert!(acl.check(Some(UserId::new(1)), "jobmon", "job_status"));
         assert!(!acl.check(Some(u), "jobmon", "job_status"));
     }

@@ -211,7 +211,8 @@ impl HttpRequest {
     /// one `write` (`write_to` on a bare stream is one per fragment).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.body.len() + 256);
-        self.write_to(&mut buf).expect("Vec write is infallible");
+        self.write_to(&mut buf)
+            .expect("invariant: a Vec accepts every write");
         buf
     }
 }
@@ -262,7 +263,8 @@ impl HttpResponse {
     /// Serializes into a byte vector (the reactor's write queue).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.body.len() + 128);
-        self.write_to(&mut buf).expect("Vec write is infallible");
+        self.write_to(&mut buf)
+            .expect("invariant: a Vec accepts every write");
         buf
     }
 }
@@ -539,13 +541,6 @@ impl FrameParser {
     /// Whether a full message is buffered and ready to take.
     pub fn is_complete(&self) -> bool {
         self.phase == Phase::Complete
-    }
-
-    /// Whether any bytes of the *current* message have been
-    /// consumed. Lets the reactor distinguish a clean close (EOF
-    /// between messages) from a peer dying mid-request.
-    pub fn mid_message(&self) -> bool {
-        self.phase != Phase::StartLine || !self.line.is_empty()
     }
 
     /// Consumes bytes from `chunk` up to the end of one message.
@@ -903,7 +898,10 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(incremental, blocking);
-        assert!(!parser.mid_message(), "parser reset after take");
+        assert!(
+            parser.phase == Phase::StartLine && parser.line.is_empty(),
+            "parser reset after take"
+        );
     }
 
     #[test]

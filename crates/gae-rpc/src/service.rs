@@ -46,12 +46,6 @@ impl CallContext {
         }
     }
 
-    /// The same context carrying `trace`.
-    pub fn with_trace(mut self, trace: gae_obs::TraceContext) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
     /// The authenticated user or an `Unauthorized` error.
     pub fn require_user(&self) -> GaeResult<UserId> {
         self.user.ok_or_else(|| {

@@ -27,8 +27,8 @@ use std::time::Duration;
 /// the reuse-vs-reconnect comparison in `benches/reactor.rs`.
 pub struct TcpRpcClient {
     addr: SocketAddr,
-    reader: Option<BufReader<TcpStream>>,
-    writer: Option<TcpStream>,
+    /// The open connection: its buffered read half and its write half.
+    conn: Option<(BufReader<TcpStream>, TcpStream)>,
     session: Option<u64>,
     trace: Option<gae_obs::TraceContext>,
     timeout: Duration,
@@ -41,8 +41,7 @@ impl TcpRpcClient {
     pub fn connect(addr: SocketAddr) -> TcpRpcClient {
         TcpRpcClient {
             addr,
-            reader: None,
-            writer: None,
+            conn: None,
             session: None,
             trace: None,
             timeout: Duration::from_secs(10),
@@ -105,30 +104,28 @@ impl TcpRpcClient {
         self.session
     }
 
-    fn ensure_connected(&mut self) -> GaeResult<()> {
-        if self.writer.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, self.timeout)
-                .map_err(|e| GaeError::Io(format!("connect {}: {e}", self.addr)))?;
-            stream.set_nodelay(true)?;
-            // Both directions honour the per-call timeout: without the
-            // write half, a client stalls forever when the server's
-            // socket buffer fills under overload.
-            stream.set_read_timeout(Some(self.timeout))?;
-            stream.set_write_timeout(Some(self.timeout))?;
-            self.reader = Some(BufReader::new(stream.try_clone()?));
-            self.writer = Some(stream);
-            self.reconnects += 1;
-        }
-        Ok(())
-    }
-
-    fn drop_connection(&mut self) {
-        self.reader = None;
-        self.writer = None;
+    /// The open connection, opening one first when there is none; a
+    /// failed connect is a typed `Io` error.
+    fn connection(&mut self) -> GaeResult<&mut (BufReader<TcpStream>, TcpStream)> {
+        let conn = match self.conn.take() {
+            Some(conn) => conn,
+            None => {
+                let stream = TcpStream::connect_timeout(&self.addr, self.timeout)
+                    .map_err(|e| GaeError::Io(format!("connect {}: {e}", self.addr)))?;
+                stream.set_nodelay(true)?;
+                // Both directions honour the per-call timeout: without
+                // the write half, a client stalls forever when the
+                // server's socket buffer fills under overload.
+                stream.set_read_timeout(Some(self.timeout))?;
+                stream.set_write_timeout(Some(self.timeout))?;
+                self.reconnects += 1;
+                (BufReader::new(stream.try_clone()?), stream)
+            }
+        };
+        Ok(self.conn.insert(conn))
     }
 
     fn try_call_once(&mut self, body: &[u8]) -> GaeResult<Vec<u8>> {
-        self.ensure_connected()?;
         let mut request = HttpRequest::xmlrpc(body.to_vec(), self.session);
         if !self.keep_alive {
             request
@@ -144,14 +141,13 @@ impl TcpRpcClient {
         // is its own segment, and whether the server then parses the
         // request in one read or in a dozen depends on how its wakeups
         // interleave with them — latency that swings from run to run.
-        self.writer
-            .as_mut()
-            .expect("connected")
+        let (reader, writer) = self.connection()?;
+        writer
             .write_all(&request.to_bytes())
             .map_err(|e| GaeError::Io(format!("send: {e}")))?;
-        let response = read_response(self.reader.as_mut().expect("connected"))?;
+        let response = read_response(reader)?;
         if !self.keep_alive {
-            self.drop_connection();
+            self.conn = None;
         }
         if response.status != 200 {
             // Non-200 is the transport refusing before XML-RPC ran:
@@ -180,7 +176,7 @@ impl Rpc for TcpRpcClient {
         let raw = match self.try_call_once(&body) {
             Ok(r) => r,
             Err(GaeError::Io(_)) => {
-                self.drop_connection();
+                self.conn = None;
                 self.try_call_once(&body)?
             }
             Err(e) => return Err(e),
@@ -241,6 +237,8 @@ mod tests {
         // Port 1 is essentially never listening.
         let mut client = TcpRpcClient::connect("127.0.0.1:1".parse().unwrap())
             .with_timeout(Duration::from_millis(200));
-        assert!(client.call("system.ping", vec![]).is_err());
+        let got = client.call("system.ping", vec![]);
+        assert!(matches!(got, Err(GaeError::Io(_))), "{got:?}");
+        assert_eq!(client.reconnects(), 0, "no connection was opened");
     }
 }

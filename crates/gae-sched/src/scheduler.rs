@@ -7,16 +7,17 @@ use gae_types::{
 };
 use std::sync::Arc;
 
+/// Dependent-task colocation: a task with prerequisites prefers its
+/// first prerequisite's site when that site's expected completion is
+/// within this fraction of the best candidate's, so a pipeline keeps
+/// its intermediate files off the WAN unless another site is more than
+/// 25 % faster end to end.
+const COLOCATION_TOLERANCE: f64 = 0.25;
+
 /// The Sphinx-substitute scheduler.
 pub struct Scheduler {
     info: Arc<dyn SiteInfoProvider>,
     plan_ids: IdAllocator,
-    /// Dependent-task colocation: a task with prerequisites prefers
-    /// its first prerequisite's site when that site's expected
-    /// completion is within `colocation_tolerance` of the best
-    /// candidate (intermediate files then never cross the WAN).
-    /// `None` disables the bias.
-    colocation_tolerance: Option<f64>,
 }
 
 /// One scored candidate, exposed for diagnostics and the ablation
@@ -30,26 +31,12 @@ pub struct ScoredSite {
 }
 
 impl Scheduler {
-    /// Creates a scheduler over an information provider, with
-    /// dependent-task colocation at 25 % tolerance (pipelines keep
-    /// their intermediate files local unless another site is more
-    /// than 25 % faster end to end).
+    /// Creates a scheduler over an information provider.
     pub fn new(info: Arc<dyn SiteInfoProvider>) -> Self {
         Scheduler {
             info,
             plan_ids: IdAllocator::new(),
-            colocation_tolerance: Some(0.25),
         }
-    }
-
-    /// Overrides the colocation tolerance (`None` = place every task
-    /// independently).
-    pub fn with_colocation(mut self, tolerance: Option<f64>) -> Self {
-        if let Some(t) = tolerance {
-            assert!(t >= 0.0, "tolerance must be non-negative");
-        }
-        self.colocation_tolerance = tolerance;
-        self
     }
 
     /// Scores all admissible sites for one task, cheapest-to-run
@@ -142,7 +129,7 @@ impl Scheduler {
     ///   (the external queue estimate cannot see them — none are
     ///   submitted yet);
     /// * **colocation**: dependent tasks prefer their prerequisites'
-    ///   sites within the configured tolerance.
+    ///   sites within [`COLOCATION_TOLERANCE`].
     pub fn schedule(&self, plan: &AbstractPlan) -> GaeResult<ConcretePlan> {
         plan.job.validate()?;
         let order = plan.job.topological_order()?;
@@ -204,20 +191,17 @@ impl Scheduler {
                 OptimizationPreference::Cheap => scored[0],
             };
             let mut chosen = best;
-            if let Some(tolerance) = self.colocation_tolerance {
-                // Prefer the first prerequisite's site within tolerance.
-                let prereq_site = plan
-                    .job
-                    .prerequisites(task_id)
-                    .first()
-                    .and_then(|p| assignments.iter().find(|a| a.task == *p))
-                    .map(|a| a.site);
-                if let Some(site) = prereq_site {
-                    if let Some(local) = scored.iter().find(|s| s.site == site) {
-                        if adjusted(local) <= adjusted(&best) * (1.0 + tolerance) {
-                            chosen = *local;
-                        }
-                    }
+            // Prefer the first prerequisite's site within tolerance.
+            let prereq_site = plan
+                .job
+                .prerequisites(task_id)
+                .first()
+                .and_then(|p| assignments.iter().find(|a| a.task == *p))
+                .map(|a| a.site);
+            if let Some(local) = prereq_site.and_then(|site| scored.iter().find(|s| s.site == site))
+            {
+                if adjusted(local) <= adjusted(&best) * (1.0 + COLOCATION_TOLERANCE) {
+                    chosen = *local;
                 }
             }
             let runtime_s = chosen.estimate.runtime.as_secs_f64();
@@ -516,35 +500,6 @@ mod tests {
             .schedule(&AbstractPlan::new(j).with_preference(OptimizationPreference::Cheap))
             .unwrap();
         assert!(plan.assignments.iter().all(|a| a.site == SiteId::new(3)));
-    }
-
-    #[test]
-    fn colocation_disabled_places_independently() {
-        let sched = Scheduler::new(Arc::new(PipelineInfo {
-            dependent_gap: 0.10,
-        }))
-        .with_colocation(None);
-        let plan = sched.schedule(&pipeline_job()).unwrap();
-        assert_eq!(plan.site_of(TaskId::new(1)), Some(SiteId::new(1)));
-        assert_eq!(
-            plan.site_of(TaskId::new(2)),
-            Some(SiteId::new(2)),
-            "independent"
-        );
-    }
-
-    #[test]
-    fn colocation_can_be_disabled() {
-        let sched = Scheduler::new(three_sites()).with_colocation(None);
-        let mut j = JobSpec::new(JobId::new(1), "pipe", UserId::new(1));
-        j.add_task(TaskSpec::new(TaskId::new(1), "a", "x"));
-        j.add_task(TaskSpec::new(TaskId::new(2), "b", "x"));
-        j.add_dependency(TaskId::new(1), TaskId::new(2));
-        let plan = sched.schedule(&AbstractPlan::new(j)).unwrap();
-        // Without the bias each task independently picks the global
-        // best (site 2 in the three_sites table).
-        assert_eq!(plan.site_of(TaskId::new(1)), Some(SiteId::new(2)));
-        assert_eq!(plan.site_of(TaskId::new(2)), Some(SiteId::new(2)));
     }
 
     #[test]

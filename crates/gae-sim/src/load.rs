@@ -97,15 +97,6 @@ impl LoadTrace {
         LoadTrace { steps: dedup }
     }
 
-    /// Appends a step at `at` with the given load. `at` must be later
-    /// than the last existing step.
-    pub fn push_step(&mut self, at: SimTime, load: f64) {
-        assert!(load.is_finite() && load >= 0.0);
-        let last = self.steps.last().expect("invariant: non-empty").0;
-        assert!(at > last, "steps must be appended in increasing time order");
-        self.steps.push((at, load));
-    }
-
     /// External load at instant `t`.
     pub fn load_at(&self, t: SimTime) -> f64 {
         match self.steps.binary_search_by_key(&t, |(s, _)| *s) {
@@ -314,20 +305,6 @@ mod tests {
     fn zero_work_finishes_immediately() {
         let tr = LoadTrace::constant(5.0);
         assert_eq!(tr.finish_time(secs(42), SimDuration::ZERO, 1.0), secs(42));
-    }
-
-    #[test]
-    fn push_step_extends() {
-        let mut tr = LoadTrace::free();
-        tr.push_step(secs(10), 2.0);
-        assert_eq!(tr.load_at(secs(11)), 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "increasing time order")]
-    fn push_step_rejects_out_of_order() {
-        let mut tr = LoadTrace::from_steps(vec![(secs(0), 0.0), (secs(10), 1.0)]);
-        tr.push_step(secs(5), 2.0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The Paragon accounting record, field-for-field as the paper
-//! describes it (§7), plus a small CSV codec.
+//! describes it (§7), plus its CSV export.
 
 use gae_types::{GaeError, GaeResult, JobType, SimDuration, SimTime};
 
@@ -49,11 +49,6 @@ impl ParagonRecord {
         self.completed.saturating_since(self.started)
     }
 
-    /// Time spent waiting in the queue (submit → start).
-    pub fn queue_wait(&self) -> SimDuration {
-        self.started.saturating_since(self.submitted)
-    }
-
     /// Internal consistency: submit ≤ start ≤ complete, nodes ≥ 1.
     pub fn validate(&self) -> GaeResult<()> {
         if self.nodes == 0 {
@@ -73,8 +68,7 @@ impl ParagonRecord {
 requested_cpu_hours,queue,charge_cpu_rate,charge_idle_rate,submitted_us,started_us,completed_us";
 
     /// Serializes as one CSV row. Free-text fields are generated
-    /// identifiers (no commas), so no quoting is needed; the parser
-    /// rejects rows with the wrong field count.
+    /// identifiers (no commas), so no quoting is needed.
     pub fn to_csv_row(&self) -> String {
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -94,38 +88,6 @@ requested_cpu_hours,queue,charge_cpu_rate,charge_idle_rate,submitted_us,started_
         )
     }
 
-    /// Parses one CSV row produced by [`ParagonRecord::to_csv_row`].
-    pub fn from_csv_row(row: &str) -> GaeResult<ParagonRecord> {
-        let fields: Vec<&str> = row.trim().split(',').collect();
-        if fields.len() != 13 {
-            return Err(GaeError::Parse(format!(
-                "record: expected 13 fields, got {}",
-                fields.len()
-            )));
-        }
-        fn num<T: std::str::FromStr>(s: &str, what: &str) -> GaeResult<T> {
-            s.parse::<T>()
-                .map_err(|_| GaeError::Parse(format!("record: bad {what} {s:?}")))
-        }
-        let rec = ParagonRecord {
-            account: fields[0].to_string(),
-            login: fields[1].to_string(),
-            partition: fields[2].to_string(),
-            nodes: num(fields[3], "nodes")?,
-            job_type: fields[4].parse()?,
-            success: num(fields[5], "success")?,
-            requested_cpu_hours: num(fields[6], "requested_cpu_hours")?,
-            queue: fields[7].to_string(),
-            charge_cpu_rate: num(fields[8], "charge_cpu_rate")?,
-            charge_idle_rate: num(fields[9], "charge_idle_rate")?,
-            submitted: SimTime::from_micros(num(fields[10], "submitted")?),
-            started: SimTime::from_micros(num(fields[11], "started")?),
-            completed: SimTime::from_micros(num(fields[12], "completed")?),
-        };
-        rec.validate()?;
-        Ok(rec)
-    }
-
     /// Serializes a batch with header.
     pub fn to_csv(records: &[ParagonRecord]) -> String {
         let mut out = String::with_capacity(records.len() * 96 + 128);
@@ -138,32 +100,10 @@ requested_cpu_hours,queue,charge_cpu_rate,charge_idle_rate,submitted_us,started_
         out
     }
 
-    /// Parses a batch (header optional).
-    pub fn from_csv(text: &str) -> GaeResult<Vec<ParagonRecord>> {
-        let mut out = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || (i == 0 && line.starts_with("account,")) {
-                continue;
-            }
-            out.push(
-                Self::from_csv_row(line)
-                    .map_err(|e| GaeError::Parse(format!("csv line {}: {e}", i + 1)))?,
-            );
-        }
-        Ok(out)
-    }
-
     /// Writes a batch to a CSV file.
     pub fn save_csv(records: &[ParagonRecord], path: &std::path::Path) -> GaeResult<()> {
         std::fs::write(path, Self::to_csv(records))?;
         Ok(())
-    }
-
-    /// Loads a batch from a CSV file.
-    pub fn load_csv(path: &std::path::Path) -> GaeResult<Vec<ParagonRecord>> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_csv(&text)
     }
 }
 
@@ -193,37 +133,7 @@ mod tests {
     fn derived_durations() {
         let r = sample();
         assert_eq!(r.runtime(), SimDuration::from_secs(1000));
-        assert_eq!(r.queue_wait(), SimDuration::from_secs(60));
         assert!(r.validate().is_ok());
-    }
-
-    #[test]
-    fn csv_roundtrip_single() {
-        let r = sample();
-        let back = ParagonRecord::from_csv_row(&r.to_csv_row()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn csv_roundtrip_batch() {
-        let mut records = vec![sample()];
-        let mut r2 = sample();
-        r2.login = "smith".into();
-        r2.job_type = JobType::Interactive;
-        r2.success = false;
-        records.push(r2);
-        let text = ParagonRecord::to_csv(&records);
-        assert!(text.starts_with("account,"));
-        let back = ParagonRecord::from_csv(&text).unwrap();
-        assert_eq!(back, records);
-    }
-
-    #[test]
-    fn csv_rejects_malformed() {
-        assert!(ParagonRecord::from_csv_row("a,b,c").is_err());
-        let mut row = sample().to_csv_row();
-        row = row.replace("16", "notanumber");
-        assert!(ParagonRecord::from_csv_row(&row).is_err());
     }
 
     #[test]
@@ -240,43 +150,24 @@ mod tests {
     }
 
     #[test]
-    fn batch_parse_reports_line_numbers() {
-        let text = format!(
-            "{}\n{}\ngarbage",
-            ParagonRecord::CSV_HEADER,
-            sample().to_csv_row()
+    fn csv_has_the_header_then_one_row_per_record() {
+        let mut r2 = sample();
+        r2.login = "smith".into();
+        r2.job_type = JobType::Interactive;
+        r2.success = false;
+        let text = ParagonRecord::to_csv(&[sample(), r2.clone()]);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                ParagonRecord::CSV_HEADER,
+                &sample().to_csv_row(),
+                &r2.to_csv_row()
+            ]
         );
-        let err = ParagonRecord::from_csv(&text).unwrap_err();
-        assert!(err.to_string().contains("line 3"), "{err}");
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let records = vec![sample(), {
-            let mut r = sample();
-            r.login = "other".into();
-            r
-        }];
-        let path = std::env::temp_dir().join(format!(
-            "gae-trace-test-{}-{}.csv",
-            std::process::id(),
-            records.len()
-        ));
-        ParagonRecord::save_csv(&records, &path).unwrap();
-        let back = ParagonRecord::load_csv(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(back, records);
-        // Missing file is an IO error, not a panic.
-        assert!(ParagonRecord::load_csv(std::path::Path::new("/nonexistent/x.csv")).is_err());
-    }
-
-    #[test]
-    fn empty_lines_skipped() {
-        let text = format!(
-            "{}\n\n{}\n\n",
-            ParagonRecord::CSV_HEADER,
-            sample().to_csv_row()
+        assert_eq!(
+            lines[2],
+            "cms,smith,compute,16,interactive,false,4,q_long,1,0.1,100000000,160000000,1160000000"
         );
-        assert_eq!(ParagonRecord::from_csv(&text).unwrap().len(), 1);
     }
 }

@@ -159,32 +159,6 @@ impl TemplateHierarchy {
     pub fn templates(&self) -> &[SimilarityTemplate] {
         &self.templates
     }
-
-    /// Finds history entries similar to `target`: tries each template
-    /// in order and returns the matches of the first template with at
-    /// least `min_matches` hits, together with the template index
-    /// used. Falls back to the *last* template's matches if nothing
-    /// reaches the threshold.
-    pub fn find_similar<'h, T>(
-        &self,
-        target: &TaskMeta,
-        history: &'h [(TaskMeta, T)],
-        min_matches: usize,
-    ) -> (usize, Vec<&'h T>) {
-        let mut last = Vec::new();
-        for (i, tpl) in self.templates.iter().enumerate() {
-            let hits: Vec<&T> = history
-                .iter()
-                .filter(|(m, _)| tpl.matches(target, m))
-                .map(|(_, v)| v)
-                .collect();
-            if hits.len() >= min_matches.max(1) {
-                return (i, hits);
-            }
-            last = hits;
-        }
-        (self.templates.len() - 1, last)
-    }
 }
 
 #[cfg(test)]
@@ -229,55 +203,6 @@ mod tests {
         let mut interactive = meta("a", "q1", 8);
         interactive.job_type = gae_types::JobType::Interactive;
         assert!(!t.matches(&meta("a", "q1", 8), &interactive));
-    }
-
-    #[test]
-    fn hierarchy_prefers_specific_matches() {
-        let h = TemplateHierarchy::paragon_default();
-        let history = vec![
-            (meta("alice", "q1", 4), 100u64),
-            (meta("alice", "q1", 4), 120u64),
-            (meta("alice", "q1", 32), 900u64),
-            (meta("bob", "q1", 4), 5000u64),
-        ];
-        let target = meta("alice", "q1", 4);
-        let (tier, hits) = h.find_similar(&target, &history, 2);
-        assert_eq!(tier, 0, "most specific template suffices");
-        assert_eq!(hits, vec![&100, &120]);
-    }
-
-    #[test]
-    fn hierarchy_falls_back_when_sparse() {
-        let h = TemplateHierarchy::paragon_default();
-        let history = vec![
-            (meta("bob", "q1", 4), 5000u64),
-            (meta("carol", "q1", 8), 7000u64),
-        ];
-        // Alice has no history: falls through to the queue template.
-        let (tier, hits) = h.find_similar(&meta("alice", "q1", 4), &history, 2);
-        assert_eq!(tier, 3, "queue-level template used");
-        assert_eq!(hits.len(), 2);
-    }
-
-    #[test]
-    fn hierarchy_last_resort_is_everything() {
-        let h = TemplateHierarchy::paragon_default();
-        let history = vec![(meta("bob", "q9", 4), 1u64)];
-        let (tier, hits) = h.find_similar(&meta("alice", "q1", 4), &history, 2);
-        assert_eq!(tier, h.templates().len() - 1);
-        assert_eq!(
-            hits.len(),
-            1,
-            "below threshold but last template returns all"
-        );
-    }
-
-    #[test]
-    fn empty_history_yields_empty() {
-        let h = TemplateHierarchy::paragon_default();
-        let history: Vec<(TaskMeta, u64)> = Vec::new();
-        let (_, hits) = h.find_similar(&meta("a", "q", 1), &history, 1);
-        assert!(hits.is_empty());
     }
 
     #[test]

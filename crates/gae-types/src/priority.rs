@@ -30,11 +30,6 @@ impl Priority {
         self.0
     }
 
-    /// Returns a priority raised by `steps` (saturating).
-    pub fn raised(self, steps: i32) -> Priority {
-        Priority(self.0.saturating_add(steps))
-    }
-
     /// Returns a priority lowered by `steps` (saturating).
     pub fn lowered(self, steps: i32) -> Priority {
         Priority(self.0.saturating_sub(steps))
@@ -71,10 +66,8 @@ mod tests {
     }
 
     #[test]
-    fn raise_and_lower_saturate() {
-        assert_eq!(Priority::new(i32::MAX).raised(1).level(), i32::MAX);
+    fn lower_saturates() {
         assert_eq!(Priority::new(i32::MIN).lowered(1).level(), i32::MIN);
-        assert_eq!(Priority::NORMAL.raised(3), Priority::new(3));
         assert_eq!(Priority::NORMAL.lowered(3), Priority::new(-3));
     }
 

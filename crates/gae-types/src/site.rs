@@ -64,11 +64,6 @@ impl SiteDescription {
     pub fn total_slots(&self) -> u32 {
         self.nodes * self.slots_per_node
     }
-
-    /// Cost of `cpu_seconds` of work at this site's CPU-hour rate.
-    pub fn cost_of_cpu_seconds(&self, cpu_seconds: f64) -> f64 {
-        self.charge_per_cpu_hour * cpu_seconds / 3600.0
-    }
 }
 
 impl fmt::Display for SiteDescription {
@@ -133,13 +128,6 @@ mod tests {
     fn slots_multiply() {
         let s = SiteDescription::new(SiteId::new(1), "a", 16, 2);
         assert_eq!(s.total_slots(), 32);
-    }
-
-    #[test]
-    fn cost_uses_hour_rate() {
-        let s = SiteDescription::new(SiteId::new(1), "a", 1, 1).with_charge(7.2, 0.0);
-        // 1800 CPU-seconds = 0.5 h at 7.2/h = 3.6
-        assert!((s.cost_of_cpu_seconds(1800.0) - 3.6).abs() < 1e-9);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The `dateTime.iso8601` scalar (`19980717T14:08:55`), from scratch.
 //!
 //! XML-RPC's date format is the compact ISO 8601 basic form with no
-//! time zone. We store the six civil fields and provide exact
-//! conversions to and from Unix seconds using Howard Hinnant's
-//! `days_from_civil` algorithm.
+//! time zone. We store the six civil fields and convert from Unix
+//! seconds exactly with Howard Hinnant's `civil_from_days` algorithm.
 
 use gae_types::GaeError;
 use std::fmt;
@@ -39,18 +38,7 @@ fn days_in_month(year: i32, month: u8) -> u8 {
     }
 }
 
-/// Days since 1970-01-01 for a civil date (Hinnant's algorithm).
-fn days_from_civil(y: i32, m: u8, d: u8) -> i64 {
-    let y = i64::from(y) - i64::from(m <= 2);
-    let era = if y >= 0 { y } else { y - 399 } / 400;
-    let yoe = y - era * 400; // [0, 399]
-    let mp = i64::from((m as i32 + 9) % 12); // Mar=0..Feb=11
-    let doy = (153 * mp + 2) / 5 + i64::from(d) - 1; // [0, 365]
-    let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy; // [0, 146096]
-    era * 146_097 + doe - 719_468
-}
-
-/// Inverse of [`days_from_civil`].
+/// The civil date `z` days after 1970-01-01 (Hinnant's algorithm).
 fn civil_from_days(z: i64) -> (i32, u8, u8) {
     let z = z + 719_468;
     let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
@@ -65,16 +53,6 @@ fn civil_from_days(z: i64) -> (i32, u8, u8) {
 }
 
 impl DateTime {
-    /// The Unix epoch, 1970-01-01T00:00:00.
-    pub const EPOCH: DateTime = DateTime {
-        year: 1970,
-        month: 1,
-        day: 1,
-        hour: 0,
-        minute: 0,
-        second: 0,
-    };
-
     /// Builds and validates a civil date-time.
     pub fn new(
         year: i32,
@@ -140,14 +118,6 @@ impl DateTime {
         }
     }
 
-    /// Converts to Unix seconds (UTC).
-    pub fn to_unix_seconds(self) -> i64 {
-        days_from_civil(self.year, self.month, self.day) * 86_400
-            + i64::from(self.hour) * 3600
-            + i64::from(self.minute) * 60
-            + i64::from(self.second)
-    }
-
     /// Parses the XML-RPC wire form `YYYYMMDDTHH:MM:SS`.
     pub fn parse(s: &str) -> Result<DateTime, GaeError> {
         let bytes = s.trim().as_bytes();
@@ -191,17 +161,28 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn epoch_is_zero() {
-        assert_eq!(DateTime::EPOCH.to_unix_seconds(), 0);
-        assert_eq!(DateTime::from_unix_seconds(0), DateTime::EPOCH);
+    /// Unix seconds of `dt`: the inverse `from_unix_seconds` is held
+    /// to (Hinnant's `days_from_civil`).
+    fn to_unix_seconds(dt: DateTime) -> i64 {
+        let y = i64::from(dt.year) - i64::from(dt.month <= 2);
+        let era = if y >= 0 { y } else { y - 399 } / 400;
+        let yoe = y - era * 400;
+        let mp = i64::from((dt.month as i32 + 9) % 12);
+        let doy = (153 * mp + 2) / 5 + i64::from(dt.day) - 1;
+        let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
+        let days = era * 146_097 + doe - 719_468;
+        days * 86_400 + i64::from(dt.hour) * 3600 + i64::from(dt.minute) * 60 + i64::from(dt.second)
     }
 
     #[test]
     fn known_instants() {
+        assert_eq!(
+            DateTime::from_unix_seconds(0),
+            DateTime::new(1970, 1, 1, 0, 0, 0).unwrap()
+        );
         // 2005-06-14 12:00:00 UTC (around the paper's ICPP 2005).
         let dt = DateTime::new(2005, 6, 14, 12, 0, 0).unwrap();
-        assert_eq!(dt.to_unix_seconds(), 1_118_750_400);
+        assert_eq!(to_unix_seconds(dt), 1_118_750_400);
         assert_eq!(DateTime::from_unix_seconds(1_118_750_400), dt);
     }
 
@@ -250,7 +231,7 @@ mod tests {
         fn unix_roundtrip(secs in 0i64..253_402_300_799) {
             let dt = DateTime::from_unix_seconds(secs);
             prop_assert!(dt.validate().is_ok());
-            prop_assert_eq!(dt.to_unix_seconds(), secs);
+            prop_assert_eq!(to_unix_seconds(dt), secs);
         }
 
         #[test]

@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod base64;
-pub mod convert;
 pub mod datetime;
 pub mod fault;
 pub mod lexer;
@@ -32,7 +31,6 @@ pub mod parser;
 pub mod value;
 pub mod writer;
 
-pub use convert::{FromValue, ToValue};
 pub use fault::Fault;
 pub use parser::{parse_call, parse_response, parse_value_document};
 pub use value::{MethodCall, Response, Value};

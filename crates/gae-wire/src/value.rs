@@ -124,14 +124,6 @@ impl Value {
         }
     }
 
-    /// Extracts a date-time.
-    pub fn as_datetime(&self) -> GaeResult<DateTime> {
-        match self {
-            Value::DateTime(v) => Ok(*v),
-            other => Err(other.type_err("dateTime.iso8601")),
-        }
-    }
-
     /// Extracts base64 bytes.
     pub fn as_bytes(&self) -> GaeResult<&[u8]> {
         match self {
@@ -303,19 +295,6 @@ impl MethodCall {
             .get(i)
             .ok_or_else(|| GaeError::Parse(format!("{}: missing parameter {i}", self.name)))
     }
-
-    /// Asserts an exact parameter count.
-    pub fn expect_params(&self, n: usize) -> GaeResult<()> {
-        if self.params.len() == n {
-            Ok(())
-        } else {
-            Err(GaeError::Parse(format!(
-                "{}: expected {n} parameters, got {}",
-                self.name,
-                self.params.len()
-            )))
-        }
-    }
 }
 
 /// An XML-RPC `methodResponse`: either one result value or a fault.
@@ -403,8 +382,6 @@ mod tests {
         let call = MethodCall::new("m", vec![Value::Int(1)]);
         assert!(call.param(0).is_ok());
         assert!(call.param(1).is_err());
-        assert!(call.expect_params(1).is_ok());
-        assert!(call.expect_params(2).is_err());
     }
 
     #[test]

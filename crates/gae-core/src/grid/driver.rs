@@ -112,11 +112,8 @@ impl Grid {
     /// corrections reach the execution services *before* the sites
     /// themselves advance.
     pub fn advance_to(&self, t: SimTime) {
-        {
-            let mut now = self.now.write();
-            assert!(t >= *now, "grid cannot advance backwards");
-            *now = t;
-        }
+        assert!(t >= self.now(), "grid cannot advance backwards");
+        self.clock.set(t);
         self.with_xfer(|x| x.advance_to(t));
         for site in self.sites.values() {
             site.lock().advance_to(t);

@@ -10,7 +10,8 @@ use gae_gate::GateConfig;
 use gae_monitor::{MonAlisaRepository, SeriesId};
 use gae_sim::{LoadTrace, NetworkModel};
 use gae_types::{
-    CondorId, GaeError, GaeResult, SimDuration, SimTime, SiteDescription, SiteId, TaskId, TaskSpec,
+    Clock, CondorId, GaeError, GaeResult, ManualClock, SimDuration, SimTime, SiteDescription,
+    SiteId, TaskId, TaskSpec,
 };
 use gae_xfer::{XferConfig, XferScheduler, XferUpdate};
 use parking_lot::{Mutex, RwLock};
@@ -24,7 +25,12 @@ pub struct Grid {
     descriptions: BTreeMap<SiteId, SiteDescription>,
     pub(super) monitor: Arc<MonAlisaRepository>,
     network: NetworkModel,
-    pub(super) now: RwLock<SimTime>,
+    /// The grid's virtual time: one shared cell that only
+    /// [`Grid::advance_to`] moves. The gate and the observability hub
+    /// of a stack read clones of it, so nothing the grid owns has to
+    /// reach back to the grid to tell the time (DESIGN.md §17 "Who may
+    /// hold whom").
+    pub(super) clock: Arc<ManualClock>,
     /// Directed flocking partnerships: queued work at the key site
     /// may overflow to the listed partners (Condor flocking, §7).
     flock_partners: RwLock<BTreeMap<SiteId, Vec<SiteId>>>,
@@ -174,7 +180,7 @@ impl GridBuilder {
             descriptions,
             monitor,
             network: self.network,
-            now: RwLock::new(SimTime::ZERO),
+            clock: Arc::new(ManualClock::new()),
             flock_partners: RwLock::new(BTreeMap::new()),
             metric_ids,
             xfer: Mutex::new(xfer),
@@ -214,7 +220,7 @@ impl gae_xfer::LinkView for GridLinkView {
 impl Grid {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        *self.now.read()
+        self.clock.now()
     }
 
     /// All site ids, sorted.

@@ -16,22 +16,6 @@ use gae_types::{Clock, ConcretePlan, GaeError, GaeResult, JobSpec, SimDuration, 
 use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
-/// The grid's virtual time as a [`Clock`], shared by the gate and the
-/// observability hub: admission decisions replay deterministically
-/// inside simulations, and spans, histograms and lifecycle timelines
-/// are deterministic functions of the workload — two runs of the same
-/// seed produce byte-identical trace trees. The stack's gate also
-/// fronts the served socket (`gae-ctl serve`): there the pump that
-/// tracks wall time is what advances this clock, so buckets refill and
-/// queue deadlines pass one pump step at a time.
-struct GridClock(Arc<Grid>);
-
-impl Clock for GridClock {
-    fn now(&self) -> SimTime {
-        self.0.now()
-    }
-}
-
 /// Records one transfer-plane lifecycle event into the hub: a span in
 /// the transfer's trace, plus the request→landing latency per link.
 /// Every event carries its own instant (the observer runs under the
@@ -180,10 +164,16 @@ impl ServiceStack {
             quota.clone(),
             policy,
         ));
-        // The gate reads the grid's virtual clock and classifies by
-        // quota standing: a principal billed into the red (grids bill
-        // after the fact) drops to Scavenger — first shed, last run.
-        let clock: Arc<dyn Clock> = Arc::new(GridClock(grid.clone()));
+        // The gate and the observability hub read the grid's virtual
+        // clock, so admissions and trace trees replay byte-identically
+        // run to run; served (`gae-ctl serve`), the pump that tracks
+        // wall time advances it. They hold the clock cell, never the
+        // grid: a gate or hub that outlives the stack (a served door,
+        // an RPC host) must not keep the grid alive (DESIGN.md §17).
+        // The gate also classifies by quota standing: a principal
+        // billed into the red (grids bill after the fact) drops to
+        // Scavenger — first shed, last run.
+        let clock: Arc<dyn Clock> = grid.clock.clone();
         let gate = Gate::new(grid.gate_config().unwrap_or_default(), clock.clone());
         {
             let quota = quota.clone();

@@ -16,11 +16,27 @@
 
 use crate::machine::Mutation;
 use gae_types::{GaeError, GaeResult};
-use gae_wire::{parse_value_document, write_value_document, Value};
+use gae_wire::lexer::escape_text;
+use gae_wire::writer::write_value;
+use gae_wire::{parse_value_document, Value};
 
-/// The `{kind, body}` struct of one record.
-fn envelope(kind: &str, body: &Value) -> Value {
-    Value::struct_of([("kind", Value::from(kind)), ("body", body.clone())])
+/// Opens a document: the XML declaration, with room for a small one.
+fn document() -> String {
+    let mut out = String::with_capacity(128);
+    out.push_str("<?xml version=\"1.0\"?>\n");
+    out
+}
+
+/// Writes the `{kind, body}` struct of one record as a `<value>` —
+/// the bytes of the two-member struct value, members in name order
+/// (`body` before `kind`), written straight from the borrowed body
+/// instead of through a struct that owns a copy of it.
+fn write_envelope(kind: &str, body: &Value, out: &mut String) {
+    out.push_str("<value><struct><member><name>body</name>");
+    write_value(body, out);
+    out.push_str("</member><member><name>kind</name><value><string>");
+    out.push_str(&escape_text(kind));
+    out.push_str("</string></value></member></struct></value>");
 }
 
 /// The record an envelope struct holds.
@@ -33,7 +49,9 @@ fn mutation(envelope: &Value) -> GaeResult<Mutation> {
 
 /// Encode one journal record as the `{kind, body}` envelope document.
 pub fn encode_envelope(kind: &str, body: &Value) -> String {
-    write_value_document(&envelope(kind, body))
+    let mut out = document();
+    write_envelope(kind, body, &mut out);
+    out
 }
 
 /// Decode a WAL record back into its mutation.
@@ -43,13 +61,18 @@ pub fn decode_envelope(bytes: &[u8]) -> GaeResult<Mutation> {
     mutation(&parse_value_document(text)?)
 }
 
-/// Encode the batch the leader streams for one commit.
+/// Encode the batch the leader streams for one commit: the struct
+/// `{commit, records}`, members in name order.
 pub fn encode_batch(commit_index: u64, records: &[Mutation]) -> String {
-    let records = records.iter().map(|m| envelope(&m.kind, &m.body));
-    write_value_document(&Value::struct_of([
-        ("commit", Value::from(commit_index)),
-        ("records", Value::Array(records.collect())),
-    ]))
+    let mut out = document();
+    out.push_str("<value><struct><member><name>commit</name>");
+    write_value(&Value::from(commit_index), &mut out);
+    out.push_str("</member><member><name>records</name><value><array><data>");
+    for m in records {
+        write_envelope(&m.kind, &m.body, &mut out);
+    }
+    out.push_str("</data></array></value></member></struct></value>");
+    out
 }
 
 /// Decode a streamed commit batch: `(commit_index, records)`.
@@ -95,6 +118,40 @@ mod tests {
         let (commit, back) = decode_batch(&encode_batch(9, &[])).expect("decode empty");
         assert_eq!(commit, 9);
         assert!(back.is_empty());
+    }
+
+    /// The written-through envelope and batch are the bytes of the
+    /// struct documents they stand for.
+    #[test]
+    fn envelopes_are_the_bytes_of_their_struct_documents() {
+        use gae_wire::write_value_document;
+        let envelope = |m: &Mutation| {
+            Value::struct_of([
+                ("kind", Value::from(m.kind.as_str())),
+                ("body", m.body.clone()),
+            ])
+        };
+        let mut records: Vec<Mutation> = (0..4).map(sample).collect();
+        records.push(Mutation {
+            kind: "a<b&c".to_string(),
+            body: Value::Array(vec![Value::Nil, Value::Double(0.25)]),
+        });
+        for m in &records {
+            assert_eq!(
+                encode_envelope(&m.kind, &m.body),
+                write_value_document(&envelope(m))
+            );
+        }
+        for (commit, records) in [(0, &records[..0]), (1 << 40, &records[..])] {
+            let oracle = write_value_document(&Value::struct_of([
+                ("commit", Value::from(commit)),
+                (
+                    "records",
+                    Value::Array(records.iter().map(envelope).collect()),
+                ),
+            ]));
+            assert_eq!(encode_batch(commit, records), oracle);
+        }
     }
 
     #[test]

@@ -271,9 +271,10 @@ impl ManualClock {
         }
     }
 
-    /// Moves the clock to `t` (panics on regression).
+    /// Moves the clock to `t`. A regression panics and leaves the clock
+    /// where it was: no reader ever sees the earlier instant.
     pub fn set(&self, t: SimTime) {
-        let prev = self.micros.swap(t.as_micros(), Ordering::SeqCst);
+        let prev = self.micros.fetch_max(t.as_micros(), Ordering::SeqCst);
         assert!(prev <= t.as_micros(), "ManualClock cannot go backwards");
     }
 
@@ -425,6 +426,14 @@ mod tests {
     fn manual_clock_rejects_regression() {
         let c = ManualClock::starting_at(SimTime::from_secs(10));
         c.set(SimTime::from_secs(5));
+    }
+
+    #[test]
+    fn manual_clock_refused_regression_leaves_time_unchanged() {
+        let c = ManualClock::starting_at(SimTime::from_secs(10));
+        let refused = std::panic::catch_unwind(|| c.set(SimTime::from_secs(5)));
+        assert!(refused.is_err(), "a regression must panic");
+        assert_eq!(c.now(), SimTime::from_secs(10));
     }
 
     #[test]

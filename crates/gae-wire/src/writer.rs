@@ -9,22 +9,25 @@ use crate::base64;
 use crate::fault::Fault;
 use crate::lexer::escape_text;
 use crate::value::{MethodCall, Response, Value};
+use std::fmt::{Display, Write as _};
+
+/// Appends `<open>x<close>`, formatting `x` straight into `out` instead
+/// of into a temporary `String` first. The tags go in as plain pushes:
+/// that is cheaper than passing them through the formatter.
+fn push_formatted(out: &mut String, open: &str, x: impl Display, close: &str) {
+    out.push_str(open);
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{x}");
+    out.push_str(close);
+}
 
 /// Serializes one value into an `<value>...</value>` fragment,
 /// appending to `out`.
 pub fn write_value(v: &Value, out: &mut String) {
     out.push_str("<value>");
     match v {
-        Value::Int(n) => {
-            out.push_str("<i4>");
-            out.push_str(&n.to_string());
-            out.push_str("</i4>");
-        }
-        Value::Int64(n) => {
-            out.push_str("<i8>");
-            out.push_str(&n.to_string());
-            out.push_str("</i8>");
-        }
+        Value::Int(n) => push_formatted(out, "<i4>", n, "</i4>"),
+        Value::Int64(n) => push_formatted(out, "<i8>", n, "</i8>"),
         Value::Bool(b) => {
             out.push_str("<boolean>");
             out.push(if *b { '1' } else { '0' });
@@ -37,15 +40,9 @@ pub fn write_value(v: &Value, out: &mut String) {
         }
         Value::Double(d) => {
             debug_assert!(d.is_finite(), "XML-RPC cannot carry NaN/Inf");
-            out.push_str("<double>");
-            out.push_str(&d.to_string());
-            out.push_str("</double>");
+            push_formatted(out, "<double>", d, "</double>");
         }
-        Value::DateTime(dt) => {
-            out.push_str("<dateTime.iso8601>");
-            out.push_str(&dt.to_string());
-            out.push_str("</dateTime.iso8601>");
-        }
+        Value::DateTime(dt) => push_formatted(out, "<dateTime.iso8601>", dt, "</dateTime.iso8601>"),
         Value::Base64(bytes) => {
             out.push_str("<base64>");
             out.push_str(&base64::encode(bytes));

@@ -6,18 +6,31 @@
 //! section by section straight into its file — so its peak live heap
 //! is the rebuilt state plus one commit batch plus one service's
 //! export, not the state plus the log plus a `Value` tree plus a
-//! document. This binary installs a counting allocator (test-local:
-//! an integration test is its own process) and holds recovery to that.
+//! document. And before it starts, the crashed stack must have given
+//! its own heap back (DESIGN.md §17 "Who may hold whom"), or recovery
+//! runs beside a ghost of the state it rebuilds. This binary installs a
+//! counting allocator (test-local: an integration test is its own
+//! process) and holds recovery to both.
 
 use gae::durable::fault::unique_temp_dir;
 use gae::durable::DurableStore;
 use gae::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Live heap bytes, and their high-water mark since the last reset.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// The counters are process-wide, so this binary's tests run one at a
+/// time.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 struct Counting;
 
@@ -121,6 +134,7 @@ fn job(j: u64) -> JobSpec {
 
 #[test]
 fn recovery_peak_heap_is_the_rebuilt_state_plus_one_batch() {
+    let _serial = serial();
     let dir = unique_temp_dir("recovery-memory");
     // No rotation: like a long-lived server between snapshots, the
     // whole history is in the log.
@@ -198,6 +212,53 @@ fn recovery_peak_heap_is_the_rebuilt_state_plus_one_batch() {
         "recovery peaked at {peak} B over a rebuilt state of {kept} B (> 1.5×): something holds \
          the log, the whole-state image or the snapshot document again"
     );
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_crashed_stack_returns_its_heap_before_recovery() {
+    let _serial = serial();
+    let dir = unique_temp_dir("recovery-memory-crashed");
+    let config = PersistenceConfig::new(&dir).fsync(false);
+    let repl = dir.join("repl");
+
+    let before = LIVE.load(Ordering::Relaxed);
+    {
+        let stack = ServiceStack::over(grid(Some(&config)));
+        let followers = ReplicatedLog::attached(
+            &repl,
+            ReplConfig {
+                followers: 2,
+                fsync: false,
+            },
+            |_| MirrorMachine::new(),
+        )
+        .expect("follower cluster");
+        stack
+            .attach_replication(followers)
+            .expect("replication attach");
+        for j in 1..=JOBS / 4 {
+            stack.submit_job(job(j)).expect("submit");
+        }
+        stack.run_until(SimTime::from_secs(600));
+    }
+    // The process "crashed" here: what the stack built must be gone.
+    let held = LIVE.load(Ordering::Relaxed) as i64 - before as i64;
+    println!("a dropped stack with two followers left {held} B live");
+    assert!(
+        held < 64 << 10,
+        "the crashed stack still holds {held} B: something it owns holds it back"
+    );
+
+    let (recovered, report) = ServiceStack::recover_from_disk(
+        grid(None),
+        SteeringPolicy::default(),
+        SimDuration::from_secs(5),
+        &config,
+    )
+    .expect("recovery");
+    assert!(report.commit_index > 0, "the crashed stack committed");
     drop(recovered);
     std::fs::remove_dir_all(&dir).ok();
 }

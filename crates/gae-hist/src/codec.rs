@@ -13,10 +13,11 @@
 //!         u32 rows, then 9 × rows u64, then 6 × rows u32
 //! ```
 //!
-//! Derived state — zone maps, site counters, the op counters — is
-//! deliberately *not* encoded: the decoder recomputes it, so two
-//! stores holding the same rows produce the same bytes regardless of
-//! how many scans or no-op compactions they served.
+//! Derived state — zone maps and the lanes packed at them, site
+//! counters, the op counters — is deliberately *not* encoded: the
+//! decoder recomputes it, so two stores holding the same rows produce
+//! the same bytes regardless of how many scans or no-op compactions
+//! they served.
 
 use crate::dict::Dictionary;
 use crate::schema::{num, NUM_COLUMNS, STR_COLUMNS};
@@ -47,65 +48,72 @@ pub(crate) fn encode(inner: &Inner) -> Vec<u8> {
     out
 }
 
+/// Bytes one row takes in the encoding.
+const ROW_BYTES: usize = NUM_COLUMNS.len() * 8 + STR_COLUMNS.len() * 4;
+
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
+    fn truncated(&self, wanted: usize) -> GaeError {
+        GaeError::Parse(format!(
+            "history codec: truncated at offset {} (wanted {wanted} more bytes)",
+            self.pos
+        ))
+    }
+
     fn take(&mut self, n: usize) -> GaeResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|e| *e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let s = &self.bytes[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(GaeError::Parse(format!(
-                "history codec: truncated at offset {} (wanted {n} more bytes)",
-                self.pos
-            ))),
-        }
+        let rest = &self.bytes[self.pos..];
+        let s = rest.get(..n).ok_or_else(|| self.truncated(n))?;
+        self.pos += n;
+        Ok(s)
+    }
+
+    fn array<const N: usize>(&mut self) -> GaeResult<[u8; N]> {
+        let rest = &self.bytes[self.pos..];
+        let a = *rest.first_chunk::<N>().ok_or_else(|| self.truncated(N))?;
+        self.pos += N;
+        Ok(a)
     }
 
     fn u32(&mut self) -> GaeResult<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> GaeResult<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        self.array().map(u64::from_le_bytes)
     }
 }
 
-fn decode_segment(r: &mut Reader<'_>) -> GaeResult<Segment> {
+/// Reads one segment's columns straight into an unsealed segment. The
+/// row count comes from the input, so it is held to what the bytes
+/// left can hold before anything is allocated for it, and every code
+/// column's largest code must name a word of its dictionary.
+fn decode_segment(r: &mut Reader<'_>, dicts: &[Dictionary]) -> GaeResult<Segment> {
     let rows = r.u32()? as usize;
-    let mut num_cols = vec![vec![0u64; rows]; NUM_COLUMNS.len()];
-    for col in &mut num_cols {
-        for v in col.iter_mut() {
-            *v = r.u64()?;
-        }
+    let left = r.bytes.len() - r.pos;
+    if rows.saturating_mul(ROW_BYTES) > left {
+        return Err(GaeError::Parse(format!(
+            "history codec: a segment of {rows} rows overruns the {left} bytes left"
+        )));
     }
-    let mut str_cols = vec![vec![0u32; rows]; STR_COLUMNS.len()];
-    for col in &mut str_cols {
-        for v in col.iter_mut() {
-            *v = r.u32()?;
+    let num = (0..NUM_COLUMNS.len())
+        .map(|_| (0..rows).map(|_| r.u64()).collect())
+        .collect::<GaeResult<Vec<Vec<u64>>>>()?;
+    let mut codes = Vec::with_capacity(STR_COLUMNS.len());
+    for (col, dict) in dicts.iter().enumerate() {
+        let buf: Vec<u32> = (0..rows).map(|_| r.u32()).collect::<GaeResult<_>>()?;
+        if buf.iter().max().is_some_and(|m| *m as usize >= dict.len()) {
+            return Err(GaeError::Parse(format!(
+                "history codec: code out of range in column {:?}",
+                STR_COLUMNS[col]
+            )));
         }
+        codes.push(buf);
     }
-    let mut seg = Segment::new();
-    let mut nums = [0u64; NUM_COLUMNS.len()];
-    let mut strs = [0u32; STR_COLUMNS.len()];
-    for row in 0..rows {
-        for (i, col) in num_cols.iter().enumerate() {
-            nums[i] = col[row];
-        }
-        for (i, col) in str_cols.iter().enumerate() {
-            strs[i] = col[row];
-        }
-        seg.push(&nums, &strs);
-    }
-    Ok(seg)
+    Ok(Segment::from_buffers(num, codes))
 }
 
 pub(crate) fn decode(bytes: &[u8]) -> GaeResult<Inner> {
@@ -138,7 +146,7 @@ pub(crate) fn decode(bytes: &[u8]) -> GaeResult<Inner> {
     let sealed_count = r.u32()? as usize;
     let mut sealed = Vec::with_capacity(sealed_count.min(1 << 16));
     for _ in 0..sealed_count {
-        let mut seg = decode_segment(&mut r)?;
+        let mut seg = decode_segment(&mut r, &dicts)?;
         if seg.rows() == 0 {
             return Err(GaeError::Parse(
                 "history codec: empty sealed segment".to_string(),
@@ -147,29 +155,21 @@ pub(crate) fn decode(bytes: &[u8]) -> GaeResult<Inner> {
         seg.seal();
         sealed.push(seg);
     }
-    let tail = decode_segment(&mut r)?;
+    let tail = decode_segment(&mut r, &dicts)?;
     if r.pos != bytes.len() {
         return Err(GaeError::Parse(format!(
             "history codec: {} trailing bytes",
             bytes.len() - r.pos
         )));
     }
-    // Validate codes against the dictionaries, then recompute the
-    // derived state: per-site success counters and the op counters.
+    // Recompute the derived state: per-site success counters and the
+    // op counters.
     let mut inner = Inner::empty();
     inner.dicts = dicts;
     let mut rows_total = 0u64;
     for seg in sealed.iter().chain(std::iter::once(&tail)) {
         rows_total += seg.rows() as u64;
         for row in 0..seg.rows() {
-            for (col, dict) in inner.dicts.iter().enumerate() {
-                if seg.str_at(col, row) as usize >= dict.len() {
-                    return Err(GaeError::Parse(format!(
-                        "history codec: code out of range in column {:?}",
-                        STR_COLUMNS[col]
-                    )));
-                }
-            }
             if seg.num_at(num::SUCCESS, row) != 0 {
                 let site = seg.num_at(num::SITE, row);
                 *inner.site_seq.entry(site).or_insert(0) += 1;

@@ -13,7 +13,8 @@
 //! * **Sealed segments + a mutable tail.** Appends go to the tail;
 //!   once it reaches `segment_rows` (or a journaled `Seal` op fires on
 //!   the grid clock) it freezes into an immutable segment with
-//!   per-column min/max **zone maps**.
+//!   per-column min/max **zone maps**, and each column is packed as
+//!   its zone minimum plus the narrowest lane that holds `max − min`.
 //! * **Predicate pushdown.** A scan is a conjunction of
 //!   [`ColumnPredicate`]s; any predicate whose value range cannot
 //!   intersect a sealed segment's zone map prunes the whole segment

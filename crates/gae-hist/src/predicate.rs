@@ -104,60 +104,28 @@ impl ColumnPredicate {
     }
 }
 
-/// A predicate resolved against the schema and dictionaries.
-#[derive(Clone, Debug)]
-pub(crate) enum Compiled {
-    Num {
-        col: usize,
-        op: CmpOp,
-        v: u64,
-    },
-    /// String equality; `None` means the word was never interned, so
-    /// no row anywhere can match.
-    StrEq {
-        col: usize,
-        code: Option<u32>,
-    },
+/// A predicate resolved against the schema and dictionaries: the
+/// value of column `col` must lie in `lo..=hi`. A word never interned
+/// compiles to the empty range `1..=0`, which no row anywhere matches.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Compiled {
+    col: ColumnRef,
+    lo: u64,
+    hi: u64,
 }
 
 impl Compiled {
     /// True when the sealed segment's zone map proves no row matches.
     pub(crate) fn prunes(&self, seg: &Segment) -> bool {
-        match self {
-            Compiled::Num { col, op, v } => {
-                let (min, max) = seg.zone_num(*col);
-                match op {
-                    CmpOp::Eq => *v < min || *v > max,
-                    CmpOp::Ge => max < *v,
-                    CmpOp::Le => min > *v,
-                }
-            }
-            Compiled::StrEq { col, code } => match code {
-                None => true,
-                Some(c) => {
-                    let (min, max) = seg.zone_str(*col);
-                    *c < min || *c > max
-                }
-            },
-        }
+        let (min, max) = seg.zone(self.col);
+        self.lo > self.hi || self.hi < min || self.lo > max
     }
 
-    /// True when row `row` of `seg` satisfies the predicate.
-    pub(crate) fn matches(&self, seg: &Segment, row: usize) -> bool {
-        match self {
-            Compiled::Num { col, op, v } => {
-                let x = seg.num_at(*col, row);
-                match op {
-                    CmpOp::Eq => x == *v,
-                    CmpOp::Ge => x >= *v,
-                    CmpOp::Le => x <= *v,
-                }
-            }
-            Compiled::StrEq { col, code } => match code {
-                None => false,
-                Some(c) => seg.str_at(*col, row) == *c,
-            },
-        }
+    /// Clears in `sel` (one flag per row of `seg`) every row the
+    /// predicate rejects, one pass over the column; false when no row
+    /// can pass.
+    pub(crate) fn select(&self, seg: &Segment, sel: &mut [bool]) -> bool {
+        seg.select(self.col, self.lo, self.hi, sel)
     }
 }
 
@@ -169,22 +137,25 @@ pub(crate) fn compile(preds: &[ColumnPredicate], dicts: &[Dictionary]) -> GaeRes
         .iter()
         .map(|p| match resolve_column(&p.column) {
             None => Err(GaeError::NotFound(format!("history column {:?}", p.column))),
-            Some(ColumnRef::Num(col)) => match &p.value {
-                PredValue::Num(v) => Ok(Compiled::Num {
-                    col,
-                    op: p.op,
-                    v: *v,
-                }),
+            Some(col @ ColumnRef::Num(_)) => match &p.value {
+                PredValue::Num(v) => {
+                    let (lo, hi) = match p.op {
+                        CmpOp::Eq => (*v, *v),
+                        CmpOp::Ge => (*v, u64::MAX),
+                        CmpOp::Le => (0, *v),
+                    };
+                    Ok(Compiled { col, lo, hi })
+                }
                 PredValue::Str(_) => Err(GaeError::Parse(format!(
                     "column {:?} is numeric, got a string value",
                     p.column
                 ))),
             },
-            Some(ColumnRef::Str(col)) => match (&p.value, p.op) {
-                (PredValue::Str(w), CmpOp::Eq) => Ok(Compiled::StrEq {
-                    col,
-                    code: dicts[col].code(w),
-                }),
+            Some(col @ ColumnRef::Str(i)) => match (&p.value, p.op) {
+                (PredValue::Str(w), CmpOp::Eq) => {
+                    let (lo, hi) = dicts[i].code(w).map_or((1, 0), |c| (c.into(), c.into()));
+                    Ok(Compiled { col, lo, hi })
+                }
                 (PredValue::Str(_), _) => Err(GaeError::Parse(format!(
                     "column {:?} is a string column; only eq is supported",
                     p.column

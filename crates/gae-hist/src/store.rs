@@ -77,7 +77,7 @@ pub struct ScanStats {
 }
 
 /// A matched row handed to the scan visitor; column reads go straight
-/// to the segment buffers.
+/// to the segment's columns.
 pub struct RowView<'a> {
     seg: &'a Segment,
     dicts: &'a [Dictionary],
@@ -295,7 +295,7 @@ impl HistStore {
     /// Scans the store with a predicate conjunction, calling `on_row`
     /// for every matching row in append order. Sealed segments are
     /// zone-map-pruned before any row is read; the tail (no zone maps
-    /// yet) is always row-scanned.
+    /// yet) is never pruned.
     pub fn scan<F: FnMut(&RowView<'_>)>(
         &self,
         preds: &[ColumnPredicate],
@@ -304,17 +304,25 @@ impl HistStore {
         let g = self.inner.read();
         let compiled = compile(preds, &g.dicts)?;
         let mut stats = ScanStats::default();
+        let mut sel = Vec::new();
         for seg in &g.sealed {
             stats.segments += 1;
             if compiled.iter().any(|p| p.prunes(seg)) {
                 stats.segments_pruned += 1;
                 continue;
             }
-            Self::scan_segment(seg, &g.dicts, &compiled, &mut stats, &mut on_row);
+            Self::scan_segment(seg, &g.dicts, &compiled, &mut sel, &mut stats, &mut on_row);
         }
         if g.tail.rows() > 0 {
             stats.segments += 1;
-            Self::scan_segment(&g.tail, &g.dicts, &compiled, &mut stats, &mut on_row);
+            Self::scan_segment(
+                &g.tail,
+                &g.dicts,
+                &compiled,
+                &mut sel,
+                &mut stats,
+                &mut on_row,
+            );
         }
         self.scans.fetch_add(1, Ordering::Relaxed);
         self.scan_rows
@@ -324,20 +332,26 @@ impl HistStore {
         Ok(stats)
     }
 
+    /// Evaluates each predicate over a whole column of `seg` into the
+    /// selection `sel`, then visits only the rows still selected.
     fn scan_segment<F: FnMut(&RowView<'_>)>(
         seg: &Segment,
         dicts: &[Dictionary],
         compiled: &[Compiled],
+        sel: &mut Vec<bool>,
         stats: &mut ScanStats,
         on_row: &mut F,
     ) {
         let rows = seg.rows();
         stats.rows_scanned += rows as u64;
-        for row in 0..rows {
-            if compiled.iter().all(|p| p.matches(seg, row)) {
-                stats.rows_matched += 1;
-                on_row(&RowView { seg, dicts, row });
-            }
+        sel.clear();
+        sel.resize(rows, true);
+        if !compiled.iter().all(|p| p.select(seg, sel)) {
+            return;
+        }
+        for row in (0..rows).filter(|row| sel[*row]) {
+            stats.rows_matched += 1;
+            on_row(&RowView { seg, dicts, row });
         }
     }
 

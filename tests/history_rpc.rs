@@ -358,6 +358,19 @@ fn arb_junk_predicate() -> impl Strategy<Value = Value> {
         })
 }
 
+/// Small values, values up to and past `u32::MAX`, arbitrary ones and
+/// the top of the range: the span inside one segment then needs every
+/// lane width a sealed column can take.
+fn arb_wide() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0..256u64,
+        0..(1u64 << 32),
+        (1u64 << 32)..(1u64 << 32) + 70_000,
+        any::<u64>(),
+        Just(u64::MAX),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -401,18 +414,20 @@ proptest! {
 
     /// The pushdown scan agrees with the naive reference filter on
     /// random stores and random valid predicate conjunctions — zone
-    /// maps and dictionaries must never change the answer.
+    /// maps, packed lanes and dictionaries must never change the
+    /// answer. Bounds fall at large, on a stored value or beside one, so
+    /// they land inside, on the edge of and outside segment frames.
     #[test]
     fn scan_equals_naive_reference_through_the_facade(
         rows in proptest::collection::vec(
             (
-                (0..50u64, 1..4u64, 0..4u64),
-                (0..1_000u64, any::<bool>(), 0..3usize, 0..3usize),
+                (arb_wide(), 1..4u64, 0..4u64),
+                (arb_wide(), any::<bool>(), 0..3usize, 0..3usize),
             ),
             0..120,
         ),
         preds in proptest::collection::vec(
-            (0..4usize, 0..3usize, 0..1_000u64, 0..4usize),
+            (0..5usize, 0..3usize, arb_wide(), any::<usize>(), 0..4u64),
             0..4,
         ),
         segment_rows in 1..16usize,
@@ -425,9 +440,9 @@ proptest! {
                 task: *task,
                 site: *site,
                 nodes: *nodes,
-                submit_us: task * 10,
-                start_us: task * 10 + 1,
-                finish_us: task * 10 + 2,
+                submit_us: task.wrapping_mul(10),
+                start_us: task.wrapping_mul(10).wrapping_add(1),
+                finish_us: task.wrapping_mul(10).wrapping_add(2),
                 runtime_us: *runtime,
                 success: *success,
                 account: format!("a{who}"),
@@ -444,15 +459,27 @@ proptest! {
         }
         let wanted: Vec<ColumnPredicate> = preds
             .iter()
-            .map(|(kind, op, num, pick)| match kind {
-                0 => match op {
-                    0 => ColumnPredicate::eq_num("runtime_us", *num),
-                    1 => ColumnPredicate::ge("runtime_us", *num),
-                    _ => ColumnPredicate::le("runtime_us", *num),
-                },
-                1 => ColumnPredicate::eq_num("site", num % 5),
-                2 => ColumnPredicate::eq_str("login", logins[pick % 3]),
-                _ => ColumnPredicate::eq_str("queue", queues[pick % 3]),
+            .map(|(kind, op, wide, pick, near)| {
+                // `near` 0 keeps the drawn bound; 1..=3 put it one below,
+                // on or one above a stored row's value.
+                let bound = |value: fn(&HistRecord) -> u64| match records.len() {
+                    len if len > 0 && *near > 0 => {
+                        value(&records[pick % len]).wrapping_add(*near).wrapping_sub(2)
+                    }
+                    _ => *wide,
+                };
+                let ordered = |column, v| match op {
+                    0 => ColumnPredicate::eq_num(column, v),
+                    1 => ColumnPredicate::ge(column, v),
+                    _ => ColumnPredicate::le(column, v),
+                };
+                match kind {
+                    0 => ordered("runtime_us", bound(|r| r.runtime_us)),
+                    1 => ColumnPredicate::eq_num("site", wide % 5),
+                    2 => ColumnPredicate::eq_str("login", logins[pick % 3]),
+                    3 => ColumnPredicate::eq_str("queue", queues[pick % 3]),
+                    _ => ordered("task", bound(|r| r.task)),
+                }
             })
             .collect();
         let expected: Vec<HistRecord> = records
@@ -489,10 +516,37 @@ proptest! {
             .iter()
             .map(row_to_record)
             .collect();
-        prop_assert_eq!(&got, &expected, "facade scan diverged from naive filter");
+        // Wire integers are signed 64-bit: a `u64` past `i64::MAX`
+        // saturates there, in a predicate bound and in a returned row.
+        let saturate = |v: u64| v.min(i64::MAX as u64);
+        let sent: Vec<ColumnPredicate> = wanted
+            .iter()
+            .cloned()
+            .map(|mut p| {
+                if let gae::hist::PredValue::Num(v) = &mut p.value {
+                    *v = saturate(*v);
+                }
+                p
+            })
+            .collect();
+        let over_wire: Vec<HistRecord> = records
+            .iter()
+            .filter(|r| naive_matches(r, &sent))
+            .map(|r| HistRecord {
+                task: saturate(r.task),
+                site: saturate(r.site),
+                nodes: saturate(r.nodes),
+                submit_us: saturate(r.submit_us),
+                start_us: saturate(r.start_us),
+                finish_us: saturate(r.finish_us),
+                runtime_us: saturate(r.runtime_us),
+                ..r.clone()
+            })
+            .collect();
+        prop_assert_eq!(&got, &over_wire, "facade scan diverged from naive filter");
         prop_assert_eq!(
             reply.member("matched").unwrap().as_u64().unwrap(),
-            expected.len() as u64
+            over_wire.len() as u64
         );
 
         // ... and directly against the store, after a seal+compact

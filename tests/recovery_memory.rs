@@ -10,7 +10,8 @@
 //! its own heap back (DESIGN.md §17 "Who may hold whom"), or recovery
 //! runs beside a ghost of the state it rebuilds. This binary installs a
 //! counting allocator (test-local: an integration test is its own
-//! process) and holds recovery to both.
+//! process) and holds recovery to both — and, with the same counter,
+//! the history store to its packed per-row footprint.
 
 use gae::durable::fault::unique_temp_dir;
 use gae::durable::DurableStore;
@@ -261,4 +262,49 @@ fn a_crashed_stack_returns_its_heap_before_recovery() {
     assert!(report.commit_index > 0, "the crashed stack committed");
     drop(recovered);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The history store's footprint (DESIGN.md §14 "Layout"): a sealed
+/// segment packs each column at its zone minimum, so a row shaped like
+/// the perf ledger's — 4 sites, 4 logins, 8 node counts, monotone
+/// timestamps, five constant string columns — costs at most 32 B of
+/// live heap, not the 96 B of nine `u64` and six `u32` buffers.
+#[test]
+fn a_sealed_history_row_costs_at_most_32_bytes() {
+    use gae::hist::{HistConfig, HistOp, HistRecord, HistStore};
+    const ROWS: u64 = 65_536;
+    let _serial = serial();
+    let logins = ["amy", "bob", "cal", "dee"];
+    let before = LIVE.load(Ordering::Relaxed);
+    let store = HistStore::new(HistConfig::default());
+    for t in 0..ROWS {
+        let mix = t.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        let nodes = 1 + mix % 8;
+        let runtime_us = nodes * 1_000_000 + mix % 900_000_000;
+        store.apply(&HistOp::Append(HistRecord {
+            task: t,
+            site: 1 + (mix >> 3) % 4,
+            nodes,
+            submit_us: t * 1_000,
+            start_us: t * 1_000 + 40,
+            finish_us: t * 1_000 + 40 + runtime_us,
+            runtime_us,
+            success: (mix >> 5) % 10 != 0,
+            account: "cms".into(),
+            login: logins[((mix >> 7) % 4) as usize].into(),
+            executable: "reco".into(),
+            queue: "prod".into(),
+            partition: "compute".into(),
+            job_type: "batch".into(),
+        }));
+    }
+    assert_eq!(store.tail_rows(), 0, "every row is in a sealed segment");
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    let per_row = held as f64 / ROWS as f64;
+    println!("{ROWS} sealed history rows hold {held} B: {per_row:.1} B a row");
+    assert!(
+        per_row <= 32.0,
+        "a sealed history row costs {per_row:.1} B of heap (> 32 B): segments are not packed"
+    );
+    drop(store);
 }

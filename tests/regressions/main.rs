@@ -7,6 +7,7 @@ mod door;
 
 use door::open_gate;
 use gae::aio::{sys, ReactorRpcServer};
+use gae::hist::{HistConfig, HistStore};
 use gae::rpc::http::{read_response, FrameLimits, HttpRequest, HttpResponse};
 use gae::rpc::service::{Method, Methods};
 use gae::rpc::ServiceHost;
@@ -136,4 +137,25 @@ fn a_413_survives_the_upload_still_arriving_behind_it() {
     );
     assert_eq!(goodbye, HttpResponse::error(413, "Payload Too Large", &why));
     server.stop();
+}
+
+/// 1(vi): a corrupt history blob aborts the process. A snapshot's `hist`
+/// member of 52 bytes — magic, column counts, six empty dictionaries and
+/// one sealed segment that claims `u32::MAX` rows — made the decoder
+/// allocate nine `u64` columns of that length before reading a row: a
+/// 34 GB request, and SIGABRT. It must be refused as a parse error.
+#[test]
+fn a_hist_segment_claiming_more_rows_than_its_bytes_is_refused() {
+    let mut blob = b"GAEHIST1".to_vec();
+    for word in [9, 6, 0, 0, 0, 0, 0, 0, 1, u32::MAX, 0] {
+        blob.extend_from_slice(&u32::to_le_bytes(word));
+    }
+    assert_eq!(blob.len(), 52);
+    let store = HistStore::new(HistConfig::default());
+    let refused = store.restore(&blob);
+    assert!(
+        matches!(refused, Err(gae::types::GaeError::Parse(_))),
+        "{refused:?}"
+    );
+    assert_eq!(store.rows(), 0, "a refused blob leaves the store as it was");
 }

@@ -38,12 +38,12 @@ pub use wake::Waker;
 mod tests {
     use super::*;
     use gae_gate::{Gate, GateConfig, QueueConfig, TokenBucketConfig, WallClock};
-    use gae_rpc::http::{read_response, FrameLimits};
+    use gae_rpc::http::{read_response, FrameLimits, HttpRequest};
     use gae_rpc::service::{Method, Methods, Rpc};
     use gae_rpc::{Credentials, ServiceHost, TcpRpcClient};
     use gae_types::{GaeError, SimDuration};
-    use gae_wire::Value;
-    use std::io::{BufReader, Write};
+    use gae_wire::{parse_response, write_call, MethodCall, Value};
+    use std::io::{BufReader, Read, Write};
     use std::net::TcpStream;
     use std::sync::Arc;
     use std::time::{Duration, Instant};
@@ -190,14 +190,23 @@ mod tests {
     #[test]
     fn keep_alive_off_reconnects_per_call() {
         let server = server();
-        let mut client = TcpRpcClient::connect(server.addr()).with_keep_alive(false);
         for i in 0..5 {
-            let v = client
-                .call("test.sum", vec![Value::Int(i), Value::Int(1)])
-                .unwrap();
-            assert_eq!(v, Value::Int64(i64::from(i) + 1));
+            let call = MethodCall::new("test.sum", vec![Value::Int(i), Value::Int(1)]);
+            let mut request = HttpRequest::xmlrpc(write_call(&call).into_bytes(), None);
+            request
+                .headers
+                .push(("Connection".to_string(), "close".to_string()));
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.write_all(&request.to_bytes()).unwrap();
+            let mut reader = BufReader::new(stream);
+            let reply = read_response(&mut reader).unwrap();
+            let v = parse_response(&reply.body).unwrap().into_result();
+            assert_eq!(v.unwrap(), Value::Int64(i64::from(i) + 1));
+            // The server closes the connection behind the reply.
+            let mut rest = Vec::new();
+            reader.read_to_end(&mut rest).unwrap();
+            assert!(rest.is_empty(), "EOF behind the reply, got {rest:?}");
         }
-        assert_eq!(client.reconnects(), 5, "one connect per call");
         server.stop();
     }
 

@@ -1,6 +1,5 @@
 //! Front-door microbenchmarks: one keep-alive roundtrip through the
-//! reactor on each lane (pooled, and inline on the reactor thread),
-//! plus the reuse-vs-reconnect cost on the client side.
+//! reactor on each lane (pooled, and inline on the reactor thread).
 //!
 //! Run with `cargo bench -p gae-bench --bench reactor`; CI runs
 //! `-- --test` as a smoke pass.
@@ -102,29 +101,5 @@ fn bench_roundtrip(c: &mut Criterion) {
     reactor.stop();
 }
 
-/// Client connection reuse vs a fresh TCP connect per call — the
-/// number that justifies keep-alive in `TcpRpcClient`.
-fn bench_client_reuse(c: &mut Criterion) {
-    let server =
-        ReactorRpcServer::start_gated(host(), 4, queue_only_gate(16, SimDuration::from_secs(60)))
-            .expect("bind");
-    let addr = server.addr();
-
-    let mut reused = TcpRpcClient::connect(addr);
-    c.bench_function("client/keep-alive-reuse", |b| {
-        b.iter(|| {
-            black_box(reused.call("bench.echo", vec![Value::Int(1)]).unwrap());
-        })
-    });
-
-    let mut fresh = TcpRpcClient::connect(addr).with_keep_alive(false);
-    c.bench_function("client/reconnect-per-call", |b| {
-        b.iter(|| {
-            black_box(fresh.call("bench.echo", vec![Value::Int(1)]).unwrap());
-        })
-    });
-    server.stop();
-}
-
-criterion_group!(benches, bench_roundtrip, bench_client_reuse);
+criterion_group!(benches, bench_roundtrip);
 criterion_main!(benches);

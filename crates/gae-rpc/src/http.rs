@@ -6,27 +6,23 @@
 //! `Connection: close` honoured. No chunked encoding, no TLS — the
 //! reproduction measures service latency, not OpenSSL.
 //!
-//! Two front ends share this module's framing rules:
-//!
-//! * the **blocking** reader ([`read_request`]/[`read_response`]),
-//!   used by the client and by the blocking reference loop the
-//!   reactor is tested against — with an optional [`ReadDeadline`] so
-//!   a byte-at-a-time slowloris client cannot pin a thread (typed 408);
-//! * the **incremental** [`FrameParser`], fed whatever bytes a
-//!   nonblocking socket has ready — the per-connection state machine
-//!   the `gae-aio` reactor and the C10k bench client drive.
-//!
-//! Both enforce the same [`FrameLimits`]: an oversized header block
-//! or body is a typed 413 ([`GaeError::PayloadTooLarge`]), never
-//! unbounded buffering.
+//! One parser frames every HTTP byte the system reads: the incremental
+//! [`FrameParser`], fed whatever bytes are ready. The `gae-aio` reactor
+//! and the C10k bench client drive it off nonblocking sockets;
+//! [`read_request`] and [`read_response`] are loops over it on a
+//! blocking [`BufRead`], for the client and the reactor's test oracle.
+//! Its [`FrameLimits`] make an oversized header block or body a typed
+//! 413 ([`GaeError::PayloadTooLarge`]), never unbounded buffering. The
+//! typed 408 for a request whose bytes arrive too slowly is the
+//! reactor's deadline sweep (`ReactorConfig::request_deadline`), not
+//! the parser's.
 
 use gae_types::{GaeError, GaeResult};
-use std::io::{BufRead, Write};
-use std::time::{Duration, Instant};
+use std::fmt::Display;
+use std::io::{BufRead, ErrorKind, Write};
 
-/// Size caps on a single HTTP message, shared by the blocking reader
-/// and the incremental parser (DoS guard: beyond a cap the request is a
-/// typed 413, not an allocation).
+/// Size caps on a single HTTP message (DoS guard: beyond a cap the
+/// request is a typed 413, not an allocation).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameLimits {
     /// Upper bound on the request/status line + header block.
@@ -41,70 +37,6 @@ impl FrameLimits {
         max_header_bytes: 16 * 1024,
         max_body_bytes: 16 * 1024 * 1024,
     };
-}
-
-impl Default for FrameLimits {
-    fn default() -> Self {
-        Self::DEFAULT
-    }
-}
-
-/// A wall-clock budget across one request's bytes: armed by the
-/// first byte of a message, checked on every subsequent read. An
-/// idle keep-alive connection (no bytes of the next request yet)
-/// never trips it; a client dribbling one byte per poll tick does —
-/// with a typed 408 ([`GaeError::RequestTimeout`]).
-#[derive(Clone, Copy, Debug)]
-pub struct ReadDeadline {
-    budget: Option<Duration>,
-    started: Option<Instant>,
-}
-
-impl ReadDeadline {
-    /// No deadline: legacy behaviour (a mid-request read timeout is
-    /// an I/O error).
-    pub fn unbounded() -> ReadDeadline {
-        ReadDeadline {
-            budget: None,
-            started: None,
-        }
-    }
-
-    /// A deadline of `budget` from the first byte of each message.
-    pub fn new(budget: Duration) -> ReadDeadline {
-        ReadDeadline {
-            budget: Some(budget),
-            started: None,
-        }
-    }
-
-    /// Re-arms for the next message on the connection.
-    pub fn reset(&mut self) {
-        self.started = None;
-    }
-
-    fn note_byte(&mut self) {
-        if self.started.is_none() {
-            self.started = Some(Instant::now());
-        }
-    }
-
-    /// Whether the budget is active for an in-progress message.
-    fn armed(&self) -> bool {
-        self.budget.is_some() && self.started.is_some()
-    }
-
-    fn check(&self) -> GaeResult<()> {
-        if let (Some(budget), Some(started)) = (self.budget, self.started) {
-            if started.elapsed() > budget {
-                return Err(GaeError::RequestTimeout(format!(
-                    "request not complete within {} ms",
-                    budget.as_millis()
-                )));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// A parsed HTTP request.
@@ -140,6 +72,24 @@ fn header_lookup<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a 
         .iter()
         .find(|(k, _)| k.eq_ignore_ascii_case(name))
         .map(|(_, v)| v.as_str())
+}
+
+/// The serialiser both message kinds share: a start line of three
+/// words, the headers in order, a blank line, the body.
+fn write_message<W: Write>(
+    w: &mut W,
+    start: [&dyn Display; 3],
+    headers: &[(String, String)],
+    body: &[u8],
+) -> std::io::Result<()> {
+    let [a, b, c] = start;
+    write!(w, "{a} {b} {c}\r\n")?;
+    for (k, v) in headers {
+        write!(w, "{k}: {v}\r\n")?;
+    }
+    w.write_all(b"\r\n")?;
+    w.write_all(body)?;
+    w.flush()
 }
 
 impl HttpRequest {
@@ -198,13 +148,8 @@ impl HttpRequest {
 
     /// Serializes onto a writer.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        write!(w, "{} {} {}\r\n", self.method, self.path, self.version)?;
-        for (k, v) in &self.headers {
-            write!(w, "{k}: {v}\r\n")?;
-        }
-        w.write_all(b"\r\n")?;
-        w.write_all(&self.body)?;
-        w.flush()
+        let start: [&dyn Display; 3] = [&self.method, &self.path, &self.version];
+        write_message(w, start, &self.headers, &self.body)
     }
 
     /// Serializes into a byte vector, so a socket gets the request in
@@ -251,13 +196,8 @@ impl HttpResponse {
 
     /// Serializes onto a writer.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        write!(w, "HTTP/1.1 {} {}\r\n", self.status, self.reason)?;
-        for (k, v) in &self.headers {
-            write!(w, "{k}: {v}\r\n")?;
-        }
-        w.write_all(b"\r\n")?;
-        w.write_all(&self.body)?;
-        w.flush()
+        let start: [&dyn Display; 3] = [&"HTTP/1.1", &self.status, &self.reason];
+        write_message(w, start, &self.headers, &self.body)
     }
 
     /// Serializes into a byte vector (the reactor's write queue).
@@ -300,143 +240,51 @@ fn content_length(headers: &[(String, String)]) -> GaeResult<usize> {
     }
 }
 
-/// Reads one CRLF-terminated line without the terminator.
-fn read_line<R: BufRead>(
-    r: &mut R,
-    budget: &mut usize,
-    limits: &FrameLimits,
-    deadline: &mut ReadDeadline,
-) -> GaeResult<Option<String>> {
-    let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                return Err(GaeError::Io("connection closed mid-line".into()));
+/// Feeds a fresh [`FrameParser`] from `r` until one message is
+/// complete, consuming exactly the bytes it took, so pipelined bytes
+/// stay in `r`. `Ok(None)`: the connection closed cleanly before the
+/// message's first byte. A read timeout before that byte is
+/// [`GaeError::Timeout`] (an idle connection); once it has arrived, a
+/// timeout or an EOF is an `Io` error (a torn message).
+fn read_frame<R: BufRead>(r: &mut R) -> GaeResult<Option<FrameParser>> {
+    let mut parser = FrameParser::new(FrameLimits::DEFAULT);
+    let mut started = false;
+    while !parser.is_complete() {
+        match r.fill_buf() {
+            Ok([]) if started => return Err(GaeError::Io("http: closed mid-message".into())),
+            Ok([]) => return Ok(None),
+            Ok(chunk) => {
+                let taken = parser.feed(chunk)?;
+                r.consume(taken);
+                started = true;
             }
-            Ok(_) => {
-                deadline.note_byte();
-                deadline.check()?;
-                *budget = budget
-                    .checked_sub(1)
-                    .ok_or_else(|| oversized_headers(limits))?;
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    return Ok(Some(String::from_utf8(line).map_err(|_| {
-                        GaeError::Parse("http: non-UTF-8 header line".into())
-                    })?));
-                }
-                line.push(byte[0]);
-            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
+                if started || !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
             {
-                if deadline.armed() {
-                    // Mid-message under a deadline: the per-read
-                    // timeout is the poll tick; keep waiting until
-                    // the request budget runs out (typed 408).
-                    deadline.check()?;
-                    continue;
-                }
-                if line.is_empty() {
-                    // Idle connection under a read timeout: no bytes
-                    // of the next request have arrived yet.
-                    return Err(GaeError::Timeout("idle connection".into()));
-                }
-                return Err(e.into());
+                return Err(e.into())
             }
-            Err(e) => return Err(e.into()),
+            Err(_) => return Err(GaeError::Timeout("idle connection".into())),
         }
     }
-}
-
-fn read_headers<R: BufRead>(
-    r: &mut R,
-    budget: &mut usize,
-    limits: &FrameLimits,
-    deadline: &mut ReadDeadline,
-) -> GaeResult<Vec<(String, String)>> {
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(r, budget, limits, deadline)?
-            .ok_or_else(|| GaeError::Io("connection closed in headers".into()))?;
-        if line.is_empty() {
-            return Ok(headers);
-        }
-        headers.push(split_header(&line)?);
-    }
-}
-
-fn read_body<R: BufRead>(
-    r: &mut R,
-    headers: &[(String, String)],
-    limits: &FrameLimits,
-    deadline: &mut ReadDeadline,
-) -> GaeResult<Vec<u8>> {
-    let len = content_length(headers)?;
-    if len > limits.max_body_bytes {
-        return Err(oversized_body(len, limits));
-    }
-    let mut body = vec![0u8; len];
-    let mut filled = 0;
-    while filled < len {
-        match r.read(&mut body[filled..]) {
-            Ok(0) => return Err(GaeError::Io("http: short body: eof".into())),
-            Ok(n) => {
-                filled += n;
-                deadline.note_byte();
-                deadline.check()?;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) && deadline.armed() =>
-            {
-                deadline.check()?;
-            }
-            Err(e) => return Err(GaeError::Io(format!("http: short body: {e}"))),
-        }
-    }
-    Ok(body)
+    Ok(Some(parser))
 }
 
 /// Reads one request; `Ok(None)` on a cleanly closed idle connection.
 pub fn read_request<R: BufRead>(r: &mut R) -> GaeResult<Option<HttpRequest>> {
-    read_request_limited(r, &FrameLimits::DEFAULT, &mut ReadDeadline::unbounded())
+    read_frame(r)?.map(|mut p| p.take_request()).transpose()
 }
 
-/// [`read_request`] with explicit size caps and a per-request read
-/// deadline: the server-side door. The deadline re-arms per message.
-pub fn read_request_limited<R: BufRead>(
-    r: &mut R,
-    limits: &FrameLimits,
-    deadline: &mut ReadDeadline,
-) -> GaeResult<Option<HttpRequest>> {
-    deadline.reset();
-    let mut budget = limits.max_header_bytes;
-    let request_line = match read_line(r, &mut budget, limits, deadline)? {
-        None => return Ok(None),
-        Some(l) => l,
-    };
-    let (method, path, version) = parse_request_line(&request_line)?;
-    let headers = read_headers(r, &mut budget, limits, deadline)?;
-    let body = read_body(r, &headers, limits, deadline)?;
-    Ok(Some(HttpRequest {
-        method,
-        path,
-        version,
-        headers,
-        body,
-    }))
+/// Reads one response; a connection that closes before it begins is
+/// an `Io` error.
+pub fn read_response<R: BufRead>(r: &mut R) -> GaeResult<HttpResponse> {
+    try_read_response(r)?.ok_or_else(|| GaeError::Io("connection closed before response".into()))
+}
+
+/// [`read_response`], but `Ok(None)` when the connection closed cleanly
+/// before the response's first byte: nothing of a reply arrived.
+pub(crate) fn try_read_response<R: BufRead>(r: &mut R) -> GaeResult<Option<HttpResponse>> {
+    read_frame(r)?.map(|mut p| p.take_response()).transpose()
 }
 
 fn parse_request_line(request_line: &str) -> GaeResult<(String, String, String)> {
@@ -472,32 +320,14 @@ fn parse_status_line(status_line: &str) -> GaeResult<(u16, String)> {
     Ok((status, parts.next().unwrap_or("").to_string()))
 }
 
-/// Reads one response.
-pub fn read_response<R: BufRead>(r: &mut R) -> GaeResult<HttpResponse> {
-    let limits = FrameLimits::DEFAULT;
-    let mut deadline = ReadDeadline::unbounded();
-    let mut budget = limits.max_header_bytes;
-    let status_line = read_line(r, &mut budget, &limits, &mut deadline)?
-        .ok_or_else(|| GaeError::Io("connection closed before response".into()))?;
-    let (status, reason) = parse_status_line(&status_line)?;
-    let headers = read_headers(r, &mut budget, &limits, &mut deadline)?;
-    let body = read_body(r, &headers, &limits, &mut deadline)?;
-    Ok(HttpResponse {
-        status,
-        reason,
-        headers,
-        body,
-    })
-}
-
-/// Incremental HTTP message parser: feed it whatever bytes a
-/// nonblocking socket has ready; it consumes up to the end of one
-/// message and stops (pipelined bytes stay with the caller). The
-/// same [`FrameLimits`] as the blocking reader apply, with the same
-/// typed 413 on overflow.
+/// Incremental HTTP message parser: feed it whatever bytes are ready;
+/// it consumes up to the end of one message and stops (pipelined bytes
+/// stay with the caller). Beyond a [`FrameLimits`] cap it fails with a
+/// typed 413.
 ///
 /// This is the per-connection readiness state machine of the
-/// `gae-aio` reactor and of the C10k bench client:
+/// `gae-aio` reactor and of the C10k bench client, and the whole of
+/// [`read_request`] and [`read_response`]:
 ///
 /// ```text
 /// StartLine --"\n"--> Headers --""--> Body --len bytes--> Complete
@@ -657,6 +487,7 @@ impl FrameParser {
 mod tests {
     use super::*;
     use std::io::BufReader;
+    use std::time::Duration;
 
     fn roundtrip_request(req: &HttpRequest) -> HttpRequest {
         let buf = req.to_bytes();
@@ -686,6 +517,23 @@ mod tests {
         assert_eq!(back.reason, "OK");
         assert_eq!(back.body, b"<ok/>");
         assert_eq!(back.header("content-type"), Some("text/xml"));
+    }
+
+    #[test]
+    fn serialised_bytes_are_the_wire_format() {
+        let mut req = HttpRequest::xmlrpc(b"<a/>".to_vec(), Some(7));
+        req.headers.push(("X-GAE-Trace".into(), "t".into()));
+        let expected = "POST /RPC2 HTTP/1.1\r\nContent-Type: text/xml\r\n\
+             Content-Length: 4\r\nUser-Agent: gae-rpc/0.1\r\nX-GAE-Session: 7\r\n\
+             X-GAE-Trace: t\r\n\r\n<a/>";
+        assert_eq!(req.to_bytes(), expected.as_bytes());
+        let resp = HttpResponse::error(408, "Request Timeout", "slow");
+        let expected =
+            "HTTP/1.1 408 Request Timeout\r\nContent-Type: text/plain\r\nContent-Length: 4\r\n\r\nslow";
+        assert_eq!(resp.to_bytes(), expected.as_bytes());
+        let mut written = Vec::new();
+        resp.write_to(&mut written).unwrap();
+        assert_eq!(written, resp.to_bytes());
     }
 
     #[test]
@@ -789,14 +637,29 @@ mod tests {
         assert!(read_request(&mut r).unwrap().is_none());
     }
 
-    /// A reader that yields each scripted chunk once, interleaving
-    /// `WouldBlock` between them, with a sleep standing in for the
-    /// slow client.
+    /// A reader that yields each scripted chunk once, interleaving a
+    /// `stall` error between them, with a sleep standing in for the
+    /// slow peer.
     struct DribbleReader {
         chunks: Vec<Vec<u8>>,
         next: usize,
         pause: Duration,
         blocked: bool,
+        stall: std::io::ErrorKind,
+    }
+
+    impl DribbleReader {
+        /// `chunks`, the first delivered at once when `started`, or
+        /// after one stall.
+        fn new(chunks: &[&[u8]], started: bool, stall: std::io::ErrorKind) -> DribbleReader {
+            DribbleReader {
+                chunks: chunks.iter().map(|c| c.to_vec()).collect(),
+                next: 0,
+                pause: Duration::from_millis(1),
+                blocked: started,
+                stall,
+            }
+        }
     }
 
     impl std::io::Read for DribbleReader {
@@ -804,7 +667,7 @@ mod tests {
             if !self.blocked {
                 self.blocked = true;
                 std::thread::sleep(self.pause);
-                return Err(std::io::ErrorKind::WouldBlock.into());
+                return Err(self.stall.into());
             }
             self.blocked = false;
             match self.chunks.get(self.next) {
@@ -824,59 +687,50 @@ mod tests {
     }
 
     #[test]
-    fn slow_header_bytes_trip_the_deadline() {
-        // One byte per ~6 ms against a 20 ms budget: typed 408.
-        let raw = b"POST /RPC2 HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
-        // `blocked: true` delivers the first byte immediately (a real
-        // server only calls with a deadline once the connection has
-        // begun a request; pre-first-byte WouldBlock is the idle path,
-        // covered below).
-        let r = DribbleReader {
-            chunks: raw.iter().map(|b| vec![*b]).collect(),
-            next: 0,
-            pause: Duration::from_millis(6),
-            blocked: true,
-        };
-        let got = read_request_limited(
-            &mut BufReader::new(r),
-            &FrameLimits::DEFAULT,
-            &mut ReadDeadline::new(Duration::from_millis(20)),
-        );
-        assert!(
-            matches!(got, Err(GaeError::RequestTimeout(_))),
-            "expected 408, got {got:?}"
-        );
-    }
-
-    #[test]
-    fn fast_request_fits_the_deadline_and_idle_does_not_trip() {
-        let mut buf = Vec::new();
-        HttpRequest::xmlrpc(b"quick".to_vec(), None)
-            .write_to(&mut buf)
-            .unwrap();
-        let mut deadline = ReadDeadline::new(Duration::from_secs(5));
-        let got = read_request_limited(
-            &mut BufReader::new(&buf[..]),
-            &FrameLimits::DEFAULT,
-            &mut deadline,
-        )
-        .unwrap()
-        .unwrap();
-        assert_eq!(got.body, b"quick");
-        // An idle connection (WouldBlock before any byte) stays the
-        // legacy idle-timeout signal, not a 408.
-        let idle = DribbleReader {
-            chunks: vec![],
-            next: 0,
-            pause: Duration::from_millis(1),
-            blocked: false,
-        };
-        let got = read_request_limited(
-            &mut BufReader::new(idle),
-            &FrameLimits::DEFAULT,
-            &mut deadline,
-        );
-        assert!(matches!(got, Err(GaeError::Timeout(_))), "{got:?}");
+    fn stalls_and_closes_are_classified_by_whether_the_message_began() {
+        use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+        let head: &[u8] = b"POST /RPC2 HTTP/1.1\r\nContent-Le";
+        let whole = HttpRequest::xmlrpc(b"<x/>".to_vec(), None).to_bytes();
+        let reply = HttpResponse::ok_xml(b"<ok/>".to_vec()).to_bytes();
+        let request = |r: DribbleReader| read_request(&mut BufReader::new(r));
+        let response = |r: DribbleReader| read_response(&mut BufReader::new(r));
+        for stall in [WouldBlock, TimedOut] {
+            // Idle: the read times out before any byte.
+            let got = request(DribbleReader::new(&[], false, stall));
+            assert!(matches!(got, Err(GaeError::Timeout(_))), "{got:?}");
+            let got = response(DribbleReader::new(&[], false, stall));
+            assert!(matches!(got, Err(GaeError::Timeout(_))), "{got:?}");
+            // A stall mid-message is a torn message.
+            let got = request(DribbleReader::new(&[head], true, stall));
+            assert!(matches!(got, Err(GaeError::Io(_))), "{got:?}");
+            let got = response(DribbleReader::new(&[&reply[..9]], true, stall));
+            assert!(matches!(got, Err(GaeError::Io(_))), "{got:?}");
+        }
+        // An interrupted read is retried, before or inside a message.
+        let got = request(DribbleReader::new(
+            &[&whole[..5], &whole[5..]],
+            false,
+            Interrupted,
+        ));
+        assert_eq!(got.unwrap().unwrap().body, b"<x/>");
+        let got = response(DribbleReader::new(
+            &[&reply[..9], &reply[9..]],
+            false,
+            Interrupted,
+        ));
+        assert_eq!(got.unwrap().body, b"<ok/>");
+        // EOF mid-message is a torn message.
+        let got = read_request(&mut BufReader::new(head));
+        assert!(matches!(got, Err(GaeError::Io(_))), "{got:?}");
+        let got = read_response(&mut BufReader::new(&reply[..reply.len() - 1]));
+        assert!(matches!(got, Err(GaeError::Io(_))), "{got:?}");
+        // A clean close before any byte: no request, and no response.
+        let got = request(DribbleReader::new(&[], true, WouldBlock));
+        assert!(matches!(got, Ok(None)), "{got:?}");
+        let got = try_read_response(&mut BufReader::new(&b""[..]));
+        assert!(matches!(got, Ok(None)), "{got:?}");
+        let got = response(DribbleReader::new(&[], true, WouldBlock));
+        assert!(matches!(got, Err(GaeError::Io(_))), "{got:?}");
     }
 
     #[test]

@@ -21,14 +21,16 @@
 //!   fed through the gate's admission queue (priority classes,
 //!   deadlines, shedding);
 //! * [`http`] — a minimal HTTP/1.1 subset (POST + Content-Length +
-//!   keep-alive), the framing XML-RPC runs over;
+//!   keep-alive), the framing XML-RPC runs over: one incremental
+//!   [`FrameParser`], which the blocking readers loop over;
 //! * [`door`] — the transport-independent dispatch path (principal
 //!   attribution, gate admission, fault encoding) the `gae-aio`
 //!   reactor — the one server — submits every POST to; every call is
 //!   admitted by a [`gae_gate::Gate`], calls marked
 //!   [`Service::inline`] then run to completion there, the rest go to
 //!   the pool;
-//! * [`tcp`] — the real-socket client used by the Figure 6 experiment;
+//! * [`tcp`] — the real-socket client used by the Figure 6 experiment,
+//!   which resends a call only when nothing of its reply arrived;
 //! * [`inproc`] — a zero-copy in-process transport with the same
 //!   client interface, used by the simulator and unit tests;
 //! * [`discovery`] — the peer-to-peer service lookup (§3's "dynamic
@@ -52,7 +54,7 @@ pub use discovery::{Endpoint, LookupService};
 pub use door::{fault_body, process_request, Deliver, DoorBackend, Submitted};
 pub use gatedpool::{Disposition, GatedJob, GatedPool};
 pub use host::ServiceHost;
-pub use http::{FrameLimits, FrameParser, ReadDeadline};
+pub use http::{FrameLimits, FrameParser};
 pub use inproc::InProcClient;
 pub use service::{CallContext, Method, MethodInfo, Methods, Params, Rpc, Service};
 pub use tcp::TcpRpcClient;

@@ -9,7 +9,7 @@
 //! service can handle a large number of clients as long as they do not
 //! exceed a certain limit", §7).
 
-use crate::http::{read_response, HttpRequest};
+use crate::http::{try_read_response, HttpRequest, HttpResponse};
 use crate::service::Rpc;
 use gae_types::{GaeError, GaeResult, SessionId};
 use gae_wire::{parse_response, write_call, MethodCall, Value};
@@ -19,12 +19,12 @@ use std::time::Duration;
 
 /// A persistent-connection XML-RPC client.
 ///
-/// Keep-alive is on by default: the TCP connection (and its TLS-free
-/// handshake cost) is paid once and reused across calls, with one
-/// transparent reconnect when a reused connection turns out stale
-/// (the server closed it between calls). `with_keep_alive(false)`
-/// forces the 2005 behaviour — one connection per call — kept for
-/// the reuse-vs-reconnect comparison in `benches/reactor.rs`.
+/// The TCP connection (and its TLS-free handshake cost) is paid once
+/// and reused across calls. A call is sent again, once, on a fresh
+/// connection only when nothing of its reply arrived: the send failed,
+/// or the connection closed before the reply's first byte — a reused
+/// connection the server closed between calls. A reply cut off part-way
+/// is an error, never a resend: the server may have run the call.
 pub struct TcpRpcClient {
     addr: SocketAddr,
     /// The open connection: its buffered read half and its write half.
@@ -32,7 +32,6 @@ pub struct TcpRpcClient {
     session: Option<u64>,
     trace: Option<gae_obs::TraceContext>,
     timeout: Duration,
-    keep_alive: bool,
     reconnects: u64,
 }
 
@@ -45,7 +44,6 @@ impl TcpRpcClient {
             session: None,
             trace: None,
             timeout: Duration::from_secs(10),
-            keep_alive: true,
             reconnects: 0,
         }
     }
@@ -56,16 +54,8 @@ impl TcpRpcClient {
         self
     }
 
-    /// Keep-alive reuse (default `true`). With `false` every call
-    /// opens a fresh connection and sends `Connection: close`.
-    pub fn with_keep_alive(mut self, keep_alive: bool) -> Self {
-        self.keep_alive = keep_alive;
-        self
-    }
-
     /// How many times a call had to (re)connect — 1 for the first
-    /// call, then 0 per call under keep-alive reuse. Diagnostics for
-    /// the reuse-vs-reconnect bench.
+    /// call, then 0 per call while the connection is reused.
     pub fn reconnects(&self) -> u64 {
         self.reconnects
     }
@@ -104,34 +94,44 @@ impl TcpRpcClient {
         self.session
     }
 
-    /// The open connection, opening one first when there is none; a
-    /// failed connect is a typed `Io` error.
-    fn connection(&mut self) -> GaeResult<&mut (BufReader<TcpStream>, TcpStream)> {
-        let conn = match self.conn.take() {
-            Some(conn) => conn,
-            None => {
-                let stream = TcpStream::connect_timeout(&self.addr, self.timeout)
-                    .map_err(|e| GaeError::Io(format!("connect {}: {e}", self.addr)))?;
-                stream.set_nodelay(true)?;
-                // Both directions honour the per-call timeout: without
-                // the write half, a client stalls forever when the
-                // server's socket buffer fills under overload.
-                stream.set_read_timeout(Some(self.timeout))?;
-                stream.set_write_timeout(Some(self.timeout))?;
-                self.reconnects += 1;
-                (BufReader::new(stream.try_clone()?), stream)
-            }
-        };
-        Ok(self.conn.insert(conn))
+    /// A fresh connection; a failed connect is a typed `Io` error.
+    fn open(&mut self) -> GaeResult<(BufReader<TcpStream>, TcpStream)> {
+        let stream = TcpStream::connect_timeout(&self.addr, self.timeout)
+            .map_err(|e| GaeError::Io(format!("connect {}: {e}", self.addr)))?;
+        stream.set_nodelay(true)?;
+        // Both directions honour the per-call timeout: without the
+        // write half, a client stalls forever when the server's socket
+        // buffer fills under overload.
+        stream.set_read_timeout(Some(self.timeout))?;
+        stream.set_write_timeout(Some(self.timeout))?;
+        self.reconnects += 1;
+        Ok((BufReader::new(stream.try_clone()?), stream))
     }
 
-    fn try_call_once(&mut self, body: &[u8]) -> GaeResult<Vec<u8>> {
-        let mut request = HttpRequest::xmlrpc(body.to_vec(), self.session);
-        if !self.keep_alive {
-            request
-                .headers
-                .push(("Connection".to_string(), "close".to_string()));
+    /// Sends `request` on the open connection (opening one if there is
+    /// none) and reads the reply. `Ok(None)`: nothing of the reply
+    /// arrived. The connection is kept only after a whole reply, so an
+    /// error never leaves half a reply for the next call to read.
+    fn try_call_once(&mut self, request: &[u8]) -> GaeResult<Option<HttpResponse>> {
+        let (mut reader, mut writer) = match self.conn.take() {
+            Some(conn) => conn,
+            None => self.open()?,
+        };
+        if writer.write_all(request).is_err() {
+            return Ok(None);
         }
+        let response = try_read_response(&mut reader)?;
+        if response.is_some() {
+            self.conn = Some((reader, writer));
+        }
+        Ok(response)
+    }
+}
+
+impl Rpc for TcpRpcClient {
+    fn call(&mut self, method: &str, params: Vec<Value>) -> GaeResult<Value> {
+        let body = write_call(&MethodCall::new(method, params)).into_bytes();
+        let mut request = HttpRequest::xmlrpc(body, self.session);
         if let Some(trace) = self.trace {
             request
                 .headers
@@ -141,14 +141,15 @@ impl TcpRpcClient {
         // is its own segment, and whether the server then parses the
         // request in one read or in a dozen depends on how its wakeups
         // interleave with them — latency that swings from run to run.
-        let (reader, writer) = self.connection()?;
-        writer
-            .write_all(&request.to_bytes())
-            .map_err(|e| GaeError::Io(format!("send: {e}")))?;
-        let response = read_response(reader)?;
-        if !self.keep_alive {
-            self.conn = None;
-        }
+        let request = request.to_bytes();
+        let response = match self.try_call_once(&request)? {
+            Some(response) => response,
+            // Nothing of the reply arrived: resend once, on a fresh
+            // connection (see the type's docs).
+            None => self.try_call_once(&request)?.ok_or_else(|| {
+                GaeError::Io(format!("{}: connection closed before a reply", self.addr))
+            })?,
+        };
         if response.status != 200 {
             // Non-200 is the transport refusing before XML-RPC ran:
             // map the status straight to the typed error (408 slow
@@ -163,25 +164,7 @@ impl TcpRpcClient {
                 ),
             ));
         }
-        Ok(response.body)
-    }
-}
-
-impl Rpc for TcpRpcClient {
-    fn call(&mut self, method: &str, params: Vec<Value>) -> GaeResult<Value> {
-        let body = write_call(&MethodCall::new(method, params)).into_bytes();
-        // One transparent retry on a broken keep-alive connection
-        // (the server may have closed an idle socket between calls,
-        // which surfaces as EOF/reset on the reused stream).
-        let raw = match self.try_call_once(&body) {
-            Ok(r) => r,
-            Err(GaeError::Io(_)) => {
-                self.conn = None;
-                self.try_call_once(&body)?
-            }
-            Err(e) => return Err(e),
-        };
-        parse_response(&raw)?.into_result()
+        parse_response(&response.body)?.into_result()
     }
 
     fn endpoint(&self) -> String {
@@ -194,7 +177,7 @@ mod tests {
     use super::*;
     use crate::door::process_request;
     use crate::host::ServiceHost;
-    use crate::http::{read_request, HttpResponse};
+    use crate::http::read_request;
     use std::net::TcpListener;
 
     #[test]

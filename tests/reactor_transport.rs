@@ -21,15 +21,13 @@ use gae::aio::reactor::INLINE_BUDGET;
 use gae::aio::{ReactorConfig, ReactorRpcServer};
 use gae::gate::{Gate, GateConfig, QueueConfig, TokenBucketConfig, WallClock};
 use gae::rpc::door::{Deliver, DoorBackend, Submitted};
-use gae::rpc::http::{
-    read_request_limited, FrameLimits, FrameParser, HttpRequest, HttpResponse, ReadDeadline,
-};
+use gae::rpc::http::{read_response, FrameLimits, FrameParser, HttpRequest, HttpResponse};
 use gae::rpc::service::{CallContext, MethodInfo, Service};
 use gae::rpc::{Rpc, ServiceHost, TcpRpcClient};
 use gae::types::{GaeError, GaeResult, SimDuration};
 use gae::wire::{write_call, MethodCall, Value};
 use proptest::prelude::*;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,7 +36,8 @@ use std::time::{Duration, Instant};
 
 /// The reference the reactor is compared against: an acceptor thread
 /// hands each connection to its own thread, which frames requests
-/// with the blocking reader and waits on the door for each answer.
+/// with a blocking loop over the same `FrameParser` and waits on the
+/// door for each answer.
 /// Simple enough to be obviously right, and it collapses in the low
 /// thousands of sockets — which is why it lives here and not in a
 /// crate.
@@ -119,13 +118,11 @@ fn serve_blocking(
         return;
     };
     let mut reader = BufReader::new(stream);
-    let mut deadline = ReadDeadline::new(request_deadline);
     let goodbye = |writer: &mut TcpStream, status, reason, why: &str| {
         let _ = HttpResponse::error(status, reason, why).write_to(writer);
     };
     while !shutdown.load(Ordering::Acquire) {
-        let request = match read_request_limited(&mut reader, &FrameLimits::DEFAULT, &mut deadline)
-        {
+        let request = match next_request(&mut reader, request_deadline) {
             Ok(Some(r)) => r,
             Ok(None) => return,                    // clean close
             Err(GaeError::Timeout(_)) => continue, // idle poll tick
@@ -176,6 +173,50 @@ fn serve_blocking(
             return;
         }
     }
+}
+
+/// Frames the next request off `reader` for the oracle, mirroring the
+/// reactor's read path: a fresh `FrameParser` fed from the buffer
+/// (pipelined bytes stay there), and the reactor's deadline sweep as a
+/// budget that runs from the request's first byte, checked after every
+/// read and on every poll tick. `Ok(None)` is a clean close, and
+/// `Timeout` a poll tick on an idle connection.
+fn next_request(
+    reader: &mut BufReader<TcpStream>,
+    budget: Duration,
+) -> GaeResult<Option<HttpRequest>> {
+    let mut parser = FrameParser::new(FrameLimits::DEFAULT);
+    let mut started: Option<Instant> = None;
+    while !parser.is_complete() {
+        match reader.fill_buf() {
+            Ok([]) if started.is_none() => return Ok(None),
+            Ok([]) => return Err(GaeError::Io("closed mid-request".into())),
+            Ok(chunk) => {
+                let taken = parser.feed(chunk)?;
+                reader.consume(taken);
+                started.get_or_insert_with(Instant::now);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                if started.is_none() {
+                    return Err(GaeError::Timeout("idle connection".into()));
+                }
+            }
+            Err(e) => return Err(e.into()),
+        }
+        if started.is_some_and(|t| t.elapsed() > budget) {
+            return Err(GaeError::RequestTimeout(format!(
+                "request not complete within {} ms",
+                budget.as_millis()
+            )));
+        }
+    }
+    parser.take_request().map(Some)
 }
 
 /// The test service. Its `i*` methods are marked inline; the two
@@ -299,49 +340,16 @@ fn wait_until_stalled(server: &ReactorRpcServer) -> u64 {
     }
 }
 
-/// Reads framed responses off a blocking socket, preserving bytes
-/// past each message boundary (pipelined responses share reads).
-struct ResponseReader {
-    stream: TcpStream,
-    parser: FrameParser,
-    pending: Vec<u8>,
-}
-
-impl ResponseReader {
-    fn new(stream: &TcpStream) -> ResponseReader {
-        ResponseReader {
-            stream: stream.try_clone().unwrap(),
-            parser: FrameParser::new(FrameLimits::DEFAULT),
-            pending: Vec::new(),
-        }
-    }
-
-    fn next(&mut self) -> HttpResponse {
-        loop {
-            while !self.pending.is_empty() && !self.parser.is_complete() {
-                let used = self
-                    .parser
-                    .feed(&self.pending)
-                    .expect("well-formed response");
-                self.pending.drain(..used);
-            }
-            if self.parser.is_complete() {
-                return self.parser.take_response().unwrap();
-            }
-            let mut buf = [0u8; 4096];
-            let n = self
-                .stream
-                .read(&mut buf)
-                .expect("server closed mid-response");
-            assert!(n > 0, "EOF before a complete response");
-            self.pending.extend_from_slice(&buf[..n]);
-        }
-    }
+/// A buffered reader of `stream`'s responses, held across calls so
+/// that bytes past one response (pipelined replies share reads) stay
+/// for the next.
+fn response_reader(stream: &TcpStream) -> BufReader<TcpStream> {
+    BufReader::new(stream.try_clone().unwrap())
 }
 
 /// Reads exactly one HTTP response off a blocking socket.
 fn read_one_response(stream: &TcpStream) -> HttpResponse {
-    ResponseReader::new(stream).next()
+    read_response(&mut response_reader(stream)).unwrap()
 }
 
 #[test]
@@ -385,14 +393,14 @@ fn partial_writes_through_a_tiny_send_buffer_arrive_intact() {
     let server =
         ReactorRpcServer::bind_tuned(echo_host(), 2, "127.0.0.1:0", open_gate(2), config).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
-    let mut reader = ResponseReader::new(&stream);
+    let mut reader = response_reader(&stream);
     let n = 1_000_000i64;
     stream
         .write_all(&raw_call("test.blob", vec![Value::Int64(n)]))
         .unwrap();
     // A slow reader widens the window where the socket is unwritable.
     std::thread::sleep(Duration::from_millis(150));
-    let response = reader.next();
+    let response = read_response(&mut reader).unwrap();
     assert_eq!(response.status, 200);
     let value = gae::wire::parse_response(&response.body)
         .unwrap()
@@ -403,7 +411,7 @@ fn partial_writes_through_a_tiny_send_buffer_arrive_intact() {
     stream
         .write_all(&raw_call("test.sum", vec![Value::Int(20), Value::Int(22)]))
         .unwrap();
-    assert_eq!(reader.next().status, 200);
+    assert_eq!(read_response(&mut reader).unwrap().status, 200);
     server.stop();
 }
 
@@ -411,15 +419,15 @@ fn partial_writes_through_a_tiny_send_buffer_arrive_intact() {
 fn pipelined_requests_are_answered_in_order() {
     let server = ReactorRpcServer::start_gated(echo_host(), 2, open_gate(2)).unwrap();
     let stream = TcpStream::connect(server.addr()).unwrap();
-    let mut reader = ResponseReader::new(&stream);
+    let mut reader = response_reader(&stream);
     let mut stream = stream;
     // Two complete requests in one TCP segment: the reactor must
     // answer the first, then notice the second already buffered.
     let mut burst = raw_call("test.sum", vec![Value::Int(1), Value::Int(2)]);
     burst.extend_from_slice(&raw_call("test.sum", vec![Value::Int(30), Value::Int(12)]));
     stream.write_all(&burst).unwrap();
-    let first = reader.next();
-    let second = reader.next();
+    let first = read_response(&mut reader).unwrap();
+    let second = read_response(&mut reader).unwrap();
     for (response, expected) in [(first, 3i64), (second, 42i64)] {
         assert_eq!(response.status, 200);
         let value = gae::wire::parse_response(&response.body)
@@ -432,7 +440,7 @@ fn pipelined_requests_are_answered_in_order() {
     stream
         .write_all(&raw_call("test.sum", vec![Value::Int(5)]))
         .unwrap();
-    assert_eq!(reader.next().status, 200);
+    assert_eq!(read_response(&mut reader).unwrap().status, 200);
     server.stop();
 }
 
@@ -725,7 +733,7 @@ fn an_inline_burst_does_not_starve_a_pooled_call() {
     let burst: Vec<u8> = (0..BURST)
         .flat_map(|i| raw_call("test.itick", vec![Value::Int64(i)]))
         .collect();
-    let mut replies = ResponseReader::new(&flood);
+    let mut replies = response_reader(&flood);
     flood.write_all(&burst).unwrap();
     other.write_all(&raw_call("test.ticks", vec![])).unwrap();
     // Unbudgeted, the loop would finish the whole burst before it
@@ -743,7 +751,10 @@ fn an_inline_burst_does_not_starve_a_pooled_call() {
     // The burst itself is answered completely and in order; what the
     // budget turned away went through the pool.
     for i in 0..BURST {
-        assert_eq!(result_of(&replies.next()).unwrap(), Value::Int64(i));
+        assert_eq!(
+            result_of(&read_response(&mut replies).unwrap()).unwrap(),
+            Value::Int64(i)
+        );
     }
     let pooled = server.requests_served() - server.inline_served();
     assert!(
@@ -759,7 +770,7 @@ fn an_inline_burst_does_not_starve_a_pooled_call() {
 fn replies_keep_request_order_across_lanes() {
     let server = ReactorRpcServer::start_gated(echo_host(), 2, open_gate(2)).unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
-    let mut reader = ResponseReader::new(&stream);
+    let mut reader = response_reader(&stream);
     // inline, pooled (slow enough that the third is long buffered),
     // inline — in one segment.
     let mut burst = raw_call("test.isum", vec![Value::Int(1)]);
@@ -768,7 +779,7 @@ fn replies_keep_request_order_across_lanes() {
     stream.write_all(&burst).unwrap();
     for expected in [1i64, 0, 3] {
         assert_eq!(
-            result_of(&reader.next()).unwrap(),
+            result_of(&read_response(&mut reader).unwrap()).unwrap(),
             Value::Int64(expected),
             "replies out of request order"
         );
@@ -867,12 +878,12 @@ fn a_half_written_inline_reply_dies_with_its_connection() {
     });
     // The slot's next tenant gets its own answers and nothing else.
     let mut next = TcpStream::connect(server.addr()).unwrap();
-    let mut reader = ResponseReader::new(&next);
+    let mut reader = response_reader(&next);
     for i in 0..3 {
         next.write_all(&raw_call("test.isum", vec![Value::Int(i), Value::Int(40)]))
             .unwrap();
         assert_eq!(
-            result_of(&reader.next()).unwrap(),
+            result_of(&read_response(&mut reader).unwrap()).unwrap(),
             Value::Int64(i64::from(i) + 40)
         );
     }
@@ -937,10 +948,10 @@ fn a_client_that_never_reads_cannot_grow_the_reply_queue() {
     // connection and takes the unread replies with it.)
     let _ = deaf.write_all(&one.repeat(fits));
     std::thread::sleep(Duration::from_millis(200));
-    let mut reader = ResponseReader::new(&deaf);
+    let mut reader = response_reader(&deaf);
     for _ in 0..served {
-        assert_eq!(reader.next().status, 200);
+        assert_eq!(read_response(&mut reader).unwrap().status, 200);
     }
-    assert_eq!(reader.next().status, 413);
+    assert_eq!(read_response(&mut reader).unwrap().status, 413);
     server.stop();
 }

@@ -8,12 +8,13 @@ mod door;
 use door::open_gate;
 use gae::aio::{sys, ReactorRpcServer};
 use gae::hist::{HistConfig, HistStore};
-use gae::rpc::http::{read_response, FrameLimits, HttpRequest, HttpResponse};
-use gae::rpc::service::{Method, Methods};
-use gae::rpc::ServiceHost;
+use gae::rpc::http::{read_request, read_response, FrameLimits, HttpRequest, HttpResponse};
+use gae::rpc::service::{Method, Methods, Rpc};
+use gae::rpc::{ServiceHost, TcpRpcClient};
+use gae::types::GaeError;
 use gae::wire::{write_call, MethodCall, Value};
 use std::io::{BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -120,10 +121,13 @@ fn a_413_survives_the_upload_still_arriving_behind_it() {
             }
         })
     };
-    let mut reader = BufReader::new(Sluggish {
+    // A buffer as large as one read, so that each read asks for up to
+    // 64 KiB.
+    let sluggish = Sluggish {
         stream: &stream,
         first_byte: Some(replying),
-    });
+    };
+    let mut reader = BufReader::with_capacity(64 * 1024, sluggish);
     let blob = read_response(&mut reader).expect("the reply arrives whole, not reset");
     let goodbye = read_response(&mut reader).expect("the 413 arrives, not a reset");
     uploader.join().unwrap();
@@ -153,9 +157,41 @@ fn a_hist_segment_claiming_more_rows_than_its_bytes_is_refused() {
     assert_eq!(blob.len(), 52);
     let store = HistStore::new(HistConfig::default());
     let refused = store.restore(&blob);
-    assert!(
-        matches!(refused, Err(gae::types::GaeError::Parse(_))),
-        "{refused:?}"
-    );
+    assert!(matches!(refused, Err(GaeError::Parse(_))), "{refused:?}");
     assert_eq!(store.rows(), 0, "a refused blob leaves the store as it was");
+}
+
+/// 1(vii): the client resends a call whose reply was cut off. A server
+/// reads one `scheduler.submit_job`, writes 20 of the 200 body bytes it
+/// promised and hangs up. It has begun to answer, so it may have run the
+/// call: the client must report the torn reply, not send the call again.
+/// The client used to retry on any `Io` error, so the server received
+/// the call twice, once per connection.
+#[test]
+fn a_call_whose_reply_was_cut_off_is_not_sent_again() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let mut calls = 0;
+        for stream in listener.incoming() {
+            let mut stream = stream.unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            if read_request(&mut reader).unwrap().is_none() {
+                return calls; // the test's own empty connection
+            }
+            calls += 1;
+            let reply = HttpResponse::ok_xml(vec![b'x'; 200]).to_bytes();
+            stream.write_all(&reply[..reply.len() - 180]).unwrap();
+        }
+        calls
+    });
+    let mut client = TcpRpcClient::connect(addr).with_timeout(Duration::from_secs(5));
+    let got = client.call("scheduler.submit_job", vec![Value::from("job")]);
+    assert!(matches!(got, Err(GaeError::Io(_))), "{got:?}");
+    // Every connection the client opened was served before its call
+    // returned; one that closes at once ends the server's loop.
+    drop(TcpStream::connect(addr).unwrap());
+    let calls = server.join().unwrap();
+    assert_eq!(calls, 1, "the server received one call {calls} times");
+    assert_eq!(client.reconnects(), 1);
 }

@@ -4,11 +4,11 @@
 //! mutations reuse the durable layer's crash-injection helpers.
 
 use gae::durable::fault::{corrupt_bytes, Corruption};
-use gae::rpc::http::{read_request, FrameLimits, FrameParser};
+use gae::rpc::http::{read_request, FrameLimits, FrameParser, HttpRequest};
 use gae::types::GaeError;
 use gae::wire::{parse_call, parse_response, parse_value_document, write_call, MethodCall, Value};
 use proptest::prelude::*;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 
 #[test]
 fn invalid_utf8_is_a_typed_parse_error() {
@@ -122,12 +122,15 @@ proptest! {
     /// The incremental `FrameParser` must agree with the blocking
     /// reader on every well-formed request, no matter how the bytes
     /// are chunked — one byte at a time, odd split points, or one
-    /// big slab all parse to the same frame.
+    /// big slab all parse to the same frame. The blocking reader is a
+    /// loop over the parser, and through a buffer of any capacity it
+    /// reads the same frame and leaves a pipelined request unread.
     #[test]
     fn frame_parser_agrees_with_blocking_reader_under_any_chunking(
         method in "[a-z]{1,10}",
         arg in any::<u64>(),
         splits in proptest::collection::vec(any::<u16>(), 0..8),
+        capacity in 1usize..512,
     ) {
         let body = write_call(&MethodCall {
             name: method,
@@ -135,13 +138,23 @@ proptest! {
         })
         .into_bytes();
         let mut raw = Vec::new();
-        gae::rpc::http::HttpRequest::xmlrpc(body, None)
+        HttpRequest::xmlrpc(body, None)
             .write_to(&mut raw)
             .unwrap();
 
         let blocking = read_request(&mut BufReader::new(raw.as_slice()))
             .unwrap()
             .expect("well-formed request");
+        let next = HttpRequest::xmlrpc(b"<next/>".to_vec(), Some(arg)).to_bytes();
+        let pipelined = [raw.as_slice(), next.as_slice()].concat();
+        let mut reader = BufReader::with_capacity(capacity, pipelined.as_slice());
+        let buffered = read_request(&mut reader)
+            .unwrap()
+            .expect("well-formed request");
+        prop_assert_eq!(&buffered, &blocking);
+        let mut unread = Vec::new();
+        reader.read_to_end(&mut unread).unwrap();
+        prop_assert_eq!(unread, next);
 
         let mut cuts: Vec<usize> = splits
             .iter()

@@ -1,7 +1,8 @@
 //! Replication benches (DESIGN.md §13): append/commit latency as the
 //! replication factor grows. Streaming is synchronous — every commit
-//! encodes one batch document and replays it into each follower's
-//! store and state machine — so the cost is expected to rise roughly
+//! hands the leader's WAL records, as envelope bytes, to each follower,
+//! which appends them verbatim and applies them to its state machine
+//! (decoded once per commit) — so the cost is expected to rise roughly
 //! linearly with the follower count. `rotate` is benched separately:
 //! it snapshots the leader machine and rotates every follower store.
 
@@ -50,16 +51,18 @@ impl Leader {
                 body: Value::from(format!("payload-{i:04}")),
             })
             .collect();
-        for m in &records {
-            self.cluster.on_append(&m.kind, &m.body);
-            self.store
-                .append(frame::encode_envelope(&m.kind, &m.body).into_bytes());
+        let envelopes: Vec<Vec<u8>> = records
+            .iter()
+            .map(|m| frame::encode_envelope(&m.kind, &m.body).into_bytes())
+            .collect();
+        for envelope in &envelopes {
+            self.store.append(envelope.clone());
         }
         let index = self.store.commit().expect("commit");
         for m in &records {
             self.machine.apply_mutation(m).expect("apply");
         }
-        self.cluster.on_commit(index);
+        self.cluster.on_commit(index, &envelopes);
         index
     }
 

@@ -95,9 +95,6 @@ pub struct ServiceStack {
     /// The durable store, when the grid was built with
     /// [`GridBuilder::persist`](super::GridBuilder::persist) or recovered from disk.
     persistence: RwLock<Option<Arc<Persistence>>>,
-    /// The replication tee, when [`ServiceStack::attach_replication`]
-    /// armed one (wrapped in `repl.*` instrumentation).
-    replication: RwLock<Option<Arc<dyn gae_repl::ReplicationSink>>>,
 }
 
 impl ServiceStack {
@@ -222,7 +219,6 @@ impl ServiceStack {
             poll_period,
             next_poll: Mutex::new(SimTime::ZERO + poll_period),
             persistence: RwLock::new(None),
-            replication: RwLock::new(None),
         })
     }
 
@@ -257,7 +253,7 @@ impl ServiceStack {
         self.persistence.read().clone()
     }
 
-    /// Arms replication: every WAL append/commit/rotate this stack
+    /// Arms replication: every WAL commit and rotation this stack
     /// performs is teed to `sink` (typically a
     /// [`gae_repl::ReplicatedLog`] in attached mode), wrapped in
     /// `repl.*` span and commit-latency instrumentation. Requires an
@@ -284,16 +280,17 @@ impl ServiceStack {
                 attempted: "attach_replication".to_string(),
             });
         }
-        let wrapped: Arc<dyn gae_repl::ReplicationSink> =
-            Arc::new(crate::replication::ObsSink::new(sink, self.obs.clone()));
-        p.set_replication_sink(wrapped.clone());
-        *self.replication.write() = Some(wrapped);
+        p.set_replication_sink(Arc::new(crate::replication::ObsSink::new(
+            sink,
+            self.obs.clone(),
+        )));
         Ok(())
     }
 
-    /// The instrumented replication sink, when one is armed.
+    /// The instrumented replication sink, when one is armed (the
+    /// durable store holds it).
     pub fn replication(&self) -> Option<Arc<dyn gae_repl::ReplicationSink>> {
-        self.replication.read().clone()
+        self.persistence()?.replication_sink()
     }
 
     /// The observability hub: request traces, latency histograms, and

@@ -83,9 +83,10 @@ pub struct Persistence {
     buffer: Mutex<Vec<Vec<u8>>>,
     snapshot_every: SimDuration,
     last_snapshot: Mutex<SimTime>,
-    /// Optional replication tee: every append/commit/rotate this
-    /// handle performs is mirrored to the sink, making this store the
-    /// leader of a replicated log without the services knowing.
+    /// Optional replication tee: every commit and rotation this handle
+    /// performs is mirrored to the sink, records as the bytes the store
+    /// took, making this store the leader of a replicated log without
+    /// the services knowing.
     repl: Mutex<Option<Arc<dyn ReplicationSink>>>,
 }
 
@@ -126,38 +127,44 @@ impl Persistence {
         *self.repl.lock() = Some(sink);
     }
 
+    /// The armed replication sink, if any.
+    pub(crate) fn replication_sink(&self) -> Option<Arc<dyn ReplicationSink>> {
+        self.repl.lock().clone()
+    }
+
     /// Appends one mutation to the group-commit buffer, under the kind
     /// its own type gives it.
     pub(crate) fn log(&self, op: &impl Journal) {
-        let (kind, body) = (op.kind(), op.encode());
-        if let Some(sink) = self.repl.lock().clone() {
-            sink.on_append(kind, &body);
-        }
-        let doc = frame::encode_envelope(kind, &body);
+        let doc = frame::encode_envelope(op.kind(), &op.encode());
         self.buffer.lock().push(doc.into_bytes());
     }
 
-    /// Hands the store everything appended so far, in append order.
-    /// Under the store lock, so two committers cannot interleave their
-    /// batches; a record appended after the swap is the next batch's.
-    fn drain_buffer_into(&self, store: &mut DurableStore) {
+    /// Commits everything appended so far, in append order (one batched
+    /// write + marker). Under the store lock, so two committers cannot
+    /// interleave their batches; a record appended after the swap is
+    /// the next batch's. Returns the commit index and — only when
+    /// `copy`, for an armed sink — the records the store took.
+    fn commit_buffer(
+        &self,
+        store: &mut DurableStore,
+        copy: bool,
+    ) -> GaeResult<(u64, Vec<Vec<u8>>)> {
         let batch = std::mem::take(&mut *self.buffer.lock());
+        let records = if copy { batch.clone() } else { Vec::new() };
         for record in batch {
             store.append(record);
         }
+        Ok((store.commit()?, records))
     }
 
     /// Commits the buffered records (one batched write + marker).
     pub(crate) fn commit(&self) -> GaeResult<u64> {
-        let index = {
-            let mut store = self.store.lock();
-            self.drain_buffer_into(&mut store);
-            store.commit()?
-        };
+        let sink = self.replication_sink();
+        let (index, records) = self.commit_buffer(&mut self.store.lock(), sink.is_some())?;
         // The sink streams outside the store lock: follower replay
         // must never extend the leader's commit critical section.
-        if let Some(sink) = self.repl.lock().clone() {
-            sink.on_commit(index);
+        if let Some(sink) = sink {
+            sink.on_commit(index, &records);
         }
         Ok(index)
     }
@@ -169,8 +176,11 @@ impl Persistence {
     }
 
     /// Rotates to a new generation anchored at the snapshot `encode`
-    /// writes. Callers commit before rotating (checkpoint does), so
-    /// the tee never observes an implicit rotation-time commit.
+    /// writes. Callers commit before rotating (checkpoint does); a
+    /// record logged while `encode` runs is committed here, into the
+    /// old generation, and streamed as a commit of its own before the
+    /// rotation, so followers rotate at the leader's commit point
+    /// (ROADMAP defect 1(viii)).
     ///
     /// The store is not locked while `encode` runs: services append
     /// under their own locks, and the encoder takes those same locks
@@ -180,7 +190,7 @@ impl Persistence {
         now: SimTime,
         encode: impl FnOnce(&mut dyn io::Write) -> io::Result<()>,
     ) -> GaeResult<()> {
-        let sink = self.repl.lock().clone();
+        let sink = self.replication_sink();
         let mut next = self.store.lock().begin_rotation()?;
         // The sink needs the bytes too: copy them only while one is
         // armed.
@@ -190,13 +200,22 @@ impl Persistence {
             copy: sink.is_some().then_some(&mut snapshot),
         })
         .map_err(|e| GaeError::Io(format!("encode snapshot: {e}")))?;
-        let (commit_index, record_seq) = {
+        let (committed, commit_index, record_seq) = {
             let mut store = self.store.lock();
-            self.drain_buffer_into(&mut store);
+            // (An `if`, not a `match`: the buffer's guard must drop
+            // before `commit_buffer` takes it again.)
+            let committed = if self.buffer.lock().is_empty() {
+                None
+            } else {
+                Some(self.commit_buffer(&mut store, sink.is_some())?)
+            };
             store.rotate_onto(next)?;
-            (store.commit_index(), store.record_seq())
+            (committed, store.commit_index(), store.record_seq())
         };
         if let Some(sink) = sink {
+            if let Some((index, records)) = committed {
+                sink.on_commit(index, &records);
+            }
             sink.on_rotate(commit_index, record_seq, &snapshot);
         }
         *self.last_snapshot.lock() = now;
@@ -1512,6 +1531,55 @@ mod tests {
             std::fs::remove_dir_all(&image).unwrap();
         }
         assert_eq!(last, RECORDS, "the final commit holds every record");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Defect 1(viii): a record logged while a rotation encodes its
+    /// snapshot is committed by the rotation, and the followers must
+    /// hear of that commit before the rotation. When they did not, they
+    /// rotated at the old commit point and streamed the record under
+    /// the next index: a debug build panicked, a release follower ran
+    /// one commit behind.
+    #[test]
+    fn a_record_logged_during_a_rotation_keeps_followers_in_lockstep() {
+        use gae_repl::{MirrorMachine, ReplConfig, ReplicatedLog};
+        let dir = gae_durable::fault::unique_temp_dir("persist-rotate-repl");
+        let leader = dir.join("node-0");
+        let p = Persistence::create(&PersistenceConfig::new(&leader).fsync(false)).unwrap();
+        let config = ReplConfig {
+            followers: 2,
+            fsync: false,
+        };
+        let cluster = ReplicatedLog::attached(&dir, config, |_| MirrorMachine::new()).unwrap();
+        p.set_replication_sink(cluster.clone());
+        p.log(&Numbered(1));
+        p.commit().unwrap();
+        p.rotate(SimTime::ZERO, |w| {
+            p.log(&Numbered(2));
+            w.write_all(b"state")
+        })
+        .unwrap();
+        p.log(&Numbered(3));
+        let index = p.commit().unwrap();
+        assert_eq!(index, 3, "the rotation committed record 2 on its own");
+
+        let files = |dir: &std::path::Path| {
+            let files = gae_durable::fault::store_files(dir).unwrap();
+            let name = |f: &PathBuf| f.file_name().unwrap().to_owned();
+            let bytes = |f: &PathBuf| std::fs::read(f).unwrap();
+            files
+                .iter()
+                .map(|f| (name(f), bytes(f)))
+                .collect::<Vec<_>>()
+        };
+        for node in cluster.follower_ids() {
+            assert_eq!(cluster.follower_commit(node).unwrap(), index, "{node}");
+            assert!(
+                files(&dir.join(node.to_string())) == files(&leader),
+                "{node}'s store files differ from the leader's"
+            );
+        }
+        assert_eq!(cluster.quorum_commit(), index);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

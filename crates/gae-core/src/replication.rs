@@ -23,9 +23,7 @@ use gae_durable::crc32::Crc32;
 use gae_obs::ObsHub;
 use gae_repl::{Mutation, ReplStats, ReplicationSink, StateMachine};
 use gae_types::{GaeError, GaeResult, SimTime};
-use gae_wire::Value;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 impl StateMachine for ServiceStack {
@@ -76,15 +74,12 @@ impl StateMachine for ServiceStack {
 
 /// Wraps a [`ReplicationSink`] in observability: each commit roots a
 /// `repl.commit` trace (deterministic id: the commit index), records
-/// the applied-record count as a span, and feeds the commit-to-commit
+/// the streamed-record count as a span, and feeds the commit-to-commit
 /// spacing — the window of schedule a failover could lose — into the
 /// `repl:commit` histogram.
 pub(crate) struct ObsSink {
     inner: Arc<dyn ReplicationSink>,
     hub: Arc<ObsHub>,
-    /// Records appended since the last commit (atomic: appends happen
-    /// under service locks and must not take another).
-    pending: AtomicU64,
     last_commit_at: Mutex<SimTime>,
 }
 
@@ -93,23 +88,14 @@ impl ObsSink {
         ObsSink {
             inner,
             hub,
-            pending: AtomicU64::new(0),
             last_commit_at: Mutex::new(SimTime::ZERO),
         }
     }
 }
 
 impl ReplicationSink for ObsSink {
-    fn on_append(&self, kind: &str, body: &Value) {
-        // No clock read here: appends can run under the xfer lock,
-        // which must not re-enter the grid clock (see the observer
-        // wiring in grid/stack.rs).
-        self.pending.fetch_add(1, Ordering::Relaxed);
-        self.inner.on_append(kind, body);
-    }
-
-    fn on_commit(&self, commit_index: u64) {
-        self.inner.on_commit(commit_index);
+    fn on_commit(&self, commit_index: u64, records: &[Vec<u8>]) {
+        self.inner.on_commit(commit_index, records);
         let now = self.hub.now();
         let spacing = {
             let mut last = self.last_commit_at.lock();
@@ -118,10 +104,9 @@ impl ReplicationSink for ObsSink {
             spacing
         };
         self.hub.record_repl("commit", spacing);
-        let streamed = self.pending.swap(0, Ordering::Relaxed);
         let ctx = self.hub.repl_trace(commit_index, "repl.commit", now);
         self.hub
-            .span_at(ctx, &format!("repl.stream#{streamed}"), now);
+            .span_at(ctx, &format!("repl.stream#{}", records.len()), now);
         if self.inner.stats().commit_index >= commit_index {
             self.hub.span_at(ctx, "repl.quorum", now);
         } else {

@@ -6,10 +6,12 @@
 //! subdirectory, byte-compatible with the leader's, so node loss is
 //! modeled exactly like the single-node crashes in
 //! `tests/crash_recovery.rs`: drop the handle, recover from the
-//! directory. Streaming happens synchronously at commit time over the
-//! [`crate::frame`] batch documents; uncommitted leader appends are
-//! never visible to followers, which is what makes every follower a
-//! prefix-consistent copy of the leader by construction.
+//! directory. Streaming happens synchronously at commit time: each
+//! commit hands over the WAL records the leader's store took, as
+//! [`crate::frame`] envelope bytes, and each follower appends them
+//! verbatim. Uncommitted leader appends are never visible to
+//! followers, which is what makes every follower a prefix-consistent
+//! copy of the leader by construction.
 //!
 //! ## Quorum rule
 //!
@@ -33,7 +35,6 @@ use std::path::{Path, PathBuf};
 
 use gae_durable::{DurableStore, RecoveryPoint, TailState};
 use gae_types::{GaeError, GaeResult};
-use gae_wire::Value;
 use parking_lot::Mutex;
 
 use crate::frame;
@@ -105,24 +106,23 @@ pub struct Promotion {
 }
 
 /// The sink a journaling leader drives. `gae-core`'s persistence layer
-/// tees every append/commit/rotate through this trait, so replication
+/// tees every commit and rotation through this trait, so replication
 /// attaches to the existing WAL without the services knowing.
 pub trait ReplicationSink: Send + Sync {
-    /// A record was appended (buffered, not yet committed).
-    fn on_append(&self, kind: &str, body: &Value);
-    /// The leader committed `commit_index`; stream the batch.
-    fn on_commit(&self, commit_index: u64);
+    /// The leader committed `commit_index`, holding `records`: the
+    /// envelope bytes its store took, in order. Stream them.
+    fn on_commit(&self, commit_index: u64, records: &[Vec<u8>]);
     /// The leader rotated to a new generation anchored at `snapshot`.
     fn on_rotate(&self, commit_index: u64, record_seq: u64, snapshot: &[u8]);
     /// Current replication counters.
     fn stats(&self) -> ReplStats;
 }
 
-/// One commit batch retained for follower catch-up, kept as the exact
-/// wire document the leader streamed.
+/// One commit retained for follower catch-up: the leader's records,
+/// byte for byte.
 struct RetainedBatch {
     index: u64,
-    doc: String,
+    records: Vec<Vec<u8>>,
 }
 
 /// The leader's last rotation payload: the snapshot-install source.
@@ -145,8 +145,6 @@ struct Inner<M> {
     fsync: bool,
     leader_alive: bool,
     leader_commit: u64,
-    /// Leader appends not yet committed.
-    pending: Vec<Mutation>,
     followers: Vec<Follower<M>>,
     snapshot: RetainedSnapshot,
     /// Batches with index > snapshot.commit_index, oldest first.
@@ -199,7 +197,6 @@ impl<M: StateMachine> ReplicatedLog<M> {
                 fsync: config.fsync,
                 leader_alive: true,
                 leader_commit: 0,
-                pending: Vec::new(),
                 followers,
                 snapshot: RetainedSnapshot {
                     commit_index: 0,
@@ -281,11 +278,12 @@ impl<M: StateMachine> ReplicatedLog<M> {
         f.commit_index = inner.snapshot.commit_index;
         inner.snapshot_installs += 1;
         // Log suffix: every retained batch past the snapshot point,
-        // replayed off the wire documents.
+        // replayed off the leader's record bytes.
         for batch in &inner.retained {
-            let (committed, n) = apply_batch(&mut store, &f.machine, &batch.doc)?;
-            f.commit_index = committed;
-            inner.streamed_records += n;
+            let mutations = decode_records(&batch.records)?;
+            apply_batch(&mut store, &f.machine, batch, &mutations)?;
+            f.commit_index = batch.index;
+            inner.streamed_records += batch.records.len() as u64;
             inner.acks += 1;
         }
         f.store = Some(store);
@@ -308,7 +306,6 @@ impl<M: StateMachine> ReplicatedLog<M> {
             });
         }
         inner.leader_alive = false;
-        inner.pending.clear();
         let winner = inner
             .followers
             .iter_mut()
@@ -366,24 +363,16 @@ impl<M: StateMachine> ReplicatedLog<M> {
 }
 
 impl<M: StateMachine> ReplicationSink for ReplicatedLog<M> {
-    fn on_append(&self, kind: &str, body: &Value) {
+    fn on_commit(&self, commit_index: u64, records: &[Vec<u8>]) {
         let mut inner = self.inner.lock();
         if !inner.leader_alive {
             return;
         }
-        inner.pending.push(Mutation {
-            kind: kind.to_string(),
-            body: body.clone(),
-        });
-    }
-
-    fn on_commit(&self, commit_index: u64) {
-        let mut inner = self.inner.lock();
-        if !inner.leader_alive {
-            return;
-        }
-        let records = std::mem::take(&mut inner.pending);
-        replicate(&mut inner, commit_index, &records);
+        let batch = RetainedBatch {
+            index: commit_index,
+            records: records.to_vec(),
+        };
+        replicate(&mut inner, batch);
     }
 
     fn on_rotate(&self, commit_index: u64, record_seq: u64, snapshot: &[u8]) {
@@ -411,55 +400,66 @@ fn follower_mut<M: StateMachine>(
 }
 
 /// Stream one committed batch to every live follower and advance the
-/// quorum index. A follower whose store or machine errors is marked
-/// dead (it will need a snapshot install to rejoin), never poisoning
-/// the leader.
-fn replicate<M: StateMachine>(inner: &mut Inner<M>, index: u64, records: &[Mutation]) {
-    let doc = frame::encode_batch(index, records);
+/// quorum index. The records are decoded once, for every follower —
+/// and not at all while none is alive. A follower whose store or
+/// machine errors, or that leaves commit lockstep, is marked dead (it
+/// will need a snapshot install to rejoin), never poisoning the leader.
+fn replicate<M: StateMachine>(inner: &mut Inner<M>, batch: RetainedBatch) {
+    let mut mutations = None;
     for f in inner.followers.iter_mut().filter(|f| f.alive) {
-        let applied = match f.store.as_mut() {
-            Some(store) => apply_batch(store, &f.machine, &doc),
-            None => Err(GaeError::NotFound(f.id.to_string())),
+        let decoded = mutations.get_or_insert_with(|| decode_records(&batch.records));
+        let applied = match (f.store.as_mut(), decoded) {
+            (Some(store), Ok(mutations)) => {
+                apply_batch(store, &f.machine, &batch, mutations).is_ok()
+            }
+            _ => false,
         };
-        match applied {
-            Ok((committed, n)) => {
-                f.commit_index = committed;
-                inner.streamed_records += n;
-                inner.acks += 1;
-            }
-            Err(_) => {
-                f.store = None;
-                f.alive = false;
-            }
+        if applied {
+            f.commit_index = batch.index;
+            inner.streamed_records += batch.records.len() as u64;
+            inner.acks += 1;
+        } else {
+            f.store = None;
+            f.alive = false;
         }
     }
-    inner.retained.push_back(RetainedBatch { index, doc });
-    inner.leader_commit = index;
+    inner.leader_commit = batch.index;
+    inner.retained.push_back(batch);
     recompute_quorum(inner);
-    if inner.quorum_commit < index {
+    if inner.quorum_commit < inner.leader_commit {
         inner.quorum_stalls += 1;
     }
 }
 
-/// Takes one streamed batch into a follower — appended to its store,
-/// committed, applied to its machine: the one path a batch takes, live
-/// ([`replicate`]) or catching up after a snapshot install. Returns the
-/// commit index and how many records the batch held.
+/// Every record of a batch, decoded as crash replay decodes it.
+fn decode_records(records: &[Vec<u8>]) -> GaeResult<Vec<Mutation>> {
+    records.iter().map(|r| frame::decode_envelope(r)).collect()
+}
+
+/// Takes one streamed batch into a follower — the leader's records
+/// appended verbatim, committed, and applied to its machine as
+/// `mutations`, their decoding: the one path a batch takes, live
+/// ([`replicate`]) or catching up after a snapshot install. A commit
+/// that lands on an index other than the leader's is an error: the
+/// follower has left lockstep.
 fn apply_batch<M: StateMachine>(
     store: &mut DurableStore,
     machine: &M,
-    doc: &str,
-) -> GaeResult<(u64, u64)> {
-    let (index, records) = frame::decode_batch(doc)?;
-    for m in &records {
-        store.append(frame::encode_envelope(&m.kind, &m.body).into_bytes());
+    batch: &RetainedBatch,
+    mutations: &[Mutation],
+) -> GaeResult<()> {
+    for record in &batch.records {
+        store.append(record.clone());
     }
     let committed = store.commit()?;
-    debug_assert_eq!(committed, index);
-    for m in &records {
-        machine.apply_mutation(m)?;
+    if committed != batch.index {
+        return Err(GaeError::InvalidTransition {
+            entity: "follower".to_string(),
+            from: format!("commit {committed}"),
+            attempted: format!("apply leader commit {}", batch.index),
+        });
     }
-    Ok((committed, records.len() as u64))
+    mutations.iter().try_for_each(|m| machine.apply_mutation(m))
 }
 
 /// Forward a leader rotation: every live follower rotates its own

@@ -9,7 +9,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`frame`] | record envelope + per-commit batch documents on gae-wire framing |
+//! | [`frame`] | the WAL record envelope, the one unit streamed to followers |
 //! | [`machine`] | the [`StateMachine`] trait extracted from the ad-hoc replay paths, plus [`MirrorMachine`] |
 //! | [`cluster`] | [`ReplicatedLog`]: follower replay of a leader's commits, quorum commit, snapshot install, election |
 //!
@@ -19,12 +19,14 @@
 //!   (`gae-core`'s persistence layer): the existing journal ops
 //!   (`jobmon` / `plan` / `task` / `notified` / `charge` / `xfer`) are
 //!   already the mutation language, and each of its commits is
-//!   streamed as one [`frame`] batch document to N in-process
-//!   followers.
+//!   streamed to N in-process followers as the WAL records its store
+//!   took — [`frame`] envelopes, byte for byte.
 //! * Each **follower** owns its own [`gae_durable::DurableStore`] in a
-//!   `node-<id>` subdirectory plus a [`StateMachine`]; it decodes the
-//!   batch, appends the records to its own WAL, commits, applies the
-//!   mutations, and acknowledges.
+//!   `node-<id>` subdirectory plus a [`StateMachine`]; it appends the
+//!   leader's records verbatim to its own WAL, commits — at the
+//!   leader's index, or it leaves the cluster — applies each record
+//!   (decoded once per commit, as crash replay decodes it), and
+//!   acknowledges.
 //! * The **quorum commit index** is the highest index durable on a
 //!   majority of live nodes (leader included, n = followers + 1,
 //!   quorum = n/2 + 1).

@@ -1,6 +1,11 @@
 //! One deterministic test per defect found in the running system, each
 //! of which fails on the code before its fix. ROADMAP item 1 names the
 //! defects; a test here carries its label.
+//!
+//! A defect whose code is crate-private is held in that crate's unit
+//! tests instead: 1(viii), a record logged while a rotation encodes
+//! its snapshot, is
+//! `gae-core::persist::tests::a_record_logged_during_a_rotation_keeps_followers_in_lockstep`.
 
 #[path = "../door/mod.rs"]
 mod door;

@@ -2,47 +2,45 @@
 //! follower cluster with [`MirrorMachine`] state, driven through its
 //! [`ReplicationSink`] by a small local leader: commit-time streaming,
 //! snapshot-install catch-up for lagging followers, the quorum rule
-//! under follower loss, deterministic elections, and the
-//! recoverability of a promoted follower's store.
+//! under follower loss, commit lockstep, deterministic elections, and
+//! the recoverability of a promoted follower's store.
 
 use gae::durable::fault::unique_temp_dir;
 use gae::durable::DurableStore;
 use gae::prelude::*;
-use gae::repl::{frame, Mutation};
+use gae::repl::frame;
 use gae::wire::Value;
 use std::sync::Arc;
 
 /// The leader these followers mirror: a bare store in `node-0` plus a
-/// machine of its own, teeing every append / commit / rotate into the
-/// cluster's sink the way `gae-core`'s persistence layer does.
+/// machine of its own, teeing every commit / rotate into the cluster's
+/// sink the way `gae-core`'s persistence layer does.
 struct Leader {
     store: DurableStore,
     machine: MirrorMachine,
-    pending: Vec<Mutation>,
+    /// Envelope bytes appended since the last commit.
+    pending: Vec<Vec<u8>>,
     cluster: Arc<ReplicatedLog<MirrorMachine>>,
 }
 
 impl Leader {
     fn append(&mut self, kind: &str, body: Value) {
-        self.cluster.on_append(kind, &body);
-        self.pending.push(Mutation {
-            kind: kind.to_string(),
-            body,
-        });
+        self.pending
+            .push(frame::encode_envelope(kind, &body).into_bytes());
     }
 
-    /// Commits the buffered mutations locally, then streams the batch.
+    /// Commits the buffered records locally, then streams them.
     fn commit(&mut self) -> u64 {
         let records = std::mem::take(&mut self.pending);
-        for m in &records {
-            self.store
-                .append(frame::encode_envelope(&m.kind, &m.body).into_bytes());
+        for record in &records {
+            self.store.append(record.clone());
         }
         let index = self.store.commit().expect("leader commit");
-        for m in &records {
-            self.machine.apply_mutation(m).expect("leader apply");
+        for record in &records {
+            let m = frame::decode_envelope(record).expect("leader decode");
+            self.machine.apply_mutation(&m).expect("leader apply");
         }
-        self.cluster.on_commit(index);
+        self.cluster.on_commit(index, &records);
         index
     }
 
@@ -192,6 +190,34 @@ fn quorum_stalls_without_followers_and_recovers() {
         alone,
         "leader + one follower is a quorum again"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Followers check commit lockstep: a commit whose index skips one
+/// lands each follower's store on an index other than the leader's,
+/// and that kills the follower like any apply error. The quorum index
+/// then stalls where it was, and never moves backward.
+#[test]
+fn a_skipped_commit_index_kills_the_followers() {
+    let dir = unique_temp_dir("repl-lockstep");
+    let (mut leader, cluster) = cluster_at(&dir, 2);
+    let committed = leader.commit_batch("sync", 2);
+    assert_eq!(cluster.quorum_commit(), committed);
+
+    let record = frame::encode_envelope("skipped", &Value::from("x")).into_bytes();
+    cluster.on_commit(committed + 2, &[record]);
+    let stats = cluster.stats();
+    assert_eq!(stats.followers_alive, 0, "both followers left lockstep");
+    assert_eq!(stats.leader_commit, committed + 2);
+    assert_eq!(stats.quorum_stalls, 1);
+    assert_eq!(cluster.quorum_commit(), committed);
+    for node in cluster.follower_ids() {
+        assert_eq!(cluster.follower_commit(node).expect("commit"), committed);
+    }
+
+    cluster.on_commit(committed + 3, &[]);
+    assert_eq!(cluster.stats().quorum_stalls, 2);
+    assert_eq!(cluster.quorum_commit(), committed, "never backward");
     std::fs::remove_dir_all(&dir).ok();
 }
 

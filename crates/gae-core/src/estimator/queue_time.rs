@@ -16,7 +16,7 @@
 //! one lock instead of walking the queue against a database.
 
 use gae_exec::ExecutionService;
-use gae_types::{CondorId, GaeError, GaeResult, SimDuration};
+use gae_types::{CondorId, GaeError, GaeResult, Priority, SimDuration};
 
 /// Estimates how long the task `condor` will wait before starting at
 /// the site served by `exec`, following §6.2 exactly. The runtimes
@@ -36,6 +36,14 @@ pub fn estimate_queue_time(exec: &ExecutionService, condor: CondorId) -> GaeResu
         });
     }
     Ok(exec.backlog_above(record.priority))
+}
+
+/// How long a *new* task of `priority` would wait at the site served
+/// by `exec` (what the scheduler asks before submission): the backlog
+/// of live tasks above it. `lowered(1)`: a new equal-priority task
+/// queues behind existing ones (FIFO), so equals count too.
+pub(crate) fn queue_time_for_new(exec: &ExecutionService, priority: Priority) -> SimDuration {
+    exec.backlog_above(priority.lowered(1))
 }
 
 #[cfg(test)]

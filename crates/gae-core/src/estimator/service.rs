@@ -3,7 +3,7 @@
 //! execution service, the transfer estimator, and the XML-RPC facade.
 
 use crate::estimator::history::HistoryStore;
-use crate::estimator::queue_time::estimate_queue_time;
+use crate::estimator::queue_time::{estimate_queue_time, queue_time_for_new};
 use crate::estimator::runtime::{EstimateNote, RuntimeEstimate, RuntimeEstimator};
 use crate::estimator::transfer::TransferEstimator;
 use crate::grid::Grid;
@@ -163,6 +163,38 @@ impl EstimatorService {
         Ok(estimate)
     }
 
+    /// [`Self::estimate_meta`]'s runtime for each of `metas` at one
+    /// site, into `out` (cleared first; `None` where the site cannot
+    /// estimate). Takes the history handle once: a site with no
+    /// successful history and nothing memoised fails every lookup, so
+    /// its lookups are counted as misses in one step; any other site
+    /// goes task by task. Either way `memo_stats` moves as per-task
+    /// calls would move it.
+    pub(crate) fn estimate_metas(
+        &self,
+        site: SiteId,
+        metas: &[TaskMeta],
+        out: &mut Vec<Option<SimDuration>>,
+    ) {
+        out.clear();
+        let no_history = match (self.runtime.get(&site), self.hist.read().as_ref()) {
+            (None, _) => true,
+            (Some(_), Some(hist)) => hist.store().site_successes(site.raw()) == 0,
+            (Some(estimator), None) => estimator.history().is_empty(),
+        };
+        if no_history && !self.memo.read().contains_key(&site) {
+            self.memo_misses
+                .fetch_add(metas.len() as u64, Ordering::Relaxed);
+            out.resize(metas.len(), None);
+            return;
+        }
+        out.extend(
+            metas
+                .iter()
+                .map(|meta| self.estimate_meta(site, meta).ok().map(|e| e.runtime)),
+        );
+    }
+
     /// Records the runtime "estimated at the time of task submission"
     /// (§6.2c) on the task's record at the site's execution service.
     pub fn record_submission(&self, site: SiteId, condor: CondorId, estimate: SimDuration) {
@@ -226,9 +258,7 @@ impl EstimatorService {
     ) -> GaeResult<SimDuration> {
         let exec = self.grid.exec(site)?;
         let exec = exec.lock();
-        // `lowered(1)`: a new equal-priority task queues behind
-        // existing ones (FIFO), so equals count too.
-        Ok(exec.backlog_above(spec.priority.lowered(1)))
+        Ok(queue_time_for_new(&exec, spec.priority))
     }
 
     /// §6.3: staging time for a task's input set to `site`.

@@ -26,6 +26,12 @@ pub struct ChargeRecord {
     pub amount: f64,
 }
 
+/// What `cpu_time` costs at `cpu_rate` per CPU hour: the one formula
+/// behind every quote and charge.
+pub(crate) fn price(cpu_rate: f64, cpu_time: SimDuration) -> f64 {
+    cpu_rate * cpu_time.as_secs_f64() / 3600.0
+}
+
 /// Per-site rates, per-user balances, and the ledger.
 pub struct QuotaService {
     rates: RwLock<HashMap<SiteId, (f64, f64)>>, // (cpu_hour, idle_hour)
@@ -65,11 +71,17 @@ impl QuotaService {
     /// number the Optimizer compares across sites for the *cheap*
     /// preference.
     pub fn quote(&self, site: SiteId, cpu_time: SimDuration) -> GaeResult<f64> {
+        Ok(price(self.cpu_rate(site)?, cpu_time))
+    }
+
+    /// A site's charge per CPU hour, for a caller that quotes many
+    /// runtimes at one site (see [`price`]).
+    pub(crate) fn cpu_rate(&self, site: SiteId) -> GaeResult<f64> {
         let rates = self.rates.read();
         let (cpu_rate, _) = rates
             .get(&site)
             .ok_or_else(|| GaeError::NotFound(format!("rates for {site}")))?;
-        Ok(cpu_rate * cpu_time.as_secs_f64() / 3600.0)
+        Ok(*cpu_rate)
     }
 
     /// Charges a completed run against the owner's balance. Balances

@@ -574,7 +574,7 @@ impl SteeringService {
             None => {
                 self.scheduler
                     .best_site(&spec_for_scoring, |_| true, &[from], preference)?
-                    .site
+                    .0
             }
         };
         if to == from {
@@ -1094,16 +1094,16 @@ impl SteeringService {
             };
             s
         };
-        let Ok(candidate) = self
-            .scheduler
-            .best_site(&spec, |_| true, &[site], policy.preference)
+        let Ok((candidate, est)) =
+            self.scheduler
+                .best_site(&spec, |_| true, &[site], policy.preference)
         else {
             return false;
         };
         // Only move if the candidate's effective rate beats the
         // observed one with margin (moving costs a restart unless the
         // task checkpoints).
-        let candidate_rate = 1.0 / (1.0 + candidate.estimate.load.max(0.0));
+        let candidate_rate = 1.0 / (1.0 + est.load.max(0.0));
         if candidate_rate <= rate * 1.5 {
             return false;
         }
@@ -1119,7 +1119,6 @@ impl SteeringService {
                 .unwrap_or_else(|| spec.requested_cpu_hours * 3600.0)
                 .max(1.0);
             let stay_secs = remaining / rate.max(1e-6);
-            let est = &candidate.estimate;
             let move_secs = est.queue_time.as_secs_f64()
                 + est.transfer_time.as_secs_f64()
                 + remaining / candidate_rate;
@@ -1127,7 +1126,7 @@ impl SteeringService {
                 return false;
             }
         }
-        let _ = self.move_task(job_id, task, Some(candidate.site), MoveReason::SlowProgress);
+        let _ = self.move_task(job_id, task, Some(candidate), MoveReason::SlowProgress);
         true
     }
 

@@ -37,6 +37,10 @@ pub struct MonAlisaRepository {
     event_capacity: usize,
     /// Monotonic count of job events dropped by the retention cap.
     evicted: std::sync::atomic::AtomicU64,
+    /// The site-wide load series' entity and parameter names, built
+    /// once: [`Self::site_load`], which the scheduler asks of every
+    /// site for every plan, then makes its key without allocating.
+    farm_load: (Arc<str>, Arc<str>),
 }
 
 /// Metric under which event-log evictions are published (site 0 =
@@ -55,6 +59,7 @@ impl MonAlisaRepository {
             subscribers: RwLock::new(Vec::new()),
             event_capacity: event_capacity.max(1),
             evicted: std::sync::atomic::AtomicU64::new(0),
+            farm_load: (Arc::from("farm"), Arc::from("cpu_load")),
         })
     }
 
@@ -100,10 +105,9 @@ impl MonAlisaRepository {
 
     /// Latest farm-wide CPU load of a site.
     pub fn site_load(&self, site: SiteId) -> Option<f64> {
-        self.metrics
-            .read()
-            .latest(&MetricKey::site_wide(site, "cpu_load"))
-            .map(|s| s.value)
+        let (farm, cpu_load) = &self.farm_load;
+        let key = MetricKey::new(site, farm.clone(), cpu_load.clone());
+        self.metrics.read().latest(&key).map(|s| s.value)
     }
 
     /// Latest queue length of a site.

@@ -23,5 +23,5 @@
 pub mod provider;
 pub mod scheduler;
 
-pub use provider::{SiteEstimate, SiteInfoProvider, StaticSiteInfo};
+pub use provider::{Bid, SiteEstimate, SiteInfoProvider, StaticSiteInfo};
 pub use scheduler::Scheduler;

@@ -23,10 +23,18 @@ impl SiteEstimate {
     /// Expected completion time: queue wait, staging, and the runtime
     /// stretched by the current load (processor sharing: a load of
     /// `L` competing units leaves the task `1/(1+L)` of a CPU).
+    /// Saturates at [`SimDuration`]'s maximum: a runtime taken from a
+    /// huge requested CPU time must score as the slowest bid, not wrap
+    /// round to the fastest.
     pub fn expected_completion(&self) -> SimDuration {
-        self.queue_time + self.transfer_time + self.runtime.mul_f64(1.0 + self.load.max(0.0))
+        self.queue_time
+            .saturating_add(self.transfer_time)
+            .saturating_add(self.runtime.mul_f64(1.0 + self.load.max(0.0)))
     }
 }
+
+/// One site's bid for one task.
+pub type Bid = (SiteId, SiteEstimate);
 
 /// Source of per-site estimates and liveness.
 ///
@@ -43,13 +51,31 @@ pub trait SiteInfoProvider: Send + Sync {
     /// Full estimate for running `task` at `site`.
     fn estimate(&self, site: SiteId, task: &TaskSpec) -> GaeResult<SiteEstimate>;
 
-    /// Estimates for every task of one plan at `site`, in `tasks`
-    /// order. The default asks [`estimate`](Self::estimate) task by
-    /// task; a provider whose estimate has a part that does not
-    /// depend on the task (a queue scan) overrides this to do that
-    /// part once per site instead of once per task.
-    fn estimate_all(&self, site: SiteId, tasks: &[&TaskSpec]) -> Vec<GaeResult<SiteEstimate>> {
-        tasks.iter().map(|task| self.estimate(site, task)).collect()
+    /// The bids for every task of one plan, in `tasks` order: one per
+    /// site, in [`sites`](Self::sites) order, that `admissible` accepts,
+    /// that is alive and whose [`estimate`](Self::estimate) succeeds (a
+    /// site without a runtime estimator simply doesn't bid, §6.1a). A
+    /// site's estimates do not depend on where the plan's other tasks
+    /// go, so a provider whose estimate has task-independent parts
+    /// (liveness, load, a queue scan) overrides this to read each site
+    /// once per plan; this default is the oracle it must equal.
+    fn score_plan(
+        &self,
+        tasks: &[&TaskSpec],
+        admissible: &dyn Fn(SiteId) -> bool,
+    ) -> Vec<Vec<Bid>> {
+        let mut bids = vec![Vec::new(); tasks.len()];
+        for site in self.sites() {
+            if !admissible(site) || !self.is_alive(site) {
+                continue;
+            }
+            for (bids, task) in bids.iter_mut().zip(tasks) {
+                if let Ok(estimate) = self.estimate(site, task) {
+                    bids.push((site, estimate));
+                }
+            }
+        }
+        bids
     }
 }
 
@@ -135,6 +161,12 @@ mod tests {
         // Negative load (bad monitor data) clamps to zero.
         let weird = SiteEstimate { load: -3.0, ..free };
         assert_eq!(weird.expected_completion(), SimDuration::from_secs(100));
+        // A saturated runtime stays the slowest bid behind a queue.
+        let huge = SiteEstimate {
+            runtime: SimDuration::from_secs_f64(1e300),
+            ..est(0, 20, 5, 1.0)
+        };
+        assert_eq!(huge.expected_completion(), SimDuration::MAX);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Site selection and concrete-plan construction.
 
-use crate::provider::{SiteEstimate, SiteInfoProvider};
+use crate::provider::{Bid, SiteInfoProvider};
 use gae_types::{
     AbstractPlan, ConcretePlan, GaeError, GaeResult, IdAllocator, OptimizationPreference, PlanId,
     SiteId, TaskAssignment, TaskId, TaskSpec,
 };
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Dependent-task colocation: a task with prerequisites prefers its
@@ -20,14 +21,18 @@ pub struct Scheduler {
     plan_ids: IdAllocator,
 }
 
-/// One scored candidate, exposed for diagnostics and the ablation
-/// benches.
-#[derive(Clone, Copy, Debug)]
-pub struct ScoredSite {
-    /// The candidate site.
-    pub site: SiteId,
-    /// Its estimate.
-    pub estimate: SiteEstimate,
+/// The bid with the least `key` under `order`, ties going to the lower
+/// site id: one pass, each key computed once. `f64::total_cmp` orders
+/// every finite key as `partial_cmp` does, and a NaN cannot panic it.
+fn least<K>(
+    bids: &[Bid],
+    key: impl Fn(&Bid) -> K,
+    order: impl Fn(&K, &K) -> Ordering,
+) -> Option<Bid> {
+    bids.iter()
+        .map(|bid| (key(bid), bid))
+        .min_by(|(ka, a), (kb, b)| order(ka, kb).then(a.0.cmp(&b.0)))
+        .map(|(_, bid)| *bid)
 }
 
 impl Scheduler {
@@ -39,83 +44,31 @@ impl Scheduler {
         }
     }
 
-    /// Scores all admissible sites for one task, cheapest-to-run
-    /// first under the given preference. Excluded and dead sites are
-    /// dropped; sites whose estimator fails are skipped (a site
-    /// without a runtime estimator simply doesn't bid, §6.1a: "this
-    /// depends on the availability of the runtime estimator at each
-    /// of the sites").
-    pub fn score_sites(
-        &self,
-        task: &TaskSpec,
-        allowed: impl Fn(SiteId) -> bool,
-        exclude: &[SiteId],
-        preference: OptimizationPreference,
-    ) -> Vec<ScoredSite> {
-        self.score_tasks(&[task], |s| allowed(s) && !exclude.contains(&s), preference)
-            .pop()
-            .expect("one task, one candidate list")
-    }
-
-    /// The candidate list of each of `tasks`, in `tasks` order. A
-    /// site's estimates do not depend on where the other tasks go, so
-    /// each admissible live site is read once for all of them
-    /// ([`SiteInfoProvider::estimate_all`]) rather than once per task.
-    fn score_tasks(
-        &self,
-        tasks: &[&TaskSpec],
-        admissible: impl Fn(SiteId) -> bool,
-        preference: OptimizationPreference,
-    ) -> Vec<Vec<ScoredSite>> {
-        let mut scored: Vec<Vec<ScoredSite>> = vec![Vec::new(); tasks.len()];
-        for site in self.info.sites() {
-            if !admissible(site) || !self.info.is_alive(site) {
-                continue;
-            }
-            for (bids, estimate) in scored.iter_mut().zip(self.info.estimate_all(site, tasks)) {
-                if let Ok(estimate) = estimate {
-                    bids.push(ScoredSite { site, estimate });
-                }
-            }
-        }
-        for bids in &mut scored {
-            match preference {
-                OptimizationPreference::Fast => bids.sort_by(|a, b| {
-                    a.estimate
-                        .expected_completion()
-                        .cmp(&b.estimate.expected_completion())
-                        .then(a.site.cmp(&b.site))
-                }),
-                OptimizationPreference::Cheap => bids.sort_by(|a, b| {
-                    a.estimate
-                        .cost
-                        .partial_cmp(&b.estimate.cost)
-                        .expect("costs are finite")
-                        .then(a.site.cmp(&b.site))
-                }),
-            }
-        }
-        scored
-    }
-
-    /// Picks the best site for a task, or an error if no site bids.
+    /// Picks the best site for a task — the least expected completion
+    /// (Fast) or cost (Cheap) among the live sites `allowed` accepts
+    /// and `exclude` does not name — or an error if no site bids.
     pub fn best_site(
         &self,
         task: &TaskSpec,
         allowed: impl Fn(SiteId) -> bool,
         exclude: &[SiteId],
         preference: OptimizationPreference,
-    ) -> GaeResult<ScoredSite> {
-        self.score_sites(task, allowed, exclude, preference)
-            .into_iter()
-            .next()
-            .ok_or_else(|| {
-                GaeError::ResourceExhausted(format!(
-                    "no admissible site for {} ({} excluded)",
-                    task.id,
-                    exclude.len()
-                ))
-            })
+    ) -> GaeResult<Bid> {
+        let bids = self
+            .info
+            .score_plan(&[task], &|s| allowed(s) && !exclude.contains(&s));
+        let bids = bids.first().map_or(&[][..], Vec::as_slice);
+        let best = match preference {
+            OptimizationPreference::Fast => least(bids, |b| b.1.expected_completion(), Ord::cmp),
+            OptimizationPreference::Cheap => least(bids, |b| b.1.cost, f64::total_cmp),
+        };
+        best.ok_or_else(|| {
+            GaeError::ResourceExhausted(format!(
+                "no admissible site for {} ({} excluded)",
+                task.id,
+                exclude.len()
+            ))
+        })
     }
 
     /// Produces a concrete plan for an abstract one: every task gets
@@ -139,17 +92,16 @@ impl Scheduler {
         // Per-task placement + runtime, to discount ancestors below.
         let mut placed: std::collections::HashMap<TaskId, (SiteId, f64)> =
             std::collections::HashMap::new();
-        let tasks: Vec<&TaskSpec> = order
+        let tasks = order
             .iter()
-            .map(|t| plan.job.task(*t).expect("validated task"))
-            .collect();
-        let scored = self.score_tasks(&tasks, |s| plan.site_allowed(s), plan.preference);
+            .map(|t| {
+                plan.job
+                    .task(*t)
+                    .ok_or_else(|| GaeError::InvalidPlan(format!("{t} is not in {}", plan.job.id)))
+            })
+            .collect::<GaeResult<Vec<&TaskSpec>>>()?;
+        let scored = self.info.score_plan(&tasks, &|s| plan.site_allowed(s));
         for (task_id, scored) in order.into_iter().zip(scored) {
-            if scored.is_empty() {
-                return Err(GaeError::ResourceExhausted(format!(
-                    "no admissible site for {task_id}"
-                )));
-            }
             // Ancestors serialize with this task anyway (it starts
             // after they finish), so their planned load must not be
             // counted as queueing against it.
@@ -173,22 +125,19 @@ impl Scheduler {
             // earlier *parallel* placements (pessimistic serial
             // estimate). Cheap preference: cost does not change with
             // queueing.
-            let adjusted = |s: &ScoredSite| {
-                let queued = planned_load.get(&s.site).copied().unwrap_or(0.0)
-                    - ancestor_load.get(&s.site).copied().unwrap_or(0.0);
-                s.estimate.expected_completion().as_secs_f64() + queued.max(0.0)
+            let adjusted = |(site, estimate): &Bid| {
+                let queued = planned_load.get(site).copied().unwrap_or(0.0)
+                    - ancestor_load.get(site).copied().unwrap_or(0.0);
+                estimate.expected_completion().as_secs_f64() + queued.max(0.0)
             };
             let best = match plan.preference {
-                OptimizationPreference::Fast => *scored
-                    .iter()
-                    .min_by(|a, b| {
-                        adjusted(a)
-                            .partial_cmp(&adjusted(b))
-                            .expect("finite")
-                            .then(a.site.cmp(&b.site))
-                    })
-                    .expect("non-empty"),
-                OptimizationPreference::Cheap => scored[0],
+                OptimizationPreference::Fast => least(&scored, adjusted, f64::total_cmp),
+                OptimizationPreference::Cheap => least(&scored, |b| b.1.cost, f64::total_cmp),
+            };
+            let Some(best) = best else {
+                return Err(GaeError::ResourceExhausted(format!(
+                    "no admissible site for {task_id}"
+                )));
             };
             let mut chosen = best;
             // Prefer the first prerequisite's site within tolerance.
@@ -198,18 +147,18 @@ impl Scheduler {
                 .first()
                 .and_then(|p| assignments.iter().find(|a| a.task == *p))
                 .map(|a| a.site);
-            if let Some(local) = prereq_site.and_then(|site| scored.iter().find(|s| s.site == site))
-            {
+            if let Some(local) = prereq_site.and_then(|site| scored.iter().find(|b| b.0 == site)) {
                 if adjusted(local) <= adjusted(&best) * (1.0 + COLOCATION_TOLERANCE) {
                     chosen = *local;
                 }
             }
-            let runtime_s = chosen.estimate.runtime.as_secs_f64();
-            *planned_load.entry(chosen.site).or_insert(0.0) += runtime_s;
-            placed.insert(task_id, (chosen.site, runtime_s));
+            let (site, estimate) = chosen;
+            let runtime_s = estimate.runtime.as_secs_f64();
+            *planned_load.entry(site).or_insert(0.0) += runtime_s;
+            placed.insert(task_id, (site, runtime_s));
             assignments.push(TaskAssignment {
                 task: task_id,
-                site: chosen.site,
+                site,
             });
         }
         ConcretePlan::new(
@@ -233,15 +182,15 @@ impl Scheduler {
             .job
             .task(task_id)
             .ok_or_else(|| GaeError::NotFound(format!("{task_id} in {}", plan.id)))?;
-        let choice = self.best_site(task, |_| true, exclude, preference)?;
-        plan.reassigned(task_id, choice.site)
+        let (site, _) = self.best_site(task, |_| true, exclude, preference)?;
+        plan.reassigned(task_id, site)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::provider::StaticSiteInfo;
+    use crate::provider::{SiteEstimate, StaticSiteInfo};
     use gae_types::{JobId, JobSpec, SimDuration, UserId};
 
     fn est(runtime: u64, queue: u64, transfer: u64, load: f64, cost: f64) -> SiteEstimate {
@@ -375,66 +324,6 @@ mod tests {
         AbstractPlan::new(j)
     }
 
-    /// Scoring a plan's tasks together gives each task the candidates,
-    /// estimates and order that asking every site about it alone
-    /// does — under both preferences, with a site restriction and
-    /// with a dead site.
-    #[test]
-    fn tasks_scored_together_match_tasks_scored_alone() {
-        fn alone(
-            info: &dyn SiteInfoProvider,
-            task: &TaskSpec,
-            plan: &AbstractPlan,
-        ) -> Vec<(SiteId, SiteEstimate)> {
-            let mut bids: Vec<(SiteId, SiteEstimate)> = info
-                .sites()
-                .into_iter()
-                .filter(|s| plan.site_allowed(*s) && info.is_alive(*s))
-                .filter_map(|s| info.estimate(s, task).ok().map(|e| (s, e)))
-                .collect();
-            bids.sort_by(|a, b| match plan.preference {
-                OptimizationPreference::Fast => {
-                    a.1.expected_completion()
-                        .cmp(&b.1.expected_completion())
-                        .then(a.0.cmp(&b.0))
-                }
-                OptimizationPreference::Cheap => {
-                    a.1.cost.partial_cmp(&b.1.cost).unwrap().then(a.0.cmp(&b.0))
-                }
-            });
-            bids
-        }
-        let check = |info: Arc<dyn SiteInfoProvider>, plan: &AbstractPlan, bidders: usize| {
-            let sched = Scheduler::new(info.clone());
-            let tasks: Vec<&TaskSpec> = plan.job.tasks.iter().collect();
-            let together = sched.score_tasks(&tasks, |s| plan.site_allowed(s), plan.preference);
-            assert_eq!(together.len(), tasks.len());
-            for (task, scored) in tasks.iter().zip(&together) {
-                let scored: Vec<_> = scored.iter().map(|s| (s.site, s.estimate)).collect();
-                assert_eq!(scored, alone(info.as_ref(), task, plan));
-                assert_eq!(scored.len(), bidders);
-            }
-        };
-        // Task-dependent estimates, both preferences.
-        let mut plan = pipeline_job();
-        for preference in [OptimizationPreference::Fast, OptimizationPreference::Cheap] {
-            plan.preference = preference;
-            check(
-                Arc::new(PipelineInfo {
-                    dependent_gap: 0.10,
-                }),
-                &plan,
-                2,
-            );
-        }
-        // Restricted and dead sites bid for no task.
-        let info = three_sites();
-        info.set_alive(SiteId::new(2), false);
-        let mut plan = pipeline_job();
-        plan.allowed_sites = vec![SiteId::new(1), SiteId::new(2)];
-        check(info, &plan, 1);
-    }
-
     #[test]
     fn colocation_keeps_pipelines_together_within_tolerance() {
         // Dependent is 10 % slower at the prerequisite's site: inside
@@ -537,22 +426,219 @@ mod tests {
     }
 
     #[test]
-    fn score_sites_orders_candidates() {
+    fn best_site_takes_the_least_completion_or_cost() {
         let sched = Scheduler::new(three_sites());
         let task = TaskSpec::new(TaskId::new(1), "t", "x");
-        let scored = sched.score_sites(&task, |_| true, &[], OptimizationPreference::Fast);
-        let order: Vec<u64> = scored.iter().map(|s| s.site.raw()).collect();
-        assert_eq!(order, vec![2, 1, 3]);
-        let cheap = sched.score_sites(&task, |_| true, &[], OptimizationPreference::Cheap);
-        let order: Vec<u64> = cheap.iter().map(|s| s.site.raw()).collect();
-        assert_eq!(order, vec![3, 2, 1]);
+        let best = |exclude: &[SiteId], preference| {
+            sched
+                .best_site(&task, |_| true, exclude, preference)
+                .unwrap()
+                .0
+                .raw()
+        };
+        assert_eq!(best(&[], OptimizationPreference::Fast), 2);
+        assert_eq!(best(&[SiteId::new(2)], OptimizationPreference::Fast), 1);
+        assert_eq!(best(&[], OptimizationPreference::Cheap), 3);
+        assert_eq!(best(&[SiteId::new(3)], OptimizationPreference::Cheap), 2);
+        // Equal bids go to the lower site id under both preferences.
+        let info = Arc::new(StaticSiteInfo::new());
+        for site in [3, 1, 2] {
+            info.set(SiteId::new(site), est(100, 0, 0, 0.0, 1.0));
+        }
+        let sched = Scheduler::new(info);
+        for preference in [OptimizationPreference::Fast, OptimizationPreference::Cheap] {
+            let (site, _) = sched.best_site(&task, |_| true, &[], preference).unwrap();
+            assert_eq!(site, SiteId::new(1));
+        }
     }
 
     mod properties {
         use super::*;
         use proptest::prelude::*;
+        use std::collections::HashMap;
+
+        /// A provider with an estimate per (site, task), absent where
+        /// the site cannot estimate the task.
+        struct TableInfo {
+            sites: Vec<SiteId>,
+            dead: Vec<SiteId>,
+            table: HashMap<(SiteId, TaskId), SiteEstimate>,
+        }
+
+        impl SiteInfoProvider for TableInfo {
+            fn sites(&self) -> Vec<SiteId> {
+                self.sites.clone()
+            }
+            fn is_alive(&self, site: SiteId) -> bool {
+                !self.dead.contains(&site)
+            }
+            fn estimate(&self, site: SiteId, task: &TaskSpec) -> GaeResult<SiteEstimate> {
+                self.table
+                    .get(&(site, task.id))
+                    .copied()
+                    .ok_or_else(|| GaeError::NotFound(format!("{} at {site}", task.id)))
+            }
+        }
+
+        /// `schedule` as it was before it picked in one pass: each
+        /// task's candidates asked for one by one and sorted under the
+        /// preference (Fast by completion, Cheap by cost, ties by site
+        /// id); Fast then takes the least adjusted completion, Cheap
+        /// the head of the list.
+        fn schedule_by_sorting(
+            info: &dyn SiteInfoProvider,
+            plan: &AbstractPlan,
+        ) -> GaeResult<Vec<TaskAssignment>> {
+            let mut assignments: Vec<TaskAssignment> = Vec::new();
+            let mut planned_load: HashMap<SiteId, f64> = HashMap::new();
+            let mut placed: HashMap<TaskId, (SiteId, f64)> = HashMap::new();
+            for task_id in plan.job.topological_order()? {
+                let task = plan.job.task(task_id).unwrap();
+                let mut scored: Vec<Bid> = info
+                    .sites()
+                    .into_iter()
+                    .filter(|s| plan.site_allowed(*s) && info.is_alive(*s))
+                    .filter_map(|s| info.estimate(s, task).ok().map(|e| (s, e)))
+                    .collect();
+                scored.sort_by(|a, b| match plan.preference {
+                    OptimizationPreference::Fast => {
+                        a.1.expected_completion()
+                            .cmp(&b.1.expected_completion())
+                            .then(a.0.cmp(&b.0))
+                    }
+                    OptimizationPreference::Cheap => {
+                        a.1.cost.partial_cmp(&b.1.cost).unwrap().then(a.0.cmp(&b.0))
+                    }
+                });
+                if scored.is_empty() {
+                    return Err(GaeError::ResourceExhausted(task_id.to_string()));
+                }
+                let mut ancestor_load: HashMap<SiteId, f64> = HashMap::new();
+                let mut frontier = vec![task_id];
+                let mut seen = std::collections::HashSet::new();
+                while let Some(t) = frontier.pop() {
+                    for p in plan.job.prerequisites(t) {
+                        if seen.insert(p) {
+                            if let Some((site, runtime)) = placed.get(&p) {
+                                *ancestor_load.entry(*site).or_insert(0.0) += runtime;
+                            }
+                            frontier.push(p);
+                        }
+                    }
+                }
+                let adjusted = |b: &Bid| {
+                    let queued = planned_load.get(&b.0).copied().unwrap_or(0.0)
+                        - ancestor_load.get(&b.0).copied().unwrap_or(0.0);
+                    b.1.expected_completion().as_secs_f64() + queued.max(0.0)
+                };
+                let best = match plan.preference {
+                    OptimizationPreference::Fast => *scored
+                        .iter()
+                        .min_by(|a, b| {
+                            adjusted(a)
+                                .partial_cmp(&adjusted(b))
+                                .unwrap()
+                                .then(a.0.cmp(&b.0))
+                        })
+                        .unwrap(),
+                    OptimizationPreference::Cheap => scored[0],
+                };
+                let mut chosen = best;
+                let prereq_site = plan
+                    .job
+                    .prerequisites(task_id)
+                    .first()
+                    .and_then(|p| assignments.iter().find(|a| a.task == *p))
+                    .map(|a| a.site);
+                if let Some(local) = prereq_site.and_then(|s| scored.iter().find(|b| b.0 == s)) {
+                    if adjusted(local) <= adjusted(&best) * (1.0 + COLOCATION_TOLERANCE) {
+                        chosen = *local;
+                    }
+                }
+                let runtime_s = chosen.1.runtime.as_secs_f64();
+                *planned_load.entry(chosen.0).or_insert(0.0) += runtime_s;
+                placed.insert(task_id, (chosen.0, runtime_s));
+                assignments.push(TaskAssignment {
+                    task: task_id,
+                    site: chosen.0,
+                });
+            }
+            Ok(assignments)
+        }
+
+        /// One (site, task) estimate from a few values each, so equal
+        /// completions and equal costs are common; `None` = no bid.
+        fn table_entry() -> impl Strategy<Value = Option<SiteEstimate>> {
+            (0u64..7, 0u64..3, 0u64..2, 0u64..2, 0u64..2, 0u64..3).prop_map(
+                |(absent, runtime, queue, transfer, load, cost)| {
+                    (absent > 0).then(|| SiteEstimate {
+                        runtime: SimDuration::from_secs(50 + 50 * runtime),
+                        queue_time: SimDuration::from_secs(50 * queue),
+                        transfer_time: SimDuration::from_secs(50 * transfer),
+                        load: load as f64,
+                        cost: 1.0 + cost as f64,
+                    })
+                },
+            )
+        }
 
         proptest! {
+            /// Picking in one pass places every task where sorting each
+            /// task's candidates first did, under both preferences,
+            /// with ties in completion and cost, dead sites, sites that
+            /// cannot estimate a task and a site restriction.
+            #[test]
+            fn schedule_equals_the_sorted_candidate_oracle(
+                task_count in 1u64..9,
+                edges in prop::collection::vec((0u64..9, 0u64..9), 0..12),
+                table in prop::collection::vec(table_entry(), 6 * 9),
+                site_count in 1u64..7,
+                dead_mask in prop::collection::vec(any::<bool>(), 6),
+                allowed_mask in prop::collection::vec(any::<bool>(), 6),
+                restrict in any::<bool>(),
+                cheap in any::<bool>(),
+            ) {
+                let sites: Vec<SiteId> = (1..=site_count).map(SiteId::new).collect();
+                let mut info = TableInfo {
+                    dead: sites.iter().copied().filter(|s| dead_mask[s.raw() as usize - 1]).collect(),
+                    sites: sites.clone(),
+                    table: HashMap::new(),
+                };
+                let mut job = JobSpec::new(JobId::new(1), "prop", UserId::new(1));
+                for i in 1..=task_count {
+                    job.add_task(TaskSpec::new(TaskId::new(i), format!("t{i}"), "x"));
+                    for site in &sites {
+                        if let Some(e) = table[((site.raw() - 1) * 9 + i - 1) as usize] {
+                            info.table.insert((*site, TaskId::new(i)), e);
+                        }
+                    }
+                }
+                for (a, b) in edges {
+                    let (a, b) = (a % task_count + 1, b % task_count + 1);
+                    if a < b {
+                        job.add_dependency(TaskId::new(a), TaskId::new(b));
+                    }
+                }
+                let mut plan = AbstractPlan::new(job);
+                if cheap {
+                    plan.preference = OptimizationPreference::Cheap;
+                }
+                if restrict {
+                    plan.allowed_sites =
+                        sites.iter().copied().filter(|s| allowed_mask[s.raw() as usize - 1]).collect();
+                }
+                let info = Arc::new(info);
+                let picked = Scheduler::new(info.clone()).schedule(&plan).map(|p| p.assignments);
+                let sorted = schedule_by_sorting(info.as_ref(), &plan);
+                match (picked, sorted) {
+                    (Ok(picked), Ok(sorted)) => {
+                        prop_assert_eq!(format!("{picked:?}"), format!("{sorted:?}"))
+                    }
+                    (Err(GaeError::ResourceExhausted(_)), Err(GaeError::ResourceExhausted(_))) => {}
+                    (picked, sorted) => prop_assert!(false, "{picked:?} vs {sorted:?}"),
+                }
+            }
+
             /// Any random DAG over random sites schedules into a plan
             /// that (a) validates, (b) honours site restrictions, and
             /// (c) never places on dead sites.

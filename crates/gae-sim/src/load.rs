@@ -173,8 +173,10 @@ impl LoadTrace {
                     seg += 1;
                 }
                 None => {
-                    // Final segment: extends forever.
-                    return cursor + SimDuration::from_secs_f64(remaining / rate);
+                    // Final segment: extends forever. Work too large to
+                    // finish within `SimTime` never finishes.
+                    let span = SimDuration::from_secs_f64(remaining / rate);
+                    return cursor.checked_add(span).unwrap_or(SimTime::MAX);
                 }
             }
         }

@@ -153,6 +153,11 @@ impl SimDuration {
         }
     }
 
+    /// Saturating addition.
+    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
+        SimDuration(self.0.saturating_add(other.0))
+    }
+
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))

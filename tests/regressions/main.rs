@@ -12,11 +12,15 @@ mod door;
 
 use door::open_gate;
 use gae::aio::{sys, ReactorRpcServer};
+use gae::core::grid::{GridBuilder, ServiceStack};
 use gae::hist::{HistConfig, HistStore};
 use gae::rpc::http::{read_request, read_response, FrameLimits, HttpRequest, HttpResponse};
 use gae::rpc::service::{Method, Methods, Rpc};
 use gae::rpc::{ServiceHost, TcpRpcClient};
-use gae::types::GaeError;
+use gae::types::{
+    AbstractPlan, GaeError, JobId, JobSpec, SimDuration, SimTime, SiteDescription, SiteId, TaskId,
+    TaskSpec, UserId,
+};
 use gae::wire::{write_call, MethodCall, Value};
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -199,4 +203,40 @@ fn a_call_whose_reply_was_cut_off_is_not_sent_again() {
     let calls = server.join().unwrap();
     assert_eq!(calls, 1, "the server received one call {calls} times");
     assert_eq!(client.reconnects(), 1);
+}
+
+/// 1(ix): a finite wire double overflows the scheduler. A task asking
+/// for 1e300 CPU hours is legal — the parser refuses only non-finite
+/// doubles — and at a site with no history its fallback runtime
+/// saturates at `u64::MAX` µs. Where work is queued, adding the queue
+/// time to that runtime overflowed `SiteEstimate::expected_completion`:
+/// a debug build panicked, and a release build wrapped round, so the
+/// queued site scored as the fastest. Both sites are now equally slow,
+/// and the tie goes to the lower site id.
+#[test]
+fn a_huge_requested_cpu_time_scores_as_the_slowest_bid() {
+    let grid = GridBuilder::new()
+        .site(SiteDescription::new(SiteId::new(1), "idle", 1, 1))
+        .site(SiteDescription::new(SiteId::new(2), "queued", 1, 1))
+        .build();
+    let stack = ServiceStack::over(grid);
+    let mut queued = JobSpec::new(JobId::new(1), "queued", UserId::new(1));
+    for t in 1..=2 {
+        queued.add_task(
+            TaskSpec::new(TaskId::new(t), format!("q{t}"), "reco")
+                .with_cpu_demand(SimDuration::from_secs(600)),
+        );
+    }
+    stack
+        .submit_plan(&AbstractPlan::new(queued).restricted_to(vec![SiteId::new(2)]))
+        .unwrap();
+    stack.run_until(SimTime::from_secs(1));
+
+    let mut huge = JobSpec::new(JobId::new(2), "huge", UserId::new(1));
+    let mut task = TaskSpec::new(TaskId::new(3), "h", "reco");
+    task.requested_cpu_hours = 1e300;
+    huge.add_task(task);
+    let plan = stack.submit_job(huge).unwrap();
+    assert_eq!(plan.site_of(TaskId::new(3)), Some(SiteId::new(1)));
+    stack.run_until(SimTime::from_secs(60));
 }

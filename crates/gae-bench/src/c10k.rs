@@ -75,7 +75,7 @@ pub struct ClientTotals {
     pub shed_sum: Duration,
     /// Anything else: transport errors, non-200 statuses, fleet
     /// deadline expiry. Zero in a healthy sweep — the acceptance
-    /// criterion "typed-fault-only rejections".
+    /// rule "typed-fault-only rejections".
     pub errors: u64,
 }
 

@@ -1,10 +1,10 @@
 //! Benchmark harnesses that regenerate the paper's evaluation (§7).
 //!
 //! One module per figure, shared between the `fig5`/`fig6`/`fig7`
-//! binaries (which print the paper-style tables) and the Criterion
-//! benches (which measure the implementation itself). Everything is
-//! seeded and deterministic except Figure 6, which measures real
-//! wall-clock latency over real TCP sockets.
+//! binaries (which print the paper-style tables) and the tests that
+//! use the same set-ups. Everything is seeded and deterministic except
+//! Figure 6, which measures real wall-clock latency over real TCP
+//! sockets.
 
 #![warn(missing_docs)]
 

@@ -1014,8 +1014,10 @@ impl SteeringService {
         }
         match rescheduled {
             Ok(new_plan) => {
-                let new_site = new_plan.site_of(task).expect("rescheduled task");
-                let spec = new_plan.job.task(task).expect("known task").clone();
+                // `reschedule_task` answers `plan.reassigned(task, ..)`, an
+                // error unless the plan places the task and its job holds it.
+                let new_site = new_plan.site_of(task).expect("invariant: placed");
+                let spec = new_plan.job.task(task).expect("invariant: in job").clone();
                 {
                     let mut jobs = self.jobs.write();
                     if let Some(tracked) = jobs.get_mut(&job_id) {

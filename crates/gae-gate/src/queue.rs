@@ -167,7 +167,7 @@ impl<T> AdmissionQueue<T> {
                 .map(|(k, _)| *k)
                 .collect();
             for key in expired {
-                let (_, victim) = inner.entries.remove(&key).expect("listed key");
+                let (_, victim) = inner.entries.remove(&key).expect("invariant: just listed");
                 self.metrics.expired.bump(key.0);
                 rejected.push(Rejected {
                     item: victim,
@@ -180,9 +180,8 @@ impl<T> AdmissionQueue<T> {
         // Still full: shed the lowest class present — but only if it
         // is strictly lower-priority than the arrival.
         if inner.entries.len() >= self.config.capacity {
-            let worst = *inner.entries.last_key_value().expect("full queue").0;
-            if worst.0 > class {
-                let (_, victim) = inner.entries.remove(&worst).expect("listed key");
+            if let Some(lowest) = inner.entries.last_entry().filter(|e| e.key().0 > class) {
+                let (worst, (_, victim)) = lowest.remove_entry();
                 self.metrics.shed.bump(worst.0);
                 let retry_after = Self::retry_after(&inner, now);
                 rejected.push(Rejected {
@@ -217,8 +216,7 @@ impl<T> AdmissionQueue<T> {
     pub fn pop_blocking(&self, wait: Duration) -> Option<Popped<T>> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(key) = inner.entries.first_key_value().map(|(k, _)| *k) {
-                let (deadline, item) = inner.entries.remove(&key).expect("listed key");
+            if let Some((key, (deadline, item))) = inner.entries.pop_first() {
                 self.metrics.set_queue_depth(inner.entries.len());
                 let now = self.clock.now();
                 return Some(if deadline <= now {

@@ -2,6 +2,7 @@
 //! replicas, submission-estimate lifetime, and probe-cache concurrency.
 
 use gae::core::estimator::TransferEstimator;
+use gae::exec::{ExecutionService, SiteConfig};
 use gae::prelude::*;
 use gae::sim::{Link, NetworkModel};
 use gae::types::GaeError;
@@ -133,6 +134,27 @@ fn estimate_db_is_emptied_once_tasks_settle() {
         0,
         "estimates retained for settled tasks"
     );
+}
+
+// ---- §6.2's queue time over a deep backlog ----
+
+/// A probe at `NORMAL` waits for every task that outranks it, each
+/// counted at its whole estimate, at any depth; `cost_floors` holds the
+/// cost flat from 100 to 10,000 queued.
+#[test]
+fn queue_time_counts_every_task_ahead_in_full() {
+    for depth in [10u64, 100, 10_000] {
+        let site = SiteDescription::new(sid(1), "s", 1, 1);
+        let mut exec = ExecutionService::new(SiteConfig::free(site));
+        for id in 1..=depth {
+            let spec = TaskSpec::new(TaskId::new(id), "t", "x").with_priority(Priority::new(5));
+            let condor = exec.submit(spec, None).unwrap();
+            exec.set_estimate(condor, Some(SimDuration::from_secs(100)))
+                .unwrap();
+        }
+        let queue_time = exec.backlog_above(Priority::NORMAL);
+        assert_eq!(queue_time, SimDuration::from_secs(100 * depth));
+    }
 }
 
 // ---- a task and its estimate are one record under one lock ----

@@ -766,6 +766,8 @@ fn an_inline_burst_does_not_starve_a_pooled_call() {
     server.stop();
 }
 
+/// Replies keep request order across lanes, and the counters say which
+/// lane served each call: both lanes driven, as `cost_floors` needs.
 #[test]
 fn replies_keep_request_order_across_lanes() {
     let server = ReactorRpcServer::start_gated(echo_host(), 2, open_gate(2)).unwrap();

@@ -443,6 +443,34 @@ fn warm_service_estimates_scan_nothing() {
     );
 }
 
+/// The view floors `cost_floors` times at 10⁶ rows, as counts: a warm
+/// view estimate reads no row at any size, where the scan it equals
+/// reads them all. (The pushdown floor's counts are `history_rpc`'s
+/// `pushdown_prunes_and_estimates_stay_fast_at_scale`.)
+#[test]
+fn warm_view_estimates_read_no_rows_at_any_size() {
+    let (m, site) = (meta(0, 0, 1, false), SiteId::new(1));
+    let estimator = RuntimeEstimator::new(HistoryStore::new(16));
+    for n in [1_000u64, 100_000] {
+        let store = HistStore::new(HistConfig::default());
+        for t in 0..n {
+            let row = record(t, 1 + t % SITES, &m, 500 + t % 1_000 * 37, t % 10 != 0);
+            store.apply(&HistOp::Append(row));
+        }
+        let view = bits(estimator.estimate_from_views(&store, site, &m));
+        let before = store.stats();
+        assert_eq!(bits(estimator.estimate_columnar(&store, site, &m)), view);
+        let scanned = store.stats();
+        assert!(scanned.rows_scanned - before.rows_scanned >= n);
+        assert_eq!(bits(estimator.estimate_from_views(&store, site, &m)), view);
+        let after = store.stats();
+        assert_eq!(
+            (after.rows_scanned, after.scans),
+            (scanned.rows_scanned, scanned.scans)
+        );
+    }
+}
+
 // ---- the stale-memo race ----
 
 /// A completion used to invalidate the site's memo *before* its row

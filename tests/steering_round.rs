@@ -312,8 +312,8 @@ proptest! {
 }
 
 /// `tasks` long single-task jobs' worth of work over `sites` free
-/// sites of `slots` slots each — the shape of the `benches/steering.rs`
-/// sweep stack: what fits runs, the rest queues, nothing to move.
+/// sites of `slots` slots each — the shape of the `cost_floors` sweep
+/// stack: what fits runs, the rest queues, nothing to move.
 /// Task 1 alone is short (100 s) and first in, so it runs.
 fn queued_up_stack(sites: u64, slots: u32, tasks: u64) -> Arc<ServiceStack> {
     let mut builder = GridBuilder::new();
@@ -410,6 +410,21 @@ fn a_round_probes_running_tasks_and_parked_ones_at_transitioned_sites() {
     steering.poll();
     assert_eq!(tracked_in(&stack, TaskStatus::Running).len(), 64 - 8);
     assert_eq!(steering.last_round_probes(), 64 - 8);
+}
+
+/// The floors `cost_floors` times, as counts at its sizes: a round over
+/// 8,000 tracked tasks probes the 512 that run, at 4 sites as at 256 —
+/// flat in the sites, parked tasks free, and under 1/15 of the probes
+/// of a round through `locate`, which looks up every tracked task.
+#[test]
+fn a_round_over_8000_tracked_probes_the_512_running_at_any_site_count() {
+    for sites in [4, 256] {
+        let stack = queued_up_stack(sites, (512 / sites) as u32, 8_000);
+        stack.run_until(SimTime::from_secs(30));
+        stack.steering.poll();
+        assert_eq!(tracked_locations(&stack).len(), 8_000);
+        assert_eq!(stack.steering.last_round_probes(), 512, "{sites} sites");
+    }
 }
 
 /// A sleeping job — everything it has in flight parked — is woken by

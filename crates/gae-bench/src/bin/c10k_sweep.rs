@@ -4,6 +4,7 @@
 //! ```text
 //! cargo run --release -p gae-bench --bin c10k_sweep            # 100/1000/4000 in-process
 //! cargo run --release -p gae-bench --bin c10k_sweep -- --full  # adds the 10,000-client rows
+//! cargo run --release -p gae-bench --bin c10k_sweep -- 1 2 3 5 25 50 100  # Figure 6, gated
 //! ```
 //!
 //! This box caps each process at 20k fds, so the full 10k rows run

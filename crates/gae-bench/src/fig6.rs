@@ -117,7 +117,7 @@ pub fn figure6(client_counts: &[usize], config: Fig6Config) -> Vec<Fig6Row> {
     }));
     // The era's servlet container: four queued requests per worker,
     // and a queued request waits as long as the sweep runs.
-    let gate = crate::gate::queue_only_gate(4 * config.workers, SimDuration::from_secs(3_600));
+    let gate = crate::c10k::queue_only_gate(4 * config.workers, SimDuration::from_secs(3_600));
     let server = ReactorRpcServer::start_gated(host, config.workers, gate).expect("bind loopback");
     let addr = server.addr();
 

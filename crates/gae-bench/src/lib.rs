@@ -12,7 +12,6 @@ pub mod c10k;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
-pub mod gate;
 pub mod scenario;
 
 pub use c10k::{
@@ -21,5 +20,4 @@ pub use c10k::{
 pub use fig5::{figure5, Fig5Result, Fig5Row};
 pub use fig6::{figure6, Fig6Config, Fig6Row};
 pub use fig7::{figure7, Fig7Config, Fig7Result};
-pub use gate::{gate_sweep, GateSweepConfig, GateSweepRow};
 pub use scenario::{run_scenario, ScenarioOptions, ScenarioReport};

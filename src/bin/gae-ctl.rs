@@ -2,11 +2,16 @@
 //! deployment.
 //!
 //! ```text
-//! gae-ctl serve [port]                    start a demo grid + all services
+//! gae-ctl serve [port] [--store DIR]      serve the demo grid + all services
 //! gae-ctl methods <addr>                  list service.method names
 //! gae-ctl call <addr> <method> [args...]  invoke a method
 //!     --user NAME --pass PW               log in first (steering needs it)
 //! ```
+//!
+//! `serve` runs [`gae::server::Server`]. With `--store DIR` it persists
+//! into `DIR`, recovering what is there first. SIGINT or SIGTERM stops
+//! it: the door stops, a final checkpoint commits every acknowledged
+//! request, and the process exits 0.
 //!
 //! Argument literals: integers and floats are sent as numbers,
 //! `true`/`false` as booleans, everything else as strings.
@@ -14,20 +19,20 @@
 //! Demo walk-through:
 //!
 //! ```text
-//! $ gae-ctl serve 8042 &
+//! $ gae-ctl serve 8042 --store /tmp/gae-demo &
 //! $ gae-ctl methods 127.0.0.1:8042
 //! $ gae-ctl call 127.0.0.1:8042 jobmon.job_info 1
 //! $ gae-ctl call 127.0.0.1:8042 --user alice --pass analysis steering.pause 1
 //! ```
 
-use gae::core::jobmon::JobMonitoringRpc;
-use gae::core::steering::SteeringRpc;
-use gae::core::MonAlisaRpc;
 use gae::prelude::*;
-use gae::rpc::{Credentials, Rpc, ServiceHost, TcpRpcClient};
+use gae::rpc::{Rpc, TcpRpcClient};
+use gae::server::Server;
 use gae::wire::Value;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::os::raw::c_int;
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn parse_value(raw: &str) -> Value {
     if let Ok(i) = raw.parse::<i64>() {
@@ -48,12 +53,24 @@ fn parse_value(raw: &str) -> Value {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  gae-ctl serve [port]\n  gae-ctl methods <addr>\n  \
+        "usage:\n  gae-ctl serve [port] [--store DIR]\n  gae-ctl methods <addr>\n  \
          gae-ctl call <addr> [--user U --pass P] <service.method> [args...]\n  \
          gae-ctl submit <addr> --user U --pass P --job-id N --name NAME \
          --tasks K --cpu SECONDS [--chain]"
     );
     std::process::exit(2);
+}
+
+/// Reports `what` and exits 1.
+fn fail(what: impl std::fmt::Display) -> ! {
+    eprintln!("gae-ctl: {what}");
+    std::process::exit(1);
+}
+
+fn login(client: &mut TcpRpcClient, user: &str, pass: &str) {
+    if let Err(e) = client.login(user, pass) {
+        fail(format_args!("login failed: {e}"));
+    }
 }
 
 fn resolve(addr: &str) -> SocketAddr {
@@ -67,26 +84,27 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("serve") => {
-            let port = args
-                .iter()
-                .skip(1)
-                .find_map(|p| p.parse::<u16>().ok())
-                .unwrap_or(8042);
-            serve(port);
+            let (mut port, mut store) = (None, None);
+            let mut rest = args[1..].iter();
+            while let Some(a) = rest.next() {
+                match a.as_str() {
+                    "--store" => store = Some(rest.next().unwrap_or_else(|| usage())),
+                    p if port.is_none() => port = Some(p.parse().unwrap_or_else(|_| usage())),
+                    _ => usage(),
+                }
+            }
+            serve(port.unwrap_or(8042), store.map(Path::new));
         }
         Some("methods") => {
             let addr = resolve(args.get(1).unwrap_or_else(|| usage()));
             let mut client = TcpRpcClient::connect(addr);
-            match client.call("system.listMethods", vec![]) {
-                Ok(v) => {
-                    for m in v.as_array().unwrap_or(&[]) {
-                        println!("{}", m.as_str().unwrap_or("?"));
-                    }
-                }
-                Err(e) => {
-                    eprintln!("gae-ctl: {e}");
-                    std::process::exit(1);
-                }
+            let methods = client.call("system.listMethods", vec![]);
+            for m in methods
+                .unwrap_or_else(|e| fail(e))
+                .as_array()
+                .unwrap_or(&[])
+            {
+                println!("{}", m.as_str().unwrap_or("?"));
             }
         }
         Some("call") => {
@@ -107,18 +125,12 @@ fn main() {
             let method = method.unwrap_or_else(|| usage());
             let mut client = TcpRpcClient::connect(addr);
             if let (Some(u), Some(p)) = (user.as_deref(), pass.as_deref()) {
-                if let Err(e) = client.login(u, p) {
-                    eprintln!("gae-ctl: login failed: {e}");
-                    std::process::exit(1);
-                }
+                login(&mut client, u, p);
             }
-            match client.call(&method, params) {
-                Ok(v) => println!("{v}"),
-                Err(e) => {
-                    eprintln!("gae-ctl: {e}");
-                    std::process::exit(1);
-                }
-            }
+            println!(
+                "{}",
+                client.call(&method, params).unwrap_or_else(|e| fail(e))
+            );
         }
         Some("submit") => {
             let mut rest = args[1..].iter();
@@ -161,114 +173,66 @@ fn main() {
             }
             let mut client = TcpRpcClient::connect(addr);
             match (user.as_deref(), pass.as_deref()) {
-                (Some(u), Some(p)) => {
-                    if let Err(e) = client.login(u, p) {
-                        eprintln!("gae-ctl: login failed: {e}");
-                        std::process::exit(1);
-                    }
-                }
+                (Some(u), Some(p)) => login(&mut client, u, p),
                 _ => {
                     eprintln!("gae-ctl: submit requires --user and --pass");
                     std::process::exit(2);
                 }
             }
-            match client.call(
-                "scheduler.submit_job",
-                vec![gae::core::submit::job_to_value(&job)],
-            ) {
-                Ok(plan) => println!("{plan}"),
-                Err(e) => {
-                    eprintln!("gae-ctl: {e}");
-                    std::process::exit(1);
-                }
-            }
+            let job = gae::core::submit::job_to_value(&job);
+            let plan = client.call("scheduler.submit_job", vec![job]);
+            println!("{}", plan.unwrap_or_else(|e| fail(e)));
         }
         _ => usage(),
     }
 }
 
-/// Demo server: a two-site grid with a running analysis job, virtual
-/// time pumped in step with the wall clock.
-fn serve(port: u16) {
-    let grid = GridBuilder::new()
-        .site_with_load(
-            SiteDescription::new(SiteId::new(1), "busy-cluster", 4, 1),
-            3.0,
-        )
-        .site(SiteDescription::new(SiteId::new(2), "free-tier2", 4, 2))
-        .build();
-    let stack = ServiceStack::over(grid.clone());
+/// Set by SIGINT and SIGTERM; `serve`'s loop polls it.
+static STOP: AtomicBool = AtomicBool::new(false);
 
-    let host = ServiceHost::open();
-    host.sessions()
-        .register(&Credentials::new("alice", "analysis"))
-        .expect("fresh session manager");
-    let alice = host.sessions().user_id("alice").expect("registered");
-    host.register(Arc::new(JobMonitoringRpc::new(stack.jobmon.clone())));
-    host.register(Arc::new(SteeringRpc::new(stack.steering.clone())));
-    host.register(Arc::new(MonAlisaRpc::new(grid.monitor().clone())));
-    host.register(Arc::new(gae::core::estimator::service::EstimatorRpc::new(
-        stack.estimators.clone(),
-    )));
-    host.register(Arc::new(gae::core::SchedulerRpc::new(&stack)));
-    host.attach_obs(stack.obs());
-    host.register(Arc::new(gae::core::TraceRpc::new(stack.obs())));
-    host.register(Arc::new(gae::core::StatsRpc::new(stack.obs())));
-    host.register(Arc::new(gae::core::HistoryRpc::new(
-        stack.hist.clone(),
-        stack.obs(),
-    )));
-    let catalog = gae::core::ReplicaCatalog::new(grid.clone());
-    catalog.register(
-        FileRef::new("lfn:/cms/demo-dataset.root", 250_000_000).with_replicas(vec![SiteId::new(2)]),
-    );
-    host.register(Arc::new(gae::core::ReplicaRpc::new(catalog.clone())));
-    // §4.2.4's web interface: GET / for the index, /state/<task> for
-    // execution-state downloads.
-    host.register_web(stack.steering.web_handler());
+extern "C" fn on_stop_signal(_: c_int) {
+    STOP.store(true, Ordering::Release);
+}
 
-    // A long-running demo job to monitor and steer.
-    let mut job = JobSpec::new(JobId::new(1), "demo-analysis", alice);
-    for i in 1..=3u64 {
-        job.add_task(
-            TaskSpec::new(TaskId::new(i), format!("step-{i}"), "reco")
-                .with_cpu_demand(SimDuration::from_secs(1_800 * i)),
-        );
+extern "C" {
+    fn signal(signum: c_int, handler: extern "C" fn(c_int)) -> usize;
+}
+
+/// Serves the demo deployment until SIGINT or SIGTERM, then stops it.
+fn serve(port: u16, store: Option<&Path>) {
+    const SIGINT: c_int = 2;
+    const SIGTERM: c_int = 15;
+    // SAFETY: the handler only stores to an atomic, which is
+    // async-signal-safe; it is installed before anything is printed.
+    unsafe {
+        signal(SIGINT, on_stop_signal);
+        signal(SIGTERM, on_stop_signal);
     }
-    stack.submit_job(job).expect("schedulable");
-
-    let addr = format!("127.0.0.1:{port}");
-    // Held, never stopped: it serves until the process dies. The
-    // stack's own gate fronts the socket, so the quota-derived classes
-    // and the published `gate` entity are about this traffic; its
-    // clock is the virtual time the loop below pumps.
-    let server = match gae::aio::ReactorRpcServer::bind_gated(host, 16, &addr, stack.gate.clone()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("gae-ctl: cannot bind port {port}: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("gae-ctl: serving on {}", server.endpoint());
+    let server = Server::start(&format!("127.0.0.1:{port}"), store)
+        .unwrap_or_else(|e| fail(format_args!("cannot serve on port {port}: {e}")));
+    let door = &server.door;
+    println!("gae-ctl: serving on {}", door.endpoint());
     println!("gae-ctl: demo user alice / analysis; tasks 1..3 of job 1 are live");
-    println!("gae-ctl: virtual time tracks wall time; Ctrl-C to stop");
+    println!("gae-ctl: virtual time tracks wall time; Ctrl-C or SIGTERM to stop");
 
-    // Pump virtual time 1:1 with real time; every ten seconds say what
-    // the door did, if it did anything.
-    let start = std::time::Instant::now();
+    // Every ten seconds say what the door did, if it did anything.
     let mut reported = 0;
     for tick in 1u64.. {
+        if STOP.load(Ordering::Acquire) {
+            break;
+        }
         std::thread::sleep(std::time::Duration::from_millis(200));
-        let now = SimTime::from_secs_f64(start.elapsed().as_secs_f64());
-        stack.run_until(now);
-        catalog.poll();
-        let served = server.requests_served();
+        let served = door.requests_served();
         if tick % 50 == 0 && served != reported {
             reported = served;
             println!(
                 "gae-ctl: {served} requests served, {} of them on the reactor thread",
-                server.inline_served()
+                door.inline_served()
             );
         }
+    }
+    match server.stop() {
+        Ok(index) => println!("gae-ctl: stopped at commit {index}"),
+        Err(e) => fail(format_args!("final checkpoint failed: {e}")),
     }
 }

@@ -30,6 +30,7 @@
 //! | [`durable`] | `gae-durable` | checksummed WAL + snapshots, crash recovery |
 //! | [`repl`] | `gae-repl` | replicated log: leader append, follower replay, failover |
 //! | [`core`] | `gae-core` | **the paper's services**: steering, jobmon, estimators |
+//! | [`server`] | `gae` | the served host: every production service, the door, the pump |
 //!
 //! ## Five-minute tour
 //!
@@ -74,6 +75,8 @@ pub use gae_trace as trace;
 pub use gae_types as types;
 pub use gae_wire as wire;
 pub use gae_xfer as xfer;
+
+pub mod server;
 
 /// Everything most programs need, in one import.
 pub mod prelude {

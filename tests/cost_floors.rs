@@ -16,7 +16,7 @@ use gae::rpc::service::{CallContext, MethodInfo, Service};
 use gae::rpc::{Rpc, ServiceHost, TcpRpcClient};
 use gae::trace::TaskMeta;
 use gae::wire::Value;
-use gae_bench::gate::queue_only_gate;
+use gae_bench::c10k::queue_only_gate;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;

@@ -12,11 +12,11 @@
 //! upgrades; the scenario runner keeps its stacks to itself, so that
 //! path is held to the heap its thread still owns afterwards.
 
-use gae::aio::ReactorRpcServer;
 use gae::durable::fault::unique_temp_dir;
 use gae::gate::{BreakerConfig, TokenBucketConfig};
 use gae::prelude::*;
 use gae::rpc::{Rpc, ServiceHost, TcpRpcClient};
+use gae::server::{Server, PASSWORD, USER};
 use gae::trace::ScenarioSpec;
 use gae::wire::Value;
 use gae_bench::scenario::{run_scenario, ScenarioOptions};
@@ -24,8 +24,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
 use std::sync::{Arc, Weak};
-
-mod served;
 
 thread_local! {
     /// Heap bytes this thread allocated and has not freed itself.
@@ -244,9 +242,8 @@ fn a_crashed_stack_and_its_recovered_successor_are_freed() {
 
 #[test]
 fn a_served_stack_is_freed_once_its_server_stops() {
-    let (stack, host) = served::served_host();
-    let server = ReactorRpcServer::start_gated(host.clone(), 2, stack.gate.clone()).expect("bind");
-    let mut client = TcpRpcClient::connect(server.addr());
+    let server = Server::start("127.0.0.1:0", None).expect("start");
+    let mut client = TcpRpcClient::connect(server.door.addr());
     // One call on each lane: pooled through the gate's queue, and
     // inline on the reactor thread.
     let status = client
@@ -257,16 +254,18 @@ fn a_served_stack_is_freed_once_its_server_stops() {
         client.call("system.ping", vec![]).expect("inline call"),
         Value::from("pong")
     );
-    let alice = served::logged_in(&host);
-    host.dispatch(&alice, "steering.my_jobs", &[])
+    client.login(USER, PASSWORD).expect("login");
+    client
+        .call("steering.my_jobs", vec![])
         .expect("logged-in call");
-    stack.run_until(SimTime::from_secs(60));
+    // Let the pump run the stack at least once.
+    std::thread::sleep(std::time::Duration::from_millis(300));
 
     let mut watch = Watch::default();
-    watch.stack("served", &stack);
-    watch.add("host", &host);
-    server.stop();
-    drop((client, host, stack));
+    watch.stack("served", &server.stack);
+    watch.add("host", &server.host);
+    assert_eq!(server.stop().expect("stop"), 0, "no store, no commits");
+    drop(client);
     watch.assert_all_freed();
 }
 

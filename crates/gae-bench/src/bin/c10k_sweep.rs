@@ -13,8 +13,9 @@
 //! 10k accepted sockets, the child keeps the 10k client sockets, and
 //! totals come back over the child's stdout as one parseable line.
 
-use gae_bench::c10k::{c10k_in_process, c10k_with_fleet, drive_clients, C10kConfig, C10kRow};
-use gae_bench::ClientTotals;
+use gae_bench::c10k::{
+    c10k_in_process, c10k_with_fleet, drive_clients, C10kConfig, C10kRow, ClientTotals,
+};
 use gae_types::{GaeError, GaeResult};
 use std::net::SocketAddr;
 use std::process::{Command, Stdio};

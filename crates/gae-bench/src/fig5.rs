@@ -4,14 +4,16 @@
 //! The paper used Allen Downey's 1995 SDSC Paragon accounting data
 //! (100-job history, 20 probes). We use the Downey-style synthetic
 //! workload from `gae-trace` with the same split. The headline seed
-//! (2) was chosen because its mean error (≈13.4 %) matches the
-//! paper's; the `fig5` binary also prints the across-seed
-//! distribution so the calibration is transparent.
+//! (2) gives a mean error of 11.70 % over the 18 of 20 probes that
+//! succeed, below the paper's 13.53 %. It is not re-picked to hit the
+//! paper's number; `render` also prints the across-seed distribution
+//! so the calibration is transparent.
 
+use crate::paper::Page;
 use gae_core::estimator::{EstimationMethod, HistoryStore, RuntimeEstimator};
 use gae_trace::{TaskMeta, WorkloadModel};
 
-/// The seed whose mean error lands on the paper's 13.53 %.
+/// The seed Figure 5 reports: 11.70 % mean error over 18 of 20 probes.
 pub const HEADLINE_SEED: u64 = 2;
 
 /// One probe job's outcome.
@@ -67,20 +69,71 @@ pub fn figure5(seed: u64, method: EstimationMethod) -> Fig5Result {
     }
 }
 
+/// `results/fig5.txt`: the headline seed's probes, the mean error
+/// across 20 seeds, and the estimation-method ablation.
+pub fn render() -> String {
+    let mut out = Page::default();
+    // `figure5` keeps only the probes that succeeded, as the paper does.
+    let result = figure5(HEADLINE_SEED, EstimationMethod::Hybrid);
+    let kept = result.rows.len();
+    out.line(format!(
+        "== Figure 5: Actual & Estimated Runtimes for {kept} of 20 test cases =="
+    ));
+    out.line("history: 100 jobs (Downey-style synthetic Paragon trace)");
+    out.line(format!(
+        "probes:  the next 20 jobs, {kept} succeeded; seed {HEADLINE_SEED}\n"
+    ));
+    out.line(" job      actual (s)     estimated (s)     err %");
+    for row in &result.rows {
+        let (job, actual, estimated, err) = (row.job, row.actual_s, row.estimated_s, row.error_pct);
+        out.line(format!(
+            "{job:>4}  {actual:>14.0}  {estimated:>16.0}  {err:>8.2}"
+        ));
+    }
+    out.line(format!(
+        "\nmean percentage error: {:.2}%   (paper reports 13.53%)",
+        result.mean_error_pct
+    ));
+
+    out.line("\n-- calibration transparency: mean error across seeds --");
+    let errors = seed_errors(EstimationMethod::Hybrid);
+    for (seed, err) in (1..).zip(&errors) {
+        out.line(format!("  seed {seed:>2}: {err:>6.2}%"));
+    }
+    out.line(format!(
+        "  median across 20 seeds: {:.2}%",
+        median_worst(errors).0
+    ));
+
+    out.line("\n-- ablation: the statistical estimate of §6.1 --");
+    for (name, method) in [
+        ("mean only", EstimationMethod::Mean),
+        ("regression only", EstimationMethod::Regression),
+        ("hybrid (mean + regression)", EstimationMethod::Hybrid),
+    ] {
+        let (median, worst) = median_worst(seed_errors(method));
+        out.line(format!(
+            "  {name:<27} median {median:>6.2}%   worst {worst:>6.2}%"
+        ));
+    }
+    out.0
+}
+
+/// Mean error of seeds 1..=20 under `method`, in seed order.
+fn seed_errors(method: EstimationMethod) -> Vec<f64> {
+    (1..=20)
+        .map(|seed| figure5(seed, method).mean_error_pct)
+        .collect()
+}
+
+fn median_worst(mut errors: Vec<f64>) -> (f64, f64) {
+    errors.sort_by(f64::total_cmp);
+    (errors[errors.len() / 2], errors[errors.len() - 1])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn headline_seed_matches_paper_regime() {
-        let result = figure5(HEADLINE_SEED, EstimationMethod::Hybrid);
-        assert!(result.rows.len() >= 15, "most probes succeed");
-        assert!(
-            (result.mean_error_pct - 13.53).abs() < 3.0,
-            "mean error {:.2}% should sit near the paper's 13.53%",
-            result.mean_error_pct
-        );
-    }
 
     #[test]
     fn estimates_track_actuals() {

@@ -16,6 +16,7 @@
 //! servlet container of the era. Set `service_delay_ms: 0` to measure
 //! the raw Rust stack instead.
 
+use crate::paper::Page;
 use gae_aio::ReactorRpcServer;
 use gae_core::grid::{GridBuilder, ServiceStack};
 use gae_core::jobmon::JobMonitoringRpc;
@@ -172,6 +173,35 @@ pub fn figure6(client_counts: &[usize], config: Fig6Config) -> Vec<Fig6Row> {
 
 /// The paper's client counts.
 pub const PAPER_CLIENT_COUNTS: [usize; 7] = [1, 2, 3, 5, 25, 50, 100];
+
+/// `results/fig6.txt`: the paper's client counts at the default
+/// configuration. It times real sockets, so no two renders agree.
+pub fn render() -> String {
+    let config = Fig6Config::default();
+    let mut out = Page::default();
+    out.line("== Figure 6: Job Monitoring Service response times ==");
+    out.line(format!(
+        "transport: XML-RPC over HTTP over loopback TCP; {} workers; {} requests/client; \
+         emulated service time {} ms\n",
+        config.workers, config.requests_per_client, config.service_delay_ms
+    ));
+    out.line("parallel clients  avg response time (ms)  throughput (req/s)");
+    for row in figure6(&PAPER_CLIENT_COUNTS, config) {
+        out.line(format!(
+            "{:>16}  {:>22.2}  {:>18.0}",
+            row.clients, row.mean_response_ms, row.throughput_rps
+        ));
+    }
+    out.line(
+        "\npaper's series (Windows-XP JClarens, 2005): \
+         1→~10ms, 5→~15ms, 25→~30ms, 50→~40ms, 100→~65ms",
+    );
+    out.line(
+        "expected shape: flat while clients ≤ workers, then a roughly \
+         linear climb as requests queue.",
+    );
+    out.0
+}
 
 #[cfg(test)]
 mod tests {

@@ -9,6 +9,7 @@
 //! exactly as the paper computes it: accumulated Condor wall-clock
 //! time divided by the 283 s free-CPU estimate.
 
+use crate::paper::Page;
 use gae_core::grid::{GridBuilder, ServiceStack};
 use gae_core::steering::SteeringPolicy;
 use gae_types::{
@@ -155,61 +156,76 @@ pub fn figure7(config: Fig7Config) -> Fig7Result {
     }
 }
 
+/// `results/fig7.txt`: the paper's run, the checkpointed ablation and
+/// the decision-time sweep.
+pub fn render() -> String {
+    let mut out = Page::default();
+    out.line("== Figure 7: Job Completion at different sites ==");
+    out.line("job: 283 s of CPU on a free node; site A load 3.68 (rate ≈ 0.21); site B free\n");
+    let paper = Fig7Config::default();
+    write_run(&mut out, "paper configuration (restart migration)", paper);
+    out.line("paper's numbers: decision ≈ 84.9 s, steered completion ≈ 369 s,");
+    out.line("unsteered job far below 100% at the 453 s chart edge.\n");
+    let checkpointed = Fig7Config {
+        checkpointable: true,
+        ..Fig7Config::default()
+    };
+    let label = "ablation: checkpointable job (\"completed even quicker\", §7)";
+    write_run(&mut out, label, checkpointed);
+
+    out.line("-- ablation: how the decision time changes completion --");
+    out.line("   min observation (s)       move at (s)        completion (s)");
+    let or_dash = |t: Option<f64>| t.map_or_else(|| "-".into(), |t| format!("{t:.1}"));
+    for obs in [28.3, 56.6, 84.9, 113.2, 141.5, 198.1] {
+        let r = figure7(Fig7Config {
+            min_observation_s: obs,
+            ..Fig7Config::default()
+        });
+        let (moved, done) = (or_dash(r.move_at_s), or_dash(r.steered_completion_s));
+        out.line(format!("{obs:>22.1}  {moved:>16}  {done:>20}"));
+    }
+    out.line("\n\"A critical factor ... is the time at which the decision to move the job");
+    out.line("is taken. The quicker the decision is taken, the better the chance that it");
+    out.line("will complete quicker.\" (§7)");
+    out.0
+}
+
+fn write_run(out: &mut Page, label: &str, config: Fig7Config) {
+    let r = figure7(config);
+    out.line(format!("-- {label} --"));
+    out.line("elapsed(s)  steered progress %  unsteered progress %");
+    for p in &r.points {
+        out.line(format!(
+            "{:>10.1}  {:>18.1}  {:>20.1}",
+            p.elapsed_s, p.steered_pct, p.unsteered_pct
+        ));
+    }
+    out.line(format!(
+        "free-CPU estimate (dashed line): {:.0} s",
+        r.free_cpu_estimate_s
+    ));
+    out.line(match r.move_at_s {
+        Some(t) => format!("steering decision (move A→B) at: {t:.1} s"),
+        None => "steering never moved the job".into(),
+    });
+    out.line(match r.steered_completion_s {
+        Some(t) => format!("steered job completed at: {t:.1} s"),
+        None => "steered job did not complete in the horizon".into(),
+    });
+    let last = r.points.last().expect("points");
+    out.line(match r.unsteered_completion_s {
+        Some(t) => format!("unsteered job completed at: {t:.1} s"),
+        None => format!(
+            "unsteered job still at {:.1}% at the {:.0} s chart edge",
+            last.unsteered_pct, last.elapsed_s
+        ),
+    });
+    out.line("");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reproduces_the_paper_numbers() {
-        let r = figure7(Fig7Config::default());
-        // The move decision lands at the paper's ≈ 84.9 s.
-        let move_at = r.move_at_s.expect("steering must move the job");
-        assert!((move_at - 84.9).abs() < 1.0, "move at {move_at}");
-        // The steered job completes near the paper's 369 s.
-        let done = r.steered_completion_s.expect("steered job completes");
-        assert!((done - 369.0).abs() < 10.0, "steered completion {done}");
-        // The control job is far from done at the chart edge.
-        let last = r.points.last().expect("points");
-        assert!(
-            last.unsteered_pct < 45.0,
-            "unsteered at {}%",
-            last.unsteered_pct
-        );
-        assert!((last.steered_pct - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn checkpointing_completes_even_quicker() {
-        let restart = figure7(Fig7Config::default());
-        let warm = figure7(Fig7Config {
-            checkpointable: true,
-            ..Fig7Config::default()
-        });
-        let t_restart = restart.steered_completion_s.expect("completes");
-        let t_warm = warm.steered_completion_s.expect("completes");
-        assert!(
-            t_warm < t_restart - 10.0,
-            "checkpointed migration ({t_warm}s) must beat restart ({t_restart}s)"
-        );
-    }
-
-    #[test]
-    fn earlier_decisions_complete_earlier() {
-        let early = figure7(Fig7Config {
-            min_observation_s: 28.3,
-            ..Fig7Config::default()
-        });
-        let late = figure7(Fig7Config {
-            min_observation_s: 141.5,
-            ..Fig7Config::default()
-        });
-        let t_early = early.steered_completion_s.expect("completes");
-        let t_late = late.steered_completion_s.expect("completes");
-        assert!(
-            t_early < t_late,
-            "the paper: 'the quicker the decision is taken, the better' ({t_early} vs {t_late})"
-        );
-    }
 
     #[test]
     fn no_steering_means_no_move() {

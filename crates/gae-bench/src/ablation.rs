@@ -235,7 +235,7 @@ fn queue_run_once(depth: usize, estimate_noise_sigma: f64, seed: u64) -> (f64, f
         let spec = TaskSpec::new(TaskId::new(i as u64 + 1), format!("t{i}"), "x")
             .with_cpu_demand(SimDuration::from_secs_f64(demand))
             .with_priority(Priority::new(5));
-        let condor = exec.submit(spec, None).expect("submit");
+        let condor = exec.submit(spec.into(), None).expect("submit");
         // The stored estimate is the true runtime distorted by the
         // runtime estimator's characteristic error.
         let estimate = demand * lognormal_noise(&mut rng, estimate_noise_sigma);
@@ -244,7 +244,7 @@ fn queue_run_once(depth: usize, estimate_noise_sigma: f64, seed: u64) -> (f64, f
     }
     let probe =
         TaskSpec::new(TaskId::new(9_999), "probe", "x").with_cpu_demand(SimDuration::from_secs(10));
-    let probe = exec.submit(probe, None).expect("probe");
+    let probe = exec.submit(probe.into(), None).expect("probe");
     exec.set_estimate(probe, Some(SimDuration::from_secs(10)))
         .expect("just submitted");
     let estimated = exec.backlog_above(Priority::NORMAL).as_secs_f64();

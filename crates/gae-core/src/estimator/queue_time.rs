@@ -61,10 +61,11 @@ mod tests {
         )))
     }
 
-    fn task(id: u64, demand: u64, prio: i32) -> TaskSpec {
+    fn task(id: u64, demand: u64, prio: i32) -> std::sync::Arc<TaskSpec> {
         TaskSpec::new(TaskId::new(id), format!("t{id}"), "x")
             .with_cpu_demand(SimDuration::from_secs(demand))
             .with_priority(Priority::new(prio))
+            .into()
     }
 
     #[test]

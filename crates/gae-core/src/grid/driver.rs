@@ -160,7 +160,7 @@ mod tests {
             for j in 0..3u64 {
                 let spec = TaskSpec::new(TaskId::new(i * 10 + j), format!("t{i}-{j}"), "app")
                     .with_cpu_demand(SimDuration::from_secs(7 * (j + 1)));
-                grid.submit(SiteId::new(i), spec, None).unwrap();
+                grid.submit(SiteId::new(i), spec.into(), None).unwrap();
             }
         }
         grid

@@ -266,7 +266,7 @@ impl Grid {
     pub fn submit(
         &self,
         site: SiteId,
-        spec: TaskSpec,
+        spec: Arc<TaskSpec>,
         checkpoint: Option<Checkpoint>,
     ) -> GaeResult<CondorId> {
         let exec = self.exec(site)?;
@@ -471,7 +471,7 @@ pub struct FlockMove {
     /// The task that flocked.
     pub task: TaskId,
     /// Its specification (for estimate re-registration).
-    pub spec: TaskSpec,
+    pub spec: Arc<TaskSpec>,
     /// Overloaded source site.
     pub from: SiteId,
     /// Receiving partner site.
@@ -501,7 +501,7 @@ mod tests {
         let grid = two_site_grid();
         let spec =
             TaskSpec::new(TaskId::new(1), "t", "x").with_cpu_demand(SimDuration::from_secs(10));
-        grid.submit(SiteId::new(2), spec, None).unwrap();
+        grid.submit(SiteId::new(2), spec.into(), None).unwrap();
         assert_eq!(grid.next_event_time(), Some(SimTime::from_secs(10)));
         grid.advance_to(SimTime::from_secs(10));
         let events = grid.drain_events();

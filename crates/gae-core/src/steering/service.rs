@@ -275,7 +275,7 @@ impl SteeringService {
     /// old Condor id died with the process), then ready successors are
     /// submitted. Returns the resubmitted tasks, deterministic order.
     pub(crate) fn rearm_submitted(&self) -> GaeResult<Vec<TaskId>> {
-        let mut inflight: Vec<(JobId, TaskId, SiteId, TaskSpec)> = Vec::new();
+        let mut inflight: Vec<(JobId, TaskId, SiteId, Arc<TaskSpec>)> = Vec::new();
         {
             // A notified job is settled: nothing in flight, nothing
             // ready. Only live jobs can need re-arming.
@@ -365,7 +365,7 @@ impl SteeringService {
         loop {
             // Snapshot the ready set without holding the lock across
             // execution-service calls.
-            let ready: Vec<(TaskId, SiteId, TaskSpec)> = {
+            let ready: Vec<(TaskId, SiteId, Arc<TaskSpec>)> = {
                 let jobs = self.jobs.read();
                 let Some(tracked) = jobs.get(&job_id) else {
                     return Ok(());
@@ -396,7 +396,7 @@ impl SteeringService {
         job_id: JobId,
         task: TaskId,
         site: SiteId,
-        spec: TaskSpec,
+        spec: Arc<TaskSpec>,
         checkpoint: Option<Checkpoint>,
     ) -> GaeResult<()> {
         let estimate = self

@@ -128,7 +128,7 @@ pub fn job_to_value(job: &JobSpec) -> Value {
         ("name", Value::from(job.name.as_str())),
         (
             "tasks",
-            Value::Array(job.tasks.iter().map(task_to_value).collect()),
+            Value::Array(job.tasks.iter().map(|t| task_to_value(t)).collect()),
         ),
         (
             "dependencies",

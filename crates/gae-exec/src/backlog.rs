@@ -253,7 +253,7 @@ mod tests {
                             .with_priority(Priority::new(priority))
                             .with_checkpointable(checkpointable);
                         let stage_in = SimDuration::from_secs(stage_in_s);
-                        if let Ok(c) = svc.submit_staged(spec, None, stage_in) {
+                        if let Ok(c) = svc.submit_staged(spec.into(), None, stage_in) {
                             submitted.push((c, demand_s));
                             if let Some(pct) = estimate_pct {
                                 svc.set_estimate(c, Some(estimate_of(demand_s, pct))).unwrap();

@@ -270,7 +270,11 @@ impl ExecutionService {
     // ---- submission & dispatch ----
 
     /// Accepts a task into the queue, returning its Condor id.
-    pub fn submit(&mut self, spec: TaskSpec, carried: Option<Checkpoint>) -> GaeResult<CondorId> {
+    pub fn submit(
+        &mut self,
+        spec: Arc<TaskSpec>,
+        carried: Option<Checkpoint>,
+    ) -> GaeResult<CondorId> {
         self.submit_staged(spec, carried, SimDuration::ZERO)
     }
 
@@ -280,7 +284,7 @@ impl ExecutionService {
     /// computes the transfer time from its network model).
     pub fn submit_staged(
         &mut self,
-        spec: TaskSpec,
+        spec: Arc<TaskSpec>,
         carried: Option<Checkpoint>,
         stage_in: SimDuration,
     ) -> GaeResult<CondorId> {
@@ -714,7 +718,7 @@ impl ExecutionService {
     pub fn remove_for_migration(
         &mut self,
         condor: CondorId,
-    ) -> GaeResult<(TaskSpec, Option<Checkpoint>)> {
+    ) -> GaeResult<(Arc<TaskSpec>, Option<Checkpoint>)> {
         let now = self.now;
         let rec = Self::live_record_mut(&mut self.records, condor)?;
         let was = rec.status;
@@ -757,10 +761,7 @@ impl ExecutionService {
 
     /// Fails one node: its tasks fail, the node goes down.
     pub fn fail_node(&mut self, node_id: NodeId) -> GaeResult<()> {
-        let idx = (node_id.raw() - 1) as usize;
-        if idx >= self.nodes.len() {
-            return Err(GaeError::NotFound(node_id.to_string()));
-        }
+        let idx = self.node_index(node_id)?;
         let mut victims: Vec<CondorId> = self
             .records
             .values()
@@ -790,10 +791,7 @@ impl ExecutionService {
     /// already up is a no-op — resetting a live node's slot counter
     /// would orphan the tasks holding its slots.
     pub fn recover_node(&mut self, node_id: NodeId) -> GaeResult<()> {
-        let idx = (node_id.raw() - 1) as usize;
-        if idx >= self.nodes.len() {
-            return Err(GaeError::NotFound(node_id.to_string()));
-        }
+        let idx = self.node_index(node_id)?;
         if !self.nodes[idx].is_alive() {
             self.nodes[idx].recover();
             self.dispatch();
@@ -960,7 +958,14 @@ impl ExecutionService {
 
     /// Node accessor (diagnostics).
     pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.get((id.raw() - 1) as usize)
+        self.node_index(id).ok().map(|i| &self.nodes[i])
+    }
+
+    /// `id`'s slot in `nodes` (node ids count from 1), or `NotFound`.
+    fn node_index(&self, id: NodeId) -> GaeResult<usize> {
+        (id.raw().checked_sub(1).map(|i| i as usize))
+            .filter(|&i| i < self.nodes.len())
+            .ok_or_else(|| GaeError::NotFound(id.to_string()))
     }
 
     /// All nodes, in id order (monitoring sweep).
@@ -1033,7 +1038,7 @@ mod tests {
     #[test]
     fn submit_runs_and_completes_on_free_cpu() {
         let mut svc = free_service();
-        let c = svc.submit(task(1, 283), None).unwrap();
+        let c = svc.submit(task(1, 283).into(), None).unwrap();
         assert_eq!(svc.status(c).unwrap(), TaskStatus::Running);
         assert_eq!(svc.next_event_time(), Some(SimTime::from_secs(283)));
         svc.advance_to(SimTime::from_secs(283));
@@ -1049,7 +1054,7 @@ mod tests {
         // Load 3.67 -> rate ~0.214: the Figure 7 site-A scenario.
         let cfg = SiteConfig::uniform_load(site(1, 1, 1), LoadTrace::constant(3.67));
         let mut svc = ExecutionService::new(cfg);
-        let c = svc.submit(task(1, 283), None).unwrap();
+        let c = svc.submit(task(1, 283).into(), None).unwrap();
         svc.advance_to(SimTime::from_secs(141));
         let rec = svc.record(c).unwrap();
         // ~141 * 1/4.67 = ~30.2 s accrued.
@@ -1064,8 +1069,8 @@ mod tests {
     #[test]
     fn queueing_fifo_on_single_slot() {
         let mut svc = free_service();
-        let a = svc.submit(task(1, 100), None).unwrap();
-        let b = svc.submit(task(2, 50), None).unwrap();
+        let a = svc.submit(task(1, 100).into(), None).unwrap();
+        let b = svc.submit(task(2, 50).into(), None).unwrap();
         assert_eq!(svc.status(a).unwrap(), TaskStatus::Running);
         assert_eq!(svc.status(b).unwrap(), TaskStatus::Queued);
         assert_eq!(svc.queue_position(b), Some(0));
@@ -1085,10 +1090,10 @@ mod tests {
     #[test]
     fn priority_reorders_queue() {
         let mut svc = free_service();
-        let _running = svc.submit(task(1, 100), None).unwrap();
-        let low = svc.submit(task(2, 10), None).unwrap();
+        let _running = svc.submit(task(1, 100).into(), None).unwrap();
+        let low = svc.submit(task(2, 10).into(), None).unwrap();
         let high = svc
-            .submit(task(3, 10).with_priority(Priority::HIGH), None)
+            .submit(task(3, 10).with_priority(Priority::HIGH).into(), None)
             .unwrap();
         assert_eq!(svc.queue_position(high), Some(0));
         assert_eq!(svc.queue_position(low), Some(1));
@@ -1101,7 +1106,7 @@ mod tests {
     fn multi_slot_parallelism() {
         let mut svc = ExecutionService::new(SiteConfig::free(site(1, 2, 2)));
         let ids: Vec<CondorId> = (1..=4)
-            .map(|i| svc.submit(task(i, 100), None).unwrap())
+            .map(|i| svc.submit(task(i, 100).into(), None).unwrap())
             .collect();
         assert_eq!(svc.running_count(), 4);
         svc.advance_to(SimTime::from_secs(100));
@@ -1113,7 +1118,7 @@ mod tests {
     #[test]
     fn suspend_stops_accrual_resume_continues() {
         let mut svc = free_service();
-        let c = svc.submit(task(1, 100), None).unwrap();
+        let c = svc.submit(task(1, 100).into(), None).unwrap();
         svc.advance_to(SimTime::from_secs(30));
         svc.suspend(c).unwrap();
         assert_eq!(svc.status(c).unwrap(), TaskStatus::Suspended);
@@ -1135,8 +1140,8 @@ mod tests {
     #[test]
     fn suspended_running_task_keeps_its_slot() {
         let mut svc = free_service();
-        let a = svc.submit(task(1, 100), None).unwrap();
-        let b = svc.submit(task(2, 10), None).unwrap();
+        let a = svc.submit(task(1, 100).into(), None).unwrap();
+        let b = svc.submit(task(2, 10).into(), None).unwrap();
         svc.suspend(a).unwrap();
         // The slot is held, so b stays queued (Condor SIGSTOP model).
         assert_eq!(svc.status(b).unwrap(), TaskStatus::Queued);
@@ -1145,8 +1150,8 @@ mod tests {
     #[test]
     fn suspend_queued_task_leaves_queue() {
         let mut svc = free_service();
-        let _a = svc.submit(task(1, 100), None).unwrap();
-        let b = svc.submit(task(2, 10), None).unwrap();
+        let _a = svc.submit(task(1, 100).into(), None).unwrap();
+        let b = svc.submit(task(2, 10).into(), None).unwrap();
         svc.suspend(b).unwrap();
         assert_eq!(svc.queue_length(), 0);
         svc.resume(b).unwrap();
@@ -1157,8 +1162,8 @@ mod tests {
     #[test]
     fn kill_releases_slot_and_starts_next() {
         let mut svc = free_service();
-        let a = svc.submit(task(1, 100), None).unwrap();
-        let b = svc.submit(task(2, 50), None).unwrap();
+        let a = svc.submit(task(1, 100).into(), None).unwrap();
+        let b = svc.submit(task(2, 50).into(), None).unwrap();
         svc.advance_to(SimTime::from_secs(10));
         svc.kill(a).unwrap();
         assert_eq!(svc.status(a).unwrap(), TaskStatus::Killed);
@@ -1175,8 +1180,8 @@ mod tests {
     #[test]
     fn kill_queued_task() {
         let mut svc = free_service();
-        let _a = svc.submit(task(1, 100), None).unwrap();
-        let b = svc.submit(task(2, 50), None).unwrap();
+        let _a = svc.submit(task(1, 100).into(), None).unwrap();
+        let b = svc.submit(task(2, 50).into(), None).unwrap();
         svc.kill(b).unwrap();
         assert_eq!(svc.queue_length(), 0);
         assert_eq!(svc.status(b).unwrap(), TaskStatus::Killed);
@@ -1185,9 +1190,9 @@ mod tests {
     #[test]
     fn set_priority_on_queued_task_reorders() {
         let mut svc = free_service();
-        let _running = svc.submit(task(1, 100), None).unwrap();
-        let b = svc.submit(task(2, 10), None).unwrap();
-        let c = svc.submit(task(3, 10), None).unwrap();
+        let _running = svc.submit(task(1, 100).into(), None).unwrap();
+        let b = svc.submit(task(2, 10).into(), None).unwrap();
+        let c = svc.submit(task(3, 10).into(), None).unwrap();
         assert_eq!(svc.queue_position(c), Some(1));
         svc.set_priority(c, Priority::HIGH).unwrap();
         assert_eq!(svc.queue_position(c), Some(0));
@@ -1197,7 +1202,7 @@ mod tests {
     #[test]
     fn migration_without_checkpoint_restarts() {
         let mut svc_a = free_service();
-        let c = svc_a.submit(task(1, 283), None).unwrap();
+        let c = svc_a.submit(task(1, 283).into(), None).unwrap();
         svc_a.advance_to(SimTime::from_secs(86));
         let (spec, ck) = svc_a.remove_for_migration(c).unwrap();
         assert!(ck.is_none(), "non-checkpointable task carries nothing");
@@ -1214,7 +1219,7 @@ mod tests {
     fn migration_with_checkpoint_carries_work() {
         let mut svc_a = free_service();
         let c = svc_a
-            .submit(task(1, 283).with_checkpointable(true), None)
+            .submit(task(1, 283).with_checkpointable(true).into(), None)
             .unwrap();
         svc_a.advance_to(SimTime::from_secs(100));
         let (spec, ck) = svc_a.remove_for_migration(c).unwrap();
@@ -1231,8 +1236,8 @@ mod tests {
     #[test]
     fn node_failure_fails_its_tasks() {
         let mut svc = ExecutionService::new(SiteConfig::free(site(1, 2, 1)));
-        let a = svc.submit(task(1, 100), None).unwrap();
-        let b = svc.submit(task(2, 100), None).unwrap();
+        let a = svc.submit(task(1, 100).into(), None).unwrap();
+        let b = svc.submit(task(2, 100).into(), None).unwrap();
         let node_a = svc.record(a).unwrap().node.unwrap();
         svc.fail_node(node_a).unwrap();
         assert_eq!(svc.status(a).unwrap(), TaskStatus::Failed);
@@ -1245,17 +1250,17 @@ mod tests {
     #[test]
     fn site_failure_and_recovery() {
         let mut svc = free_service();
-        let a = svc.submit(task(1, 100), None).unwrap();
-        let b = svc.submit(task(2, 100), None).unwrap();
+        let a = svc.submit(task(1, 100).into(), None).unwrap();
+        let b = svc.submit(task(2, 100).into(), None).unwrap();
         svc.fail_site();
         assert!(!svc.is_alive());
         assert_eq!(svc.status(a).unwrap(), TaskStatus::Failed);
         assert_eq!(svc.status(b).unwrap(), TaskStatus::Failed);
         assert_eq!(svc.queue_length(), 0);
-        assert!(svc.submit(task(3, 10), None).is_err());
+        assert!(svc.submit(task(3, 10).into(), None).is_err());
         svc.recover_site();
         assert!(svc.is_alive());
-        assert!(svc.submit(task(3, 10), None).is_ok());
+        assert!(svc.submit(task(3, 10).into(), None).is_ok());
     }
 
     /// `records` is a HashMap; a site outage with several live tasks
@@ -1265,7 +1270,7 @@ mod tests {
     fn site_failure_emits_in_condor_order() {
         let mut svc = free_service();
         let submitted: Vec<CondorId> = (1..=8)
-            .map(|i| svc.submit(task(i, 100), None).unwrap())
+            .map(|i| svc.submit(task(i, 100).into(), None).unwrap())
             .collect();
         svc.drain_events();
         svc.fail_site();
@@ -1277,13 +1282,13 @@ mod tests {
     fn tasks_above_priority_for_estimator() {
         let mut svc = ExecutionService::new(SiteConfig::free(site(1, 1, 1)));
         let a = svc
-            .submit(task(1, 100).with_priority(Priority::new(5)), None)
+            .submit(task(1, 100).with_priority(Priority::new(5)).into(), None)
             .unwrap();
         let _b = svc
-            .submit(task(2, 100).with_priority(Priority::new(3)), None)
+            .submit(task(2, 100).with_priority(Priority::new(3)).into(), None)
             .unwrap();
         let _c = svc
-            .submit(task(3, 100).with_priority(Priority::new(0)), None)
+            .submit(task(3, 100).with_priority(Priority::new(0)).into(), None)
             .unwrap();
         svc.advance_to(SimTime::from_secs(10));
         let above = svc.tasks_above_priority(Priority::new(0));
@@ -1299,7 +1304,7 @@ mod tests {
     #[test]
     fn events_stream_covers_lifecycle() {
         let mut svc = free_service();
-        let c = svc.submit(task(1, 10), None).unwrap();
+        let c = svc.submit(task(1, 10).into(), None).unwrap();
         svc.advance_to(SimTime::from_secs(10));
         let events = svc.drain_events();
         let statuses: Vec<TaskStatus> = events.iter().map(|e| e.status).collect();
@@ -1319,7 +1324,7 @@ mod tests {
     #[test]
     fn condor_of_maps_task_ids() {
         let mut svc = free_service();
-        let c = svc.submit(task(7, 10), None).unwrap();
+        let c = svc.submit(task(7, 10).into(), None).unwrap();
         assert_eq!(svc.condor_of(TaskId::new(7)), Some(c));
         assert_eq!(svc.condor_of(TaskId::new(8)), None);
     }
@@ -1334,6 +1339,20 @@ mod tests {
     }
 
     #[test]
+    fn node_ids_outside_the_site_are_not_found() {
+        // Node ids count from 1: node 0 must not wrap to `u64::MAX`.
+        let mut svc = free_service();
+        for id in [0, 2] {
+            let node = NodeId::new(id);
+            assert!(matches!(svc.fail_node(node), Err(GaeError::NotFound(_))));
+            assert!(matches!(svc.recover_node(node), Err(GaeError::NotFound(_))));
+            assert!(svc.node(node).is_none());
+        }
+        assert!(svc.fail_node(NodeId::new(1)).is_ok());
+        assert!(svc.recover_node(NodeId::new(1)).is_ok());
+    }
+
+    #[test]
     fn dispatch_prefers_faster_node() {
         // Node 1 loaded, node 2 free: the task must land on node 2.
         let desc = site(1, 2, 1);
@@ -1342,7 +1361,7 @@ mod tests {
             node_traces: vec![LoadTrace::constant(4.0), LoadTrace::free()],
         };
         let mut svc = ExecutionService::new(cfg);
-        let c = svc.submit(task(1, 100), None).unwrap();
+        let c = svc.submit(task(1, 100).into(), None).unwrap();
         assert_eq!(svc.record(c).unwrap().node, Some(NodeId::new(2)));
         assert_eq!(svc.next_event_time(), Some(SimTime::from_secs(100)));
     }
@@ -1361,7 +1380,7 @@ mod tests {
     fn zero_demand_completes_at_submission_instant() {
         let mut svc = free_service();
         let c = svc
-            .submit(task(1, 0).with_cpu_demand(SimDuration::ZERO), None)
+            .submit(task(1, 0).with_cpu_demand(SimDuration::ZERO).into(), None)
             .unwrap();
         assert_eq!(svc.next_event_time(), Some(SimTime::ZERO));
         svc.advance_to(SimTime::ZERO);
@@ -1371,8 +1390,8 @@ mod tests {
     #[test]
     fn elapsed_includes_queue_gaps_accrued_does_not() {
         let mut svc = free_service();
-        let _a = svc.submit(task(1, 50), None).unwrap();
-        let b = svc.submit(task(2, 50), None).unwrap();
+        let _a = svc.submit(task(1, 50).into(), None).unwrap();
+        let b = svc.submit(task(2, 50).into(), None).unwrap();
         svc.advance_to(SimTime::from_secs(120));
         let rec = svc.record(b).unwrap();
         // b started at 50, so elapsed 70 but accrued 50 (completed).
@@ -1390,11 +1409,11 @@ mod tests {
         let mut svc = free_service();
         svc.set_preemptive(true);
         let low = svc
-            .submit(task(1, 100).with_priority(Priority::LOW), None)
+            .submit(task(1, 100).with_priority(Priority::LOW).into(), None)
             .unwrap();
         svc.advance_to(SimTime::from_secs(30));
         let high = svc
-            .submit(task(2, 50).with_priority(Priority::HIGH), None)
+            .submit(task(2, 50).with_priority(Priority::HIGH).into(), None)
             .unwrap();
         // The high-priority task takes the slot immediately.
         assert_eq!(svc.status(high).unwrap(), TaskStatus::Running);
@@ -1417,13 +1436,14 @@ mod tests {
             .submit(
                 task(1, 100)
                     .with_priority(Priority::LOW)
-                    .with_checkpointable(true),
+                    .with_checkpointable(true)
+                    .into(),
                 None,
             )
             .unwrap();
         svc.advance_to(SimTime::from_secs(40));
         let high = svc
-            .submit(task(2, 50).with_priority(Priority::HIGH), None)
+            .submit(task(2, 50).with_priority(Priority::HIGH).into(), None)
             .unwrap();
         assert_eq!(svc.status(high).unwrap(), TaskStatus::Running);
         let rec = svc.record(low).unwrap();
@@ -1442,8 +1462,8 @@ mod tests {
     fn preemption_never_vacates_equal_priority() {
         let mut svc = free_service();
         svc.set_preemptive(true);
-        let a = svc.submit(task(1, 100), None).unwrap();
-        let b = svc.submit(task(2, 100), None).unwrap();
+        let a = svc.submit(task(1, 100).into(), None).unwrap();
+        let b = svc.submit(task(2, 100).into(), None).unwrap();
         assert_eq!(svc.status(a).unwrap(), TaskStatus::Running);
         assert_eq!(
             svc.status(b).unwrap(),
@@ -1456,10 +1476,10 @@ mod tests {
     fn preemption_off_by_default() {
         let mut svc = free_service();
         let low = svc
-            .submit(task(1, 100).with_priority(Priority::LOW), None)
+            .submit(task(1, 100).with_priority(Priority::LOW).into(), None)
             .unwrap();
         let high = svc
-            .submit(task(2, 50).with_priority(Priority::HIGH), None)
+            .submit(task(2, 50).with_priority(Priority::HIGH).into(), None)
             .unwrap();
         assert_eq!(svc.status(low).unwrap(), TaskStatus::Running);
         assert_eq!(svc.status(high).unwrap(), TaskStatus::Queued);
@@ -1473,16 +1493,24 @@ mod tests {
         let hog = UserId::new(1);
         let light = UserId::new(2);
         // The hog completes a long task, building up usage.
-        let first = svc.submit(task(1, 1_000).with_owner(hog), None).unwrap();
+        let first = svc
+            .submit(task(1, 1_000).with_owner(hog).into(), None)
+            .unwrap();
         svc.advance_to(SimTime::from_secs(1_000));
         assert_eq!(svc.status(first).unwrap(), TaskStatus::Completed);
         assert_eq!(svc.usage_of(hog), 1_000.0);
         assert_eq!(svc.usage_of(light), 0.0);
         // A blocker, then one queued task per user (hog submits
         // first, so FIFO would pick the hog).
-        let _blocker = svc.submit(task(2, 100).with_owner(hog), None).unwrap();
-        let hog_task = svc.submit(task(3, 100).with_owner(hog), None).unwrap();
-        let light_task = svc.submit(task(4, 100).with_owner(light), None).unwrap();
+        let _blocker = svc
+            .submit(task(2, 100).with_owner(hog).into(), None)
+            .unwrap();
+        let hog_task = svc
+            .submit(task(3, 100).with_owner(hog).into(), None)
+            .unwrap();
+        let light_task = svc
+            .submit(task(4, 100).with_owner(light).into(), None)
+            .unwrap();
         svc.advance_to(SimTime::from_secs(1_100));
         assert_eq!(
             svc.status(light_task).unwrap(),
@@ -1499,19 +1527,28 @@ mod tests {
         svc.set_fair_share(true);
         let hog = UserId::new(1);
         let light = UserId::new(2);
-        let first = svc.submit(task(1, 500).with_owner(hog), None).unwrap();
+        let first = svc
+            .submit(task(1, 500).with_owner(hog).into(), None)
+            .unwrap();
         svc.advance_to(SimTime::from_secs(500));
         let _ = first;
-        let _blocker = svc.submit(task(2, 100).with_owner(light), None).unwrap();
+        let _blocker = svc
+            .submit(task(2, 100).with_owner(light).into(), None)
+            .unwrap();
         // The hog's HIGH-priority task beats the light user's normal
         // one despite the usage gap.
         let hog_high = svc
             .submit(
-                task(3, 100).with_owner(hog).with_priority(Priority::HIGH),
+                task(3, 100)
+                    .with_owner(hog)
+                    .with_priority(Priority::HIGH)
+                    .into(),
                 None,
             )
             .unwrap();
-        let light_normal = svc.submit(task(4, 100).with_owner(light), None).unwrap();
+        let light_normal = svc
+            .submit(task(4, 100).with_owner(light).into(), None)
+            .unwrap();
         svc.advance_to(SimTime::from_secs(600));
         assert_eq!(svc.status(hog_high).unwrap(), TaskStatus::Running);
         assert_eq!(svc.status(light_normal).unwrap(), TaskStatus::Queued);
@@ -1523,12 +1560,20 @@ mod tests {
         let mut svc = free_service();
         let hog = UserId::new(1);
         let light = UserId::new(2);
-        let first = svc.submit(task(1, 500).with_owner(hog), None).unwrap();
+        let first = svc
+            .submit(task(1, 500).with_owner(hog).into(), None)
+            .unwrap();
         svc.advance_to(SimTime::from_secs(500));
         let _ = first;
-        let _blocker = svc.submit(task(2, 100).with_owner(hog), None).unwrap();
-        let hog_task = svc.submit(task(3, 100).with_owner(hog), None).unwrap();
-        let light_task = svc.submit(task(4, 100).with_owner(light), None).unwrap();
+        let _blocker = svc
+            .submit(task(2, 100).with_owner(hog).into(), None)
+            .unwrap();
+        let hog_task = svc
+            .submit(task(3, 100).with_owner(hog).into(), None)
+            .unwrap();
+        let light_task = svc
+            .submit(task(4, 100).with_owner(light).into(), None)
+            .unwrap();
         svc.advance_to(SimTime::from_secs(600));
         assert_eq!(
             svc.status(hog_task).unwrap(),
@@ -1542,7 +1587,7 @@ mod tests {
     fn staged_submission_waits_before_queueing() {
         let mut svc = free_service();
         let c = svc
-            .submit_staged(task(1, 100), None, SimDuration::from_secs(40))
+            .submit_staged(task(1, 100).into(), None, SimDuration::from_secs(40))
             .unwrap();
         assert_eq!(svc.status(c).unwrap(), TaskStatus::Pending);
         assert_eq!(svc.next_event_time(), Some(SimTime::from_secs(40)));
@@ -1567,7 +1612,7 @@ mod tests {
     fn staging_task_can_be_killed_and_migrated() {
         let mut svc = free_service();
         let a = svc
-            .submit_staged(task(1, 100), None, SimDuration::from_secs(50))
+            .submit_staged(task(1, 100).into(), None, SimDuration::from_secs(50))
             .unwrap();
         svc.kill(a).unwrap();
         assert_eq!(svc.status(a).unwrap(), TaskStatus::Killed);
@@ -1576,7 +1621,7 @@ mod tests {
         assert_eq!(svc.status(a).unwrap(), TaskStatus::Killed);
 
         let b = svc
-            .submit_staged(task(2, 100), None, SimDuration::from_secs(50))
+            .submit_staged(task(2, 100).into(), None, SimDuration::from_secs(50))
             .unwrap();
         let (spec, ck) = svc.remove_for_migration(b).unwrap();
         assert_eq!(svc.status(b).unwrap(), TaskStatus::Migrating);
@@ -1591,9 +1636,9 @@ mod tests {
         // One slot: a 30 s task running; a staged task arrives at 20 s
         // and must wait for the slot at 30 s.
         let mut svc = free_service();
-        let a = svc.submit(task(1, 30), None).unwrap();
+        let a = svc.submit(task(1, 30).into(), None).unwrap();
         let b = svc
-            .submit_staged(task(2, 10), None, SimDuration::from_secs(20))
+            .submit_staged(task(2, 10).into(), None, SimDuration::from_secs(20))
             .unwrap();
         svc.advance_to(SimTime::from_secs(25));
         assert_eq!(svc.status(a).unwrap(), TaskStatus::Running);
@@ -1611,7 +1656,7 @@ mod tests {
     fn site_failure_kills_staging_tasks() {
         let mut svc = free_service();
         let c = svc
-            .submit_staged(task(1, 100), None, SimDuration::from_secs(50))
+            .submit_staged(task(1, 100).into(), None, SimDuration::from_secs(50))
             .unwrap();
         svc.fail_site();
         assert_eq!(svc.status(c).unwrap(), TaskStatus::Failed);
@@ -1630,9 +1675,9 @@ mod tests {
         // exactly 20 s. The completion must fire first so the staged
         // task queues into the freed slot at the same instant.
         let mut svc = free_service();
-        let a = svc.submit(task(1, 20), None).unwrap();
+        let a = svc.submit(task(1, 20).into(), None).unwrap();
         let b = svc
-            .submit_staged(task(2, 5), None, SimDuration::from_secs(20))
+            .submit_staged(task(2, 5).into(), None, SimDuration::from_secs(20))
             .unwrap();
         svc.advance_to(SimTime::from_secs(20));
         assert_eq!(svc.status(a).unwrap(), TaskStatus::Completed);
@@ -1662,13 +1707,13 @@ mod tests {
             };
         }
         check!();
-        let a = svc.submit(task(1, 40), None).unwrap();
+        let a = svc.submit(task(1, 40).into(), None).unwrap();
         check!();
         let b = svc
-            .submit_staged(task(2, 10), None, SimDuration::from_secs(7))
+            .submit_staged(task(2, 10).into(), None, SimDuration::from_secs(7))
             .unwrap();
         check!();
-        let c = svc.submit(task(3, 25), None).unwrap();
+        let c = svc.submit(task(3, 25).into(), None).unwrap();
         check!();
         svc.advance_to(SimTime::from_secs(5));
         check!();
@@ -1683,7 +1728,7 @@ mod tests {
         svc.kill(c).unwrap();
         check!();
         let d = svc
-            .submit_staged(task(4, 10), None, SimDuration::from_secs(30))
+            .submit_staged(task(4, 10).into(), None, SimDuration::from_secs(30))
             .unwrap();
         check!();
         let _ = svc.remove_for_migration(d).unwrap();
@@ -1708,7 +1753,7 @@ mod tests {
         let mut svc = free_service();
         let sink = seen.clone();
         svc.set_event_notifier(Box::new(move |next| sink.lock().unwrap().push(next)));
-        let _a = svc.submit(task(1, 30), None).unwrap();
+        let _a = svc.submit(task(1, 30).into(), None).unwrap();
         svc.advance_to(SimTime::from_secs(30));
         svc.advance_to(SimTime::from_secs(40)); // no change: no callback
         let seen = seen.lock().unwrap();
@@ -1730,10 +1775,10 @@ mod tests {
         let mut svc = free_service();
         let epoch = svc.transition_epoch().clone();
         let read = || epoch.load(Ordering::Acquire);
-        let running = svc.submit(task(1, 100), None).unwrap();
-        let queued = svc.submit(task(2, 50), None).unwrap();
+        let running = svc.submit(task(1, 100).into(), None).unwrap();
+        let queued = svc.submit(task(2, 50).into(), None).unwrap();
         let staging = svc
-            .submit_staged(task(3, 50), None, SimDuration::from_secs(500))
+            .submit_staged(task(3, 50).into(), None, SimDuration::from_secs(500))
             .unwrap();
         let e = read();
         assert_eq!(e, 4, "queued+running, queued, pending");
@@ -1798,8 +1843,8 @@ mod tests {
         let cfg = SiteConfig::uniform_load(site(1, 1, 3), trace);
         let node = Node::new(NodeId::new(1), 1.0, 3, cfg.node_traces[0].clone());
         let mut svc = ExecutionService::new(cfg);
-        let a = svc.submit(task(1, 10_000), None).unwrap();
-        let b = svc.submit(task(2, 10_000), None).unwrap();
+        let a = svc.submit(task(1, 10_000).into(), None).unwrap();
+        let b = svc.submit(task(2, 10_000).into(), None).unwrap();
         let mut expected = [SimDuration::ZERO; 3];
         let mut late = None;
         let mut from = SimTime::ZERO;
@@ -1816,7 +1861,7 @@ mod tests {
                 expected[2] += step;
             }
             if i == 1 {
-                late = Some(svc.submit(task(3, 10_000), None).unwrap());
+                late = Some(svc.submit(task(3, 10_000).into(), None).unwrap());
             }
             from = to;
         }
@@ -1832,7 +1877,7 @@ mod tests {
         let trace =
             LoadTrace::from_steps(vec![(SimTime::ZERO, 0.0), (SimTime::from_secs(100), 1.0)]);
         let mut svc = ExecutionService::new(SiteConfig::uniform_load(site(1, 1, 1), trace));
-        let c = svc.submit(task(1, 150), None).unwrap();
+        let c = svc.submit(task(1, 150).into(), None).unwrap();
         assert_eq!(svc.next_event_time(), Some(SimTime::from_secs(200)));
         svc.advance_to(SimTime::from_secs(200));
         assert_eq!(svc.status(c).unwrap(), TaskStatus::Completed);

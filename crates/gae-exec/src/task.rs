@@ -1,6 +1,7 @@
 //! Per-task execution state inside a site.
 
 use gae_types::{CondorId, NodeId, Priority, SimDuration, SimTime, TaskSpec, TaskStatus};
+use std::sync::Arc;
 
 /// A checkpoint produced when a checkpointable task is removed for
 /// migration: the accrued work travels to the new site.
@@ -15,8 +16,8 @@ pub struct Checkpoint {
 pub struct TaskRecord {
     /// The site-local (Condor) id.
     pub condor: CondorId,
-    /// The task specification.
-    pub spec: TaskSpec,
+    /// The task specification, shared with the plan that placed it.
+    pub spec: Arc<TaskSpec>,
     /// Current lifecycle state.
     pub status: TaskStatus,
     /// When the task entered the site queue.
@@ -58,7 +59,7 @@ impl TaskRecord {
     /// CPU-hours if the spec carries no ground truth (live mode).
     pub fn new(
         condor: CondorId,
-        spec: TaskSpec,
+        spec: Arc<TaskSpec>,
         now: SimTime,
         carried: Option<Checkpoint>,
     ) -> Self {
@@ -160,7 +161,12 @@ mod tests {
 
     #[test]
     fn fresh_record_defaults() {
-        let r = TaskRecord::new(CondorId::new(1), spec(100), SimTime::from_secs(5), None);
+        let r = TaskRecord::new(
+            CondorId::new(1),
+            spec(100).into(),
+            SimTime::from_secs(5),
+            None,
+        );
         assert_eq!(r.status, TaskStatus::Queued);
         assert_eq!(r.remaining(), SimDuration::from_secs(100));
         assert_eq!(r.progress(), 0.0);
@@ -173,7 +179,7 @@ mod tests {
         let ck = Checkpoint {
             accrued: SimDuration::from_secs(40),
         };
-        let r = TaskRecord::new(CondorId::new(1), spec(100), SimTime::ZERO, Some(ck));
+        let r = TaskRecord::new(CondorId::new(1), spec(100).into(), SimTime::ZERO, Some(ck));
         assert_eq!(r.site_demand(), SimDuration::from_secs(60));
         assert_eq!(r.accrued, SimDuration::ZERO);
     }
@@ -183,13 +189,13 @@ mod tests {
         let mut s = spec(0);
         s.true_cpu_demand = None;
         s.requested_cpu_hours = 0.5;
-        let r = TaskRecord::new(CondorId::new(1), s, SimTime::ZERO, None);
+        let r = TaskRecord::new(CondorId::new(1), s.into(), SimTime::ZERO, None);
         assert_eq!(r.site_demand(), SimDuration::from_secs(1800));
     }
 
     #[test]
     fn progress_and_remaining_track_accrual() {
-        let mut r = TaskRecord::new(CondorId::new(1), spec(100), SimTime::ZERO, None);
+        let mut r = TaskRecord::new(CondorId::new(1), spec(100).into(), SimTime::ZERO, None);
         r.accrued = SimDuration::from_secs(25);
         assert_eq!(r.progress(), 0.25);
         assert_eq!(r.remaining(), SimDuration::from_secs(75));
@@ -202,7 +208,7 @@ mod tests {
     fn zero_demand_is_complete() {
         let r = TaskRecord::new(
             CondorId::new(1),
-            spec(0).with_cpu_demand(SimDuration::ZERO),
+            spec(0).with_cpu_demand(SimDuration::ZERO).into(),
             SimTime::ZERO,
             None,
         );
@@ -214,7 +220,7 @@ mod tests {
         let mut s = spec(100);
         s.input_files = vec![FileRef::new("in", 1000)];
         s.output_files = vec![FileRef::new("out", 500)];
-        let mut r = TaskRecord::new(CondorId::new(1), s, SimTime::ZERO, None);
+        let mut r = TaskRecord::new(CondorId::new(1), s.into(), SimTime::ZERO, None);
         r.accrued = SimDuration::from_secs(25);
         r.update_io();
         assert_eq!(r.input_io, 500); // half the input staged at 25%
@@ -227,7 +233,7 @@ mod tests {
 
     #[test]
     fn elapsed_counts_from_first_start() {
-        let mut r = TaskRecord::new(CondorId::new(1), spec(100), SimTime::ZERO, None);
+        let mut r = TaskRecord::new(CondorId::new(1), spec(100).into(), SimTime::ZERO, None);
         r.started_at = Some(SimTime::from_secs(10));
         assert_eq!(
             r.elapsed(SimTime::from_secs(25)),

@@ -132,7 +132,7 @@ proptest! {
                         .with_priority(Priority::new(priority))
                         .with_checkpointable(checkpointable);
                     next_task += 1;
-                    if let Ok(c) = svc.submit(spec, None) {
+                    if let Ok(c) = svc.submit(spec.into(), None) {
                         submitted.push(c);
                     }
                 }
@@ -220,7 +220,8 @@ proptest! {
         for (i, d) in demands.iter().enumerate() {
             svc.submit(
                 TaskSpec::new(TaskId::new(i as u64 + 1), "t", "x")
-                    .with_cpu_demand(SimDuration::from_secs(*d)),
+                    .with_cpu_demand(SimDuration::from_secs(*d))
+                    .into(),
                 None,
             ).expect("alive site accepts work");
         }
@@ -249,7 +250,8 @@ proptest! {
         for (i, d) in demands.iter().enumerate() {
             svc.submit(
                 TaskSpec::new(TaskId::new(i as u64 + 1), "t", "x")
-                    .with_cpu_demand(SimDuration::from_secs(*d)),
+                    .with_cpu_demand(SimDuration::from_secs(*d))
+                    .into(),
                 None,
             ).expect("accepts");
         }

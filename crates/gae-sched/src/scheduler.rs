@@ -97,6 +97,7 @@ impl Scheduler {
             .map(|t| {
                 plan.job
                     .task(*t)
+                    .map(Arc::as_ref)
                     .ok_or_else(|| GaeError::InvalidPlan(format!("{t} is not in {}", plan.job.id)))
             })
             .collect::<GaeResult<Vec<&TaskSpec>>>()?;

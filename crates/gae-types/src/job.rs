@@ -14,6 +14,7 @@ use crate::site::FileRef;
 use crate::time::SimDuration;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// Batch vs. interactive, straight from the Paragon accounting data.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -175,8 +176,8 @@ pub struct JobSpec {
     pub name: String,
     /// Owner (all tasks must share it; enforced by [`JobSpec::validate`]).
     pub owner: UserId,
-    /// The tasks, in submission order.
-    pub tasks: Vec<TaskSpec>,
+    /// The tasks, in submission order, each shared by whoever holds it.
+    pub tasks: Vec<Arc<TaskSpec>>,
     /// Precedence edges `(before, after)`: `after` may only start once
     /// `before` completed.
     pub dependencies: Vec<(TaskId, TaskId)>,
@@ -194,12 +195,13 @@ impl JobSpec {
         }
     }
 
-    /// Adds a task, forcing its owner and job id to the job's.
+    /// Adds a task, forcing its owner and job id to the job's; the spec
+    /// is immutable from here on (an edit goes through `Arc::make_mut`).
     pub fn add_task(&mut self, mut task: TaskSpec) -> TaskId {
         task.owner = self.owner;
         task.job = self.id;
         let id = task.id;
-        self.tasks.push(task);
+        self.tasks.push(Arc::new(task));
         id
     }
 
@@ -209,7 +211,7 @@ impl JobSpec {
     }
 
     /// Looks up a task by id.
-    pub fn task(&self, id: TaskId) -> Option<&TaskSpec> {
+    pub fn task(&self, id: TaskId) -> Option<&Arc<TaskSpec>> {
         self.tasks.iter().find(|t| t.id == id)
     }
 

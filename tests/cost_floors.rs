@@ -195,7 +195,7 @@ fn site_with_backlog(depth: u64) -> ExecutionService {
         let spec = TaskSpec::new(TaskId::new(id), "t", "x")
             .with_cpu_demand(SimDuration::from_secs(demand))
             .with_priority(priority);
-        let condor = exec.submit(spec, None).expect("submit");
+        let condor = exec.submit(spec.into(), None).expect("submit");
         let estimate = Some(SimDuration::from_secs(demand));
         exec.set_estimate(condor, estimate).expect("just submitted");
     }

@@ -148,7 +148,7 @@ fn queue_time_counts_every_task_ahead_in_full() {
         let mut exec = ExecutionService::new(SiteConfig::free(site));
         for id in 1..=depth {
             let spec = TaskSpec::new(TaskId::new(id), "t", "x").with_priority(Priority::new(5));
-            let condor = exec.submit(spec, None).unwrap();
+            let condor = exec.submit(spec.into(), None).unwrap();
             exec.set_estimate(condor, Some(SimDuration::from_secs(100)))
                 .unwrap();
         }
@@ -175,7 +175,7 @@ fn a_reader_under_the_exec_lock_sees_task_and_estimate_agree() {
         let spec = TaskSpec::new(TaskId::new(id), format!("t{id}"), "x")
             .with_cpu_demand(SimDuration::from_secs(1_000))
             .with_priority(Priority::new(priority));
-        exec.lock().submit(spec, None).unwrap()
+        exec.lock().submit(spec.into(), None).unwrap()
     };
     let _running = submit(1, 0);
     let queued = submit(2, 5);

@@ -69,7 +69,8 @@ fn settle(sites: u64, tasks_per_site: u64) -> (u64, u64, SimTime) {
                     FileRef::new(format!("in{id}.root"), 50_000_000).with_replicas(vec![src])
                 ]);
             }
-            grid.submit(SiteId::new(s), spec, None).expect("free site");
+            grid.submit(SiteId::new(s), spec.into(), None)
+                .expect("free site");
         }
     }
     let mut digest = Digest::new();

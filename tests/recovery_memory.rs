@@ -11,14 +11,16 @@
 //! runs beside a ghost of the state it rebuilds. This binary installs a
 //! counting allocator (test-local: an integration test is its own
 //! process) and holds recovery to both — and, with the same counter,
-//! the history store to its packed per-row footprint.
+//! the history store to its packed per-row footprint and a submitted
+//! job to one shared copy of each task spec.
 
+use gae::core::steering::TaskPhase;
 use gae::durable::fault::unique_temp_dir;
 use gae::durable::DurableStore;
 use gae::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Live heap bytes, and their high-water mark since the last reset.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -260,6 +262,122 @@ fn a_crashed_stack_returns_its_heap_before_recovery() {
     )
     .expect("recovery");
     assert!(report.commit_index > 0, "the crashed stack committed");
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `submit_persist` job (the perf ledger's `gen::chain_job`): a
+/// 4-task chain, each task with three arguments and three environment
+/// pairs, drawn from `j` alone.
+fn chain_job(j: u64) -> JobSpec {
+    let mut job = JobSpec::new(JobId::new(j), format!("analysis-{j}"), UserId::new(1));
+    for i in 0..4 {
+        let draw = (j * 4 + i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
+        let mut task = TaskSpec::new(TaskId::new(j * 10 + i + 1), format!("step-{i}"), "reco")
+            .with_cpu_demand(SimDuration::from_millis(3_000 + draw % 6_000));
+        task.args = vec![
+            format!("--run={}", 100_000 + draw % 900_000),
+            format!("--events={}", 1_000 + draw % 49_000),
+            "--config=/cms/conf/reco_v7.py".to_string(),
+        ];
+        task.env = vec![
+            ("CMS_PATH".to_string(), "/opt/cms/sw".to_string()),
+            ("SCRAM_ARCH".to_string(), "slc3_ia32_gcc323".to_string()),
+            ("JOB_SEED".to_string(), (draw as u32).to_string()),
+        ];
+        job.add_task(task);
+    }
+    for i in 1..4 {
+        job.add_dependency(TaskId::new(j * 10 + i), TaskId::new(j * 10 + i + 1));
+    }
+    job
+}
+
+/// How many submitted tasks `stack` holds, after asserting that each
+/// one's execution record shares its spec with steering's plan.
+fn submitted_specs_shared(stack: &ServiceStack, jobs: u64) -> usize {
+    let mut submitted = 0;
+    for j in 1..=jobs {
+        let tracked = stack.steering.tracked_job(JobId::new(j)).expect("tracked");
+        for (task, t) in &tracked.tasks {
+            let TaskPhase::Submitted { site, condor } = t.phase else {
+                continue;
+            };
+            let planned = tracked.plan.job.task(*task).expect("in the plan");
+            let exec = stack.grid.exec(site).expect("planned site");
+            let exec = exec.lock();
+            let record = exec.record(condor).expect("submitted record");
+            assert!(
+                Arc::ptr_eq(&record.spec, planned),
+                "{task} at {site} holds its own copy of the spec"
+            );
+            submitted += 1;
+        }
+    }
+    submitted
+}
+
+/// One `TaskSpec` per task (DESIGN.md §17 "Who may hold whom"): the
+/// job the door decodes is the one steering's plan, every execution
+/// record and a recovery re-arm point at, and a job costs the heap of
+/// that one copy.
+#[test]
+fn a_task_spec_is_held_once() {
+    const JOBS: u64 = 256;
+    /// Live heap a submitted job may add: 5,536 B while the plan and
+    /// every execution record held a copy of each spec, 4,811 B once
+    /// they share it.
+    const COPIED_PER_JOB: usize = 5_536;
+    const BOUND_PER_JOB: usize = 5_200;
+    let _serial = serial();
+    let dir = unique_temp_dir("recovery-memory-specs");
+    let config = PersistenceConfig::new(&dir).fsync(false);
+    // The ledger's `submit_persist` grid: 16 sites of 8 nodes × 4 slots.
+    let ledger_grid = |persist: Option<&PersistenceConfig>| {
+        let mut b = GridBuilder::new();
+        for s in 1..=16 {
+            b = b.site(SiteDescription::new(
+                SiteId::new(s),
+                format!("t2-{s}"),
+                8,
+                4,
+            ));
+        }
+        if let Some(config) = persist {
+            b = b.persist(config.clone());
+        }
+        b.build()
+    };
+
+    let stack = ServiceStack::over(ledger_grid(Some(&config)));
+    let before = LIVE.load(Ordering::Relaxed);
+    for j in 1..=JOBS {
+        let plan = AbstractPlan::new(chain_job(j));
+        stack.submit_plan(&plan).expect("submit");
+    }
+    stack.run_until(stack.grid.now() + SimDuration::from_secs(2));
+    let per_job = (LIVE.load(Ordering::Relaxed) - before) / JOBS as usize;
+    println!(
+        "{JOBS} submitted chain jobs hold {per_job} B of live heap each (bound {BOUND_PER_JOB} B, \
+         {COPIED_PER_JOB} B when each spec was copied)"
+    );
+    assert_eq!(submitted_specs_shared(&stack, JOBS), JOBS as usize);
+    assert!(
+        per_job <= BOUND_PER_JOB,
+        "a submitted job holds {per_job} B (> {BOUND_PER_JOB} B): a spec is copied again"
+    );
+    stack.checkpoint().expect("checkpoint");
+    drop(stack);
+
+    let (recovered, report) = ServiceStack::recover_from_disk(
+        ledger_grid(None),
+        SteeringPolicy::default(),
+        SimDuration::from_secs(5),
+        &config,
+    )
+    .expect("recovery");
+    assert_eq!(report.resubmitted.len(), JOBS as usize);
+    assert_eq!(submitted_specs_shared(&recovered, JOBS), JOBS as usize);
     drop(recovered);
     std::fs::remove_dir_all(&dir).ok();
 }

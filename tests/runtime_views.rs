@@ -522,7 +522,7 @@ fn estimate_served_mid_completion_does_not_go_stale() {
         .exec(site)
         .unwrap()
         .lock()
-        .submit(spec.clone(), None)
+        .submit(spec.clone().into(), None)
         .unwrap();
     stack.run_until(SimTime::from_secs(120));
     assert_eq!(

@@ -1,6 +1,7 @@
 //! Dumps the observability layer's view of a small grid run: one
-//! causal tree and lifecycle timeline per task, then the per-method /
-//! per-disposition latency table (DESIGN.md §10).
+//! causal tree per task with its lifecycle instants from the job
+//! monitoring record, then the per-method / per-disposition latency
+//! table (DESIGN.md §10).
 //!
 //! ```text
 //! cargo run -p gae-bench --bin trace_dump --release
@@ -26,16 +27,23 @@ fn main() {
     stack.submit_job(job).expect("schedulable");
     stack.run_until(SimTime::from_secs(600));
 
-    println!("== per-task causal trees and timelines ==\n");
+    println!("== per-task causal trees ==\n");
+    let us = |at: Option<SimTime>| at.map_or("-".to_string(), |t| format!("{}us", t.as_micros()));
     for i in 1..=3u64 {
         let info = stack
             .jobmon
             .job_info(TaskId::new(i))
             .expect("task monitored");
-        match stack.obs().render_condor(info.condor.raw()) {
-            Some(text) => println!("{text}"),
-            None => println!("condor {} left no trace", info.condor),
+        match stack.obs().render_task(i) {
+            Some(text) => print!("{text}"),
+            None => println!("task {i} left no trace"),
         }
+        println!(
+            "  submitted {} started {} completed {}\n",
+            us(Some(info.submitted_at)),
+            us(info.started_at),
+            us(info.completed_at)
+        );
     }
 
     println!("== latency histograms ==\n");

@@ -86,8 +86,8 @@ pub struct ServiceStack {
     /// outcome into the append-only [`gae_hist::HistStore`] the
     /// estimators scan.
     pub hist: Arc<crate::hist::HistFunnel>,
-    /// Observability: request traces, latency histograms, per-CondorId
-    /// lifecycle timelines — all on the grid's virtual clock.
+    /// Observability: request traces, one causal tree per task and
+    /// latency histograms — all on the grid's virtual clock.
     pub(super) obs: Arc<gae_obs::ObsHub>,
     /// How often the polling services run (collector + steering).
     poll_period: SimDuration,
@@ -293,9 +293,8 @@ impl ServiceStack {
         self.persistence()?.replication_sink()
     }
 
-    /// The observability hub: request traces, latency histograms, and
-    /// per-CondorId lifecycle timelines, all on the grid's virtual
-    /// clock. Attach it to an RPC host
+    /// The observability hub: request traces, one causal tree per
+    /// task and latency histograms, all on the grid's virtual clock. Attach it to an RPC host
     /// ([`gae_rpc::ServiceHost::attach_obs`]) to time every dispatched
     /// method into it.
     pub fn obs(&self) -> Arc<gae_obs::ObsHub> {

@@ -231,3 +231,90 @@ impl JobInformationCollector {
         })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::grid::{GridBuilder, ServiceStack};
+    use gae_hist::HistRecord;
+    use gae_trace::TaskMeta;
+    use gae_types::{
+        SimDuration, SimTime, SiteDescription, SiteId, TaskId, TaskSpec, TaskStatus, UserId,
+    };
+    use std::sync::{Arc, Mutex};
+
+    /// A completion used to invalidate the site's memo *before* its
+    /// row reached the history store. An `estimate_runtime` served
+    /// between the two memoised the pre-completion value, and when
+    /// nothing invalidated the site again — the task's submission
+    /// estimate is not recorded under this site, as for a task that
+    /// flocked in — the stale entry stayed. The store hook fires
+    /// inside `DbManager::store`, exactly in that window.
+    #[test]
+    fn estimate_served_mid_completion_does_not_go_stale() {
+        let grid = GridBuilder::new()
+            .site(SiteDescription::new(SiteId::new(1), "solo", 2, 1))
+            .build();
+        let stack = ServiceStack::over(grid);
+        let site = SiteId::new(1);
+        let spec = TaskSpec::new(TaskId::new(1), "t1", "reco")
+            .with_owner(UserId::new(5))
+            .with_cpu_demand(SimDuration::from_secs(30));
+        let m = TaskMeta::from_spec(&spec);
+        for (task, secs) in [(100u64, 20u64), (101, 24)] {
+            stack.hist.ingest(HistRecord {
+                task,
+                site: 1,
+                nodes: m.nodes as u64,
+                submit_us: task,
+                start_us: task + 1,
+                finish_us: task + 1 + secs * 1_000_000,
+                runtime_us: secs * 1_000_000,
+                success: true,
+                account: m.account.clone(),
+                login: m.login.clone(),
+                executable: m.executable.clone(),
+                queue: m.queue.clone(),
+                partition: m.partition.clone(),
+                job_type: m.job_type.to_string(),
+            });
+        }
+        let samples = || {
+            stack
+                .estimators
+                .estimate_runtime(site, &spec)
+                .unwrap()
+                .samples
+        };
+        assert_eq!(samples(), 2);
+
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (estimators, probe, hook_seen) = (stack.estimators.clone(), spec.clone(), seen.clone());
+        stack.jobmon.manager().db().on_store(move |info| {
+            if info.status == TaskStatus::Completed {
+                let e = estimators.estimate_runtime(SiteId::new(1), &probe).unwrap();
+                hook_seen.lock().unwrap().push(e.samples);
+            }
+        });
+        // Straight into the execution service: no scheduler, so no
+        // submission estimate is recorded and `evict_submission` misses.
+        stack
+            .grid
+            .exec(site)
+            .unwrap()
+            .lock()
+            .submit(spec.clone().into(), None)
+            .unwrap();
+        stack.run_until(SimTime::from_secs(120));
+        assert_eq!(
+            *seen.lock().unwrap(),
+            vec![2],
+            "the hook estimated once, before the row landed"
+        );
+        assert_eq!(stack.hist.store().site_successes(1), 3, "the row landed");
+        assert_eq!(
+            samples(),
+            3,
+            "a memo entry from inside the completion outlived it"
+        );
+    }
+}

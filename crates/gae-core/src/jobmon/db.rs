@@ -4,6 +4,10 @@
 //! The access to this repository is controlled by the DBManager. The
 //! DBManager publishes the job monitoring information to MonALISA."
 //! (§5.4)
+//!
+//! The stored [`JobMonitoringInfo`] is the one record of a task's
+//! life: its status, site and instants answer `jobmon.job_info` and
+//! `jobmon.job_tasks`, and MonALISA holds no copy of it.
 
 use crate::hist::HistFunnel;
 use crate::jobmon::info::JobMonitoringInfo;
@@ -11,7 +15,6 @@ use crate::persist::{
     array_of, section, Install, Journal, Machine, MemberWriter, Owns, Persistence,
 };
 use gae_hist::HistRecord;
-use gae_monitor::{JobEvent, MonAlisaRepository};
 use gae_types::{GaeResult, JobId, TaskId};
 use gae_wire::Value;
 use parking_lot::RwLock;
@@ -19,30 +22,27 @@ use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
 
-/// Snapshot store plus MonALISA publication.
+/// The per-task snapshot store.
+#[derive(Default)]
 pub struct DbManager {
     snapshots: RwLock<HashMap<TaskId, JobMonitoringInfo>>,
     by_job: RwLock<HashMap<JobId, Vec<TaskId>>>,
-    monitor: Arc<MonAlisaRepository>,
     persist: RwLock<Option<Arc<Persistence>>>,
     obs: RwLock<Option<Arc<gae_obs::ObsHub>>>,
     hist: RwLock<Option<Arc<HistFunnel>>>,
+    /// Called inside [`Self::store`], before the snapshot lands and
+    /// so before its history row does.
+    #[cfg(test)]
+    on_store: RwLock<Option<tests::StoreHook>>,
 }
 
 impl DbManager {
-    /// Creates a repository publishing to `monitor`.
-    pub fn new(monitor: Arc<MonAlisaRepository>) -> Self {
-        DbManager {
-            snapshots: RwLock::new(HashMap::new()),
-            by_job: RwLock::new(HashMap::new()),
-            monitor,
-            persist: RwLock::new(None),
-            obs: RwLock::new(None),
-            hist: RwLock::new(None),
-        }
+    /// An empty repository.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Routes lifecycle timelines and execution spans into the hub.
+    /// Routes execution spans into the hub.
     pub(crate) fn attach_obs(&self, obs: Arc<gae_obs::ObsHub>) {
         *self.obs.write() = Some(obs);
     }
@@ -62,45 +62,42 @@ impl DbManager {
         }
     }
 
-    /// Stores (or refreshes) a snapshot, logs it to the WAL when
-    /// persistence is attached, and publishes the state change to
-    /// MonALISA.
+    /// Stores (or refreshes) a snapshot and logs it to the WAL when
+    /// persistence is attached.
     pub fn store(&self, info: JobMonitoringInfo) {
         if let Some(p) = self.persist.read().as_ref() {
             p.log(&info);
         }
+        #[cfg(test)]
+        if let Some(hook) = self.on_store.read().as_ref() {
+            hook(&info);
+        }
         self.replay(info);
     }
 
-    /// Applies a logged store: publishes the MonALISA event and
-    /// upserts, without re-logging. This is the WAL replay path —
-    /// idempotent, since replayed upserts overwrite in place.
+    /// Installs the hook [`Self::store`] calls first.
+    #[cfg(test)]
+    pub(crate) fn on_store(&self, hook: impl Fn(&JobMonitoringInfo) + Send + Sync + 'static) {
+        *self.on_store.write() = Some(Box::new(hook));
+    }
+
+    /// Applies a logged store: records the execution span and upserts,
+    /// without re-logging. This is the WAL replay path — idempotent,
+    /// since replayed upserts overwrite in place.
     pub(crate) fn replay(&self, info: JobMonitoringInfo) {
-        self.monitor.publish_job_event(JobEvent {
-            at: info.completed_at.unwrap_or(info.submitted_at),
-            job: info.job,
-            task: info.task,
-            site: info.site,
-            status: info.status,
-        });
         self.observe(&info);
         self.restore(info);
     }
 
-    /// Assembles the task's lifecycle timeline and execution span
-    /// from the snapshot's own instants. Marks are first-write-wins
-    /// and the instants ride in the logged info, so WAL replay
-    /// rebuilds the identical timeline.
+    /// Adds the run to the task's causal tree, from the snapshot's
+    /// own instants.
     fn observe(&self, info: &JobMonitoringInfo) {
         let Some(hub) = self.obs.read().clone() else {
             return;
         };
-        let condor = info.condor.raw();
-        hub.mark_at(condor, gae_obs::TimelineEvent::Submit, info.submitted_at);
         if let Some(started) = info.started_at {
-            hub.mark_at(condor, gae_obs::TimelineEvent::Start, started);
-            let root = hub.condor_trace(
-                condor,
+            let root = hub.task_trace(
+                info.task.raw(),
                 &format!("task {}/{}", info.job, info.task),
                 info.submitted_at,
             );
@@ -111,13 +108,9 @@ impl DbManager {
                 info.completed_at.unwrap_or(started),
             );
         }
-        if let Some(completed) = info.completed_at {
-            hub.mark_at(condor, gae_obs::TimelineEvent::Complete, completed);
-        }
     }
 
-    /// Upserts without publishing or logging — the snapshot-restore
-    /// path, where the matching events are restored wholesale.
+    /// Upserts without logging — the snapshot-restore path.
     pub(crate) fn restore(&self, info: JobMonitoringInfo) {
         let mut by_job = self.by_job.write();
         let tasks = by_job.entry(info.job).or_default();
@@ -219,6 +212,8 @@ impl Machine for DbManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    pub(super) type StoreHook = Box<dyn Fn(&JobMonitoringInfo) + Send + Sync>;
     use gae_types::{CondorId, Priority, SimDuration, SimTime, SiteId, TaskStatus, UserId};
 
     fn info(job: u64, task: u64, status: TaskStatus) -> JobMonitoringInfo {
@@ -247,7 +242,7 @@ mod tests {
 
     #[test]
     fn store_and_get() {
-        let db = DbManager::new(MonAlisaRepository::with_defaults());
+        let db = DbManager::new();
         assert!(db.is_empty());
         db.store(info(1, 1, TaskStatus::Completed));
         assert_eq!(
@@ -260,7 +255,7 @@ mod tests {
 
     #[test]
     fn refresh_replaces() {
-        let db = DbManager::new(MonAlisaRepository::with_defaults());
+        let db = DbManager::new();
         db.store(info(1, 1, TaskStatus::Running));
         db.store(info(1, 1, TaskStatus::Completed));
         assert_eq!(db.len(), 1);
@@ -272,22 +267,12 @@ mod tests {
 
     #[test]
     fn job_index() {
-        let db = DbManager::new(MonAlisaRepository::with_defaults());
+        let db = DbManager::new();
         db.store(info(1, 1, TaskStatus::Completed));
         db.store(info(1, 2, TaskStatus::Failed));
         db.store(info(2, 3, TaskStatus::Completed));
         assert_eq!(db.job_tasks(JobId::new(1)).len(), 2);
         assert_eq!(db.job_tasks(JobId::new(2)).len(), 1);
         assert!(db.job_tasks(JobId::new(3)).is_empty());
-    }
-
-    #[test]
-    fn publishes_to_monalisa() {
-        let monitor = MonAlisaRepository::with_defaults();
-        let db = DbManager::new(monitor.clone());
-        db.store(info(1, 1, TaskStatus::Completed));
-        let history = monitor.job_history(JobId::new(1));
-        assert_eq!(history.len(), 1);
-        assert_eq!(history[0].status, TaskStatus::Completed);
     }
 }

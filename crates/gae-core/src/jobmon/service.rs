@@ -19,15 +19,14 @@ pub struct JobMonitoringService {
 impl JobMonitoringService {
     /// Wires collector + DBManager + JMManager over the grid.
     pub fn new(grid: Arc<Grid>, estimators: Arc<EstimatorService>) -> Self {
-        let db = DbManager::new(grid.monitor().clone());
+        let db = DbManager::new();
         let collector = JobInformationCollector::new(grid, estimators);
         JobMonitoringService {
             manager: JmManager::new(db, collector),
         }
     }
 
-    /// One polling round (drains execution events into the DB and
-    /// MonALISA).
+    /// One polling round (drains execution events into the DB).
     pub fn poll(&self) {
         self.manager.poll();
     }
@@ -114,7 +113,7 @@ impl JobMonitoringService {
 
     // ---- durability hooks ----
 
-    /// Routes lifecycle timelines and execution spans into the hub.
+    /// Routes execution spans into the hub.
     pub(crate) fn attach_obs(&self, obs: Arc<gae_obs::ObsHub>) {
         self.manager.db().attach_obs(obs);
     }

@@ -6,14 +6,15 @@
 //! the "Grid weather" view the introduction motivates — query the
 //! same repository over the wire.
 //!
-//! The repository is also a journaled subsystem's state: its job-event
-//! log and metric rings are snapshot members it owns ([`Machine`]),
-//! though it journals no records of its own.
+//! The repository is also a journaled subsystem's state: its metric
+//! rings are snapshot members it owns ([`Machine`]), though it
+//! journals no records of its own. A job's state-change history is
+//! not kept here: `jobmon.job_tasks` answers it from the DBManager.
 
 use crate::persist::{array_of, section, Install, Machine, MemberWriter, Owns};
-use gae_monitor::{JobEvent, MetricKey, MonAlisaRepository, Sample};
+use gae_monitor::{MetricKey, MonAlisaRepository, Sample};
 use gae_rpc::{Method, Methods, Params};
-use gae_types::{GaeError, GaeResult, JobId, SimTime, SiteId, TaskId};
+use gae_types::{GaeError, GaeResult, SimTime, SiteId};
 use gae_wire::Value;
 use std::io;
 use std::sync::Arc;
@@ -111,47 +112,28 @@ impl Methods for MonAlisaRpc {
                 Ok(Value::Array(samples.iter().map(sample_to_value).collect()))
             },
         },
-        Method {
-            name: "job_history",
-            help: "state-change events of a job",
-            inline: false,
-            handler: |s, _, p| {
-                let job = JobId::new(p.u64(0, "job_history(job)")?);
-                let events = s.repo.job_history(job).into_iter().map(|e| {
-                    Value::struct_of([
-                        ("at_us", Value::from(e.at.as_micros())),
-                        ("task", Value::from(e.task.raw())),
-                        ("site", Value::from(e.site.raw())),
-                        ("status", Value::from(e.status.to_string())),
-                    ])
-                });
-                Ok(Value::Array(events.collect()))
-            },
-        },
     ];
 }
 
+/// Only the metric series are snapshot members. A snapshot written
+/// before the job-event log left also carries `events` and `evicted`
+/// members; nothing owns them, so they are skipped unread.
 impl Machine for MonAlisaRepository {
     fn owns(&self) -> Owns {
-        (&[], &["events", "evicted", "metrics", "metrics_published"])
+        (&[], &["metrics", "metrics_published"])
     }
 
     fn write_member(&self, name: &str, doc: &mut MemberWriter<'_>) -> io::Result<()> {
         match name {
-            "events" => doc.array(name, self.events_snapshot().iter().map(event_to_value)),
-            "evicted" => doc.member(name, &Value::from(self.evicted_count())),
             "metrics" => doc.array(name, self.metrics_snapshot().0.iter().map(series_to_value)),
             _ => doc.member(name, &Value::from(self.total_published())),
         }
     }
 
     fn decode<'a>(&'a self, doc: &'a Value) -> GaeResult<Install<'a>> {
-        let events = section(doc, "events", |v| array_of(v, event_from_value))?;
-        let evicted = section(doc, "evicted", Value::as_u64)?;
         let metrics = section(doc, "metrics", |v| array_of(v, series_from_value))?;
         let published = section(doc, "metrics_published", Value::as_u64)?;
         Ok(Box::new(move || {
-            self.restore_events(events, evicted);
             self.restore_metrics(metrics, published);
             Ok(())
         }))
@@ -163,26 +145,6 @@ fn sample_to_value(s: &Sample) -> Value {
         ("at_us", Value::from(s.at.as_micros())),
         ("value", Value::Double(s.value)),
     ])
-}
-
-pub(crate) fn event_to_value(e: &JobEvent) -> Value {
-    Value::struct_of([
-        ("at_us", Value::from(e.at.as_micros())),
-        ("job", Value::from(e.job.raw())),
-        ("task", Value::from(e.task.raw())),
-        ("site", Value::from(e.site.raw())),
-        ("status", Value::from(e.status.to_string())),
-    ])
-}
-
-fn event_from_value(v: &Value) -> GaeResult<JobEvent> {
-    Ok(JobEvent {
-        at: SimTime::from_micros(v.member("at_us")?.as_u64()?),
-        job: JobId::new(v.member("job")?.as_u64()?),
-        task: TaskId::new(v.member("task")?.as_u64()?),
-        site: SiteId::new(v.member("site")?.as_u64()?),
-        status: v.member("status")?.as_str()?.parse()?,
-    })
 }
 
 pub(crate) fn series_to_value((k, samples): &(MetricKey, Vec<Sample>)) -> Value {
@@ -298,30 +260,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.as_array().unwrap().len(), 3);
-    }
-
-    #[test]
-    fn job_history_over_rpc() {
-        use gae_monitor::JobEvent;
-        use gae_types::{TaskId, TaskStatus};
-        let repo = MonAlisaRepository::with_defaults();
-        let svc = MonAlisaRpc::new(repo.clone());
-        repo.publish_job_event(JobEvent {
-            at: SimTime::from_secs(1),
-            job: JobId::new(3),
-            task: TaskId::new(1),
-            site: SiteId::new(1),
-            status: TaskStatus::Completed,
-        });
-        let h = svc
-            .call(&ctx(), "job_history", &[Value::from(3u64)])
-            .unwrap();
-        let h = h.as_array().unwrap();
-        assert_eq!(h.len(), 1);
-        assert_eq!(
-            h[0].member("status").unwrap().as_str().unwrap(),
-            "completed"
-        );
     }
 
     #[test]

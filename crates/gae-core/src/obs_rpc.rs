@@ -2,18 +2,19 @@
 //!
 //! Two thin services over the deployment's [`ObsHub`]:
 //!
-//! * `trace` — per-job causal trees and lifecycle timelines, keyed by
-//!   CondorId: `trace.get`, `trace.timeline`, `trace.render`;
+//! * `trace` — per-task causal trees, keyed by TaskId: `trace.get`,
+//!   `trace.render` (a task's lifecycle instants are
+//!   `jobmon.job_info`'s);
 //! * `stats` — latency histogram snapshots: `stats.histogram`,
 //!   `stats.methods`, `stats.render`.
 
-use gae_obs::{HistogramSnapshot, ObsHub, TimelineEvent};
+use gae_obs::{HistogramSnapshot, ObsHub};
 use gae_rpc::{Method, Methods};
 use gae_types::GaeError;
 use gae_wire::Value;
 use std::sync::Arc;
 
-/// The `trace` service: one job's causal tree, over the wire.
+/// The `trace` service: one task's causal tree, over the wire.
 pub struct TraceRpc {
     hub: Arc<ObsHub>,
 }
@@ -31,79 +32,60 @@ fn micros(at: gae_types::SimTime) -> Value {
 
 impl Methods for TraceRpc {
     const NAME: &'static str = "trace";
-    const METHODS: &'static [Method<Self>] =
-        &[
-            // The causal tree of one CondorId as a struct: the trace id
-            // (hex, as on the wire header) plus every span in span-id
-            // order.
-            Method {
-                name: "get",
-                help: "causal tree of a CondorId: trace id + spans",
-                inline: false,
-                handler: |s, _, p| {
-                    let condor = p.u64(0, "missing CondorId parameter")?;
-                    let trace =
-                        s.hub.traces().trace_for_condor(condor).ok_or_else(|| {
-                            GaeError::NotFound(format!("trace for condor {condor}"))
-                        })?;
-                    let spans = s
-                        .hub
-                        .traces()
-                        .spans(trace)
-                        .ok_or_else(|| GaeError::NotFound(format!("spans of trace {trace}")))?;
-                    let spans = spans.iter().map(|span| {
-                        Value::struct_of([
-                            ("span", Value::Int64(span.span.raw() as i64)),
-                            (
-                                "parent",
-                                span.parent
-                                    .map(|parent| Value::Int64(parent.raw() as i64))
-                                    .unwrap_or(Value::Nil),
-                            ),
-                            ("name", Value::from(span.name.as_str())),
-                            ("start_us", micros(span.start)),
-                            ("end_us", micros(span.end)),
-                        ])
-                    });
-                    Ok(Value::struct_of([
-                        ("trace", Value::from(format!("{trace}"))),
-                        ("spans", Value::Array(spans.collect())),
-                    ]))
-                },
+    const METHODS: &'static [Method<Self>] = &[
+        // The causal tree of one task as a struct: the trace id
+        // (hex, as on the wire header) plus every span in span-id
+        // order.
+        Method {
+            name: "get",
+            help: "causal tree of a task id: trace id + spans",
+            inline: false,
+            handler: |s, _, p| {
+                let task = p.u64(0, "missing TaskId parameter")?;
+                let trace = s
+                    .hub
+                    .traces()
+                    .trace_for_task(task)
+                    .ok_or_else(|| GaeError::NotFound(format!("trace for task {task}")))?;
+                let spans = s
+                    .hub
+                    .traces()
+                    .spans(trace)
+                    .ok_or_else(|| GaeError::NotFound(format!("spans of trace {trace}")))?;
+                let spans = spans.iter().map(|span| {
+                    Value::struct_of([
+                        ("span", Value::Int64(span.span.raw() as i64)),
+                        (
+                            "parent",
+                            span.parent
+                                .map(|parent| Value::Int64(parent.raw() as i64))
+                                .unwrap_or(Value::Nil),
+                        ),
+                        ("name", Value::from(span.name.as_str())),
+                        ("start_us", micros(span.start)),
+                        ("end_us", micros(span.end)),
+                    ])
+                });
+                Ok(Value::struct_of([
+                    ("trace", Value::from(format!("{trace}"))),
+                    ("spans", Value::Array(spans.collect())),
+                ]))
             },
-            // The lifecycle timeline of one CondorId: recorded events
-            // mapped to their µs instants, unrecorded events absent.
-            Method {
-                name: "timeline",
-                help: "lifecycle instants of a CondorId (µs)",
-                inline: false,
-                handler: |s, _, p| {
-                    let condor = p.u64(0, "missing CondorId parameter")?;
-                    let tl = s.hub.timeline(condor).ok_or_else(|| {
-                        GaeError::NotFound(format!("timeline for condor {condor}"))
-                    })?;
-                    Ok(Value::struct_of(TimelineEvent::ALL.iter().filter_map(
-                        |ev| {
-                            tl.instant(*ev)
-                                .map(|at| (format!("{}_us", ev.name()), micros(at)))
-                        },
-                    )))
-                },
+        },
+        // The human-readable dump bench bins print.
+        Method {
+            name: "render",
+            help: "human-readable trace dump of a task id",
+            inline: false,
+            handler: |s, _, p| {
+                let task = p.u64(0, "missing TaskId parameter")?;
+                s.hub
+                    .render_task(task)
+                    .map(Value::from)
+                    .ok_or_else(|| GaeError::NotFound(format!("trace for task {task}")))
             },
-            // The human-readable dump bench bins print.
-            Method {
-                name: "render",
-                help: "human-readable trace + timeline dump",
-                inline: false,
-                handler: |s, _, p| {
-                    let condor = p.u64(0, "missing CondorId parameter")?;
-                    s.hub
-                        .render_condor(condor)
-                        .map(Value::from)
-                        .ok_or_else(|| GaeError::NotFound(format!("trace for condor {condor}")))
-                },
-            },
-        ];
+        },
+    ];
 }
 
 /// The `stats` service: latency distributions, over the wire.

@@ -495,14 +495,14 @@ mod tests {
     use super::*;
     use crate::grid::{GridBuilder, ServiceStack};
     use crate::jobmon::JobMonitoringInfo;
-    use crate::monalisa::{event_to_value, series_to_value};
+    use crate::monalisa::series_to_value;
     use crate::quota::{balance_to_value, ChargeRecord};
     use crate::replica::{counters_to_value, file_to_value, pending_to_value};
     use crate::steering::state::{plan_to_record, tracked_job_to_value, TaskPhase, TrackedJob};
     use crate::steering::SteeringPolicy;
     use gae_durable::crc32::crc32;
     use gae_hist::{HistConfig, HistOp, HistRecord, HistStore};
-    use gae_monitor::{JobEvent, MetricKey, Sample};
+    use gae_monitor::{MetricKey, Sample};
     use gae_repl::{Mutation, StateMachine};
     use gae_types::{
         ConcretePlan, CondorId, JobId, JobSpec, PlanId, Priority, SiteDescription, SiteId,
@@ -517,8 +517,6 @@ mod tests {
     /// avoid.
     #[derive(Debug, Default)]
     struct SnapshotState {
-        events: Vec<JobEvent>,
-        evicted: u64,
         metrics: Vec<(MetricKey, Vec<Sample>)>,
         metrics_published: u64,
         jobmon: Vec<JobMonitoringInfo>,
@@ -536,8 +534,6 @@ mod tests {
         let monitor = stack.grid.monitor();
         let (metrics, metrics_published) = monitor.metrics_snapshot();
         SnapshotState {
-            events: monitor.events_snapshot(),
-            evicted: monitor.evicted_count(),
             metrics,
             metrics_published,
             jobmon: stack.jobmon.db_snapshot(),
@@ -558,8 +554,6 @@ mod tests {
         }
         let xfer = &state.xfer;
         let doc = Value::struct_of([
-            ("events", array(&state.events, event_to_value)),
-            ("evicted", Value::from(state.evicted)),
             ("metrics", array(&state.metrics, series_to_value)),
             ("metrics_published", Value::from(state.metrics_published)),
             ("jobmon", array(&state.jobmon, JobMonitoringInfo::to_value)),
@@ -681,14 +675,6 @@ mod tests {
             condor: CondorId::new(40),
         };
         let state = SnapshotState {
-            events: vec![JobEvent {
-                at: SimTime::from_secs(9),
-                job: JobId::new(7),
-                task: TaskId::new(70),
-                site: SiteId::new(1),
-                status: TaskStatus::Completed,
-            }],
-            evicted: 3,
             metrics: vec![(
                 MetricKey::site_wide(SiteId::new(1), "cpu_load"),
                 vec![Sample {
@@ -727,8 +713,6 @@ mod tests {
         let stack = restored(&tree);
         assert_eq!(assert_streams_like_the_tree(&stack), tree);
         let back = collect(&stack);
-        assert_eq!(back.events, state.events);
-        assert_eq!(back.evicted, 3);
         assert_eq!(back.metrics, state.metrics);
         assert_eq!(back.metrics_published, 11);
         assert_eq!(back.balances, state.balances);
@@ -830,11 +814,10 @@ mod tests {
         assert!(frame::decode_envelope(&doc.as_bytes()[..doc.len() / 2]).is_err());
     }
 
-    /// The ten snapshot members the format has always had.
-    const MEMBERS: [&str; 10] = [
+    /// The snapshot members: the format's original ten, less the
+    /// job-event log and its eviction count.
+    const MEMBERS: [&str; 8] = [
         "balances",
-        "events",
-        "evicted",
         "hist",
         "jobmon",
         "ledger",
@@ -894,6 +877,47 @@ mod tests {
         write_value_document(&doc).into_bytes()
     }
 
+    /// A snapshot written before the job-event log left MonALISA
+    /// carries `events` and `evicted` members, which nothing owns now:
+    /// it still decodes and installs, and every owned member — the
+    /// metric rings among them — restores as written. This is the path
+    /// a server restarted on an older store takes.
+    #[test]
+    fn a_snapshot_with_the_retired_event_members_restores() {
+        let stack = fresh();
+        stack.submit_job(sample_plan().job).unwrap();
+        stack.run_until(SimTime::from_secs(200));
+        let current = stack.snapshot();
+        let mut doc = parse_value_document(std::str::from_utf8(&current).unwrap()).unwrap();
+        let Value::Struct(members) = &mut doc else {
+            panic!("snapshot is a struct")
+        };
+        let event = Value::struct_of([
+            ("at_us", Value::from(9_000_000u64)),
+            ("job", Value::from(7u64)),
+            ("task", Value::from(70u64)),
+            ("site", Value::from(1u64)),
+            ("status", Value::from("completed")),
+        ]);
+        assert!(members
+            .insert("events".into(), Value::Array(vec![event]))
+            .is_none());
+        assert!(members
+            .insert("evicted".into(), Value::from(3u64))
+            .is_none());
+        let older = write_value_document(&doc).into_bytes();
+
+        let back = restored(&older);
+        let (metrics, published) = stack.grid.monitor().metrics_snapshot();
+        assert!(!metrics.is_empty(), "the rings are populated");
+        assert_eq!(
+            back.grid.monitor().metrics_snapshot(),
+            (metrics, published),
+            "metric rings restore unchanged"
+        );
+        assert!(back.snapshot() == current, "the retired members drop out");
+    }
+
     /// A snapshot with a right checksum and one member that does not
     /// decode (or, for the history blob, install) is refused with a
     /// typed error naming the member. A live stack asked to restore it
@@ -911,7 +935,7 @@ mod tests {
         let live = stack.snapshot();
         assert_ne!(earlier, live);
         for (member, corrupt) in [
-            ("events", Value::from("not an array")),
+            ("metrics", Value::from("not an array")),
             ("ledger", Value::Array(vec![Value::from(1u64)])),
             ("xfer", Value::empty_struct()),
             ("hist", Value::Base64(b"not a history store".to_vec())),
@@ -1150,15 +1174,6 @@ mod tests {
     /// not carried). Lengths stay under the event-log and ring
     /// capacities, which would truncate.
     fn arb_state() -> impl Strategy<Value = SnapshotState> {
-        let event = (arb_time(), 0u64..50, 0u64..500, 1u64..9, arb_status()).prop_map(
-            |(at, job, task, site, status)| JobEvent {
-                at,
-                job: JobId::new(job),
-                task: TaskId::new(task),
-                site: SiteId::new(site),
-                status,
-            },
-        );
         let sample = (arb_time(), arb_amount()).prop_map(|(at, value)| Sample { at, value });
         let metrics = prop::collection::btree_map(
             (0u64..9, arb_text(), arb_text()),
@@ -1197,7 +1212,6 @@ mod tests {
                 hist_blob(&rows, sealed)
             });
         (
-            (prop::collection::vec(event, 0..5), 0u64..100),
             (metrics, 0u64..10_000),
             (jobmon, steering),
             (balances, prop::collection::vec(arb_charge(), 0..4)),
@@ -1206,15 +1220,12 @@ mod tests {
         )
             .prop_map(
                 |(
-                    (events, evicted),
                     (metrics, metrics_published),
                     (jobmon, steering),
                     (balances, ledger),
                     xfer,
                     hist,
                 )| SnapshotState {
-                    events,
-                    evicted,
                     metrics,
                     metrics_published,
                     jobmon,
@@ -1320,7 +1331,6 @@ mod tests {
             resumed.snapshot
         );
         for (section, len) in [
-            ("events", crashed.events.len()),
             ("metrics", crashed.metrics.len()),
             ("jobmon", crashed.jobmon.len()),
             ("steering", crashed.steering.len()),

@@ -236,8 +236,7 @@ impl SteeringService {
     }
 
     /// Installs the observability hub: every submission from here on
-    /// roots (or extends) the task's CondorId-derived trace and marks
-    /// its lifecycle timeline.
+    /// roots (or extends) the task's TaskId-derived trace.
     pub(crate) fn attach_obs(&self, obs: Arc<gae_obs::ObsHub>) {
         *self.obs.write() = Some(obs);
     }
@@ -426,21 +425,14 @@ impl SteeringService {
         }
         let condor = submitted?;
         self.estimators.record_submission(site, condor, estimate);
-        // Root the task's causal tree on its CondorId (both driver
-        // modes derive the same trace id) and mark the lifecycle
-        // instants decided at this point. Scheduling, admission and
-        // hand-off all resolve within this one virtual instant.
+        // Root the task's causal tree on its TaskId, so every attempt
+        // lands in one tree, and record the hand-off. Placement and
+        // admission resolve within this same virtual instant, so one
+        // span covers all three.
         if let Some(hub) = self.obs.read().clone() {
             let now = self.grid.now();
-            let root = hub.condor_trace(condor.raw(), &format!("task {job_id}/{task}"), now);
-            hub.span_at(root, &format!("sched.place site-{}", site.raw()), now);
-            if gate.is_some() {
-                hub.span_at(root, "gate.admit", now);
-            }
+            let root = hub.task_trace(task.raw(), &format!("task {job_id}/{task}"), now);
             hub.span_at(root, &format!("steer.submit site-{}", site.raw()), now);
-            hub.mark_at(condor.raw(), gae_obs::TimelineEvent::Schedule, now);
-            hub.mark_at(condor.raw(), gae_obs::TimelineEvent::Admit, now);
-            hub.mark_at(condor.raw(), gae_obs::TimelineEvent::Submit, now);
         }
         self.set_phase(job_id, task, TaskPhase::Submitted { site, condor });
         self.log(job_id, |j| SteeringOp::task_of(j, task));
@@ -854,7 +846,7 @@ impl SteeringService {
         // Close the task's causal tree with the collection step.
         if let Some(hub) = self.obs.read().clone() {
             let now = self.grid.now();
-            let root = hub.condor_trace(info.condor.raw(), &format!("task {job_id}/{task}"), now);
+            let root = hub.task_trace(task.raw(), &format!("task {job_id}/{task}"), now);
             hub.span_at(root, "steer.collect", now);
         }
         // Completion may unblock successors.

@@ -9,14 +9,14 @@
 //!
 //! * [`store`] — bounded time-series storage (ring buffers per
 //!   metric) with range and aggregate queries;
-//! * [`repository`] — the typed façade: site-load publication, job
-//!   state-change events, and subscriptions (push notification on
-//!   matching updates).
+//! * [`repository`] — the typed façade: site-load publication and
+//!   metric reads. A job's own state is not copied here: the Job
+//!   Monitoring Service's DBManager holds it.
 
 #![warn(missing_docs)]
 
 pub mod repository;
 pub mod store;
 
-pub use repository::{evictions_metric_key, JobEvent, MonAlisaRepository};
+pub use repository::MonAlisaRepository;
 pub use store::{MetricBatch, MetricKey, Sample, SeriesId, TimeSeriesStore};

@@ -146,7 +146,8 @@ impl TimeSeriesStore {
         if let Some(id) = self.ids.get(&key) {
             return *id;
         }
-        let id = SeriesId(u32::try_from(self.series.len()).expect("fewer than 2^32 series"));
+        let id =
+            SeriesId(u32::try_from(self.series.len()).expect("invariant: fewer than 2^32 series"));
         self.ids.insert(key.clone(), id);
         self.series.push((key, VecDeque::new()));
         id
@@ -265,7 +266,7 @@ impl TimeSeriesStore {
         if values.is_empty() {
             return None;
         }
-        values.sort_by(|a, b| a.partial_cmp(b).expect("metric values are finite"));
+        values.sort_by(f64::total_cmp);
         let rank = ((values.len() as f64 - 1.0) * q).round() as usize;
         Some(values[rank])
     }

@@ -1,11 +1,9 @@
-//! The [`ObsHub`]: one shared handle bundling the trace store, the
-//! latency histograms, and the lifecycle timelines around a single
-//! injected clock. The composition root builds one per deployment
+//! The [`ObsHub`]: one shared handle bundling the trace store and the
+//! latency histograms around a single injected clock. The composition root builds one per deployment
 //! and hands clones to the RPC host, the gate wiring, steering, and
 //! jobmon.
 
 use crate::hist::{HistogramSet, HistogramSnapshot};
-use crate::timeline::{Timeline, TimelineEvent, TimelineStore};
 use crate::trace::{SpanId, TraceContext, TraceId, TraceStore};
 use gae_types::Clock;
 use gae_types::{SimDuration, SimTime};
@@ -21,7 +19,6 @@ pub struct ObsHub {
     xfer: HistogramSet,
     repl: HistogramSet,
     hist: HistogramSet,
-    timelines: TimelineStore,
     next_trace: AtomicU64,
 }
 
@@ -36,7 +33,6 @@ impl ObsHub {
             xfer: HistogramSet::new(),
             repl: HistogramSet::new(),
             hist: HistogramSet::new(),
-            timelines: TimelineStore::new(),
             next_trace: AtomicU64::new(1),
         })
     }
@@ -55,10 +51,11 @@ impl ObsHub {
         self.traces.root(id, name, self.now())
     }
 
-    /// The deterministic trace of a task submission, rooted on first
-    /// use (both driver modes derive the same id from the CondorId).
-    pub fn condor_trace(&self, condor_raw: u64, name: &str, at: SimTime) -> TraceContext {
-        self.traces.root_condor(condor_raw, name, at)
+    /// The deterministic trace of a task, rooted on first use and
+    /// derived from its TaskId, so every attempt at every site lands
+    /// in one tree.
+    pub fn task_trace(&self, task_raw: u64, name: &str, at: SimTime) -> TraceContext {
+        self.traces.root_task(task_raw, name, at)
     }
 
     /// The deterministic trace of a managed transfer, rooted on first
@@ -152,40 +149,11 @@ impl ObsHub {
         self.hist.snapshot()
     }
 
-    // ---- timelines ----
-
-    /// Marks a lifecycle instant for a CondorId at an explicit time
-    /// (first write per event wins, so WAL replay cannot shift it).
-    pub fn mark_at(&self, condor_raw: u64, event: TimelineEvent, at: SimTime) {
-        self.timelines.mark(condor_raw, event, at);
-    }
-
-    /// Marks a lifecycle instant at the hub clock's now.
-    pub fn mark(&self, condor_raw: u64, event: TimelineEvent) {
-        self.mark_at(condor_raw, event, self.now());
-    }
-
-    /// The timeline of one CondorId.
-    pub fn timeline(&self, condor_raw: u64) -> Option<Timeline> {
-        self.timelines.get(condor_raw)
-    }
-
-    /// The timeline store (renders, exports).
-    pub fn timelines(&self) -> &TimelineStore {
-        &self.timelines
-    }
-
     // ---- text dumps ----
 
-    /// Human-readable dump of one CondorId: its trace tree and
-    /// lifecycle timeline.
-    pub fn render_condor(&self, condor_raw: u64) -> Option<String> {
-        let trace = self.traces.trace_for_condor(condor_raw)?;
-        let mut out = self.traces.render(trace)?;
-        if let Some(tl) = self.timelines.render(condor_raw) {
-            out.push_str(&tl);
-        }
-        Some(out)
+    /// Human-readable dump of one task's trace tree.
+    pub fn render_task(&self, task_raw: u64) -> Option<String> {
+        self.traces.render(self.traces.trace_for_task(task_raw)?)
     }
 
     /// Human-readable per-method latency table (bench bins print
@@ -250,8 +218,8 @@ mod tests {
     fn minted_traces_live_in_the_ring_and_job_traces_do_not() {
         use crate::trace::RING_CAPACITY;
         let (hub, _) = hub();
-        let job = hub.condor_trace(7, "task", hub.now());
-        let rendered = hub.render_condor(7).expect("rooted");
+        let job = hub.task_trace(7, "task", hub.now());
+        let rendered = hub.render_task(7).expect("rooted");
         const MINTED: u64 = 50_000;
         for _ in 0..MINTED {
             hub.mint_trace("jobmon.job_info");
@@ -260,19 +228,19 @@ mod tests {
         assert_eq!(hub.traces().evicted(), MINTED - RING_CAPACITY as u64);
         assert!(hub.traces().spans(TraceId::new(1)).is_none(), "evicted");
         assert!(hub.traces().spans(TraceId::new(MINTED)).is_some());
-        assert_eq!(hub.render_condor(7).as_deref(), Some(&rendered[..]));
-        assert_eq!(hub.traces().trace_for_condor(7), Some(job.trace));
+        assert_eq!(hub.render_task(7).as_deref(), Some(&rendered[..]));
+        assert_eq!(hub.traces().trace_for_task(7), Some(job.trace));
     }
 
     #[test]
-    fn condor_trace_is_stable_and_indexed() {
+    fn task_trace_is_stable_and_indexed() {
         let (hub, clock) = hub();
         clock.advance_micros(100);
-        let a = hub.condor_trace(7, "task", hub.now());
-        let b = hub.condor_trace(7, "task", hub.now());
+        let a = hub.task_trace(7, "task", hub.now());
+        let b = hub.task_trace(7, "task", hub.now());
         assert_eq!(a, b);
-        assert!(hub.render_condor(7).is_some());
-        assert!(hub.render_condor(8).is_none());
+        assert!(hub.render_task(7).is_some());
+        assert!(hub.render_task(8).is_none());
     }
 
     #[test]
@@ -289,19 +257,5 @@ mod tests {
         assert!(table.contains("xfer:1->2"), "{table}");
         assert!(table.contains("repl:commit"), "{table}");
         assert!(table.contains("hist:query"), "{table}");
-    }
-
-    #[test]
-    fn timeline_marks_use_clock() {
-        let (hub, clock) = hub();
-        hub.mark(5, TimelineEvent::Submit);
-        clock.advance_micros(250);
-        hub.mark(5, TimelineEvent::Complete);
-        let tl = hub.timeline(5).unwrap();
-        assert_eq!(tl.instant(TimelineEvent::Submit), Some(SimTime::ZERO));
-        assert_eq!(
-            tl.instant(TimelineEvent::Complete),
-            Some(SimTime::from_micros(250))
-        );
     }
 }

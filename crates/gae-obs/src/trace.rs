@@ -5,10 +5,10 @@
 //! steering loop) plus child spans appended as the request crosses
 //! services. Identifiers carry no wall-clock or random component —
 //! door-minted traces count up from 1, job traces derive from the
-//! CondorId — so the same workload yields byte-identical trees in
-//! both driver modes.
+//! TaskId — so the same workload yields byte-identical trees run to
+//! run, and a task keeps one tree across every site it runs at.
 //!
-//! Only job traces (rooted through [`TraceStore::root_condor`]) are
+//! Only job traces (rooted through [`TraceStore::root_task`]) are
 //! kept for the life of the store. Every other trace — door-minted,
 //! joined through a client-chosen `X-GAE-Trace` id, `hist` / `repl` /
 //! `xfer` — lives in a ring of the newest [`RING_CAPACITY`]: a server
@@ -30,9 +30,9 @@ pub const RING_CAPACITY: usize = 4096;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(u64);
 
-/// High bit marks CondorId-derived trace ids, keeping them disjoint
+/// High bit marks TaskId-derived trace ids, keeping them disjoint
 /// from the door's counter-minted ids.
-const CONDOR_BIT: u64 = 1 << 63;
+const TASK_BIT: u64 = 1 << 63;
 
 /// Second-highest bit marks transfer-derived trace ids (from the
 /// transfer scheduler's sequential transfer ids), disjoint from both
@@ -56,9 +56,10 @@ impl TraceId {
     }
 
     /// The deterministic trace id of a submitted task, derived from
-    /// its CondorId so both driver modes agree without coordination.
-    pub const fn for_condor(condor_raw: u64) -> Self {
-        TraceId(condor_raw | CONDOR_BIT)
+    /// its TaskId: unique across jobs and sites, where a CondorId is
+    /// numbered per site.
+    pub const fn for_task(task_raw: u64) -> Self {
+        TraceId(task_raw | TASK_BIT)
     }
 
     /// The deterministic trace id of a managed transfer, derived from
@@ -163,7 +164,7 @@ pub struct SpanRecord {
 /// The traces themselves, both families behind one lock.
 #[derive(Default)]
 struct Traces {
-    /// CondorId-bound job traces: never evicted.
+    /// TaskId-bound job traces: never evicted.
     jobs: HashMap<TraceId, Vec<SpanRecord>>,
     /// Every other trace, at most [`RING_CAPACITY`] of them, oldest
     /// first; a trace's id is its root span's.
@@ -192,17 +193,23 @@ impl Traces {
         trace: TraceId,
         fresh: impl FnOnce() -> SpanRecord,
     ) -> &mut Vec<SpanRecord> {
-        // Only ids with the CondorId bit can be job traces; the door's
+        // Only ids with the TaskId bit can be job traces; the door's
         // counter ids skip the probe.
-        if trace.0 & CONDOR_BIT != 0 && self.jobs.contains_key(&trace) {
-            return self.jobs.get_mut(&trace).expect("probed above");
+        if trace.0 & TASK_BIT != 0 && self.jobs.contains_key(&trace) {
+            return self
+                .jobs
+                .get_mut(&trace)
+                .expect("invariant: contains_key held under this &mut");
         }
         let next = self.ring_base + self.ring.len() as u64;
         let seq = *self.ring_index.entry(trace).or_insert(next);
         if seq == next {
             self.ring.push_back(vec![fresh()]);
             if self.ring.len() > RING_CAPACITY {
-                let oldest = self.ring.pop_front().expect("just pushed");
+                let oldest = self
+                    .ring
+                    .pop_front()
+                    .expect("invariant: a ring over capacity is non-empty");
                 self.ring_index.remove(&oldest[0].trace);
                 self.ring_base += 1;
             }
@@ -211,12 +218,10 @@ impl Traces {
     }
 }
 
-/// The span repository: the recorded traces, plus the CondorId →
-/// trace index job-lifecycle lookups go through.
+/// The span repository: job traces and the ring of request traces.
 #[derive(Default)]
 pub struct TraceStore {
     traces: RwLock<Traces>,
-    by_condor: RwLock<HashMap<u64, TraceId>>,
 }
 
 impl TraceStore {
@@ -240,15 +245,14 @@ impl TraceStore {
     }
 
     /// [`Self::root`] for the trace of a submitted task: derived from
-    /// and bound to its CondorId, and kept for the life of the store.
-    pub fn root_condor(&self, condor_raw: u64, name: &str, at: SimTime) -> TraceContext {
-        let trace = TraceId::for_condor(condor_raw);
+    /// its TaskId, and kept for the life of the store.
+    pub fn root_task(&self, task_raw: u64, name: &str, at: SimTime) -> TraceContext {
+        let trace = TraceId::for_task(task_raw);
         self.traces
             .write()
             .jobs
             .entry(trace)
             .or_insert_with(|| vec![root_span(trace, name, at, at)]);
-        self.by_condor.write().insert(condor_raw, trace);
         TraceContext {
             trace,
             span: SpanId::ROOT,
@@ -282,9 +286,15 @@ impl TraceStore {
         self.traces.read().ring_base
     }
 
-    /// The trace a CondorId was bound to, if any.
-    pub fn trace_for_condor(&self, condor_raw: u64) -> Option<TraceId> {
-        self.by_condor.read().get(&condor_raw).copied()
+    /// The job trace of a task, if one was rooted: a ring trace that
+    /// merely carries the TaskId bit is not one.
+    pub fn trace_for_task(&self, task_raw: u64) -> Option<TraceId> {
+        let trace = TraceId::for_task(task_raw);
+        self.traces
+            .read()
+            .jobs
+            .contains_key(&trace)
+            .then_some(trace)
     }
 
     /// Every span of a trace in span-id order; `None` for an unknown
@@ -352,7 +362,7 @@ mod tests {
     #[test]
     fn context_wire_roundtrip() {
         let ctx = TraceContext {
-            trace: TraceId::for_condor(42),
+            trace: TraceId::for_task(42),
             span: SpanId::new(7),
         };
         assert_eq!(TraceContext::parse(&ctx.encode()), Some(ctx));
@@ -361,22 +371,22 @@ mod tests {
     }
 
     #[test]
-    fn condor_ids_are_disjoint_from_counter_ids() {
-        assert_ne!(TraceId::for_condor(1), TraceId::new(1));
-        assert_eq!(TraceId::for_condor(5).raw() & !CONDOR_BIT, 5);
+    fn task_ids_are_disjoint_from_counter_ids() {
+        assert_ne!(TraceId::for_task(1), TraceId::new(1));
+        assert_eq!(TraceId::for_task(5).raw() & !TASK_BIT, 5);
     }
 
     #[test]
     fn xfer_ids_are_disjoint_from_both_families() {
         assert_ne!(TraceId::for_xfer(1), TraceId::new(1));
-        assert_ne!(TraceId::for_xfer(1), TraceId::for_condor(1));
+        assert_ne!(TraceId::for_xfer(1), TraceId::for_task(1));
         assert_eq!(TraceId::for_xfer(5).raw() & !XFER_BIT, 5);
     }
 
     #[test]
     fn repl_ids_are_disjoint_from_every_family() {
         assert_ne!(TraceId::for_repl(1), TraceId::new(1));
-        assert_ne!(TraceId::for_repl(1), TraceId::for_condor(1));
+        assert_ne!(TraceId::for_repl(1), TraceId::for_task(1));
         assert_ne!(TraceId::for_repl(1), TraceId::for_xfer(1));
         assert_eq!(TraceId::for_repl(5).raw() & !REPL_BIT, 5);
     }
@@ -384,7 +394,7 @@ mod tests {
     #[test]
     fn hist_ids_are_disjoint_from_every_family() {
         assert_ne!(TraceId::for_hist(1), TraceId::new(1));
-        assert_ne!(TraceId::for_hist(1), TraceId::for_condor(1));
+        assert_ne!(TraceId::for_hist(1), TraceId::for_task(1));
         assert_ne!(TraceId::for_hist(1), TraceId::for_xfer(1));
         assert_ne!(TraceId::for_hist(1), TraceId::for_repl(1));
         assert_eq!(TraceId::for_hist(5).raw() & !HIST_BIT, 5);
@@ -412,12 +422,12 @@ mod tests {
     }
 
     #[test]
-    fn condor_binding_resolves() {
+    fn task_binding_resolves() {
         let store = TraceStore::new();
-        let t = store.root_condor(9, "task", SimTime::ZERO).trace;
-        assert_eq!(t, TraceId::for_condor(9));
-        assert_eq!(store.trace_for_condor(9), Some(t));
-        assert_eq!(store.trace_for_condor(10), None);
+        let t = store.root_task(9, "task", SimTime::ZERO).trace;
+        assert_eq!(t, TraceId::for_task(9));
+        assert_eq!(store.trace_for_task(9), Some(t));
+        assert_eq!(store.trace_for_task(10), None);
     }
 
     #[test]
@@ -480,13 +490,13 @@ mod tests {
     #[test]
     fn job_traces_outlive_any_flood() {
         let store = TraceStore::new();
-        let job = store.root_condor(7, "task j1/t1", SimTime::ZERO);
+        let job = store.root_task(7, "task j1/t1", SimTime::ZERO);
         store.child(job, "exec.run", SimTime::ZERO, SimTime::from_micros(5));
         for id in 1..=FLOOD {
             store.root(TraceId::new(id), "rpc", SimTime::ZERO);
         }
         assert_eq!(store.len(), RING_CAPACITY + 1);
-        assert_eq!(store.trace_for_condor(7), Some(job.trace));
+        assert_eq!(store.trace_for_task(7), Some(job.trace));
         let spans = store.spans(job.trace).expect("never evicted");
         assert_eq!(spans.len(), 2);
         // Still appendable, and appending evicts nothing.
@@ -497,19 +507,19 @@ mod tests {
     }
 
     #[test]
-    fn a_condor_shaped_id_nobody_submitted_lands_in_the_ring() {
-        // The CondorId bit alone buys no residency: only
-        // `root_condor` does, so a client cannot grow `jobs`.
+    fn a_task_shaped_id_nobody_submitted_lands_in_the_ring() {
+        // The TaskId bit alone buys no residency: only
+        // `root_task` does, so a client cannot grow `jobs`.
         let store = TraceStore::new();
         for raw in 1..=FLOOD {
             let ctx = TraceContext {
-                trace: TraceId::for_condor(raw),
+                trace: TraceId::for_task(raw),
                 span: SpanId::ROOT,
             };
             store.child(ctx, "rpc.system.ping", SimTime::ZERO, SimTime::ZERO);
         }
         assert_eq!(store.len(), RING_CAPACITY);
-        assert_eq!(store.trace_for_condor(1), None);
+        assert_eq!(store.trace_for_task(1), None);
     }
 
     #[test]

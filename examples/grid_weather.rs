@@ -44,7 +44,7 @@ fn main() {
     );
     // A day of 1-minute samples needs a deeper metric ring than the
     // default 4096.
-    let monitor = gae::monitor::MonAlisaRepository::new(4 * 24 * 60, 65_536);
+    let monitor = gae::monitor::MonAlisaRepository::new(4 * 24 * 60);
     let grid = GridBuilder::new()
         .site_with_config(uni)
         .site(SiteDescription::new(SiteId::new(2), "tier2", 8, 2))

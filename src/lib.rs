@@ -23,8 +23,8 @@
 //! | [`rpc`] | `gae-rpc` | Clarens substitute: hosts, auth, transports, discovery |
 //! | [`sim`] | `gae-sim` | discrete-event engine, load traces, network model |
 //! | [`exec`] | `gae-exec` | Condor substitute: queues, accrual, job control |
-//! | [`monitor`] | `gae-monitor` | MonALISA substitute: metrics + job events |
-//! | [`obs`] | `gae-obs` | traces, latency histograms, job timelines |
+//! | [`monitor`] | `gae-monitor` | MonALISA substitute: metric series |
+//! | [`obs`] | `gae-obs` | traces (one tree per task), latency histograms |
 //! | [`sched`] | `gae-sched` | Sphinx substitute: site selection, replanning |
 //! | [`trace`] | `gae-trace` | Paragon records, Downey workload, similarity |
 //! | [`durable`] | `gae-durable` | checksummed WAL + snapshots, crash recovery |

@@ -31,7 +31,7 @@ fn a_day_of_analysis_survives_everything() {
         .site_with_config(uni)
         .site(SiteDescription::new(SiteId::new(2), "tier2", 6, 2).with_charge(2.0, 0.2))
         .site(SiteDescription::new(SiteId::new(3), "opportunistic", 2, 1).with_charge(0.2, 0.0))
-        .monitor(gae::monitor::MonAlisaRepository::new(16_384, 65_536))
+        .monitor(gae::monitor::MonAlisaRepository::new(16_384))
         .build();
     grid.enable_flocking(SiteId::new(1), SiteId::new(2));
     let policy = SteeringPolicy {
@@ -107,13 +107,13 @@ fn a_day_of_analysis_survives_everything() {
     let ledger = stack.quota.ledger();
     assert_eq!(ledger.len() as u64, JOBS, "one charge per completed task");
 
-    // 5. The monitoring repository saw every lifecycle: at least one
-    //    completion event per job.
+    // 5. The job repository saw every lifecycle: every job has a
+    //    completed task in `jobmon.job_tasks`.
     for i in 1..=JOBS {
-        let events = grid.monitor().job_history(JobId::new(i));
+        let tasks = stack.jobmon.job_tasks(JobId::new(i));
         assert!(
-            events.iter().any(|e| e.status == TaskStatus::Completed),
-            "job {i} has no completion event in MonALISA"
+            tasks.iter().any(|t| t.status == TaskStatus::Completed),
+            "job {i} has no completed task in the job repository"
         );
     }
 

@@ -144,18 +144,13 @@ pub fn submit_workload(scenario: &Scenario, stack: &ServiceStack) {
 }
 
 /// A deterministic digest of everything the durability contract
-/// promises to reconstruct: the job repository, the retained MonALISA
-/// event log and eviction counter, the steering tracker (minus Condor
+/// promises to reconstruct: the job repository, the steering tracker (minus Condor
 /// ids, which are legitimately reissued on re-arm), accounting, and
 /// the columnar job history (store digest plus per-segment digests).
 /// Metric *series* are snapshot-only by contract and excluded.
 pub fn digest(stack: &ServiceStack) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    writeln!(out, "evicted={}", stack.grid.monitor().evicted_count()).unwrap();
-    for e in stack.grid.monitor().events_snapshot() {
-        writeln!(out, "event {e:?}").unwrap();
-    }
     for info in stack.jobmon.db_snapshot() {
         writeln!(out, "jobmon {info:?}").unwrap();
     }

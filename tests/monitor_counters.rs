@@ -1,9 +1,7 @@
 //! Observability counters over the `monalisa.*` RPC facade: the
-//! estimator memo-cache hit/miss counters published every poll, and
-//! the monotonic event-log eviction counter (ISSUE 2 satellites).
+//! estimator memo-cache hit/miss counters published every poll.
 
 use gae::core::monalisa::MonAlisaRpc;
-use gae::monitor::MonAlisaRepository;
 use gae::prelude::*;
 use gae::rpc::{CallContext, Service};
 use gae::wire::Value;
@@ -77,41 +75,4 @@ fn memo_counters_move_and_are_queryable_over_rpc() {
     );
     assert_eq!(misses_after as u64, misses);
     assert_eq!(hits_after as u64, hits);
-}
-
-/// The capped event log reports evictions monotonically, both through
-/// `evicted_count` and as the `monalisa.evictions` metric over RPC.
-#[test]
-fn eviction_counter_is_monotonic_over_rpc() {
-    // A real stack over a tiny event log: 4 retained events.
-    let repo = MonAlisaRepository::new(256, 4);
-    let grid = GridBuilder::new()
-        .site(SiteDescription::new(SiteId::new(1), "alpha", 4, 2))
-        .monitor(repo.clone())
-        .build();
-    let stack = ServiceStack::over(grid);
-
-    let mut job = JobSpec::new(JobId::new(1), "burst", UserId::new(1));
-    for k in 0..8u64 {
-        job.add_task(
-            TaskSpec::new(TaskId::new(k), format!("b{k}"), "app")
-                .with_cpu_demand(SimDuration::from_secs(2)),
-        );
-    }
-    stack.submit_job(job).unwrap();
-
-    let mut last = 0u64;
-    for step in 1..=6u64 {
-        stack.run_until(SimTime::from_secs(step * 10));
-        let counted = repo.evicted_count();
-        assert!(counted >= last, "eviction counter went backwards");
-        last = counted;
-    }
-    // 8 completions into a cap of 4: at least 4 evictions.
-    assert!(last >= 4, "expected evictions, saw {last}");
-    assert_eq!(repo.events_snapshot().len(), 4, "cap holds");
-
-    let rpc = MonAlisaRpc::new(repo.clone());
-    let metric = latest(&rpc, 0, "monalisa", "evictions").expect("eviction metric");
-    assert_eq!(metric as u64, last, "metric mirrors the counter");
 }

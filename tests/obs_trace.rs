@@ -1,6 +1,7 @@
-//! End-to-end observability (DESIGN.md §10): one submitted job yields
-//! one connected causal tree retrievable over RPC by CondorId, trace
-//! trees replay byte-identically run to run, latency
+//! End-to-end observability (DESIGN.md §10): each submitted task
+//! yields one connected causal tree retrievable over RPC by its
+//! TaskId — its own, however many sites hand out the same CondorId —
+//! trace trees replay byte-identically run to run, latency
 //! histograms publish under the MonALISA `obs` entity, and the
 //! `X-GAE-Trace` header carries contexts across the TCP transport.
 
@@ -41,15 +42,14 @@ fn submitted_job_yields_one_connected_trace_tree_over_rpc() {
     let stack = one_job_stack();
     let info = stack.jobmon.job_info(TaskId::new(1)).unwrap();
     assert_eq!(info.status, TaskStatus::Completed);
-    let condor = info.condor.raw();
 
     let host = ServiceHost::open();
     host.register(Arc::new(TraceRpc::new(stack.obs())));
     let mut client = InProcClient::with_codec(host);
 
     let tree = client
-        .call("trace.get", vec![Value::from(condor)])
-        .expect("trace retrievable by CondorId");
+        .call("trace.get", vec![Value::from(1u64)])
+        .expect("trace retrievable by TaskId");
     let spans = match tree.member("spans").unwrap() {
         Value::Array(spans) => spans.clone(),
         other => panic!("spans should be an array, got {other:?}"),
@@ -82,34 +82,83 @@ fn submitted_job_yields_one_connected_trace_tree_over_rpc() {
         .iter()
         .map(|s| s.member("name").unwrap().as_str().unwrap().to_string())
         .collect();
-    for expected in [
-        "sched.place",
-        "gate.admit",
-        "steer.submit",
-        "exec.run",
-        "steer.collect",
-    ] {
+    for expected in ["steer.submit", "exec.run", "steer.collect"] {
         assert!(
             names.iter().any(|n| n.starts_with(expected)),
             "missing {expected} in {names:?}"
         );
     }
 
-    // The timeline reports every lifecycle instant in order.
-    let tl = client
-        .call("trace.timeline", vec![Value::from(condor)])
-        .unwrap();
-    let instant = |ev: &str| tl.member(&format!("{ev}_us")).unwrap().as_i64().unwrap();
-    assert!(instant("submit") <= instant("start"));
-    assert!(instant("start") < instant("complete"));
+    // The lifecycle instants are the job record's, in order.
+    let started = info.started_at.expect("started");
+    assert!(info.submitted_at <= started);
+    assert!(started < info.completed_at.expect("completed"));
 
-    // And the text dump renders both.
+    // And the text dump renders the tree.
     let text = client
-        .call("trace.render", vec![Value::from(condor)])
+        .call("trace.render", vec![Value::from(1u64)])
         .unwrap();
     let text = text.as_str().unwrap();
     assert!(text.contains("exec.run"), "{text}");
-    assert!(text.contains("complete"), "{text}");
+    assert!(text.contains("steer.collect"), "{text}");
+}
+
+// ---- one tree per task, across sites ----
+
+/// Every site numbers its CondorIds from 1, so on two sites two tasks
+/// share each CondorId. A task's tree is keyed by its TaskId: it holds
+/// its own submission and its own run, equal to the job record's
+/// instants, and nothing of the task that shares its CondorId.
+#[test]
+fn each_task_tree_holds_only_its_own_submit_and_run() {
+    let grid = GridBuilder::new()
+        .site(SiteDescription::new(SiteId::new(1), "one", 1, 1))
+        .site(SiteDescription::new(SiteId::new(2), "two", 1, 1))
+        .build();
+    let stack = ServiceStack::over(grid);
+    let mut job = JobSpec::new(JobId::new(1), "two sites", UserId::new(1));
+    for i in 1..=4u64 {
+        job.add_task(
+            TaskSpec::new(TaskId::new(i), format!("t{i}"), "reco")
+                .with_cpu_demand(SimDuration::from_secs(40)),
+        );
+    }
+    stack.submit_job(job).unwrap();
+    stack.run_until(SimTime::from_secs(600));
+
+    let host = ServiceHost::open();
+    host.register(Arc::new(TraceRpc::new(stack.obs())));
+    let mut client = InProcClient::with_codec(host);
+    let mut sites = std::collections::BTreeSet::new();
+    let mut condors = std::collections::BTreeSet::new();
+    for i in 1..=4u64 {
+        let info = stack.jobmon.job_info(TaskId::new(i)).unwrap();
+        assert_eq!(info.status, TaskStatus::Completed, "task {i}");
+        sites.insert(info.site);
+        condors.insert(info.condor);
+        let text = client.call("trace.render", vec![Value::from(i)]).unwrap();
+        let text = text.as_str().unwrap();
+        let lines: Vec<&str> = text.lines().map(str::trim).collect();
+        let named = |prefix: &str| -> Vec<&str> {
+            lines
+                .iter()
+                .copied()
+                .filter(|l| l.starts_with(prefix))
+                .collect()
+        };
+        let submit = format!("- steer.submit site-{} ", info.site.raw());
+        let submits = named("- steer.submit");
+        assert_eq!(submits.len(), 1, "task {i}: {text}");
+        assert!(submits[0].starts_with(&submit), "task {i}: {text}");
+        let run = format!(
+            "- exec.run [{}us..{}us]",
+            info.started_at.unwrap().as_micros(),
+            info.completed_at.unwrap().as_micros()
+        );
+        assert_eq!(named("- exec.run"), [run.as_str()], "task {i}: {text}");
+    }
+    assert_eq!(sites.len(), 2, "both sites ran tasks");
+    assert!(condors.len() < 4, "the sites reused CondorIds");
 }
 
 // ---- determinism run to run ----
@@ -120,10 +169,7 @@ fn trace_trees_are_deterministic_run_to_run() {
     let render_all = || -> Vec<String> {
         let stack = one_job_stack();
         (1..=3u64)
-            .map(|i| {
-                let condor = stack.jobmon.job_info(TaskId::new(i)).unwrap().condor.raw();
-                stack.obs().render_condor(condor).expect("traced")
-            })
+            .map(|i| stack.obs().render_task(i).expect("traced"))
             .collect()
     };
     assert_eq!(render_all(), render_all(), "replayed trace trees diverged");

@@ -10,7 +10,10 @@
 //!   estimate what the leader estimated, from a store with the
 //!   leader's digest.
 //! * The cost contract as counts: warm service estimates scan nothing.
-//! * The regression for the stale-memo race a completion used to open.
+//!
+//! The regression for the stale-memo race a completion used to open
+//! is a unit test beside the collector that opened it
+//! (`jobmon::collector`): it needs a hook inside `DbManager::store`.
 
 use gae::core::estimator::{HistoryStore, RuntimeEstimate};
 use gae::durable::fault::unique_temp_dir;
@@ -18,7 +21,6 @@ use gae::hist::{HistConfig, HistOp, HistRecord, HistStore};
 use gae::prelude::*;
 use gae::trace::{Feature, SimilarityTemplate, TaskMeta, TemplateHierarchy};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
 
 #[path = "harness/mod.rs"]
 mod harness;
@@ -469,79 +471,4 @@ fn warm_view_estimates_read_no_rows_at_any_size() {
             (scanned.rows_scanned, scanned.scans)
         );
     }
-}
-
-// ---- the stale-memo race ----
-
-/// A completion used to invalidate the site's memo *before* its row
-/// reached the store. An `estimate_runtime` served between the two
-/// memoised the pre-completion value, and when nothing invalidated the
-/// site again — the task's submission estimate is not recorded under
-/// this site, as for a task that flocked in — the stale entry stayed.
-/// The job-event callback fires inside `DbManager::store`, exactly in
-/// that window.
-#[test]
-fn estimate_served_mid_completion_does_not_go_stale() {
-    let grid = GridBuilder::new()
-        .site(SiteDescription::new(SiteId::new(1), "solo", 2, 1))
-        .build();
-    let stack = ServiceStack::over(grid);
-    let site = SiteId::new(1);
-    let spec = spec_for(1, 5, 1);
-    let m = TaskMeta::from_spec(&spec);
-    for (i, secs) in [20u64, 24].iter().enumerate() {
-        stack
-            .hist
-            .ingest(record(100 + i as u64, 1, &m, secs * 1_000_000, true));
-    }
-    assert_eq!(
-        stack
-            .estimators
-            .estimate_runtime(site, &spec)
-            .unwrap()
-            .samples,
-        2
-    );
-
-    let seen_mid_completion = Arc::new(Mutex::new(Vec::new()));
-    let (estimators, probe, seen) = (
-        stack.estimators.clone(),
-        spec.clone(),
-        seen_mid_completion.clone(),
-    );
-    stack.grid.monitor().subscribe(move |event| {
-        if event.status == TaskStatus::Completed {
-            let e = estimators.estimate_runtime(SiteId::new(1), &probe).unwrap();
-            seen.lock().unwrap().push(e.samples);
-        }
-    });
-    // Straight into the execution service: no scheduler, so no
-    // submission estimate is recorded and `evict_submission` misses.
-    stack
-        .grid
-        .exec(site)
-        .unwrap()
-        .lock()
-        .submit(spec.clone().into(), None)
-        .unwrap();
-    stack.run_until(SimTime::from_secs(120));
-    assert_eq!(
-        *seen_mid_completion.lock().unwrap(),
-        vec![2],
-        "the callback estimated once, before the row landed"
-    );
-    assert_eq!(
-        stack.hist.store().site_successes(1),
-        3,
-        "the completion was ingested"
-    );
-    assert_eq!(
-        stack
-            .estimators
-            .estimate_runtime(site, &spec)
-            .unwrap()
-            .samples,
-        3,
-        "a memo entry from inside the completion outlived it"
-    );
 }

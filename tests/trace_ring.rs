@@ -1,7 +1,7 @@
 //! The trace ring's contract (DESIGN.md §10): a door that answers
 //! requests for ever holds a bounded window of their traces — in
-//! count and in heap — while the trace of a submitted job stays
-//! retrievable by CondorId however many requests come after it.
+//! count and in heap — while the trace of a submitted task stays
+//! retrievable by its TaskId however many requests come after it.
 //!
 //! This binary installs a counting allocator (test-local: an
 //! integration test is its own process) and is one test, so nothing
@@ -63,7 +63,7 @@ const MB: usize = 1 << 20;
 
 #[test]
 fn request_traces_are_bounded_and_job_traces_are_not_evicted() {
-    // One job, run to completion: its tasks' traces are CondorId-bound.
+    // One job, run to completion: its tasks' traces are TaskId-bound.
     let grid = GridBuilder::new()
         .site(SiteDescription::new(SiteId::new(1), "farm", 4, 2))
         .build();
@@ -74,9 +74,8 @@ fn request_traces_are_bounded_and_job_traces_are_not_evicted() {
     );
     stack.submit_job(job).unwrap();
     stack.run_until(SimTime::from_secs(120));
-    let condor = stack.jobmon.job_info(TaskId::new(1)).unwrap().condor.raw();
     let hub = stack.obs();
-    let rendered = hub.render_condor(condor).expect("job trace");
+    let rendered = hub.render_task(1).expect("job trace");
     let published = |stack: &ServiceStack| {
         let key = gae::monitor::MetricKey::new(SiteId::new(0), "obs", "trace_evictions");
         stack.grid.monitor().latest(&key).map(|s| s.value)
@@ -123,14 +122,10 @@ fn request_traces_are_bounded_and_job_traces_are_not_evicted() {
     );
 
     // The job's trace came through untouched, by every route.
-    assert_eq!(hub.render_condor(condor).as_deref(), Some(&rendered[..]));
+    assert_eq!(hub.render_task(1).as_deref(), Some(&rendered[..]));
     let trace_rpc = TraceRpc::new(hub.clone());
     let tree = trace_rpc
-        .call(
-            &CallContext::anonymous("test"),
-            "get",
-            &[Value::from(condor)],
-        )
+        .call(&CallContext::anonymous("test"), "get", &[Value::from(1u64)])
         .expect("trace.get after the flood");
     let Value::Array(spans) = tree.member("spans").unwrap() else {
         panic!("spans should be an array: {tree:?}");

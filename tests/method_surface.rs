@@ -24,9 +24,13 @@ use gae::rpc::{CallContext, ServiceHost};
 use gae::wire::{write_response, MethodCall, Value};
 
 /// `(row, crc32)` for the pinned surface, in call order.
-const SURFACE_GOLDEN: [(&str, &str); 148] = [
-    ("system.listMethods", "fa62e995"),
-    ("GET /", "64596c0a"),
+const SURFACE_GOLDEN: [(&str, &str); 144] = [
+    // `system.listMethods` (both rows) and the `GET /` index moved when
+    // `monalisa.job_history` and `trace.timeline` left the surface, and
+    // `stats.methods` / `stats.render` with them: they list the method
+    // histograms of the calls made so far, two of which are gone.
+    ("system.listMethods", "12d2857a"),
+    ("GET /", "49f0441c"),
     ("help auth.login", "54bf668f"),
     ("auth.login", "d6150cdb"),
     ("help auth.logout", "371667e7"),
@@ -70,8 +74,6 @@ const SURFACE_GOLDEN: [(&str, &str); 148] = [
     ("monalisa.latest", "50fa29bd"),
     ("help monalisa.range", "d9992c65"),
     ("monalisa.range", "82b4001d"),
-    ("help monalisa.job_history", "f1e028cf"),
-    ("monalisa.job_history", "7e3966d8"),
     ("help replica.register", "f5d28ee6"),
     ("replica.register", "c706c6a0"),
     ("help replica.lookup", "33afde77"),
@@ -101,9 +103,9 @@ const SURFACE_GOLDEN: [(&str, &str); 148] = [
     ("help stats.histogram", "ed9eb107"),
     ("stats.histogram", "0c97d674"),
     ("help stats.methods", "be52e638"),
-    ("stats.methods", "84c689ad"),
+    ("stats.methods", "c07789f2"),
     ("help stats.render", "a80dbea9"),
-    ("stats.render", "8f971884"),
+    ("stats.render", "9d283b68"),
     ("help steering.kill", "dcc14f7c"),
     ("steering.kill", "0d369ab1"),
     ("help steering.pause", "236a1b63"),
@@ -133,17 +135,17 @@ const SURFACE_GOLDEN: [(&str, &str); 148] = [
     ("help system.echo", "6a8c404c"),
     ("system.echo", "5713113f"),
     ("help system.listMethods", "5877764b"),
-    ("system.listMethods", "725749e4"),
+    ("system.listMethods", "046d93ce"),
     ("help system.methodHelp", "cbed88e3"),
     ("system.methodHelp", "e560ff72"),
     ("help system.multicall", "bc38d50c"),
     ("system.multicall", "0c7ba168"),
-    ("help trace.get", "397433ef"),
-    ("trace.get", "b82e9fa7"),
-    ("help trace.timeline", "053d8de5"),
-    ("trace.timeline", "b82e9fa7"),
-    ("help trace.render", "0b42b6c1"),
-    ("trace.render", "b82e9fa7"),
+    // `trace.get` / `trace.render` take a task id now: new help
+    // strings and a new missing-parameter fault.
+    ("help trace.get", "db1faa5b"),
+    ("trace.get", "7ef15d91"),
+    ("help trace.render", "737b1cfe"),
+    ("trace.render", "7ef15d91"),
     ("anon auth.no_such_method", "754abb78"),
     ("user auth.no_such_method", "754abb78"),
     ("anon estimator.no_such_method", "d27544f6"),

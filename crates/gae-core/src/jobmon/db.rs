@@ -212,9 +212,10 @@ impl Machine for DbManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    pub(super) type StoreHook = Box<dyn Fn(&JobMonitoringInfo) + Send + Sync>;
     use gae_types::{CondorId, Priority, SimDuration, SimTime, SiteId, TaskStatus, UserId};
+
+    /// What [`DbManager::on_store`] installs.
+    pub(super) type StoreHook = Box<dyn Fn(&JobMonitoringInfo) + Send + Sync>;
 
     fn info(job: u64, task: u64, status: TaskStatus) -> JobMonitoringInfo {
         JobMonitoringInfo {

@@ -111,7 +111,7 @@ pub struct ScenarioReport {
     pub invariant_failures: Vec<String>,
     /// Canonical run digest: byte-identical run to run.
     pub digest: String,
-    /// [`gae_repl::StateMachine::query_state`] of the final stack: the
+    /// [`ServiceStack::query_state`] of the final stack: the
     /// CRC of its full snapshot, metric series included (the digest
     /// above covers task states and counters only).
     pub state_crc: String,
@@ -283,7 +283,6 @@ pub fn run_scenario(spec: &ScenarioSpec, opts: &ScenarioOptions) -> ScenarioRepo
                 followers: opts.replication,
                 fsync: false,
             },
-            |_| gae_repl::MirrorMachine::new(),
         )
         .expect("follower cluster creation failed");
         stack
@@ -412,7 +411,6 @@ pub fn run_scenario(spec: &ScenarioSpec, opts: &ScenarioOptions) -> ScenarioRepo
             heal_unpaired(&stack.grid, &spec.faults[..next_fault]);
         }
         if leader_loss_at == Some(t) {
-            use gae_repl::StateMachine;
             // The leader dies mid-schedule. First take the oracle:
             // ordinary single-node recovery of the dead leader's own
             // store — the state a correct failover must reproduce.
@@ -567,7 +565,7 @@ fn finish(
         xfer,
         invariant_failures,
         digest,
-        state_crc: gae_repl::StateMachine::query_state(stack),
+        state_crc: stack.query_state(),
     }
 }
 

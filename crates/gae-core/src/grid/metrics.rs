@@ -307,7 +307,6 @@ mod tests {
                 followers: 2,
                 fsync: false,
             },
-            |_| gae_repl::MirrorMachine::new(),
         )
         .unwrap();
         stack.attach_replication(followers).unwrap();

@@ -452,15 +452,15 @@ impl ServiceStack {
         poll_period: SimDuration,
         config: &PersistenceConfig,
     ) -> GaeResult<(Arc<ServiceStack>, RecoveryReport)> {
-        use gae_repl::StateMachine;
-
         let stack = Self::assemble(grid, policy, poll_period);
 
         // 1–2. Snapshot restore plus committed-WAL replay, in log
-        //    order — both through the [`gae_repl::StateMachine`]
-        //    contract, the same path a replication follower applies
-        //    mutations through. Each record is decoded, applied and
-        //    dropped as the scan delivers it: the log is never held.
+        //    order, through [`ServiceStack::restore`] and
+        //    [`ServiceStack::apply_mutation`]. A promoted replication
+        //    follower's directory comes through here too: it holds the
+        //    leader's records byte for byte. Each record is decoded,
+        //    applied and dropped as the scan delivers it: the log is
+        //    never held.
         let mut replayed = 0usize;
         let at = DurableStore::replay(
             &config.dir,

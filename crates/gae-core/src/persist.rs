@@ -323,8 +323,7 @@ pub(crate) trait Machine {
     fn owns(&self) -> Owns;
 
     /// Replays one committed record of a kind it owns, decoded
-    /// through its [`Journal`] type — WAL replay and follower apply,
-    /// never logging.
+    /// through its [`Journal`] type — WAL replay, never logging.
     fn apply(&self, kind: &str, _body: &Value) -> GaeResult<()> {
         Err(GaeError::Parse(format!("unknown wal record kind {kind:?}")))
     }
@@ -503,7 +502,7 @@ mod tests {
     use gae_durable::crc32::crc32;
     use gae_hist::{HistConfig, HistOp, HistRecord, HistStore};
     use gae_monitor::{MetricKey, Sample};
-    use gae_repl::{Mutation, StateMachine};
+    use gae_repl::Mutation;
     use gae_types::{
         ConcretePlan, CondorId, JobId, JobSpec, PlanId, Priority, SiteDescription, SiteId,
         TaskAssignment, TaskSpec, TaskStatus, UserId,
@@ -1552,7 +1551,7 @@ mod tests {
     /// one commit behind.
     #[test]
     fn a_record_logged_during_a_rotation_keeps_followers_in_lockstep() {
-        use gae_repl::{MirrorMachine, ReplConfig, ReplicatedLog};
+        use gae_repl::{ReplConfig, ReplicatedLog};
         let dir = gae_durable::fault::unique_temp_dir("persist-rotate-repl");
         let leader = dir.join("node-0");
         let p = Persistence::create(&PersistenceConfig::new(&leader).fsync(false)).unwrap();
@@ -1560,7 +1559,7 @@ mod tests {
             followers: 2,
             fsync: false,
         };
-        let cluster = ReplicatedLog::attached(&dir, config, |_| MirrorMachine::new()).unwrap();
+        let cluster = ReplicatedLog::attached(&dir, config).unwrap();
         p.set_replication_sink(cluster.clone());
         p.log(&Numbered(1));
         p.commit().unwrap();

@@ -1,16 +1,17 @@
-//! The service stack as a replicated state machine.
+//! The service stack's replay, restore and digest.
 //!
-//! Satellite of DESIGN.md §13: [`StateMachine`] for [`ServiceStack`] is
-//! the loop over [`ServiceStack::machines`] — a committed record goes to
-//! the one machine whose journal owns its kind, a snapshot is every
-//! machine's members in name order, and a restore decodes every
-//! machine's members before it installs any. No subsystem is named
-//! here: each one's replay and restore live with its codecs, in its own
-//! module (DESIGN.md §8 "How a subsystem journals"). Single-node
-//! recovery ([`ServiceStack::recover_from_disk`]) and replication
-//! followers drive the exact same code, which is why a promoted
-//! follower's rebuilt schedule is byte-identical to what the dead
-//! leader would have recovered to.
+//! DESIGN.md §13: these methods are the loop over
+//! [`ServiceStack::machines`] — a committed record goes to the one
+//! machine whose journal owns its kind, a snapshot is every machine's
+//! members in name order, and a restore decodes every machine's
+//! members before it installs any. No subsystem is named here: each
+//! one's replay and restore live with its codecs, in its own module
+//! (DESIGN.md §8 "How a subsystem journals"). Recovery
+//! ([`ServiceStack::recover_from_disk`]) is their one caller outside
+//! tests. A replication follower never calls them: it holds the
+//! leader's WAL records byte for byte, so a promoted follower's
+//! directory recovers through this same code to what the dead leader's
+//! would have.
 //!
 //! [`ObsSink`] is the instrumentation shim
 //! [`ServiceStack::attach_replication`] wraps around the real sink:
@@ -21,16 +22,16 @@ use crate::grid::ServiceStack;
 use crate::persist;
 use gae_durable::crc32::Crc32;
 use gae_obs::ObsHub;
-use gae_repl::{Mutation, ReplStats, ReplicationSink, StateMachine};
+use gae_repl::{Mutation, ReplStats, ReplicationSink};
 use gae_types::{GaeError, GaeResult, SimTime};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-impl StateMachine for ServiceStack {
+impl ServiceStack {
     /// Applies one committed journal record through the machine that
-    /// owns its kind — the replay language the WAL has always spoken,
-    /// shared verbatim with crash recovery.
-    fn apply_mutation(&self, mutation: &Mutation) -> GaeResult<()> {
+    /// owns its kind — the replay language the WAL has always spoken.
+    /// An unknown kind is a typed [`GaeError::Parse`].
+    pub fn apply_mutation(&self, mutation: &Mutation) -> GaeResult<()> {
         let kind = mutation.kind.as_str();
         self.machines()
             .iter()
@@ -40,15 +41,17 @@ impl StateMachine for ServiceStack {
     }
 
     /// A deterministic digest of the persisted state: the CRC of the
-    /// canonical snapshot encoding.
-    fn query_state(&self) -> String {
+    /// canonical snapshot encoding, as eight hex digits.
+    pub fn query_state(&self) -> String {
         let mut crc = Crc32::new();
         persist::encode_snapshot(&self.machines(), &mut crc)
             .expect("invariant: a checksum accepts every write");
         format!("{:08x}", crc.finish())
     }
 
-    fn snapshot(&self) -> Vec<u8> {
+    /// The canonical snapshot encoding, held at once.
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> Vec<u8> {
         let mut snapshot = Vec::new();
         persist::encode_snapshot(&self.machines(), &mut snapshot)
             .expect("invariant: a Vec accepts every write");
@@ -60,7 +63,7 @@ impl StateMachine for ServiceStack {
     /// installed, so a payload that fails to decode leaves the stack as
     /// it was; the one install that can fail runs first (see
     /// [`ServiceStack::machines`]).
-    fn restore(&self, snapshot: &[u8]) -> GaeResult<()> {
+    pub fn restore(&self, snapshot: &[u8]) -> GaeResult<()> {
         let doc = persist::decode_snapshot(snapshot)?;
         let machines = self.machines();
         let installs = machines

@@ -9,9 +9,11 @@
 //! directory. Streaming happens synchronously at commit time: each
 //! commit hands over the WAL records the leader's store took, as
 //! [`crate::frame`] envelope bytes, and each follower appends them
-//! verbatim. Uncommitted leader appends are never visible to
-//! followers, which is what makes every follower a prefix-consistent
-//! copy of the leader by construction.
+//! verbatim and commits them; it never decodes them. Uncommitted
+//! leader appends are never visible to followers, which is what makes
+//! every follower a prefix-consistent copy of the leader by
+//! construction, and its state is what a recovery of its directory
+//! holds.
 //!
 //! ## Quorum rule
 //!
@@ -36,9 +38,6 @@ use std::path::{Path, PathBuf};
 use gae_durable::{DurableStore, RecoveryPoint, TailState};
 use gae_types::{GaeError, GaeResult};
 use parking_lot::Mutex;
-
-use crate::frame;
-use crate::machine::{Mutation, StateMachine};
 
 /// A voting node's identity. The leader is always node 0; followers
 /// are numbered from 1.
@@ -132,20 +131,19 @@ struct RetainedSnapshot {
     payload: Vec<u8>,
 }
 
-struct Follower<M> {
+struct Follower {
     id: NodeId,
     dir: PathBuf,
     store: Option<DurableStore>,
-    machine: M,
     commit_index: u64,
     alive: bool,
 }
 
-struct Inner<M> {
+struct Inner {
     fsync: bool,
     leader_alive: bool,
     leader_commit: u64,
-    followers: Vec<Follower<M>>,
+    followers: Vec<Follower>,
     snapshot: RetainedSnapshot,
     /// Batches with index > snapshot.commit_index, oldest first.
     retained: VecDeque<RetainedBatch>,
@@ -157,23 +155,19 @@ struct Inner<M> {
     elections: u64,
 }
 
-/// A deterministic replicated log: synchronous follower replay of the
-/// leader's commits, quorum commit index, snapshot-install catch-up,
-/// and deterministic failover.
-pub struct ReplicatedLog<M: StateMachine> {
+/// A deterministic replicated log: follower stores that take the
+/// leader's commits synchronously, quorum commit index,
+/// snapshot-install catch-up, and deterministic failover.
+pub struct ReplicatedLog {
     dir: PathBuf,
-    inner: Mutex<Inner<M>>,
+    inner: Mutex<Inner>,
 }
 
-impl<M: StateMachine> ReplicatedLog<M> {
+impl ReplicatedLog {
     /// A follower cluster under `dir` for attaching to a leader: the
     /// returned log implements [`ReplicationSink`] and mirrors every
-    /// leader commit into followers built by `mk`.
-    pub fn attached(
-        dir: &Path,
-        config: ReplConfig,
-        mk: impl Fn(NodeId) -> M,
-    ) -> GaeResult<std::sync::Arc<Self>> {
+    /// leader commit into the followers' stores.
+    pub fn attached(dir: &Path, config: ReplConfig) -> GaeResult<std::sync::Arc<Self>> {
         let mut followers = Vec::new();
         for i in 1..=config.followers as u64 {
             let id = NodeId(i);
@@ -186,7 +180,6 @@ impl<M: StateMachine> ReplicatedLog<M> {
                 id,
                 dir: node_dir,
                 store: Some(store),
-                machine: mk(id),
                 commit_index: 0,
                 alive: true,
             });
@@ -274,14 +267,12 @@ impl<M: StateMachine> ReplicatedLog<M> {
             max_batch_records: 0,
         };
         let mut store = DurableStore::resume(&f.dir, &base, &inner.snapshot.payload, fsync)?;
-        f.machine.restore(&inner.snapshot.payload)?;
         f.commit_index = inner.snapshot.commit_index;
         inner.snapshot_installs += 1;
         // Log suffix: every retained batch past the snapshot point,
         // replayed off the leader's record bytes.
         for batch in &inner.retained {
-            let mutations = decode_records(&batch.records)?;
-            apply_batch(&mut store, &f.machine, batch, &mutations)?;
+            apply_batch(&mut store, batch)?;
             f.commit_index = batch.index;
             inner.streamed_records += batch.records.len() as u64;
             inner.acks += 1;
@@ -336,18 +327,12 @@ impl<M: StateMachine> ReplicatedLog<M> {
         Ok(follower_mut(&mut inner, node)?.commit_index)
     }
 
-    /// A follower's machine digest ([`StateMachine::query_state`]).
-    pub fn follower_state(&self, node: NodeId) -> GaeResult<String> {
-        let mut inner = self.inner.lock();
-        Ok(follower_mut(&mut inner, node)?.machine.query_state())
-    }
-
     /// Every configured follower id.
     pub fn follower_ids(&self) -> Vec<NodeId> {
         self.inner.lock().followers.iter().map(|f| f.id).collect()
     }
 
-    fn stats_locked(inner: &Inner<M>) -> ReplStats {
+    fn stats_locked(inner: &Inner) -> ReplStats {
         ReplStats {
             commit_index: inner.quorum_commit,
             leader_commit: inner.leader_commit,
@@ -362,7 +347,7 @@ impl<M: StateMachine> ReplicatedLog<M> {
     }
 }
 
-impl<M: StateMachine> ReplicationSink for ReplicatedLog<M> {
+impl ReplicationSink for ReplicatedLog {
     fn on_commit(&self, commit_index: u64, records: &[Vec<u8>]) {
         let mut inner = self.inner.lock();
         if !inner.leader_alive {
@@ -388,10 +373,7 @@ impl<M: StateMachine> ReplicationSink for ReplicatedLog<M> {
     }
 }
 
-fn follower_mut<M: StateMachine>(
-    inner: &mut Inner<M>,
-    node: NodeId,
-) -> GaeResult<&mut Follower<M>> {
+fn follower_mut(inner: &mut Inner, node: NodeId) -> GaeResult<&mut Follower> {
     inner
         .followers
         .iter_mut()
@@ -400,19 +382,14 @@ fn follower_mut<M: StateMachine>(
 }
 
 /// Stream one committed batch to every live follower and advance the
-/// quorum index. The records are decoded once, for every follower —
-/// and not at all while none is alive. A follower whose store or
-/// machine errors, or that leaves commit lockstep, is marked dead (it
-/// will need a snapshot install to rejoin), never poisoning the leader.
-fn replicate<M: StateMachine>(inner: &mut Inner<M>, batch: RetainedBatch) {
-    let mut mutations = None;
+/// quorum index. A follower whose store errors, or that leaves commit
+/// lockstep, is marked dead (it will need a snapshot install to
+/// rejoin), never poisoning the leader.
+fn replicate(inner: &mut Inner, batch: RetainedBatch) {
     for f in inner.followers.iter_mut().filter(|f| f.alive) {
-        let decoded = mutations.get_or_insert_with(|| decode_records(&batch.records));
-        let applied = match (f.store.as_mut(), decoded) {
-            (Some(store), Ok(mutations)) => {
-                apply_batch(store, &f.machine, &batch, mutations).is_ok()
-            }
-            _ => false,
+        let applied = match f.store.as_mut() {
+            Some(store) => apply_batch(store, &batch).is_ok(),
+            None => false,
         };
         if applied {
             f.commit_index = batch.index;
@@ -431,23 +408,12 @@ fn replicate<M: StateMachine>(inner: &mut Inner<M>, batch: RetainedBatch) {
     }
 }
 
-/// Every record of a batch, decoded as crash replay decodes it.
-fn decode_records(records: &[Vec<u8>]) -> GaeResult<Vec<Mutation>> {
-    records.iter().map(|r| frame::decode_envelope(r)).collect()
-}
-
-/// Takes one streamed batch into a follower — the leader's records
-/// appended verbatim, committed, and applied to its machine as
-/// `mutations`, their decoding: the one path a batch takes, live
-/// ([`replicate`]) or catching up after a snapshot install. A commit
-/// that lands on an index other than the leader's is an error: the
-/// follower has left lockstep.
-fn apply_batch<M: StateMachine>(
-    store: &mut DurableStore,
-    machine: &M,
-    batch: &RetainedBatch,
-    mutations: &[Mutation],
-) -> GaeResult<()> {
+/// Takes one streamed batch into a follower's store — the leader's
+/// records appended verbatim and committed: the one path a batch
+/// takes, live ([`replicate`]) or catching up after a snapshot
+/// install. A commit that lands on an index other than the leader's is
+/// an error: the follower has left lockstep.
+fn apply_batch(store: &mut DurableStore, batch: &RetainedBatch) -> GaeResult<()> {
     for record in &batch.records {
         store.append(record.clone());
     }
@@ -459,18 +425,13 @@ fn apply_batch<M: StateMachine>(
             attempted: format!("apply leader commit {}", batch.index),
         });
     }
-    mutations.iter().try_for_each(|m| machine.apply_mutation(m))
+    Ok(())
 }
 
 /// Forward a leader rotation: every live follower rotates its own
 /// store to the same payload, the payload becomes the snapshot-install
 /// source, and batches it covers are released.
-fn install_rotation<M: StateMachine>(
-    inner: &mut Inner<M>,
-    commit_index: u64,
-    record_seq: u64,
-    payload: &[u8],
-) {
+fn install_rotation(inner: &mut Inner, commit_index: u64, record_seq: u64, payload: &[u8]) {
     for f in inner.followers.iter_mut().filter(|f| f.alive) {
         let rotated = match f.store.as_mut() {
             Some(store) => store.rotate(payload),
@@ -492,7 +453,7 @@ fn install_rotation<M: StateMachine>(
 /// Recompute the quorum commit index: the highest index durable on a
 /// majority of live nodes (leader counts as one vote while alive). The
 /// index never moves backwards.
-fn recompute_quorum<M: StateMachine>(inner: &mut Inner<M>) {
+fn recompute_quorum(inner: &mut Inner) {
     let quorum = inner.followers.len().div_ceil(2) + 1;
     let mut indexes: Vec<u64> = inner
         .followers

@@ -4,15 +4,25 @@
 //! gae-wire value document — the exact on-disk WAL record format
 //! gae-core has always journaled, owned here so leader and followers
 //! agree on bytes. A commit streams the envelopes its store took, byte
-//! for byte; a follower appends them verbatim and decodes each once to
-//! apply it, so follower WALs are byte-identical to the leader's by
-//! construction.
+//! for byte, and a follower appends them verbatim without decoding
+//! them, so follower WALs are byte-identical to the leader's by
+//! construction. Records are decoded only by a recovery, which hands
+//! each [`Mutation`] to the service stack.
 
-use crate::machine::Mutation;
 use gae_types::{GaeError, GaeResult};
 use gae_wire::lexer::escape_text;
 use gae_wire::writer::write_value;
 use gae_wire::{parse_value_document, Value};
+
+/// One decoded WAL record: a journal kind plus its body document.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Mutation {
+    /// Journal record kind (`jobmon`, `plan`, `task`, `notified`,
+    /// `charge`, `xfer`, …).
+    pub kind: String,
+    /// The record body, exactly as journaled.
+    pub body: Value,
+}
 
 /// Encode one journal record as the `{kind, body}` envelope document:
 /// the bytes of the two-member struct value, members in name order
@@ -29,15 +39,19 @@ pub fn encode_envelope(kind: &str, body: &Value) -> String {
     out
 }
 
-/// Decode a WAL record back into its mutation.
+/// Decode a WAL record back into its mutation. The body is moved out
+/// of the parsed envelope, not copied: recovery decodes every record.
 pub fn decode_envelope(bytes: &[u8]) -> GaeResult<Mutation> {
     let text = std::str::from_utf8(bytes)
         .map_err(|e| GaeError::Parse(format!("journal record is not UTF-8: {e}")))?;
-    let envelope = parse_value_document(text)?;
-    Ok(Mutation {
-        kind: envelope.member("kind")?.as_str()?.to_string(),
-        body: envelope.member("body")?.clone(),
-    })
+    let mut envelope = parse_value_document(text)?;
+    let kind = envelope.member("kind")?.as_str()?.to_string();
+    let body = match &mut envelope {
+        Value::Struct(members) => members.remove("body"),
+        _ => None,
+    };
+    let body = body.ok_or_else(|| GaeError::Parse("missing struct member \"body\"".into()))?;
+    Ok(Mutation { kind, body })
 }
 
 #[cfg(test)]

@@ -9,9 +9,8 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`frame`] | the WAL record envelope, the one unit streamed to followers |
-//! | [`machine`] | the [`StateMachine`] trait extracted from the ad-hoc replay paths, plus [`MirrorMachine`] |
-//! | [`cluster`] | [`ReplicatedLog`]: follower replay of a leader's commits, quorum commit, snapshot install, election |
+//! | [`frame`] | the WAL record envelope, the one unit streamed to followers, and its decoding, [`Mutation`] |
+//! | [`cluster`] | [`ReplicatedLog`]: follower stores that take a leader's commits, quorum commit, snapshot install, election |
 //!
 //! ## Shape
 //!
@@ -21,12 +20,12 @@
 //!   already the mutation language, and each of its commits is
 //!   streamed to N in-process followers as the WAL records its store
 //!   took — [`frame`] envelopes, byte for byte.
-//! * Each **follower** owns its own [`gae_durable::DurableStore`] in a
-//!   `node-<id>` subdirectory plus a [`StateMachine`]; it appends the
+//! * Each **follower** is its own [`gae_durable::DurableStore`] in a
+//!   `node-<id>` subdirectory, and nothing else: it appends the
 //!   leader's records verbatim to its own WAL, commits — at the
-//!   leader's index, or it leaves the cluster — applies each record
-//!   (decoded once per commit, as crash replay decodes it), and
-//!   acknowledges.
+//!   leader's index, or it leaves the cluster — and acknowledges. It
+//!   never decodes a record; its state is what a recovery of its
+//!   directory holds.
 //! * The **quorum commit index** is the highest index durable on a
 //!   majority of live nodes (leader included, n = followers + 1,
 //!   quorum = n/2 + 1).
@@ -43,7 +42,6 @@
 
 pub mod cluster;
 pub mod frame;
-pub mod machine;
 
 pub use cluster::{NodeId, Promotion, ReplConfig, ReplStats, ReplicatedLog, ReplicationSink};
-pub use machine::{MirrorMachine, Mutation, StateMachine};
+pub use frame::Mutation;

@@ -87,10 +87,7 @@ pub mod prelude {
     pub use gae_core::steering::{Notification, SteeringCommand, SteeringPolicy, SteeringService};
     pub use gae_core::{EstimatorService, QuotaService};
     pub use gae_gate::{Gate, GateClass, GateConfig, GateStats, Principal};
-    pub use gae_repl::{
-        MirrorMachine, NodeId, Promotion, ReplConfig, ReplStats, ReplicatedLog, ReplicationSink,
-        StateMachine,
-    };
+    pub use gae_repl::{NodeId, Promotion, ReplConfig, ReplStats, ReplicatedLog, ReplicationSink};
     pub use gae_types::prelude::*;
     pub use gae_xfer::{RetryPolicy, XferConfig, XferScheduler};
 }

@@ -3,7 +3,7 @@
 //! report's, `tests/harness`, the perf ledger's run digests — hashes
 //! task states and counters only).
 //!
-//! [`StateMachine::query_state`] is the CRC of the stack's canonical
+//! [`ServiceStack::query_state`] is the CRC of the stack's canonical
 //! snapshot: job repository, steering tracker, quota ledger, transfer
 //! catalogue, history store, and every metric ring with its
 //! `metrics_published` total. Any change to a published key string, a
@@ -157,7 +157,6 @@ fn gated_stack(dir: &std::path::Path) -> Arc<ServiceStack> {
             followers: 2,
             fsync: false,
         },
-        |_| MirrorMachine::new(),
     )
     .unwrap();
     stack.attach_replication(followers).unwrap();

@@ -235,7 +235,6 @@ fn a_crashed_stack_returns_its_heap_before_recovery() {
                 followers: 2,
                 fsync: false,
             },
-            |_| MirrorMachine::new(),
         )
         .expect("follower cluster");
         stack

@@ -1,26 +1,41 @@
 //! Replicated-log cluster semantics (DESIGN.md §13), exercised on a
-//! follower cluster with [`MirrorMachine`] state, driven through its
-//! [`ReplicationSink`] by a small local leader: commit-time streaming,
-//! snapshot-install catch-up for lagging followers, the quorum rule
-//! under follower loss, commit lockstep, deterministic elections, and
-//! the recoverability of a promoted follower's store.
+//! follower cluster driven through its [`ReplicationSink`] by a small
+//! local leader: commit-time streaming, snapshot-install catch-up for
+//! lagging followers, the quorum rule under follower loss, commit
+//! lockstep, deterministic elections, and the recoverability of a
+//! promoted follower's store. A node's state is what a recovery of its
+//! directory holds.
 
 use gae::durable::fault::unique_temp_dir;
 use gae::durable::DurableStore;
 use gae::prelude::*;
 use gae::repl::frame;
 use gae::wire::Value;
+use std::path::Path;
 use std::sync::Arc;
 
-/// The leader these followers mirror: a bare store in `node-0` plus a
-/// machine of its own, teeing every commit / rotate into the cluster's
-/// sink the way `gae-core`'s persistence layer does.
+/// The leader these followers mirror: a bare store in `node-0`,
+/// teeing every commit / rotate into the cluster's sink the way
+/// `gae-core`'s persistence layer does.
 struct Leader {
     store: DurableStore,
-    machine: MirrorMachine,
     /// Envelope bytes appended since the last commit.
     pending: Vec<Vec<u8>>,
-    cluster: Arc<ReplicatedLog<MirrorMachine>>,
+    cluster: Arc<ReplicatedLog>,
+}
+
+/// What a recovery of a node's directory holds: commit index, record
+/// sequence, snapshot payload and records. The generation is left out:
+/// a rejoined follower restarts at generation 0.
+type NodeState = (u64, u64, Vec<u8>, Vec<Vec<u8>>);
+
+fn node_state(dir: &Path) -> NodeState {
+    let r = DurableStore::recover(dir).expect("recover node dir");
+    (r.commit_index, r.record_seq, r.snapshot, r.records)
+}
+
+fn follower_state(cluster: &ReplicatedLog, node: NodeId) -> NodeState {
+    node_state(&cluster.dir().join(node.to_string()))
 }
 
 impl Leader {
@@ -36,10 +51,6 @@ impl Leader {
             self.store.append(record.clone());
         }
         let index = self.store.commit().expect("leader commit");
-        for record in &records {
-            let m = frame::decode_envelope(record).expect("leader decode");
-            self.machine.apply_mutation(&m).expect("leader apply");
-        }
         self.cluster.on_commit(index, &records);
         index
     }
@@ -51,43 +62,38 @@ impl Leader {
         self.commit()
     }
 
-    /// Rotates to a snapshot of the leader machine and forwards it.
+    /// Rotates to a fixed snapshot payload and forwards it.
     fn rotate(&mut self) {
-        let payload = self.machine.snapshot();
-        self.store.rotate(&payload).expect("leader rotate");
+        let payload = b"leader snapshot";
+        self.store.rotate(payload).expect("leader rotate");
         self.cluster
-            .on_rotate(self.store.commit_index(), self.store.record_seq(), &payload);
+            .on_rotate(self.store.commit_index(), self.store.record_seq(), payload);
     }
 
-    fn state(&self) -> String {
-        self.machine.query_state()
+    fn state(&self) -> NodeState {
+        node_state(&self.cluster.dir().join("node-0"))
     }
 }
 
-fn cluster_at(
-    dir: &std::path::Path,
-    followers: usize,
-) -> (Leader, Arc<ReplicatedLog<MirrorMachine>>) {
+fn cluster_at(dir: &Path, followers: usize) -> (Leader, Arc<ReplicatedLog>) {
     let cluster = ReplicatedLog::attached(
         dir,
         ReplConfig {
             followers,
             fsync: false,
         },
-        |_| MirrorMachine::new(),
     )
     .expect("cluster");
     let leader = Leader {
         store: DurableStore::create(&dir.join("node-0"), false).expect("leader store"),
-        machine: MirrorMachine::new(),
         pending: Vec::new(),
         cluster: cluster.clone(),
     };
     (leader, cluster)
 }
 
-/// Committed batches land on every follower — store and machine — in
-/// lockstep; uncommitted appends are invisible to followers.
+/// Committed batches land on every follower's store in lockstep;
+/// uncommitted appends are invisible to followers.
 #[test]
 fn followers_replay_every_committed_batch() {
     let dir = unique_temp_dir("repl-replay");
@@ -98,7 +104,7 @@ fn followers_replay_every_committed_batch() {
     let leader_state = leader.state();
     for node in cluster.follower_ids() {
         assert_eq!(
-            cluster.follower_state(node).expect("follower state"),
+            follower_state(&cluster, node),
             leader_state,
             "{node} diverged from the leader"
         );
@@ -110,7 +116,7 @@ fn followers_replay_every_committed_batch() {
     leader.append("pending", Value::from("never"));
     for node in cluster.follower_ids() {
         assert_eq!(cluster.follower_commit(node).expect("commit"), 5);
-        assert_eq!(cluster.follower_state(node).expect("state"), leader_state);
+        assert_eq!(follower_state(&cluster, node), leader_state);
     }
 
     let stats = cluster.stats();
@@ -126,8 +132,8 @@ fn followers_replay_every_committed_batch() {
 
 /// Satellite: a killed follower misses commits *and* a snapshot
 /// rotation; rejoining installs the rotation snapshot plus the
-/// retained log suffix, landing byte-identical to the leader at the
-/// leader's commit index.
+/// retained log suffix, landing on the leader's commit index with the
+/// leader's snapshot and records.
 #[test]
 fn snapshot_install_catches_up_lagging_follower() {
     let dir = unique_temp_dir("repl-install");
@@ -154,9 +160,9 @@ fn snapshot_install_catches_up_lagging_follower() {
         "the rejoined follower caught up to the leader's commit index"
     );
     assert_eq!(
-        cluster.follower_state(lagger).expect("state"),
+        follower_state(&cluster, lagger),
         leader.state(),
-        "byte-identical state digest after snapshot install + suffix replay"
+        "the leader's snapshot and records after snapshot install + suffix replay"
     );
     assert_eq!(cluster.quorum_commit(), after_rotation);
     std::fs::remove_dir_all(&dir).ok();
@@ -195,7 +201,7 @@ fn quorum_stalls_without_followers_and_recovers() {
 
 /// Followers check commit lockstep: a commit whose index skips one
 /// lands each follower's store on an index other than the leader's,
-/// and that kills the follower like any apply error. The quorum index
+/// and that kills the follower like any store error. The quorum index
 /// then stalls where it was, and never moves backward.
 #[test]
 fn a_skipped_commit_index_kills_the_followers() {
@@ -291,10 +297,53 @@ fn lifecycle_misuse_is_refused() {
     assert!(cluster.fail_leader().is_err(), "the leader is already dead");
     // Sink calls after `fail_leader` change nothing: a dead leader
     // cannot commit into, or rotate, the surviving followers.
-    let (stats, state) = (cluster.stats(), cluster.follower_state(NodeId(2)));
+    let (stats, state) = (cluster.stats(), follower_state(&cluster, NodeId(2)));
     leader.commit_batch("posthumous", 2);
     leader.rotate();
     assert_eq!(cluster.stats(), stats);
-    assert_eq!(cluster.follower_state(NodeId(2)), state);
+    assert_eq!(follower_state(&cluster, NodeId(2)), state);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Followers never decode the records they take, so one that is not a
+/// document lands on every follower as it landed on the leader. It is
+/// caught where the leader's own copy is: a recovery of either
+/// directory fails with the same typed parse error, and panics on
+/// neither.
+#[test]
+fn an_undecodable_record_fails_recovery_of_leader_and_promoted_alike() {
+    let dir = unique_temp_dir("repl-undecodable");
+    let (mut leader, cluster) = cluster_at(&dir, 2);
+    leader.pending.push(b"not a document".to_vec());
+    let committed = leader.commit();
+    let stats = cluster.stats();
+    assert_eq!(stats.followers_alive, 2, "the followers stay alive");
+    assert_eq!(cluster.quorum_commit(), committed);
+    for node in cluster.follower_ids() {
+        assert_eq!(cluster.follower_commit(node).expect("commit"), committed);
+        assert_eq!(follower_state(&cluster, node), leader.state());
+    }
+    let promotion = cluster.fail_leader().expect("election");
+    drop((leader, cluster));
+
+    for node_dir in [promotion.dir, dir.join("node-0")] {
+        let recovered = ServiceStack::recover_from_disk(
+            GridBuilder::new()
+                .site(SiteDescription::new(SiteId::new(1), "a", 1, 1))
+                .build(),
+            SteeringPolicy::default(),
+            SimDuration::from_secs(5),
+            &PersistenceConfig::new(&node_dir).fsync(false),
+        );
+        match recovered {
+            Err(GaeError::Parse(m)) => assert!(
+                m.starts_with("wal record 1 (undecodable envelope)"),
+                "{}: {m}",
+                node_dir.display()
+            ),
+            Err(e) => panic!("{}: not a parse error: {e}", node_dir.display()),
+            Ok(_) => panic!("{}: recovered an undecodable record", node_dir.display()),
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

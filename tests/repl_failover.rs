@@ -39,7 +39,6 @@ fn replicated_run(scenario: &Scenario, dir: &std::path::Path, kill_after: usize)
             followers: 2,
             fsync: false,
         },
-        |_| MirrorMachine::new(),
     )
     .expect("follower cluster");
     stack

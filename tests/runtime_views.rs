@@ -294,7 +294,6 @@ fn recovered_and_promoted_stacks_estimate_like_the_leader() {
             followers: 2,
             fsync: false,
         },
-        |_| MirrorMachine::new(),
     )
     .expect("follower cluster");
     leader

@@ -197,7 +197,6 @@ fn a_replicated_stack_and_its_followers_are_freed() {
             followers: 2,
             fsync: false,
         },
-        |_| MirrorMachine::new(),
     )
     .expect("follower cluster");
     stack

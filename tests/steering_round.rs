@@ -12,7 +12,6 @@
 use gae::core::steering::{MoveReason, MoveRecord, TaskPhase};
 use gae::durable::fault::unique_temp_dir;
 use gae::prelude::*;
-use gae::repl::StateMachine;
 use gae::trace::ScenarioSpec;
 use gae::types::{CondorId, TaskStatus};
 use gae_bench::scenario::{apply_fault, build_grid, job_for, ScenarioOptions};

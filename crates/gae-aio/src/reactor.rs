@@ -214,9 +214,9 @@ impl ReactorRpcServer {
     }
 
     /// Fully explicit constructor. Everything that can fail — bind,
-    /// waker, poller, both registrations, thread spawn — fails here
-    /// as a typed error: an `Ok` server is one whose loop is polling
-    /// its listener.
+    /// waker, poller, both registrations, worker and thread spawns —
+    /// fails here as a typed error: an `Ok` server is one whose loop
+    /// is polling its listener.
     pub fn bind_tuned(
         host: Arc<ServiceHost>,
         workers: usize,
@@ -245,6 +245,12 @@ impl ReactorRpcServer {
         let requests_served = Arc::new(AtomicU64::new(0));
         let inline_served = Arc::new(AtomicU64::new(0));
         let open_connections = Arc::new(AtomicU64::new(0));
+        // The reactor thread builds the door and spawns its workers, and
+        // reports a failed spawn back here. Built on this thread instead,
+        // the threads land in other malloc arenas: +1.5 MB (+17 %) peak
+        // RSS on the perf `query_small` run, a gap that vanishes under
+        // `MALLOC_ARENA_MAX=1`.
+        let (built_tx, built_rx) = std::sync::mpsc::sync_channel(1);
         let thread = {
             let mailbox = mailbox.clone();
             let shutdown = shutdown.clone();
@@ -254,9 +260,17 @@ impl ReactorRpcServer {
             std::thread::Builder::new()
                 .name("gae-aio-reactor".to_string())
                 .spawn(move || {
+                    let door = match DoorBackend::new(workers, gate) {
+                        Ok(door) => door,
+                        Err(e) => {
+                            let _ = built_tx.send(Err(e));
+                            return;
+                        }
+                    };
+                    let _ = built_tx.send(Ok(()));
                     let mut r = Reactor {
                         host,
-                        door: DoorBackend::new(workers, gate),
+                        door,
                         listener,
                         poller,
                         mailbox,
@@ -275,6 +289,10 @@ impl ReactorRpcServer {
                 })
                 .map_err(|e| GaeError::Io(format!("spawn reactor: {e}")))?
         };
+        if let Ok(Err(e)) = built_rx.recv() {
+            let _ = thread.join();
+            return Err(e);
+        }
         Ok(ReactorRpcServer {
             addr,
             shutdown,

@@ -70,14 +70,12 @@ impl BacklogIndex {
                 self.running.remove(&rec.condor);
             }
             (TaskStatus::Queued, Some(remaining)) => {
-                let (count, sum) = self
-                    .queued
-                    .get_mut(&rec.priority)
-                    .expect("a queued task with an estimate is indexed");
-                *count -= 1;
-                *sum -= remaining;
-                if *count == 0 {
-                    self.queued.remove(&rec.priority);
+                if let Some((count, sum)) = self.queued.get_mut(&rec.priority) {
+                    *count -= 1;
+                    *sum -= remaining;
+                    if *count == 0 {
+                        self.queued.remove(&rec.priority);
+                    }
                 }
             }
             _ => {}

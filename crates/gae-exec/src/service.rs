@@ -16,8 +16,8 @@
 use crate::backlog::BacklogIndex;
 use crate::events::ExecEvent;
 use crate::node::Node;
-use crate::queue::PriorityQueue;
-use crate::task::{Checkpoint, TaskRecord};
+use crate::queue::{PriorityQueue, QueueEntry};
+use crate::task::{Checkpoint, Phase, TaskRecord};
 use gae_sim::LoadTrace;
 use gae_types::{
     CondorId, GaeError, GaeResult, NodeId, Priority, SimDuration, SimTime, SiteDescription, TaskId,
@@ -97,6 +97,46 @@ pub enum TaskProbe {
     Settled,
 }
 
+/// What a status change writes besides the record itself, kept in a
+/// field of its own so that [`Ledger::transition`] can take a record
+/// its caller holds out of `ExecutionService::records`.
+struct Ledger {
+    /// Running set and per-priority queued backlog, kept in step with
+    /// the records by [`Ledger::transition`] and by the service's
+    /// `set_priority` and `set_estimate`.
+    backlog: BacklogIndex,
+    /// Bumped by every status transition and by the site failing or
+    /// recovering — always under the service's lock, while readers
+    /// (the steering round) load it without: an unchanged epoch means
+    /// no record here changed status, no task was (re)submitted and
+    /// the site's liveness is what it was.
+    epoch: Arc<AtomicU64>,
+    events: Vec<ExecEvent>,
+    /// Monotone per-site event sequence; stamps [`ExecEvent::seq`].
+    next_event_seq: u64,
+}
+
+impl Ledger {
+    /// Moves `rec` into `phase` and emits the matching event. Every
+    /// status change goes through here — that is what keeps the
+    /// backlog index equal to a scan of the records, and the
+    /// transition epoch a witness of "nothing changed status".
+    fn transition(&mut self, rec: &mut TaskRecord, phase: Phase, now: SimTime, detail: &str) {
+        self.backlog.update(rec, |rec| rec.enter(phase, now));
+        self.epoch.fetch_add(1, Ordering::Release);
+        self.events.push(ExecEvent {
+            seq: self.next_event_seq,
+            at: now,
+            condor: rec.condor,
+            task: rec.spec.id,
+            status: rec.status,
+            node: rec.node,
+            detail: detail.to_string(),
+        });
+        self.next_event_seq += 1;
+    }
+}
+
 /// The Condor-substitute execution engine for one site.
 pub struct ExecutionService {
     site: SiteDescription,
@@ -104,10 +144,7 @@ pub struct ExecutionService {
     queue: PriorityQueue,
     records: HashMap<CondorId, TaskRecord>,
     by_task: HashMap<TaskId, CondorId>,
-    /// Running set and per-priority queued backlog, kept in step with
-    /// `records` by [`Self::transition`], [`Self::set_priority`] and
-    /// [`Self::set_estimate`].
-    backlog: BacklogIndex,
+    ledger: Ledger,
     planned_finish: HashMap<CondorId, SimTime>,
     /// Tasks still staging their input files: Condor id → instant the
     /// transfer completes and the task enters the queue.
@@ -123,21 +160,12 @@ pub struct ExecutionService {
     last_next: Option<SimTime>,
     /// Fires on every `last_next` change (grid next-event index).
     notifier: Option<NextEventNotifier>,
-    /// Bumped by every status transition and by the site failing or
-    /// recovering — always under the service's lock, while readers
-    /// (the steering round) load it without: an unchanged epoch means
-    /// no record here changed status, no task was (re)submitted and
-    /// the site's liveness is what it was.
-    epoch: Arc<AtomicU64>,
     /// Per node, the last `(from, to, work)` [`Self::accrue_all_to`]
     /// computed: tasks sharing a node share the step.
     accrual_memo: Vec<(SimTime, SimTime, SimDuration)>,
     next_condor: u64,
     now: SimTime,
     alive: bool,
-    events: Vec<ExecEvent>,
-    /// Monotone per-site event sequence; stamps [`ExecEvent::seq`].
-    next_event_seq: u64,
     /// Condor-style fair share: when enabled, ties between queued
     /// tasks of equal priority are broken by the owners' accumulated
     /// CPU usage at this site (lighter users first) instead of FIFO.
@@ -179,19 +207,21 @@ impl ExecutionService {
             queue: PriorityQueue::new(),
             records: HashMap::new(),
             by_task: HashMap::new(),
-            backlog: BacklogIndex::default(),
+            ledger: Ledger {
+                backlog: BacklogIndex::default(),
+                epoch: Arc::new(AtomicU64::new(0)),
+                events: Vec::new(),
+                next_event_seq: 0,
+            },
             planned_finish: HashMap::new(),
             staging_until: HashMap::new(),
             event_heap: BinaryHeap::new(),
             last_next: None,
             notifier: None,
-            epoch: Arc::new(AtomicU64::new(0)),
             accrual_memo,
             next_condor: 1,
             now: SimTime::ZERO,
             alive: true,
-            events: Vec::new(),
-            next_event_seq: 0,
             fair_share: false,
             preemptive: false,
             usage: HashMap::new(),
@@ -235,7 +265,7 @@ impl ExecutionService {
     /// without this service's lock (the grid takes its clone at build
     /// time, beside the next-event notifier).
     pub fn transition_epoch(&self) -> &Arc<AtomicU64> {
-        &self.epoch
+        &self.ledger.epoch
     }
 
     /// What the steering round asks about the task it tracks here as
@@ -255,7 +285,7 @@ impl ExecutionService {
             TaskStatus::Migrating => None,
             TaskStatus::Pending | TaskStatus::Queued | TaskStatus::Suspended => {
                 Some(TaskProbe::Parked {
-                    epoch: self.epoch.load(Ordering::Acquire),
+                    epoch: self.ledger.epoch.load(Ordering::Acquire),
                 })
             }
             TaskStatus::Running => Some(TaskProbe::Running(Progress {
@@ -296,19 +326,22 @@ impl ExecutionService {
         }
         let condor = CondorId::new(self.next_condor);
         self.next_condor += 1;
-        let record = TaskRecord::new(condor, spec, self.now, carried);
-        let priority = record.priority;
-        self.by_task.insert(record.spec.id, condor);
-        self.records.insert(condor, record);
+        let rec = self
+            .records
+            .entry(condor)
+            .or_insert(TaskRecord::new(condor, spec, self.now, carried));
+        self.by_task.insert(rec.spec.id, condor);
         if stage_in == SimDuration::ZERO {
-            self.queue.push(condor, priority);
-            self.transition(condor, TaskStatus::Queued, "submitted");
+            self.queue.push(condor, rec.priority);
+            self.ledger
+                .transition(rec, Phase::Queued, self.now, "submitted");
             self.dispatch();
         } else {
+            self.ledger
+                .transition(rec, Phase::Pending, self.now, "staging input files");
             let until = self.now + stage_in;
             self.staging_until.insert(condor, until);
             self.schedule(until, KIND_STAGING, condor);
-            self.transition(condor, TaskStatus::Pending, "staging input files");
         }
         self.refresh_next();
         Ok(condor)
@@ -317,14 +350,15 @@ impl ExecutionService {
     /// Moves a task whose staging finished into the queue.
     fn finish_staging(&mut self, condor: CondorId) {
         self.staging_until.remove(&condor);
-        let Some(rec) = self.records.get(&condor) else {
+        let Some(rec) = self.records.get_mut(&condor) else {
             return;
         };
-        if rec.status != TaskStatus::Pending {
+        if rec.phase != Phase::Pending {
             return; // killed or failed while staging
         }
         self.queue.push(condor, rec.priority);
-        self.transition(condor, TaskStatus::Queued, "input staging complete");
+        self.ledger
+            .transition(rec, Phase::Queued, self.now, "input staging complete");
         self.dispatch();
     }
 
@@ -351,17 +385,13 @@ impl ExecutionService {
         if self.staging_until.remove(&condor).is_none() {
             return Err(GaeError::NotFound(format!("{condor} is not staging")));
         }
-        let now = self.now;
         let rec = self
             .records
             .get_mut(&condor)
             .ok_or_else(|| GaeError::NotFound(condor.to_string()))?;
-        rec.finished_at = Some(now);
-        self.transition(
-            condor,
-            TaskStatus::Failed,
-            &format!("input staging failed: {reason}"),
-        );
+        let detail = format!("input staging failed: {reason}");
+        self.ledger
+            .transition(rec, Phase::Ended(TaskStatus::Failed), self.now, &detail);
         self.refresh_next();
         Ok(())
     }
@@ -370,78 +400,48 @@ impl ExecutionService {
     /// enabled, vacates lower-priority running tasks for queued
     /// higher-priority ones.
     fn dispatch(&mut self) {
-        loop {
-            if self.queue.peek().is_none() {
-                return;
-            }
+        while let Some(&head) = self.queue.peek() {
             // Best free node = highest effective rate right now.
             let best = self
                 .nodes
                 .iter()
                 .enumerate()
                 .filter(|(_, n)| n.has_free_slot())
-                .max_by(|(_, a), (_, b)| {
-                    a.rate_at(self.now)
-                        .partial_cmp(&b.rate_at(self.now))
-                        .expect("rates are finite")
-                })
+                .max_by(|(_, a), (_, b)| a.rate_at(self.now).total_cmp(&b.rate_at(self.now)))
                 .map(|(i, _)| i);
-            let best = match best {
-                Some(i) => Some(i),
-                None if self.preemptive => {
-                    if self.vacate_for(self.queue.peek().expect("peeked").priority) {
-                        continue; // a slot just freed; re-evaluate
-                    }
-                    None
-                }
-                None => None,
+            let slot = match best {
+                Some(slot) => slot,
+                // A slot just freed: re-evaluate.
+                None if self.preemptive && self.vacate_for(head.priority) => continue,
+                None => return,
             };
-            let Some(node_idx) = best else { return };
             let entry = if self.fair_share {
                 // Among the head priority class, pick the owner with
                 // the least completed CPU at this site.
+                let usage = |e: &QueueEntry| {
+                    let owner = self.records.get(&e.condor).map(|r| r.spec.owner);
+                    owner.map_or(0.0, |o| self.usage_of(o))
+                };
                 let snapshot = self.queue.snapshot();
-                let head_priority = snapshot.first().expect("peeked non-empty").priority;
-                let chosen = snapshot
-                    .iter()
-                    .take_while(|e| e.priority == head_priority)
-                    .min_by(|a, b| {
-                        let ua = self
-                            .records
-                            .get(&a.condor)
-                            .map(|r| self.usage_of(r.spec.owner))
-                            .unwrap_or(0.0);
-                        let ub = self
-                            .records
-                            .get(&b.condor)
-                            .map(|r| self.usage_of(r.spec.owner))
-                            .unwrap_or(0.0);
-                        ua.partial_cmp(&ub)
-                            .expect("usage is finite")
-                            .then(a.condor.cmp(&b.condor))
-                    })
-                    .expect("non-empty class")
-                    .to_owned();
-                self.queue.remove(chosen.condor);
-                chosen
+                snapshot
+                    .into_iter()
+                    .take_while(|e| e.priority == head.priority)
+                    .min_by(|a, b| usage(a).total_cmp(&usage(b)).then(a.condor.cmp(&b.condor)))
+                    .unwrap_or(head)
             } else {
-                self.queue.pop().expect("peeked non-empty")
+                head
             };
-            let node_id = self.nodes[node_idx].id;
-            self.nodes[node_idx].occupy();
-            let finish;
-            {
-                let rec = self.records.get_mut(&entry.condor).expect("queued record");
-                rec.node = Some(node_id);
-                if rec.started_at.is_none() {
-                    rec.started_at = Some(self.now);
-                }
-                rec.accrued_as_of = self.now;
-                finish = self.nodes[node_idx].finish_time(self.now, rec.remaining());
-            }
+            self.queue.remove(entry.condor);
+            let Some(rec) = self.records.get_mut(&entry.condor) else {
+                continue;
+            };
+            self.nodes[slot].occupy();
+            rec.accrued_as_of = self.now;
+            let finish = self.nodes[slot].finish_time(self.now, rec.remaining());
+            self.ledger
+                .transition(rec, Phase::Running { slot }, self.now, "dispatched");
             self.planned_finish.insert(entry.condor, finish);
             self.schedule(finish, KIND_COMPLETION, entry.condor);
-            self.transition(entry.condor, TaskStatus::Running, "dispatched");
         }
     }
 
@@ -451,17 +451,18 @@ impl ExecutionService {
     /// restart from zero (Condor vacate semantics).
     fn vacate_for(&mut self, incoming: Priority) -> bool {
         let victim = self
+            .ledger
             .backlog
             .running()
             .iter()
-            .map(|c| &self.records[c])
+            .filter_map(|c| self.records.get(c))
             .min_by(|a, b| a.priority.cmp(&b.priority).then(a.condor.cmp(&b.condor)))
             .filter(|r| incoming.beats(r.priority))
             .map(|r| r.condor);
-        let Some(condor) = victim else { return false };
-        self.planned_finish.remove(&condor);
-        let rec = self.records.get_mut(&condor).expect("victim record");
-        let node = rec.node.take().expect("running task has a node");
+        let Some(rec) = victim.and_then(|c| self.records.get_mut(&c)) else {
+            return false;
+        };
+        let was = rec.phase;
         if rec.spec.checkpointable {
             // Progress survives: fold it into the carried work.
             rec.carried += rec.accrued;
@@ -469,14 +470,11 @@ impl ExecutionService {
         }
         rec.accrued = SimDuration::ZERO;
         rec.accrued_as_of = self.now;
-        let priority = rec.priority;
-        self.nodes[(node.raw() - 1) as usize].release();
-        self.queue.push(condor, priority);
-        self.transition(
-            condor,
-            TaskStatus::Queued,
-            "vacated by higher-priority task",
-        );
+        let condor = rec.condor;
+        self.queue.push(condor, rec.priority);
+        let detail = "vacated by higher-priority task";
+        self.ledger.transition(rec, Phase::Queued, self.now, detail);
+        self.free(condor, was);
         true
     }
 
@@ -567,16 +565,19 @@ impl ExecutionService {
     /// instant is still stepped to: a step is rounded to the
     /// microsecond, so skipping one would move `accrued`.
     fn accrue_all_to(&mut self, t: SimTime) {
-        for condor in self.backlog.running() {
-            let rec = self.records.get_mut(condor).expect("running record");
-            let node = rec.node.expect("running task has a node");
-            let idx = (node.raw() - 1) as usize;
-            let memo = &mut self.accrual_memo[idx];
+        for condor in self.ledger.backlog.running() {
+            let Some(rec) = self.records.get_mut(condor) else {
+                continue;
+            };
+            let Phase::Running { slot } = rec.phase else {
+                continue;
+            };
+            let memo = &mut self.accrual_memo[slot];
             if (memo.0, memo.1) != (rec.accrued_as_of, t) {
                 *memo = (
                     rec.accrued_as_of,
                     t,
-                    self.nodes[idx].accrued_between(rec.accrued_as_of, t),
+                    self.nodes[slot].accrued_between(rec.accrued_as_of, t),
                 );
             }
             rec.accrued += memo.2;
@@ -586,19 +587,40 @@ impl ExecutionService {
     }
 
     fn complete(&mut self, condor: CondorId) {
-        self.planned_finish.remove(&condor);
-        let rec = self.records.get_mut(&condor).expect("completing record");
+        let Some(rec) = self.records.get_mut(&condor) else {
+            return;
+        };
+        let was = rec.phase;
         // The planned finish is analytic; snap accrual to the demand
         // to avoid 1-microsecond float residue.
         rec.accrued = rec.demand;
-        rec.finished_at = Some(self.now);
         rec.update_io();
-        let owner = rec.spec.owner;
-        let used = rec.accrued.as_secs_f64();
-        let node = rec.node.expect("running task has a node");
-        *self.usage.entry(owner).or_insert(0.0) += used;
-        self.nodes[(node.raw() - 1) as usize].release();
-        self.transition(condor, TaskStatus::Completed, "finished");
+        *self.usage.entry(rec.spec.owner).or_insert(0.0) += rec.accrued.as_secs_f64();
+        self.ledger.transition(
+            rec,
+            Phase::Ended(TaskStatus::Completed),
+            self.now,
+            "finished",
+        );
+        self.free(condor, was);
+    }
+
+    /// Frees what a task held in phase `was`: its node slot, its place
+    /// in the queue or its staging wait, and its planned finish.
+    fn free(&mut self, condor: CondorId, was: Phase) {
+        match was {
+            Phase::Queued => {
+                self.queue.remove(condor);
+            }
+            Phase::Pending => {
+                self.staging_until.remove(&condor);
+            }
+            Phase::Running { slot } | Phase::Suspended { slot: Some(slot) } => {
+                self.nodes[slot].release();
+            }
+            Phase::Suspended { slot: None } | Phase::Ended(_) => {}
+        }
+        self.planned_finish.remove(&condor);
     }
 
     // ---- steering commands (kill / pause / resume / priority) ----
@@ -622,23 +644,25 @@ impl ExecutionService {
     /// like a SIGSTOPped Condor job).
     pub fn suspend(&mut self, condor: CondorId) -> GaeResult<()> {
         let rec = Self::live_record_mut(&mut self.records, condor)?;
-        match rec.status {
-            TaskStatus::Running => {
+        let slot = match rec.phase {
+            Phase::Running { slot } => {
                 self.planned_finish.remove(&condor);
+                Some(slot)
             }
-            TaskStatus::Queued => {
-                rec.node = None;
+            Phase::Queued => {
                 self.queue.remove(condor);
+                None
             }
-            other => {
+            _ => {
                 return Err(GaeError::InvalidTransition {
                     entity: condor.to_string(),
-                    from: other.to_string(),
+                    from: rec.status.to_string(),
                     attempted: "suspend".into(),
                 })
             }
-        }
-        self.transition(condor, TaskStatus::Suspended, "suspended");
+        };
+        self.ledger
+            .transition(rec, Phase::Suspended { slot }, self.now, "suspended");
         self.refresh_next();
         Ok(())
     }
@@ -646,28 +670,27 @@ impl ExecutionService {
     /// Resumes a suspended task: running tasks continue in place,
     /// queue-suspended tasks re-enter the queue.
     pub fn resume(&mut self, condor: CondorId) -> GaeResult<()> {
-        let now = self.now;
         let rec = Self::live_record_mut(&mut self.records, condor)?;
-        if rec.status != TaskStatus::Suspended {
+        let Phase::Suspended { slot } = rec.phase else {
             return Err(GaeError::InvalidTransition {
                 entity: condor.to_string(),
                 from: rec.status.to_string(),
                 attempted: "resume".into(),
             });
-        }
-        match rec.node {
-            Some(node_id) => {
-                rec.accrued_as_of = now;
-                let remaining = rec.remaining();
-                let finish = self.nodes[(node_id.raw() - 1) as usize].finish_time(now, remaining);
+        };
+        match slot {
+            Some(slot) => {
+                rec.accrued_as_of = self.now;
+                let finish = self.nodes[slot].finish_time(self.now, rec.remaining());
+                self.ledger
+                    .transition(rec, Phase::Running { slot }, self.now, "resumed");
                 self.planned_finish.insert(condor, finish);
                 self.schedule(finish, KIND_COMPLETION, condor);
-                self.transition(condor, TaskStatus::Running, "resumed");
             }
             None => {
-                let prio = rec.priority;
-                self.queue.push(condor, prio);
-                self.transition(condor, TaskStatus::Queued, "re-queued after resume");
+                self.queue.push(condor, rec.priority);
+                let detail = "re-queued after resume";
+                self.ledger.transition(rec, Phase::Queued, self.now, detail);
                 self.dispatch();
             }
         }
@@ -677,27 +700,12 @@ impl ExecutionService {
 
     /// Kills a task (any live state).
     pub fn kill(&mut self, condor: CondorId) -> GaeResult<()> {
-        let now = self.now;
         let rec = Self::live_record_mut(&mut self.records, condor)?;
-        let was = rec.status;
-        rec.finished_at = Some(now);
-        let node = rec.node;
-        match was {
-            TaskStatus::Running | TaskStatus::Suspended => {
-                if let Some(node_id) = node {
-                    self.nodes[(node_id.raw() - 1) as usize].release();
-                }
-                self.planned_finish.remove(&condor);
-            }
-            TaskStatus::Queued => {
-                self.queue.remove(condor);
-            }
-            TaskStatus::Pending => {
-                self.staging_until.remove(&condor);
-            }
-            _ => {}
-        }
-        self.transition(condor, TaskStatus::Killed, "killed by steering command");
+        let was = rec.phase;
+        let detail = "killed by steering command";
+        self.ledger
+            .transition(rec, Phase::Ended(TaskStatus::Killed), self.now, detail);
+        self.free(condor, was);
         self.dispatch();
         self.refresh_next();
         Ok(())
@@ -706,8 +714,10 @@ impl ExecutionService {
     /// Changes a task's priority; queued tasks are re-ordered.
     pub fn set_priority(&mut self, condor: CondorId, priority: Priority) -> GaeResult<()> {
         let rec = Self::live_record_mut(&mut self.records, condor)?;
-        self.backlog.update(rec, |rec| rec.priority = priority);
-        if rec.status == TaskStatus::Queued {
+        self.ledger
+            .backlog
+            .update(rec, |rec| rec.priority = priority);
+        if rec.phase == Phase::Queued {
             self.queue.reprioritize(condor, priority);
         }
         Ok(())
@@ -719,11 +729,8 @@ impl ExecutionService {
         &mut self,
         condor: CondorId,
     ) -> GaeResult<(Arc<TaskSpec>, Option<Checkpoint>)> {
-        let now = self.now;
         let rec = Self::live_record_mut(&mut self.records, condor)?;
-        let was = rec.status;
-        rec.finished_at = Some(now);
-        let node = rec.node;
+        let was = rec.phase;
         let spec = rec.spec.clone();
         // Work completed across all sites so far = full demand minus
         // what is still missing here.
@@ -736,22 +743,10 @@ impl ExecutionService {
         } else {
             None
         };
-        match was {
-            TaskStatus::Running | TaskStatus::Suspended => {
-                if let Some(node_id) = node {
-                    self.nodes[(node_id.raw() - 1) as usize].release();
-                }
-                self.planned_finish.remove(&condor);
-            }
-            TaskStatus::Queued => {
-                self.queue.remove(condor);
-            }
-            TaskStatus::Pending => {
-                self.staging_until.remove(&condor);
-            }
-            _ => {}
-        }
-        self.transition(condor, TaskStatus::Migrating, "removed for migration");
+        let detail = "removed for migration";
+        self.ledger
+            .transition(rec, Phase::Ended(TaskStatus::Migrating), self.now, detail);
+        self.free(condor, was);
         self.dispatch();
         self.refresh_next();
         Ok((spec, checkpoint))
@@ -762,24 +757,19 @@ impl ExecutionService {
     /// Fails one node: its tasks fail, the node goes down.
     pub fn fail_node(&mut self, node_id: NodeId) -> GaeResult<()> {
         let idx = self.node_index(node_id)?;
-        let mut victims: Vec<CondorId> = self
+        let mut victims: Vec<&mut TaskRecord> = self
             .records
-            .values()
-            .filter(|r| {
-                r.node == Some(node_id)
-                    && matches!(r.status, TaskStatus::Running | TaskStatus::Suspended)
-            })
-            .map(|r| r.condor)
+            .values_mut()
+            .filter(|r| r.phase.slot() == Some(idx))
             .collect();
         // `records` is a HashMap: emit in Condor-id order so the event
         // stream (and everything journaled from it) is reproducible.
-        victims.sort_unstable();
-        for condor in victims {
-            self.planned_finish.remove(&condor);
-            let now = self.now;
-            let rec = self.records.get_mut(&condor).expect("victim record");
-            rec.finished_at = Some(now);
-            self.transition(condor, TaskStatus::Failed, &format!("{node_id} failed"));
+        victims.sort_unstable_by_key(|r| r.condor);
+        let detail = format!("{node_id} failed");
+        for rec in victims {
+            self.planned_finish.remove(&rec.condor);
+            self.ledger
+                .transition(rec, Phase::Ended(TaskStatus::Failed), self.now, &detail);
         }
         self.nodes[idx].fail();
         self.dispatch();
@@ -804,23 +794,21 @@ impl ExecutionService {
     /// empties, and further submissions are refused until recovery.
     pub fn fail_site(&mut self) {
         self.alive = false;
-        self.epoch.fetch_add(1, Ordering::Release);
-        let mut victims: Vec<CondorId> = self
+        self.ledger.epoch.fetch_add(1, Ordering::Release);
+        let mut victims: Vec<&mut TaskRecord> = self
             .records
-            .values()
+            .values_mut()
             .filter(|r| r.status.is_live())
-            .map(|r| r.condor)
             .collect();
         // Condor-id order, for the same reason as in `fail_node`.
-        victims.sort_unstable();
-        for condor in victims {
-            self.planned_finish.remove(&condor);
-            self.staging_until.remove(&condor);
-            self.queue.remove(condor);
-            let now = self.now;
-            let rec = self.records.get_mut(&condor).expect("victim record");
-            rec.finished_at = Some(now);
-            self.transition(condor, TaskStatus::Failed, "execution service failed");
+        victims.sort_unstable_by_key(|r| r.condor);
+        for rec in victims {
+            self.planned_finish.remove(&rec.condor);
+            self.staging_until.remove(&rec.condor);
+            self.queue.remove(rec.condor);
+            let detail = "execution service failed";
+            self.ledger
+                .transition(rec, Phase::Ended(TaskStatus::Failed), self.now, detail);
         }
         for node in &mut self.nodes {
             node.fail();
@@ -831,7 +819,7 @@ impl ExecutionService {
     /// Brings the site back up; only downed nodes are reset.
     pub fn recover_site(&mut self) {
         self.alive = true;
-        self.epoch.fetch_add(1, Ordering::Release);
+        self.ledger.epoch.fetch_add(1, Ordering::Release);
         for node in &mut self.nodes {
             if !node.is_alive() {
                 node.recover();
@@ -877,7 +865,7 @@ impl ExecutionService {
 
     /// Number of running tasks.
     pub fn running_count(&self) -> usize {
-        self.backlog.running().len()
+        self.ledger.backlog.running().len()
     }
 
     /// §6.2's queue time for priority `p`: the summed remaining
@@ -889,14 +877,15 @@ impl ExecutionService {
     /// pass over at most a slot's worth of records.
     pub fn backlog_above(&self, p: Priority) -> SimDuration {
         let running: SimDuration = self
+            .ledger
             .backlog
             .running()
             .iter()
-            .map(|c| &self.records[c])
+            .filter_map(|c| self.records.get(c))
             .filter(|r| r.priority.beats(p))
             .filter_map(TaskRecord::estimated_remaining)
             .sum();
-        self.backlog.queued_above(p) + running
+        self.ledger.backlog.queued_above(p) + running
     }
 
     /// Records (or with `None` clears) the runtime estimated for a
@@ -911,6 +900,7 @@ impl ExecutionService {
             .get_mut(&condor)
             .ok_or_else(|| GaeError::NotFound(condor.to_string()))?;
         Ok(self
+            .ledger
             .backlog
             .update(rec, |rec| std::mem::replace(&mut rec.estimated, estimate)))
     }
@@ -927,7 +917,7 @@ impl ExecutionService {
     /// The backlog index itself, for the differential suite.
     #[cfg(test)]
     pub(crate) fn backlog_index(&self) -> &BacklogIndex {
-        &self.backlog
+        &self.ledger.backlog
     }
 
     /// The record walk [`Self::backlog_above`] replaced, kept as its
@@ -992,28 +982,7 @@ impl ExecutionService {
 
     /// Removes and returns all events emitted since the last drain.
     pub fn drain_events(&mut self) -> Vec<ExecEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Moves a task to `status` and emits the matching event. Every
-    /// status change goes through here — that is what keeps the
-    /// backlog index equal to a scan of the records, and the
-    /// transition epoch a witness of "nothing changed status".
-    fn transition(&mut self, condor: CondorId, status: TaskStatus, detail: &str) {
-        let rec = self.records.get_mut(&condor).expect("transitioning record");
-        self.backlog.update(rec, |rec| rec.status = status);
-        self.epoch.fetch_add(1, Ordering::Release);
-        let seq = self.next_event_seq;
-        self.next_event_seq += 1;
-        self.events.push(ExecEvent {
-            seq,
-            at: self.now,
-            condor,
-            task: rec.spec.id,
-            status,
-            node: rec.node,
-            detail: detail.to_string(),
-        });
+        std::mem::take(&mut self.ledger.events)
     }
 }
 

@@ -3,6 +3,33 @@
 use gae_types::{CondorId, NodeId, Priority, SimDuration, SimTime, TaskSpec, TaskStatus};
 use std::sync::Arc;
 
+/// Where a task stands at its site: its status, with the node slot
+/// in the phases that hold one. Slot `i` is node `i + 1`, the order
+/// the service builds its nodes in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// Staging its input files.
+    Pending,
+    /// Waiting in the queue.
+    Queued,
+    /// Occupying slot `slot`.
+    Running { slot: usize },
+    /// Paused; keeps the slot it was running on, if it was running.
+    Suspended { slot: Option<usize> },
+    /// Completed, failed, killed or migrated away.
+    Ended(TaskStatus),
+}
+
+impl Phase {
+    /// The node slot this phase holds.
+    pub(crate) fn slot(self) -> Option<usize> {
+        match self {
+            Phase::Running { slot } | Phase::Suspended { slot: Some(slot) } => Some(slot),
+            _ => None,
+        }
+    }
+}
+
 /// A checkpoint produced when a checkpointable task is removed for
 /// migration: the accrued work travels to the new site.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -18,7 +45,8 @@ pub struct TaskRecord {
     pub condor: CondorId,
     /// The task specification, shared with the plan that placed it.
     pub spec: Arc<TaskSpec>,
-    /// Current lifecycle state.
+    /// Current lifecycle state: `phase` as the monitoring surface
+    /// reads it.
     pub status: TaskStatus,
     /// When the task entered the site queue.
     pub submitted_at: SimTime,
@@ -26,8 +54,12 @@ pub struct TaskRecord {
     pub started_at: Option<SimTime>,
     /// When it reached a terminal state, if it has.
     pub finished_at: Option<SimTime>,
-    /// Node currently (or last) hosting it.
+    /// Node hosting it: the phase's slot, or for an ended task the
+    /// node it held when it ended.
     pub node: Option<NodeId>,
+    /// The truth behind `status`, `node` and the two instants; only
+    /// [`TaskRecord::enter`] changes it.
+    pub(crate) phase: Phase,
     /// Wall-clock work accrued up to `accrued_as_of` (Condor's
     /// "wall-clock time accumulated while running").
     pub accrued: SimDuration,
@@ -77,6 +109,7 @@ impl TaskRecord {
             started_at: None,
             finished_at: None,
             node: None,
+            phase: Phase::Queued,
             accrued: SimDuration::ZERO,
             accrued_as_of: now,
             demand,
@@ -85,6 +118,26 @@ impl TaskRecord {
             input_io: 0,
             output_io: 0,
             estimated: None,
+        }
+    }
+
+    /// Moves into `phase` at `now`, keeping `status`, `node`,
+    /// `started_at` and `finished_at` its read-outs.
+    pub(crate) fn enter(&mut self, phase: Phase, now: SimTime) {
+        self.phase = phase;
+        self.status = match phase {
+            Phase::Pending => TaskStatus::Pending,
+            Phase::Queued => TaskStatus::Queued,
+            Phase::Running { .. } => TaskStatus::Running,
+            Phase::Suspended { .. } => TaskStatus::Suspended,
+            Phase::Ended(status) => status,
+        };
+        match phase {
+            Phase::Ended(_) => self.finished_at = Some(now),
+            _ => self.node = phase.slot().map(|i| NodeId::new(i as u64 + 1)),
+        }
+        if let Phase::Running { .. } = phase {
+            self.started_at.get_or_insert(now);
         }
     }
 

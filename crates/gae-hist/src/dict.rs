@@ -31,7 +31,8 @@ impl Dictionary {
         // (≥ 24 bytes of `String` header each, twice), so the process is
         // out of memory long before a code fails to fit; the codec's
         // word count is a `u32` for the same reason.
-        let code = u32::try_from(self.words.len()).expect("dictionary holds < 2^32 words");
+        let code = u32::try_from(self.words.len())
+            .expect("invariant: a dictionary holds < 2^32 words (see above)");
         self.words.push(word.to_string());
         self.index.insert(word.to_string(), code);
         code

@@ -25,7 +25,7 @@ use crate::gatedpool::{Disposition, GatedPool};
 use crate::host::{Resolved, ServiceHost};
 use crate::http::HttpRequest;
 use gae_gate::{Gate, Principal};
-use gae_types::{GaeError, SessionId};
+use gae_types::{GaeError, GaeResult, SessionId};
 use gae_wire::{parse_call, write_response, MethodCall};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -72,12 +72,13 @@ pub struct DoorBackend {
 }
 
 impl DoorBackend {
-    /// A door with `workers` request processors behind `gate`.
-    pub fn new(workers: usize, gate: Arc<Gate>) -> DoorBackend {
-        DoorBackend {
-            pool: GatedPool::new(&gate, workers),
+    /// A door with `workers` request processors behind `gate`; `Io`
+    /// if a worker fails to spawn.
+    pub fn new(workers: usize, gate: Arc<Gate>) -> GaeResult<DoorBackend> {
+        Ok(DoorBackend {
+            pool: GatedPool::new(&gate, workers)?,
             gate,
-        }
+        })
     }
 
     /// Submits one POSTed request through the gate: principal

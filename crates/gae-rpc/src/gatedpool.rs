@@ -10,7 +10,7 @@
 //! a hang.
 
 use gae_gate::{AdmissionQueue, Gate, GateClass, Popped, RejectReason, Rejected};
-use gae_types::SimDuration;
+use gae_types::{GaeError, GaeResult, SimDuration};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -50,8 +50,9 @@ impl GatedPool {
     /// Spawns `size` workers (at least 1) over `gate`'s queue policy.
     /// The queue shares the gate's clock and metrics, so shed/expiry
     /// counters and queue depth land in the same [`gae_gate::GateStats`]
-    /// snapshot the wiring layer publishes.
-    pub fn new(gate: &Gate, size: usize) -> GatedPool {
+    /// snapshot the wiring layer publishes. A worker that fails to
+    /// spawn is an `Io` error; the ones already running are joined.
+    pub fn new(gate: &Gate, size: usize) -> GaeResult<GatedPool> {
         let size = size.max(1);
         let config = gate.config().queue;
         let queue = Arc::new(AdmissionQueue::<GatedJob>::new(
@@ -65,12 +66,16 @@ impl GatedPool {
             .deadline
             .div_f64(2.0)
             .max(SimDuration::from_millis(1));
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        let mut workers = Vec::with_capacity(size);
+        let mut pool = GatedPool {
+            queue,
+            workers: Vec::with_capacity(size),
+            in_flight: Arc::new(AtomicUsize::new(0)),
+            expiry_backoff,
+        };
         for i in 0..size {
-            let queue = queue.clone();
-            let in_flight = in_flight.clone();
-            workers.push(
+            let queue = pool.queue.clone();
+            let in_flight = pool.in_flight.clone();
+            pool.workers.push(
                 std::thread::Builder::new()
                     .name(format!("gae-gate-worker-{i}"))
                     .spawn(move || loop {
@@ -92,15 +97,10 @@ impl GatedPool {
                             }
                         }
                     })
-                    .expect("spawn gated worker"),
+                    .map_err(|e| GaeError::Io(format!("spawn gated worker: {e}")))?,
             );
         }
-        GatedPool {
-            queue,
-            workers,
-            in_flight,
-            expiry_backoff,
-        }
+        Ok(pool)
     }
 
     /// Offers a job at `class`. On acceptance, any entries evicted to
@@ -185,7 +185,7 @@ mod tests {
         // A pool asked for no workers still gets one.
         for (asked, size) in [(0, 1), (4, 4)] {
             let gate = small_gate(64);
-            let pool = GatedPool::new(&gate, asked);
+            let pool = GatedPool::new(&gate, asked).unwrap();
             assert_eq!(pool.size(), size);
             // The first `size` jobs meet at a barrier: it releases only
             // if every worker is inside a job at the same time.
@@ -224,7 +224,7 @@ mod tests {
             ..GateConfig::default()
         };
         let gate = Gate::new(config, Arc::new(ManualClock::new()));
-        let pool = GatedPool::new(&gate, 1);
+        let pool = GatedPool::new(&gate, 1).unwrap();
         let (stall_tx, stall_rx) = std::sync::mpsc::sync_channel::<()>(1);
         let stall_rx = Arc::new(Mutex::new(stall_rx));
         let dispositions = Arc::new(AtomicU64::new(0));

@@ -272,10 +272,12 @@ impl JobSpec {
         while let Some(id) = ready.pop_front() {
             order.push(id);
             for succ in successors.get(&id).into_iter().flatten() {
-                let d = indegree.get_mut(succ).expect("validated task id");
-                *d -= 1;
-                if *d == 0 {
-                    ready.push_back(*succ);
+                // Every successor is counted: the loop above inserted it.
+                if let Some(d) = indegree.get_mut(succ) {
+                    *d -= 1;
+                    if *d == 0 {
+                        ready.push_back(*succ);
+                    }
                 }
             }
         }

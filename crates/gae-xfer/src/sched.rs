@@ -25,18 +25,22 @@ struct FileEntry {
     replicas: BTreeSet<SiteId>,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 enum TState {
     /// Chained behind another transfer; not yet attempted.
     Waiting,
-    /// Draining bytes over its link (shares bandwidth).
-    Active,
+    /// Draining its `remaining` bytes over its link (shares
+    /// bandwidth); every entry restarts from the whole file.
+    Active { remaining: f64 },
     /// Bytes fully drained; fixed latency tail until landing. The
     /// tail does not occupy link bandwidth.
     Latency { until: SimTime },
     /// Hit a dead link; retries when the backoff expires.
     Backoff { until: SimTime },
 }
+
+/// The event heap: `(due, transfer-id, generation)`, earliest first.
+type EventHeap = BinaryHeap<Reverse<(SimTime, u64, u64)>>;
 
 struct Transfer {
     lfn: String,
@@ -46,14 +50,27 @@ struct Transfer {
     requested: SimTime,
     started: SimTime,
     attempts: u32,
-    remaining: f64,
     state: TState,
     chain: Option<u64>,
-    source_pinned: bool,
     /// Generation stamp: a heap entry for this transfer is live only
     /// while its recorded generation matches. Every reschedule bumps
     /// the stamp, lazily invalidating older entries.
     gen: u64,
+}
+
+impl Transfer {
+    /// A transfer pins its source replica exactly while it drains or
+    /// sits in its latency tail.
+    fn pinned(&self) -> bool {
+        matches!(self.state, TState::Active { .. } | TState::Latency { .. })
+    }
+
+    /// Bumps the generation, killing older heap entries, and pushes
+    /// the one live entry at `due`.
+    fn restamp(&mut self, id: u64, due: SimTime, events: &mut EventHeap) {
+        self.gen += 1;
+        events.push(Reverse((due, id, self.gen)));
+    }
 }
 
 /// One task's input-staging chain: transfers run sequentially, every
@@ -92,7 +109,7 @@ pub struct XferScheduler {
     /// and stay valid across fluid integration while the link's
     /// membership is unchanged (all members drain at the same rate),
     /// so only membership changes force a link-wide reschedule.
-    events: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    events: EventHeap,
     /// Active transfers indexed by directed link — the fair-share
     /// denominator, maintained instead of recounted per query.
     active: BTreeMap<(SiteId, SiteId), BTreeSet<u64>>,
@@ -196,63 +213,29 @@ impl XferScheduler {
 
     // ---- event heap ----
 
-    /// The absolute instant this transfer's next internal event is
-    /// due under the current link membership, or `None` while it is
-    /// waiting in a chain.
-    fn due_of(&self, id: u64) -> Option<SimTime> {
-        let t = self.transfers.get(&id)?;
-        match t.state {
-            TState::Active => {
-                let link = self.network.link(t.from, t.to);
-                let n = self
-                    .active
-                    .get(&(t.from, t.to))
-                    .map_or(1, |s| s.len())
-                    .max(1) as f64;
-                Some(self.now + SimDuration::from_secs_f64(t.remaining * n / link.bandwidth_bps))
-            }
-            TState::Latency { until } | TState::Backoff { until } => Some(until),
-            TState::Waiting => None,
-        }
-    }
-
-    /// Re-stamps the transfer and pushes a fresh heap entry for its
-    /// current due time; stale entries die by generation mismatch.
-    fn reschedule(&mut self, id: u64) {
-        let due = self.due_of(id);
-        let Some(t) = self.transfers.get_mut(&id) else {
-            return;
-        };
-        t.gen += 1;
-        if let Some(due) = due {
-            let gen = t.gen;
-            self.events.push(Reverse((due, id, gen)));
-        }
-    }
-
     /// Reschedules every active transfer on a directed link — the
     /// fair-share denominator changed, so every member's absolute
     /// due time moved.
     fn reschedule_link(&mut self, from: SiteId, to: SiteId) {
-        let ids: Vec<u64> = self
-            .active
-            .get(&(from, to))
-            .into_iter()
-            .flatten()
-            .copied()
-            .collect();
+        let Some(ids) = self.active.get(&(from, to)) else {
+            return;
+        };
+        let link = self.network.link(from, to);
+        let n = ids.len() as f64;
         for id in ids {
-            self.reschedule(id);
+            if let Some(t) = self.transfers.get_mut(id) {
+                if let TState::Active { remaining } = t.state {
+                    let due =
+                        self.now + SimDuration::from_secs_f64(remaining * n / link.bandwidth_bps);
+                    t.restamp(*id, due, &mut self.events);
+                }
+            }
         }
     }
 
     /// Adds a freshly activated transfer to its link's active set and
     /// reschedules the whole link (itself included).
-    fn mark_active(&mut self, id: u64) {
-        let (from, to) = {
-            let t = &self.transfers[&id];
-            (t.from, t.to)
-        };
+    fn mark_active(&mut self, id: u64, from: SiteId, to: SiteId) {
         self.active.entry((from, to)).or_default().insert(id);
         self.reschedule_link(from, to);
     }
@@ -272,14 +255,11 @@ impl XferScheduler {
         self.reschedule_link(from, to);
     }
 
-    /// Removes a transfer from the table, unhooking it from the
-    /// active index first when it was draining.
-    fn detach(&mut self, id: u64) -> Option<Transfer> {
-        let t = self.transfers.remove(&id)?;
-        if t.state == TState::Active {
-            self.unmark_active(id, t.from, t.to);
+    /// Drops the source pin a transfer leaving its pinned states holds.
+    fn unpin_source(&mut self, t: &Transfer) {
+        if t.pinned() {
+            self.store_mut(t.from).unpin(&t.lfn);
         }
-        Some(t)
     }
 
     // ---- catalog surface ----
@@ -369,13 +349,12 @@ impl XferScheduler {
             )));
         }
         let size = entry.size;
-        if let Some(id) = self
+        if let Some(t) = self
             .transfers
-            .iter()
-            .find(|(_, t)| t.chain.is_none() && t.lfn == lfn && t.to == to)
-            .map(|(id, _)| *id)
+            .values()
+            .find(|t| t.chain.is_none() && t.lfn == lfn && t.to == to)
         {
-            return Ok(self.projected_arrival(id));
+            return Ok(self.projected_arrival(t));
         }
         let from = self
             .pick_source(lfn, to)
@@ -387,8 +366,8 @@ impl XferScheduler {
             to,
         });
         self.activate(id);
-        if self.transfers.contains_key(&id) {
-            Ok(self.projected_arrival(id))
+        if let Some(t) = self.transfers.get(&id) {
+            Ok(self.projected_arrival(t))
         } else if self
             .files
             .get(lfn)
@@ -408,17 +387,11 @@ impl XferScheduler {
     /// from the deleted source. Transfers already in their latency
     /// tail have fully drained and complete normally.
     pub fn delete_replica(&mut self, lfn: &str, site: SiteId) -> GaeResult<()> {
-        if !self.files.contains_key(lfn) {
+        let Some(entry) = self.files.get_mut(lfn) else {
             return Err(GaeError::NotFound(format!("file {lfn}")));
-        }
-        let had = self
-            .files
-            .get_mut(lfn)
-            .expect("checked above")
-            .replicas
-            .remove(&site);
-        if had {
-            let size = self.files[lfn].size;
+        };
+        if entry.replicas.remove(&site) {
+            let size = entry.size;
             if let Some(store) = self.stores.get_mut(&site) {
                 store.remove(lfn, size);
             }
@@ -430,51 +403,36 @@ impl XferScheduler {
         let ids: Vec<u64> = self
             .transfers
             .iter()
-            .filter(|(_, t)| t.lfn == lfn && t.from == site && t.state == TState::Active)
+            .filter(|(_, t)| {
+                t.lfn == lfn && t.from == site && matches!(t.state, TState::Active { .. })
+            })
             .map(|(id, _)| *id)
             .collect();
         for id in ids {
-            let (to, pinned, size) = {
-                let t = &self.transfers[&id];
-                (t.to, t.source_pinned, t.size)
+            let Some(mut t) = self.transfers.remove(&id) else {
+                continue;
             };
-            if pinned {
-                self.store_mut(site).unpin(lfn);
-                self.transfers
-                    .get_mut(&id)
-                    .expect("live transfer")
-                    .source_pinned = false;
-            }
             // Leaving the old link changes its fair share either way.
-            self.unmark_active(id, site, to);
-            match self.pick_source(lfn, to) {
-                Some(new_from) => {
-                    {
-                        let t = self.transfers.get_mut(&id).expect("live transfer");
-                        t.from = new_from;
-                        t.remaining = size as f64;
-                        t.source_pinned = true;
-                    }
-                    self.store_mut(new_from).pin(lfn);
-                    self.mark_active(id);
-                    self.emit(XferEvent::Resourced {
-                        id,
-                        from: new_from,
-                        at: self.now,
-                    });
-                }
-                None => {
-                    let t = self.transfers.remove(&id).expect("live transfer");
-                    self.finish_failed(
-                        id,
-                        t,
-                        format!(
-                            "source replica of {lfn} at {site} was deleted mid-transfer \
-                             and no other replica exists"
-                        ),
-                    );
-                }
-            }
+            self.unmark_active(id, site, t.to);
+            let Some(from) = self.pick_source(lfn, t.to) else {
+                self.finish_failed(
+                    id,
+                    t,
+                    format!(
+                        "source replica of {lfn} at {site} was deleted mid-transfer \
+                         and no other replica exists"
+                    ),
+                );
+                continue;
+            };
+            self.unpin_source(&t);
+            t.from = from;
+            self.drain(id, t);
+            self.emit(XferEvent::Resourced {
+                id,
+                from,
+                at: self.now,
+            });
         }
         Ok(())
     }
@@ -494,18 +452,17 @@ impl XferScheduler {
         let mut queue: VecDeque<u64> = VecDeque::new();
         for f in inputs {
             let lfn = f.logical_name.clone();
-            if !self.files.contains_key(&lfn) {
-                if f.replicas.is_empty() {
-                    continue;
+            let (size, local) = match self.files.get(&lfn) {
+                Some(e) if e.replicas.is_empty() => continue,
+                Some(e) => (e.size, e.replicas.contains(&site)),
+                None if f.replicas.is_empty() => continue,
+                // Registration makes the entry from `f` itself.
+                None => {
+                    self.register(f);
+                    (f.size_bytes, f.replicas.contains(&site))
                 }
-                self.register(f);
-            }
-            let entry = self.files.get(&lfn).expect("registered above");
-            if entry.replicas.is_empty() {
-                continue;
-            }
-            let size = entry.size;
-            if entry.replicas.contains(&site) {
+            };
+            if local {
                 let seq = self.next_lru();
                 self.store_mut(site).touch(&lfn, seq);
                 self.store_mut(site).pin(&lfn);
@@ -537,7 +494,10 @@ impl XferScheduler {
         if let Some(first) = live {
             self.activate(first);
         }
-        let projection = self.projection_of(token);
+        let projection = self
+            .chains
+            .get(&token)
+            .map_or(self.now, |c| self.projection(c));
         Some((token, projection))
     }
 
@@ -600,10 +560,9 @@ impl XferScheduler {
             .chain(chain.queue.drain(..))
             .collect();
         for id in ids {
-            if let Some(t) = self.detach(id) {
-                if t.source_pinned {
-                    self.store_mut(t.from).unpin(&t.lfn);
-                }
+            if let Some(t) = self.transfers.remove(&id) {
+                self.unmark_active(id, t.from, t.to);
+                self.unpin_source(&t);
             }
         }
         for lfn in chain.pins {
@@ -611,22 +570,17 @@ impl XferScheduler {
         }
     }
 
-    fn projection_of(&self, token: u64) -> SimTime {
-        let Some(chain) = self.chains.get(&token) else {
-            return self.now;
-        };
+    /// When `chain`'s last input is projected to land.
+    fn projection(&self, chain: &Chain) -> SimTime {
         if chain.failed.is_some() {
             return self.now + SimDuration::from_micros(1);
         }
         if chain.done {
             return self.now;
         }
-        let mut acc = match chain.live {
-            Some(id) => self.projected_arrival(id),
-            None => self.now,
-        };
-        for q in &chain.queue {
-            let t = &self.transfers[q];
+        let live = chain.live.and_then(|id| self.transfers.get(&id));
+        let mut acc = live.map_or(self.now, |t| self.projected_arrival(t));
+        for t in chain.queue.iter().filter_map(|q| self.transfers.get(q)) {
             acc += self.network.transfer_time(t.from, t.to, t.size);
         }
         acc
@@ -642,57 +596,17 @@ impl XferScheduler {
         let ids: Vec<u64> = self
             .transfers
             .iter()
-            .filter(|(_, t)| {
-                t.from == from
-                    && t.to == to
-                    && matches!(t.state, TState::Active | TState::Latency { .. })
-            })
+            // Draining or in its latency tail: on the link.
+            .filter(|(_, t)| t.from == from && t.to == to && t.pinned())
             .map(|(id, _)| *id)
             .collect();
-        let max = self.config.retry.max_attempts;
         // Every active transfer on the link is a victim, so the whole
         // active set empties at once — no per-victim fair-share
         // reschedule churn.
         self.active.remove(&(from, to));
         for id in ids {
-            let (lfn, pinned, attempts) = {
-                let t = &self.transfers[&id];
-                (t.lfn.clone(), t.source_pinned, t.attempts)
-            };
-            if pinned {
-                self.store_mut(from).unpin(&lfn);
-            }
-            {
-                let t = self.transfers.get_mut(&id).expect("live transfer");
-                t.source_pinned = false;
-                t.remaining = t.size as f64;
-            }
-            if attempts >= max {
-                let t = self.transfers.remove(&id).expect("live transfer");
-                self.finish_failed(
-                    id,
-                    t,
-                    format!(
-                        "link {from}->{to} failed mid-transfer after {attempts} attempts for {lfn}"
-                    ),
-                );
-            } else {
-                let backoff = self
-                    .config
-                    .retry
-                    .backoff_base
-                    .mul_f64((1u64 << (attempts.clamp(1, 20) - 1)) as f64);
-                let until = self.now + backoff;
-                self.transfers.get_mut(&id).expect("live transfer").state =
-                    TState::Backoff { until };
-                self.reschedule(id);
-                self.counters.retried += 1;
-                self.emit(XferEvent::Retried {
-                    id,
-                    attempt: attempts,
-                    until,
-                    at: self.now,
-                });
+            if let Some(t) = self.transfers.remove(&id) {
+                self.retry(id, t, "failed mid-transfer");
             }
         }
     }
@@ -736,10 +650,8 @@ impl XferScheduler {
                 requested: self.now,
                 started: self.now,
                 attempts: 0,
-                remaining: size as f64,
                 state: TState::Waiting,
                 chain,
-                source_pinned: false,
                 gen: 0,
             },
         );
@@ -779,112 +691,106 @@ impl XferScheduler {
     }
 
     fn activate(&mut self, id: u64) {
-        let (lfn, old_from, to, size) = {
-            let t = &self.transfers[&id];
-            (t.lfn.clone(), t.from, t.to, t.size)
-        };
+        if let Some(t) = self.transfers.remove(&id) {
+            self.attempt(id, t);
+        }
+    }
+
+    /// Attempts a transfer taken out of the table: lands it if the
+    /// file reached the destination meanwhile, else drains it from the
+    /// best source or backs it off a dead link.
+    fn attempt(&mut self, id: u64, mut t: Transfer) {
+        t.attempts += 1;
+        let first = t.attempts == 1;
         // The file may have landed at the destination while this
         // transfer waited in a chain or backoff: nothing to move.
         if self
             .files
-            .get(&lfn)
-            .is_some_and(|f| f.replicas.contains(&to))
+            .get(&t.lfn)
+            .is_some_and(|f| f.replicas.contains(&t.to))
         {
-            {
-                let t = self.transfers.get_mut(&id).expect("live transfer");
-                t.attempts += 1;
-                if t.attempts == 1 {
-                    t.started = self.now;
-                }
+            if first {
+                t.started = self.now;
             }
-            self.land(id);
-            return;
+            return self.land(id, t);
         }
         // Re-pick the best source under current load and faults.
-        let from = match self.pick_source(&lfn, to) {
-            Some(best) => {
-                if best != old_from {
-                    self.transfers.get_mut(&id).expect("live transfer").from = best;
-                    self.emit(XferEvent::Resourced {
-                        id,
-                        from: best,
-                        at: self.now,
-                    });
-                }
-                best
-            }
-            None => {
-                let t = self.transfers.remove(&id).expect("live transfer");
-                self.finish_failed(
-                    id,
-                    t,
-                    format!("no replica of {lfn} remains to copy to {to}"),
-                );
-                return;
-            }
+        let Some(from) = self.pick_source(&t.lfn, t.to) else {
+            let reason = format!("no replica of {} remains to copy to {}", t.lfn, t.to);
+            return self.finish_failed(id, t, reason);
         };
-        let attempt = {
-            let t = self.transfers.get_mut(&id).expect("live transfer");
-            t.attempts += 1;
-            t.attempts
-        };
-        if self.link_down(from, to) {
-            if attempt >= self.config.retry.max_attempts {
-                let t = self.transfers.remove(&id).expect("live transfer");
-                self.finish_failed(
-                    id,
-                    t,
-                    format!("link {from}->{to} dead after {attempt} attempts for {lfn}"),
-                );
-            } else {
-                let backoff = self
-                    .config
-                    .retry
-                    .backoff_base
-                    .mul_f64((1u64 << (attempt.clamp(1, 20) - 1)) as f64);
-                let until = self.now + backoff;
-                self.transfers.get_mut(&id).expect("live transfer").state =
-                    TState::Backoff { until };
-                self.reschedule(id);
-                self.counters.retried += 1;
-                self.emit(XferEvent::Retried {
-                    id,
-                    attempt,
-                    until,
-                    at: self.now,
-                });
-            }
-        } else {
-            let first = attempt == 1;
-            {
-                let t = self.transfers.get_mut(&id).expect("live transfer");
-                t.remaining = size as f64;
-                t.state = TState::Active;
-                if first {
-                    t.started = self.now;
-                }
-                t.source_pinned = true;
-            }
-            self.store_mut(from).pin(&lfn);
-            self.mark_active(id);
-            if first {
-                self.emit(XferEvent::Started {
-                    id,
-                    lfn,
-                    from,
-                    to,
-                    at: self.now,
-                });
-            }
+        if from != t.from {
+            t.from = from;
+            self.emit(XferEvent::Resourced {
+                id,
+                from,
+                at: self.now,
+            });
+        }
+        if self.link_down(from, t.to) {
+            return self.retry(id, t, "dead");
+        }
+        if first {
+            t.started = self.now;
+        }
+        let (lfn, to) = (t.lfn.clone(), t.to);
+        self.drain(id, t);
+        if first {
+            self.emit(XferEvent::Started {
+                id,
+                lfn,
+                from,
+                to,
+                at: self.now,
+            });
         }
     }
 
-    fn land(&mut self, id: u64) {
-        let mut t = self.detach(id).expect("live transfer");
-        if t.source_pinned {
-            self.store_mut(t.from).unpin(&t.lfn);
-            t.source_pinned = false;
+    /// Puts `t` back in the table draining the whole file from its
+    /// source, pinned there, and reschedules its link.
+    fn drain(&mut self, id: u64, mut t: Transfer) {
+        t.state = TState::Active {
+            remaining: t.size as f64,
+        };
+        self.store_mut(t.from).pin(&t.lfn);
+        let (from, to) = (t.from, t.to);
+        self.transfers.insert(id, t);
+        self.mark_active(id, from, to);
+    }
+
+    /// After an attempt on a dead link (`what` says how it died):
+    /// backs `t` off exponentially and puts it back in the table, or
+    /// fails it once its attempts are spent.
+    fn retry(&mut self, id: u64, mut t: Transfer, what: &str) {
+        let attempt = t.attempts;
+        if attempt >= self.config.retry.max_attempts {
+            let reason = format!(
+                "link {}->{} {what} after {attempt} attempts for {}",
+                t.from, t.to, t.lfn
+            );
+            return self.finish_failed(id, t, reason);
         }
+        self.unpin_source(&t);
+        let backoff = self
+            .config
+            .retry
+            .backoff_base
+            .mul_f64((1u64 << (attempt.clamp(1, 20) - 1)) as f64);
+        let until = self.now + backoff;
+        t.state = TState::Backoff { until };
+        t.restamp(id, until, &mut self.events);
+        self.transfers.insert(id, t);
+        self.counters.retried += 1;
+        self.emit(XferEvent::Retried {
+            id,
+            attempt,
+            until,
+            at: self.now,
+        });
+    }
+
+    /// Lands a transfer already out of the table and off its link.
+    fn land(&mut self, id: u64, t: Transfer) {
         let already = self
             .files
             .get(&t.lfn)
@@ -897,9 +803,9 @@ impl XferScheduler {
                 self.finish_failed(id, t, reason);
                 return;
             }
-            let lfn = t.lfn.clone();
-            self.add_replica(&lfn, t.to);
+            self.add_replica(&t.lfn, t.to);
         }
+        self.unpin_source(&t);
         self.emit_journal(JournalOp::Landed {
             lfn: t.lfn.clone(),
             to: t.to,
@@ -928,11 +834,9 @@ impl XferScheduler {
         }
     }
 
-    fn finish_failed(&mut self, id: u64, mut t: Transfer, reason: String) {
-        if t.source_pinned {
-            self.store_mut(t.from).unpin(&t.lfn);
-            t.source_pinned = false;
-        }
+    /// Fails a transfer already out of the table and off its link.
+    fn finish_failed(&mut self, id: u64, t: Transfer, reason: String) {
+        self.unpin_source(&t);
         self.pending.remove(&(t.lfn.clone(), t.to));
         self.counters.failed += 1;
         self.emit_journal(JournalOp::Failed {
@@ -1112,22 +1016,22 @@ impl XferScheduler {
     fn naive_next_event(&self) -> Option<(SimTime, u64)> {
         let mut counts: BTreeMap<(SiteId, SiteId), usize> = BTreeMap::new();
         for t in self.transfers.values() {
-            if t.state == TState::Active {
+            if let TState::Active { .. } = t.state {
                 *counts.entry((t.from, t.to)).or_insert(0usize) += 1;
             }
         }
         let mut best: Option<(SimTime, u64)> = None;
         for (id, t) in &self.transfers {
             let te = match t.state {
-                TState::Active => {
+                TState::Active { remaining } => {
                     let link = self.network.link(t.from, t.to);
                     let n = counts.get(&(t.from, t.to)).copied().unwrap_or(1) as f64;
-                    self.now + SimDuration::from_secs_f64(t.remaining * n / link.bandwidth_bps)
+                    self.now + SimDuration::from_secs_f64(remaining * n / link.bandwidth_bps)
                 }
                 TState::Latency { until } | TState::Backoff { until } => until,
                 TState::Waiting => continue,
             };
-            if best.is_none() || (te, *id) < best.expect("checked") {
+            if best.is_none_or(|b| (te, *id) < b) {
                 best = Some((te, *id));
             }
         }
@@ -1156,41 +1060,39 @@ impl XferScheduler {
             let link = network.link(*from, *to);
             let drain = link.bandwidth_bps * dt / ids.len() as f64;
             for id in ids {
-                if let Some(t) = transfers.get_mut(id) {
-                    t.remaining = (t.remaining - drain).max(0.0);
+                if let Some(TState::Active { remaining }) =
+                    transfers.get_mut(id).map(|t| &mut t.state)
+                {
+                    *remaining = (*remaining - drain).max(0.0);
                 }
             }
         }
     }
 
     fn fire(&mut self, id: u64) {
-        let state = self.transfers.get(&id).map(|t| t.state.clone());
-        match state {
-            Some(TState::Active) => {
-                let (from, to) = {
-                    let t = self.transfers.get_mut(&id).expect("live transfer");
-                    t.remaining = 0.0;
-                    (t.from, t.to)
-                };
+        let Some(mut t) = self.transfers.remove(&id) else {
+            return;
+        };
+        match t.state {
+            TState::Active { .. } => {
                 // Off the link either way: the drain is complete.
-                self.unmark_active(id, from, to);
-                let latency = self.network.link(from, to).latency;
+                self.unmark_active(id, t.from, t.to);
+                let latency = self.network.link(t.from, t.to).latency;
                 if latency == SimDuration::ZERO {
-                    self.land(id);
-                } else {
-                    // The latency tail does not occupy the link.
-                    self.transfers.get_mut(&id).expect("live transfer").state = TState::Latency {
-                        until: self.now + latency,
-                    };
-                    self.reschedule(id);
+                    return self.land(id, t);
                 }
+                // The latency tail does not occupy the link.
+                let until = self.now + latency;
+                t.state = TState::Latency { until };
+                t.restamp(id, until, &mut self.events);
+                self.transfers.insert(id, t);
             }
-            Some(TState::Latency { .. }) => self.land(id),
-            Some(TState::Backoff { .. }) => {
-                self.transfers.get_mut(&id).expect("live transfer").state = TState::Waiting;
-                self.activate(id);
+            TState::Latency { .. } => self.land(id, t),
+            TState::Backoff { .. } => self.attempt(id, t),
+            // No live heap entry names a waiting transfer.
+            TState::Waiting => {
+                self.transfers.insert(id, t);
             }
-            _ => {}
         }
     }
 
@@ -1220,38 +1122,31 @@ impl XferScheduler {
     }
 
     fn refresh_projections(&mut self) {
-        let tokens: Vec<u64> = self
+        // Unfinished chains must never release early: clamp the
+        // projection strictly past now.
+        let floor = self.now + SimDuration::from_micros(1);
+        let ups: Vec<XferUpdate> = self
             .chains
-            .iter()
-            .filter(|(_, c)| !c.done && c.condor.is_some())
-            .map(|(t, _)| *t)
+            .values()
+            .filter(|c| !c.done)
+            .filter_map(|c| {
+                Some(XferUpdate::Restage {
+                    site: c.site,
+                    condor: c.condor?,
+                    until: self.projection(c).max(floor),
+                })
+            })
             .collect();
-        let mut ups = Vec::new();
-        for token in tokens {
-            let chain = &self.chains[&token];
-            let (site, condor) = (chain.site, chain.condor.expect("filtered"));
-            // Unfinished chains must never release early: clamp the
-            // projection strictly past now.
-            let until = self
-                .projection_of(token)
-                .max(self.now + SimDuration::from_micros(1));
-            ups.push(XferUpdate::Restage {
-                site,
-                condor,
-                until,
-            });
-        }
         self.updates.extend(ups);
     }
 
-    fn projected_arrival(&self, id: u64) -> SimTime {
-        let t = &self.transfers[&id];
+    fn projected_arrival(&self, t: &Transfer) -> SimTime {
         match t.state {
-            TState::Active => {
+            TState::Active { remaining } => {
                 let link = self.network.link(t.from, t.to);
                 let n = self.active_on(t.from, t.to).max(1) as f64;
                 self.now
-                    + SimDuration::from_secs_f64(t.remaining * n / link.bandwidth_bps)
+                    + SimDuration::from_secs_f64(remaining * n / link.bandwidth_bps)
                     + link.latency
             }
             TState::Latency { until } => until,
@@ -1270,8 +1165,8 @@ impl XferScheduler {
     /// Every live transfer with its projected arrival, id-ordered.
     pub fn in_flight(&self) -> Vec<TransferRecord> {
         self.transfers
-            .iter()
-            .map(|(id, t)| TransferRecord {
+            .values()
+            .map(|t| TransferRecord {
                 lfn: t.lfn.clone(),
                 from: t.from,
                 to: t.to,
@@ -1280,7 +1175,7 @@ impl XferScheduler {
                 } else {
                     t.started
                 },
-                arrives: self.projected_arrival(*id),
+                arrives: self.projected_arrival(t),
                 attempts: t.attempts,
             })
             .collect()
@@ -1313,7 +1208,7 @@ impl XferScheduler {
         let mut waiting = 0;
         for t in self.transfers.values() {
             match t.state {
-                TState::Active | TState::Latency { .. } => in_flight += 1,
+                TState::Active { .. } | TState::Latency { .. } => in_flight += 1,
                 TState::Waiting | TState::Backoff { .. } => waiting += 1,
             }
         }

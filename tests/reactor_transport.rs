@@ -61,7 +61,7 @@ impl BlockingOracle {
         let acceptor = {
             let shutdown = shutdown.clone();
             std::thread::spawn(move || {
-                let door = Arc::new(DoorBackend::new(workers, gate));
+                let door = Arc::new(DoorBackend::new(workers, gate).unwrap());
                 let mut conns: Vec<JoinHandle<()>> = Vec::new();
                 while !shutdown.load(Ordering::Acquire) {
                     match listener.accept() {

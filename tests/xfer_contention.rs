@@ -563,3 +563,184 @@ fn recovery_restages_a_mid_staging_task_through_resubmission() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+// ---- no panic from any restored state and any call sequence ----
+
+/// One call on a bare scheduler. Sites are drawn from 0..6 around a
+/// scheduler that manages 1..=3 only, and files from `f0`..`f7`
+/// around a catalog that may hold any of them.
+#[derive(Clone, Debug)]
+enum Call {
+    Replicate {
+        file: u8,
+        to: u8,
+    },
+    Stage {
+        files: Vec<u8>,
+        site: u8,
+        condor: u64,
+    },
+    FailLink {
+        from: u8,
+        to: u8,
+    },
+    HealLink {
+        from: u8,
+        to: u8,
+    },
+    Delete {
+        file: u8,
+        site: u8,
+    },
+    Release {
+        site: u8,
+        condor: u64,
+    },
+    Cancel {
+        token: u8,
+    },
+    Advance {
+        ms: u32,
+    },
+}
+
+fn lfn(file: u8) -> String {
+    format!("f{file}")
+}
+
+fn arb_replicas() -> impl Strategy<Value = Vec<SiteId>> {
+    prop::collection::vec((0u64..6).prop_map(s), 0..4)
+}
+
+/// Sizes include zero and a few megabytes.
+fn arb_size() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 1u64..3_000_000]
+}
+
+fn arb_export() -> impl Strategy<Value = gae::xfer::XferExport> {
+    (
+        prop::collection::vec((0u8..8, arb_size(), arb_replicas()), 0..6),
+        prop::collection::vec((0u8..8, 0u64..6), 0..6),
+    )
+        .prop_map(|(files, pending)| gae::xfer::XferExport {
+            files: files
+                .into_iter()
+                .map(|(f, size, reps)| (lfn(f), size, reps))
+                .collect(),
+            pending: pending.into_iter().map(|(f, to)| (lfn(f), s(to))).collect(),
+            counters: Default::default(),
+        })
+}
+
+fn arb_journal_op() -> impl Strategy<Value = gae::xfer::JournalOp> {
+    use gae::xfer::JournalOp;
+    let at = || (0u8..8, (0u64..6).prop_map(s));
+    prop_oneof![
+        (0u8..8, arb_size(), arb_replicas()).prop_map(|(f, size, replicas)| {
+            JournalOp::Register {
+                lfn: lfn(f),
+                size,
+                replicas,
+            }
+        }),
+        at().prop_map(|(f, to)| JournalOp::Requested { lfn: lfn(f), to }),
+        at().prop_map(|(f, to)| JournalOp::Landed { lfn: lfn(f), to }),
+        at().prop_map(|(f, to)| JournalOp::Failed { lfn: lfn(f), to }),
+        at().prop_map(|(f, site)| JournalOp::Deleted { lfn: lfn(f), site }),
+        at().prop_map(|(f, site)| JournalOp::Evicted { lfn: lfn(f), site }),
+    ]
+}
+
+fn arb_call() -> impl Strategy<Value = Call> {
+    prop_oneof![
+        (0u8..8, 0u8..6).prop_map(|(file, to)| Call::Replicate { file, to }),
+        (prop::collection::vec(0u8..8, 0..3), 0u8..6, 0u64..4).prop_map(|(files, site, condor)| {
+            Call::Stage {
+                files,
+                site,
+                condor,
+            }
+        }),
+        (0u8..6, 0u8..6).prop_map(|(from, to)| Call::FailLink { from, to }),
+        (0u8..6, 0u8..6).prop_map(|(from, to)| Call::HealLink { from, to }),
+        (0u8..8, 0u8..6).prop_map(|(file, site)| Call::Delete { file, site }),
+        (0u8..6, 0u64..4).prop_map(|(site, condor)| Call::Release { site, condor }),
+        (0u8..8).prop_map(|token| Call::Cancel { token }),
+        (0u32..40_000).prop_map(|ms| Call::Advance { ms }),
+        (0u32..40_000).prop_map(|ms| Call::Advance { ms }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever a snapshot, a journal and a caller hand the scheduler,
+    /// it never panics, its metrics count every live transfer once,
+    /// and every staging update names a chain that was bound.
+    #[test]
+    fn scheduler_survives_any_restore_replay_and_calls(
+        export in arb_export(),
+        journal in prop::collection::vec(arb_journal_op(), 0..12),
+        calls in prop::collection::vec(arb_call(), 0..40),
+        zero_latency in any::<bool>(),
+    ) {
+        use gae::xfer::XferUpdate;
+        let latency = if zero_latency { SimDuration::ZERO } else { SimDuration::from_millis(700) };
+        let mut net = NetworkModel::new(Link::new(1e6, latency));
+        // One slow link, so sources differ in cost.
+        net.set_link(s(1), s(3), Link::new(2.5e5, latency));
+        let config = XferConfig::with_defaults().with_budget(s(2), 2_000_000);
+        let mut x = XferScheduler::new(net, [s(1), s(2), s(3)], config);
+        x.restore(&export);
+        for op in &journal {
+            x.apply_journal(op);
+        }
+        x.rearm_pending();
+        let mut tokens = Vec::new();
+        let mut bound = std::collections::BTreeSet::new();
+        for call in calls {
+            match call {
+                Call::Replicate { file, to } => {
+                    let _ = x.replicate(&lfn(file), s(to as u64));
+                }
+                Call::Stage { files, site, condor } => {
+                    let inputs: Vec<FileRef> = files
+                        .iter()
+                        .map(|f| {
+                            x.lookup(&lfn(*f)).unwrap_or_else(|| {
+                                FileRef::new(lfn(*f), 1_000).with_replicas(vec![s(*f as u64 % 6)])
+                            })
+                        })
+                        .collect();
+                    if let Some((token, _)) = x.plan_stage(s(site as u64), &inputs) {
+                        tokens.push(token);
+                        if bound.insert((s(site as u64), condor)) {
+                            x.bind_chain(token, condor);
+                        }
+                    }
+                }
+                Call::FailLink { from, to } => x.fail_link(s(from as u64), s(to as u64)),
+                Call::HealLink { from, to } => x.heal_link(s(from as u64), s(to as u64)),
+                Call::Delete { file, site } => {
+                    let _ = x.delete_replica(&lfn(file), s(site as u64));
+                }
+                Call::Release { site, condor } => x.release_task(s(site as u64), condor),
+                Call::Cancel { token } => {
+                    if let Some(t) = tokens.get(token as usize) {
+                        x.cancel_chain(*t);
+                    }
+                }
+                Call::Advance { ms } => {
+                    x.advance_to(x.now() + SimDuration::from_millis(ms as u64));
+                }
+            }
+            let m = x.metrics();
+            prop_assert_eq!(m.in_flight + m.waiting, x.in_flight().len());
+            for update in x.drain_updates() {
+                let (XferUpdate::Restage { site, condor, .. }
+                | XferUpdate::StagingFailed { site, condor, .. }) = update;
+                prop_assert!(bound.contains(&(site, condor)), "unbound chain {site}/{condor}");
+            }
+        }
+    }
+}

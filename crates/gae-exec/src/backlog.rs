@@ -107,7 +107,8 @@ impl BacklogIndex {
 }
 
 /// The differential suite: after every operation of a random sequence
-/// the index answers exactly what a walk of the records answers.
+/// the index answers exactly what a walk of the records answers, and
+/// the cached next-event instant what a scan of the pending work does.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,6 +135,7 @@ mod tests {
         SetPriority(usize, i32),
         Migrate(usize),
         FailStaging(usize),
+        Restage(usize, u64),
         SetEstimate(usize, Option<u64>),
         FailNode(u64),
         RecoverNode(u64),
@@ -179,6 +181,7 @@ mod tests {
             ((0usize..40), -10i32..=10).prop_map(|(i, p)| Op::SetPriority(i, p)),
             (0usize..40).prop_map(Op::Migrate),
             (0usize..40).prop_map(Op::FailStaging),
+            ((0usize..40), 0u64..300).prop_map(|(i, s)| Op::Restage(i, s)),
             ((0usize..40), arb_estimate()).prop_map(|(i, e)| Op::SetEstimate(i, e)),
             (1u64..4).prop_map(Op::FailNode),
             (1u64..4).prop_map(Op::RecoverNode),
@@ -289,6 +292,12 @@ mod tests {
                             let _ = svc.fail_staging(c, "link down");
                         }
                     }
+                    Op::Restage(i, secs) => {
+                        if let Some((c, _)) = nth(i) {
+                            let until = svc.now() + SimDuration::from_secs(secs);
+                            let _ = svc.restage(c, until);
+                        }
+                    }
                     Op::SetEstimate(i, pct) => {
                         if let Some((c, demand_s)) = nth(i) {
                             let estimate = pct.map(|pct| estimate_of(demand_s, pct));
@@ -304,6 +313,7 @@ mod tests {
                     Op::Preemptive(on) => svc.set_preemptive(on),
                 }
                 assert_index_matches_records(&svc);
+                prop_assert_eq!(svc.next_event_time(), svc.naive_next_event_time());
             }
 
             // Settle everything: nothing may stay indexed behind a
@@ -314,6 +324,7 @@ mod tests {
             }
             svc.advance_to(svc.now() + SimDuration::from_secs(10_000_000));
             assert_index_matches_records(&svc);
+            prop_assert_eq!(svc.next_event_time(), svc.naive_next_event_time());
             prop_assert!(svc.records().all(|r| !matches!(
                 r.status,
                 TaskStatus::Pending

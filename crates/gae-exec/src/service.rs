@@ -971,7 +971,7 @@ impl ExecutionService {
     /// The pre-heap min-scan over both pending maps, retained as the
     /// differential oracle for the cached heap answer.
     #[cfg(test)]
-    fn naive_next_event_time(&self) -> Option<SimTime> {
+    pub(crate) fn naive_next_event_time(&self) -> Option<SimTime> {
         let finish = self.planned_finish.values().min().copied();
         let staged = self.staging_until.values().min().copied();
         match (finish, staged) {
@@ -1200,6 +1200,43 @@ mod tests {
         assert_eq!(svc_b.next_event_time(), Some(SimTime::from_secs(283)));
         svc_b.advance_to(SimTime::from_secs(283));
         assert_eq!(svc_b.status(c2).unwrap(), TaskStatus::Completed);
+    }
+
+    /// A checkpoint carried across two hops: each site's checkpoint is
+    /// the work done at every site so far, so the third site runs only
+    /// what is left of the full demand.
+    #[test]
+    fn checkpoint_migration_carries_work_across_two_hops() {
+        let spec: Arc<TaskSpec> = task(1, 300).with_checkpointable(true).into();
+        let mut svc_a = free_service();
+        let a = svc_a.submit(spec, None).unwrap();
+        svc_a.advance_to(SimTime::from_secs(100));
+        let (spec, ck) = svc_a.remove_for_migration(a).unwrap();
+        assert_eq!(ck.unwrap().accrued, SimDuration::from_secs(100));
+
+        let mut svc_b = ExecutionService::new(SiteConfig::free(site(2, 1, 1)));
+        svc_b.advance_to(SimTime::from_secs(100));
+        let b = svc_b.submit(spec, ck).unwrap();
+        assert_eq!(
+            svc_b.record(b).unwrap().site_demand(),
+            SimDuration::from_secs(200)
+        );
+        svc_b.advance_to(SimTime::from_secs(150));
+        let rec = svc_b.record(b).unwrap();
+        assert_eq!(rec.full_demand(), SimDuration::from_secs(300));
+        assert!((rec.progress() - 0.5).abs() < 1e-9);
+        let (spec, ck) = svc_b.remove_for_migration(b).unwrap();
+        assert_eq!(ck.unwrap().accrued, SimDuration::from_secs(150));
+
+        let mut svc_c = ExecutionService::new(SiteConfig::free(site(3, 1, 1)));
+        svc_c.advance_to(SimTime::from_secs(150));
+        let c = svc_c.submit(spec, ck).unwrap();
+        assert_eq!(svc_c.next_event_time(), Some(SimTime::from_secs(300)));
+        svc_c.advance_to(SimTime::from_secs(300));
+        let rec = svc_c.record(c).unwrap();
+        assert_eq!(svc_c.status(c).unwrap(), TaskStatus::Completed);
+        assert_eq!(rec.total_accrued(), SimDuration::from_secs(300));
+        assert_eq!(rec.carried, SimDuration::from_secs(150));
     }
 
     #[test]

@@ -253,7 +253,7 @@ fn queue_run_once(depth: usize, estimate_noise_sigma: f64, seed: u64) -> (f64, f
     let actual = loop {
         exec.advance_to(SimTime::from_secs(horizon));
         let rec = exec.record(probe).expect("probe record");
-        if rec.status != TaskStatus::Queued {
+        if rec.status() != TaskStatus::Queued {
             break rec.started_at.expect("started").as_secs_f64();
         }
         horizon *= 2;

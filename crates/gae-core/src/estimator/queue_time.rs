@@ -28,10 +28,10 @@ use gae_types::{CondorId, GaeError, GaeResult, Priority, SimDuration};
 /// contributes zero.
 pub fn estimate_queue_time(exec: &ExecutionService, condor: CondorId) -> GaeResult<SimDuration> {
     let record = exec.record(condor)?;
-    if !record.status.is_live() {
+    if !record.status().is_live() {
         return Err(GaeError::InvalidTransition {
             entity: condor.to_string(),
-            from: record.status.to_string(),
+            from: record.status().to_string(),
             attempted: "estimate queue time".into(),
         });
     }

@@ -62,7 +62,7 @@ impl JobInformationCollector {
                 nodes: meta.nodes as u64,
                 submit_us: record.submitted_at.as_micros(),
                 start_us: record.started_at.map(|t| t.as_micros()).unwrap_or(0),
-                finish_us: record.finished_at.map(|t| t.as_micros()).unwrap_or(0),
+                finish_us: record.finished_at().map(|t| t.as_micros()).unwrap_or(0),
                 runtime_us: record.total_accrued().as_micros(),
                 success: completion.is_some(),
                 account: meta.account,
@@ -102,7 +102,7 @@ impl JobInformationCollector {
             task: record.spec.id,
             condor: record.condor,
             site,
-            status: record.status,
+            status: record.status(),
             estimated_runtime: estimated,
             remaining_time: remaining,
             elapsed: record.elapsed(exec.now()),
@@ -110,7 +110,7 @@ impl JobInformationCollector {
             priority: record.priority,
             submitted_at: record.submitted_at,
             started_at: record.started_at,
-            completed_at: record.finished_at,
+            completed_at: record.finished_at(),
             cpu_time: record.total_accrued(),
             input_io: record.input_io,
             output_io: record.output_io,
@@ -133,14 +133,9 @@ impl JobInformationCollector {
             let exec = exec.lock();
             if let Some(condor) = exec.condor_of(task) {
                 if let Ok(rec) = exec.record(condor) {
-                    let live = matches!(
-                        rec.status,
-                        TaskStatus::Pending
-                            | TaskStatus::Queued
-                            | TaskStatus::Running
-                            | TaskStatus::Suspended
-                    );
-                    let key = (live, rec.submitted_at, rec.status != TaskStatus::Migrating);
+                    let status = rec.status();
+                    let here = status != TaskStatus::Migrating;
+                    let key = (here && status.is_live(), rec.submitted_at, here);
                     if best.as_ref().is_none_or(|(_, _, b)| key > *b) {
                         best = Some((site, condor, key));
                     }
@@ -197,7 +192,7 @@ impl JobInformationCollector {
             return None;
         }
         let record = exec.record(condor).ok()?;
-        (record.status != TaskStatus::Migrating).then(|| read(record, &exec))
+        (record.status() != TaskStatus::Migrating).then(|| read(record, &exec))
     }
 
     /// Live monitoring info from the hinted location; `None` when the
@@ -224,7 +219,7 @@ impl JobInformationCollector {
     ) -> Option<Option<JobMonitoringInfo>> {
         self.read_at(task, site, condor, |record, exec| {
             let parked = matches!(
-                record.status,
+                record.status(),
                 TaskStatus::Pending | TaskStatus::Queued | TaskStatus::Suspended
             );
             (!parked).then(|| self.info_from_record(site, record, exec))

@@ -86,7 +86,7 @@ impl JobMonitoringService {
                 .records()
                 .filter(|r| {
                     matches!(
-                        r.status,
+                        r.status(),
                         TaskStatus::Queued | TaskStatus::Running | TaskStatus::Suspended
                     )
                 })

@@ -47,7 +47,7 @@ impl BacklogIndex {
 
     /// Indexes `rec` as its status, priority and estimate stand now.
     fn enter(&mut self, rec: &TaskRecord) {
-        match (rec.status, rec.estimated_remaining()) {
+        match (rec.status(), rec.estimated_remaining()) {
             (TaskStatus::Running, _) => {
                 self.running.insert(rec.condor);
             }
@@ -65,7 +65,7 @@ impl BacklogIndex {
 
     /// Undoes [`BacklogIndex::enter`]; `rec` must be unchanged since.
     fn leave(&mut self, rec: &TaskRecord) {
-        match (rec.status, rec.estimated_remaining()) {
+        match (rec.status(), rec.estimated_remaining()) {
             (TaskStatus::Running, _) => {
                 self.running.remove(&rec.condor);
             }
@@ -141,7 +141,6 @@ mod tests {
         RecoverNode(u64),
         FailSite,
         RecoverSite,
-        FairShare(bool),
         Preemptive(bool),
     }
 
@@ -187,7 +186,6 @@ mod tests {
             (1u64..4).prop_map(Op::RecoverNode),
             Just(Op::FailSite),
             Just(Op::RecoverSite),
-            any::<bool>().prop_map(Op::FairShare),
             any::<bool>().prop_map(Op::Preemptive),
         ]
     }
@@ -212,13 +210,13 @@ mod tests {
         let index = svc.backlog_index();
         let running: BTreeSet<CondorId> = svc
             .records()
-            .filter(|r| r.status == TaskStatus::Running)
+            .filter(|r| r.status() == TaskStatus::Running)
             .map(|r| r.condor)
             .collect();
         assert_eq!(index.running(), &running);
         assert_eq!(svc.running_count(), running.len());
         let mut queued: BTreeMap<Priority, (usize, SimDuration)> = BTreeMap::new();
-        for r in svc.records().filter(|r| r.status == TaskStatus::Queued) {
+        for r in svc.records().filter(|r| r.status() == TaskStatus::Queued) {
             if let Some(remaining) = r.estimated_remaining() {
                 let (count, sum) = queued.entry(r.priority).or_default();
                 *count += 1;
@@ -309,7 +307,6 @@ mod tests {
                     Op::RecoverNode(n) => svc.recover_node(NodeId::new(n)).unwrap(),
                     Op::FailSite => svc.fail_site(),
                     Op::RecoverSite => svc.recover_site(),
-                    Op::FairShare(on) => svc.set_fair_share(on),
                     Op::Preemptive(on) => svc.set_preemptive(on),
                 }
                 assert_index_matches_records(&svc);
@@ -326,7 +323,7 @@ mod tests {
             assert_index_matches_records(&svc);
             prop_assert_eq!(svc.next_event_time(), svc.naive_next_event_time());
             prop_assert!(svc.records().all(|r| !matches!(
-                r.status,
+                r.status(),
                 TaskStatus::Pending
                     | TaskStatus::Queued
                     | TaskStatus::Running

@@ -16,7 +16,7 @@
 use crate::backlog::BacklogIndex;
 use crate::events::ExecEvent;
 use crate::node::Node;
-use crate::queue::{PriorityQueue, QueueEntry};
+use crate::queue::PriorityQueue;
 use crate::task::{Checkpoint, Phase, TaskRecord};
 use gae_sim::LoadTrace;
 use gae_types::{
@@ -129,11 +129,18 @@ impl Ledger {
             at: now,
             condor: rec.condor,
             task: rec.spec.id,
-            status: rec.status,
-            node: rec.node,
+            status: rec.status(),
+            node: rec.node(),
             detail: detail.to_string(),
         });
         self.next_event_seq += 1;
+    }
+
+    /// Ends `rec` with `status`, keeping the node it holds (or, ending
+    /// a husk again, the one it ended on).
+    fn end(&mut self, rec: &mut TaskRecord, status: TaskStatus, at: SimTime, detail: &str) {
+        let slot = rec.phase.node_slot();
+        self.transition(rec, Phase::Ended { status, slot, at }, at, detail);
     }
 }
 
@@ -145,15 +152,10 @@ pub struct ExecutionService {
     records: HashMap<CondorId, TaskRecord>,
     by_task: HashMap<TaskId, CondorId>,
     ledger: Ledger,
-    planned_finish: HashMap<CondorId, SimTime>,
-    /// Tasks still staging their input files: Condor id → instant the
-    /// transfer completes and the task enters the queue.
-    staging_until: HashMap<CondorId, SimTime>,
     /// Min-heap of pending events keyed `(time, kind, condor)`, with
-    /// lazy invalidation: an entry is live only while the matching map
-    /// (`planned_finish` / `staging_until`) still holds exactly that
-    /// instant for that task. Replaces the per-iteration min-scan of
-    /// both maps.
+    /// lazy invalidation: an entry is live only while the task's phase
+    /// still holds exactly that instant (`Running { finish }` for a
+    /// completion, `Pending { until }` for a staging arrival).
     event_heap: BinaryHeap<Reverse<(SimTime, u8, CondorId)>>,
     /// Cached `next_event_time` answer, kept fresh by `refresh_next`
     /// at the end of every mutating public entry point.
@@ -166,17 +168,10 @@ pub struct ExecutionService {
     next_condor: u64,
     now: SimTime,
     alive: bool,
-    /// Condor-style fair share: when enabled, ties between queued
-    /// tasks of equal priority are broken by the owners' accumulated
-    /// CPU usage at this site (lighter users first) instead of FIFO.
-    fair_share: bool,
     /// Condor-style preemption: when enabled, a queued task of
     /// strictly higher priority vacates the lowest-priority running
     /// task (which loses its progress unless checkpointable).
     preemptive: bool,
-    /// CPU-seconds completed per owner at this site (fair-share input
-    /// and accounting aid).
-    usage: HashMap<gae_types::UserId, f64>,
 }
 
 impl ExecutionService {
@@ -213,8 +208,6 @@ impl ExecutionService {
                 events: Vec::new(),
                 next_event_seq: 0,
             },
-            planned_finish: HashMap::new(),
-            staging_until: HashMap::new(),
             event_heap: BinaryHeap::new(),
             last_next: None,
             notifier: None,
@@ -222,26 +215,13 @@ impl ExecutionService {
             next_condor: 1,
             now: SimTime::ZERO,
             alive: true,
-            fair_share: false,
             preemptive: false,
-            usage: HashMap::new(),
         }
     }
 
     /// Enables or disables priority preemption (off by default).
     pub fn set_preemptive(&mut self, enabled: bool) {
         self.preemptive = enabled;
-    }
-
-    /// Enables or disables fair-share tie-breaking (off by default;
-    /// the paper's testbed ran plain priority FIFO).
-    pub fn set_fair_share(&mut self, enabled: bool) {
-        self.fair_share = enabled;
-    }
-
-    /// CPU-seconds completed by `owner` at this site.
-    pub fn usage_of(&self, owner: gae_types::UserId) -> f64 {
-        self.usage.get(&owner).copied().unwrap_or(0.0)
     }
 
     // ---- identity & time ----
@@ -281,7 +261,7 @@ impl ExecutionService {
             return None;
         }
         let rec = self.records.get(&condor)?;
-        match rec.status {
+        match rec.status() {
             TaskStatus::Migrating => None,
             TaskStatus::Pending | TaskStatus::Queued | TaskStatus::Suspended => {
                 Some(TaskProbe::Parked {
@@ -337,10 +317,10 @@ impl ExecutionService {
                 .transition(rec, Phase::Queued, self.now, "submitted");
             self.dispatch();
         } else {
-            self.ledger
-                .transition(rec, Phase::Pending, self.now, "staging input files");
             let until = self.now + stage_in;
-            self.staging_until.insert(condor, until);
+            let phase = Phase::Pending { until };
+            self.ledger
+                .transition(rec, phase, self.now, "staging input files");
             self.schedule(until, KIND_STAGING, condor);
         }
         self.refresh_next();
@@ -349,13 +329,10 @@ impl ExecutionService {
 
     /// Moves a task whose staging finished into the queue.
     fn finish_staging(&mut self, condor: CondorId) {
-        self.staging_until.remove(&condor);
+        // The heap entry was live: the record stages until now.
         let Some(rec) = self.records.get_mut(&condor) else {
             return;
         };
-        if rec.phase != Phase::Pending {
-            return; // killed or failed while staging
-        }
         self.queue.push(condor, rec.priority);
         self.ledger
             .transition(rec, Phase::Queued, self.now, "input staging complete");
@@ -368,30 +345,30 @@ impl ExecutionService {
     /// instant at or before the clock releases the task on the next
     /// `advance_to`.
     pub fn restage(&mut self, condor: CondorId, until: SimTime) -> GaeResult<()> {
-        match self.staging_until.get_mut(&condor) {
-            Some(slot) => {
-                *slot = until;
-                self.schedule(until, KIND_STAGING, condor);
-                self.refresh_next();
-                Ok(())
-            }
-            None => Err(GaeError::NotFound(format!("{condor} is not staging"))),
+        let rec = Self::staging_record(&mut self.records, condor)?;
+        rec.phase = Phase::Pending { until };
+        self.schedule(until, KIND_STAGING, condor);
+        self.refresh_next();
+        Ok(())
+    }
+
+    /// The record of `condor` while it stages, or `NotFound`.
+    fn staging_record(
+        records: &mut HashMap<CondorId, TaskRecord>,
+        condor: CondorId,
+    ) -> GaeResult<&mut TaskRecord> {
+        match records.get_mut(&condor) {
+            Some(rec) if matches!(rec.phase, Phase::Pending { .. }) => Ok(rec),
+            _ => Err(GaeError::NotFound(format!("{condor} is not staging"))),
         }
     }
 
     /// Fails a `Pending` task whose input-staging chain failed
     /// permanently, so steering's Backup & Recovery can reschedule it.
     pub fn fail_staging(&mut self, condor: CondorId, reason: &str) -> GaeResult<()> {
-        if self.staging_until.remove(&condor).is_none() {
-            return Err(GaeError::NotFound(format!("{condor} is not staging")));
-        }
-        let rec = self
-            .records
-            .get_mut(&condor)
-            .ok_or_else(|| GaeError::NotFound(condor.to_string()))?;
+        let rec = Self::staging_record(&mut self.records, condor)?;
         let detail = format!("input staging failed: {reason}");
-        self.ledger
-            .transition(rec, Phase::Ended(TaskStatus::Failed), self.now, &detail);
+        self.ledger.end(rec, TaskStatus::Failed, self.now, &detail);
         self.refresh_next();
         Ok(())
     }
@@ -415,33 +392,19 @@ impl ExecutionService {
                 None if self.preemptive && self.vacate_for(head.priority) => continue,
                 None => return,
             };
-            let entry = if self.fair_share {
-                // Among the head priority class, pick the owner with
-                // the least completed CPU at this site.
-                let usage = |e: &QueueEntry| {
-                    let owner = self.records.get(&e.condor).map(|r| r.spec.owner);
-                    owner.map_or(0.0, |o| self.usage_of(o))
-                };
-                let snapshot = self.queue.snapshot();
-                snapshot
-                    .into_iter()
-                    .take_while(|e| e.priority == head.priority)
-                    .min_by(|a, b| usage(a).total_cmp(&usage(b)).then(a.condor.cmp(&b.condor)))
-                    .unwrap_or(head)
-            } else {
-                head
-            };
-            self.queue.remove(entry.condor);
-            let Some(rec) = self.records.get_mut(&entry.condor) else {
+            self.queue.pop();
+            let Some(rec) = self.records.get_mut(&head.condor) else {
                 continue;
             };
             self.nodes[slot].occupy();
             rec.accrued_as_of = self.now;
             let finish = self.nodes[slot].finish_time(self.now, rec.remaining());
-            self.ledger
-                .transition(rec, Phase::Running { slot }, self.now, "dispatched");
-            self.planned_finish.insert(entry.condor, finish);
-            self.schedule(finish, KIND_COMPLETION, entry.condor);
+            let phase = Phase::Running {
+                slot: slot as u32,
+                finish,
+            };
+            self.ledger.transition(rec, phase, self.now, "dispatched");
+            self.schedule(finish, KIND_COMPLETION, head.condor);
         }
     }
 
@@ -464,9 +427,12 @@ impl ExecutionService {
         };
         let was = rec.phase;
         if rec.spec.checkpointable {
-            // Progress survives: fold it into the carried work.
-            rec.carried += rec.accrued;
-            rec.demand = rec.demand.saturating_sub(rec.accrued);
+            // Progress survives: fold it into the carried work, never
+            // more than the demand (per-step rounding can accrue a few
+            // microseconds past it), so `full_demand` stays the spec's.
+            let done = rec.accrued.min(rec.demand);
+            rec.carried += done;
+            rec.demand -= done;
         }
         rec.accrued = SimDuration::ZERO;
         rec.accrued_as_of = self.now;
@@ -502,13 +468,13 @@ impl ExecutionService {
     }
 
     /// Peeks the earliest live heap entry, discarding stale ones (the
-    /// matching map no longer holds that instant for that task).
+    /// task's phase no longer holds that instant).
     fn peek_event(&mut self) -> Option<(SimTime, u8, CondorId)> {
         while let Some(&Reverse((te, kind, condor))) = self.event_heap.peek() {
-            let live = if kind == KIND_COMPLETION {
-                self.planned_finish.get(&condor) == Some(&te)
-            } else {
-                self.staging_until.get(&condor) == Some(&te)
+            let live = match self.records.get(&condor).map(|r| r.phase) {
+                Some(Phase::Running { finish, .. }) => kind == KIND_COMPLETION && finish == te,
+                Some(Phase::Pending { until }) => kind == KIND_STAGING && until == te,
+                _ => false,
             };
             if live {
                 return Some((te, kind, condor));
@@ -569,9 +535,10 @@ impl ExecutionService {
             let Some(rec) = self.records.get_mut(condor) else {
                 continue;
             };
-            let Phase::Running { slot } = rec.phase else {
+            let Phase::Running { slot, .. } = rec.phase else {
                 continue;
             };
+            let slot = slot as usize;
             let memo = &mut self.accrual_memo[slot];
             if (memo.0, memo.1) != (rec.accrued_as_of, t) {
                 *memo = (
@@ -595,32 +562,19 @@ impl ExecutionService {
         // to avoid 1-microsecond float residue.
         rec.accrued = rec.demand;
         rec.update_io();
-        *self.usage.entry(rec.spec.owner).or_insert(0.0) += rec.accrued.as_secs_f64();
-        self.ledger.transition(
-            rec,
-            Phase::Ended(TaskStatus::Completed),
-            self.now,
-            "finished",
-        );
+        self.ledger
+            .end(rec, TaskStatus::Completed, self.now, "finished");
         self.free(condor, was);
     }
 
-    /// Frees what a task held in phase `was`: its node slot, its place
-    /// in the queue or its staging wait, and its planned finish.
+    /// Frees what a task held in phase `was`: its node slot or its
+    /// place in the queue.
     fn free(&mut self, condor: CondorId, was: Phase) {
-        match was {
-            Phase::Queued => {
-                self.queue.remove(condor);
-            }
-            Phase::Pending => {
-                self.staging_until.remove(&condor);
-            }
-            Phase::Running { slot } | Phase::Suspended { slot: Some(slot) } => {
-                self.nodes[slot].release();
-            }
-            Phase::Suspended { slot: None } | Phase::Ended(_) => {}
+        if was == Phase::Queued {
+            self.queue.remove(condor);
+        } else if let Some(slot) = was.slot() {
+            self.nodes[slot].release();
         }
-        self.planned_finish.remove(&condor);
     }
 
     // ---- steering commands (kill / pause / resume / priority) ----
@@ -630,10 +584,10 @@ impl ExecutionService {
         condor: CondorId,
     ) -> GaeResult<&mut TaskRecord> {
         match records.get_mut(&condor) {
-            Some(r) if r.status.is_live() => Ok(r),
+            Some(r) if r.status().is_live() => Ok(r),
             Some(r) => Err(GaeError::InvalidTransition {
                 entity: condor.to_string(),
-                from: r.status.to_string(),
+                from: r.status().to_string(),
                 attempted: "control".into(),
             }),
             None => Err(GaeError::NotFound(condor.to_string())),
@@ -645,10 +599,7 @@ impl ExecutionService {
     pub fn suspend(&mut self, condor: CondorId) -> GaeResult<()> {
         let rec = Self::live_record_mut(&mut self.records, condor)?;
         let slot = match rec.phase {
-            Phase::Running { slot } => {
-                self.planned_finish.remove(&condor);
-                Some(slot)
-            }
+            Phase::Running { slot, .. } => Some(slot),
             Phase::Queued => {
                 self.queue.remove(condor);
                 None
@@ -656,7 +607,7 @@ impl ExecutionService {
             _ => {
                 return Err(GaeError::InvalidTransition {
                     entity: condor.to_string(),
-                    from: rec.status.to_string(),
+                    from: rec.status().to_string(),
                     attempted: "suspend".into(),
                 })
             }
@@ -674,17 +625,17 @@ impl ExecutionService {
         let Phase::Suspended { slot } = rec.phase else {
             return Err(GaeError::InvalidTransition {
                 entity: condor.to_string(),
-                from: rec.status.to_string(),
+                from: rec.status().to_string(),
                 attempted: "resume".into(),
             });
         };
         match slot {
             Some(slot) => {
                 rec.accrued_as_of = self.now;
-                let finish = self.nodes[slot].finish_time(self.now, rec.remaining());
-                self.ledger
-                    .transition(rec, Phase::Running { slot }, self.now, "resumed");
-                self.planned_finish.insert(condor, finish);
+                let node = &self.nodes[slot as usize];
+                let finish = node.finish_time(self.now, rec.remaining());
+                let phase = Phase::Running { slot, finish };
+                self.ledger.transition(rec, phase, self.now, "resumed");
                 self.schedule(finish, KIND_COMPLETION, condor);
             }
             None => {
@@ -703,8 +654,7 @@ impl ExecutionService {
         let rec = Self::live_record_mut(&mut self.records, condor)?;
         let was = rec.phase;
         let detail = "killed by steering command";
-        self.ledger
-            .transition(rec, Phase::Ended(TaskStatus::Killed), self.now, detail);
+        self.ledger.end(rec, TaskStatus::Killed, self.now, detail);
         self.free(condor, was);
         self.dispatch();
         self.refresh_next();
@@ -734,18 +684,11 @@ impl ExecutionService {
         let spec = rec.spec.clone();
         // Work completed across all sites so far = full demand minus
         // what is still missing here.
-        let full = spec
-            .true_cpu_demand
-            .unwrap_or_else(|| SimDuration::from_secs_f64(spec.requested_cpu_hours * 3600.0));
-        let done = full.saturating_sub(rec.remaining());
-        let checkpoint = if spec.checkpointable {
-            Some(Checkpoint { accrued: done })
-        } else {
-            None
-        };
+        let done = rec.full_demand().saturating_sub(rec.remaining());
+        let checkpoint = spec.checkpointable.then_some(Checkpoint { accrued: done });
         let detail = "removed for migration";
         self.ledger
-            .transition(rec, Phase::Ended(TaskStatus::Migrating), self.now, detail);
+            .end(rec, TaskStatus::Migrating, self.now, detail);
         self.free(condor, was);
         self.dispatch();
         self.refresh_next();
@@ -767,9 +710,7 @@ impl ExecutionService {
         victims.sort_unstable_by_key(|r| r.condor);
         let detail = format!("{node_id} failed");
         for rec in victims {
-            self.planned_finish.remove(&rec.condor);
-            self.ledger
-                .transition(rec, Phase::Ended(TaskStatus::Failed), self.now, &detail);
+            self.ledger.end(rec, TaskStatus::Failed, self.now, &detail);
         }
         self.nodes[idx].fail();
         self.dispatch();
@@ -798,17 +739,14 @@ impl ExecutionService {
         let mut victims: Vec<&mut TaskRecord> = self
             .records
             .values_mut()
-            .filter(|r| r.status.is_live())
+            .filter(|r| r.status().is_live())
             .collect();
         // Condor-id order, for the same reason as in `fail_node`.
         victims.sort_unstable_by_key(|r| r.condor);
         for rec in victims {
-            self.planned_finish.remove(&rec.condor);
-            self.staging_until.remove(&rec.condor);
             self.queue.remove(rec.condor);
             let detail = "execution service failed";
-            self.ledger
-                .transition(rec, Phase::Ended(TaskStatus::Failed), self.now, detail);
+            self.ledger.end(rec, TaskStatus::Failed, self.now, detail);
         }
         for node in &mut self.nodes {
             node.fail();
@@ -845,7 +783,7 @@ impl ExecutionService {
 
     /// Current status of a task.
     pub fn status(&self, condor: CondorId) -> GaeResult<TaskStatus> {
-        self.record(condor).map(|r| r.status)
+        self.record(condor).map(TaskRecord::status)
     }
 
     /// Queue snapshot in dispatch order.
@@ -929,7 +867,8 @@ impl ExecutionService {
             .records
             .values()
             .filter(|r| {
-                matches!(r.status, TaskStatus::Running | TaskStatus::Queued) && r.priority.beats(p)
+                matches!(r.status(), TaskStatus::Running | TaskStatus::Queued)
+                    && r.priority.beats(p)
             })
             .map(|r| (r.condor, r.spec.id, r.accrued))
             .collect();
@@ -968,16 +907,18 @@ impl ExecutionService {
         self.records.values()
     }
 
-    /// The pre-heap min-scan over both pending maps, retained as the
-    /// differential oracle for the cached heap answer.
+    /// The pre-heap min-scan over the records' pending instants,
+    /// retained as the differential oracle for the cached heap answer.
     #[cfg(test)]
     pub(crate) fn naive_next_event_time(&self) -> Option<SimTime> {
-        let finish = self.planned_finish.values().min().copied();
-        let staged = self.staging_until.values().min().copied();
-        match (finish, staged) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.records
+            .values()
+            .filter_map(|r| match r.phase {
+                Phase::Running { finish, .. } => Some(finish),
+                Phase::Pending { until } => Some(until),
+                _ => None,
+            })
+            .min()
     }
 
     /// Removes and returns all events emitted since the last drain.
@@ -1013,7 +954,7 @@ mod tests {
         svc.advance_to(SimTime::from_secs(283));
         assert_eq!(svc.status(c).unwrap(), TaskStatus::Completed);
         let rec = svc.record(c).unwrap();
-        assert_eq!(rec.finished_at, Some(SimTime::from_secs(283)));
+        assert_eq!(rec.finished_at(), Some(SimTime::from_secs(283)));
         assert_eq!(rec.accrued, SimDuration::from_secs(283));
         assert_eq!(rec.progress(), 1.0);
     }
@@ -1029,7 +970,7 @@ mod tests {
         // ~141 * 1/4.67 = ~30.2 s accrued.
         let accrued = rec.accrued.as_secs_f64();
         assert!((accrued - 30.19).abs() < 0.1, "accrued {accrued}");
-        assert_eq!(rec.status, TaskStatus::Running);
+        assert_eq!(rec.status(), TaskStatus::Running);
         // Full completion takes 283 * 4.67 = ~1321.6 s.
         let finish = svc.next_event_time().unwrap().as_secs_f64();
         assert!((finish - 1321.6).abs() < 0.2, "finish {finish}");
@@ -1051,7 +992,7 @@ mod tests {
         svc.advance_to(SimTime::from_secs(150));
         assert_eq!(svc.status(b).unwrap(), TaskStatus::Completed);
         assert_eq!(
-            svc.record(b).unwrap().finished_at,
+            svc.record(b).unwrap().finished_at(),
             Some(SimTime::from_secs(150))
         );
     }
@@ -1244,7 +1185,7 @@ mod tests {
         let mut svc = ExecutionService::new(SiteConfig::free(site(1, 2, 1)));
         let a = svc.submit(task(1, 100).into(), None).unwrap();
         let b = svc.submit(task(2, 100).into(), None).unwrap();
-        let node_a = svc.record(a).unwrap().node.unwrap();
+        let node_a = svc.record(a).unwrap().node().unwrap();
         svc.fail_node(node_a).unwrap();
         assert_eq!(svc.status(a).unwrap(), TaskStatus::Failed);
         assert_eq!(svc.status(b).unwrap(), TaskStatus::Running);
@@ -1368,7 +1309,7 @@ mod tests {
         };
         let mut svc = ExecutionService::new(cfg);
         let c = svc.submit(task(1, 100).into(), None).unwrap();
-        assert_eq!(svc.record(c).unwrap().node, Some(NodeId::new(2)));
+        assert_eq!(svc.record(c).unwrap().node(), Some(NodeId::new(2)));
         assert_eq!(svc.next_event_time(), Some(SimTime::from_secs(100)));
     }
 
@@ -1402,7 +1343,7 @@ mod tests {
         let rec = svc.record(b).unwrap();
         // b started at 50, so elapsed 70 but accrued 50 (completed).
         assert_eq!(rec.started_at, Some(SimTime::from_secs(50)));
-        assert_eq!(rec.status, TaskStatus::Completed);
+        assert_eq!(rec.status(), TaskStatus::Completed);
         assert_eq!(rec.accrued, SimDuration::from_secs(50));
         assert_eq!(
             rec.elapsed(SimTime::from_secs(120)),
@@ -1459,9 +1400,39 @@ mod tests {
         svc.advance_to(SimTime::from_secs(150));
         assert_eq!(svc.status(low).unwrap(), TaskStatus::Completed);
         assert_eq!(
-            svc.record(low).unwrap().finished_at,
+            svc.record(low).unwrap().finished_at(),
             Some(SimTime::from_secs(150))
         );
+    }
+
+    /// Microsecond steps at rate 1/4.67 each round 0.64 µs of work up
+    /// to 1 µs, so the task accrues past its demand before its finish.
+    /// Vacated, it carries only its demand, and a migration then
+    /// checkpoints exactly the spec's demand.
+    #[test]
+    fn vacated_over_accrual_carries_no_more_than_the_demand() {
+        let cfg = SiteConfig::uniform_load(site(1, 1, 1), LoadTrace::constant(3.67));
+        let mut svc = ExecutionService::new(cfg);
+        svc.set_preemptive(true);
+        let demand = SimDuration::from_micros(100);
+        let low = TaskSpec::new(TaskId::new(1), "low", "prime")
+            .with_cpu_demand(demand)
+            .with_priority(Priority::LOW)
+            .with_checkpointable(true);
+        let low = svc.submit(low.into(), None).unwrap();
+        for step in 1..=150 {
+            svc.advance_to(SimTime::from_micros(3 * step));
+        }
+        assert_eq!(svc.status(low).unwrap(), TaskStatus::Running);
+        assert!(svc.record(low).unwrap().accrued > demand, "over-accrued");
+        let high = svc
+            .submit(task(2, 10).with_priority(Priority::HIGH).into(), None)
+            .unwrap();
+        assert_eq!(svc.status(high).unwrap(), TaskStatus::Running);
+        let rec = svc.record(low).unwrap();
+        assert_eq!((rec.carried, rec.full_demand()), (demand, demand));
+        let (_, ck) = svc.remove_for_migration(low).unwrap();
+        assert_eq!(ck, Some(Checkpoint { accrued: demand }));
     }
 
     #[test]
@@ -1489,104 +1460,6 @@ mod tests {
             .unwrap();
         assert_eq!(svc.status(low).unwrap(), TaskStatus::Running);
         assert_eq!(svc.status(high).unwrap(), TaskStatus::Queued);
-    }
-
-    #[test]
-    fn fair_share_prefers_light_users() {
-        use gae_types::UserId;
-        let mut svc = free_service();
-        svc.set_fair_share(true);
-        let hog = UserId::new(1);
-        let light = UserId::new(2);
-        // The hog completes a long task, building up usage.
-        let first = svc
-            .submit(task(1, 1_000).with_owner(hog).into(), None)
-            .unwrap();
-        svc.advance_to(SimTime::from_secs(1_000));
-        assert_eq!(svc.status(first).unwrap(), TaskStatus::Completed);
-        assert_eq!(svc.usage_of(hog), 1_000.0);
-        assert_eq!(svc.usage_of(light), 0.0);
-        // A blocker, then one queued task per user (hog submits
-        // first, so FIFO would pick the hog).
-        let _blocker = svc
-            .submit(task(2, 100).with_owner(hog).into(), None)
-            .unwrap();
-        let hog_task = svc
-            .submit(task(3, 100).with_owner(hog).into(), None)
-            .unwrap();
-        let light_task = svc
-            .submit(task(4, 100).with_owner(light).into(), None)
-            .unwrap();
-        svc.advance_to(SimTime::from_secs(1_100));
-        assert_eq!(
-            svc.status(light_task).unwrap(),
-            TaskStatus::Running,
-            "light user first"
-        );
-        assert_eq!(svc.status(hog_task).unwrap(), TaskStatus::Queued);
-    }
-
-    #[test]
-    fn fair_share_never_overrides_priority() {
-        use gae_types::UserId;
-        let mut svc = free_service();
-        svc.set_fair_share(true);
-        let hog = UserId::new(1);
-        let light = UserId::new(2);
-        let first = svc
-            .submit(task(1, 500).with_owner(hog).into(), None)
-            .unwrap();
-        svc.advance_to(SimTime::from_secs(500));
-        let _ = first;
-        let _blocker = svc
-            .submit(task(2, 100).with_owner(light).into(), None)
-            .unwrap();
-        // The hog's HIGH-priority task beats the light user's normal
-        // one despite the usage gap.
-        let hog_high = svc
-            .submit(
-                task(3, 100)
-                    .with_owner(hog)
-                    .with_priority(Priority::HIGH)
-                    .into(),
-                None,
-            )
-            .unwrap();
-        let light_normal = svc
-            .submit(task(4, 100).with_owner(light).into(), None)
-            .unwrap();
-        svc.advance_to(SimTime::from_secs(600));
-        assert_eq!(svc.status(hog_high).unwrap(), TaskStatus::Running);
-        assert_eq!(svc.status(light_normal).unwrap(), TaskStatus::Queued);
-    }
-
-    #[test]
-    fn fifo_by_default_even_with_usage_gap() {
-        use gae_types::UserId;
-        let mut svc = free_service();
-        let hog = UserId::new(1);
-        let light = UserId::new(2);
-        let first = svc
-            .submit(task(1, 500).with_owner(hog).into(), None)
-            .unwrap();
-        svc.advance_to(SimTime::from_secs(500));
-        let _ = first;
-        let _blocker = svc
-            .submit(task(2, 100).with_owner(hog).into(), None)
-            .unwrap();
-        let hog_task = svc
-            .submit(task(3, 100).with_owner(hog).into(), None)
-            .unwrap();
-        let light_task = svc
-            .submit(task(4, 100).with_owner(light).into(), None)
-            .unwrap();
-        svc.advance_to(SimTime::from_secs(600));
-        assert_eq!(
-            svc.status(hog_task).unwrap(),
-            TaskStatus::Running,
-            "plain FIFO"
-        );
-        assert_eq!(svc.status(light_task).unwrap(), TaskStatus::Queued);
     }
 
     #[test]

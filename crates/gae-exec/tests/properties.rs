@@ -26,7 +26,6 @@ enum Op {
     Migrate(usize),
     FailNode(u64),
     RecoverNode(u64),
-    SetFairShare(bool),
     SetPreemptive(bool),
 }
 
@@ -47,7 +46,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0usize..32).prop_map(Op::Migrate),
         (1u64..4).prop_map(Op::FailNode),
         (1u64..4).prop_map(Op::RecoverNode),
-        any::<bool>().prop_map(Op::SetFairShare),
         any::<bool>().prop_map(Op::SetPreemptive),
     ]
 }
@@ -65,7 +63,7 @@ fn check_invariants(svc: &ExecutionService, submitted: &[CondorId]) {
     for (pos, entry) in svc.queue_snapshot().iter().enumerate() {
         let rec = svc.record(entry.condor).expect("queued record exists");
         assert_eq!(
-            rec.status,
+            rec.status(),
             TaskStatus::Queued,
             "queue holds non-queued {rec:?}"
         );
@@ -82,18 +80,18 @@ fn check_invariants(svc: &ExecutionService, submitted: &[CondorId]) {
         let p = rec.progress();
         assert!((0.0..=1.0).contains(&p), "progress {p}");
         // Terminal records have a finish time; running ones a node.
-        match rec.status {
+        match rec.status() {
             TaskStatus::Completed | TaskStatus::Failed | TaskStatus::Killed => {
-                assert!(rec.finished_at.is_some(), "{rec:?}");
+                assert!(rec.finished_at().is_some(), "{rec:?}");
             }
             TaskStatus::Running => {
-                assert!(rec.node.is_some(), "{rec:?}");
+                assert!(rec.node().is_some(), "{rec:?}");
                 assert!(rec.started_at.is_some(), "{rec:?}");
             }
             _ => {}
         }
         // Completed means all work done.
-        if rec.status == TaskStatus::Completed {
+        if rec.status() == TaskStatus::Completed {
             assert_eq!(
                 rec.accrued,
                 rec.site_demand(),
@@ -184,7 +182,6 @@ proptest! {
                 Op::RecoverNode(n) => {
                     let _ = svc.recover_node(gae_types::NodeId::new(n));
                 }
-                Op::SetFairShare(on) => svc.set_fair_share(on),
                 Op::SetPreemptive(on) => svc.set_preemptive(on),
             }
             check_invariants(&svc, &submitted);
@@ -203,7 +200,7 @@ proptest! {
         // fails its tasks. So: no Running tasks remain anywhere.
         for &c in submitted.iter() {
             let rec = svc.record(c).expect("record");
-            prop_assert_ne!(rec.status, TaskStatus::Running, "{:?}", rec);
+            prop_assert_ne!(rec.status(), TaskStatus::Running, "{:?}", rec);
         }
     }
 
@@ -232,8 +229,8 @@ proptest! {
         }
         for e in events.iter().filter(|e| e.is_terminal()) {
             let rec = svc.record(e.condor).expect("record");
-            prop_assert_eq!(rec.status, e.status);
-            prop_assert_eq!(rec.finished_at, Some(e.at));
+            prop_assert_eq!(rec.status(), e.status);
+            prop_assert_eq!(rec.finished_at(), Some(e.at));
         }
     }
 

@@ -84,26 +84,18 @@ impl LoadTrace {
         }
         steps[0].0 = SimTime::ZERO;
         // Collapse duplicate timestamps: last write wins.
-        let mut dedup: Vec<(SimTime, f64)> = Vec::with_capacity(steps.len());
-        for (t, l) in steps {
-            if let Some(last) = dedup.last_mut() {
-                if last.0 == t {
-                    last.1 = l;
-                    continue;
-                }
+        steps.dedup_by(|later, kept| {
+            if later.0 == kept.0 {
+                kept.1 = later.1;
             }
-            dedup.push((t, l));
-        }
-        LoadTrace { steps: dedup }
+            later.0 == kept.0
+        });
+        LoadTrace { steps }
     }
 
     /// External load at instant `t`.
     pub fn load_at(&self, t: SimTime) -> f64 {
-        match self.steps.binary_search_by_key(&t, |(s, _)| *s) {
-            Ok(i) => self.steps[i].1,
-            Err(0) => self.steps[0].1,
-            Err(i) => self.steps[i - 1].1,
-        }
+        self.steps[self.segment_of(t)].1
     }
 
     /// Effective execution rate at instant `t` for a CPU of the given

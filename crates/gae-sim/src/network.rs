@@ -13,23 +13,34 @@ use gae_types::{SimDuration, SiteId};
 use rand::Rng;
 use std::collections::HashMap;
 
-/// One directed link between two sites.
+/// One directed link between two sites. Its bandwidth is positive
+/// and finite: [`Link::new`] is the only way to build one, so a link
+/// that is down is a state of the transfer scheduler, never of a
+/// `Link`.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Link {
-    /// Sustainable bandwidth in bytes per second.
-    pub bandwidth_bps: f64,
-    /// One-way latency.
-    pub latency: SimDuration,
+    bandwidth_bps: f64,
+    latency: SimDuration,
 }
 
 impl Link {
-    /// Builds a link; bandwidth must be positive.
+    /// Builds a link; bandwidth must be positive and finite.
     pub fn new(bandwidth_bps: f64, latency: SimDuration) -> Self {
         assert!(bandwidth_bps > 0.0 && bandwidth_bps.is_finite());
         Link {
             bandwidth_bps,
             latency,
         }
+    }
+
+    /// Sustainable bandwidth in bytes per second.
+    pub fn bandwidth_bps(self) -> f64 {
+        self.bandwidth_bps
+    }
+
+    /// One-way latency.
+    pub fn latency(self) -> SimDuration {
+        self.latency
     }
 }
 

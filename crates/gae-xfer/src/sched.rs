@@ -204,11 +204,7 @@ impl XferScheduler {
     }
 
     fn link_down(&self, from: SiteId, to: SiteId) -> bool {
-        if self.blocked.contains(&(from, to)) {
-            return true;
-        }
-        let bw = self.network.link(from, to).bandwidth_bps;
-        !(bw.is_finite() && bw > 0.0)
+        self.blocked.contains(&(from, to))
     }
 
     // ---- event heap ----
@@ -226,7 +222,7 @@ impl XferScheduler {
             if let Some(t) = self.transfers.get_mut(id) {
                 if let TState::Active { remaining } = t.state {
                     let due =
-                        self.now + SimDuration::from_secs_f64(remaining * n / link.bandwidth_bps);
+                        self.now + SimDuration::from_secs_f64(remaining * n / link.bandwidth_bps());
                     t.restamp(*id, due, &mut self.events);
                 }
             }
@@ -668,11 +664,7 @@ impl XferScheduler {
             let link = self.network.link(s, to);
             let down = self.link_down(s, to);
             let n = (self.active_on(s, to) + 1) as f64;
-            let secs = if link.bandwidth_bps > 0.0 {
-                entry.size as f64 * n / link.bandwidth_bps + link.latency.as_secs_f64()
-            } else {
-                f64::INFINITY
-            };
+            let secs = entry.size as f64 * n / link.bandwidth_bps() + link.latency().as_secs_f64();
             let better = match best {
                 None => true,
                 Some((bd, bs, _)) => {
@@ -1026,7 +1018,7 @@ impl XferScheduler {
                 TState::Active { remaining } => {
                     let link = self.network.link(t.from, t.to);
                     let n = counts.get(&(t.from, t.to)).copied().unwrap_or(1) as f64;
-                    self.now + SimDuration::from_secs_f64(remaining * n / link.bandwidth_bps)
+                    self.now + SimDuration::from_secs_f64(remaining * n / link.bandwidth_bps())
                 }
                 TState::Latency { until } | TState::Backoff { until } => until,
                 TState::Waiting => continue,
@@ -1058,7 +1050,7 @@ impl XferScheduler {
         } = self;
         for ((from, to), ids) in active.iter() {
             let link = network.link(*from, *to);
-            let drain = link.bandwidth_bps * dt / ids.len() as f64;
+            let drain = link.bandwidth_bps() * dt / ids.len() as f64;
             for id in ids {
                 if let Some(TState::Active { remaining }) =
                     transfers.get_mut(id).map(|t| &mut t.state)
@@ -1077,7 +1069,7 @@ impl XferScheduler {
             TState::Active { .. } => {
                 // Off the link either way: the drain is complete.
                 self.unmark_active(id, t.from, t.to);
-                let latency = self.network.link(t.from, t.to).latency;
+                let latency = self.network.link(t.from, t.to).latency();
                 if latency == SimDuration::ZERO {
                     return self.land(id, t);
                 }
@@ -1146,8 +1138,8 @@ impl XferScheduler {
                 let link = self.network.link(t.from, t.to);
                 let n = self.active_on(t.from, t.to).max(1) as f64;
                 self.now
-                    + SimDuration::from_secs_f64(remaining * n / link.bandwidth_bps)
-                    + link.latency
+                    + SimDuration::from_secs_f64(remaining * n / link.bandwidth_bps())
+                    + link.latency()
             }
             TState::Latency { until } => until,
             TState::Backoff { until } => until + self.network.transfer_time(t.from, t.to, t.size),

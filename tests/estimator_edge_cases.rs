@@ -11,14 +11,11 @@ fn sid(n: u64) -> SiteId {
     SiteId::new(n)
 }
 
-/// A partitioned link as an iperf run would report it: zero measured
-/// bandwidth. `Link::new` rejects zero by design, so the test builds
-/// the literal the model stores after such a measurement.
+/// A partitioned link as an iperf run would report it: next to no
+/// measured bandwidth. A `Link` cannot carry zero (`Link::new` rejects
+/// it), so this is the smallest bandwidth one can carry.
 fn dead_link() -> Link {
-    Link {
-        bandwidth_bps: f64::MIN_POSITIVE,
-        latency: SimDuration::ZERO,
-    }
+    Link::new(f64::MIN_POSITIVE, SimDuration::ZERO)
 }
 
 // ---- estimate_bytes on an unusable link ----
@@ -26,17 +23,11 @@ fn dead_link() -> Link {
 #[test]
 fn zero_bandwidth_link_is_a_typed_error_not_a_panic() {
     let mut net = NetworkModel::wan_2005().with_probe_noise(0.0);
-    net.set_link(
-        sid(1),
-        sid(2),
-        Link {
-            bandwidth_bps: 0.0,
-            latency: SimDuration::ZERO,
-        },
-    );
+    net.set_link(sid(1), sid(2), dead_link());
     let est = TransferEstimator::new(net, 7);
-    // Before the guard this divided by zero, produced `inf` seconds,
-    // and panicked inside SimDuration::from_secs_f64.
+    // Before the guard a zero-bandwidth link divided by zero, produced
+    // `inf` seconds, and panicked inside SimDuration::from_secs_f64;
+    // the dead link's transfer time overflows to the same `inf`.
     let err = est.estimate_bytes(sid(1), sid(2), 1 << 30).unwrap_err();
     assert!(matches!(err, GaeError::Estimator(_)), "{err:?}");
     // The healthy reverse direction still estimates.
@@ -60,14 +51,7 @@ fn subnormal_bandwidth_overflow_is_a_typed_error() {
 fn unreachable_replicas_are_skipped_not_poisoning_the_minimum() {
     let mut net = NetworkModel::wan_2005().with_probe_noise(0.0);
     // Replica at site 1 is partitioned; replica at site 2 is healthy.
-    net.set_link(
-        sid(1),
-        sid(3),
-        Link {
-            bandwidth_bps: 0.0,
-            latency: SimDuration::ZERO,
-        },
-    );
+    net.set_link(sid(1), sid(3), dead_link());
     net.set_link(sid(2), sid(3), Link::new(100e6, SimDuration::ZERO));
     let est = TransferEstimator::new(net, 1);
     let f = FileRef::new("x", 100_000_000).with_replicas(vec![sid(1), sid(2)]);
@@ -79,14 +63,7 @@ fn unreachable_replicas_are_skipped_not_poisoning_the_minimum() {
 fn all_replicas_unreachable_names_the_file() {
     let mut net = NetworkModel::wan_2005().with_probe_noise(0.0);
     for src in [1, 2] {
-        net.set_link(
-            sid(src),
-            sid(3),
-            Link {
-                bandwidth_bps: 0.0,
-                latency: SimDuration::ZERO,
-            },
-        );
+        net.set_link(sid(src), sid(3), dead_link());
     }
     let est = TransferEstimator::new(net, 1);
     let f = FileRef::new("lfn:/cms/dark.root", 1 << 20).with_replicas(vec![sid(1), sid(2)]);

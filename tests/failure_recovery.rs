@@ -74,7 +74,7 @@ fn node_failure_fails_task_then_recovers_on_same_or_other_site() {
         let exec = grid.exec(first).unwrap();
         let guard = exec.lock();
         let condor = guard.condor_of(task).unwrap();
-        guard.record(condor).unwrap().node.unwrap()
+        guard.record(condor).unwrap().node().unwrap()
     };
     grid.exec(first).unwrap().lock().fail_node(node).unwrap();
 

@@ -195,7 +195,7 @@ fn execution_state_collected_on_completion_and_failure() {
         let node = {
             let guard = exec.lock();
             let condor = guard.condor_of(t2).unwrap();
-            guard.record(condor).unwrap().node.unwrap()
+            guard.record(condor).unwrap().node().unwrap()
         };
         exec.lock().fail_node(node).unwrap();
     }

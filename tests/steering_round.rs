@@ -858,7 +858,7 @@ fn list_active_by_sweep(stack: &ServiceStack) -> Vec<JobMonitoringInfo> {
             .records()
             .filter(|r| {
                 matches!(
-                    r.status,
+                    r.status(),
                     TaskStatus::Queued | TaskStatus::Running | TaskStatus::Suspended
                 )
             })

@@ -180,7 +180,7 @@ mod tests {
             ((0usize..40), -10i32..=10).prop_map(|(i, p)| Op::SetPriority(i, p)),
             (0usize..40).prop_map(Op::Migrate),
             (0usize..40).prop_map(Op::FailStaging),
-            ((0usize..40), 0u64..300).prop_map(|(i, s)| Op::Restage(i, s)),
+            ((0usize..40), 0u64..600).prop_map(|(i, s)| Op::Restage(i, s)),
             ((0usize..40), arb_estimate()).prop_map(|(i, e)| Op::SetEstimate(i, e)),
             (1u64..4).prop_map(Op::FailNode),
             (1u64..4).prop_map(Op::RecoverNode),
@@ -292,7 +292,9 @@ mod tests {
                     }
                     Op::Restage(i, secs) => {
                         if let Some((c, _)) = nth(i) {
-                            let until = svc.now() + SimDuration::from_secs(secs);
+                            // −300 s ..= +300 s around the clock.
+                            let us = svc.now().as_micros() + secs * 1_000_000;
+                            let until = SimTime::from_micros(us.saturating_sub(300_000_000));
                             let _ = svc.restage(c, until);
                         }
                     }

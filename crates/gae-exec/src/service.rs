@@ -343,8 +343,9 @@ impl ExecutionService {
     /// grid's transfer scheduler calls this whenever link contention
     /// moves the projected completion of the task's input chain; an
     /// instant at or before the clock releases the task on the next
-    /// `advance_to`.
+    /// `advance_to`, at the clock (the clock never runs backwards).
     pub fn restage(&mut self, condor: CondorId, until: SimTime) -> GaeResult<()> {
+        let until = until.max(self.now);
         let rec = Self::staging_record(&mut self.records, condor)?;
         rec.phase = Phase::Pending { until };
         self.schedule(until, KIND_STAGING, condor);
@@ -1528,6 +1529,31 @@ mod tests {
         assert_eq!(
             svc.record(b).unwrap().started_at,
             Some(SimTime::from_secs(30))
+        );
+    }
+
+    /// A correction to an instant the clock has passed releases the
+    /// task at the clock; stepping back to it would accrue the running
+    /// task over a backward interval.
+    #[test]
+    fn restage_into_the_past_releases_at_the_clock() {
+        let mut svc = ExecutionService::new(SiteConfig::free(site(1, 2, 1)));
+        let running = svc.submit(task(1, 100).into(), None).unwrap();
+        let staged = svc
+            .submit_staged(task(2, 10).into(), None, SimDuration::from_secs(50))
+            .unwrap();
+        svc.advance_to(SimTime::from_secs(20));
+        svc.restage(staged, SimTime::from_secs(10)).unwrap();
+        assert_eq!(svc.next_event_time(), Some(SimTime::from_secs(20)));
+        svc.advance_to(SimTime::from_secs(30));
+        assert_eq!(svc.now(), SimTime::from_secs(30));
+        assert_eq!(
+            svc.record(staged).unwrap().started_at,
+            Some(SimTime::from_secs(20))
+        );
+        assert_eq!(
+            svc.record(running).unwrap().accrued,
+            SimDuration::from_secs(30)
         );
     }
 

@@ -232,9 +232,8 @@ mod tests {
             .with_cpu_demand(SimDuration::from_secs(demand_s))
     }
 
-    /// The phase carries the instants and the slot: no copy of them
-    /// widens the record (136 B on 64-bit targets; 160 B when it kept
-    /// them twice).
+    /// The phase carries the instants and the slot, so the record
+    /// holds no copy of them: 136 B on 64-bit targets.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn record_holds_no_copies() {

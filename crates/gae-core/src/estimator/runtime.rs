@@ -61,17 +61,6 @@ pub enum EstimateNote {
     MomentsSaturated,
 }
 
-impl RuntimeEstimate {
-    /// A ±1σ interval around the prediction, clamped at zero.
-    pub fn interval(&self) -> (SimDuration, SimDuration) {
-        let mid = self.runtime.as_secs_f64();
-        (
-            SimDuration::from_secs_f64((mid - self.std_dev_s).max(0.0)),
-            SimDuration::from_secs_f64(mid + self.std_dev_s),
-        )
-    }
-}
-
 /// The per-site runtime estimator.
 pub struct RuntimeEstimator {
     history: HistoryStore,
@@ -370,8 +359,6 @@ mod tests {
         assert_eq!(e.runtime, SimDuration::from_secs(120));
         // Sample stddev of {100, 140} is ~28.28.
         assert!((e.std_dev_s - 28.28).abs() < 0.1, "σ {}", e.std_dev_s);
-        let (lo, hi) = e.interval();
-        assert!(lo < e.runtime && e.runtime < hi);
     }
 
     #[test]
@@ -379,8 +366,6 @@ mod tests {
         let est = estimator_with(&[("solo", 300)]);
         let e = est.estimate(&meta("solo", "q", 1)).unwrap();
         assert_eq!(e.std_dev_s, 0.0);
-        let (lo, hi) = e.interval();
-        assert_eq!(lo, hi);
     }
 
     #[test]

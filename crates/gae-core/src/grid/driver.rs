@@ -105,12 +105,11 @@ impl Grid {
         }
     }
 
-    /// Advances every site to `t` and publishes fresh metrics.
-    ///
-    /// The transfer plane advances first: landings re-project
-    /// contended chains and the resulting `Restage`/`StagingFailed`
-    /// corrections reach the execution services *before* the sites
-    /// themselves advance.
+    /// Advances every site to `t` and publishes fresh metrics. The
+    /// transfer plane goes first, so the `Restage`/`StagingFailed`
+    /// corrections its landings make reach the sites before they
+    /// advance. Door threads lock sites and must find the grid's clock,
+    /// so every site is visited; one with nothing due only sets it.
     pub fn advance_to(&self, t: SimTime) {
         assert!(t >= self.now(), "grid cannot advance backwards");
         self.clock.set(t);

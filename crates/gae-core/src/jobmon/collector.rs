@@ -51,8 +51,8 @@ impl JobInformationCollector {
             };
             let info = self.info_from_record(site, record, &exec);
             let meta = TaskMeta::from_spec(&record.spec);
-            let completion = (event.status == TaskStatus::Completed)
-                .then(|| (meta.clone(), record.total_accrued()));
+            let completion =
+                (event.status == TaskStatus::Completed).then(|| (meta.clone(), info.cpu_time));
             // Every terminal outcome — success or failure — becomes
             // one columnar history row (scans filter on the success
             // column when they want clean runtimes).
@@ -63,7 +63,7 @@ impl JobInformationCollector {
                 submit_us: record.submitted_at.as_micros(),
                 start_us: record.started_at.map(|t| t.as_micros()).unwrap_or(0),
                 finish_us: record.finished_at().map(|t| t.as_micros()).unwrap_or(0),
-                runtime_us: record.total_accrued().as_micros(),
+                runtime_us: info.cpu_time.as_micros(),
                 success: completion.is_some(),
                 account: meta.account,
                 login: meta.login,
@@ -95,15 +95,16 @@ impl JobInformationCollector {
         record: &TaskRecord,
         exec: &gae_exec::ExecutionService,
     ) -> JobMonitoringInfo {
-        let estimated = record.estimated;
-        let remaining = estimated.map(|e| e.saturating_sub(record.total_accrued()));
+        let usage = exec.usage(record);
+        let (cpu_time, (input_io, output_io)) = (usage.total_accrued(), usage.io());
+        let remaining = record.estimated.map(|e| e.saturating_sub(cpu_time));
         JobMonitoringInfo {
             job: record.spec.job,
             task: record.spec.id,
             condor: record.condor,
             site,
             status: record.status(),
-            estimated_runtime: estimated,
+            estimated_runtime: record.estimated,
             remaining_time: remaining,
             elapsed: record.elapsed(exec.now()),
             queue_position: exec.queue_position(record.condor),
@@ -111,12 +112,12 @@ impl JobInformationCollector {
             submitted_at: record.submitted_at,
             started_at: record.started_at,
             completed_at: record.finished_at(),
-            cpu_time: record.total_accrued(),
-            input_io: record.input_io,
-            output_io: record.output_io,
+            cpu_time,
+            input_io,
+            output_io,
             owner: record.spec.owner,
             env: record.spec.env.clone(),
-            progress: record.progress(),
+            progress: usage.progress(),
         }
     }
 

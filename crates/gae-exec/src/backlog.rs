@@ -47,7 +47,7 @@ impl BacklogIndex {
 
     /// Indexes `rec` as its status, priority and estimate stand now.
     fn enter(&mut self, rec: &TaskRecord) {
-        match (rec.status(), rec.estimated_remaining()) {
+        match (rec.status(), rec.estimated_remaining(rec.accrued)) {
             (TaskStatus::Running, _) => {
                 self.running.insert(rec.condor);
             }
@@ -65,7 +65,7 @@ impl BacklogIndex {
 
     /// Undoes [`BacklogIndex::enter`]; `rec` must be unchanged since.
     fn leave(&mut self, rec: &TaskRecord) {
-        match (rec.status(), rec.estimated_remaining()) {
+        match (rec.status(), rec.estimated_remaining(rec.accrued)) {
             (TaskStatus::Running, _) => {
                 self.running.remove(&rec.condor);
             }
@@ -217,7 +217,7 @@ mod tests {
         assert_eq!(svc.running_count(), running.len());
         let mut queued: BTreeMap<Priority, (usize, SimDuration)> = BTreeMap::new();
         for r in svc.records().filter(|r| r.status() == TaskStatus::Queued) {
-            if let Some(remaining) = r.estimated_remaining() {
+            if let Some(remaining) = r.estimated_remaining(svc.usage(r).accrued()) {
                 let (count, sum) = queued.entry(r.priority).or_default();
                 *count += 1;
                 *sum += remaining;

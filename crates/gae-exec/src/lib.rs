@@ -40,4 +40,4 @@ pub use events::ExecEvent;
 pub use node::Node;
 pub use queue::PriorityQueue;
 pub use service::{ExecutionService, Progress, SiteConfig, TaskProbe};
-pub use task::{Checkpoint, TaskRecord};
+pub use task::{Checkpoint, TaskRecord, Usage};

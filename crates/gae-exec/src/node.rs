@@ -23,8 +23,8 @@ pub struct Node {
 impl Node {
     /// Creates a free node with the given capacity and load trace.
     pub fn new(id: NodeId, speed_factor: f64, slots: u32, trace: LoadTrace) -> Self {
-        assert!(speed_factor > 0.0, "speed factor must be positive");
-        assert!(slots > 0, "a node needs at least one slot");
+        assert!(speed_factor > 0.0, "invariant: positive speed factor");
+        assert!(slots > 0, "invariant: a node needs at least one slot");
         Node {
             id,
             speed_factor,

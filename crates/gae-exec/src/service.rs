@@ -11,13 +11,14 @@
 //! finish instant from the node's load trace and store it. Advancing
 //! time replays planned completions in order, starting queued tasks
 //! in freed slots at the exact completion instants — no ticks, no
-//! accumulation error.
+//! accumulation error. A running task's accrual is read the same way
+//! ([`ExecutionService::usage`]), so advancing costs the events due.
 
 use crate::backlog::BacklogIndex;
 use crate::events::ExecEvent;
 use crate::node::Node;
 use crate::queue::PriorityQueue;
-use crate::task::{Checkpoint, Phase, TaskRecord};
+use crate::task::{Checkpoint, Phase, TaskRecord, Usage};
 use gae_sim::LoadTrace;
 use gae_types::{
     CondorId, GaeError, GaeResult, NodeId, Priority, SimDuration, SimTime, SiteDescription, TaskId,
@@ -97,10 +98,12 @@ pub enum TaskProbe {
     Settled,
 }
 
-/// What a status change writes besides the record itself, kept in a
-/// field of its own so that [`Ledger::transition`] can take a record
-/// its caller holds out of `ExecutionService::records`.
+/// What a status change writes or reads besides the record itself,
+/// kept in a field of its own so that [`Ledger::transition`] can take
+/// a record its caller holds out of `ExecutionService::records`.
 struct Ledger {
+    /// The nodes, in id order, whose traces running tasks accrue on.
+    nodes: Vec<Node>,
     /// Running set and per-priority queued backlog, kept in step with
     /// the records by [`Ledger::transition`] and by the service's
     /// `set_priority` and `set_estimate`.
@@ -122,7 +125,8 @@ impl Ledger {
     /// backlog index equal to a scan of the records, and the
     /// transition epoch a witness of "nothing changed status".
     fn transition(&mut self, rec: &mut TaskRecord, phase: Phase, now: SimTime, detail: &str) {
-        self.backlog.update(rec, |rec| rec.enter(phase, now));
+        self.backlog
+            .update(rec, |rec| rec.enter(phase, now, &self.nodes));
         self.epoch.fetch_add(1, Ordering::Release);
         self.events.push(ExecEvent {
             seq: self.next_event_seq,
@@ -147,7 +151,6 @@ impl Ledger {
 /// The Condor-substitute execution engine for one site.
 pub struct ExecutionService {
     site: SiteDescription,
-    nodes: Vec<Node>,
     queue: PriorityQueue,
     records: HashMap<CondorId, TaskRecord>,
     by_task: HashMap<TaskId, CondorId>,
@@ -162,9 +165,6 @@ pub struct ExecutionService {
     last_next: Option<SimTime>,
     /// Fires on every `last_next` change (grid next-event index).
     notifier: Option<NextEventNotifier>,
-    /// Per node, the last `(from, to, work)` [`Self::accrue_all_to`]
-    /// computed: tasks sharing a node share the step.
-    accrual_memo: Vec<(SimTime, SimTime, SimDuration)>,
     next_condor: u64,
     now: SimTime,
     alive: bool,
@@ -195,14 +195,13 @@ impl ExecutionService {
                 trace,
             ));
         }
-        let accrual_memo = vec![(SimTime::ZERO, SimTime::ZERO, SimDuration::ZERO); nodes.len()];
         ExecutionService {
             site: description,
-            nodes,
             queue: PriorityQueue::new(),
             records: HashMap::new(),
             by_task: HashMap::new(),
             ledger: Ledger {
+                nodes,
                 backlog: BacklogIndex::default(),
                 epoch: Arc::new(AtomicU64::new(0)),
                 events: Vec::new(),
@@ -211,7 +210,6 @@ impl ExecutionService {
             event_heap: BinaryHeap::new(),
             last_next: None,
             notifier: None,
-            accrual_memo,
             next_condor: 1,
             now: SimTime::ZERO,
             alive: true,
@@ -268,11 +266,14 @@ impl ExecutionService {
                     epoch: self.ledger.epoch.load(Ordering::Acquire),
                 })
             }
-            TaskStatus::Running => Some(TaskProbe::Running(Progress {
-                elapsed: rec.elapsed(self.now),
-                cpu_time: rec.total_accrued(),
-                remaining_time: rec.estimated.map(|e| e.saturating_sub(rec.total_accrued())),
-            })),
+            TaskStatus::Running => {
+                let cpu_time = self.usage(rec).total_accrued();
+                Some(TaskProbe::Running(Progress {
+                    elapsed: rec.elapsed(self.now),
+                    cpu_time,
+                    remaining_time: rec.estimated.map(|e| e.saturating_sub(cpu_time)),
+                }))
+            }
             _ => Some(TaskProbe::Settled),
         }
     }
@@ -327,18 +328,6 @@ impl ExecutionService {
         Ok(condor)
     }
 
-    /// Moves a task whose staging finished into the queue.
-    fn finish_staging(&mut self, condor: CondorId) {
-        // The heap entry was live: the record stages until now.
-        let Some(rec) = self.records.get_mut(&condor) else {
-            return;
-        };
-        self.queue.push(condor, rec.priority);
-        self.ledger
-            .transition(rec, Phase::Queued, self.now, "input staging complete");
-        self.dispatch();
-    }
-
     /// Corrects the staging-release instant of a `Pending` task. The
     /// grid's transfer scheduler calls this whenever link contention
     /// moves the projected completion of the task's input chain; an
@@ -381,6 +370,7 @@ impl ExecutionService {
         while let Some(&head) = self.queue.peek() {
             // Best free node = highest effective rate right now.
             let best = self
+                .ledger
                 .nodes
                 .iter()
                 .enumerate()
@@ -397,12 +387,13 @@ impl ExecutionService {
             let Some(rec) = self.records.get_mut(&head.condor) else {
                 continue;
             };
-            self.nodes[slot].occupy();
-            rec.accrued_as_of = self.now;
-            let finish = self.nodes[slot].finish_time(self.now, rec.remaining());
+            let node = &mut self.ledger.nodes[slot];
+            node.occupy();
+            let finish = node.finish_time(self.now, rec.demand.saturating_sub(rec.accrued));
             let phase = Phase::Running {
                 slot: slot as u32,
                 finish,
+                since: self.now,
             };
             self.ledger.transition(rec, phase, self.now, "dispatched");
             self.schedule(finish, KIND_COMPLETION, head.condor);
@@ -412,7 +403,7 @@ impl ExecutionService {
     /// Vacates the lowest-priority running task if it is strictly
     /// below `incoming`; returns true if a slot was freed. The victim
     /// re-queues: checkpointable tasks keep their progress, others
-    /// restart from zero (Condor vacate semantics).
+    /// restart from zero (Condor vacate semantics, applied by `TaskRecord::enter`).
     fn vacate_for(&mut self, incoming: Priority) -> bool {
         let victim = self
             .ledger
@@ -427,16 +418,6 @@ impl ExecutionService {
             return false;
         };
         let was = rec.phase;
-        if rec.spec.checkpointable {
-            // Progress survives: fold it into the carried work, never
-            // more than the demand (per-step rounding can accrue a few
-            // microseconds past it), so `full_demand` stays the spec's.
-            let done = rec.accrued.min(rec.demand);
-            rec.carried += done;
-            rec.demand -= done;
-        }
-        rec.accrued = SimDuration::ZERO;
-        rec.accrued_as_of = self.now;
         let condor = rec.condor;
         self.queue.push(condor, rec.priority);
         let detail = "vacated by higher-priority task";
@@ -505,67 +486,35 @@ impl ExecutionService {
     /// the freed slot), then by Condor id — never by HashMap
     /// iteration order, since the completion sequence feeds the event
     /// log and the estimator histories.
+    ///
+    /// Running tasks are not visited: their accrual is read in closed
+    /// form, so a site with nothing due by `t` only sets its clock, and
+    /// one call to `t` leaves exactly the state any chain of calls to
+    /// `t` does. An instant before the clock leaves it where it is.
     pub fn advance_to(&mut self, t: SimTime) {
-        assert!(t >= self.now, "cannot advance backwards");
-        while let Some((te, kind, condor)) = self.peek_event() {
-            if te > t {
-                break;
-            }
-            self.event_heap.pop();
-            self.accrue_all_to(te);
-            self.now = te;
-            if kind == KIND_COMPLETION {
-                self.complete(condor);
+        if self.last_next.is_some_and(|next| next <= t) {
+            while let Some((te, kind, condor)) = self.peek_event().filter(|(te, ..)| *te <= t) {
+                self.event_heap.pop();
+                self.now = te;
+                // The heap entry was live: the record finishes, or
+                // stops staging, now.
+                let Some(rec) = self.records.get_mut(&condor) else {
+                    continue;
+                };
+                let was = rec.phase;
+                if kind == KIND_COMPLETION {
+                    self.ledger.end(rec, TaskStatus::Completed, te, "finished");
+                    self.free(condor, was);
+                } else {
+                    self.queue.push(condor, rec.priority);
+                    let detail = "input staging complete";
+                    self.ledger.transition(rec, Phase::Queued, te, detail);
+                }
                 self.dispatch();
-            } else {
-                self.finish_staging(condor);
             }
+            self.refresh_next();
         }
-        self.accrue_all_to(t);
-        self.now = t;
-        self.refresh_next();
-    }
-
-    /// Brings every running task's accrual up to `t`. The step a
-    /// node's trace yields over `[from, t]` is computed once per
-    /// `(node, from)` and shared by the tasks running there. Each
-    /// instant is still stepped to: a step is rounded to the
-    /// microsecond, so skipping one would move `accrued`.
-    fn accrue_all_to(&mut self, t: SimTime) {
-        for condor in self.ledger.backlog.running() {
-            let Some(rec) = self.records.get_mut(condor) else {
-                continue;
-            };
-            let Phase::Running { slot, .. } = rec.phase else {
-                continue;
-            };
-            let slot = slot as usize;
-            let memo = &mut self.accrual_memo[slot];
-            if (memo.0, memo.1) != (rec.accrued_as_of, t) {
-                *memo = (
-                    rec.accrued_as_of,
-                    t,
-                    self.nodes[slot].accrued_between(rec.accrued_as_of, t),
-                );
-            }
-            rec.accrued += memo.2;
-            rec.accrued_as_of = t;
-            rec.update_io();
-        }
-    }
-
-    fn complete(&mut self, condor: CondorId) {
-        let Some(rec) = self.records.get_mut(&condor) else {
-            return;
-        };
-        let was = rec.phase;
-        // The planned finish is analytic; snap accrual to the demand
-        // to avoid 1-microsecond float residue.
-        rec.accrued = rec.demand;
-        rec.update_io();
-        self.ledger
-            .end(rec, TaskStatus::Completed, self.now, "finished");
-        self.free(condor, was);
+        self.now = self.now.max(t);
     }
 
     /// Frees what a task held in phase `was`: its node slot or its
@@ -574,7 +523,7 @@ impl ExecutionService {
         if was == Phase::Queued {
             self.queue.remove(condor);
         } else if let Some(slot) = was.slot() {
-            self.nodes[slot].release();
+            self.ledger.nodes[slot].release();
         }
     }
 
@@ -632,10 +581,13 @@ impl ExecutionService {
         };
         match slot {
             Some(slot) => {
-                rec.accrued_as_of = self.now;
-                let node = &self.nodes[slot as usize];
-                let finish = node.finish_time(self.now, rec.remaining());
-                let phase = Phase::Running { slot, finish };
+                let node = &self.ledger.nodes[slot as usize];
+                let finish = node.finish_time(self.now, rec.demand.saturating_sub(rec.accrued));
+                let phase = Phase::Running {
+                    slot,
+                    finish,
+                    since: self.now,
+                };
                 self.ledger.transition(rec, phase, self.now, "resumed");
                 self.schedule(finish, KIND_COMPLETION, condor);
             }
@@ -683,9 +635,10 @@ impl ExecutionService {
         let rec = Self::live_record_mut(&mut self.records, condor)?;
         let was = rec.phase;
         let spec = rec.spec.clone();
-        // Work completed across all sites so far = full demand minus
-        // what is still missing here.
-        let done = rec.full_demand().saturating_sub(rec.remaining());
+        // Work completed across all sites so far, never more than the
+        // task needs.
+        let done = rec.usage(&self.ledger.nodes, self.now).total_accrued();
+        let done = done.min(rec.full_demand());
         let checkpoint = spec.checkpointable.then_some(Checkpoint { accrued: done });
         let detail = "removed for migration";
         self.ledger
@@ -701,19 +654,9 @@ impl ExecutionService {
     /// Fails one node: its tasks fail, the node goes down.
     pub fn fail_node(&mut self, node_id: NodeId) -> GaeResult<()> {
         let idx = self.node_index(node_id)?;
-        let mut victims: Vec<&mut TaskRecord> = self
-            .records
-            .values_mut()
-            .filter(|r| r.phase.slot() == Some(idx))
-            .collect();
-        // `records` is a HashMap: emit in Condor-id order so the event
-        // stream (and everything journaled from it) is reproducible.
-        victims.sort_unstable_by_key(|r| r.condor);
         let detail = format!("{node_id} failed");
-        for rec in victims {
-            self.ledger.end(rec, TaskStatus::Failed, self.now, &detail);
-        }
-        self.nodes[idx].fail();
+        self.fail_where(|r| r.phase.slot() == Some(idx), &detail);
+        self.ledger.nodes[idx].fail();
         self.dispatch();
         self.refresh_next();
         Ok(())
@@ -724,8 +667,9 @@ impl ExecutionService {
     /// would orphan the tasks holding its slots.
     pub fn recover_node(&mut self, node_id: NodeId) -> GaeResult<()> {
         let idx = self.node_index(node_id)?;
-        if !self.nodes[idx].is_alive() {
-            self.nodes[idx].recover();
+        let node = &mut self.ledger.nodes[idx];
+        if !node.is_alive() {
+            node.recover();
             self.dispatch();
             self.refresh_next();
         }
@@ -737,29 +681,39 @@ impl ExecutionService {
     pub fn fail_site(&mut self) {
         self.alive = false;
         self.ledger.epoch.fetch_add(1, Ordering::Release);
-        let mut victims: Vec<&mut TaskRecord> = self
-            .records
-            .values_mut()
-            .filter(|r| r.status().is_live())
-            .collect();
-        // Condor-id order, for the same reason as in `fail_node`.
-        victims.sort_unstable_by_key(|r| r.condor);
-        for rec in victims {
-            self.queue.remove(rec.condor);
-            let detail = "execution service failed";
-            self.ledger.end(rec, TaskStatus::Failed, self.now, detail);
-        }
-        for node in &mut self.nodes {
+        self.fail_where(|r| r.status().is_live(), "execution service failed");
+        for node in &mut self.ledger.nodes {
             node.fail();
         }
         self.refresh_next();
+    }
+
+    /// Fails the records `hit` picks, freeing what each held, in
+    /// Condor-id order: `records` is a HashMap, and the event stream
+    /// (and everything journaled from it) must be reproducible.
+    fn fail_where(&mut self, hit: impl Fn(&TaskRecord) -> bool, detail: &str) {
+        let mut victims: Vec<CondorId> = self
+            .records
+            .values()
+            .filter(|r| hit(r))
+            .map(|r| r.condor)
+            .collect();
+        victims.sort_unstable();
+        for condor in victims {
+            let Some(rec) = self.records.get_mut(&condor) else {
+                continue;
+            };
+            let was = rec.phase;
+            self.ledger.end(rec, TaskStatus::Failed, self.now, detail);
+            self.free(condor, was);
+        }
     }
 
     /// Brings the site back up; only downed nodes are reset.
     pub fn recover_site(&mut self) {
         self.alive = true;
         self.ledger.epoch.fetch_add(1, Ordering::Release);
-        for node in &mut self.nodes {
+        for node in &mut self.ledger.nodes {
             if !node.is_alive() {
                 node.recover();
             }
@@ -769,6 +723,12 @@ impl ExecutionService {
     }
 
     // ---- queries ----
+
+    /// `rec`'s work as of the clock: `cpu_time`, progress and the I/O
+    /// counters of the monitoring surface read it.
+    pub fn usage<'a>(&self, rec: &'a TaskRecord) -> Usage<'a> {
+        rec.usage(&self.ledger.nodes, self.now)
+    }
 
     /// The record for a Condor id.
     pub fn record(&self, condor: CondorId) -> GaeResult<&TaskRecord> {
@@ -822,7 +782,7 @@ impl ExecutionService {
             .iter()
             .filter_map(|c| self.records.get(c))
             .filter(|r| r.priority.beats(p))
-            .filter_map(TaskRecord::estimated_remaining)
+            .filter_map(|r| r.estimated_remaining(self.usage(r).accrued()))
             .sum();
         self.ledger.backlog.queued_above(p) + running
     }
@@ -871,7 +831,7 @@ impl ExecutionService {
                 matches!(r.status(), TaskStatus::Running | TaskStatus::Queued)
                     && r.priority.beats(p)
             })
-            .map(|r| (r.condor, r.spec.id, r.accrued))
+            .map(|r| (r.condor, r.spec.id, self.usage(r).accrued()))
             .collect();
         out.sort_by_key(|(c, _, _)| *c);
         out
@@ -880,27 +840,28 @@ impl ExecutionService {
     /// Mean external load over the site's nodes right now (published
     /// to MonALISA as the farm's `cpu_load`).
     pub fn current_load(&self) -> f64 {
-        if self.nodes.is_empty() {
+        let nodes = &self.ledger.nodes;
+        if nodes.is_empty() {
             return 0.0;
         }
-        self.nodes.iter().map(|n| n.load_at(self.now)).sum::<f64>() / self.nodes.len() as f64
+        nodes.iter().map(|n| n.load_at(self.now)).sum::<f64>() / nodes.len() as f64
     }
 
     /// Node accessor (diagnostics).
     pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.node_index(id).ok().map(|i| &self.nodes[i])
+        self.node_index(id).ok().map(|i| &self.ledger.nodes[i])
     }
 
     /// `id`'s slot in `nodes` (node ids count from 1), or `NotFound`.
     fn node_index(&self, id: NodeId) -> GaeResult<usize> {
         (id.raw().checked_sub(1).map(|i| i as usize))
-            .filter(|&i| i < self.nodes.len())
+            .filter(|&i| i < self.ledger.nodes.len())
             .ok_or_else(|| GaeError::NotFound(id.to_string()))
     }
 
     /// All nodes, in id order (monitoring sweep).
     pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+        &self.ledger.nodes
     }
 
     /// All records, unordered (monitoring sweep).
@@ -956,8 +917,8 @@ mod tests {
         assert_eq!(svc.status(c).unwrap(), TaskStatus::Completed);
         let rec = svc.record(c).unwrap();
         assert_eq!(rec.finished_at(), Some(SimTime::from_secs(283)));
-        assert_eq!(rec.accrued, SimDuration::from_secs(283));
-        assert_eq!(rec.progress(), 1.0);
+        assert_eq!(svc.usage(rec).accrued(), SimDuration::from_secs(283));
+        assert_eq!(svc.usage(rec).progress(), 1.0);
     }
 
     #[test]
@@ -969,7 +930,7 @@ mod tests {
         svc.advance_to(SimTime::from_secs(141));
         let rec = svc.record(c).unwrap();
         // ~141 * 1/4.67 = ~30.2 s accrued.
-        let accrued = rec.accrued.as_secs_f64();
+        let accrued = svc.usage(rec).accrued().as_secs_f64();
         assert!((accrued - 30.19).abs() < 0.1, "accrued {accrued}");
         assert_eq!(rec.status(), TaskStatus::Running);
         // Full completion takes 283 * 4.67 = ~1321.6 s.
@@ -1036,7 +997,7 @@ mod tests {
         svc.advance_to(SimTime::from_secs(80));
         let rec = svc.record(c).unwrap();
         assert_eq!(
-            rec.accrued,
+            svc.usage(rec).accrued(),
             SimDuration::from_secs(30),
             "no accrual while suspended"
         );
@@ -1159,14 +1120,11 @@ mod tests {
         let mut svc_b = ExecutionService::new(SiteConfig::free(site(2, 1, 1)));
         svc_b.advance_to(SimTime::from_secs(100));
         let b = svc_b.submit(spec, ck).unwrap();
-        assert_eq!(
-            svc_b.record(b).unwrap().site_demand(),
-            SimDuration::from_secs(200)
-        );
+        assert_eq!(svc_b.record(b).unwrap().demand, SimDuration::from_secs(200));
         svc_b.advance_to(SimTime::from_secs(150));
         let rec = svc_b.record(b).unwrap();
         assert_eq!(rec.full_demand(), SimDuration::from_secs(300));
-        assert!((rec.progress() - 0.5).abs() < 1e-9);
+        assert!((svc_b.usage(rec).progress() - 0.5).abs() < 1e-9);
         let (spec, ck) = svc_b.remove_for_migration(b).unwrap();
         assert_eq!(ck.unwrap().accrued, SimDuration::from_secs(150));
 
@@ -1177,7 +1135,10 @@ mod tests {
         svc_c.advance_to(SimTime::from_secs(300));
         let rec = svc_c.record(c).unwrap();
         assert_eq!(svc_c.status(c).unwrap(), TaskStatus::Completed);
-        assert_eq!(rec.total_accrued(), SimDuration::from_secs(300));
+        assert_eq!(
+            svc_c.usage(rec).total_accrued(),
+            SimDuration::from_secs(300)
+        );
         assert_eq!(rec.carried, SimDuration::from_secs(150));
     }
 
@@ -1345,7 +1306,7 @@ mod tests {
         // b started at 50, so elapsed 70 but accrued 50 (completed).
         assert_eq!(rec.started_at, Some(SimTime::from_secs(50)));
         assert_eq!(rec.status(), TaskStatus::Completed);
-        assert_eq!(rec.accrued, SimDuration::from_secs(50));
+        assert_eq!(svc.usage(rec).accrued(), SimDuration::from_secs(50));
         assert_eq!(
             rec.elapsed(SimTime::from_secs(120)),
             SimDuration::from_secs(70)
@@ -1367,7 +1328,8 @@ mod tests {
         assert_eq!(svc.status(high).unwrap(), TaskStatus::Running);
         assert_eq!(svc.status(low).unwrap(), TaskStatus::Queued);
         // Non-checkpointable: the 30 s of progress are lost.
-        assert_eq!(svc.record(low).unwrap().accrued, SimDuration::ZERO);
+        let rec = svc.record(low).unwrap();
+        assert_eq!(svc.usage(rec).accrued(), SimDuration::ZERO);
         // After the high task finishes, the low one restarts and
         // needs its full 100 s again.
         svc.advance_to(SimTime::from_secs(80));
@@ -1396,7 +1358,7 @@ mod tests {
         assert_eq!(svc.status(high).unwrap(), TaskStatus::Running);
         let rec = svc.record(low).unwrap();
         assert_eq!(rec.carried, SimDuration::from_secs(40), "checkpoint kept");
-        assert!((rec.progress() - 0.4).abs() < 1e-9);
+        assert!((svc.usage(rec).progress() - 0.4).abs() < 1e-9);
         // 50 s of high task, then 60 s remaining: done at 90 + 60.
         svc.advance_to(SimTime::from_secs(150));
         assert_eq!(svc.status(low).unwrap(), TaskStatus::Completed);
@@ -1406,10 +1368,11 @@ mod tests {
         );
     }
 
-    /// Microsecond steps at rate 1/4.67 each round 0.64 µs of work up
-    /// to 1 µs, so the task accrues past its demand before its finish.
-    /// Vacated, it carries only its demand, and a migration then
-    /// checkpoints exactly the spec's demand.
+    /// A vacate folds the closed-form read at its instant into the
+    /// carried work, never more than the demand: a task vacated a
+    /// microsecond before its finish carries what it accrued,
+    /// `full_demand` stays the spec's, and a migration then
+    /// checkpoints exactly that.
     #[test]
     fn vacated_over_accrual_carries_no_more_than_the_demand() {
         let cfg = SiteConfig::uniform_load(site(1, 1, 1), LoadTrace::constant(3.67));
@@ -1421,19 +1384,19 @@ mod tests {
             .with_priority(Priority::LOW)
             .with_checkpointable(true);
         let low = svc.submit(low.into(), None).unwrap();
-        for step in 1..=150 {
-            svc.advance_to(SimTime::from_micros(3 * step));
-        }
+        let finish = svc.next_event_time().unwrap();
+        svc.advance_to(SimTime::from_micros(finish.as_micros() - 1));
+        let done = svc.usage(svc.record(low).unwrap()).accrued();
         assert_eq!(svc.status(low).unwrap(), TaskStatus::Running);
-        assert!(svc.record(low).unwrap().accrued > demand, "over-accrued");
+        assert!(done > SimDuration::ZERO && done <= demand, "{done}");
         let high = svc
             .submit(task(2, 10).with_priority(Priority::HIGH).into(), None)
             .unwrap();
         assert_eq!(svc.status(high).unwrap(), TaskStatus::Running);
         let rec = svc.record(low).unwrap();
-        assert_eq!((rec.carried, rec.full_demand()), (demand, demand));
+        assert_eq!((rec.carried, rec.full_demand()), (done, demand));
         let (_, ck) = svc.remove_for_migration(low).unwrap();
-        assert_eq!(ck, Some(Checkpoint { accrued: demand }));
+        assert_eq!(ck, Some(Checkpoint { accrued: done }));
     }
 
     #[test]
@@ -1551,10 +1514,8 @@ mod tests {
             svc.record(staged).unwrap().started_at,
             Some(SimTime::from_secs(20))
         );
-        assert_eq!(
-            svc.record(running).unwrap().accrued,
-            SimDuration::from_secs(30)
-        );
+        let rec = svc.record(running).unwrap();
+        assert_eq!(svc.usage(rec).accrued(), SimDuration::from_secs(30));
     }
 
     #[test]
@@ -1733,46 +1694,6 @@ mod tests {
         svc.recover_site();
         assert_eq!(read(), before + 4);
         assert_eq!(svc.probe(TaskId::new(3), staging), Some(TaskProbe::Settled));
-    }
-
-    /// The accrual memo shares a node's step between its tasks; each
-    /// task still accrues what its own per-step sum gives, including
-    /// one dispatched between steps (another `from`).
-    #[test]
-    fn shared_accrual_step_equals_per_task_accrual() {
-        let trace = LoadTrace::from_steps(vec![
-            (SimTime::ZERO, 0.37),
-            (SimTime::from_secs(7), 2.11),
-            (SimTime::from_secs(19), 0.0),
-        ]);
-        let cfg = SiteConfig::uniform_load(site(1, 1, 3), trace);
-        let node = Node::new(NodeId::new(1), 1.0, 3, cfg.node_traces[0].clone());
-        let mut svc = ExecutionService::new(cfg);
-        let a = svc.submit(task(1, 10_000).into(), None).unwrap();
-        let b = svc.submit(task(2, 10_000).into(), None).unwrap();
-        let mut expected = [SimDuration::ZERO; 3];
-        let mut late = None;
-        let mut from = SimTime::ZERO;
-        for (i, at_us) in [1_000_001u64, 3_333_333, 7_000_000, 7_000_001, 30_123_457]
-            .into_iter()
-            .enumerate()
-        {
-            let to = SimTime::from_micros(at_us);
-            svc.advance_to(to);
-            let step = node.accrued_between(from, to);
-            expected[0] += step;
-            expected[1] += step;
-            if late.is_some() {
-                expected[2] += step;
-            }
-            if i == 1 {
-                late = Some(svc.submit(task(3, 10_000).into(), None).unwrap());
-            }
-            from = to;
-        }
-        for (condor, expected) in [a, b, late.unwrap()].into_iter().zip(expected) {
-            assert_eq!(svc.record(condor).unwrap().accrued, expected);
-        }
     }
 
     #[test]

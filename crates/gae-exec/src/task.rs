@@ -1,5 +1,6 @@
 //! Per-task execution state inside a site.
 
+use crate::node::Node;
 use gae_types::{CondorId, NodeId, Priority, SimDuration, SimTime, TaskSpec, TaskStatus};
 use std::sync::Arc;
 
@@ -12,8 +13,13 @@ pub(crate) enum Phase {
     Pending { until: SimTime },
     /// Waiting in the queue.
     Queued,
-    /// Occupying slot `slot`; completes at `finish`.
-    Running { slot: u32, finish: SimTime },
+    /// Occupying slot `slot` since `since`, the instant its record's
+    /// `accrued` holds the work up to; completes at `finish`.
+    Running {
+        slot: u32,
+        finish: SimTime,
+        since: SimTime,
+    },
     /// Paused; keeps the slot it was running on, if it was running.
     Suspended { slot: Option<u32> },
     /// Completed, failed, killed or migrated away at `at`; `slot` is
@@ -68,11 +74,10 @@ pub struct TaskRecord {
     /// [`TaskRecord::node`] and [`TaskRecord::finished_at`]. Only
     /// [`TaskRecord::enter`] moves it to another phase.
     pub(crate) phase: Phase,
-    /// Wall-clock work accrued up to `accrued_as_of` (Condor's
-    /// "wall-clock time accumulated while running").
-    pub accrued: SimDuration,
-    /// Instant `accrued` was last brought up to date.
-    pub accrued_as_of: SimTime,
+    /// Wall-clock work accrued at this site (Condor's "wall-clock time
+    /// accumulated while running") up to a running phase's `since`;
+    /// written only when the task changes phase.
+    pub(crate) accrued: SimDuration,
     /// Remaining work demand (ground truth; spec demand minus any
     /// checkpoint carried in).
     pub demand: SimDuration,
@@ -83,10 +88,6 @@ pub struct TaskRecord {
     /// Current priority (may differ from `spec.priority` after a
     /// steering re-prioritisation).
     pub priority: Priority,
-    /// Bytes of input staged in so far (grows with progress).
-    pub input_io: u64,
-    /// Bytes of output written so far (grows with progress).
-    pub output_io: u64,
     /// The runtime "estimated at the time of task submission" (§6.2
     /// step c), if the submitter recorded one. Set and cleared through
     /// [`ExecutionService::set_estimate`](crate::ExecutionService::set_estimate)
@@ -116,22 +117,48 @@ impl TaskRecord {
             started_at: None,
             phase: Phase::Queued,
             accrued: SimDuration::ZERO,
-            accrued_as_of: now,
             demand,
             carried: accrued,
             priority,
-            input_io: 0,
-            output_io: 0,
             estimated: None,
         }
     }
 
-    /// Moves into `phase` at `now`, stamping the first start.
-    pub(crate) fn enter(&mut self, phase: Phase, now: SimTime) {
-        self.phase = phase;
-        if let Phase::Running { .. } = phase {
-            self.started_at.get_or_insert(now);
+    /// Moves into `phase` at `now`, materialising what a running task
+    /// accrued on `nodes` since its anchor. A completion snaps it to
+    /// the demand (the finish is analytic); a vacate folds it into the
+    /// carried work if the task checkpoints — at most the demand, so
+    /// `full_demand` stays the spec's — and drops it either way.
+    pub(crate) fn enter(&mut self, phase: Phase, now: SimTime, nodes: &[Node]) {
+        let vacated = phase == Phase::Queued && matches!(self.phase, Phase::Running { .. });
+        self.accrued = self.usage(nodes, now).accrued;
+        if vacated && self.spec.checkpointable {
+            let done = self.accrued.min(self.demand);
+            self.carried += done;
+            self.demand -= done;
         }
+        match phase {
+            Phase::Running { .. } => _ = self.started_at.get_or_insert(now),
+            Phase::Ended {
+                status: TaskStatus::Completed,
+                ..
+            } => self.accrued = self.demand,
+            _ if vacated => self.accrued = SimDuration::ZERO,
+            _ => {}
+        }
+        self.phase = phase;
+    }
+
+    /// The record read at `now`: `accrued` plus, while it runs, one
+    /// closed-form read of its node's trace over `[since, now]`.
+    pub(crate) fn usage(&self, nodes: &[Node], now: SimTime) -> Usage<'_> {
+        let mut accrued = self.accrued;
+        if let Phase::Running { slot, since, .. } = self.phase {
+            if let Some(node) = nodes.get(slot as usize) {
+                accrued += node.accrued_between(since, now);
+            }
+        }
+        Usage { rec: self, accrued }
     }
 
     /// Current lifecycle state, as the monitoring surface reads it.
@@ -161,44 +188,16 @@ impl TaskRecord {
         }
     }
 
-    /// Total work the task must accrue *at this site* to finish.
-    pub fn site_demand(&self) -> SimDuration {
-        self.demand
-    }
-
-    /// Work still missing as of the record's last update.
-    pub fn remaining(&self) -> SimDuration {
-        self.demand.saturating_sub(self.accrued)
-    }
-
-    /// §6.2's "remaining estimated run time": the submission-time
-    /// estimate less the runtime accrued at this site, clamped at zero
-    /// for a task that has outrun its estimate. `None` without an
-    /// estimate — such a task adds nothing to a queue-time sum.
-    pub fn estimated_remaining(&self) -> Option<SimDuration> {
-        self.estimated.map(|e| e.saturating_sub(self.accrued))
-    }
-
     /// Total work the task needs across all incarnations.
     pub fn full_demand(&self) -> SimDuration {
         self.carried + self.demand
     }
 
-    /// Total wall-clock accumulated across incarnations (Condor's
-    /// cumulative wall-clock counter).
-    pub fn total_accrued(&self) -> SimDuration {
-        self.carried + self.accrued
-    }
-
-    /// Fraction of the *full* demand completed, in `[0, 1]` —
-    /// carried checkpoint work counts.
-    pub fn progress(&self) -> f64 {
-        let full = self.full_demand();
-        if full == SimDuration::ZERO {
-            1.0
-        } else {
-            (self.total_accrued().as_secs_f64() / full.as_secs_f64()).min(1.0)
-        }
+    /// §6.2's "remaining estimated run time" once `accrued` has run:
+    /// the submission-time estimate less it, clamped at zero. `None`
+    /// without an estimate — such a task adds nothing to a queue-time sum.
+    pub(crate) fn estimated_remaining(&self, accrued: SimDuration) -> Option<SimDuration> {
+        self.estimated.map(|e| e.saturating_sub(accrued))
     }
 
     /// Elapsed wall time since first start (includes queue/suspend
@@ -209,16 +208,50 @@ impl TaskRecord {
             None => SimDuration::ZERO,
         }
     }
+}
 
-    /// Updates the I/O counters to match current progress: input is
-    /// staged linearly over the first half of the run, output written
-    /// linearly over the whole run (a simple but monotone model).
-    pub fn update_io(&mut self) {
-        let p = self.progress();
-        let total_in = self.spec.input_bytes();
-        let total_out: u64 = self.spec.output_files.iter().map(|f| f.size_bytes).sum();
-        self.input_io = ((p * 2.0).min(1.0) * total_in as f64) as u64;
-        self.output_io = (p * total_out as f64) as u64;
+/// A task's work as of one instant, from
+/// [`ExecutionService::usage`](crate::ExecutionService::usage).
+#[derive(Clone, Copy, Debug)]
+pub struct Usage<'a> {
+    rec: &'a TaskRecord,
+    accrued: SimDuration,
+}
+
+impl Usage<'_> {
+    /// Wall-clock work accrued at this site.
+    pub fn accrued(&self) -> SimDuration {
+        self.accrued
+    }
+
+    /// Total wall-clock accumulated across incarnations (Condor's
+    /// cumulative wall-clock counter).
+    pub fn total_accrued(&self) -> SimDuration {
+        self.rec.carried + self.accrued
+    }
+
+    /// Fraction of the *full* demand completed, in `[0, 1]` —
+    /// carried checkpoint work counts.
+    pub fn progress(&self) -> f64 {
+        let full = self.rec.full_demand();
+        if full == SimDuration::ZERO {
+            1.0
+        } else {
+            (self.total_accrued().as_secs_f64() / full.as_secs_f64()).min(1.0)
+        }
+    }
+
+    /// Bytes of input staged and of output written so far: input over
+    /// the first half of the run, output over all of it (a simple but
+    /// monotone model); nothing before the task first starts here.
+    pub fn io(&self) -> (u64, u64) {
+        if self.rec.started_at.is_none() {
+            return (0, 0);
+        }
+        let (spec, p) = (&self.rec.spec, self.progress());
+        let total_out: u64 = spec.output_files.iter().map(|f| f.size_bytes).sum();
+        let input = (p * 2.0).min(1.0) * spec.input_bytes() as f64;
+        (input as u64, (p * total_out as f64) as u64)
     }
 }
 
@@ -232,12 +265,13 @@ mod tests {
             .with_cpu_demand(SimDuration::from_secs(demand_s))
     }
 
-    /// The phase carries the instants and the slot, so the record
-    /// holds no copy of them: 136 B on 64-bit targets.
+    /// The phase carries the instants, the slot and the accrual
+    /// anchor, and the I/O counters are read-outs, so the record holds
+    /// no copy of any of them: 112 B on 64-bit targets.
     #[test]
     #[cfg(target_pointer_width = "64")]
     fn record_holds_no_copies() {
-        assert!(std::mem::size_of::<TaskRecord>() <= 136);
+        assert!(std::mem::size_of::<TaskRecord>() <= 112);
     }
 
     #[test]
@@ -249,8 +283,9 @@ mod tests {
             None,
         );
         assert_eq!(r.status(), TaskStatus::Queued);
-        assert_eq!(r.remaining(), SimDuration::from_secs(100));
-        assert_eq!(r.progress(), 0.0);
+        let usage = r.usage(&[], SimTime::from_secs(10));
+        assert_eq!(usage.accrued(), SimDuration::ZERO);
+        assert_eq!(usage.progress(), 0.0);
         assert_eq!(r.elapsed(SimTime::from_secs(10)), SimDuration::ZERO);
         assert_eq!(r.submitted_at, SimTime::from_secs(5));
     }
@@ -261,7 +296,7 @@ mod tests {
             accrued: SimDuration::from_secs(40),
         };
         let r = TaskRecord::new(CondorId::new(1), spec(100).into(), SimTime::ZERO, Some(ck));
-        assert_eq!(r.site_demand(), SimDuration::from_secs(60));
+        assert_eq!(r.demand, SimDuration::from_secs(60));
         assert_eq!(r.accrued, SimDuration::ZERO);
     }
 
@@ -271,18 +306,20 @@ mod tests {
         s.true_cpu_demand = None;
         s.requested_cpu_hours = 0.5;
         let r = TaskRecord::new(CondorId::new(1), s.into(), SimTime::ZERO, None);
-        assert_eq!(r.site_demand(), SimDuration::from_secs(1800));
+        assert_eq!(r.demand, SimDuration::from_secs(1800));
     }
 
     #[test]
     fn progress_and_remaining_track_accrual() {
         let mut r = TaskRecord::new(CondorId::new(1), spec(100).into(), SimTime::ZERO, None);
+        r.estimated = Some(SimDuration::from_secs(90));
         r.accrued = SimDuration::from_secs(25);
-        assert_eq!(r.progress(), 0.25);
-        assert_eq!(r.remaining(), SimDuration::from_secs(75));
+        assert_eq!(r.usage(&[], SimTime::ZERO).progress(), 0.25);
+        let left = r.estimated_remaining(r.accrued);
+        assert_eq!(left, Some(SimDuration::from_secs(65)));
         r.accrued = SimDuration::from_secs(200); // over-accrual clamps
-        assert_eq!(r.progress(), 1.0);
-        assert_eq!(r.remaining(), SimDuration::ZERO);
+        assert_eq!(r.usage(&[], SimTime::ZERO).progress(), 1.0);
+        assert_eq!(r.estimated_remaining(r.accrued), Some(SimDuration::ZERO));
     }
 
     #[test]
@@ -293,7 +330,7 @@ mod tests {
             SimTime::ZERO,
             None,
         );
-        assert_eq!(r.progress(), 1.0);
+        assert_eq!(r.usage(&[], SimTime::ZERO).progress(), 1.0);
     }
 
     #[test]
@@ -303,13 +340,12 @@ mod tests {
         s.output_files = vec![FileRef::new("out", 500)];
         let mut r = TaskRecord::new(CondorId::new(1), s.into(), SimTime::ZERO, None);
         r.accrued = SimDuration::from_secs(25);
-        r.update_io();
-        assert_eq!(r.input_io, 500); // half the input staged at 25%
-        assert_eq!(r.output_io, 125);
+        let io = |r: &TaskRecord| r.usage(&[], SimTime::ZERO).io();
+        assert_eq!(io(&r), (0, 0), "nothing moves before the first start");
+        r.started_at = Some(SimTime::ZERO);
+        assert_eq!(io(&r), (500, 125)); // half the input staged at 25%
         r.accrued = SimDuration::from_secs(100);
-        r.update_io();
-        assert_eq!(r.input_io, 1000);
-        assert_eq!(r.output_io, 500);
+        assert_eq!(io(&r), (1000, 500));
     }
 
     #[test]

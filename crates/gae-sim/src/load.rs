@@ -30,10 +30,7 @@ pub struct LoadTrace {
 impl LoadTrace {
     /// A trace with constant load (0.0 = a free CPU).
     pub fn constant(load: f64) -> Self {
-        assert!(
-            load.is_finite() && load >= 0.0,
-            "load must be finite and non-negative"
-        );
+        check_load(load);
         LoadTrace {
             steps: vec![(SimTime::ZERO, load)],
         }
@@ -55,11 +52,9 @@ impl LoadTrace {
         idle_load: f64,
         days: u32,
     ) -> Self {
-        assert!(
-            busy_start < busy_end && busy_end <= day,
-            "busy window must fit in the day"
-        );
-        assert!(days > 0);
+        let fits = busy_start < busy_end && busy_end <= day;
+        assert!(fits, "invariant: busy window must fit in the day");
+        assert!(days > 0, "invariant: a diurnal trace spans at least a day");
         let mut steps = Vec::with_capacity(days as usize * 3 + 1);
         for d in 0..u64::from(days) {
             let day_start = SimTime::ZERO + day.mul_f64(d as f64);
@@ -74,13 +69,10 @@ impl LoadTrace {
     /// moved to time zero if it starts later (load before the first
     /// step is taken as the first step's load).
     pub fn from_steps(mut steps: Vec<(SimTime, f64)>) -> Self {
-        assert!(!steps.is_empty(), "load trace needs at least one step");
+        assert!(!steps.is_empty(), "invariant: a trace has a step");
         steps.sort_by_key(|(t, _)| *t);
-        for (_, l) in &steps {
-            assert!(
-                l.is_finite() && *l >= 0.0,
-                "load must be finite and non-negative"
-            );
+        for &(_, l) in &steps {
+            check_load(l);
         }
         steps[0].0 = SimTime::ZERO;
         // Collapse duplicate timestamps: last write wins.
@@ -114,9 +106,9 @@ impl LoadTrace {
     }
 
     /// CPU work (in reference-CPU seconds) accrued between `from` and
-    /// `to` by a job running alone at the given speed factor.
+    /// `to` by a job running alone at the given speed factor, rounded
+    /// to the microsecond once; zero over a backward interval.
     pub fn accrued_between(&self, from: SimTime, to: SimTime, speed_factor: f64) -> SimDuration {
-        assert!(to >= from, "interval must be forward in time");
         let mut total = 0.0f64;
         let mut cursor = from;
         let mut seg = self.segment_of(from);
@@ -141,7 +133,7 @@ impl LoadTrace {
     /// Returns `SimTime::MAX` if the work never completes (impossible
     /// with finite loads, but kept for API robustness).
     pub fn finish_time(&self, from: SimTime, work: SimDuration, speed_factor: f64) -> SimTime {
-        assert!(speed_factor > 0.0);
+        assert!(speed_factor > 0.0, "invariant: positive speed factor");
         let mut remaining = work.as_secs_f64();
         if remaining <= 0.0 {
             return from;
@@ -173,6 +165,12 @@ impl LoadTrace {
             }
         }
     }
+}
+
+/// A load level is finite and non-negative: `1 + L` divides a rate.
+fn check_load(load: f64) {
+    let valid = load.is_finite() && load >= 0.0;
+    assert!(valid, "invariant: load must be finite and non-negative");
 }
 
 #[cfg(test)]
@@ -320,7 +318,49 @@ mod tests {
         LoadTrace::constant(-1.0);
     }
 
+    #[test]
+    fn backward_interval_accrues_nothing() {
+        let tr = LoadTrace::from_steps(vec![(secs(0), 0.0), (secs(10), 1.0)]);
+        assert_eq!(
+            tr.accrued_between(secs(15), secs(5), 1.0),
+            SimDuration::ZERO
+        );
+    }
+
     proptest! {
+        /// Accruing in µs-rounded sub-steps drifts from the one-shot
+        /// closed form by at most a microsecond per sub-step: what a
+        /// reader that stepped every running task at every instant
+        /// saw, against what the closed-form read gives.
+        #[test]
+        fn sub_steps_drift_at_most_a_microsecond_each(
+            loads in prop::collection::vec(0.0f64..8.0, 1..6),
+            speed in 0.25f64..4.0,
+            start_us in 0u64..50_000_000,
+            cuts in prop::collection::vec(0u64..200_000_000, 0..12),
+        ) {
+            let steps: Vec<(SimTime, f64)> = loads
+                .iter()
+                .enumerate()
+                .map(|(i, &l)| (SimTime::from_micros(i as u64 * 13_333_337), l))
+                .collect();
+            let tr = LoadTrace::from_steps(steps);
+            let from = SimTime::from_micros(start_us);
+            let mut instants: Vec<SimTime> =
+                cuts.iter().map(|&c| SimTime::from_micros(start_us + c)).collect();
+            instants.sort_unstable();
+            let to = instants.last().copied().unwrap_or(from);
+            let mut stepped = SimDuration::ZERO;
+            let mut cursor = from;
+            for &t in &instants {
+                stepped += tr.accrued_between(cursor, t, speed);
+                cursor = t;
+            }
+            let once = tr.accrued_between(from, to, speed).as_micros();
+            let drift = stepped.as_micros().abs_diff(once);
+            prop_assert!(drift <= instants.len() as u64, "drift {drift} µs over {} steps", instants.len());
+        }
+
         /// finish_time and accrued_between are inverse: accruing until
         /// the computed finish time yields (approximately) the work.
         #[test]

@@ -26,7 +26,8 @@ pub struct Link {
 impl Link {
     /// Builds a link; bandwidth must be positive and finite.
     pub fn new(bandwidth_bps: f64, latency: SimDuration) -> Self {
-        assert!(bandwidth_bps > 0.0 && bandwidth_bps.is_finite());
+        let valid = bandwidth_bps > 0.0 && bandwidth_bps.is_finite();
+        assert!(valid, "invariant: link bandwidth is positive and finite");
         Link {
             bandwidth_bps,
             latency,
@@ -80,7 +81,8 @@ impl NetworkModel {
 
     /// Sets the relative probe noise (0.0 = exact measurements).
     pub fn with_probe_noise(mut self, noise: f64) -> Self {
-        assert!((0.0..1.0).contains(&noise));
+        let valid = (0.0..1.0).contains(&noise);
+        assert!(valid, "invariant: probe noise is a fraction in [0, 1)");
         self.probe_noise = noise;
         self
     }

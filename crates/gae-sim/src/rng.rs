@@ -12,7 +12,7 @@ pub fn seeded_rng(seed: u64) -> StdRng {
 /// observed for supercomputer job runtimes (used by the Paragon trace
 /// generator).
 pub fn log_uniform<R: Rng>(rng: &mut R, lo: f64, hi: f64) -> f64 {
-    assert!(lo > 0.0 && hi >= lo, "log_uniform needs 0 < lo <= hi");
+    assert!(lo > 0.0 && hi >= lo, "invariant: 0 < lo <= hi");
     let (ln_lo, ln_hi) = (lo.ln(), hi.ln());
     rng.gen_range(ln_lo..=ln_hi).exp()
 }
@@ -20,7 +20,7 @@ pub fn log_uniform<R: Rng>(rng: &mut R, lo: f64, hi: f64) -> f64 {
 /// Samples from a normal distribution via Box–Muller (keeps us off
 /// `rand_distr`; two uniforms per call, second discarded).
 pub fn normal<R: Rng>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
-    assert!(std_dev >= 0.0);
+    assert!(std_dev >= 0.0, "invariant: std_dev >= 0");
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();

@@ -1,9 +1,11 @@
-//! The per-site task history the runtime estimator searches.
+//! A bounded task history a [`RuntimeEstimator`] searches.
 //!
 //! "We maintain a history of tasks that have executed along with
-//! their respective runtimes. ... A decentralized approach is used
-//! for history maintenance" (§6.1): every site keeps its own store;
-//! nothing here is global.
+//! their respective runtimes" (§6.1). The served estimator reads the
+//! stack's columnar history instead; this ring holds the histories of
+//! Figure 5, the ablations and the differential oracles.
+//!
+//! [`RuntimeEstimator`]: crate::estimator::RuntimeEstimator
 
 use gae_trace::{ParagonRecord, TaskMeta};
 use gae_types::SimDuration;
@@ -35,7 +37,7 @@ impl HistoryStore {
     /// Creates a store retaining at most `capacity` observations
     /// (oldest evicted first).
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
+        assert!(capacity > 0, "invariant: history capacity must be positive");
         HistoryStore {
             entries: RwLock::new(VecDeque::new()),
             capacity,
@@ -74,16 +76,6 @@ impl HistoryStore {
             .map(|e| (e.meta.clone(), (e.runtime, e.seq)))
             .collect()
     }
-
-    /// Number of retained observations.
-    pub fn len(&self) -> usize {
-        self.entries.read().len()
-    }
-
-    /// True if no observations are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +99,7 @@ mod tests {
     #[test]
     fn observe_and_snapshot() {
         let h = HistoryStore::new(10);
-        assert!(h.is_empty());
+        assert!(h.snapshot().is_empty());
         h.observe(meta("a"), SimDuration::from_secs(10));
         h.observe(meta("b"), SimDuration::from_secs(20));
         let snap = h.snapshot();
@@ -122,7 +114,7 @@ mod tests {
         for i in 0..10 {
             h.observe(meta("a"), SimDuration::from_secs(i));
         }
-        assert_eq!(h.len(), 3);
+        assert_eq!(h.snapshot().len(), 3);
         let snap = h.snapshot();
         assert_eq!(snap[0].1 .0, SimDuration::from_secs(7));
     }
@@ -138,7 +130,7 @@ mod tests {
         for i in 0..50_000u64 {
             h.observe(meta("churn"), SimDuration::from_secs(i));
         }
-        assert_eq!(h.len(), 16);
+        assert_eq!(h.snapshot().len(), 16);
         let snap = h.snapshot();
         for (k, (_, (rt, seq))) in snap.iter().enumerate() {
             assert_eq!(*rt, SimDuration::from_secs(49_984 + k as u64));
@@ -157,7 +149,7 @@ mod tests {
         let loaded = h.load_trace(&records);
         let successes = records.iter().filter(|r| r.success).count();
         assert_eq!(loaded, successes);
-        assert_eq!(h.len(), successes);
+        assert_eq!(h.snapshot().len(), successes);
         assert!(successes < 100, "some failures expected at 50%");
     }
 }

@@ -11,11 +11,10 @@
 //! * [`transfer`] — file-transfer-time prediction (§6.3): iperf probe
 //!   then `size / bandwidth`.
 //!
-//! [`history`] holds the decentralised per-site task history the
-//! runtime estimator operates on ("a decentralized approach is used
-//! for history maintenance", §6.1), and [`service`] assembles the
-//! three into the deployable [`EstimatorService`] with its XML-RPC
-//! facade.
+//! [`history`] holds the bounded ring a [`RuntimeEstimator`] searches
+//! (Figure 5, the ablations and the oracles), and [`service`]
+//! assembles the three into the deployable [`EstimatorService`], which
+//! reads the stack's columnar history, with its XML-RPC facade.
 
 pub mod history;
 pub mod queue_time;

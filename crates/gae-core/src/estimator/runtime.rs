@@ -61,13 +61,11 @@ pub enum EstimateNote {
     MomentsSaturated,
 }
 
-/// The per-site runtime estimator.
+/// The runtime estimator over a bounded ring: Figure 5, the ablations
+/// and the differential oracles of the served estimator.
 pub struct RuntimeEstimator {
     history: HistoryStore,
-    hierarchy: TemplateHierarchy,
-    method: EstimationMethod,
-    /// Minimum similar tasks before a template tier is accepted.
-    min_matches: usize,
+    policy: TierPolicy,
 }
 
 impl RuntimeEstimator {
@@ -76,21 +74,19 @@ impl RuntimeEstimator {
     pub fn new(history: HistoryStore) -> Self {
         RuntimeEstimator {
             history,
-            hierarchy: TemplateHierarchy::paragon_default(),
-            method: EstimationMethod::default(),
-            min_matches: 2,
+            policy: TierPolicy::default(),
         }
     }
 
     /// Overrides the statistical method (ablation benches).
     pub fn with_method(mut self, method: EstimationMethod) -> Self {
-        self.method = method;
+        self.policy.method = method;
         self
     }
 
     /// Overrides the template hierarchy (ablation benches).
     pub fn with_hierarchy(mut self, hierarchy: TemplateHierarchy) -> Self {
-        self.hierarchy = hierarchy;
+        self.policy.hierarchy = hierarchy;
         self
     }
 
@@ -100,13 +96,13 @@ impl RuntimeEstimator {
     }
 
     /// Predicts the runtime of a task described by `meta` from the
-    /// legacy per-site ring.
+    /// ring.
     pub fn estimate(&self, meta: &TaskMeta) -> GaeResult<RuntimeEstimate> {
         let snapshot = self.history.snapshot();
         if snapshot.is_empty() {
             return Err(GaeError::Estimator("history is empty".into()));
         }
-        self.estimate_by_tier(meta, |tpl| {
+        self.policy.estimate_by_tier(meta, |tpl| {
             Ok(Moments::from_points(
                 snapshot
                     .iter()
@@ -131,7 +127,7 @@ impl RuntimeEstimator {
         if store.site_successes(site.raw()) == 0 {
             return Err(GaeError::Estimator("history is empty".into()));
         }
-        self.estimate_by_tier(meta, |tpl| {
+        self.policy.estimate_by_tier(meta, |tpl| {
             let mut preds = vec![
                 ColumnPredicate::eq_num("site", site.raw()),
                 ColumnPredicate::eq_num("success", 1),
@@ -141,12 +137,45 @@ impl RuntimeEstimator {
         })
     }
 
+    /// Predicts from the store's runtime views, one hash probe per
+    /// template tier (the served estimator's path).
+    pub fn estimate_from_views(
+        &self,
+        store: &HistStore,
+        site: SiteId,
+        meta: &TaskMeta,
+    ) -> GaeResult<RuntimeEstimate> {
+        self.policy.views(store, site, meta)
+    }
+}
+
+/// How similar tasks become an estimate, whatever history holds them:
+/// the template hierarchy, the statistical method and the minimum
+/// matches that accept a tier. A [`RuntimeEstimator`] owns one over its
+/// ring; the served `EstimatorService` owns the default one.
+pub(crate) struct TierPolicy {
+    hierarchy: TemplateHierarchy,
+    method: EstimationMethod,
+    min_matches: usize,
+}
+
+impl Default for TierPolicy {
+    fn default() -> Self {
+        TierPolicy {
+            hierarchy: TemplateHierarchy::paragon_default(),
+            method: EstimationMethod::default(),
+            min_matches: 2,
+        }
+    }
+}
+
+impl TierPolicy {
     /// Predicts from the store's runtime views: each template tier is
     /// one [`HistStore::runtime_moments`] hash probe, so the cost is
     /// O(tiers) whatever the history size. Bit-identical to
     /// [`RuntimeEstimator::estimate_columnar`] by construction — the
     /// moments are exact integers either way.
-    pub fn estimate_from_views(
+    pub(crate) fn views(
         &self,
         store: &HistStore,
         site: SiteId,
@@ -495,7 +524,7 @@ mod tests {
             max_t: (n - 1) as u64,
             saturated: false,
         };
-        let e = est.estimate_from_moments(0, &at_bound);
+        let e = est.policy.estimate_from_moments(0, &at_bound);
         assert_eq!(e.note, None);
         assert_eq!(e.samples, 1 << 32);
         assert_eq!(e.runtime, SimDuration::from_micros((1 << 40) - 1));
@@ -510,7 +539,7 @@ mod tests {
         };
         past.push(1 << 32, (1 << 40) - 1);
         assert!(past.saturated);
-        let e = est.estimate_from_moments(0, &past);
+        let e = est.policy.estimate_from_moments(0, &past);
         assert_eq!(e.note, Some(EstimateNote::MomentsSaturated));
         assert_eq!(e.runtime, SimDuration::from_micros((1 << 40) - 1));
         assert!(!e.used_regression);
@@ -518,6 +547,7 @@ mod tests {
         // Regression-only degrades the same way.
         let reg = RuntimeEstimator::new(HistoryStore::new(1))
             .with_method(EstimationMethod::Regression)
+            .policy
             .estimate_from_moments(0, &past);
         assert_eq!((reg.runtime, reg.used_regression), (e.runtime, false));
     }

@@ -1,28 +1,27 @@
-//! The deployable Estimator Service: per-site runtime estimators
-//! (decentralised histories), queue-time estimates over each site's
+//! The deployable Estimator Service: runtime estimates over the
+//! columnar history's views, queue-time estimates over each site's
 //! execution service, the transfer estimator, and the XML-RPC facade.
 
-use crate::estimator::history::HistoryStore;
 use crate::estimator::queue_time::{estimate_queue_time, queue_time_for_new};
-use crate::estimator::runtime::{EstimateNote, RuntimeEstimate, RuntimeEstimator};
+use crate::estimator::runtime::{EstimateNote, RuntimeEstimate, TierPolicy};
 use crate::estimator::transfer::TransferEstimator;
 use crate::grid::Grid;
+use crate::hist::HistFunnel;
 use gae_rpc::{Method, Methods};
 use gae_trace::{ParagonRecord, TaskMeta};
 use gae_types::{CondorId, FileRef, GaeError, GaeResult, SimDuration, SiteId, TaskSpec};
 use gae_wire::Value;
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Default capacity of each site's task history.
-const HISTORY_CAPACITY: usize = 10_000;
 
 /// The Estimator Service (§6), one instance per GAE deployment.
 pub struct EstimatorService {
     grid: Arc<Grid>,
-    runtime: BTreeMap<SiteId, RuntimeEstimator>,
+    /// Runtime estimates read its store's views.
+    hist: Arc<HistFunnel>,
+    policy: TierPolicy,
     transfer: TransferEstimator,
     /// Memoised [`Self::estimate_runtime`] results. A runtime estimate
     /// is a pure function of the site's task history and the task's
@@ -34,49 +33,28 @@ pub struct EstimatorService {
     memo: RwLock<HashMap<SiteId, HashMap<TaskMeta, RuntimeEstimate>>>,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
-    /// The columnar history funnel, when the stack wired one. With it
-    /// attached, [`Self::estimate_meta`] reads the shared columnar
-    /// store's runtime views (O(template tiers) hash probes) instead
-    /// of the per-site rings; the rings still absorb observations as
-    /// the bounded fallback.
-    hist: RwLock<Option<Arc<crate::hist::HistFunnel>>>,
 }
 
 impl EstimatorService {
-    /// Creates empty per-site estimators over the grid's sites and a
-    /// transfer estimator over its network model.
-    pub fn new(grid: Arc<Grid>) -> Self {
-        let mut runtime = BTreeMap::new();
-        for site in grid.site_ids() {
-            runtime.insert(
-                site,
-                RuntimeEstimator::new(HistoryStore::new(HISTORY_CAPACITY)),
-            );
-        }
+    /// Estimates runtimes over `hist`'s views and transfers over the
+    /// grid's network model.
+    pub(crate) fn new(grid: Arc<Grid>, hist: Arc<HistFunnel>) -> Self {
         let transfer = TransferEstimator::new(grid.network().clone(), 2005);
         transfer.attach_live_links(Arc::new(crate::grid::GridLinkView(grid.clone())));
         EstimatorService {
             grid,
-            runtime,
+            hist,
+            policy: TierPolicy::default(),
             transfer,
             memo: RwLock::new(HashMap::new()),
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
-            hist: RwLock::new(None),
         }
-    }
-
-    /// Retargets runtime estimation onto the columnar history store.
-    /// Clears the memo cache: cached values were computed against the
-    /// rings.
-    pub(crate) fn attach_history(&self, hist: Arc<crate::hist::HistFunnel>) {
-        *self.hist.write() = Some(hist);
-        self.memo.write().clear();
     }
 
     /// Drops every memoised estimate for `site`; called whenever the
     /// inputs an estimate depends on may have changed.
-    fn invalidate_site(&self, site: SiteId) {
+    pub(crate) fn invalidate_site(&self, site: SiteId) {
         self.memo.write().remove(&site);
     }
 
@@ -88,49 +66,47 @@ impl EstimatorService {
         )
     }
 
-    fn runtime_estimator(&self, site: SiteId) -> GaeResult<&RuntimeEstimator> {
-        self.runtime
-            .get(&site)
-            .ok_or_else(|| GaeError::NotFound(format!("runtime estimator at {site}")))
+    /// `NotFound` unless the grid has `site`.
+    fn known(&self, site: SiteId) -> GaeResult<()> {
+        let missing = || GaeError::NotFound(format!("runtime estimator at {site}"));
+        self.grid.description(site).map(drop).map_err(|_| missing())
     }
 
-    /// Seeds a site's history from an accounting trace.
+    /// Seeds a site's history from an accounting trace; returns its
+    /// successful records' count.
     pub fn seed_history(&self, site: SiteId, records: &[ParagonRecord]) -> GaeResult<usize> {
-        let loaded = self.runtime_estimator(site)?.history().load_trace(records);
-        if let Some(hist) = self.hist.read().clone() {
-            // The columnar store takes every record — failures too,
-            // flagged on the success column — with the same Paragon
-            // field quirks `TaskMeta::from_record` applies (the trace
-            // has no executable column; the account stands in).
-            for r in records {
-                hist.ingest(gae_hist::HistRecord {
-                    task: 0,
-                    site: site.raw(),
-                    nodes: r.nodes as u64,
-                    submit_us: r.submitted.as_micros(),
-                    start_us: r.started.as_micros(),
-                    finish_us: r.completed.as_micros(),
-                    runtime_us: r.runtime().as_micros(),
-                    success: r.success,
-                    account: r.account.clone(),
-                    login: r.login.clone(),
-                    executable: r.account.clone(),
-                    queue: r.queue.clone(),
-                    partition: r.partition.clone(),
-                    job_type: r.job_type.to_string(),
-                });
-            }
+        self.known(site)?;
+        // The columnar store takes every record — failures too, flagged
+        // on the success column — with the same Paragon field quirks
+        // `TaskMeta::from_record` applies (the trace has no executable
+        // column; the account stands in).
+        for r in records {
+            self.hist.ingest(gae_hist::HistRecord {
+                task: 0,
+                site: site.raw(),
+                nodes: r.nodes as u64,
+                submit_us: r.submitted.as_micros(),
+                start_us: r.started.as_micros(),
+                finish_us: r.completed.as_micros(),
+                runtime_us: r.runtime().as_micros(),
+                success: r.success,
+                account: r.account.clone(),
+                login: r.login.clone(),
+                executable: r.account.clone(),
+                queue: r.queue.clone(),
+                partition: r.partition.clone(),
+                job_type: r.job_type.to_string(),
+            });
         }
         self.invalidate_site(site);
-        Ok(loaded)
+        Ok(records.iter().filter(|r| r.success).count())
     }
 
-    /// Records an observed completion into the site's history.
-    pub fn observe_completion(&self, site: SiteId, meta: TaskMeta, runtime: SimDuration) {
-        if let Ok(est) = self.runtime_estimator(site) {
-            est.history().observe(meta, runtime);
-            self.invalidate_site(site);
-        }
+    /// Drops `site`'s memoised estimates after a completion there.
+    /// `meta` and `runtime` are unused (the completion reaches the
+    /// history as a funnel row); `perf history_estimate` passes them.
+    pub fn observe_completion(&self, site: SiteId, _meta: TaskMeta, _runtime: SimDuration) {
+        self.invalidate_site(site);
     }
 
     /// §6.1: predicted runtime of `spec` at `site`.
@@ -150,11 +126,8 @@ impl EstimatorService {
             return Ok(cached);
         }
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
-        let estimator = self.runtime_estimator(site)?;
-        let estimate = match self.hist.read().clone() {
-            Some(hist) => estimator.estimate_from_views(hist.store(), site, meta)?,
-            None => estimator.estimate(meta)?,
-        };
+        self.known(site)?;
+        let estimate = self.policy.views(self.hist.store(), site, meta)?;
         self.memo
             .write()
             .entry(site)
@@ -165,11 +138,10 @@ impl EstimatorService {
 
     /// [`Self::estimate_meta`]'s runtime for each of `metas` at one
     /// site, into `out` (cleared first; `None` where the site cannot
-    /// estimate). Takes the history handle once: a site with no
-    /// successful history and nothing memoised fails every lookup, so
-    /// its lookups are counted as misses in one step; any other site
-    /// goes task by task. Either way `memo_stats` moves as per-task
-    /// calls would move it.
+    /// estimate). A site the grid lacks or with no successful history,
+    /// and nothing memoised, fails every lookup, counted as misses in
+    /// one step; any other site goes task by task. Either way
+    /// `memo_stats` moves as per-task calls would move it.
     pub(crate) fn estimate_metas(
         &self,
         site: SiteId,
@@ -177,11 +149,8 @@ impl EstimatorService {
         out: &mut Vec<Option<SimDuration>>,
     ) {
         out.clear();
-        let no_history = match (self.runtime.get(&site), self.hist.read().as_ref()) {
-            (None, _) => true,
-            (Some(_), Some(hist)) => hist.store().site_successes(site.raw()) == 0,
-            (Some(estimator), None) => estimator.history().is_empty(),
-        };
+        let no_history =
+            self.known(site).is_err() || self.hist.store().site_successes(site.raw()) == 0;
         if no_history && !self.memo.read().contains_key(&site) {
             self.memo_misses
                 .fetch_add(metas.len() as u64, Ordering::Relaxed);

@@ -20,6 +20,7 @@ mod stack;
 pub use driver::DriverMode;
 pub use fabric::{FlockMove, Grid, GridBuilder, GridLinkView};
 pub use metrics::MetricSource;
+pub(crate) use stack::Plumbing;
 pub use stack::ServiceStack;
 
 /// The two-site grid the unit tests of this module's files share:

@@ -4,8 +4,9 @@
 
 use super::Grid;
 use crate::estimator::EstimatorService;
+use crate::hist::HistFunnel;
 use crate::jobmon::JobMonitoringService;
-use crate::persist::{self, Machine, Persistence, PersistenceConfig, RecoveryReport};
+use crate::persist::{self, JournalSlot, Machine, Persistence, PersistenceConfig, RecoveryReport};
 use crate::provider::GridSiteInfo;
 use crate::quota::QuotaService;
 use crate::steering::{SteeringPolicy, SteeringService};
@@ -13,7 +14,7 @@ use gae_durable::DurableStore;
 use gae_gate::{Gate, GateClass, Principal};
 use gae_sched::Scheduler;
 use gae_types::{Clock, ConcretePlan, GaeError, GaeResult, JobSpec, SimDuration, SimTime};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Records one transfer-plane lifecycle event into the hub: a span in
@@ -66,6 +67,15 @@ fn trace_xfer_event(hub: &gae_obs::ObsHub, ev: &gae_xfer::XferEvent) {
     }
 }
 
+/// What a stack's services share besides each other, built first by
+/// [`ServiceStack::assemble`] and handed to them at construction.
+pub(crate) struct Plumbing {
+    pub(crate) journal: Arc<JournalSlot>,
+    pub(crate) hist: Arc<HistFunnel>,
+    pub(crate) gate: Arc<Gate>,
+    pub(crate) obs: Arc<gae_obs::ObsHub>,
+}
+
 /// The full Figure 1 deployment wired over one grid.
 pub struct ServiceStack {
     /// The fabric.
@@ -85,16 +95,17 @@ pub struct ServiceStack {
     /// Columnar job-history funnel: journals every terminal task
     /// outcome into the append-only [`gae_hist::HistStore`] the
     /// estimators scan.
-    pub hist: Arc<crate::hist::HistFunnel>,
+    pub hist: Arc<HistFunnel>,
     /// Observability: request traces, one causal tree per task and
     /// latency histograms — all on the grid's virtual clock.
     pub(super) obs: Arc<gae_obs::ObsHub>,
     /// How often the polling services run (collector + steering).
     poll_period: SimDuration,
     next_poll: Mutex<SimTime>,
-    /// The durable store, when the grid was built with
-    /// [`GridBuilder::persist`](super::GridBuilder::persist) or recovered from disk.
-    persistence: RwLock<Option<Arc<Persistence>>>,
+    /// Armed with the durable store when the grid was built with
+    /// [`GridBuilder::persist`](super::GridBuilder::persist) or
+    /// recovered from disk.
+    journal: Arc<JournalSlot>,
 }
 
 impl ServiceStack {
@@ -129,13 +140,15 @@ impl ServiceStack {
         poll_period: SimDuration,
     ) -> GaeResult<Arc<ServiceStack>> {
         let stack = Self::assemble(grid, policy, poll_period);
-        if let Some(config) = stack.grid.persistence_config().cloned() {
-            stack.attach_persistence(Persistence::create(&config)?);
+        if let Some(config) = stack.grid.persistence_config() {
+            stack.journal.arm(Persistence::create(config)?);
         }
         Ok(stack)
     }
 
-    /// Wires the services without touching any persistence.
+    /// Wires every service once and whole, the journal slot unarmed:
+    /// quota, clock, hub, slot, funnel and gate first, then each
+    /// service over what was built before it.
     fn assemble(
         grid: Arc<Grid>,
         policy: SteeringPolicy,
@@ -145,8 +158,52 @@ impl ServiceStack {
         for (_, exec) in grid.sites() {
             quota.register_site(exec.lock().site());
         }
-        let estimators = Arc::new(EstimatorService::new(grid.clone()));
-        let jobmon = Arc::new(JobMonitoringService::new(grid.clone(), estimators.clone()));
+        // The gate and the observability hub read the grid's virtual
+        // clock, so admissions and trace trees replay byte-identically
+        // run to run; served (`gae-ctl serve`), the pump that tracks
+        // wall time advances it. They hold the clock cell, never the
+        // grid: a gate or hub that outlives the stack (a served door,
+        // an RPC host) must not keep the grid alive (DESIGN.md §17).
+        let clock: Arc<dyn Clock> = grid.clock.clone();
+        let obs = gae_obs::ObsHub::new(clock.clone());
+        // The history funnel sits behind jobmon's DBManager; the
+        // estimators read its store's views.
+        let journal = Arc::new(JournalSlot::default());
+        let hist = HistFunnel::new(gae_hist::HistConfig::default(), journal.clone());
+        // A principal billed into the red (grids bill after the fact)
+        // drops to Scavenger — first shed, last run. Callbacks keep
+        // gae-gate and gae-xfer free of the obs crate and the WAL.
+        let gate = Gate::new(grid.gate_config().unwrap_or_default(), clock);
+        {
+            let quota = quota.clone();
+            gate.set_class_resolver(move |principal: &Principal| match principal.user {
+                Some(user) if quota.balance(user) < 0.0 => GateClass::Scavenger,
+                _ => GateClass::Production,
+            });
+            let hub = obs.clone();
+            gate.set_disposition_observer(move |disposition, latency| {
+                hub.record_gate(disposition, latency);
+            });
+        }
+        {
+            let (hub, journal) = (obs.clone(), journal.clone());
+            grid.with_xfer(|x| {
+                x.set_observer(Box::new(move |ev| trace_xfer_event(&hub, ev)));
+                x.set_journal(Box::new(move |op| journal.log(op)));
+            });
+        }
+        let estimators = Arc::new(EstimatorService::new(grid.clone(), hist.clone()));
+        let plumbing = Plumbing {
+            journal,
+            hist,
+            gate,
+            obs,
+        };
+        let jobmon = Arc::new(JobMonitoringService::new(
+            grid.clone(),
+            estimators.clone(),
+            &plumbing,
+        ));
         let info = Arc::new(GridSiteInfo::new(
             grid.clone(),
             estimators.clone(),
@@ -160,52 +217,8 @@ impl ServiceStack {
             estimators.clone(),
             quota.clone(),
             policy,
+            &plumbing,
         ));
-        // The gate and the observability hub read the grid's virtual
-        // clock, so admissions and trace trees replay byte-identically
-        // run to run; served (`gae-ctl serve`), the pump that tracks
-        // wall time advances it. They hold the clock cell, never the
-        // grid: a gate or hub that outlives the stack (a served door,
-        // an RPC host) must not keep the grid alive (DESIGN.md §17).
-        // The gate also classifies by quota standing: a principal
-        // billed into the red (grids bill after the fact) drops to
-        // Scavenger — first shed, last run.
-        let clock: Arc<dyn Clock> = grid.clock.clone();
-        let gate = Gate::new(grid.gate_config().unwrap_or_default(), clock.clone());
-        {
-            let quota = quota.clone();
-            gate.set_class_resolver(move |principal: &Principal| match principal.user {
-                Some(user) if quota.balance(user) < 0.0 => GateClass::Scavenger,
-                _ => GateClass::Production,
-            });
-        }
-        steering.attach_gate(gate.clone());
-        // The observability hub shares the grid's virtual clock and is
-        // threaded into every layer that emits spans or instants. The
-        // gate reports admission dispositions through its callback so
-        // gae-gate never depends on the obs crate.
-        let obs = gae_obs::ObsHub::new(clock);
-        steering.attach_obs(obs.clone());
-        jobmon.attach_obs(obs.clone());
-        // The history funnel sits behind jobmon's DBManager: every
-        // terminal task state the collector stores is also appended to
-        // the columnar store, and the estimators retarget their
-        // similar-task search onto its pushdown scans.
-        let hist = crate::hist::HistFunnel::new(gae_hist::HistConfig::default());
-        jobmon.attach_history(hist.clone());
-        estimators.attach_history(hist.clone());
-        {
-            let hub = obs.clone();
-            gate.set_disposition_observer(move |disposition, latency| {
-                hub.record_gate(disposition, latency);
-            });
-        }
-        // The transfer scheduler reports its lifecycle through a
-        // callback so gae-xfer never depends on the obs crate.
-        {
-            let hub = obs.clone();
-            grid.with_xfer(|x| x.set_observer(Box::new(move |ev| trace_xfer_event(&hub, ev))));
-        }
         Arc::new(ServiceStack {
             grid,
             quota,
@@ -213,12 +226,12 @@ impl ServiceStack {
             jobmon,
             scheduler,
             steering,
-            gate,
-            hist,
-            obs,
+            gate: plumbing.gate,
+            hist: plumbing.hist,
+            obs: plumbing.obs,
             poll_period,
             next_poll: Mutex::new(SimTime::ZERO + poll_period),
-            persistence: RwLock::new(None),
+            journal: plumbing.journal,
         })
     }
 
@@ -240,17 +253,9 @@ impl ServiceStack {
         ]
     }
 
-    /// Routes every future mutation of every machine through the WAL.
-    fn attach_persistence(&self, persistence: Arc<Persistence>) {
-        for machine in self.machines() {
-            machine.attach(&persistence);
-        }
-        *self.persistence.write() = Some(persistence);
-    }
-
     /// The durable store, when one is attached.
     pub fn persistence(&self) -> Option<Arc<Persistence>> {
-        self.persistence.read().clone()
+        self.journal.persistence()
     }
 
     /// Arms replication: every WAL commit and rotation this stack
@@ -294,9 +299,9 @@ impl ServiceStack {
     }
 
     /// The observability hub: request traces, one causal tree per
-    /// task and latency histograms, all on the grid's virtual clock. Attach it to an RPC host
-    /// ([`gae_rpc::ServiceHost::attach_obs`]) to time every dispatched
-    /// method into it.
+    /// task and latency histograms, all on the grid's virtual clock.
+    /// Give it to an RPC host ([`gae_rpc::ServiceHost`]) to time every
+    /// dispatched method into it.
     pub fn obs(&self) -> Arc<gae_obs::ObsHub> {
         self.obs.clone()
     }
@@ -480,11 +485,11 @@ impl ServiceStack {
 
         // 3. Resume the store in a new generation anchored at a fresh
         //    snapshot of the rebuilt state, streamed into its file,
-        //    and re-attach logging.
+        //    and arm the journal slot.
         let persistence = Persistence::resume(config, &at, stack.grid.now(), |out| {
             persist::encode_snapshot(&stack.machines(), out)
         })?;
-        stack.attach_persistence(persistence);
+        stack.journal.arm(persistence);
 
         // 4. Re-arm, exactly once. First the explicit replications the
         //    log says were requested but never landed or failed — they
@@ -563,6 +568,24 @@ mod tests {
         assert_eq!(stack.grid.now(), SimTime::from_secs(50));
     }
 
+    /// A site the grid lacks has no history and nothing memoised:
+    /// every meta of a batched lookup yields `None` and counts one
+    /// miss, as the per-task path would.
+    #[test]
+    fn batched_estimates_at_a_site_the_grid_lacks_all_miss() {
+        let stack = ServiceStack::over(two_site_grid());
+        let metas: Vec<gae_trace::TaskMeta> = (1..=3u64)
+            .map(|i| gae_trace::TaskMeta::from_spec(&TaskSpec::new(TaskId::new(i), "t", "app")))
+            .collect();
+        let (hits, misses) = stack.estimators.memo_stats();
+        let mut out = vec![Some(SimDuration::ZERO)];
+        stack
+            .estimators
+            .estimate_metas(SiteId::new(9), &metas, &mut out);
+        assert_eq!(out, vec![None; 3]);
+        assert_eq!(stack.estimators.memo_stats(), (hits, misses + 3));
+    }
+
     #[test]
     fn estimator_memo_caches_until_invalidated() {
         let stack = ServiceStack::over(two_site_grid());
@@ -570,10 +593,9 @@ mod tests {
         let spec =
             TaskSpec::new(TaskId::new(1), "t", "app").with_cpu_demand(SimDuration::from_secs(30));
         let meta = gae_trace::TaskMeta::from_spec(&spec);
-        // Seed enough history for estimation to succeed. Stack-level
-        // estimates read the columnar store, so the seed rows go
-        // through the funnel; observe_completion still drives the
-        // ring and the memo invalidation.
+        // Seed enough history for estimation to succeed. Estimates
+        // read the columnar store, so the seed rows go through the
+        // funnel; observe_completion drops the site's memo.
         let row = |m: &gae_trace::TaskMeta, secs: u64| gae_hist::HistRecord {
             task: 0,
             site: site.raw(),

@@ -5,19 +5,19 @@
 //!
 //! The funnel is the *only* writer of the [`gae_hist::HistStore`].
 //! Every op it applies is first appended as a `"hist"` WAL record
-//! (when persistence is attached), so the store's contents — segment
-//! boundaries included — are a pure function of the journal. Crash
-//! recovery and replication followers replay the same ops through the
-//! funnel's [`Machine`] impl and rebuild byte-identical segments; see
-//! DESIGN.md §14.
+//! (once the stack's journal slot is armed), so the store's contents
+//! — segment boundaries included — are a pure function of the
+//! journal. Crash recovery and replication followers replay the same
+//! ops through the funnel's [`Machine`] impl and rebuild
+//! byte-identical segments; see DESIGN.md §14.
 
-use crate::persist::{self, Install, Journal, Machine, MemberWriter, Owns, Persistence};
+use crate::persist::{self, Install, Journal, JournalSlot, Machine, MemberWriter, Owns};
 use gae_hist::{CmpOp, ColumnPredicate, HistConfig, HistOp, HistRecord, HistStore, PredValue};
 use gae_obs::ObsHub;
 use gae_rpc::{Method, Methods, Params};
 use gae_types::{GaeError, GaeResult, SimDuration, SimTime};
 use gae_wire::Value;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,18 +33,17 @@ const DEFAULT_QUERY_LIMIT: usize = 1000;
 /// Journal-fronted writer of the columnar history store.
 pub struct HistFunnel {
     store: Arc<HistStore>,
-    persist: RwLock<Option<Arc<Persistence>>>,
-    maintain_every: SimDuration,
+    journal: Arc<JournalSlot>,
     last_maintain: Mutex<SimTime>,
 }
 
 impl HistFunnel {
-    /// A funnel over a fresh, empty store.
-    pub fn new(config: HistConfig) -> Arc<Self> {
+    /// A funnel over a fresh, empty store, journaling through
+    /// `journal`.
+    pub fn new(config: HistConfig, journal: Arc<JournalSlot>) -> Arc<Self> {
         Arc::new(HistFunnel {
             store: Arc::new(HistStore::new(config)),
-            persist: RwLock::new(None),
-            maintain_every: MAINTAIN_EVERY,
+            journal,
             last_maintain: Mutex::new(SimTime::ZERO),
         })
     }
@@ -54,11 +53,9 @@ impl HistFunnel {
         &self.store
     }
 
-    /// Journals `op` (when persistence is attached) and applies it.
+    /// Journals `op` and applies it.
     fn log_apply(&self, op: HistOp) {
-        if let Some(p) = self.persist.read().as_ref() {
-            p.log(&op);
-        }
+        self.journal.log(&op);
         self.store.apply(&op);
     }
 
@@ -68,7 +65,7 @@ impl HistFunnel {
     }
 
     /// The grid-clock maintenance sweep, called from the service
-    /// stack's poll: every `maintain_every` of virtual time, seal a
+    /// stack's poll: every [`MAINTAIN_EVERY`] of virtual time, seal a
     /// non-empty tail early and compact undersized sealed segments.
     /// Both decisions become explicit journaled ops *before* they are
     /// applied, so replay reproduces the exact segment layout without
@@ -76,7 +73,7 @@ impl HistFunnel {
     pub(crate) fn maintain(&self, now: SimTime) {
         {
             let mut last = self.last_maintain.lock();
-            if now.saturating_since(*last) < self.maintain_every {
+            if now.saturating_since(*last) < MAINTAIN_EVERY {
                 return;
             }
             *last = now;
@@ -134,10 +131,6 @@ impl Journal for HistOp {
 /// canonical columnar codec, and re-encoding it as XML would lose the
 /// layout.
 impl Machine for HistFunnel {
-    fn attach(&self, persistence: &Arc<Persistence>) {
-        *self.persist.write() = Some(persistence.clone());
-    }
-
     fn owns(&self) -> Owns {
         (HistOp::KINDS, &["hist"])
     }
@@ -378,7 +371,7 @@ mod tests {
 
     #[test]
     fn maintain_is_cadence_gated_and_journal_free_ops_apply() {
-        let funnel = HistFunnel::new(HistConfig { segment_rows: 4 });
+        let funnel = HistFunnel::new(HistConfig { segment_rows: 4 }, Default::default());
         funnel.ingest(rec(1, 1));
         funnel.ingest(rec(2, 1));
         // Before the cadence elapses nothing seals.

@@ -35,8 +35,8 @@ impl JobInformationCollector {
     }
 
     /// Drains execution events; terminal transitions go to the
-    /// DBManager, and completions feed the site's runtime history
-    /// (that is how the decentralised histories of §6.1 grow).
+    /// DBManager with their columnar history row (that is how the
+    /// history of §6.1 grows).
     pub fn poll(&self, db: &DbManager) {
         for (site, event) in self.grid.drain_events() {
             if !event.is_terminal() {
@@ -51,8 +51,7 @@ impl JobInformationCollector {
             };
             let info = self.info_from_record(site, record, &exec);
             let meta = TaskMeta::from_spec(&record.spec);
-            let completion =
-                (event.status == TaskStatus::Completed).then(|| (meta.clone(), info.cpu_time));
+            let completed = event.status == TaskStatus::Completed;
             // Every terminal outcome — success or failure — becomes
             // one columnar history row (scans filter on the success
             // column when they want clean runtimes).
@@ -64,7 +63,7 @@ impl JobInformationCollector {
                 start_us: record.started_at.map(|t| t.as_micros()).unwrap_or(0),
                 finish_us: record.finished_at().map(|t| t.as_micros()).unwrap_or(0),
                 runtime_us: info.cpu_time.as_micros(),
-                success: completion.is_some(),
+                success: completed,
                 account: meta.account,
                 login: meta.login,
                 executable: meta.executable,
@@ -74,11 +73,11 @@ impl JobInformationCollector {
             };
             drop(exec);
             db.store_with_history(info, row);
-            // Only after the row is in the store: observing drops the
-            // site's memoised estimates, and one computed between an
-            // early invalidation and the ingest would outlive it.
-            if let Some((meta, runtime)) = completion {
-                self.estimators.observe_completion(site, meta, runtime);
+            // Only after the row is in the store: a completion drops
+            // the site's memoised estimates, and one computed between
+            // an early invalidation and the ingest would outlive it.
+            if completed {
+                self.estimators.invalidate_site(site);
             }
             // The task left the queue: §6.2 never reads its
             // submission-time estimate again. Clearing it on the

@@ -9,10 +9,11 @@
 //! life: its status, site and instants answer `jobmon.job_info` and
 //! `jobmon.job_tasks`, and MonALISA holds no copy of it.
 
+use crate::grid::Plumbing;
 use crate::hist::HistFunnel;
 use crate::jobmon::info::JobMonitoringInfo;
 use crate::persist::{
-    array_of, section, Install, Journal, Machine, MemberWriter, Owns, Persistence,
+    array_of, section, Install, Journal, JournalSlot, Machine, MemberWriter, Owns,
 };
 use gae_hist::HistRecord;
 use gae_types::{GaeResult, JobId, TaskId};
@@ -23,13 +24,14 @@ use std::io;
 use std::sync::Arc;
 
 /// The per-task snapshot store.
-#[derive(Default)]
 pub struct DbManager {
     snapshots: RwLock<HashMap<TaskId, JobMonitoringInfo>>,
     by_job: RwLock<HashMap<JobId, Vec<TaskId>>>,
-    persist: RwLock<Option<Arc<Persistence>>>,
-    obs: RwLock<Option<Arc<gae_obs::ObsHub>>>,
-    hist: RwLock<Option<Arc<HistFunnel>>>,
+    journal: Arc<JournalSlot>,
+    /// Where execution spans go.
+    obs: Arc<gae_obs::ObsHub>,
+    /// Where terminal task outcomes go, as columnar history rows.
+    hist: Arc<HistFunnel>,
     /// Called inside [`Self::store`], before the snapshot lands and
     /// so before its history row does.
     #[cfg(test)]
@@ -37,19 +39,17 @@ pub struct DbManager {
 }
 
 impl DbManager {
-    /// An empty repository.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Routes execution spans into the hub.
-    pub(crate) fn attach_obs(&self, obs: Arc<gae_obs::ObsHub>) {
-        *self.obs.write() = Some(obs);
-    }
-
-    /// Routes terminal task outcomes into the columnar history store.
-    pub(crate) fn attach_history(&self, hist: Arc<HistFunnel>) {
-        *self.hist.write() = Some(hist);
+    /// An empty repository over the stack's hub, funnel and journal.
+    pub(crate) fn new(plumbing: &Plumbing) -> Self {
+        DbManager {
+            snapshots: RwLock::default(),
+            by_job: RwLock::default(),
+            journal: plumbing.journal.clone(),
+            obs: plumbing.obs.clone(),
+            hist: plumbing.hist.clone(),
+            #[cfg(test)]
+            on_store: RwLock::default(),
+        }
     }
 
     /// Stores the monitoring snapshot, then appends its columnar
@@ -57,17 +57,12 @@ impl DbManager {
     /// `jobmon` then `hist` and replay applies them identically.
     pub fn store_with_history(&self, info: JobMonitoringInfo, row: HistRecord) {
         self.store(info);
-        if let Some(hist) = self.hist.read().clone() {
-            hist.ingest(row);
-        }
+        self.hist.ingest(row);
     }
 
-    /// Stores (or refreshes) a snapshot and logs it to the WAL when
-    /// persistence is attached.
+    /// Stores (or refreshes) a snapshot and journals it.
     pub fn store(&self, info: JobMonitoringInfo) {
-        if let Some(p) = self.persist.read().as_ref() {
-            p.log(&info);
-        }
+        self.journal.log(&info);
         #[cfg(test)]
         if let Some(hook) = self.on_store.read().as_ref() {
             hook(&info);
@@ -92,10 +87,8 @@ impl DbManager {
     /// Adds the run to the task's causal tree, from the snapshot's
     /// own instants.
     fn observe(&self, info: &JobMonitoringInfo) {
-        let Some(hub) = self.obs.read().clone() else {
-            return;
-        };
         if let Some(started) = info.started_at {
+            let hub = &self.obs;
             let root = hub.task_trace(
                 info.task.raw(),
                 &format!("task {}/{}", info.job, info.task),
@@ -180,11 +173,6 @@ impl Journal for JobMonitoringInfo {
 }
 
 impl Machine for DbManager {
-    /// Routes every future [`DbManager::store`] through the WAL.
-    fn attach(&self, persistence: &Arc<Persistence>) {
-        *self.persist.write() = Some(persistence.clone());
-    }
-
     fn owns(&self) -> Owns {
         (JobMonitoringInfo::KINDS, &["jobmon"])
     }
@@ -217,6 +205,17 @@ mod tests {
     /// What [`DbManager::on_store`] installs.
     pub(super) type StoreHook = Box<dyn Fn(&JobMonitoringInfo) + Send + Sync>;
 
+    fn db() -> DbManager {
+        let clock: Arc<dyn gae_types::Clock> = Arc::new(gae_types::ManualClock::default());
+        let journal = Arc::new(JournalSlot::default());
+        DbManager::new(&Plumbing {
+            hist: HistFunnel::new(gae_hist::HistConfig::default(), journal.clone()),
+            journal,
+            gate: gae_gate::Gate::new(Default::default(), clock.clone()),
+            obs: gae_obs::ObsHub::new(clock),
+        })
+    }
+
     fn info(job: u64, task: u64, status: TaskStatus) -> JobMonitoringInfo {
         JobMonitoringInfo {
             job: JobId::new(job),
@@ -243,7 +242,7 @@ mod tests {
 
     #[test]
     fn store_and_get() {
-        let db = DbManager::new();
+        let db = db();
         assert!(db.is_empty());
         db.store(info(1, 1, TaskStatus::Completed));
         assert_eq!(
@@ -256,7 +255,7 @@ mod tests {
 
     #[test]
     fn refresh_replaces() {
-        let db = DbManager::new();
+        let db = db();
         db.store(info(1, 1, TaskStatus::Running));
         db.store(info(1, 1, TaskStatus::Completed));
         assert_eq!(db.len(), 1);
@@ -268,7 +267,7 @@ mod tests {
 
     #[test]
     fn job_index() {
-        let db = DbManager::new();
+        let db = db();
         db.store(info(1, 1, TaskStatus::Completed));
         db.store(info(1, 2, TaskStatus::Failed));
         db.store(info(2, 3, TaskStatus::Completed));

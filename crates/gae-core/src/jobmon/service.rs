@@ -1,7 +1,7 @@
 //! The Job Monitoring Service and its JMExecutable RPC facade.
 
 use crate::estimator::EstimatorService;
-use crate::grid::Grid;
+use crate::grid::{Grid, Plumbing};
 use crate::jobmon::collector::JobInformationCollector;
 use crate::jobmon::db::DbManager;
 use crate::jobmon::info::JobMonitoringInfo;
@@ -17,9 +17,14 @@ pub struct JobMonitoringService {
 }
 
 impl JobMonitoringService {
-    /// Wires collector + DBManager + JMManager over the grid.
-    pub fn new(grid: Arc<Grid>, estimators: Arc<EstimatorService>) -> Self {
-        let db = DbManager::new();
+    /// Wires collector + DBManager + JMManager over the grid; the
+    /// DBManager reports into the stack's hub, funnel and journal.
+    pub(crate) fn new(
+        grid: Arc<Grid>,
+        estimators: Arc<EstimatorService>,
+        plumbing: &Plumbing,
+    ) -> Self {
+        let db = DbManager::new(plumbing);
         let collector = JobInformationCollector::new(grid, estimators);
         JobMonitoringService {
             manager: JmManager::new(db, collector),
@@ -112,16 +117,6 @@ impl JobMonitoringService {
     }
 
     // ---- durability hooks ----
-
-    /// Routes execution spans into the hub.
-    pub(crate) fn attach_obs(&self, obs: Arc<gae_obs::ObsHub>) {
-        self.manager.db().attach_obs(obs);
-    }
-
-    /// Routes terminal task outcomes into the columnar history store.
-    pub(crate) fn attach_history(&self, hist: Arc<crate::hist::HistFunnel>) {
-        self.manager.db().attach_history(hist);
-    }
 
     /// Deterministic export of the whole repository: jobs id-sorted,
     /// tasks in insertion order (snapshot encoding + crash digests).

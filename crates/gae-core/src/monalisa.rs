@@ -244,7 +244,8 @@ mod tests {
         let repo = MonAlisaRepository::with_defaults();
         let svc = MonAlisaRpc::new(repo.clone());
         for t in 1..=5u64 {
-            repo.publish_site_load(SiteId::new(1), SimTime::from_secs(t), t as f64);
+            let load = MetricKey::site_wide(SiteId::new(1), "cpu_load");
+            repo.publish_metric(load, SimTime::from_secs(t), t as f64);
         }
         let r = svc
             .call(

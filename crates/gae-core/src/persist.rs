@@ -32,7 +32,7 @@ use gae_repl::ReplicationSink;
 use gae_types::{GaeError, GaeResult, SimDuration, SimTime, TaskId};
 use gae_wire::writer::write_value;
 use gae_wire::{parse_value_document, Value};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -73,7 +73,29 @@ impl PersistenceConfig {
     }
 }
 
-/// Shared handle the services log through. One per grid.
+/// The one journal handle a stack's services share. Logging through
+/// it does nothing until the stack arms it with its durable store.
+#[derive(Default)]
+pub struct JournalSlot(RwLock<Option<Arc<Persistence>>>);
+
+impl JournalSlot {
+    pub(crate) fn arm(&self, persistence: Arc<Persistence>) {
+        *self.0.write() = Some(persistence);
+    }
+
+    pub(crate) fn persistence(&self) -> Option<Arc<Persistence>> {
+        self.0.read().clone()
+    }
+
+    pub(crate) fn log(&self, op: &impl Journal) {
+        if let Some(p) = self.0.read().as_ref() {
+            p.log(op);
+        }
+    }
+}
+
+/// The durable store a stack's [`JournalSlot`] is armed with. One per
+/// grid.
 pub struct Persistence {
     store: Mutex<DurableStore>,
     /// Records appended since the last commit took its batch. Its lock
@@ -312,10 +334,6 @@ pub(crate) type Install<'a> = Box<dyn FnOnce() -> GaeResult<()> + 'a>;
 /// `ServiceStack::machines`; a new subsystem is its own `impl Machine`
 /// plus one entry in that list.
 pub(crate) trait Machine {
-    /// Routes its future mutations through `persistence` (nothing to
-    /// route, for the monitor and quota — steering logs the charges).
-    fn attach(&self, _persistence: &Arc<Persistence>) {}
-
     /// What it owns: the record kinds it replays — its [`Journal`]
     /// type's `KINDS`, none for the monitor, whose state is
     /// snapshot-only — and the snapshot members it streams and

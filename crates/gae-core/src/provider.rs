@@ -263,8 +263,8 @@ mod tests {
     /// The one-pass `score_plan` bids what the per-task loop bids, bid
     /// for bid, and moves `memo_stats` by the same deltas — on sites
     /// with and without history, with queued work of several
-    /// priorities, a dead site and a site restriction, over the
-    /// columnar history (a stack) and over the per-site rings.
+    /// priorities, a dead site and a site restriction, over a stack's
+    /// history and over a hand-fed one.
     #[test]
     fn score_plan_matches_estimate_per_task() {
         let plan_tasks = plan_tasks();
@@ -304,22 +304,35 @@ mod tests {
         assert!(at(0, 3).queue_time > SimDuration::ZERO);
         assert_ne!(at(1, 3).queue_time, at(3, 3).queue_time);
 
-        // The ring path: fresh estimators fed the same completions.
-        let rings = || {
-            let estimators = Arc::new(EstimatorService::new(a.grid.clone()));
+        // Another history: fresh estimators over a fresh funnel that
+        // holds only three completions of task 0's metadata at sites 1
+        // and 2.
+        let fresh = || {
+            let hist = crate::hist::HistFunnel::new(Default::default(), Default::default());
+            let meta = TaskMeta::from_spec(tasks[0]);
             for site in [1, 2] {
                 for secs in [40, 45, 50] {
-                    let meta = TaskMeta::from_spec(tasks[0]);
-                    estimators.observe_completion(
-                        SiteId::new(site),
-                        meta,
-                        SimDuration::from_secs(secs),
-                    );
+                    hist.ingest(gae_hist::HistRecord {
+                        task: 0,
+                        site,
+                        nodes: meta.nodes as u64,
+                        submit_us: 0,
+                        start_us: 0,
+                        finish_us: 0,
+                        runtime_us: secs * 1_000_000,
+                        success: true,
+                        account: meta.account.clone(),
+                        login: meta.login.clone(),
+                        executable: meta.executable.clone(),
+                        queue: meta.queue.clone(),
+                        partition: meta.partition.clone(),
+                        job_type: meta.job_type.to_string(),
+                    });
                 }
             }
-            estimators
+            Arc::new(EstimatorService::new(a.grid.clone(), hist))
         };
-        check(&info(&a, &rings()), &info(&a, &rings()));
+        check(&info(&a, &fresh()), &info(&a, &fresh()));
         // An unknown site fails the same way on the per-task path.
         assert!(oracle.estimate(SiteId::new(9), tasks[0]).is_err());
     }

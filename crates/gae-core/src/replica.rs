@@ -17,7 +17,7 @@
 //! lands them during [`Grid::advance_to`], no catalog poll needed.
 
 use crate::grid::Grid;
-use crate::persist::{self, array_of, Install, Journal, Machine, MemberWriter, Owns, Persistence};
+use crate::persist::{self, array_of, Install, Journal, Machine, MemberWriter, Owns};
 use gae_rpc::{Method, Methods};
 use gae_types::{FileRef, GaeError, GaeResult, SimTime, SiteId, TaskSpec};
 use gae_wire::Value;
@@ -239,15 +239,11 @@ impl Journal for JournalOp {
 
 /// The grid is the transfer scheduler's machine: it owns the
 /// scheduler's lock, and every call through it drains the
-/// scheduler's updates into the execution services.
+/// scheduler's updates into the execution services. The scheduler
+/// journals through a callback over the stack's journal slot,
+/// installed once by `ServiceStack::assemble`: gae-xfer knows nothing
+/// of the WAL.
 impl Machine for Grid {
-    /// The scheduler journals through a callback: gae-xfer knows
-    /// nothing of the WAL.
-    fn attach(&self, persistence: &Arc<Persistence>) {
-        let p = persistence.clone();
-        self.with_xfer(|x| x.set_journal(Box::new(move |op| p.log(op))));
-    }
-
     fn owns(&self) -> Owns {
         (JournalOp::KINDS, &["xfer"])
     }

@@ -3,10 +3,11 @@
 
 use crate::estimator::EstimatorService;
 use crate::grid::Grid;
+use crate::grid::Plumbing;
 use crate::jobmon::JobMonitoringInfo;
 use crate::jobmon::JobMonitoringService;
 use crate::persist::{
-    array_of, section, Install, Journal, Machine, MemberWriter, Owns, Persistence,
+    array_of, section, Install, Journal, JournalSlot, Machine, MemberWriter, Owns,
 };
 use crate::quota::{ChargeRecord, QuotaService};
 use crate::steering::round::{InFlight, RoundIndex};
@@ -175,14 +176,13 @@ pub struct SteeringService {
     notifications: Mutex<Vec<Notification>>,
     moves: Mutex<Vec<MoveRecord>>,
     execution_states: Mutex<HashMap<TaskId, ExecutionState>>,
-    persist: RwLock<Option<Arc<Persistence>>>,
+    journal: Arc<JournalSlot>,
     /// The gate whose circuit breakers guard downstream calls
-    /// (execution sites and the scheduler). Installed by the
-    /// composition root; absent in bare unit-test wirings.
-    gate: RwLock<Option<Arc<gae_gate::Gate>>>,
-    /// The observability hub spans and lifecycle marks go to.
-    /// Installed by the composition root; absent in bare wirings.
-    obs: RwLock<Option<Arc<gae_obs::ObsHub>>>,
+    /// (execution sites and the scheduler).
+    gate: Arc<gae_gate::Gate>,
+    /// The observability hub: every submission roots (or extends) the
+    /// task's TaskId-derived trace.
+    obs: Arc<gae_obs::ObsHub>,
     /// Site-lock probes the last round made (its cost, as a count).
     last_round_probes: AtomicU64,
 }
@@ -200,14 +200,16 @@ struct RoundScratch {
 }
 
 impl SteeringService {
-    /// Wires the service over its collaborators (Figure 1).
-    pub fn new(
+    /// Wires the service over its collaborators (Figure 1) and the
+    /// stack's plumbing.
+    pub(crate) fn new(
         grid: Arc<Grid>,
         scheduler: Arc<Scheduler>,
         jobmon: Arc<JobMonitoringService>,
         estimators: Arc<EstimatorService>,
         quota: Arc<QuotaService>,
         policy: SteeringPolicy,
+        plumbing: &Plumbing,
     ) -> Self {
         SteeringService {
             grid,
@@ -223,27 +225,11 @@ impl SteeringService {
             notifications: Mutex::new(Vec::new()),
             moves: Mutex::new(Vec::new()),
             execution_states: Mutex::new(HashMap::new()),
-            persist: RwLock::new(None),
-            gate: RwLock::new(None),
-            obs: RwLock::new(None),
+            journal: plumbing.journal.clone(),
+            gate: plumbing.gate.clone(),
+            obs: plumbing.obs.clone(),
             last_round_probes: AtomicU64::new(0),
         }
-    }
-
-    /// Installs the gate whose breaker bank guards downstream calls.
-    pub(crate) fn attach_gate(&self, gate: Arc<gae_gate::Gate>) {
-        *self.gate.write() = Some(gate);
-    }
-
-    /// Installs the observability hub: every submission from here on
-    /// roots (or extends) the task's TaskId-derived trace.
-    pub(crate) fn attach_obs(&self, obs: Arc<gae_obs::ObsHub>) {
-        *self.obs.write() = Some(obs);
-    }
-
-    /// The breaker key for an execution site.
-    fn exec_breaker_key(site: SiteId) -> String {
-        format!("exec-site-{}", site.raw())
     }
 
     // ---- durability (Backup & Recovery's persistent half) ----
@@ -252,7 +238,7 @@ impl SteeringService {
     /// *after* the mutation, with no job lock held; a job that is gone
     /// by then logs nothing.
     fn log(&self, job_id: JobId, op: impl FnOnce(&TrackedJob) -> Option<SteeringOp<'_>>) {
-        let Some(p) = self.persist.read().clone() else {
+        let Some(p) = self.journal.persistence() else {
             return;
         };
         if let Some(op) = self.jobs.read().get(&job_id).and_then(op) {
@@ -406,34 +392,25 @@ impl SteeringService {
         // The site's circuit breaker: a site that failed its last N
         // submissions is not re-contacted until its cooldown probe —
         // the typed Overloaded error routes recovery elsewhere.
-        let gate = self.gate.read().clone();
-        if let Some(gate) = &gate {
-            match gate.breaker_check(
-                &Self::exec_breaker_key(site),
-                gae_gate::GateClass::Production,
-            ) {
-                Ok(()) => gate.observe_disposition("admit", SimDuration::ZERO),
-                Err(e) => {
-                    gate.observe_disposition("breaker_denied", SimDuration::ZERO);
-                    return Err(e);
-                }
+        let (gate, breaker) = (&self.gate, format!("exec-site-{}", site.raw()));
+        match gate.breaker_check(&breaker, gae_gate::GateClass::Production) {
+            Ok(()) => gate.observe_disposition("admit", SimDuration::ZERO),
+            Err(e) => {
+                gate.observe_disposition("breaker_denied", SimDuration::ZERO);
+                return Err(e);
             }
         }
         let submitted = self.grid.submit(site, spec, checkpoint);
-        if let Some(gate) = &gate {
-            gate.breaker_record(&Self::exec_breaker_key(site), submitted.is_ok());
-        }
+        gate.breaker_record(&breaker, submitted.is_ok());
         let condor = submitted?;
         self.estimators.record_submission(site, condor, estimate);
         // Root the task's causal tree on its TaskId, so every attempt
         // lands in one tree, and record the hand-off. Placement and
         // admission resolve within this same virtual instant, so one
         // span covers all three.
-        if let Some(hub) = self.obs.read().clone() {
-            let now = self.grid.now();
-            let root = hub.task_trace(task.raw(), &format!("task {job_id}/{task}"), now);
-            hub.span_at(root, &format!("steer.submit site-{}", site.raw()), now);
-        }
+        let (hub, now) = (&self.obs, self.grid.now());
+        let root = hub.task_trace(task.raw(), &format!("task {job_id}/{task}"), now);
+        hub.span_at(root, &format!("steer.submit site-{}", site.raw()), now);
         self.set_phase(job_id, task, TaskPhase::Submitted { site, condor });
         self.log(job_id, |j| SteeringOp::task_of(j, task));
         Ok(())
@@ -827,14 +804,12 @@ impl SteeringService {
         // Accounting: charge the owner for the CPU actually used. The
         // charged amount is logged verbatim so replay never re-quotes.
         if let Ok(amount) = self.quota.charge(info.owner, site, info.cpu_time) {
-            if let Some(p) = self.persist.read().as_ref() {
-                p.log(&ChargeRecord {
-                    user: info.owner,
-                    site,
-                    cpu_time: info.cpu_time,
-                    amount,
-                });
-            }
+            self.journal.log(&ChargeRecord {
+                user: info.owner,
+                site,
+                cpu_time: info.cpu_time,
+                amount,
+            });
         }
         self.collect_execution_state(task, site, info);
         // Backup & Recovery collected the state: the submission-time
@@ -844,11 +819,9 @@ impl SteeringService {
         // pins so the replicas become evictable.
         self.grid.release_task_data(site, info.condor);
         // Close the task's causal tree with the collection step.
-        if let Some(hub) = self.obs.read().clone() {
-            let now = self.grid.now();
-            let root = hub.task_trace(task.raw(), &format!("task {job_id}/{task}"), now);
-            hub.span_at(root, "steer.collect", now);
-        }
+        let (hub, now) = (&self.obs, self.grid.now());
+        let root = hub.task_trace(task.raw(), &format!("task {job_id}/{task}"), now);
+        hub.span_at(root, "steer.collect", now);
         // Completion may unblock successors.
         let _ = self.submit_ready(job_id);
     }
@@ -991,19 +964,15 @@ impl SteeringService {
         // The scheduler's breaker: a scheduler failing every
         // reschedule in a row is left alone for a cooldown instead of
         // being hammered once per recovery.
-        let gate = self.gate.read().clone();
-        if let Some(gate) = &gate {
-            if let Err(e) = gate.breaker_check("sched", gae_gate::GateClass::Production) {
-                self.fail_task(job_id, task, &format!("scheduler breaker open: {e}"));
-                return;
-            }
+        let gate = &self.gate;
+        if let Err(e) = gate.breaker_check("sched", gae_gate::GateClass::Production) {
+            self.fail_task(job_id, task, &format!("scheduler breaker open: {e}"));
+            return;
         }
         let rescheduled = self
             .scheduler
             .reschedule_task(&plan, task, &[failed_site], preference);
-        if let Some(gate) = &gate {
-            gate.breaker_record("sched", rescheduled.is_ok());
-        }
+        gate.breaker_record("sched", rescheduled.is_ok());
         match rescheduled {
             Ok(new_plan) => {
                 // `reschedule_task` answers `plan.reassigned(task, ..)`, an
@@ -1191,10 +1160,6 @@ impl SteeringService {
 /// submitting anything — submissions are re-armed explicitly, once,
 /// after replay finishes (`rearm_submitted`).
 impl Machine for SteeringService {
-    fn attach(&self, persistence: &Arc<Persistence>) {
-        *self.persist.write() = Some(persistence.clone());
-    }
-
     fn owns(&self) -> Owns {
         (SteeringOp::KINDS, &["steering"])
     }

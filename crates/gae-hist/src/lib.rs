@@ -3,7 +3,8 @@
 //! ROADMAP item 4 scaled up: the Job Monitoring Service's repository
 //! keeps every terminal task outcome, and the Estimator Service's
 //! similar-task matcher (§6.1) regresses over it — at millions of
-//! jobs, not the ~10⁴-entry ring the per-site [`HistoryStore`] holds.
+//! jobs. (gae-core's bounded `HistoryStore` ring holds only Figure 5's,
+//! the ablations' and the oracles' histories.)
 //! The design follows the usual analytics split:
 //!
 //! * **Struct-of-arrays segments.** Rows are decomposed into

@@ -63,12 +63,6 @@ impl MonAlisaRepository {
         self.metrics.write().publish_ids(at, ids, values)
     }
 
-    /// Publishes a site's farm-wide CPU load (what the scheduler reads
-    /// in §6.1 step d).
-    pub fn publish_site_load(&self, site: SiteId, at: SimTime, load: f64) {
-        self.publish_metric(MetricKey::site_wide(site, "cpu_load"), at, load);
-    }
-
     /// Latest farm-wide CPU load of a site.
     pub fn site_load(&self, site: SiteId) -> Option<f64> {
         let (farm, cpu_load) = &self.farm_load;
@@ -127,8 +121,9 @@ mod tests {
     fn site_load_roundtrip() {
         let repo = MonAlisaRepository::with_defaults();
         assert!(repo.site_load(SiteId::new(1)).is_none());
-        repo.publish_site_load(SiteId::new(1), SimTime::from_secs(1), 2.5);
-        repo.publish_site_load(SiteId::new(1), SimTime::from_secs(2), 3.5);
+        let load = MetricKey::site_wide(SiteId::new(1), "cpu_load");
+        repo.publish_metric(load.clone(), SimTime::from_secs(1), 2.5);
+        repo.publish_metric(load, SimTime::from_secs(2), 3.5);
         assert_eq!(repo.site_load(SiteId::new(1)), Some(3.5));
         assert!(repo.site_load(SiteId::new(2)).is_none());
     }
@@ -136,7 +131,8 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_restores_metrics() {
         let repo = MonAlisaRepository::new(8);
-        repo.publish_site_load(SiteId::new(2), SimTime::from_secs(3), 1.25);
+        let load = MetricKey::site_wide(SiteId::new(2), "cpu_load");
+        repo.publish_metric(load, SimTime::from_secs(3), 1.25);
         let (series, total) = repo.metrics_snapshot();
         let fresh = MonAlisaRepository::new(8);
         fresh.restore_metrics(series, total);
@@ -152,7 +148,8 @@ mod tests {
             let repo = repo.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..250 {
-                    repo.publish_site_load(SiteId::new(t), SimTime::from_secs(i), i as f64);
+                    let load = MetricKey::site_wide(SiteId::new(t), "cpu_load");
+                    repo.publish_metric(load, SimTime::from_secs(i), i as f64);
                     let _ = repo.site_load(SiteId::new(t));
                 }
             }));

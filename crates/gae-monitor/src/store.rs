@@ -130,7 +130,7 @@ pub struct TimeSeriesStore {
 impl TimeSeriesStore {
     /// Creates a store keeping at most `capacity` samples per metric.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "store capacity must be positive");
+        assert!(capacity > 0, "invariant: store capacity must be positive");
         TimeSeriesStore {
             ids: HashMap::new(),
             series: Vec::new(),
@@ -205,7 +205,7 @@ impl TimeSeriesStore {
     /// goes to the series `ids[i]` — the same samples in the same
     /// order, with no key hashed or cloned.
     pub fn publish_ids(&mut self, at: SimTime, ids: &[SeriesId], values: &[f64]) -> usize {
-        assert_eq!(ids.len(), values.len(), "one value per series");
+        assert_eq!(ids.len(), values.len(), "invariant: one value per series");
         let mut in_order = 0;
         for (id, value) in ids.iter().zip(values) {
             if self.publish_id(*id, Sample { at, value: *value }) {
@@ -240,35 +240,6 @@ impl TimeSeriesStore {
         } else {
             Some(samples.iter().map(|s| s.value).sum::<f64>() / samples.len() as f64)
         }
-    }
-
-    /// Maximum value over `[from, to]`.
-    pub fn max(&self, key: &MetricKey, from: SimTime, to: SimTime) -> Option<f64> {
-        self.range(key, from, to)
-            .iter()
-            .map(|s| s.value)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
-    /// Minimum value over `[from, to]`.
-    pub fn min(&self, key: &MetricKey, from: SimTime, to: SimTime) -> Option<f64> {
-        self.range(key, from, to)
-            .iter()
-            .map(|s| s.value)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.min(v))))
-    }
-
-    /// The `q`-quantile (0.0–1.0, nearest-rank) of values in
-    /// `[from, to]`.
-    pub fn quantile(&self, key: &MetricKey, from: SimTime, to: SimTime, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        let mut values: Vec<f64> = self.range(key, from, to).iter().map(|s| s.value).collect();
-        if values.is_empty() {
-            return None;
-        }
-        values.sort_by(f64::total_cmp);
-        let rank = ((values.len() as f64 - 1.0) * q).round() as usize;
-        Some(values[rank])
     }
 
     /// Number of samples currently retained for a metric.
@@ -390,35 +361,6 @@ mod tests {
             store.mean(&key(), SimTime::from_secs(5), SimTime::from_secs(10)),
             None
         );
-    }
-
-    #[test]
-    fn aggregations_over_windows() {
-        let mut store = TimeSeriesStore::new(32);
-        for (t, v) in [(1, 4.0), (2, 1.0), (3, 9.0), (4, 2.0), (5, 7.0)] {
-            store.publish(key(), s(t, v));
-        }
-        let all = (SimTime::ZERO, SimTime::from_secs(100));
-        assert_eq!(store.max(&key(), all.0, all.1), Some(9.0));
-        assert_eq!(store.min(&key(), all.0, all.1), Some(1.0));
-        assert_eq!(store.quantile(&key(), all.0, all.1, 0.5), Some(4.0));
-        assert_eq!(store.quantile(&key(), all.0, all.1, 0.0), Some(1.0));
-        assert_eq!(store.quantile(&key(), all.0, all.1, 1.0), Some(9.0));
-        // Narrow window.
-        let w = (SimTime::from_secs(2), SimTime::from_secs(4));
-        assert_eq!(store.max(&key(), w.0, w.1), Some(9.0));
-        assert_eq!(store.min(&key(), w.0, w.1), Some(1.0));
-        // Empty window.
-        let e = (SimTime::from_secs(50), SimTime::from_secs(60));
-        assert_eq!(store.max(&key(), e.0, e.1), None);
-        assert_eq!(store.quantile(&key(), e.0, e.1, 0.5), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile")]
-    fn quantile_range_checked() {
-        let store = TimeSeriesStore::new(4);
-        let _ = store.quantile(&key(), SimTime::ZERO, SimTime::ZERO, 1.5);
     }
 
     #[test]

@@ -75,6 +75,39 @@ fn all_replicas_unreachable_names_the_file() {
     }
 }
 
+// ---- a site the grid lacks ----
+
+/// Site 9 is not in the grid: the runtime estimate and a history seed
+/// there are `NotFound`, every estimate counts one memo miss, and no
+/// row of the seed reaches the history.
+#[test]
+fn a_site_the_grid_lacks_is_not_found() {
+    let grid = GridBuilder::new()
+        .site(SiteDescription::new(sid(1), "a", 2, 1))
+        .site(SiteDescription::new(sid(2), "b", 2, 1))
+        .build();
+    let stack = ServiceStack::over(grid);
+    let spec = TaskSpec::new(TaskId::new(1), "t", "x");
+    let (hits, misses) = stack.estimators.memo_stats();
+    for _ in 0..2 {
+        let err = stack
+            .estimators
+            .estimate_runtime(sid(9), &spec)
+            .unwrap_err();
+        assert!(matches!(err, GaeError::NotFound(_)), "{err:?}");
+    }
+    assert_eq!(stack.estimators.memo_stats(), (hits, misses + 2));
+    let records = gae::trace::WorkloadModel::default().generate(20, 9);
+    let rows = stack.hist.store().rows();
+    let err = stack.estimators.seed_history(sid(9), &records).unwrap_err();
+    assert!(matches!(err, GaeError::NotFound(_)), "{err:?}");
+    assert_eq!(stack.hist.store().rows(), rows);
+    // A site the grid has takes the same seed.
+    let loaded = stack.estimators.seed_history(sid(1), &records).unwrap();
+    assert_eq!(loaded, records.iter().filter(|r| r.success).count());
+    assert_eq!(stack.hist.store().rows(), rows + records.len() as u64);
+}
+
 // ---- submission-estimate lifetime across a full job run ----
 
 #[test]

@@ -383,7 +383,7 @@ proptest! {
         wrap_in_array in any::<bool>(),
         limit in (any::<bool>(), any::<u64>()).prop_map(|(some, v)| some.then_some(v)),
     ) {
-        let funnel = gae::core::HistFunnel::new(HistConfig { segment_rows: 8 });
+        let funnel = gae::core::HistFunnel::new(HistConfig { segment_rows: 8 }, Default::default());
         for t in 0..20u64 {
             funnel.ingest(HistRecord {
                 task: t,
@@ -453,7 +453,7 @@ proptest! {
                 job_type: "batch".into(),
             })
             .collect();
-        let funnel = gae::core::HistFunnel::new(HistConfig { segment_rows });
+        let funnel = gae::core::HistFunnel::new(HistConfig { segment_rows }, Default::default());
         for r in &records {
             funnel.ingest(r.clone());
         }

@@ -8,7 +8,7 @@
 //! (once the stack's journal slot is armed), so the store's contents
 //! — segment boundaries included — are a pure function of the
 //! journal. Crash recovery and replication followers replay the same
-//! ops through the funnel's [`Machine`] impl and rebuild
+//! ops through the funnel's `Machine` impl and rebuild
 //! byte-identical segments; see DESIGN.md §14.
 
 use crate::persist::{self, Install, Journal, JournalSlot, Machine, MemberWriter, Owns};

@@ -7,7 +7,7 @@
 //! same repository over the wire.
 //!
 //! The repository is also a journaled subsystem's state: its metric
-//! rings are snapshot members it owns ([`Machine`]), though it
+//! rings are snapshot members it owns (`Machine`), though it
 //! journals no records of its own. A job's state-change history is
 //! not kept here: `jobmon.job_tasks` answers it from the DBManager.
 

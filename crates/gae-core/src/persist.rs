@@ -16,12 +16,12 @@
 //! formatting makes the encoding bit-exact, which the crash-equivalence
 //! tests rely on.
 //!
-//! A journaled subsystem is a [`Machine`]: its [`Journal`] mutation
+//! A journaled subsystem is a `Machine`: its `Journal` mutation
 //! type owns some record kinds and carries their codec, and the machine
 //! owns some members of the snapshot document. The codecs live in the
 //! subsystems' own modules, next to the types they encode; this module
 //! holds the traits, [`Persistence`], and the snapshot loop
-//! [`encode_snapshot`] over [`ServiceStack::machines`] — replay and
+//! `encode_snapshot` over `ServiceStack::machines` — replay and
 //! restore are the loops of `replication.rs`.
 //!
 //! [`ServiceStack::machines`]: crate::grid::ServiceStack

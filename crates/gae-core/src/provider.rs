@@ -129,11 +129,11 @@ impl SiteInfoProvider for GridSiteInfo {
     }
 
     /// One pass over the grid. Per task: one [`TaskMeta`] and one
-    /// [`TaskFacts`] for the whole plan. Per site: MonALISA's load,
+    /// `TaskFacts` for the whole plan. Per site: MonALISA's load,
     /// then one exec lock for liveness, the fallback load and one
     /// backlog read per distinct priority of the plan (lock order
     /// monitor → exec; no estimator or memo lock is taken under it),
-    /// then one quota read and one [`EstimatorService::estimate_metas`].
+    /// then one quota read and one `EstimatorService::estimate_metas`.
     fn score_plan(
         &self,
         tasks: &[&TaskSpec],

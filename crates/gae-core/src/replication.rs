@@ -1,7 +1,7 @@
 //! The service stack's replay, restore and digest.
 //!
 //! DESIGN.md §13: these methods are the loop over
-//! [`ServiceStack::machines`] — a committed record goes to the one
+//! `ServiceStack::machines` — a committed record goes to the one
 //! machine whose journal owns its kind, a snapshot is every machine's
 //! members in name order, and a restore decodes every machine's
 //! members before it installs any. No subsystem is named here: each
@@ -13,7 +13,7 @@
 //! directory recovers through this same code to what the dead leader's
 //! would have.
 //!
-//! [`ObsSink`] is the instrumentation shim
+//! `ObsSink` is the instrumentation shim
 //! [`ServiceStack::attach_replication`] wraps around the real sink:
 //! `repl.*` spans per commit and a commit-spacing histogram under
 //! entity `repl`, measured on the grid's virtual clock.
@@ -62,7 +62,7 @@ impl ServiceStack {
     /// publication, no logging). Every member is decoded before any is
     /// installed, so a payload that fails to decode leaves the stack as
     /// it was; the one install that can fail runs first (see
-    /// [`ServiceStack::machines`]).
+    /// `ServiceStack::machines`).
     pub fn restore(&self, snapshot: &[u8]) -> GaeResult<()> {
         let doc = persist::decode_snapshot(snapshot)?;
         let machines = self.machines();

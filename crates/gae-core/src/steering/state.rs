@@ -4,7 +4,7 @@
 //! The Subscriber analyzes the received job plan to get the list of
 //! Execution Services to be used for the execution of the job."
 //!
-//! The bookkeeping is journaled: [`SteeringOp`] is its WAL language,
+//! The bookkeeping is journaled: `SteeringOp` is its WAL language,
 //! and its codecs — a plan with its job spec, a task's phase and
 //! counters, a whole tracked job for the snapshot — live here.
 

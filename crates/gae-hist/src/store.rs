@@ -85,7 +85,7 @@ pub struct RowView<'a> {
 }
 
 impl RowView<'_> {
-    /// Value of numeric column `col` (see [`crate::schema::num`]).
+    /// Value of numeric column `col` (see `schema::num`).
     pub fn num(&self, col: usize) -> u64 {
         self.seg.num_at(col, self.row)
     }

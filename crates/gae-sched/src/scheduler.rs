@@ -82,7 +82,7 @@ impl Scheduler {
     ///   (the external queue estimate cannot see them — none are
     ///   submitted yet);
     /// * **colocation**: dependent tasks prefer their prerequisites'
-    ///   sites within [`COLOCATION_TOLERANCE`].
+    ///   sites within `COLOCATION_TOLERANCE`.
     pub fn schedule(&self, plan: &AbstractPlan) -> GaeResult<ConcretePlan> {
         plan.job.validate()?;
         let order = plan.job.topological_order()?;

@@ -6,10 +6,12 @@
 //! sites:
 //!
 //! - **Per-link fair-share bandwidth.** Concurrent transfers draining
-//!   over the same directed link split its capacity equally; arrival
-//!   times are re-integrated on the grid clock whenever a transfer
-//!   starts or finishes, so a second transfer on a link roughly
-//!   doubles the first one's remaining drain time.
+//!   over the same directed link split its capacity equally. Each busy
+//!   link is anchored at its last membership change, and a transfer's
+//!   bytes left and arrival are closed-form reads from that anchor; a
+//!   transfer starting or finishing re-anchors the link, so a second
+//!   transfer on a link roughly doubles the first one's remaining
+//!   drain time.
 //! - **Bounded retry with exponential backoff.** Link faults are
 //!   injectable ([`XferScheduler::fail_link`]); a transfer that hits
 //!   a dead link backs off `base · 2^(attempt-1)` and re-picks the

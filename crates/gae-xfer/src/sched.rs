@@ -2,19 +2,24 @@
 //! byte moving between sites.
 //!
 //! Concurrent transfers draining over the same directed link split
-//! its bandwidth equally; the scheduler advances by firing internal
-//! events (drain completions, latency-tail landings, backoff
-//! expiries) in `(time, transfer-id)` order and re-integrating the
-//! fluid state between them. All containers are ordered and no wall
-//! clock or RNG is consulted, so the same workload produces
-//! byte-identical schedules in both driver modes.
+//! its bandwidth equally. Each busy link holds an anchor: the instant
+//! its membership last changed, at which every member's bytes left
+//! were stamped. Bytes left later are one closed-form read, so the
+//! anchor moves only when a transfer joins or leaves the link (per-link
+//! virtual time, as in GPS fair queueing). The scheduler advances by
+//! firing internal events (drain completions, latency-tail landings,
+//! backoff expiries) in `(time, transfer-id)` order and touches nothing
+//! between them: one `advance_to(t)` leaves the state any chain of
+//! intermediate advances to `t` leaves. All containers are ordered and
+//! no wall clock or RNG is consulted, so the same workload produces
+//! byte-identical schedules run to run.
 
 use crate::storage::SiteStore;
 use crate::{
     JournalOp, TransferRecord, XferConfig, XferCounters, XferEvent, XferExport, XferMetrics,
     XferUpdate,
 };
-use gae_sim::NetworkModel;
+use gae_sim::{Link, NetworkModel};
 use gae_types::{FileRef, GaeError, GaeResult, SimDuration, SimTime, SiteId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -29,9 +34,10 @@ struct FileEntry {
 enum TState {
     /// Chained behind another transfer; not yet attempted.
     Waiting,
-    /// Draining its `remaining` bytes over its link (shares
-    /// bandwidth); every entry restarts from the whole file.
-    Active { remaining: f64 },
+    /// Draining over its link (shares bandwidth): `left` bytes
+    /// remained at the link's [`Share::since`]. Every entry restarts
+    /// from the whole file.
+    Active { left: f64 },
     /// Bytes fully drained; fixed latency tail until landing. The
     /// tail does not occupy link bandwidth.
     Latency { until: SimTime },
@@ -66,11 +72,50 @@ impl Transfer {
     }
 
     /// Bumps the generation, killing older heap entries, and pushes
-    /// the one live entry at `due`.
-    fn restamp(&mut self, id: u64, due: SimTime, events: &mut EventHeap) {
+    /// the one live entry at `due`. A chain's projection reads only
+    /// its live transfer's stamp, so this marks the chain dirty.
+    fn restamp(&mut self, id: u64, due: SimTime, heap: &mut EventHeap, dirty: &mut BTreeSet<u64>) {
         self.gen += 1;
-        events.push(Reverse((due, id, self.gen)));
+        heap.push(Reverse((due, id, self.gen)));
+        dirty.extend(self.chain);
     }
+}
+
+/// A busy link's fair-share anchor: every member drains at
+/// `bandwidth / members.len()`, and its `TState::Active { left }` is
+/// the bytes it had left at `since`.
+struct Share {
+    since: SimTime,
+    members: BTreeSet<u64>,
+}
+
+impl Share {
+    /// Moves the anchor to `now`: each member's `left` becomes the
+    /// bytes it has left then, clamped at zero.
+    fn settle(&mut self, now: SimTime, link: Link, transfers: &mut BTreeMap<u64, Transfer>) {
+        let dt = now.saturating_since(self.since).as_secs_f64();
+        if dt > 0.0 {
+            let drain = link.bandwidth_bps() * dt / self.members.len() as f64;
+            for id in &self.members {
+                if let Some(TState::Active { left }) = transfers.get_mut(id).map(|t| &mut t.state) {
+                    *left = (*left - drain).max(0.0);
+                }
+            }
+        }
+        self.since = now;
+    }
+}
+
+/// Seconds to drain `bytes` as one of `n` equal shares of `link`.
+fn drain_secs(bytes: f64, n: usize, link: Link) -> f64 {
+    bytes * n as f64 / link.bandwidth_bps()
+}
+
+/// When a transfer with `left` bytes at `since`, one of `n` members
+/// of `link`, finishes draining: the heap's due time, the projection
+/// and the naive oracle all read this one closed form.
+fn due(since: SimTime, left: f64, n: usize, link: Link) -> SimTime {
+    since + SimDuration::from_secs_f64(drain_secs(left, n, link))
 }
 
 /// One task's input-staging chain: transfers run sequentially, every
@@ -105,16 +150,19 @@ pub struct XferScheduler {
     /// Min-heap of `(due, transfer-id, generation)` over every
     /// scheduled internal event, with lazy invalidation: an entry is
     /// live only while the transfer exists, is not `Waiting`, and its
-    /// generation matches. Active-transfer due times are *absolute*
-    /// and stay valid across fluid integration while the link's
-    /// membership is unchanged (all members drain at the same rate),
-    /// so only membership changes force a link-wide reschedule.
+    /// generation matches. An active transfer's due time is read from
+    /// its link's anchor, which only a membership change moves, so
+    /// only a membership change forces a link-wide reschedule.
     events: EventHeap,
-    /// Active transfers indexed by directed link — the fair-share
-    /// denominator, maintained instead of recounted per query.
-    active: BTreeMap<(SiteId, SiteId), BTreeSet<u64>>,
+    /// Active transfers indexed by directed link, with the link's
+    /// anchor — the fair-share denominator, maintained instead of
+    /// recounted per query.
+    active: BTreeMap<(SiteId, SiteId), Share>,
     next_id: u64,
     chains: BTreeMap<u64, Chain>,
+    /// Tokens of chains whose projection may have moved since the
+    /// last [`XferScheduler::advance_to`]: restamped or bound.
+    dirty: BTreeSet<u64>,
     chain_of: BTreeMap<(SiteId, u64), u64>,
     next_token: u64,
     pending: BTreeSet<(String, SiteId)>,
@@ -122,7 +170,6 @@ pub struct XferScheduler {
     lru_seq: u64,
     history: VecDeque<TransferRecord>,
     counters: XferCounters,
-    landed_total: u64,
     updates: Vec<XferUpdate>,
     observer: Option<EventSink>,
     journal: Option<JournalSink>,
@@ -147,6 +194,7 @@ impl XferScheduler {
             active: BTreeMap::new(),
             next_id: 1,
             chains: BTreeMap::new(),
+            dirty: BTreeSet::new(),
             chain_of: BTreeMap::new(),
             next_token: 1,
             pending: BTreeSet::new(),
@@ -154,7 +202,6 @@ impl XferScheduler {
             lru_seq: 0,
             history: VecDeque::new(),
             counters: XferCounters::default(),
-            landed_total: 0,
             updates: Vec::new(),
             observer: None,
             journal: None,
@@ -203,49 +250,52 @@ impl XferScheduler {
             .or_insert_with(|| SiteStore::new(budget))
     }
 
-    fn link_down(&self, from: SiteId, to: SiteId) -> bool {
-        self.blocked.contains(&(from, to))
-    }
-
     // ---- event heap ----
 
-    /// Reschedules every active transfer on a directed link — the
-    /// fair-share denominator changed, so every member's absolute
-    /// due time moved.
+    /// Reschedules every active transfer on a directed link — its
+    /// anchor moved, so every member's absolute due time moved.
     fn reschedule_link(&mut self, from: SiteId, to: SiteId) {
-        let Some(ids) = self.active.get(&(from, to)) else {
+        let Some(share) = self.active.get(&(from, to)) else {
             return;
         };
         let link = self.network.link(from, to);
-        let n = ids.len() as f64;
-        for id in ids {
+        let n = share.members.len();
+        for id in &share.members {
             if let Some(t) = self.transfers.get_mut(id) {
-                if let TState::Active { remaining } = t.state {
-                    let due =
-                        self.now + SimDuration::from_secs_f64(remaining * n / link.bandwidth_bps());
-                    t.restamp(*id, due, &mut self.events);
+                if let TState::Active { left } = t.state {
+                    let due = due(share.since, left, n, link);
+                    t.restamp(*id, due, &mut self.events, &mut self.dirty);
                 }
             }
         }
     }
 
-    /// Adds a freshly activated transfer to its link's active set and
+    /// Adds a freshly activated transfer (whose `left` is counted from
+    /// now) to its link: settles the members under the old share, then
     /// reschedules the whole link (itself included).
     fn mark_active(&mut self, id: u64, from: SiteId, to: SiteId) {
-        self.active.entry((from, to)).or_default().insert(id);
+        let now = self.now;
+        let share = self.active.entry((from, to)).or_insert_with(|| Share {
+            since: now,
+            members: BTreeSet::new(),
+        });
+        share.settle(now, self.network.link(from, to), &mut self.transfers);
+        share.members.insert(id);
         self.reschedule_link(from, to);
     }
 
-    /// Removes a transfer from its link's active set (if present) and
-    /// reschedules the members left behind.
+    /// Removes a transfer from its link (if a member): settles the
+    /// members under the old share, then reschedules those left.
     fn unmark_active(&mut self, id: u64, from: SiteId, to: SiteId) {
-        let Some(set) = self.active.get_mut(&(from, to)) else {
+        let Some(share) = self.active.get_mut(&(from, to)) else {
             return;
         };
-        if !set.remove(&id) {
+        if !share.members.contains(&id) {
             return;
         }
-        if set.is_empty() {
+        share.settle(self.now, self.network.link(from, to), &mut self.transfers);
+        share.members.remove(&id);
+        if share.members.is_empty() {
             self.active.remove(&(from, to));
         }
         self.reschedule_link(from, to);
@@ -383,14 +433,11 @@ impl XferScheduler {
     /// from the deleted source. Transfers already in their latency
     /// tail have fully drained and complete normally.
     pub fn delete_replica(&mut self, lfn: &str, site: SiteId) -> GaeResult<()> {
-        let Some(entry) = self.files.get_mut(lfn) else {
+        let Some(entry) = self.files.get(lfn) else {
             return Err(GaeError::NotFound(format!("file {lfn}")));
         };
-        if entry.replicas.remove(&site) {
-            let size = entry.size;
-            if let Some(store) = self.stores.get_mut(&site) {
-                store.remove(lfn, size);
-            }
+        if entry.replicas.contains(&site) {
+            self.remove_replica(lfn, site);
             self.emit_journal(JournalOp::Deleted {
                 lfn: lfn.to_string(),
                 site,
@@ -522,6 +569,8 @@ impl XferScheduler {
                 condor,
                 until: self.now,
             });
+        } else {
+            self.dirty.insert(token);
         }
     }
 
@@ -616,12 +665,12 @@ impl XferScheduler {
     /// True when the directed link is faulted or has no usable
     /// bandwidth (the estimator's unreachable path reads this).
     pub fn link_blocked(&self, from: SiteId, to: SiteId) -> bool {
-        self.link_down(from, to)
+        self.blocked.contains(&(from, to))
     }
 
     /// Transfers currently draining over the directed link.
     pub fn active_on(&self, from: SiteId, to: SiteId) -> usize {
-        self.active.get(&(from, to)).map_or(0, |s| s.len())
+        self.active.get(&(from, to)).map_or(0, |s| s.members.len())
     }
 
     // ---- transfer engine ----
@@ -662,9 +711,9 @@ impl XferScheduler {
                 continue;
             }
             let link = self.network.link(s, to);
-            let down = self.link_down(s, to);
-            let n = (self.active_on(s, to) + 1) as f64;
-            let secs = entry.size as f64 * n / link.bandwidth_bps() + link.latency().as_secs_f64();
+            let down = self.link_blocked(s, to);
+            let n = self.active_on(s, to) + 1;
+            let secs = drain_secs(entry.size as f64, n, link) + link.latency().as_secs_f64();
             let better = match best {
                 None => true,
                 Some((bd, bs, _)) => {
@@ -719,7 +768,7 @@ impl XferScheduler {
                 at: self.now,
             });
         }
-        if self.link_down(from, t.to) {
+        if self.link_blocked(from, t.to) {
             return self.retry(id, t, "dead");
         }
         if first {
@@ -742,7 +791,7 @@ impl XferScheduler {
     /// source, pinned there, and reschedules its link.
     fn drain(&mut self, id: u64, mut t: Transfer) {
         t.state = TState::Active {
-            remaining: t.size as f64,
+            left: t.size as f64,
         };
         self.store_mut(t.from).pin(&t.lfn);
         let (from, to) = (t.from, t.to);
@@ -770,7 +819,7 @@ impl XferScheduler {
             .mul_f64((1u64 << (attempt.clamp(1, 20) - 1)) as f64);
         let until = self.now + backoff;
         t.state = TState::Backoff { until };
-        t.restamp(id, until, &mut self.events);
+        t.restamp(id, until, &mut self.events, &mut self.dirty);
         self.transfers.insert(id, t);
         self.counters.retried += 1;
         self.emit(XferEvent::Retried {
@@ -804,7 +853,6 @@ impl XferScheduler {
         });
         self.pending.remove(&(t.lfn.clone(), t.to));
         self.counters.completed += 1;
-        self.landed_total += 1;
         self.push_history(TransferRecord {
             lfn: t.lfn.clone(),
             from: t.from,
@@ -851,24 +899,17 @@ impl XferScheduler {
         let Some(chain) = self.chains.get_mut(&token) else {
             return;
         };
-        chain.live = None;
         chain.pins.push(lfn.to_string());
-        let next = chain.queue.pop_front();
-        let site = chain.site;
-        let done_condor = if let Some(n) = next {
-            chain.live = Some(n);
-            None
-        } else {
-            chain.done = true;
-            chain.condor
-        };
+        chain.live = chain.queue.pop_front();
+        chain.done = chain.live.is_none();
+        let (site, next, condor) = (chain.site, chain.live, chain.condor);
         self.store_mut(site).pin(lfn);
         if let Some(n) = next {
             self.activate(n);
-        } else if let Some(c) = done_condor {
+        } else if let Some(condor) = condor {
             self.updates.push(XferUpdate::Restage {
                 site,
-                condor: c,
+                condor,
                 until: self.now,
             });
         }
@@ -977,13 +1018,6 @@ impl XferScheduler {
 
     // ---- time ----
 
-    fn active_counts(&self) -> BTreeMap<(SiteId, SiteId), usize> {
-        self.active
-            .iter()
-            .map(|(link, ids)| (*link, ids.len()))
-            .collect()
-    }
-
     /// Peeks the earliest live heap entry, discarding stale ones
     /// (dead transfer, generation mismatch, or back in `Waiting`) on
     /// the way. O(log K) amortised versus the old O(K) scan.
@@ -1002,8 +1036,9 @@ impl XferScheduler {
     }
 
     /// The original O(K) linear scan over every transfer, retained as
-    /// the differential oracle for the event heap. Recomputes each
-    /// active due time from `remaining` instead of trusting the heap.
+    /// the differential oracle for the event heap. Recounts each link's
+    /// members and recomputes each active due time from its anchor
+    /// instead of trusting the heap.
     #[cfg(test)]
     fn naive_next_event(&self) -> Option<(SimTime, u64)> {
         let mut counts: BTreeMap<(SiteId, SiteId), usize> = BTreeMap::new();
@@ -1015,10 +1050,13 @@ impl XferScheduler {
         let mut best: Option<(SimTime, u64)> = None;
         for (id, t) in &self.transfers {
             let te = match t.state {
-                TState::Active { remaining } => {
-                    let link = self.network.link(t.from, t.to);
-                    let n = counts.get(&(t.from, t.to)).copied().unwrap_or(1) as f64;
-                    self.now + SimDuration::from_secs_f64(remaining * n / link.bandwidth_bps())
+                TState::Active { left } => {
+                    let n = counts.get(&(t.from, t.to)).copied().unwrap_or(1);
+                    let since = self
+                        .active
+                        .get(&(t.from, t.to))
+                        .map_or(self.now, |s| s.since);
+                    due(since, left, n, self.network.link(t.from, t.to))
                 }
                 TState::Latency { until } | TState::Backoff { until } => until,
                 TState::Waiting => continue,
@@ -1037,30 +1075,6 @@ impl XferScheduler {
         self.next_internal_event().map(|(t, _)| t)
     }
 
-    fn integrate(&mut self, te: SimTime) {
-        let dt = te.saturating_since(self.now).as_secs_f64();
-        if dt <= 0.0 {
-            return;
-        }
-        let XferScheduler {
-            active,
-            transfers,
-            network,
-            ..
-        } = self;
-        for ((from, to), ids) in active.iter() {
-            let link = network.link(*from, *to);
-            let drain = link.bandwidth_bps() * dt / ids.len() as f64;
-            for id in ids {
-                if let Some(TState::Active { remaining }) =
-                    transfers.get_mut(id).map(|t| &mut t.state)
-                {
-                    *remaining = (*remaining - drain).max(0.0);
-                }
-            }
-        }
-    }
-
     fn fire(&mut self, id: u64) {
         let Some(mut t) = self.transfers.remove(&id) else {
             return;
@@ -1076,7 +1090,7 @@ impl XferScheduler {
                 // The latency tail does not occupy the link.
                 let until = self.now + latency;
                 t.state = TState::Latency { until };
-                t.restamp(id, until, &mut self.events);
+                t.restamp(id, until, &mut self.events, &mut self.dirty);
                 self.transfers.insert(id, t);
             }
             TState::Latency { .. } => self.land(id, t),
@@ -1090,8 +1104,10 @@ impl XferScheduler {
 
     /// Advances the transfer plane to `t`, firing every internal
     /// event due by then in `(time, transfer-id)` order, then
-    /// refreshes the staging projections of all live chains so the
-    /// owning grid can correct its `Pending` release instants.
+    /// refreshes the staging projections of the chains whose
+    /// projection may have moved, so the owning grid can correct its
+    /// `Pending` release instants. Nothing else is visited: an
+    /// advance with nothing due only moves the clock.
     pub fn advance_to(&mut self, t: SimTime) {
         if t < self.now {
             return;
@@ -1103,23 +1119,22 @@ impl XferScheduler {
             // Consume the entry we are about to fire; every state
             // transition below re-establishes its own scheduling.
             self.events.pop();
-            let te = te.max(self.now);
-            self.integrate(te);
-            self.now = te;
+            self.now = te.max(self.now);
             self.fire(id);
         }
-        self.integrate(t);
         self.now = t;
         self.refresh_projections();
     }
 
+    /// Queues a `Restage` for every dirty chain that is still live,
+    /// bound and unfinished, in token order.
     fn refresh_projections(&mut self) {
         // Unfinished chains must never release early: clamp the
         // projection strictly past now.
         let floor = self.now + SimDuration::from_micros(1);
-        let ups: Vec<XferUpdate> = self
-            .chains
-            .values()
+        let ups: Vec<XferUpdate> = std::mem::take(&mut self.dirty)
+            .iter()
+            .filter_map(|token| self.chains.get(token))
             .filter(|c| !c.done)
             .filter_map(|c| {
                 Some(XferUpdate::Restage {
@@ -1134,12 +1149,13 @@ impl XferScheduler {
 
     fn projected_arrival(&self, t: &Transfer) -> SimTime {
         match t.state {
-            TState::Active { remaining } => {
+            TState::Active { left } => {
                 let link = self.network.link(t.from, t.to);
-                let n = self.active_on(t.from, t.to).max(1) as f64;
-                self.now
-                    + SimDuration::from_secs_f64(remaining * n / link.bandwidth_bps())
-                    + link.latency()
+                let (since, n) = self
+                    .active
+                    .get(&(t.from, t.to))
+                    .map_or((self.now, 1), |s| (s.since, s.members.len()));
+                due(since, left, n, link) + link.latency()
             }
             TState::Latency { until } => until,
             TState::Backoff { until } => until + self.network.transfer_time(t.from, t.to, t.size),
@@ -1162,11 +1178,7 @@ impl XferScheduler {
                 lfn: t.lfn.clone(),
                 from: t.from,
                 to: t.to,
-                started: if t.attempts == 0 {
-                    t.requested
-                } else {
-                    t.started
-                },
+                started: t.started,
                 arrives: self.projected_arrival(t),
                 attempts: t.attempts,
             })
@@ -1186,15 +1198,15 @@ impl XferScheduler {
     /// Monotonic count of landed transfers (catalog polls diff
     /// against this).
     pub fn landed_total(&self) -> u64 {
-        self.landed_total
+        self.counters.completed
     }
 
     /// Point-in-time metrics for the MonALISA `"xfer"` entity.
     pub fn metrics(&self) -> XferMetrics {
         let links = self
-            .active_counts()
-            .into_iter()
-            .map(|((f, t), n)| (f, t, n))
+            .active
+            .iter()
+            .map(|(&(f, t), share)| (f, t, share.members.len()))
             .collect();
         let mut in_flight = 0;
         let mut waiting = 0;
@@ -1255,7 +1267,6 @@ impl XferScheduler {
         }
         self.pending = ex.pending.iter().cloned().collect();
         self.counters = ex.counters.clone();
-        self.landed_total = ex.counters.completed;
     }
 
     /// Replays one journaled operation (WAL recovery). Never
@@ -1280,7 +1291,6 @@ impl XferScheduler {
                     self.add_replica(lfn, *to);
                 }
                 self.counters.completed += 1;
-                self.landed_total += 1;
             }
             JournalOp::Failed { lfn, to } => {
                 self.pending.remove(&(lfn.clone(), *to));
@@ -1609,6 +1619,32 @@ mod tests {
         PlanStage { file: u8, to: u8 },
     }
 
+    /// Applies one op other than `Advance`; a planned chain is bound
+    /// under `condor`, and file `f{n}` holds `size(n)` bytes at site 1.
+    fn apply(x: &mut XferScheduler, op: &Op, size: fn(u8) -> u64, condor: u64) {
+        match *op {
+            Op::Register { file } => {
+                x.register(&FileRef::new(format!("f{file}"), size(file)).with_replicas(vec![s(1)]));
+            }
+            Op::Replicate { file, to } => {
+                let _ = x.replicate(&format!("f{file}"), s(to as u64));
+            }
+            Op::Advance { .. } => {}
+            Op::FailLink { to } => x.fail_link(s(1), s(to as u64)),
+            Op::HealLink { to } => x.heal_link(s(1), s(to as u64)),
+            Op::DeleteSource { file } => {
+                let _ = x.delete_replica(&format!("f{file}"), s(1));
+            }
+            Op::PlanStage { file, to } => {
+                if let Some(f) = x.lookup(&format!("f{file}")) {
+                    if let Some((token, _)) = x.plan_stage(s(to as u64), &[f]) {
+                        x.bind_chain(token, condor);
+                    }
+                }
+            }
+        }
+    }
+
     fn arb_op() -> impl proptest::Strategy<Value = Op> {
         use proptest::prelude::*;
         prop_oneof![
@@ -1623,13 +1659,10 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The heap and the retained naive scan must agree on every
-        /// next internal event across arbitrary mutation sequences.
-        /// Times may differ by at most 1 µs: the heap stores absolute
-        /// due instants at (re)schedule time while the oracle
-        /// recomputes them from the integrated `remaining`, and the
-        /// two float paths can round a µs apart at exact boundaries
-        /// (in which case the chosen ids may legitimately differ too).
+        /// The heap and the retained naive scan agree exactly on every
+        /// next internal event across arbitrary mutation sequences:
+        /// both read each active due time from the link's anchor
+        /// through the one closed form.
         #[test]
         fn heap_agrees_with_naive_scan(ops in proptest::collection::vec(arb_op(), 1..48)) {
             let net = NetworkModel::new(Link::new(1e6, SimDuration::ZERO));
@@ -1637,51 +1670,108 @@ mod tests {
             let mut x = XferScheduler::new(net, sites, XferConfig::with_defaults());
             for op in ops {
                 match op {
-                    Op::Register { file } => {
-                        x.register(&file_ref_mb(file, 1 + file as u64, &[1]));
-                    }
-                    Op::Replicate { file, to } => {
-                        let _ = x.replicate(&format!("f{file}"), s(to as u64));
-                    }
                     Op::Advance { secs } => {
                         x.advance_to(x.now() + SimDuration::from_secs(secs as u64));
                     }
-                    Op::FailLink { to } => x.fail_link(s(1), s(to as u64)),
-                    Op::HealLink { to } => x.heal_link(s(1), s(to as u64)),
-                    Op::DeleteSource { file } => {
-                        let _ = x.delete_replica(&format!("f{file}"), s(1));
+                    Op::PlanStage { file, .. } => {
+                        apply(&mut x, &op, |f| (1 + f as u64) * 1_000_000, 1000 + file as u64);
                     }
-                    Op::PlanStage { file, to } => {
-                        if let Some(f) = x.lookup(&format!("f{file}")) {
-                            if let Some((token, _)) = x.plan_stage(s(to as u64), &[f]) {
-                                x.bind_chain(token, 1000 + file as u64);
-                            }
-                        }
-                    }
+                    _ => apply(&mut x, &op, |f| (1 + f as u64) * 1_000_000, 0),
                 }
-                let naive = x.naive_next_event();
-                let heap = x.next_internal_event();
-                match (naive, heap) {
-                    (None, None) => {}
-                    (Some((tn, idn)), Some((th, idh))) => {
-                        let gap = tn.max(th).saturating_since(tn.min(th));
-                        proptest::prop_assert!(
-                            gap <= SimDuration::from_micros(1),
-                            "heap due {th:?} (id {idh}) vs naive {tn:?} (id {idn})"
-                        );
-                        if gap == SimDuration::ZERO {
-                            proptest::prop_assert_eq!(idn, idh);
+                proptest::prop_assert_eq!(x.naive_next_event(), x.next_internal_event());
+            }
+        }
+
+        /// One `advance_to(t)` leaves the state any chain of
+        /// intermediate advances to `t` leaves: bytes left are read from
+        /// each link's anchor, so where the clock stops on the way moves
+        /// no due time, projection, landing or counter. The last update
+        /// drained for each bound chain agrees too, and after every
+        /// advance each unfinished bound chain's last `Restage` is its
+        /// projection: the dirty set misses no chain whose projection
+        /// moved.
+        #[test]
+        fn one_advance_equals_any_chain_of_advances(
+            ops in proptest::collection::vec(arb_op(), 1..48),
+            cuts in proptest::collection::vec(proptest::collection::vec(0u64..9_000_000, 0..4), 48),
+        ) {
+            // Uneven bandwidths, latencies and sizes: due times off the
+            // whole second.
+            let mut net = NetworkModel::new(Link::new(1e6, SimDuration::ZERO));
+            net.set_link(s(1), s(3), Link::new(3.3e6, SimDuration::from_millis(7)));
+            net.set_link(s(1), s(4), Link::new(0.77e6, SimDuration::from_millis(250)));
+            net.set_link(s(1), s(5), Link::new(1.9e6, SimDuration::from_micros(1_500)));
+            let twin = || XferScheduler::new(net.clone(), (1..=6).map(s), XferConfig::with_defaults());
+            let size = |f: u8| 1_000_000 + f as u64 * 737_311;
+            let (mut one, mut chain) = (twin(), twin());
+            let (mut last_one, mut last_chain) = (BTreeMap::new(), BTreeMap::new());
+            let drain = |x: &mut XferScheduler, last: &mut BTreeMap<(SiteId, u64), XferUpdate>| {
+                for u in x.drain_updates() {
+                    let (XferUpdate::Restage { site, condor, .. }
+                    | XferUpdate::StagingFailed { site, condor, .. }) = &u;
+                    last.insert((*site, *condor), u);
+                }
+            };
+            for (n, op) in ops.iter().enumerate() {
+                if let Op::Advance { secs } = *op {
+                    let from = one.now();
+                    let span = secs as u64 * 1_000_000;
+                    one.advance_to(from + SimDuration::from_micros(span));
+                    let mut stops: Vec<u64> = cuts[n].iter().map(|c| c % (span + 1)).collect();
+                    stops.sort_unstable();
+                    for stop in stops {
+                        chain.advance_to(from + SimDuration::from_micros(stop));
+                        drain(&mut chain, &mut last_chain);
+                    }
+                    chain.advance_to(from + SimDuration::from_micros(span));
+                } else {
+                    apply(&mut one, op, size, n as u64);
+                    apply(&mut chain, op, size, n as u64);
+                }
+                drain(&mut one, &mut last_one);
+                drain(&mut chain, &mut last_chain);
+                proptest::prop_assert_eq!(one.in_flight(), chain.in_flight());
+                proptest::prop_assert_eq!(one.history(), chain.history());
+                proptest::prop_assert_eq!(one.counters(), chain.counters());
+                proptest::prop_assert_eq!(format!("{:?}", one.metrics()), format!("{:?}", chain.metrics()));
+                proptest::prop_assert_eq!(one.export(), chain.export());
+                proptest::prop_assert_eq!(one.next_event_time(), chain.next_event_time());
+                proptest::prop_assert_eq!(&last_one, &last_chain);
+                if matches!(op, Op::Advance { .. }) {
+                    for c in one.chains.values().filter(|c| !c.done) {
+                        if let Some(condor) = c.condor {
+                            let until = one.projection(c);
+                            let want = XferUpdate::Restage { site: c.site, condor, until };
+                            proptest::prop_assert_eq!(last_one.get(&(c.site, condor)), Some(&want));
                         }
                     }
-                    (n, h) => proptest::prop_assert!(false, "naive {n:?} vs heap {h:?}"),
                 }
             }
         }
     }
 
-    fn file_ref_mb(file: u8, mb: u64, at: &[u64]) -> FileRef {
-        FileRef::new(format!("f{file}"), mb * 1_000_000)
-            .with_replicas(at.iter().map(|n| s(*n)).collect())
+    #[test]
+    fn an_advance_with_nothing_due_restages_nothing() {
+        let mut x = sched();
+        x.register(&file("a", 10, &[1]));
+        x.register(&file("b", 10, &[1]));
+        let (a, _) = x.plan_stage(s(2), &[x.lookup("a").unwrap()]).unwrap();
+        let (b, _) = x.plan_stage(s(2), &[x.lookup("b").unwrap()]).unwrap();
+        x.bind_chain(a, 1);
+        x.bind_chain(b, 2);
+        // Binding queues each chain's projection once: two equal drains
+        // sharing the 1 MB/s link both land at 20 s.
+        x.advance_to(SimTime::from_secs(1));
+        let until = SimTime::from_secs(20);
+        let restage = |condor| XferUpdate::Restage {
+            site: s(2),
+            condor,
+            until,
+        };
+        assert_eq!(x.drain_updates(), vec![restage(1), restage(2)]);
+        // Nothing is due before 20 s, so no projection moved.
+        x.advance_to(SimTime::from_secs(5));
+        assert_eq!(x.drain_updates(), vec![]);
     }
 
     #[test]

@@ -185,31 +185,6 @@ impl EstimatorService {
         exec.record(condor).ok()?.estimated
     }
 
-    /// Clears a finished task's submission-time estimate (§6.2 only
-    /// consults live tasks, so one kept on a collected/killed task's
-    /// record is dead weight). Called from the steering collect path
-    /// and from exec completion replay; a miss is fine — flocked tasks
-    /// may have their estimate recorded under the destination site
-    /// only.
-    pub fn evict_submission(&self, site: SiteId, condor: CondorId) {
-        let Ok(exec) = self.grid.exec(site) else {
-            return;
-        };
-        let evicted = exec.lock().set_estimate(condor, None);
-        if matches!(evicted, Ok(Some(_))) {
-            self.invalidate_site(site);
-        }
-    }
-
-    /// Number of live submission-time estimates across every site
-    /// (boundedness diagnostics for tests and monitoring).
-    pub fn submission_estimate_count(&self) -> usize {
-        self.grid
-            .sites()
-            .map(|(_, exec)| exec.lock().estimate_count())
-            .sum()
-    }
-
     /// §6.2: queue time of an already-submitted task, by Condor id.
     pub fn estimate_queue_time(&self, site: SiteId, condor: CondorId) -> GaeResult<SimDuration> {
         let exec = self.grid.exec(site)?;

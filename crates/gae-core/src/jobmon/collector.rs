@@ -79,11 +79,6 @@ impl JobInformationCollector {
             if completed {
                 self.estimators.invalidate_site(site);
             }
-            // The task left the queue: §6.2 never reads its
-            // submission-time estimate again. Clearing it on the
-            // terminal-event replay keeps the estimates a long-running
-            // stack holds bounded to live CondorIds.
-            self.estimators.evict_submission(site, event.condor);
         }
     }
 
@@ -290,8 +285,8 @@ mod tests {
                 hook_seen.lock().unwrap().push(e.samples);
             }
         });
-        // Straight into the execution service: no scheduler, so no
-        // submission estimate is recorded and `evict_submission` misses.
+        // Straight into the execution service: no scheduler, so the
+        // completion is the only thing that drops the site's memo.
         stack
             .grid
             .exec(site)

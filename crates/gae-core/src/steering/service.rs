@@ -435,7 +435,6 @@ impl SteeringService {
                 self.grid.exec(site)?.lock().kill(condor)?;
                 self.grid.release_task_data(site, condor);
                 self.set_phase(job_id, task, TaskPhase::Killed);
-                self.estimators.evict_submission(site, condor);
                 self.log(job_id, |j| SteeringOp::task_of(j, task));
                 Ok(())
             }
@@ -551,8 +550,6 @@ impl SteeringService {
         }
         // Pull the task (with checkpoint if supported) and resubmit.
         let (spec, checkpoint) = self.grid.exec(from)?.lock().remove_for_migration(condor)?;
-        // The old CondorId left the source queue with the migration.
-        self.estimators.evict_submission(from, condor);
         self.grid.release_task_data(from, condor);
         self.submit_task_to(job_id, task, to, spec, checkpoint)?;
         let at = self.grid.now();
@@ -763,7 +760,6 @@ impl SteeringService {
             TaskStatus::Failed => self.recover_task(job_id, task, site, condor, "task failed"),
             TaskStatus::Killed => {
                 self.set_phase(job_id, task, TaskPhase::Killed);
-                self.estimators.evict_submission(site, info.condor);
                 self.grid.release_task_data(site, info.condor);
                 self.log(job_id, |j| SteeringOp::task_of(j, task));
             }
@@ -812,9 +808,6 @@ impl SteeringService {
             });
         }
         self.collect_execution_state(task, site, info);
-        // Backup & Recovery collected the state: the submission-time
-        // estimate for this CondorId can never be consulted again.
-        self.estimators.evict_submission(site, info.condor);
         // The task is done with its inputs: release the data-plane
         // pins so the replicas become evictable.
         self.grid.release_task_data(site, info.condor);
@@ -889,15 +882,6 @@ impl SteeringService {
                 return;
             };
             if let Some(t) = tracked.tasks.get_mut(&task) {
-                // The previous CondorId died with the flock; drop its
-                // estimate so the §6.2 database tracks live ids only.
-                if let TaskPhase::Submitted {
-                    site: old_site,
-                    condor: old_condor,
-                } = t.phase
-                {
-                    self.estimators.evict_submission(old_site, old_condor);
-                }
                 t.phase = TaskPhase::Submitted { site: to, condor };
                 t.moves += 1;
                 self.round_index.lock().reindex(job_id, tracked, task);
@@ -932,7 +916,6 @@ impl SteeringService {
         // local files that were produced by the failed job" (§4.2.4).
         if let Ok(info) = self.jobmon.job_info_at(task, failed_site, condor) {
             self.collect_execution_state(task, failed_site, &info);
-            self.estimators.evict_submission(failed_site, info.condor);
             self.grid.release_task_data(failed_site, info.condor);
         }
         self.notifications.lock().push(Notification::TaskFailed {

@@ -348,7 +348,6 @@ mod tests {
         assert!(svc
             .set_estimate(CondorId::new(7), Some(SimDuration::from_secs(1)))
             .is_err());
-        assert_eq!(svc.estimate_count(), 0);
         assert_eq!(svc.now(), SimTime::ZERO);
     }
 }

@@ -804,15 +804,6 @@ impl ExecutionService {
             .update(rec, |rec| std::mem::replace(&mut rec.estimated, estimate)))
     }
 
-    /// Number of records carrying a submission-time estimate (a
-    /// boundedness diagnostic: it walks the records).
-    pub fn estimate_count(&self) -> usize {
-        self.records
-            .values()
-            .filter(|r| r.estimated.is_some())
-            .count()
-    }
-
     /// The backlog index itself, for the differential suite.
     #[cfg(test)]
     pub(crate) fn backlog_index(&self) -> &BacklogIndex {

@@ -89,9 +89,9 @@ pub struct TaskRecord {
     /// steering re-prioritisation).
     pub priority: Priority,
     /// The runtime "estimated at the time of task submission" (§6.2
-    /// step c), if the submitter recorded one. Set and cleared through
-    /// [`ExecutionService::set_estimate`](crate::ExecutionService::set_estimate)
-    /// so the site's backlog index follows.
+    /// step c), if the submitter recorded one. Set once at submission,
+    /// through [`ExecutionService::set_estimate`](crate::ExecutionService::set_estimate)
+    /// so the site's backlog index follows, and kept for the record's life.
     pub estimated: Option<SimDuration>,
 }
 

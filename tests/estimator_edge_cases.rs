@@ -110,14 +110,19 @@ fn a_site_the_grid_lacks_is_not_found() {
 
 // ---- submission-estimate lifetime across a full job run ----
 
+/// §6.2(c)'s estimate is written once, at submission, onto the task's
+/// record, and stays there for the record's life: a task that completes
+/// and one a steering command kills both still read it, through the
+/// estimator and through jobmon.
 #[test]
-fn estimate_db_is_emptied_once_tasks_settle() {
+fn a_settled_or_killed_task_keeps_its_submission_estimate() {
     let grid = GridBuilder::new()
         .site(SiteDescription::new(sid(1), "a", 2, 1))
         .site(SiteDescription::new(sid(2), "b", 2, 1))
         .build();
     let stack = ServiceStack::over(grid);
-    let mut job = JobSpec::new(JobId::new(1), "bounded", UserId::new(1));
+    let owner = UserId::new(1);
+    let mut job = JobSpec::new(JobId::new(1), "kept", owner);
     for i in 1..=4u64 {
         job.add_task(
             TaskSpec::new(TaskId::new(i), format!("t{i}"), "x")
@@ -125,25 +130,27 @@ fn estimate_db_is_emptied_once_tasks_settle() {
         );
     }
     stack.submit_job(job).unwrap();
-    assert!(
-        stack.estimators.submission_estimate_count() > 0,
-        "submissions recorded their estimates"
-    );
+    stack.run_until(SimTime::from_secs(10));
+    let killed = TaskId::new(4);
+    stack
+        .steering
+        .command(owner, killed, SteeringCommand::Kill)
+        .unwrap();
     stack.run_until(SimTime::from_secs(600));
-    for i in 1..=4u64 {
-        assert_eq!(
-            stack.jobmon.job_info(TaskId::new(i)).unwrap().status,
-            TaskStatus::Completed
-        );
+    // No history anywhere, so each estimate is the requested hour.
+    let requested = Some(SimDuration::from_secs(3_600));
+    for (task, settled) in [
+        (killed, TaskStatus::Killed),
+        (TaskId::new(1), TaskStatus::Completed),
+        (TaskId::new(2), TaskStatus::Completed),
+        (TaskId::new(3), TaskStatus::Completed),
+    ] {
+        let info = stack.jobmon.job_info(task).unwrap();
+        assert_eq!(info.status, settled, "{task}");
+        let on_record = stack.estimators.submission_estimate(info.site, info.condor);
+        assert_eq!(on_record, requested, "{task} on its record");
+        assert_eq!(info.estimated_runtime, requested, "{task} in jobmon");
     }
-    // Every task settled, so every submission-time estimate must have
-    // been evicted — §6.2 only consults live tasks, and before the
-    // eviction fix these grew without bound.
-    assert_eq!(
-        stack.estimators.submission_estimate_count(),
-        0,
-        "estimates retained for settled tasks"
-    );
 }
 
 // ---- §6.2's queue time over a deep backlog ----
@@ -189,12 +196,12 @@ fn a_reader_under_the_exec_lock_sees_task_and_estimate_agree() {
     };
     let _running = submit(1, 0);
     let queued = submit(2, 5);
-    let estimate = SimDuration::from_secs(700);
+    let (early, late) = (SimDuration::from_secs(700), SimDuration::from_secs(900));
     std::thread::scope(|s| {
         s.spawn(|| {
             for _ in 0..5_000 {
-                stack.estimators.record_submission(sid(1), queued, estimate);
-                stack.estimators.evict_submission(sid(1), queued);
+                stack.estimators.record_submission(sid(1), queued, early);
+                stack.estimators.record_submission(sid(1), queued, late);
             }
         });
         for _ in 0..5_000 {
@@ -206,8 +213,8 @@ fn a_reader_under_the_exec_lock_sees_task_and_estimate_agree() {
             );
         }
     });
-    assert_eq!(stack.estimators.submission_estimate(sid(1), queued), None);
-    assert_eq!(stack.estimators.submission_estimate_count(), 0);
+    let kept = stack.estimators.submission_estimate(sid(1), queued);
+    assert_eq!(kept, Some(late));
 }
 
 // ---- probe-cache concurrency ----

@@ -24,12 +24,15 @@ pub struct EstimatorService {
     policy: TierPolicy,
     transfer: TransferEstimator,
     /// Memoised [`Self::estimate_runtime`] results. A runtime estimate
-    /// is a pure function of the site's task history and the task's
-    /// metadata tuple, so it stays valid until that site's history (or
-    /// estimator) changes — the steering/flocking poll asks for the
-    /// same `(site, meta)` estimate many times between changes. Keyed
-    /// by site first so a lookup borrows the caller's `TaskMeta` and
-    /// invalidating a site is one `remove`.
+    /// is a pure function of the site's successful history rows and
+    /// the task's metadata tuple, so it stays valid until that site
+    /// gains one — the steering/flocking poll asks for the same `(site,
+    /// meta)` estimate many times between changes. Four places drop a
+    /// site's entries: the jobmon collector once a completion's row is
+    /// in the store, [`Self::seed_history`], [`Self::observe_completion`]
+    /// and [`Self::record_submission`]. Keyed by site first so a lookup
+    /// borrows the caller's `TaskMeta` and invalidating a site is one
+    /// `remove`.
     memo: RwLock<HashMap<SiteId, HashMap<TaskMeta, RuntimeEstimate>>>,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
@@ -39,8 +42,8 @@ impl EstimatorService {
     /// Estimates runtimes over `hist`'s views and transfers over the
     /// grid's network model.
     pub(crate) fn new(grid: Arc<Grid>, hist: Arc<HistFunnel>) -> Self {
-        let transfer = TransferEstimator::new(grid.network().clone(), 2005);
-        transfer.attach_live_links(Arc::new(crate::grid::GridLinkView(grid.clone())));
+        let links = Arc::new(crate::grid::GridLinkView(grid.clone()));
+        let transfer = TransferEstimator::new(grid.network().clone(), 2005, Some(links));
         EstimatorService {
             grid,
             hist,
@@ -52,8 +55,7 @@ impl EstimatorService {
         }
     }
 
-    /// Drops every memoised estimate for `site`; called whenever the
-    /// inputs an estimate depends on may have changed.
+    /// Drops every memoised estimate for `site`.
     pub(crate) fn invalidate_site(&self, site: SiteId) {
         self.memo.write().remove(&site);
     }
@@ -114,6 +116,14 @@ impl EstimatorService {
         self.estimate_meta(site, &TaskMeta::from_spec(spec))
     }
 
+    /// The runtime to record when `spec` is submitted to `site`: its
+    /// estimate there, or its requested runtime where the site cannot
+    /// estimate it.
+    pub(crate) fn submission_runtime(&self, site: SiteId, spec: &TaskSpec) -> SimDuration {
+        self.estimate_runtime(site, spec)
+            .map_or_else(|_| spec.requested_runtime(), |e| e.runtime)
+    }
+
     /// Memoised estimate for an already-extracted metadata tuple.
     fn estimate_meta(&self, site: SiteId, meta: &TaskMeta) -> GaeResult<RuntimeEstimate> {
         let cached = self
@@ -171,9 +181,10 @@ impl EstimatorService {
             return;
         };
         if exec.lock().set_estimate(condor, Some(estimate)).is_ok() {
-            // A new live task changes what subsequent estimates should
-            // see at this site (conservative; keeps the cache honest
-            // even if an estimator starts consulting live state).
+            // Estimates read only successful history, so correctness
+            // does not need this drop. It stays because without it
+            // `submit_persist`'s `peak_rss_mb` reads ~15 % higher
+            // (ROADMAP 6(a) has the measurement).
             self.invalidate_site(site);
         }
     }

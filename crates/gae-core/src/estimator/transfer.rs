@@ -19,29 +19,23 @@ pub struct TransferEstimator {
     network: NetworkModel,
     rng: Mutex<StdRng>,
     cache: Mutex<std::collections::HashMap<(SiteId, SiteId), f64>>,
-    /// Live link state from the transfer scheduler, when attached:
-    /// dead links become typed estimator errors, concurrent transfers
-    /// degrade the estimate to the current per-stream fair share of
-    /// the link.
-    live: Mutex<Option<Arc<dyn LinkView>>>,
+    /// Live link state from the transfer scheduler, if any: dead links
+    /// become typed estimator errors, concurrent transfers degrade the
+    /// estimate to the current per-stream fair share of the link.
+    live: Option<Arc<dyn LinkView>>,
 }
 
 impl TransferEstimator {
     /// Builds an estimator over a network model, seeded for
-    /// reproducible probe noise.
-    pub fn new(network: NetworkModel, seed: u64) -> Self {
+    /// reproducible probe noise. With `live`, the transfer scheduler's
+    /// link view, estimates are contention- and fault-aware.
+    pub fn new(network: NetworkModel, seed: u64, live: Option<Arc<dyn LinkView>>) -> Self {
         TransferEstimator {
             network,
             rng: Mutex::new(gae_sim::rng::seeded_rng(seed)),
             cache: Mutex::new(std::collections::HashMap::new()),
-            live: Mutex::new(None),
+            live,
         }
-    }
-
-    /// Attaches the transfer scheduler's live link view. Estimates
-    /// become contention- and fault-aware from this point on.
-    pub fn attach_live_links(&self, view: Arc<dyn LinkView>) {
-        *self.live.lock() = Some(view);
     }
 
     /// Measured bandwidth from `from` to `to`, probing on first use
@@ -67,7 +61,7 @@ impl TransferEstimator {
     /// (which would panic inside `SimDuration::from_secs_f64`).
     pub fn estimate_bytes(&self, from: SiteId, to: SiteId, bytes: u64) -> GaeResult<SimDuration> {
         let mut bw = self.measured_bandwidth(from, to);
-        if let Some(view) = self.live.lock().as_ref() {
+        if let Some(view) = &self.live {
             if view.blocked(from, to) {
                 return Err(GaeError::Estimator(format!(
                     "link from {from} to {to} is unreachable (transfer scheduler reports it down)"
@@ -148,7 +142,7 @@ mod tests {
             sid(2),
             Link::new(10e6, SimDuration::from_millis(10)),
         );
-        TransferEstimator::new(net, 42)
+        TransferEstimator::new(net, 42, None)
     }
 
     #[test]
@@ -185,7 +179,7 @@ mod tests {
         let mut net = NetworkModel::wan_2005().with_probe_noise(0.0);
         net.set_link(sid(1), sid(3), Link::new(1e6, SimDuration::ZERO));
         net.set_link(sid(2), sid(3), Link::new(100e6, SimDuration::ZERO));
-        let est = TransferEstimator::new(net, 1);
+        let est = TransferEstimator::new(net, 1, None);
         let f = FileRef::new("x", 100_000_000).with_replicas(vec![sid(1), sid(2)]);
         let t = est.estimate_file(&f, sid(3)).unwrap().as_secs_f64();
         assert!(
@@ -205,7 +199,7 @@ mod tests {
     fn input_set_sums() {
         let mut net = NetworkModel::wan_2005().with_probe_noise(0.0);
         net.set_link(sid(1), sid(2), Link::new(1e6, SimDuration::ZERO));
-        let est = TransferEstimator::new(net, 1);
+        let est = TransferEstimator::new(net, 1, None);
         let files = vec![
             FileRef::new("a", 1_000_000).with_replicas(vec![sid(1)]),
             FileRef::new("b", 2_000_000).with_replicas(vec![sid(1)]),

@@ -344,13 +344,7 @@ impl ServiceStack {
 
     fn poll_steering_by(&self, steering_round: fn(&SteeringService)) {
         for mv in self.grid.flock_pass() {
-            let estimate = self
-                .estimators
-                .estimate_runtime(mv.to, &mv.spec)
-                .map(|e| e.runtime)
-                .unwrap_or_else(|_| {
-                    SimDuration::from_secs_f64(mv.spec.requested_cpu_hours * 3600.0)
-                });
+            let estimate = self.estimators.submission_runtime(mv.to, &mv.spec);
             self.estimators
                 .record_submission(mv.to, mv.condor, estimate);
             self.steering

@@ -95,7 +95,7 @@ struct TaskFacts {
 impl TaskFacts {
     fn of(task: &TaskSpec) -> TaskFacts {
         TaskFacts {
-            requested: SimDuration::from_secs_f64(task.requested_cpu_hours * 3600.0),
+            requested: task.requested_runtime(),
             stageable: (task.input_files.iter())
                 .filter(|f| !f.replicas.is_empty())
                 .cloned()

@@ -384,11 +384,7 @@ impl SteeringService {
         spec: Arc<TaskSpec>,
         checkpoint: Option<Checkpoint>,
     ) -> GaeResult<()> {
-        let estimate = self
-            .estimators
-            .estimate_runtime(site, &spec)
-            .map(|e| e.runtime)
-            .unwrap_or_else(|_| SimDuration::from_secs_f64(spec.requested_cpu_hours * 3600.0));
+        let estimate = self.estimators.submission_runtime(site, &spec);
         // The site's circuit breaker: a site that failed its last N
         // submissions is not re-contacted until its cooldown probe —
         // the typed Overloaded error routes recovery elsewhere.
@@ -1062,7 +1058,7 @@ impl SteeringService {
             let remaining = info
                 .remaining_time
                 .map(|d| d.as_secs_f64())
-                .unwrap_or_else(|| spec.requested_cpu_hours * 3600.0)
+                .unwrap_or_else(|| spec.requested_runtime().as_secs_f64())
                 .max(1.0);
             let stay_secs = remaining / rate.max(1e-6);
             let move_secs = est.queue_time.as_secs_f64()

@@ -332,10 +332,15 @@ impl ExecutionService {
     /// grid's transfer scheduler calls this whenever link contention
     /// moves the projected completion of the task's input chain; an
     /// instant at or before the clock releases the task on the next
-    /// `advance_to`, at the clock (the clock never runs backwards).
+    /// `advance_to`, at the clock (the clock never runs backwards). The
+    /// instant the task already holds changes nothing: its heap entry
+    /// is queued.
     pub fn restage(&mut self, condor: CondorId, until: SimTime) -> GaeResult<()> {
         let until = until.max(self.now);
         let rec = Self::staging_record(&mut self.records, condor)?;
+        if rec.phase == (Phase::Pending { until }) {
+            return Ok(());
+        }
         rec.phase = Phase::Pending { until };
         self.schedule(until, KIND_STAGING, condor);
         self.refresh_next();
@@ -1507,6 +1512,20 @@ mod tests {
         );
         let rec = svc.record(running).unwrap();
         assert_eq!(svc.usage(rec).accrued(), SimDuration::from_secs(30));
+    }
+
+    /// A restage to the instant a staging task already holds pushes no
+    /// second heap entry for it.
+    #[test]
+    fn restage_to_the_held_instant_pushes_nothing() {
+        let mut svc = free_service();
+        let stage = SimDuration::from_secs(50);
+        let staged = svc.submit_staged(task(1, 10).into(), None, stage);
+        let staged = staged.unwrap();
+        let queued = svc.event_heap.len();
+        svc.restage(staged, SimTime::from_secs(50)).unwrap();
+        assert_eq!(svc.event_heap.len(), queued);
+        assert_eq!(svc.next_event_time(), Some(SimTime::from_secs(50)));
     }
 
     #[test]

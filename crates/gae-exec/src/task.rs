@@ -106,7 +106,7 @@ impl TaskRecord {
     ) -> Self {
         let full_demand = spec
             .true_cpu_demand
-            .unwrap_or_else(|| SimDuration::from_secs_f64(spec.requested_cpu_hours * 3600.0));
+            .unwrap_or_else(|| spec.requested_runtime());
         let accrued = carried.map(|c| c.accrued).unwrap_or(SimDuration::ZERO);
         let demand = full_demand.saturating_sub(accrued);
         let priority = spec.priority;

@@ -161,6 +161,11 @@ impl TaskSpec {
         self
     }
 
+    /// The requested CPU hours as a runtime.
+    pub fn requested_runtime(&self) -> SimDuration {
+        SimDuration::from_secs_f64(self.requested_cpu_hours * 3600.0)
+    }
+
     /// Total bytes of input the task must stage in.
     pub fn input_bytes(&self) -> u64 {
         self.input_files.iter().map(|f| f.size_bytes).sum()

@@ -280,7 +280,7 @@ impl ManualClock {
     /// where it was: no reader ever sees the earlier instant.
     pub fn set(&self, t: SimTime) {
         let prev = self.micros.fetch_max(t.as_micros(), Ordering::SeqCst);
-        assert!(prev <= t.as_micros(), "ManualClock cannot go backwards");
+        assert!(prev <= t.as_micros(), "invariant: clock went backwards");
     }
 
     /// Advances the clock by `micros`.

@@ -137,7 +137,7 @@ proptest! {
     ) {
         use gae::core::estimator::TransferEstimator;
         use gae::sim::NetworkModel;
-        let est = TransferEstimator::new(NetworkModel::wan_2005(), seed);
+        let est = TransferEstimator::new(NetworkModel::wan_2005(), seed, None);
         let from = SiteId::new(1);
         let to = SiteId::new(2);
         let predicted = est.estimate_bytes(from, to, bytes).unwrap().as_secs_f64();

@@ -24,7 +24,7 @@ fn dead_link() -> Link {
 fn zero_bandwidth_link_is_a_typed_error_not_a_panic() {
     let mut net = NetworkModel::wan_2005().with_probe_noise(0.0);
     net.set_link(sid(1), sid(2), dead_link());
-    let est = TransferEstimator::new(net, 7);
+    let est = TransferEstimator::new(net, 7, None);
     // Before the guard a zero-bandwidth link divided by zero, produced
     // `inf` seconds, and panicked inside SimDuration::from_secs_f64;
     // the dead link's transfer time overflows to the same `inf`.
@@ -38,7 +38,7 @@ fn zero_bandwidth_link_is_a_typed_error_not_a_panic() {
 fn subnormal_bandwidth_overflow_is_a_typed_error() {
     let mut net = NetworkModel::wan_2005().with_probe_noise(0.0);
     net.set_link(sid(1), sid(2), dead_link());
-    let est = TransferEstimator::new(net, 7);
+    let est = TransferEstimator::new(net, 7, None);
     // bytes / f64::MIN_POSITIVE overflows to +inf: the estimator must
     // catch the non-finite estimate, not feed it to SimDuration.
     let err = est.estimate_bytes(sid(1), sid(2), 1 << 30).unwrap_err();
@@ -53,7 +53,7 @@ fn unreachable_replicas_are_skipped_not_poisoning_the_minimum() {
     // Replica at site 1 is partitioned; replica at site 2 is healthy.
     net.set_link(sid(1), sid(3), dead_link());
     net.set_link(sid(2), sid(3), Link::new(100e6, SimDuration::ZERO));
-    let est = TransferEstimator::new(net, 1);
+    let est = TransferEstimator::new(net, 1, None);
     let f = FileRef::new("x", 100_000_000).with_replicas(vec![sid(1), sid(2)]);
     let t = est.estimate_file(&f, sid(3)).unwrap().as_secs_f64();
     assert!((t - 1.0).abs() < 1e-9, "staged from the live replica: {t}");
@@ -65,7 +65,7 @@ fn all_replicas_unreachable_names_the_file() {
     for src in [1, 2] {
         net.set_link(sid(src), sid(3), dead_link());
     }
-    let est = TransferEstimator::new(net, 1);
+    let est = TransferEstimator::new(net, 1, None);
     let f = FileRef::new("lfn:/cms/dark.root", 1 << 20).with_replicas(vec![sid(1), sid(2)]);
     match est.estimate_file(&f, sid(3)) {
         Err(GaeError::Estimator(msg)) => {
@@ -223,7 +223,7 @@ fn a_reader_under_the_exec_lock_sees_task_and_estimate_agree() {
 fn concurrent_probes_agree_on_one_measurement() {
     // Noisy probes: a double-probe draws different rng noise, so any
     // check-then-insert race shows up as divergent cached bandwidths.
-    let est = std::sync::Arc::new(TransferEstimator::new(NetworkModel::wan_2005(), 99));
+    let est = std::sync::Arc::new(TransferEstimator::new(NetworkModel::wan_2005(), 99, None));
     let mut measured: Vec<f64> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)

@@ -246,7 +246,7 @@ impl ServiceStack {
         [
             &*self.hist,
             &**self.grid.monitor(),
-            self.jobmon.manager().db(),
+            self.jobmon.db(),
             &*self.steering,
             &*self.quota,
             &*self.grid,

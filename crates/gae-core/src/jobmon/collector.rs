@@ -8,36 +8,19 @@
 //! monitoring information of the running jobs to the JMManager when
 //! requested."
 
-use crate::estimator::EstimatorService;
-use crate::grid::Grid;
-use crate::jobmon::db::DbManager;
 use crate::jobmon::info::JobMonitoringInfo;
+use crate::jobmon::service::JobMonitoringService;
 use gae_exec::TaskRecord;
 use gae_trace::TaskMeta;
 use gae_types::{CondorId, GaeError, GaeResult, SiteId, TaskId, TaskStatus};
-use std::sync::Arc;
 
-/// Polls execution services and answers live queries.
-pub struct JobInformationCollector {
-    grid: Arc<Grid>,
-    estimators: Arc<EstimatorService>,
-}
-
-impl JobInformationCollector {
-    /// Creates a collector over the grid.
-    pub fn new(grid: Arc<Grid>, estimators: Arc<EstimatorService>) -> Self {
-        JobInformationCollector { grid, estimators }
-    }
-
-    /// The grid this collector watches.
-    pub fn grid(&self) -> &Arc<Grid> {
-        &self.grid
-    }
-
-    /// Drains execution events; terminal transitions go to the
-    /// DBManager with their columnar history row (that is how the
-    /// history of §6.1 grows).
-    pub fn poll(&self, db: &DbManager) {
+/// The collector's half of the service: it polls the execution
+/// services and answers live queries.
+impl JobMonitoringService {
+    /// One polling round: drains execution events; terminal
+    /// transitions go to the DBManager with their columnar history row
+    /// (that is how the history of §6.1 grows).
+    pub fn poll(&self) {
         for (site, event) in self.grid.drain_events() {
             if !event.is_terminal() {
                 continue;
@@ -72,7 +55,7 @@ impl JobInformationCollector {
                 job_type: meta.job_type.to_string(),
             };
             drop(exec);
-            db.store_with_history(info, row);
+            self.db.store_with_history(info, row);
             // Only after the row is in the store: a completion drops
             // the site's memoised estimates, and one computed between
             // an early invalidation and the ingest would outlive it.
@@ -122,7 +105,7 @@ impl JobInformationCollector {
     /// one wins — a `Migrating` husk left at the old site is *not*
     /// active — otherwise the most recently submitted record, a husk
     /// losing a same-instant tie to the record that replaced it.
-    pub fn locate(&self, task: TaskId) -> GaeResult<(SiteId, CondorId)> {
+    fn locate(&self, task: TaskId) -> GaeResult<(SiteId, CondorId)> {
         let mut best: Option<(SiteId, CondorId, (bool, gae_types::SimTime, bool))> = None;
         for (site, exec) in self.grid.sites() {
             let exec = exec.lock();
@@ -143,7 +126,7 @@ impl JobInformationCollector {
 
     /// Task ids of a job found live on any site (running, queued, or
     /// settled but still in an execution service's records), sorted.
-    pub fn live_job_tasks(&self, job: gae_types::JobId) -> Vec<TaskId> {
+    pub(crate) fn live_job_tasks(&self, job: gae_types::JobId) -> Vec<TaskId> {
         let mut out = Vec::new();
         for (_, exec) in self.grid.sites() {
             let exec = exec.lock();
@@ -160,7 +143,7 @@ impl JobInformationCollector {
 
     /// Live monitoring info for a task, straight from its execution
     /// service.
-    pub fn live_info(&self, task: TaskId) -> GaeResult<JobMonitoringInfo> {
+    pub(crate) fn live_info(&self, task: TaskId) -> GaeResult<JobMonitoringInfo> {
         let (site, condor) = self.locate(task)?;
         let exec = self.grid.exec(site)?;
         let exec = exec.lock();
@@ -168,57 +151,21 @@ impl JobInformationCollector {
         Ok(self.info_from_record(site, record, &exec))
     }
 
-    /// Reads the record a caller believes is `task`'s, under that one
-    /// site's lock. The location is a hint verified there — the record
-    /// must still be the site's current one for the task and not a
-    /// `Migrating` husk — so a caller whose bookkeeping lags the
-    /// execution layer gets `None` (resolve through
-    /// [`JobInformationCollector::locate`]), never a wrong answer.
-    fn read_at<R>(
-        &self,
-        task: TaskId,
-        site: SiteId,
-        condor: CondorId,
-        read: impl FnOnce(&TaskRecord, &gae_exec::ExecutionService) -> R,
-    ) -> Option<R> {
-        let exec = self.grid.exec(site).ok()?;
-        let exec = exec.lock();
-        if exec.condor_of(task) != Some(condor) {
-            return None;
-        }
-        let record = exec.record(condor).ok()?;
-        (record.status() != TaskStatus::Migrating).then(|| read(record, &exec))
-    }
-
-    /// Live monitoring info from the hinted location; `None` when the
-    /// hint is stale.
+    /// Live monitoring info from the location a caller tracks for
+    /// `task`, read under that one site's lock; `None` when the hint
+    /// is stale ([`gae_exec::ExecutionService::hinted`]), so a caller
+    /// whose bookkeeping lags the execution layer resolves through
+    /// [`Self::locate`], never to a wrong answer.
     pub(crate) fn live_info_at(
         &self,
         task: TaskId,
         site: SiteId,
         condor: CondorId,
     ) -> Option<JobMonitoringInfo> {
-        self.read_at(task, site, condor, |record, exec| {
-            self.info_from_record(site, record, exec)
-        })
-    }
-
-    /// [`Self::live_info_at`] that looks before it builds: the inner
-    /// `None` — decided from the record's status alone — while the
-    /// task is pending, queued or suspended.
-    pub(crate) fn live_info_unless_parked(
-        &self,
-        task: TaskId,
-        site: SiteId,
-        condor: CondorId,
-    ) -> Option<Option<JobMonitoringInfo>> {
-        self.read_at(task, site, condor, |record, exec| {
-            let parked = matches!(
-                record.status(),
-                TaskStatus::Pending | TaskStatus::Queued | TaskStatus::Suspended
-            );
-            (!parked).then(|| self.info_from_record(site, record, exec))
-        })
+        let exec = self.grid.exec(site).ok()?;
+        let exec = exec.lock();
+        let record = exec.hinted(task, condor)?;
+        Some(self.info_from_record(site, record, &exec))
     }
 }
 
@@ -279,7 +226,7 @@ mod tests {
 
         let seen = Arc::new(Mutex::new(Vec::new()));
         let (estimators, probe, hook_seen) = (stack.estimators.clone(), spec.clone(), seen.clone());
-        stack.jobmon.manager().db().on_store(move |info| {
+        stack.jobmon.db().on_store(move |info| {
             if info.status == TaskStatus::Completed {
                 let e = estimators.estimate_runtime(SiteId::new(1), &probe).unwrap();
                 hook_seen.lock().unwrap().push(e.samples);

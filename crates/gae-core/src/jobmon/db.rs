@@ -130,32 +130,10 @@ impl DbManager {
         self.snapshots.read().get(&task).cloned()
     }
 
-    /// Stored snapshots of all tasks of a job, in insertion order.
-    pub fn job_tasks(&self, job: JobId) -> Vec<JobMonitoringInfo> {
-        let by_job = self.by_job.read();
-        let snapshots = self.snapshots.read();
-        by_job
-            .get(&job)
-            .into_iter()
-            .flatten()
-            .filter_map(|t| snapshots.get(t).cloned())
-            .collect()
-    }
-
     /// Ids of the tasks of a job with stored snapshots, in insertion
     /// order.
     pub fn job_task_ids(&self, job: JobId) -> Vec<TaskId> {
         self.by_job.read().get(&job).cloned().unwrap_or_default()
-    }
-
-    /// Number of stored snapshots.
-    pub fn len(&self) -> usize {
-        self.snapshots.read().len()
-    }
-
-    /// True when the repository is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -243,14 +221,14 @@ mod tests {
     #[test]
     fn store_and_get() {
         let db = db();
-        assert!(db.is_empty());
+        assert!(db.export().is_empty());
         db.store(info(1, 1, TaskStatus::Completed));
         assert_eq!(
             db.get(TaskId::new(1)).unwrap().status,
             TaskStatus::Completed
         );
         assert!(db.get(TaskId::new(2)).is_none());
-        assert_eq!(db.len(), 1);
+        assert_eq!(db.export().len(), 1);
     }
 
     #[test]
@@ -258,7 +236,7 @@ mod tests {
         let db = db();
         db.store(info(1, 1, TaskStatus::Running));
         db.store(info(1, 1, TaskStatus::Completed));
-        assert_eq!(db.len(), 1);
+        assert_eq!(db.export().len(), 1);
         assert_eq!(
             db.get(TaskId::new(1)).unwrap().status,
             TaskStatus::Completed
@@ -271,8 +249,9 @@ mod tests {
         db.store(info(1, 1, TaskStatus::Completed));
         db.store(info(1, 2, TaskStatus::Failed));
         db.store(info(2, 3, TaskStatus::Completed));
-        assert_eq!(db.job_tasks(JobId::new(1)).len(), 2);
-        assert_eq!(db.job_tasks(JobId::new(2)).len(), 1);
-        assert!(db.job_tasks(JobId::new(3)).is_empty());
+        let ids = |job| db.job_task_ids(JobId::new(job));
+        assert_eq!(ids(1), vec![TaskId::new(1), TaskId::new(2)]);
+        assert_eq!(ids(2), vec![TaskId::new(3)]);
+        assert!(ids(3).is_empty());
     }
 }

@@ -8,24 +8,24 @@
 //! time, execution time, completion time, CPU time used, amount of
 //! input IO and output IO, owner name and environment variables."
 //!
-//! Component mapping (Figure 3):
+//! Component mapping (Figure 3). The service is one struct,
+//! [`JobMonitoringService`]; the paper's four parts live here:
 //!
-//! * [`collector`] — the **Job Information Collector**: interacts
-//!   with the execution services, drains their event streams, and
-//!   answers live queries for running jobs;
+//! * [`collector`] — the **Job Information Collector**: the service's
+//!   methods that interact with the execution services, drain their
+//!   event streams, and answer live queries for running jobs;
 //! * [`db`] — the **DBManager**: the per-instance repository of
 //!   monitoring snapshots, which "publishes the job monitoring
 //!   information to MonALISA";
-//! * [`manager`] — the **JMManager**: routes queries DB-first, then
-//!   to the collector;
-//! * [`service`] — the **JMExecutable**: the XML-RPC facade the
+//! * [`service`] — the **JMManager**, whose routing is one rule (a
+//!   live record wins, then the newer incarnation) in `job_info` and
+//!   `job_info_at`, and the **JMExecutable**: the XML-RPC facade the
 //!   Steering Service (and Figure 6's clients) call;
 //! * [`info`] — the monitoring record itself.
 
 pub mod collector;
 pub mod db;
 pub mod info;
-pub mod manager;
 pub mod service;
 
 pub use info::JobMonitoringInfo;

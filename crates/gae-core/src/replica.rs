@@ -295,7 +295,7 @@ pub(crate) fn file_to_value(lfn: &str, size: u64, replicas: &[SiteId]) -> Value 
     ])
 }
 
-fn file_from_value(v: &Value) -> GaeResult<(String, u64, Vec<SiteId>)> {
+pub(crate) fn file_from_value(v: &Value) -> GaeResult<(String, u64, Vec<SiteId>)> {
     Ok((
         v.member("lfn")?.as_str()?.to_string(),
         v.member("size")?.as_u64()?,

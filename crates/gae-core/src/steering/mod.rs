@@ -50,12 +50,6 @@ pub struct SteeringPolicy {
     /// How many times Backup & Recovery resubmits a failing task
     /// before declaring the job failed.
     pub max_recovery_attempts: u32,
-    /// Price migrations with transfer cost: when a slow task has
-    /// staged inputs, the Optimizer only moves it if the candidate
-    /// site still wins after re-staging those inputs over the live
-    /// link estimate (queue + transfer + loaded execution), with a
-    /// 20 % margin. Tasks without inputs are unaffected.
-    pub xfer_aware: bool,
 }
 
 impl Default for SteeringPolicy {
@@ -66,7 +60,6 @@ impl Default for SteeringPolicy {
             slow_rate_threshold: 0.5,
             preference: OptimizationPreference::Fast,
             max_recovery_attempts: 3,
-            xfer_aware: true,
         }
     }
 }

@@ -624,8 +624,8 @@ impl SteeringService {
     }
 
     /// The round as it was before parked stamps and the progress
-    /// probe — a liveness check and a look-before-you-build snapshot
-    /// of every `Submitted` task, a settled check of every live job —
+    /// probe — a liveness check and a full snapshot of every
+    /// `Submitted` task, a settled check of every live job —
     /// kept as the differential oracle of [`Self::poll`]: driven from
     /// the same state, both act on the same tasks in the same order.
     #[doc(hidden)]
@@ -644,9 +644,7 @@ impl SteeringService {
             for (task, site, condor) in submitted {
                 if !self.grid.is_alive(site) {
                     self.recover_task(job_id, task, site, condor, "execution service failed");
-                } else if let Ok(Some(info)) =
-                    self.jobmon.job_info_unless_parked(task, site, condor)
-                {
+                } else if let Ok(info) = self.jobmon.job_info_at(task, site, condor) {
                     self.act_on(job_id, task, site, condor, &info);
                 }
             }
@@ -1053,8 +1051,9 @@ impl SteeringService {
         // candidate, so price staying (finish at the observed rate)
         // against moving (queue + transfer over the live link
         // estimate + restarted execution under the candidate's load)
-        // and only move when the candidate still wins by 20 %.
-        if policy.xfer_aware && !spec.input_files.is_empty() {
+        // and only move when the candidate still wins by 20 %. Tasks
+        // without inputs are unaffected.
+        if !spec.input_files.is_empty() {
             let remaining = info
                 .remaining_time
                 .map(|d| d.as_secs_f64())

@@ -8,6 +8,8 @@
 //! back.
 
 use crate::grid::ServiceStack;
+use crate::persist::array_of;
+use crate::replica::{file_from_value, file_to_value};
 use gae_rpc::{Method, Methods};
 use gae_types::{
     AbstractPlan, ConcretePlan, FileRef, GaeError, GaeResult, JobId, JobSpec,
@@ -18,29 +20,9 @@ use std::sync::{Arc, Weak};
 
 // ---- wire codecs ----
 
-/// Encodes a file reference.
-pub fn file_to_value(f: &FileRef) -> Value {
-    Value::struct_of([
-        ("lfn", Value::from(f.logical_name.as_str())),
-        ("size", Value::from(f.size_bytes)),
-        (
-            "replicas",
-            Value::Array(f.replicas.iter().map(|s| Value::from(s.raw())).collect()),
-        ),
-    ])
-}
-
-/// Decodes a file reference.
-pub fn file_from_value(v: &Value) -> GaeResult<FileRef> {
-    let mut f = FileRef::new(v.member("lfn")?.as_str()?, v.member("size")?.as_u64()?);
-    for s in v.member("replicas")?.as_array()? {
-        f.replicas.push(SiteId::new(s.as_u64()?));
-    }
-    Ok(f)
-}
-
 /// Encodes a task specification.
 pub fn task_to_value(t: &TaskSpec) -> Value {
+    let file = |f: &FileRef| file_to_value(&f.logical_name, f.size_bytes, &f.replicas);
     Value::struct_of([
         ("id", Value::from(t.id.raw())),
         ("name", Value::from(t.name.as_str())),
@@ -57,11 +39,11 @@ pub fn task_to_value(t: &TaskSpec) -> Value {
         ("job_type", Value::from(t.job_type.to_string())),
         (
             "input_files",
-            Value::Array(t.input_files.iter().map(file_to_value).collect()),
+            Value::Array(t.input_files.iter().map(file).collect()),
         ),
         (
             "output_files",
-            Value::Array(t.output_files.iter().map(file_to_value).collect()),
+            Value::Array(t.output_files.iter().map(file).collect()),
         ),
         (
             "env",
@@ -102,12 +84,18 @@ pub fn task_from_value(v: &Value) -> GaeResult<TaskSpec> {
     t.queue = v.member("queue")?.as_str()?.to_string();
     t.partition = v.member("partition")?.as_str()?.to_string();
     t.job_type = v.member("job_type")?.as_str()?.parse()?;
-    for f in v.member("input_files")?.as_array()? {
-        t.input_files.push(file_from_value(f)?);
-    }
-    for f in v.member("output_files")?.as_array()? {
-        t.output_files.push(file_from_value(f)?);
-    }
+    let files = |key: &str| {
+        array_of(v.member(key)?, |f| {
+            let (logical_name, size_bytes, replicas) = file_from_value(f)?;
+            Ok(FileRef {
+                logical_name,
+                size_bytes,
+                replicas,
+            })
+        })
+    };
+    t.input_files = files("input_files")?;
+    t.output_files = files("output_files")?;
     for e in v.member("env")?.as_array()? {
         t.env.push((
             e.member("name")?.as_str()?.to_string(),

@@ -246,21 +246,25 @@ impl ExecutionService {
         &self.ledger.epoch
     }
 
-    /// What the steering round asks about the task it tracks here as
-    /// `condor`, read under this one lock and building nothing. `None`
+    /// The record a caller tracks as `task`'s here at `condor`. `None`
     /// when that is no longer the site's current, resident record for
     /// `task` (superseded, or a `Migrating` husk): the caller's hint is
     /// stale.
+    pub fn hinted(&self, task: TaskId, condor: CondorId) -> Option<&TaskRecord> {
+        let rec = self.records.get(&condor)?;
+        let current = self.condor_of(task) == Some(condor);
+        (current && rec.status() != TaskStatus::Migrating).then_some(rec)
+    }
+
+    /// What the steering round asks about the task it tracks here as
+    /// `condor`, read under this one lock and building nothing. `None`
+    /// when the hint is stale ([`Self::hinted`]).
     pub fn probe(&self, task: TaskId, condor: CondorId) -> Option<TaskProbe> {
         if !self.alive {
             return Some(TaskProbe::SiteDown);
         }
-        if self.condor_of(task) != Some(condor) {
-            return None;
-        }
-        let rec = self.records.get(&condor)?;
+        let rec = self.hinted(task, condor)?;
         match rec.status() {
-            TaskStatus::Migrating => None,
             TaskStatus::Pending | TaskStatus::Queued | TaskStatus::Suspended => {
                 Some(TaskProbe::Parked {
                     epoch: self.ledger.epoch.load(Ordering::Acquire),

@@ -1,9 +1,8 @@
 //! In-process transport: the same [`Rpc`] interface, zero sockets.
 //!
-//! Used by the discrete-event simulator (where real sockets would mix
-//! wall-clock and virtual time) and by unit tests. Optionally routes
-//! through the full XML-RPC codec (`codec = true`) so serialization
-//! bugs cannot hide behind the fast path.
+//! Used by tests that want a served host without a door. Every call
+//! goes through the full XML-RPC codec, both ways, so serialization
+//! bugs cannot hide behind a fast path.
 
 use crate::host::ServiceHost;
 use crate::service::{CallContext, Rpc};
@@ -17,30 +16,17 @@ pub struct InProcClient {
     session: Option<SessionId>,
     user: Option<UserId>,
     trace: Option<gae_obs::TraceContext>,
-    codec: bool,
 }
 
 impl InProcClient {
-    /// Fast path: dispatch without serializing.
+    /// A client whose every call is written to XML and parsed back,
+    /// both ways — byte-identical to the TCP path.
     pub fn new(host: Arc<ServiceHost>) -> Self {
         InProcClient {
             host,
             session: None,
             user: None,
             trace: None,
-            codec: false,
-        }
-    }
-
-    /// Full-fidelity path: every call is written to XML and parsed
-    /// back, both ways — byte-identical to the TCP path.
-    pub fn with_codec(host: Arc<ServiceHost>) -> Self {
-        InProcClient {
-            host,
-            session: None,
-            user: None,
-            trace: None,
-            codec: true,
         }
     }
 
@@ -87,15 +73,11 @@ impl InProcClient {
 impl Rpc for InProcClient {
     fn call(&mut self, method: &str, params: Vec<Value>) -> GaeResult<Value> {
         let ctx = self.context(method)?;
-        if self.codec {
-            let wire = write_call(&MethodCall::new(method, params));
-            let call = parse_call(wire.as_bytes())?;
-            let response = self.host.handle(&ctx, &call);
-            let wire_back = write_response(&response);
-            parse_response(wire_back.as_bytes())?.into_result()
-        } else {
-            self.host.dispatch(&ctx, method, &params)
-        }
+        let wire = write_call(&MethodCall::new(method, params));
+        let call = parse_call(wire.as_bytes())?;
+        let response = self.host.handle(&ctx, &call);
+        let wire_back = write_response(&response);
+        parse_response(wire_back.as_bytes())?.into_result()
     }
 
     fn endpoint(&self) -> String {
@@ -130,7 +112,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_roundtrip() {
+    fn roundtrip() {
         let host = ServiceHost::open();
         host.register(Arc::new(Probe));
         let mut c = InProcClient::new(host);
@@ -145,12 +127,13 @@ mod tests {
     fn codec_path_matches_fast_path() {
         let host = ServiceHost::open();
         host.register(Arc::new(Probe));
-        let mut fast = InProcClient::new(host.clone());
-        let mut slow = InProcClient::with_codec(host);
+        let ctx = host.resolve_session(None, "inproc").unwrap();
+        let mut client = InProcClient::new(host.clone());
         for i in [0i64, -5, 1 << 40] {
+            let params = vec![Value::Int64(i)];
             assert_eq!(
-                fast.call("probe.double", vec![Value::Int64(i)]).unwrap(),
-                slow.call("probe.double", vec![Value::Int64(i)]).unwrap()
+                host.dispatch(&ctx, "probe.double", &params).unwrap(),
+                client.call("probe.double", params).unwrap()
             );
         }
     }
@@ -158,7 +141,7 @@ mod tests {
     #[test]
     fn codec_path_propagates_faults() {
         let host = ServiceHost::open();
-        let mut c = InProcClient::with_codec(host);
+        let mut c = InProcClient::new(host);
         assert!(matches!(
             c.call("ghost.m", vec![]),
             Err(GaeError::Rpc { code: -32601, .. })

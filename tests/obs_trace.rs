@@ -45,7 +45,7 @@ fn submitted_job_yields_one_connected_trace_tree_over_rpc() {
 
     let host = ServiceHost::open();
     host.register(Arc::new(TraceRpc::new(stack.obs())));
-    let mut client = InProcClient::with_codec(host);
+    let mut client = InProcClient::new(host);
 
     let tree = client
         .call("trace.get", vec![Value::from(1u64)])
@@ -128,7 +128,7 @@ fn each_task_tree_holds_only_its_own_submit_and_run() {
 
     let host = ServiceHost::open();
     host.register(Arc::new(TraceRpc::new(stack.obs())));
-    let mut client = InProcClient::with_codec(host);
+    let mut client = InProcClient::new(host);
     let mut sites = std::collections::BTreeSet::new();
     let mut condors = std::collections::BTreeSet::new();
     for i in 1..=4u64 {
@@ -223,7 +223,7 @@ fn latency_histograms_publish_under_the_obs_entity() {
     // The same snapshot answers over the stats facade.
     let stats_host = ServiceHost::open();
     stats_host.register(Arc::new(StatsRpc::new(stack.obs())));
-    let mut stats = InProcClient::with_codec(stats_host);
+    let mut stats = InProcClient::new(stats_host);
     let snap = stats
         .call("stats.histogram", vec![Value::from("jobmon.job_status")])
         .unwrap();

@@ -311,11 +311,7 @@ impl ServiceStack {
     /// the Steering Service", §4.2.1). Ready tasks are submitted
     /// immediately; successors follow as prerequisites complete.
     pub fn submit_job(&self, job: JobSpec) -> GaeResult<ConcretePlan> {
-        let plan = self
-            .scheduler
-            .schedule(&gae_types::AbstractPlan::new(job))?;
-        self.steering.subscribe_plan(plan.clone())?;
-        Ok(plan)
+        self.submit_plan(&gae_types::AbstractPlan::new(job))
     }
 
     /// Variant of [`ServiceStack::submit_job`] with an explicit
@@ -344,11 +340,7 @@ impl ServiceStack {
 
     fn poll_steering_by(&self, steering_round: fn(&SteeringService)) {
         for mv in self.grid.flock_pass() {
-            let estimate = self.estimators.submission_runtime(mv.to, &mv.spec);
-            self.estimators
-                .record_submission(mv.to, mv.condor, estimate);
-            self.steering
-                .note_external_move(mv.task, mv.from, mv.to, mv.condor);
+            self.steering.note_external_move(mv);
         }
         self.jobmon.poll();
         steering_round(&self.steering);

@@ -2,8 +2,7 @@
 //! Backup & Recovery over the Subscriber's state.
 
 use crate::estimator::EstimatorService;
-use crate::grid::Grid;
-use crate::grid::Plumbing;
+use crate::grid::{FlockMove, Grid, Plumbing};
 use crate::jobmon::JobMonitoringInfo;
 use crate::jobmon::JobMonitoringService;
 use crate::persist::{
@@ -17,8 +16,8 @@ use crate::steering::SteeringPolicy;
 use gae_exec::{Checkpoint, Progress, TaskProbe};
 use gae_sched::Scheduler;
 use gae_types::{
-    ConcretePlan, CondorId, GaeError, GaeResult, JobId, OptimizationPreference, Priority,
-    SimDuration, SimTime, SiteId, TaskId, TaskSpec, TaskStatus, UserId,
+    ConcretePlan, CondorId, GaeError, GaeResult, JobId, Priority, SimDuration, SimTime, SiteId,
+    TaskId, TaskSpec, TaskStatus, UserId,
 };
 use gae_wire::Value;
 use parking_lot::{Mutex, RwLock};
@@ -90,19 +89,8 @@ pub enum Notification {
         /// Human-readable reason.
         reason: String,
     },
-    /// A task was re-placed.
-    TaskMoved {
-        /// The task.
-        task: TaskId,
-        /// Old site.
-        from: SiteId,
-        /// New site.
-        to: SiteId,
-        /// When.
-        at: SimTime,
-        /// Why.
-        reason: MoveReason,
-    },
+    /// A task was re-placed (every move but a flocked one).
+    TaskMoved(MoveRecord),
 }
 
 /// A log entry of one move decision (Figure 7 diagnostics).
@@ -256,9 +244,9 @@ impl SteeringService {
     }
 
     /// Exactly-once re-arm after recovery: every task the log says was
-    /// in flight at the crash is resubmitted to its planned site (the
+    /// in flight at the crash is placed again at its planned site (the
     /// old Condor id died with the process), then ready successors are
-    /// submitted. Returns the resubmitted tasks, deterministic order.
+    /// placed. Returns the re-armed tasks, deterministic order.
     pub(crate) fn rearm_submitted(&self) -> GaeResult<Vec<TaskId>> {
         let mut inflight: Vec<(JobId, TaskId, SiteId, Arc<TaskSpec>)> = Vec::new();
         {
@@ -288,13 +276,15 @@ impl SteeringService {
         for (job_id, task, site, spec) in inflight {
             // The checkpoint died with the process in this model;
             // restart from zero at the planned site.
-            self.submit_task_to(job_id, task, site, spec, None)?;
+            if self.place(job_id, task, site, spec, None).is_some() {
+                self.log(job_id, |j| SteeringOp::task_of(j, task));
+            }
             resubmitted.push(task);
         }
         // Jobs with no in-flight tasks may still have ready work
         // (e.g. crash landed between completion and resubmission).
         for job_id in self.live_job_ids() {
-            self.submit_ready(job_id)?;
+            self.submit_ready(job_id);
         }
         Ok(resubmitted)
     }
@@ -317,13 +307,14 @@ impl SteeringService {
     // ---- Subscriber ----
 
     /// Accepts a concrete plan from the scheduler (§4.2.1) and
-    /// submits every ready task.
+    /// places every ready task.
     pub fn subscribe_plan(&self, plan: ConcretePlan) -> GaeResult<()> {
         let job_id = plan.job_id();
         let tracked = TrackedJob::subscribe(plan)?;
         self.track(&mut self.jobs.write(), tracked);
         self.log(job_id, SteeringOp::plan_of);
-        self.submit_ready(job_id)
+        self.submit_ready(job_id);
+        Ok(())
     }
 
     /// Files `tracked` under its job: the task index, the tracker
@@ -345,15 +336,15 @@ impl SteeringService {
         jobs.insert(job_id, tracked);
     }
 
-    /// Submits every ready task of a job to its planned site.
-    fn submit_ready(&self, job_id: JobId) -> GaeResult<()> {
+    /// Places every ready task of a job at its planned site.
+    fn submit_ready(&self, job_id: JobId) {
         loop {
             // Snapshot the ready set without holding the lock across
             // execution-service calls.
             let ready: Vec<(TaskId, SiteId, Arc<TaskSpec>)> = {
                 let jobs = self.jobs.read();
                 let Some(tracked) = jobs.get(&job_id) else {
-                    return Ok(());
+                    return;
                 };
                 tracked
                     .ready_tasks()
@@ -366,39 +357,46 @@ impl SteeringService {
                     .collect()
             };
             if ready.is_empty() {
-                return Ok(());
+                return;
             }
             for (task, site, spec) in ready {
-                self.submit_task_to(job_id, task, site, spec, None)?;
+                if self.place(job_id, task, site, spec, None).is_some() {
+                    self.log(job_id, |j| SteeringOp::task_of(j, task));
+                }
             }
         }
     }
 
-    /// Submits one task, recording its submission-time runtime
-    /// estimate on its record at the site (§6.2c).
-    fn submit_task_to(
+    /// The one placement of a task: the site's breaker, the
+    /// submission, its submission-time runtime estimate on the record
+    /// (§6.2c), the trace span and the tracked phase; the caller
+    /// journals it. A refusal — the breaker open, or the site saying
+    /// no — is a failed placement: Backup & Recovery places the task
+    /// elsewhere or fails it, and the answer is `None`.
+    fn place(
         &self,
         job_id: JobId,
         task: TaskId,
         site: SiteId,
         spec: Arc<TaskSpec>,
         checkpoint: Option<Checkpoint>,
-    ) -> GaeResult<()> {
+    ) -> Option<CondorId> {
         let estimate = self.estimators.submission_runtime(site, &spec);
         // The site's circuit breaker: a site that failed its last N
-        // submissions is not re-contacted until its cooldown probe —
-        // the typed Overloaded error routes recovery elsewhere.
+        // submissions is not re-contacted until its cooldown probe.
         let (gate, breaker) = (&self.gate, format!("exec-site-{}", site.raw()));
-        match gate.breaker_check(&breaker, gae_gate::GateClass::Production) {
-            Ok(()) => gate.observe_disposition("admit", SimDuration::ZERO),
-            Err(e) => {
-                gate.observe_disposition("breaker_denied", SimDuration::ZERO);
-                return Err(e);
-            }
-        }
-        let submitted = self.grid.submit(site, spec, checkpoint);
-        gate.breaker_record(&breaker, submitted.is_ok());
-        let condor = submitted?;
+        let admitted = gate.breaker_check(&breaker, gae_gate::GateClass::Production);
+        let disposition = admitted.as_ref().map_or("breaker_denied", |()| "admit");
+        gate.observe_disposition(disposition, SimDuration::ZERO);
+        let submitted = admitted.and_then(|()| {
+            let submitted = self.grid.submit(site, spec, checkpoint);
+            gate.breaker_record(&breaker, submitted.is_ok());
+            submitted
+        });
+        let Ok(condor) = submitted else {
+            self.place_elsewhere(job_id, task, site);
+            return None;
+        };
         self.estimators.record_submission(site, condor, estimate);
         // Root the task's causal tree on its TaskId, so every attempt
         // lands in one tree, and record the hand-off. Placement and
@@ -408,8 +406,7 @@ impl SteeringService {
         let root = hub.task_trace(task.raw(), &format!("task {job_id}/{task}"), now);
         hub.span_at(root, &format!("steer.submit site-{}", site.raw()), now);
         self.set_phase(job_id, task, TaskPhase::Submitted { site, condor });
-        self.log(job_id, |j| SteeringOp::task_of(j, task));
-        Ok(())
+        Some(condor)
     }
 
     // ---- Command Processor (§4.2.2) ----
@@ -512,7 +509,11 @@ impl SteeringService {
 
     /// Moves a task to `target` (or the Optimizer's best site if
     /// `None`), carrying a checkpoint when the task supports it.
-    /// "Requests for job redirection are sent to the scheduler."
+    /// "Requests for job redirection are sent to the scheduler." A
+    /// refused placement at `target` is an error to the caller, and
+    /// Backup & Recovery has already placed the task elsewhere. It
+    /// restarts from zero, as every recovery does: the checkpoint went
+    /// with the refused submission.
     pub fn move_task(
         &self,
         job_id: JobId,
@@ -544,37 +545,60 @@ impl SteeringService {
         if to == from {
             return Err(GaeError::InvalidPlan(format!("{task} is already at {to}")));
         }
-        // Pull the task (with checkpoint if supported) and resubmit.
+        // Pull the task (with checkpoint if supported) and place it.
         let (spec, checkpoint) = self.grid.exec(from)?.lock().remove_for_migration(condor)?;
         self.grid.release_task_data(from, condor);
-        self.submit_task_to(job_id, task, to, spec, checkpoint)?;
-        let at = self.grid.now();
+        let refused = || GaeError::ExecutionFailure(format!("{to} refused {task}"));
+        let condor = self
+            .place(job_id, task, to, spec, checkpoint)
+            .ok_or_else(refused)?;
+        self.log(job_id, |j| SteeringOp::task_of(j, task));
+        self.book_move(job_id, task, (from, to, condor), reason);
+        Ok(())
+    }
+
+    /// The one booking of a move: the task's phase at `to` under
+    /// `condor` and the reassigned plan in one tracker write, the move
+    /// counter (a recovery is not a move), the `task` and `plan`
+    /// records, the move log and — unless the execution layer moved
+    /// the task on its own — the client's notice.
+    fn book_move(
+        &self,
+        job_id: JobId,
+        task: TaskId,
+        (from, to, condor): (SiteId, SiteId, CondorId),
+        reason: MoveReason,
+    ) {
         {
             let mut jobs = self.jobs.write();
-            if let Some(tracked) = jobs.get_mut(&job_id) {
-                tracked.plan = tracked.plan.reassigned(task, to)?;
-                if let Some(t) = tracked.tasks.get_mut(&task) {
-                    t.moves += 1;
-                }
+            let Some(tracked) = jobs.get_mut(&job_id) else {
+                return;
+            };
+            if let Some(t) = tracked.tasks.get_mut(&task) {
+                t.phase = TaskPhase::Submitted { site: to, condor };
+                t.moves += u32::from(reason != MoveReason::Recovery);
+                self.round_index.lock().reindex(job_id, tracked, task);
+            }
+            if let Ok(replanned) = tracked.plan.reassigned(task, to) {
+                tracked.plan = replanned;
             }
         }
         self.log(job_id, |j| SteeringOp::task_of(j, task));
         self.log(job_id, SteeringOp::plan_of);
-        self.moves.lock().push(MoveRecord {
+        let at = self.grid.now();
+        let record = MoveRecord {
             task,
             from,
             to,
             at,
             reason,
-        });
-        self.notifications.lock().push(Notification::TaskMoved {
-            task,
-            from,
-            to,
-            at,
-            reason,
-        });
-        Ok(())
+        };
+        self.moves.lock().push(record);
+        if reason != MoveReason::Flocked {
+            self.notifications
+                .lock()
+                .push(Notification::TaskMoved(record));
+        }
     }
 
     // ---- Backup & Recovery + monitoring loop (§4.2.4) ----
@@ -810,7 +834,7 @@ impl SteeringService {
         let root = hub.task_trace(task.raw(), &format!("task {job_id}/{task}"), now);
         hub.span_at(root, "steer.collect", now);
         // Completion may unblock successors.
-        let _ = self.submit_ready(job_id);
+        self.submit_ready(job_id);
     }
 
     /// §4.2.4: pulls the execution state (including the output files
@@ -862,41 +886,22 @@ impl SteeringService {
         }
     }
 
-    /// Updates bookkeeping after an execution-layer migration the
-    /// steering service did not itself initiate (flocking): the task
-    /// is now at `to` under a new Condor id.
-    pub fn note_external_move(&self, task: TaskId, from: SiteId, to: SiteId, condor: CondorId) {
-        let Ok(job_id) = self.job_of(task) else {
-            return;
-        };
-        let at = self.grid.now();
-        {
-            let mut jobs = self.jobs.write();
-            let Some(tracked) = jobs.get_mut(&job_id) else {
-                return;
-            };
-            if let Some(t) = tracked.tasks.get_mut(&task) {
-                t.phase = TaskPhase::Submitted { site: to, condor };
-                t.moves += 1;
-                self.round_index.lock().reindex(job_id, tracked, task);
-            }
-            if let Ok(replanned) = tracked.plan.reassigned(task, to) {
-                tracked.plan = replanned;
-            }
+    /// Books a migration the execution layer made on its own (a
+    /// flocked queued task), with the task's submission-time runtime
+    /// estimate at its new site.
+    pub fn note_external_move(&self, mv: FlockMove) {
+        let estimate = self.estimators.submission_runtime(mv.to, &mv.spec);
+        self.estimators
+            .record_submission(mv.to, mv.condor, estimate);
+        if let Ok(job_id) = self.job_of(mv.task) {
+            let placed = (mv.from, mv.to, mv.condor);
+            self.book_move(job_id, mv.task, placed, MoveReason::Flocked);
         }
-        self.log(job_id, |j| SteeringOp::task_of(j, task));
-        self.log(job_id, SteeringOp::plan_of);
-        self.moves.lock().push(MoveRecord {
-            task,
-            from,
-            to,
-            at,
-            reason: MoveReason::Flocked,
-        });
     }
 
-    /// Backup & Recovery: contact the scheduler for a new execution
-    /// service and resubmit; give up after the policy's attempt cap.
+    /// Backup & Recovery for a task its execution service failed:
+    /// collect what the failed attempt produced, tell the client, and
+    /// place the task elsewhere.
     fn recover_task(
         &self,
         job_id: JobId,
@@ -905,7 +910,6 @@ impl SteeringService {
         condor: CondorId,
         reason: &str,
     ) {
-        let at = self.grid.now();
         // "It then contacts the execution service to get all the
         // local files that were produced by the failed job" (§4.2.4).
         if let Ok(info) = self.jobmon.job_info_at(task, failed_site, condor) {
@@ -915,82 +919,60 @@ impl SteeringService {
         self.notifications.lock().push(Notification::TaskFailed {
             task,
             site: failed_site,
-            at,
+            at: self.grid.now(),
             reason: reason.to_string(),
         });
-        let (attempts_exceeded, plan) = {
+        self.place_elsewhere(job_id, task, failed_site);
+    }
+
+    /// Backup & Recovery's re-placement, after a failed attempt or a
+    /// refused placement: count the attempt, ask the scheduler for the
+    /// best site but `failed` as the Optimizer does, place the task
+    /// there and book the move. Past the policy's attempt cap, or with
+    /// no site to go to, the task fails. A task its plan does not hold
+    /// is skipped.
+    fn place_elsewhere(&self, job_id: JobId, task: TaskId, failed: SiteId) {
+        let (attempts_exceeded, spec) = {
             let mut jobs = self.jobs.write();
             let Some(tracked) = jobs.get_mut(&job_id) else {
+                return;
+            };
+            let Some(spec) = tracked.plan.job.task(task).cloned() else {
                 return;
             };
             let Some(t) = tracked.tasks.get_mut(&task) else {
                 return;
             };
             t.recovery_attempts += 1;
-            (
-                t.recovery_attempts > self.policy.read().max_recovery_attempts,
-                tracked.plan.clone(),
-            )
+            let cap = self.policy.read().max_recovery_attempts;
+            (t.recovery_attempts > cap, spec)
         };
         self.log(job_id, |j| SteeringOp::task_of(j, task));
         if attempts_exceeded {
             self.fail_task(job_id, task, "recovery attempts exhausted");
             return;
         }
-        let preference = self.policy.read().preference;
         // The scheduler's breaker: a scheduler failing every
-        // reschedule in a row is left alone for a cooldown instead of
-        // being hammered once per recovery.
+        // re-placement in a row is left alone for a cooldown instead
+        // of being hammered once per recovery.
         let gate = &self.gate;
         if let Err(e) = gate.breaker_check("sched", gae_gate::GateClass::Production) {
             self.fail_task(job_id, task, &format!("scheduler breaker open: {e}"));
             return;
         }
-        let rescheduled = self
+        let preference = self.policy.read().preference;
+        let best = self
             .scheduler
-            .reschedule_task(&plan, task, &[failed_site], preference);
-        gate.breaker_record("sched", rescheduled.is_ok());
-        match rescheduled {
-            Ok(new_plan) => {
-                // `reschedule_task` answers `plan.reassigned(task, ..)`, an
-                // error unless the plan places the task and its job holds it.
-                let new_site = new_plan.site_of(task).expect("invariant: placed");
-                let spec = new_plan.job.task(task).expect("invariant: in job").clone();
-                {
-                    let mut jobs = self.jobs.write();
-                    if let Some(tracked) = jobs.get_mut(&job_id) {
-                        tracked.plan = new_plan;
-                    }
-                }
-                self.log(job_id, SteeringOp::plan_of);
-                // Failure lost the in-memory state; restart from zero
-                // (a checkpointable task's checkpoint died with the
-                // site in this model).
-                if self
-                    .submit_task_to(job_id, task, new_site, spec, None)
-                    .is_ok()
-                {
-                    self.moves.lock().push(MoveRecord {
-                        task,
-                        from: failed_site,
-                        to: new_site,
-                        at,
-                        reason: MoveReason::Recovery,
-                    });
-                    self.notifications.lock().push(Notification::TaskMoved {
-                        task,
-                        from: failed_site,
-                        to: new_site,
-                        at,
-                        reason: MoveReason::Recovery,
-                    });
-                } else {
-                    self.fail_task(job_id, task, "resubmission failed");
+            .best_site(&spec, |_| true, &[failed], preference);
+        gate.breaker_record("sched", best.is_ok());
+        match best {
+            // Failure lost the in-memory state: restart from zero.
+            Ok((to, _)) => {
+                if let Some(condor) = self.place(job_id, task, to, spec, None) {
+                    self.book_move(job_id, task, (failed, to, condor), MoveReason::Recovery);
                 }
             }
-            Err(e) => {
-                self.fail_task(job_id, task, &format!("no replacement site: {e}"));
-            }
+            Err(e) => self.fail_task(job_id, task, &format!("no replacement site: {e}")),
         }
     }
 
@@ -1125,11 +1107,6 @@ impl SteeringService {
     pub fn job_progress(&self, task: TaskId) -> GaeResult<(SimDuration, SimDuration, f64)> {
         let info = self.jobmon.job_info(task)?;
         Ok((info.cpu_time, info.elapsed, info.progress))
-    }
-
-    /// The optimizer's preference currently in force.
-    pub fn preference(&self) -> OptimizationPreference {
-        self.policy.read().preference
     }
 }
 

@@ -766,8 +766,12 @@ impl ExecutionService {
         self.queue.len()
     }
 
-    /// Zero-based queue position of a task, `None` if not queued.
+    /// Zero-based queue position of a task, `None` if not queued. Only
+    /// a `Queued` record sits in the queue, so no other is looked for.
     pub fn queue_position(&self, condor: CondorId) -> Option<usize> {
+        self.records
+            .get(&condor)
+            .filter(|r| r.phase == Phase::Queued)?;
         self.queue.position(condor)
     }
 

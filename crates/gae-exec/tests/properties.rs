@@ -69,7 +69,11 @@ fn check_invariants(svc: &ExecutionService, submitted: &[CondorId]) {
         );
         assert_eq!(svc.queue_position(entry.condor), Some(pos));
     }
+    let queue = svc.queue_snapshot();
     for &condor in submitted {
+        // Asked only of a queued record, the position is the scan's.
+        let scanned = queue.iter().position(|e| e.condor == condor);
+        assert_eq!(svc.queue_position(condor), scanned);
         let rec = svc.record(condor).expect("every submission has a record");
         let usage = svc.usage(rec);
         // Accrual never exceeds the demand at this site.

@@ -168,24 +168,6 @@ impl Scheduler {
             assignments,
         )
     }
-
-    /// Re-places one task of an existing plan, excluding given sites
-    /// (the failed one, or the site the user is steering away from).
-    /// Returns the revised plan with a bumped revision counter.
-    pub fn reschedule_task(
-        &self,
-        plan: &ConcretePlan,
-        task_id: TaskId,
-        exclude: &[SiteId],
-        preference: OptimizationPreference,
-    ) -> GaeResult<ConcretePlan> {
-        let task = plan
-            .job
-            .task(task_id)
-            .ok_or_else(|| GaeError::NotFound(format!("{task_id} in {}", plan.id)))?;
-        let (site, _) = self.best_site(task, |_| true, exclude, preference)?;
-        plan.reassigned(task_id, site)
-    }
 }
 
 #[cfg(test)]
@@ -401,32 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn reschedule_excludes_failed_site() {
-        let sched = Scheduler::new(three_sites());
-        let plan = sched.schedule(&job(1)).unwrap();
-        assert_eq!(plan.site_of(TaskId::new(1)), Some(SiteId::new(2)));
-        let moved = sched
-            .reschedule_task(
-                &plan,
-                TaskId::new(1),
-                &[SiteId::new(2)],
-                OptimizationPreference::Fast,
-            )
-            .unwrap();
-        assert_eq!(moved.site_of(TaskId::new(1)), Some(SiteId::new(1)));
-        assert_eq!(moved.revision, 1);
-        // Excluding everything fails.
-        let all = [SiteId::new(1), SiteId::new(2), SiteId::new(3)];
-        assert!(sched
-            .reschedule_task(&plan, TaskId::new(1), &all, OptimizationPreference::Fast)
-            .is_err());
-        // Unknown task fails.
-        assert!(sched
-            .reschedule_task(&plan, TaskId::new(9), &[], OptimizationPreference::Fast)
-            .is_err());
-    }
-
-    #[test]
     fn best_site_takes_the_least_completion_or_cost() {
         let sched = Scheduler::new(three_sites());
         let task = TaskSpec::new(TaskId::new(1), "t", "x");
@@ -441,6 +397,10 @@ mod tests {
         assert_eq!(best(&[SiteId::new(2)], OptimizationPreference::Fast), 1);
         assert_eq!(best(&[], OptimizationPreference::Cheap), 3);
         assert_eq!(best(&[SiteId::new(3)], OptimizationPreference::Cheap), 2);
+        // Excluding every site leaves no bid.
+        let all = [SiteId::new(1), SiteId::new(2), SiteId::new(3)];
+        let none = sched.best_site(&task, |_| true, &all, OptimizationPreference::Fast);
+        assert!(matches!(none, Err(GaeError::ResourceExhausted(_))));
         // Equal bids go to the lower site id under both preferences.
         let info = Arc::new(StaticSiteInfo::new());
         for site in [3, 1, 2] {

@@ -1,7 +1,7 @@
 //! End-to-end steering scenarios through the public API: the
 //! Figure 7 dynamics, manual job control, and authorization.
 
-use gae::core::steering::{MoveReason, SteeringCommand, SteeringPolicy};
+use gae::core::steering::{MoveReason, MoveRecord, SteeringCommand, SteeringPolicy};
 use gae::prelude::*;
 use std::sync::Arc;
 
@@ -65,10 +65,10 @@ fn autonomous_steering_beats_staying_put() {
     let notes = stack.steering.drain_notifications();
     assert!(notes.iter().any(|n| matches!(
         n,
-        Notification::TaskMoved {
+        Notification::TaskMoved(MoveRecord {
             reason: MoveReason::SlowProgress,
             ..
-        }
+        })
     )));
     assert!(notes
         .iter()
@@ -121,6 +121,65 @@ fn optimizer_chooses_destination_when_unspecified() {
         site,
         SiteId::new(2),
         "the optimizer must pick the free site"
+    );
+}
+
+/// A manual move to a site whose breaker is open is refused. The
+/// caller hears so, and the task does not strand half-moved: Backup &
+/// Recovery places it away from the refusing site (back at site 1,
+/// from zero), the job completes and the client is told. Before, the
+/// task stayed a `Migrating` husk that the tracker still placed at
+/// site 1, and the job never settled.
+#[test]
+fn a_refused_move_is_placed_elsewhere_not_stranded() {
+    let grid = GridBuilder::new()
+        .site(SiteDescription::new(SiteId::new(1), "site-a", 1, 1))
+        .site(SiteDescription::new(SiteId::new(2), "site-b", 1, 1))
+        .build();
+    let stack = ServiceStack::with_policy(grid, paper_policy(false), SimDuration::from_secs(5));
+    let owner = UserId::new(1);
+    let mut job = JobSpec::new(JobId::new(1), "short", owner);
+    let task = job.add_task(
+        TaskSpec::new(TaskId::new(1), "t", "x").with_cpu_demand(SimDuration::from_secs(100)),
+    );
+    stack
+        .submit_plan(&AbstractPlan::new(job).restricted_to(vec![SiteId::new(1)]))
+        .unwrap();
+    stack.run_until(SimTime::from_secs(10));
+    for _ in 0..3 {
+        stack.gate.breaker_record("exec-site-2", false);
+    }
+    let moved = stack
+        .steering
+        .command(owner, task, SteeringCommand::Move(Some(SiteId::new(2))));
+    assert!(moved.is_err(), "a refused move is an error to its caller");
+    stack.run_until(SimTime::from_secs(5_000));
+
+    let info = stack.jobmon.job_info(task).unwrap();
+    assert_eq!(info.status, TaskStatus::Completed);
+    assert_eq!(info.site, SiteId::new(1));
+    let done = info.completed_at.unwrap().as_secs_f64();
+    assert!((done - 110.0).abs() < 1.0, "completion at {done}");
+    let tracked = stack.steering.tracked_job(JobId::new(1)).unwrap();
+    assert!(tracked.completion_notified);
+    let notes = stack.steering.drain_notifications();
+    assert!(
+        notes.iter().any(|n| matches!(
+            n,
+            Notification::TaskMoved(MoveRecord {
+                from,
+                to,
+                reason: MoveReason::Recovery,
+                ..
+            }) if *from == SiteId::new(2) && *to == SiteId::new(1)
+        )),
+        "{notes:?}"
+    );
+    assert!(
+        notes
+            .iter()
+            .any(|n| matches!(n, Notification::JobCompleted { .. })),
+        "{notes:?}"
     );
 }
 

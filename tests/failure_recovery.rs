@@ -3,7 +3,7 @@
 //! failure until the attempt budget runs out, and recovery of the
 //! site itself.
 
-use gae::core::steering::{MoveReason, SteeringPolicy};
+use gae::core::steering::{MoveReason, MoveRecord, SteeringPolicy};
 use gae::prelude::*;
 use std::sync::Arc;
 
@@ -50,10 +50,10 @@ fn site_failure_triggers_rescheduling_and_completion() {
         .any(|n| matches!(n, Notification::TaskFailed { .. })));
     assert!(notes.iter().any(|n| matches!(
         n,
-        Notification::TaskMoved {
+        Notification::TaskMoved(MoveRecord {
             reason: MoveReason::Recovery,
             ..
-        }
+        })
     )));
     assert!(notes
         .iter()
@@ -215,6 +215,59 @@ fn dag_job_survives_mid_pipeline_failure() {
     assert_eq!(stack.jobmon.job_status(JobId::new(1)), JobStatus::Completed);
 }
 
+/// A successor whose planned site refuses it when its predecessor
+/// completes (the site's breaker is open) is placed elsewhere by
+/// Backup & Recovery, and the job completes and tells its client.
+/// Before, the refusal was dropped: the successor stayed
+/// `WaitingPrereqs` and the job never settled.
+#[test]
+fn a_refused_successor_is_placed_elsewhere() {
+    let grid = GridBuilder::new()
+        .site(SiteDescription::new(SiteId::new(1), "alpha", 1, 1))
+        .site(SiteDescription::new(SiteId::new(2), "beta", 1, 1))
+        .build();
+    let stack = ServiceStack::over(grid);
+    let mut job = JobSpec::new(JobId::new(1), "pipeline", UserId::new(1));
+    let demand = SimDuration::from_secs(20);
+    let a = job.add_task(TaskSpec::new(TaskId::new(1), "a", "step").with_cpu_demand(demand));
+    let b = job.add_task(TaskSpec::new(TaskId::new(2), "b", "step").with_cpu_demand(demand));
+    job.add_dependency(a, b);
+    stack
+        .submit_plan(&AbstractPlan::new(job).restricted_to(vec![SiteId::new(1)]))
+        .unwrap();
+    stack.run_until(SimTime::from_secs(5));
+    for _ in 0..3 {
+        stack.gate.breaker_record("exec-site-1", false);
+    }
+    stack.run_until(SimTime::from_secs(5_000));
+
+    let tracked = stack.steering.tracked_job(JobId::new(1)).unwrap();
+    assert!(tracked.is_completed() && tracked.completion_notified);
+    let info = stack.jobmon.job_info(b).unwrap();
+    assert_eq!(info.status, TaskStatus::Completed);
+    assert_eq!(info.site, SiteId::new(2));
+    let notes = stack.steering.drain_notifications();
+    assert!(
+        notes.iter().any(|n| matches!(
+            n,
+            Notification::TaskMoved(MoveRecord {
+                task,
+                from,
+                to,
+                reason: MoveReason::Recovery,
+                ..
+            }) if *task == b && *from == SiteId::new(1) && *to == SiteId::new(2)
+        )),
+        "{notes:?}"
+    );
+    assert!(
+        notes
+            .iter()
+            .any(|n| matches!(n, Notification::JobCompleted { .. })),
+        "{notes:?}"
+    );
+}
+
 #[test]
 fn site_failure_recovers_each_stranded_task_exactly_once() {
     // Kill a site mid-run with a whole queue on it, then check every
@@ -255,11 +308,11 @@ fn site_failure_recovers_each_stranded_task_exactly_once() {
             .filter(|n| {
                 matches!(
                     n,
-                    Notification::TaskMoved {
+                    Notification::TaskMoved(MoveRecord {
                         task,
                         reason: MoveReason::Recovery,
                         ..
-                    } if task == t
+                    }) if task == t
                 )
             })
             .count();
